@@ -139,19 +139,10 @@ def average_entropy_for_basis(
         if p < 1e-14:
             continue
         rho = block / p
-        rho_a = _reduce_dense(rho, rest_dims, a_pos)
+        rho_a = qcore._partial_trace_dense(rho, rest_dims, a_pos)
         eigs = qcore.clamped_eigenvalues(rho_a)
         total += p * -float(sum(qcore.xlog2x(float(x)) for x in eigs))
     return total
-
-
-def _reduce_dense(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    t = matrix.reshape(tuple(dims) + tuple(dims))
-    n = len(dims)
-    for i in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
-    side = int(np.prod([dims[i] for i in sorted(keep)]))
-    return t.reshape(side, side)
 
 
 def _basis_measurement_search(

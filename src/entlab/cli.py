@@ -20,9 +20,14 @@ from . import assisted, decoupling, entropy, protocols, qcore, regions, typicali
 SEED_ENV = "ENTLAB_SEED"
 
 
+def parse_seed(text: str) -> int:
+    """A seed in any Python integer notation (decimal, 0x.., 0o.., 0b..)."""
+    return int(text, 0)
+
+
 def default_seed() -> int:
     env = os.environ.get(SEED_ENV)
-    return int(env, 0) if env else qcore.DEFAULT_SEED
+    return parse_seed(env) if env else qcore.DEFAULT_SEED
 
 
 def parse_state_file(path: str | Path) -> qcore.LabeledState:
@@ -329,7 +334,7 @@ def cmd_verify(args) -> int:
     results = acceptance.run_all(only=args.only)
     width = max(len(r.name) for r in results)
     for r in results:
-        print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
+        print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.seconds:7.2f}s  {r.detail}")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
         p.add_argument("--csv", default=None, help="optional CSV output path")
-        p.add_argument("--seed", type=int, default=default_seed(), help="root RNG seed")
+        p.add_argument("--seed", type=parse_seed, default=default_seed(), help="root RNG seed")
 
     p = sub.add_parser("entropy", help="entropy family of a state for one bipartition")
     p.add_argument("--state", required=True)

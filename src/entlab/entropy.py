@@ -27,8 +27,7 @@ class SupportError(StateError):
 def von_neumann(state: LabeledState, part: Iterable[str] | str | None = None) -> float:
     """Von Neumann entropy of the reduced operator on ``part`` (whole state if None)."""
     reduced = state if part is None else qcore.partial_trace(state, part)
-    eigs = qcore.clamped_eigenvalues(reduced.matrix)
-    return -float(sum(qcore.xlog2x(float(x)) for x in eigs))
+    return -float(sum(qcore.xlog2x(float(x)) for x in reduced.spectrum()))
 
 
 def conditional_entropy(state: LabeledState, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
@@ -57,8 +56,7 @@ def mutual_information(state: LabeledState, a: Iterable[str] | str, b: Iterable[
 def zero_entropy(state: LabeledState, part: Iterable[str] | str | None = None) -> float:
     """H_0: log2 of the rank of the reduced operator."""
     reduced = state if part is None else qcore.partial_trace(state, part)
-    eigs = np.linalg.eigvalsh(reduced.matrix)
-    return math.log2(int(np.sum(eigs > 1e-10)))
+    return math.log2(int(np.sum(reduced.spectrum() > 1e-10)))
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ def min_entropy_relative(rho: LabeledState, sigma: LabeledState) -> float:
 
 def min_entropy_unconditioned(rho: LabeledState) -> float:
     """H_min(rho) = -log2 of the largest eigenvalue."""
-    return -math.log2(float(np.max(qcore.clamped_eigenvalues(rho.matrix))))
+    return -math.log2(float(np.max(rho.spectrum())))
 
 
 def collision_entropy(rho: LabeledState, sigma: LabeledState) -> float:
@@ -247,7 +245,7 @@ def conditional_min_entropy_bits(rho: LabeledState, cond: Iterable[str] | str) -
 
 def max_entropy_unconditioned(rho: LabeledState) -> float:
     """H_max(rho) = 2 log2 sum_i sqrt(lambda_i)."""
-    eigs = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
+    eigs = np.clip(rho.spectrum(), 0.0, None)
     return 2.0 * math.log2(float(np.sum(np.sqrt(eigs))))
 
 

@@ -14,6 +14,8 @@ HERMITICITY_TOL = 1e-10
 HERMITICITY_REJECT = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-10
+PURITY_TOL = 1e-9
+UNITARITY_TOL = 1e-8
 MAX_TOTAL_DIM = 4096
 
 DEFAULT_SEED = 0x51A7E
@@ -48,23 +50,82 @@ def shannon_entropy(p: Sequence[float]) -> float:
 
 def clamped_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix with values in [EIGENVALUE_FLOOR, 0) set to 0."""
-    eigs = np.linalg.eigvalsh(matrix)
+    return _clamp(np.linalg.eigvalsh(matrix))
+
+
+def _clamp(eigs: np.ndarray) -> np.ndarray:
     return np.where((eigs < 0) & (eigs >= EIGENVALUE_FLOOR), 0.0, eigs)
 
 
-@dataclass(frozen=True)
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2.0
+
+
 class LabeledState:
     """A density operator carrying an ordered list of named subsystems.
 
-    ``matrix`` is stored in the tensor-product order of ``systems``.  States are
-    immutable after construction; every constructor validates Hermiticity,
-    positivity, and the trace contract for ``norm_mode``.
+    The operator is stored in the tensor-product order of ``systems``.  A pure
+    state built from amplitudes keeps the amplitude vector and builds the dense
+    ``matrix`` only on first access; every other state keeps the matrix.  The
+    spectrum is computed once and cached.  States are immutable after
+    construction.
+
+    Only :func:`make_state`, :func:`pure_state` and :func:`build_state`
+    validate their input.  The operations of this module map valid states to
+    valid states, so they wrap their results without a new eigendecomposition.
     """
 
+    __slots__ = ("systems", "is_pure", "norm_mode", "_matrix", "_amplitudes", "_spectrum")
+
     systems: tuple[tuple[str, int], ...]
-    matrix: np.ndarray
     is_pure: bool
     norm_mode: str
+
+    def __init__(
+        self,
+        systems: tuple[tuple[str, int], ...],
+        is_pure: bool,
+        norm_mode: str,
+        matrix: np.ndarray | None = None,
+        amplitudes: np.ndarray | None = None,
+        spectrum: np.ndarray | None = None,
+    ):
+        init = object.__setattr__
+        init(self, "systems", systems)
+        init(self, "is_pure", is_pure)
+        init(self, "norm_mode", norm_mode)
+        init(self, "_matrix", matrix)
+        init(self, "_amplitudes", amplitudes)
+        init(self, "_spectrum", spectrum)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"LabeledState is immutable; cannot set {name!r}")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense density matrix (read-only), built from the amplitudes on first access."""
+        m = self._matrix
+        if m is None:
+            v = self._amplitudes
+            m = _hermitian_part(np.outer(v, v.conj()))
+            m.setflags(write=False)
+            object.__setattr__(self, "_matrix", m)
+        return m
+
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues in ascending order, clamped as by :func:`clamped_eigenvalues`; computed once.
+
+        Pure states included: their spectrum comes from the dense matrix, not
+        from (0, ..., 0, 1), because the roundoff-level eigenvalues of that
+        matrix enter entropies at about 1e-13, which outputs rounded to 12
+        digits show.
+        """
+        eigs = self._spectrum
+        if eigs is None:
+            eigs = clamped_eigenvalues(self.matrix)
+            eigs.setflags(write=False)
+            object.__setattr__(self, "_spectrum", eigs)
+        return eigs
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -91,14 +152,24 @@ class LabeledState:
         raise LabelError(f"unknown subsystem label {label!r}")
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        v = self._amplitudes
+        if v is not None:
+            # The diagonal of the dense matrix, summed as np.trace sums it.
+            return float(np.real(np.sum(v * v.conj())))
+        return float(np.real(np.trace(self._matrix)))
 
     def vector(self) -> np.ndarray:
-        """State vector of a pure state (dominant eigenvector, unit phase fixed)."""
+        """State vector of a pure state, with its largest-magnitude entry real and positive.
+
+        A state built from amplitudes returns them; a pure state given as a
+        matrix returns the dominant eigenvector scaled by its eigenvalue's root.
+        """
         if not self.is_pure:
             raise StateError("vector() requires a pure state")
-        eigs, vecs = np.linalg.eigh(self.matrix)
-        v = vecs[:, -1] * math.sqrt(max(eigs[-1], 0.0))
+        v = self._amplitudes
+        if v is None:
+            eigs, vecs = np.linalg.eigh(self._matrix)
+            v = vecs[:, -1] * math.sqrt(max(eigs[-1], 0.0))
         k = int(np.argmax(np.abs(v)))
         phase = v[k] / abs(v[k]) if abs(v[k]) > 0 else 1.0
         return v / phase
@@ -117,16 +188,8 @@ def _normalize_labels(state: LabeledState, labels: Iterable[str] | str) -> tuple
     return tuple(name for name in state.labels if name in wanted)
 
 
-def make_state(
-    systems: Sequence[tuple[str, int]],
-    matrix: np.ndarray,
-    norm_mode: str = "normalized",
-) -> LabeledState:
-    """Validate and wrap a density matrix as a LabeledState.
-
-    The matrix is symmetrized to (M + M†)/2; a Hermiticity correction larger
-    than 1e-8 is rejected rather than silently absorbed.
-    """
+def _checked_systems(systems: Sequence[tuple[str, int]]) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Labels and dimensions checked against the state contract; returns (systems, total dimension)."""
     systems = tuple((str(name), int(d)) for name, d in systems)
     names = [name for name, _ in systems]
     if len(set(names)) != len(names):
@@ -137,14 +200,31 @@ def make_state(
     side = int(np.prod([d for _, d in systems])) if systems else 1
     if side > MAX_TOTAL_DIM:
         raise StateError(f"total dimension {side} exceeds the cap {MAX_TOTAL_DIM}")
+    return systems, side
 
+
+def make_state(
+    systems: Sequence[tuple[str, int]],
+    matrix: np.ndarray,
+    norm_mode: str = "normalized",
+) -> LabeledState:
+    """Validate and wrap a density matrix as a LabeledState.
+
+    Non-finite entries are rejected.  The matrix is symmetrized to (M + M†)/2;
+    a Hermiticity correction larger than 1e-8 is rejected rather than silently
+    absorbed.  The eigenvalues computed for the positivity check are kept as
+    the state's spectrum.
+    """
+    systems, side = _checked_systems(systems)
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (side, side):
         raise StateError(f"matrix side {m.shape} does not match product dimension {side}")
+    if not np.isfinite(m).all():
+        raise StateError("matrix has non-finite entries")
     defect = float(np.max(np.abs(m - m.conj().T))) if side else 0.0
     if defect > HERMITICITY_REJECT:
         raise StateError(f"matrix is not Hermitian (max defect {defect:.3e} > {HERMITICITY_REJECT})")
-    m = (m + m.conj().T) / 2.0
+    m = _hermitian_part(m)
 
     eigs = np.linalg.eigvalsh(m)
     if eigs[0] < EIGENVALUE_FLOOR:
@@ -159,37 +239,57 @@ def make_state(
             raise StateError(f"trace {tr!r} is not in (0, 1] within {TRACE_TOL}")
     else:
         raise StateError(f"unknown norm_mode {norm_mode!r}")
-
-    purity = float(np.real(np.trace(m @ m)))
-    is_pure = norm_mode == "normalized" and purity >= 1.0 - 1e-9
-    m = m.copy()
-    m.setflags(write=False)
-    return LabeledState(systems=systems, matrix=m, is_pure=is_pure, norm_mode=norm_mode)
+    return _trusted(systems, norm_mode, matrix=m, spectrum=_clamp(eigs))
 
 
 def pure_state(systems: Sequence[tuple[str, int]], amplitudes: np.ndarray) -> LabeledState:
-    """Build a normalized pure LabeledState from an amplitude vector."""
+    """Validate an amplitude vector and wrap it, normalized, as a pure LabeledState.
+
+    The state keeps the vector; an outer product is PSD, so no
+    eigendecomposition is needed.
+    """
+    systems, side = _checked_systems(systems)
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if v.size != side:
+        raise StateError(f"amplitude vector of length {v.size} does not match product dimension {side}")
+    if not np.isfinite(v).all():
+        raise StateError("amplitude vector has non-finite entries")
     norm = float(np.linalg.norm(v))
     if norm <= 0:
         raise StateError("amplitude vector has zero norm")
-    v = v / norm
-    return make_state(systems, np.outer(v, v.conj()))
+    return _trusted(systems, "normalized", amplitudes=v / norm)
 
 
-def _axes_matrix(state: LabeledState) -> np.ndarray:
-    dims = state.dims
-    return state.matrix.reshape(dims + dims)
+def _trusted(
+    systems: tuple[tuple[str, int], ...],
+    norm_mode: str,
+    matrix: np.ndarray | None = None,
+    amplitudes: np.ndarray | None = None,
+    is_pure: bool | None = None,
+    spectrum: np.ndarray | None = None,
+) -> LabeledState:
+    """Wrap a result that is a valid state by construction, without checking it.
+
+    An amplitude vector is pure.  A matrix's purity is Tr(rho^2) = ||rho||_F^2
+    unless the caller passes ``is_pure``.
+    """
+    if amplitudes is not None:
+        amplitudes.setflags(write=False)
+        return LabeledState(systems, True, norm_mode, amplitudes=amplitudes)
+    if is_pure is None:
+        is_pure = norm_mode == "normalized" and float(np.vdot(matrix, matrix).real) >= 1.0 - PURITY_TOL
+    matrix.setflags(write=False)
+    return LabeledState(systems, is_pure, norm_mode, matrix=matrix, spectrum=spectrum)
 
 
 def tensor(a: LabeledState, b: LabeledState) -> LabeledState:
     """Tensor product of two states with disjoint label sets."""
-    overlap = set(a.labels) & set(b.labels)
-    if overlap:
-        raise LabelError(f"duplicate labels {sorted(overlap)!r} in tensor product")
+    systems, _ = _checked_systems(a.systems + b.systems)
     if a.norm_mode != b.norm_mode:
         raise StateError("cannot tensor states with different norm modes")
-    return make_state(a.systems + b.systems, np.kron(a.matrix, b.matrix), a.norm_mode)
+    # Dense even for two amplitude vectors: reductions of the product then
+    # reproduce those of kron(rho_a, rho_b) bit for bit.
+    return _trusted(systems, a.norm_mode, matrix=np.kron(a.matrix, b.matrix), is_pure=a.is_pure and b.is_pure)
 
 
 def tensor_all(states: Sequence[LabeledState]) -> LabeledState:
@@ -199,21 +299,54 @@ def tensor_all(states: Sequence[LabeledState]) -> LabeledState:
     return out
 
 
+def _partial_trace_dense(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Trace a dense operator on systems of ``dims`` down to the systems at positions ``keep``.
+
+    The kept systems stay in their order in ``dims``.
+    """
+    n = len(dims)
+    t = matrix.reshape(tuple(dims) + tuple(dims))
+    # Contract each traced axis pair, back to front so axis numbers stay valid.
+    for i in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    side = math.prod(dims[i] for i in keep)
+    return t.reshape(side, side)
+
+
+def _partial_trace_vector(amplitudes: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix of a pure state on the positions ``keep`` (ascending).
+
+    With the amplitudes reshaped to Psi[traced, kept], this is Psi^T Psi^*: it
+    forms only the D * d_keep products that the trace keeps, never the D x D
+    matrix.  The products and their sums follow _partial_trace_dense applied
+    to the state's dense matrix step by step, so both give the same bits.
+    """
+    traced = [i for i in range(len(dims)) if i not in keep]
+    d_keep = math.prod(dims[i] for i in keep)
+    psi = np.ascontiguousarray(amplitudes.reshape(dims).transpose(traced + list(keep))).reshape(-1, d_keep)
+    products = psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :]
+    products = (products + products.conj().transpose(0, 2, 1)) / 2.0
+    t = products.reshape([dims[i] for i in traced] + [d_keep, d_keep])
+    for axis in reversed(range(len(traced))):
+        if axis == 0 and not keep:
+            return np.add.reduce(t.reshape(-1)).reshape(1, 1)
+        # The summed axis goes outermost, so each entry adds its terms in order.
+        t = np.add.reduce(np.ascontiguousarray(np.moveaxis(t, axis, 0)), axis=0)
+    return t
+
+
 def partial_trace(state: LabeledState, keep: Iterable[str] | str) -> LabeledState:
     """Reduced operator on the kept subsystems, trace preserved."""
     kept = _normalize_labels(state, keep)
     if len(kept) == len(state.systems):
         return state
-    n = len(state.systems)
     keep_idx = [state.index_of(name) for name in kept]
-    t = _axes_matrix(state)
-    # Contract each traced axis pair, back to front so axis numbers stay valid.
-    for i in sorted(set(range(n)) - set(keep_idx), reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
-    side = int(np.prod([state.dim_of(name) for name in kept])) if kept else 1
-    reduced = t.reshape(side, side)
-    new_systems = [(name, state.dim_of(name)) for name in kept]
-    return make_state(new_systems, reduced, state.norm_mode)
+    new_systems = tuple(state.systems[i] for i in keep_idx)
+    if state._amplitudes is not None:
+        reduced = _partial_trace_vector(state._amplitudes, state.dims, keep_idx)
+    else:
+        reduced = _partial_trace_dense(state._matrix, state.dims, keep_idx)
+    return _trusted(new_systems, state.norm_mode, matrix=reduced)
 
 
 def permute_systems(state: LabeledState, order: Sequence[str]) -> LabeledState:
@@ -221,26 +354,50 @@ def permute_systems(state: LabeledState, order: Sequence[str]) -> LabeledState:
     if sorted(order) != sorted(state.labels):
         raise LabelError(f"order {list(order)!r} is not a permutation of {list(state.labels)!r}")
     perm = [state.index_of(name) for name in order]
+    new_systems = tuple(state.systems[p] for p in perm)
+    dims = state.dims
+    if state._amplitudes is not None:
+        return _trusted(new_systems, state.norm_mode, amplitudes=state._amplitudes.reshape(dims).transpose(perm).reshape(-1))
     n = len(perm)
-    t = _axes_matrix(state).transpose(perm + [p + n for p in perm])
+    t = state._matrix.reshape(dims + dims).transpose(perm + [p + n for p in perm])
     side = state.total_dim
-    new_systems = [(name, state.dim_of(name)) for name in order]
-    return make_state(new_systems, t.reshape(side, side), state.norm_mode)
+    return _trusted(new_systems, state.norm_mode, matrix=t.reshape(side, side), is_pure=state.is_pure)
+
+
+def _act_on_axes(op: np.ndarray, t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Contract ``op`` (shaped out-dims + in-dims) with the tensor axes ``axes``, in place of them."""
+    k = len(axes)
+    out = np.tensordot(op, t, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
 
 
 def apply_unitary(state: LabeledState, labels: Sequence[str], unitary: np.ndarray) -> LabeledState:
     """Conjugate the state by a unitary acting on the listed subsystems (in that order)."""
     labels = list(labels)
-    rest = [name for name in state.labels if name not in labels]
-    s = permute_systems(state, labels + rest)
-    d_act = int(np.prod([state.dim_of(name) for name in labels]))
-    d_rest = s.total_dim // d_act
+    if len(set(labels)) != len(labels):
+        raise LabelError(f"duplicate labels in {labels!r}")
+    idx = [state.index_of(name) for name in labels]
+    dims = state.dims
+    act_dims = tuple(dims[i] for i in idx)
+    d_act = math.prod(act_dims)
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (d_act, d_act):
         raise StateError(f"unitary shape {u.shape} does not match subsystem dimension {d_act}")
-    full = np.kron(u, np.eye(d_rest))
-    rotated = make_state(s.systems, full @ s.matrix @ full.conj().T, s.norm_mode)
-    return permute_systems(rotated, state.labels)
+    if not np.isfinite(u).all():
+        raise StateError("unitary has non-finite entries")
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d_act))))
+    if defect > UNITARITY_TOL:
+        raise StateError(f"operator is not unitary (max defect of U^dagger U {defect:.3e} > {UNITARITY_TOL})")
+    u_t = u.reshape(act_dims + act_dims)
+    if state._amplitudes is not None:
+        psi = _act_on_axes(u_t, state._amplitudes.reshape(dims), idx)
+        return _trusted(state.systems, state.norm_mode, amplitudes=psi.reshape(-1))
+    n = len(dims)
+    t = _act_on_axes(u_t, state._matrix.reshape(dims + dims), idx)
+    # rho U^dagger contracts conj(U) with the column axes.
+    t = _act_on_axes(u_t.conj(), t, [n + i for i in idx])
+    side = state.total_dim
+    return _trusted(state.systems, state.norm_mode, matrix=_hermitian_part(t.reshape(side, side)), is_pure=state.is_pure)
 
 
 def purify(state: LabeledState, ref_label: str = "R") -> LabeledState:
@@ -317,8 +474,12 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values; eigvalsh absolute sum for Hermitian input."""
-    if np.allclose(matrix, matrix.conj().T, atol=1e-12):
+    """Sum of singular values; eigvalsh absolute sum for Hermitian input.
+
+    Hermiticity is decided by an absolute tolerance alone: a relative one would
+    let a defect that scales with the entries through.
+    """
+    if np.allclose(matrix, matrix.conj().T, rtol=0.0, atol=1e-12):
         return float(np.sum(np.abs(np.linalg.eigvalsh(matrix))))
     return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
 
@@ -526,7 +687,14 @@ def merge_systems(state: LabeledState, groups: dict[str, Sequence[str]]) -> Labe
             new_systems[-1] = (target, new_systems[-1][1] * dim)
         else:
             new_systems.append((target, dim))
-    return make_state(new_systems, state.matrix, state.norm_mode)
+    names = [name for name, _ in new_systems]
+    if len(set(names)) != len(names):
+        raise LabelError(f"duplicate subsystem labels in {names!r}")
+    # The stored operator is unchanged, so purity and spectrum carry over.
+    return LabeledState(
+        tuple(new_systems), state.is_pure, state.norm_mode,
+        matrix=state._matrix, amplitudes=state._amplitudes, spectrum=state._spectrum,
+    )
 
 
 CONSTRUCTORS = {

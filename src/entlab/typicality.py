@@ -126,7 +126,7 @@ def typical_projector_checks(state: LabeledState, n: int, delta: float) -> Proje
     d = state.total_dim
     if d**n > PROJECTOR_CAP:
         raise StateError(f"d^n = {d ** n} exceeds the projector cap {PROJECTOR_CAP}")
-    p = np.sort(qcore.clamped_eigenvalues(state.matrix))[::-1]
+    p = np.sort(state.spectrum())[::-1]
     c = typicality_constant(p)
     entropy_bits = -float(sum(qcore.xlog2x(float(x)) for x in p))
 

@@ -187,3 +187,33 @@ def test_seed_env_override(monkeypatch):
     assert cli.default_seed() == 0x123
     monkeypatch.delenv(cli.SEED_ENV)
     assert cli.default_seed() == qcore.DEFAULT_SEED
+
+
+def test_state_file_with_nan_amplitude_is_rejected_with_diagnostic(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    spec = {
+        "systems": [{"label": "A", "dim": 2}, {"label": "B", "dim": 2}],
+        "state": {"kind": "pure", "amplitudes": [[1.0, 0.0], [float("nan"), 0.0], [0.0, 0.0], [1.0, 0.0]]},
+    }
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(qcore.StateError, match="non-finite"):
+        cli.parse_state_file(str(path))
+    assert cli.main(["entropy", "--state", str(path), "--split", "A|B"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_seed_option_accepts_any_integer_notation(capsys):
+    outputs = []
+    for seed in ("0x10", "16"):
+        assert cli.main(["twirl", "--d", "2", "--L", "1", "--samples", "50", "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert cli.build_parser().parse_args(["twirl", "--d", "2", "--L", "1", "--seed", "0x10"]).seed == 16
+
+
+def test_verify_prints_criterion_seconds(capsys):
+    assert cli.main(["verify", "--only", "swap"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    name, verdict, seconds = line.split()[:3]
+    assert (name, verdict) == ("swap", "PASS")
+    assert seconds.endswith("s") and float(seconds[:-1]) >= 0.0

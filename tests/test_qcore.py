@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -211,3 +212,163 @@ def test_two_pairs_plus_theta_builder():
     assert state.is_pure
     emb = qcore.example_4_1(2, "embezzle:2")
     assert emb.total_dim == 64
+
+
+def test_constructors_reject_non_finite_input():
+    for bad in (np.nan, np.inf):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(qcore.StateError, match="non-finite"):
+            qcore.make_state([("A", 2)], m)
+        with pytest.raises(qcore.StateError, match="non-finite"):
+            qcore.pure_state([("A", 2)], np.array([1.0, bad]))
+    with pytest.raises(qcore.StateError, match="length"):
+        qcore.pure_state([("A", 2)], np.ones(3))
+
+
+def test_trace_norm_uses_absolute_hermiticity_tolerance():
+    # A 1e-6 asymmetry passes np.allclose's default rtol but is not Hermitian.
+    x = np.array([[0.0, 1.0 + 1e-6], [1.0, 0.0]], dtype=complex)
+    svd = float(np.sum(np.linalg.svd(x, compute_uv=False)))
+    assert qcore.trace_norm(x) == pytest.approx(svd, abs=1e-15)
+    assert abs(float(np.sum(np.abs(np.linalg.eigvalsh(x)))) - svd) > 1e-8
+
+
+def test_apply_unitary_and_merge_reject_invalid_arguments():
+    state = qcore.max_mixed(2, "A")
+    with pytest.raises(qcore.StateError, match="not unitary"):
+        qcore.apply_unitary(state, ["A"], np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(qcore.LabelError):
+        qcore.apply_unitary(qcore.tensor(state, qcore.max_mixed(2, "B")), ["A", "A"], np.eye(4))
+    three = qcore.tensor_all([state, qcore.max_mixed(2, "B"), qcore.max_mixed(2, "C")])
+    with pytest.raises(qcore.LabelError):
+        qcore.merge_systems(three, {"A": ["C"]})
+
+
+def test_states_are_immutable_and_pure_states_stay_vectors():
+    psi = qcore.ghz(12)
+    assert psi.total_dim == 4096 and psi.is_pure
+    with pytest.raises(AttributeError):
+        psi.is_pure = False
+    reduced = qcore.partial_trace(psi, ["A", "B"])
+    assert np.allclose(reduced.matrix, np.diag([0.5, 0, 0, 0.5]), atol=1e-15)
+    assert entropy.von_neumann(psi, ["A"]) == pytest.approx(1.0, abs=1e-12)
+    moved = qcore.apply_unitary(qcore.permute_systems(psi, psi.labels[::-1]), ["L"], np.array([[0, 1], [1, 0]]))
+    assert moved.is_pure and moved.vector().shape == (4096,)
+    # None of these built the 4096 x 4096 density matrix.
+    assert psi._matrix is None and moved._matrix is None
+
+
+# -- trusted operations against the validating constructor and the dense reference --
+
+
+def _dense_partial_trace(matrix, dims, keep):
+    n = len(dims)
+    t = matrix.reshape(tuple(dims) * 2)
+    for i in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    side = int(np.prod([dims[i] for i in keep]))
+    return t.reshape(side, side)
+
+
+def _dense_permute(matrix, dims, perm):
+    n = len(dims)
+    side = matrix.shape[0]
+    return matrix.reshape(tuple(dims) * 2).transpose(list(perm) + [p + n for p in perm]).reshape(side, side)
+
+
+def _dense_apply(matrix, dims, idx, u):
+    rest = [i for i in range(len(dims)) if i not in idx]
+    perm = list(idx) + rest
+    moved = _dense_permute(matrix, dims, perm)
+    full = np.kron(u, np.eye(moved.shape[0] // u.shape[0]))
+    rotated = full @ moved @ full.conj().T
+    return _dense_permute(rotated, [dims[p] for p in perm], list(np.argsort(perm)))
+
+
+def _random_family(kind, dims, rng):
+    systems = [(chr(ord("A") + i), d) for i, d in enumerate(dims)]
+    if kind == "pure":
+        return qcore.random_pure(systems, rng)
+    rank = int(rng.integers(1, int(np.prod(dims)) + 1))
+    m = qcore.random_density(dims, rng, rank)
+    if kind == "subnormalized":
+        return qcore.make_state(systems, m * rng.uniform(0.3, 1.0), "subnormalized")
+    return qcore.make_state(systems, m)
+
+
+def _revalidated(state):
+    return qcore.make_state(state.systems, state.matrix, state.norm_mode)
+
+
+def _check_trusted(out, want_matrix):
+    again = _revalidated(out)
+    assert again.is_pure == out.is_pure
+    assert np.max(np.abs(out.matrix - want_matrix)) <= 1e-12
+    if out.is_pure:
+        v = out.vector()
+        k = int(np.argmax(np.abs(v)))
+        assert abs(v[k].imag) <= 1e-15 and v[k].real > 0.0
+        assert np.max(np.abs(np.outer(v, v.conj()) - out.matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed", "subnormalized"])
+@pytest.mark.parametrize("seed", range(8))
+def test_trusted_operations_match_dense_reference(kind, seed):
+    rng = np.random.default_rng([seed, len(kind)])
+    dims = [int(d) for d in rng.integers(1, 5, size=int(rng.integers(2, 5)))]
+    state = _random_family(kind, dims, rng)
+    dense = state.matrix
+    n = len(dims)
+    labels = list(state.labels)
+
+    keep = sorted(int(i) for i in rng.choice(n, size=int(rng.integers(0, n)), replace=False))
+    reduced = qcore.partial_trace(state, [labels[i] for i in keep])
+    _check_trusted(reduced, _dense_partial_trace(dense, dims, keep))
+
+    perm = [int(p) for p in rng.permutation(n)]
+    permuted = qcore.permute_systems(state, [labels[p] for p in perm])
+    assert permuted.is_pure == state.is_pure
+    _check_trusted(permuted, _dense_permute(dense, dims, perm))
+
+    merged = qcore.merge_systems(state, {"M": labels[:2]})
+    assert merged.dims == (dims[0] * dims[1],) + tuple(dims[2:])
+    _check_trusted(merged, dense)
+
+    idx = [int(i) for i in rng.choice(n, size=int(rng.integers(1, min(n, 2) + 1)), replace=False)]
+    u = qcore.haar_unitary(int(np.prod([dims[i] for i in idx])), rng)
+    rotated = qcore.apply_unitary(state, [labels[i] for i in idx], u)
+    assert rotated.is_pure == state.is_pure
+    _check_trusted(rotated, _dense_apply(dense, dims, idx, u))
+
+    other = qcore.merge_systems(_random_family(kind, [2], rng), {"Z": ["A"]})
+    product = qcore.tensor(state, other)
+    assert product.is_pure == (state.is_pure and other.is_pure)
+    _check_trusted(product, np.kron(dense, other.matrix))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vector_reductions_equal_dense_partial_trace_bitwise(seed):
+    # Same bits, not only close: outputs rounded to 12 digits must not move.
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 9, size=int(rng.integers(1, 6)))]
+    psi = qcore.random_pure([(f"S{i}", d) for i, d in enumerate(dims)], rng)
+    for k in range(len(dims) + 1):
+        for keep in itertools.combinations(range(len(dims)), k):
+            reduced = qcore.partial_trace(psi, [psi.labels[i] for i in keep])
+            assert np.array_equal(reduced.matrix, _dense_partial_trace(psi.matrix, dims, list(keep)))
+    assert psi.trace() == float(np.real(np.trace(psi.matrix)))
+
+
+def test_vector_phase_convention_and_stored_amplitudes():
+    rng = np.random.default_rng(4)
+    amplitudes = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    psi = qcore.pure_state([("A", 3), ("B", 4)], amplitudes)
+    v = psi.vector()
+    k = int(np.argmax(np.abs(amplitudes)))
+    expected = amplitudes / np.linalg.norm(amplitudes)
+    expected = expected * abs(expected[k]) / expected[k]
+    assert np.max(np.abs(v - expected)) <= 1e-15
+    assert abs(v[k].imag) <= 1e-15 and v[k].real > 0.0
+    dense_pure = qcore.make_state(psi.systems, psi.matrix)
+    assert np.max(np.abs(dense_pure.vector() - v)) <= 1e-12
