@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,20 +32,39 @@ def mincut_coherent(
     helpers: Sequence[Sequence[str] | str],
 ) -> tuple[float, tuple[str, ...]]:
     """min over helper cuts T of I(A,T > B,T-bar); helpers may be label groups."""
+    return _mincut_coherent(entropy.subset_entropies(state), a_labels, b_labels, helpers)
+
+
+def _mincut_coherent(
+    s: Callable[[Sequence[str]], float],
+    a_labels: Sequence[str],
+    b_labels: Sequence[str],
+    helpers: Sequence[Sequence[str] | str],
+) -> tuple[float, tuple[str, ...]]:
+    """mincut_coherent read from the subset-entropy table ``s``."""
     groups = [[h] if isinstance(h, str) else list(h) for h in helpers]
     names = [_group_name(g) for g in groups]
     by_name = dict(zip(names, groups))
+    _check_disjoint(a_labels, b_labels, *by_name.values())
+    everything = list(a_labels) + list(b_labels) + [x for g in groups for x in g]
 
     def value(cut: tuple[str, ...]) -> float:
-        t = [x for g in cut for x in by_name[g]]
         tbar = [x for name, g in by_name.items() if name not in cut for x in g]
-        return entropy.coherent_information(state, list(a_labels) + t, list(b_labels) + tbar)
+        return -(s(everything) - s(list(b_labels) + tbar))
 
     return regions.min_over_cuts(names, value)
 
 
 def _group_name(group: Sequence[str]) -> str:
     return "+".join(group)
+
+
+def _check_disjoint(*parts: Sequence[str]) -> None:
+    seen: set[str] = set()
+    for part in parts:
+        if seen & set(part):
+            raise qcore.LabelError(f"label sets overlap in {sorted(seen & set(part))!r}")
+        seen |= set(part)
 
 
 def assisted_lower_bound(
@@ -55,14 +74,16 @@ def assisted_lower_bound(
     helpers: Sequence[Sequence[str] | str],
 ) -> AssistReport:
     """Achievable-rate report: hashing term, helper-cut term, and their maximum."""
-    hashing = entropy.coherent_information(state, a_labels, b_labels)
+    _check_disjoint(a_labels, b_labels)
+    s = entropy.subset_entropies(state)
+    hashing = -(s(list(a_labels) + list(b_labels)) - s(b_labels))
     if not helpers:
         return AssistReport(
             hashing=hashing, l_value=None, lower_bound=hashing,
             mincut_coherent=None, mincut_arg=None, upper_ea=None,
             beats_hashing=False,
         )
-    value, arg = mincut_coherent(state, a_labels, b_labels, helpers)
+    value, arg = _mincut_coherent(s, a_labels, b_labels, helpers)
     l_value = value if len(helpers) == 1 else None
     lower = max(hashing, value)
     return AssistReport(
@@ -83,10 +104,11 @@ def beating_hashing(
     c_labels: Sequence[str],
 ) -> tuple[bool, dict[str, float]]:
     """Predicate I(C > A,B) > 0 and S(A|B,C) < S(A|B), with both slacks reported."""
-    coh_slack = entropy.coherent_information(state, c_labels, list(a_labels) + list(b_labels))
-    ssa_slack = entropy.conditional_entropy(state, a_labels, b_labels) - entropy.conditional_entropy(
-        state, a_labels, list(b_labels) + list(c_labels)
-    )
+    _check_disjoint(a_labels, b_labels, c_labels)
+    s = entropy.subset_entropies(state)
+    a, b, c = list(a_labels), list(b_labels), list(c_labels)
+    coh_slack = -(s(a + b + c) - s(a + b))
+    ssa_slack = (s(a + b) - s(b)) - (s(a + b + c) - s(b + c))
     verdict = coh_slack > 1e-12 and ssa_slack > 1e-12
     return verdict, {"coherent_slack": coh_slack, "ssa_slack": ssa_slack}
 

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import entropy, qcore
+from . import entropy, qcore, regions
 from .qcore import LabeledState, StateError
 
 ZERO_PROB = 1e-14
@@ -103,13 +103,6 @@ def purity(state: LabeledState, part: Iterable[str] | str | None = None, check_s
     return direct
 
 
-def _subsets(items: Sequence) -> list[tuple]:
-    out = []
-    for r in range(1, len(items) + 1):
-        out.extend(itertools.combinations(items, r))
-    return out
-
-
 def decoupling_bound_purity(state: LabeledState, spec: InstrumentSpec, reference: Iterable[str] | str) -> float:
     """Average-case decoupling error bound from subset purities:
 
@@ -123,7 +116,7 @@ def decoupling_bound_purity(state: LabeledState, spec: InstrumentSpec, reference
     d_ref = int(np.prod([state.dim_of(x) for x in ref_labels]))
     linear = 0.0
     quad = 0.0
-    for subset in _subsets(spec.senders):
+    for _, subset in regions.subsets(spec.senders):
         linear += math.prod(s.rank / (s.dim * s.ancilla) for s in subset)
         pur = purity(state, list(ref_labels) + [s.label for s in subset])
         quad += math.prod(s.rank / s.ancilla for s in subset) * pur
@@ -147,7 +140,7 @@ def decoupling_bound_minentropy(
         sigma = qcore.partial_trace(state, ref_labels)
     prefactor = math.prod(s.blocks * s.rank / (s.dim * s.ancilla) for s in spec.senders)
     total = 0.0
-    for subset in _subsets(spec.senders):
+    for _, subset in regions.subsets(spec.senders):
         joint = qcore.partial_trace(state, [s.label for s in subset] + list(ref_labels))
         hmin = entropy.min_entropy_relative(joint, sigma)
         log_k = sum(math.log2(s.ancilla) for s in subset)
@@ -364,29 +357,3 @@ def twirl_average_check(d: int, rank: int, samples: int = 20000, seed: int = qco
     predicted = float(r) * np.eye(d * d) + float(s) * swap_operator(d)
     deviation = float(np.max(np.abs(mean - predicted)))
     return TwirlReport(dim=d, rank=rank, samples=samples, r=r, s=s, max_deviation=deviation)
-
-
-def conjectured_minentropy_rhs(
-    state: LabeledState,
-    spec: InstrumentSpec,
-    reference: Iterable[str] | str,
-    sigmas: dict[tuple[str, ...], LabeledState],
-) -> float:
-    """Evaluate the conjectured per-subset-sigma decoupling bound.
-
-    Experimental: the per-subset form is an open conjecture and is never
-    asserted as a bound anywhere in this package.
-    """
-    spec.validate_against(state)
-    ref_labels = qcore._normalize_labels(state, reference)
-    prefactor = math.prod(s.blocks * s.rank / (s.dim * s.ancilla) for s in spec.senders)
-    total = 0.0
-    for subset in _subsets(spec.senders):
-        key = tuple(s.label for s in subset)
-        sigma = sigmas.get(key) or qcore.partial_trace(state, ref_labels)
-        joint = qcore.partial_trace(state, [s.label for s in subset] + list(ref_labels))
-        hmin = entropy.min_entropy_relative(joint, sigma)
-        log_k = sum(math.log2(s.ancilla) for s in subset)
-        log_l = sum(math.log2(s.rank) for s in subset)
-        total += 2.0 ** (-(hmin + log_k - log_l))
-    return prefactor * math.sqrt(total)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,25 @@ def von_neumann(state: LabeledState, part: Iterable[str] | str | None = None) ->
     """Von Neumann entropy of the reduced operator on ``part`` (whole state if None)."""
     reduced = state if part is None else qcore.partial_trace(state, part)
     return -float(sum(qcore.xlog2x(float(x)) for x in reduced.spectrum()))
+
+
+def subset_entropies(state: LabeledState) -> Callable[[Iterable[str] | str], float]:
+    """S(T) for label sets T of ``state``, each reduced and decomposed at most once.
+
+    Entries are keyed by the labels in the state's system order, so any order
+    of T finds the same entry, and S(empty) = 0.  Make the table inside the
+    call that reads it and let it go with that call: it is a memo of one
+    computation, not a property of the state.
+    """
+    table: dict[tuple[str, ...], float] = {(): 0.0}
+
+    def entropy_of(part: Iterable[str] | str) -> float:
+        key = qcore._normalize_labels(state, part)
+        if key not in table:
+            table[key] = von_neumann(state, key)
+        return table[key]
+
+    return entropy_of
 
 
 def conditional_entropy(state: LabeledState, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
@@ -237,10 +256,6 @@ def conditional_min_entropy(rho: LabeledState, cond: Iterable[str] | str) -> Con
         iterations=solution.newton_steps,
         residual=residual,
     )
-
-
-def conditional_min_entropy_bits(rho: LabeledState, cond: Iterable[str] | str) -> float:
-    return conditional_min_entropy(rho, cond).hmin_bits
 
 
 def max_entropy_unconditioned(rho: LabeledState) -> float:

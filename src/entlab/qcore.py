@@ -670,23 +670,31 @@ def example_4_1(d: int, theta: Sequence[float] | str) -> LabeledState:
 
 
 def merge_systems(state: LabeledState, groups: dict[str, Sequence[str]]) -> LabeledState:
-    """Fuse adjacent subsystems into single labels (dimension = product)."""
+    """Fuse adjacent subsystems into single labels (dimension = product).
+
+    Each system belongs to at most one group; systems outside every group keep
+    their labels, and a group may not take the label of such a system.
+    """
     grouped: dict[str, str] = {}
     for new, members in groups.items():
+        if not members:
+            raise LabelError(f"group {new!r} has no members")
         idx = [state.index_of(m) for m in members]
         if idx != list(range(idx[0], idx[0] + len(idx))):
             raise LabelError(f"systems {list(members)!r} are not adjacent; permute first")
         for m in members:
+            if m in grouped:
+                raise LabelError(f"system {m!r} is listed in groups {grouped[m]!r} and {new!r}")
             grouped[m] = new
     new_systems: list[tuple[str, int]] = []
     for name, dim in state.systems:
         target = grouped.get(name)
         if target is None:
             new_systems.append((name, dim))
-        elif new_systems and new_systems[-1][0] == target:
-            new_systems[-1] = (target, new_systems[-1][1] * dim)
-        else:
+        elif name == groups[target][0]:
             new_systems.append((target, dim))
+        else:
+            new_systems[-1] = (target, new_systems[-1][1] * dim)
     names = [name for name, _ in new_systems]
     if len(set(names)) != len(names):
         raise LabelError(f"duplicate subsystem labels in {names!r}")

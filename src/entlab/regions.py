@@ -4,8 +4,9 @@ membership tests, min-cut search, and the one-shot cost formulas."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -15,6 +16,17 @@ from .qcore import LabeledState, StateError
 MAX_REGION_PARTIES = 16
 MAX_COST_PARTIES = 12
 BOUNDARY_TOL = 1e-9
+
+Item = TypeVar("Item")
+
+
+def subsets(items: Sequence[Item]) -> Iterator[tuple[int, tuple[Item, ...]]]:
+    """Every non-empty subset of ``items`` as (bitmask, members), in ascending mask order.
+
+    Bit i of the mask stands for ``items[i]``; members keep the order of ``items``.
+    """
+    for mask in range(1, 1 << len(items)):
+        yield mask, tuple(x for i, x in enumerate(items) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -39,12 +51,11 @@ class RegionSpec:
         return mask
 
     def subset_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.parties) if mask >> i & 1)
+        return self._labels_by_mask[mask]
 
-
-@dataclass(frozen=True)
-class CostVector:
-    values: tuple[float, ...]
+    @cached_property
+    def _labels_by_mask(self) -> list[tuple[str, ...]]:
+        return [()] + [labels for _, labels in subsets(self.parties)]
 
 
 @dataclass(frozen=True)
@@ -53,14 +64,6 @@ class MembershipVerdict:
     violated: tuple[int, ...]
     tight: tuple[int, ...]
     slacks: dict[int, float] = field(default_factory=dict)
-
-
-def _nonempty_masks(m: int):
-    return range(1, 1 << m)
-
-
-def _mask_labels(parties: Sequence[str], mask: int) -> list[str]:
-    return [p for i, p in enumerate(parties) if mask >> i & 1]
 
 
 def merging_rate_region(
@@ -74,15 +77,12 @@ def merging_rate_region(
         raise StateError(f"at most {MAX_REGION_PARTIES} senders supported")
     if set(senders) & set(receiver_side):
         raise qcore.LabelError("senders overlap the receiver side")
+    s = entropy.subset_entropies(state)
+    joint = senders + tuple(receiver_side)
     constraints = []
-    for mask in _nonempty_masks(len(senders)):
-        t = _mask_labels(senders, mask)
-        rest = [p for p in senders if p not in t] + list(receiver_side)
-        if rest:
-            rhs = entropy.conditional_entropy(state, t, rest)
-        else:
-            rhs = entropy.von_neumann(state, t)
-        constraints.append((mask, rhs))
+    for mask, t in subsets(senders):
+        rest = [p for p in joint if p not in t]
+        constraints.append((mask, s(joint) - s(rest)))
     return RegionSpec(parties=senders, constraints=tuple(constraints), kind="asymptotic_merge")
 
 
@@ -101,24 +101,14 @@ def split_transfer_region(
     if set(t_side) & set(tbar_side):
         raise StateError("cuts must partition the senders")
 
-    def build(cut: Sequence[str], receiver: Sequence[str], tag: str) -> RegionSpec:
-        cut = tuple(cut)
-        constraints = []
-        has_zero = False
-        for mask in _nonempty_masks(len(cut)):
-            x = _mask_labels(cut, mask)
-            given = [p for p in cut if p not in x] + list(receiver)
-            rhs = entropy.conditional_entropy(state, x, given) if given else entropy.von_neumann(state, x)
-            if abs(rhs) <= BOUNDARY_TOL:
-                has_zero = True
-            constraints.append((mask, rhs))
-        kind = f"split_transfer:{tag}" + (":zero-cut" if has_zero else "")
-        return RegionSpec(parties=cut, constraints=tuple(constraints), kind=kind)
+    def side(cut: Sequence[str], receiver: Sequence[str], tag: str) -> RegionSpec:
+        if not cut:
+            return RegionSpec(parties=(), constraints=(), kind="split_transfer:empty")
+        region = merging_rate_region(state, cut, receiver)
+        zero_cut = any(abs(rhs) <= BOUNDARY_TOL for _, rhs in region.constraints)
+        return replace(region, kind=f"split_transfer:{tag}" + (":zero-cut" if zero_cut else ""))
 
-    empty = RegionSpec(parties=(), constraints=(), kind="split_transfer:empty")
-    region_t = build(t_side, a_labels, "T") if t_side else empty
-    region_tbar = build(tbar_side, b_labels, "Tbar") if tbar_side else empty
-    return region_t, region_tbar
+    return side(t_side, a_labels, "T"), side(tbar_side, b_labels, "Tbar")
 
 
 def one_shot_cost_rhs(hmin_bits: float, eps: float, m: int) -> float:
@@ -139,27 +129,11 @@ def one_shot_cost_region(
     sigma = qcore.partial_trace(state, reference)
     m = len(senders)
     constraints = []
-    for mask in _nonempty_masks(m):
-        t = _mask_labels(senders, mask)
-        joint = qcore.partial_trace(state, t + list(reference))
+    for mask, t in subsets(senders):
+        joint = qcore.partial_trace(state, list(t) + list(reference))
         hmin = entropy.min_entropy_relative(joint, sigma)
         constraints.append((mask, one_shot_cost_rhs(hmin, eps, m)))
     return RegionSpec(parties=senders, constraints=tuple(constraints), kind="one_shot_cost")
-
-
-def analytic_cost_region(parties: Sequence[str], hmin_by_subset: dict[frozenset, float], eps: float) -> RegionSpec:
-    """One-shot cost region from externally supplied min-entropy values.
-
-    Used where the underlying state is too large to instantiate but its subset
-    min-entropies have exact closed forms.
-    """
-    parties = tuple(parties)
-    m = len(parties)
-    constraints = []
-    for mask in _nonempty_masks(m):
-        key = frozenset(_mask_labels(parties, mask))
-        constraints.append((mask, one_shot_cost_rhs(hmin_by_subset[key], eps, m)))
-    return RegionSpec(parties=parties, constraints=tuple(constraints), kind="one_shot_cost")
 
 
 @dataclass(frozen=True)
@@ -213,7 +187,7 @@ def sequential_cost(state: LabeledState, ordering: Sequence[str], reference: Seq
     return entries
 
 
-def region_membership(region: RegionSpec, point: CostVector | Sequence[float]) -> MembershipVerdict:
+def region_membership(region: RegionSpec, point: Sequence[float]) -> MembershipVerdict:
     """Classify a point against all constraints (equality within 1e-9).
 
     The region is closed, so a point satisfying every constraint is ``inside``
@@ -222,7 +196,7 @@ def region_membership(region: RegionSpec, point: CostVector | Sequence[float]) -
     case); any other infeasible point is ``outside``.  The violated and tight
     constraint masks are always returned alongside the verdict.
     """
-    values = point.values if isinstance(point, CostVector) else tuple(point)
+    values = tuple(point)
     if len(values) != len(region.parties):
         raise StateError(f"point length {len(values)} mismatches {len(region.parties)} parties")
     violated = []
@@ -260,9 +234,8 @@ def min_over_cuts(
         raise StateError("at most 20 helpers supported")
     best_value = math.inf
     best_cut: tuple[str, ...] = ()
-    masks = sorted(range(1 << len(helpers)), key=lambda m: (bin(m).count("1"), _mask_labels(helpers, m)))
-    for mask in masks:
-        cut = tuple(_mask_labels(helpers, mask))
+    cuts = [()] + sorted((cut for _, cut in subsets(helpers)), key=lambda cut: (len(cut), cut))
+    for cut in cuts:
         value = value_of_cut(cut)
         if value < best_value - BOUNDARY_TOL:
             best_value = value
@@ -278,7 +251,7 @@ def min_cut_entanglement(
 ) -> tuple[float, tuple[str, ...]]:
     """min over cuts T of S(A, T): the optimal assisted EPR rate for pure states."""
     qcore._normalize_labels(state, list(a_labels) + list(b_labels) + list(helpers))
-    return min_over_cuts(helpers, lambda cut: entropy.von_neumann(state, list(a_labels) + list(cut)))
+    return min_cut_entanglement_oracle(entropy.subset_entropies(state), a_labels, helpers)
 
 
 def min_cut_entanglement_oracle(

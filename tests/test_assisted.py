@@ -59,6 +59,16 @@ def test_beating_hashing_predicate():
     assert abs(slacks["ssa_slack"]) < 1e-9  # strong subadditivity saturates
 
 
+def test_overlapping_label_sets_are_rejected():
+    state = qcore.example_ch5()
+    with pytest.raises(qcore.LabelError, match="overlap"):
+        assisted.beating_hashing(state, ["A"], ["B", "C1"], ["C1", "C2"])
+    with pytest.raises(qcore.LabelError, match="overlap"):
+        assisted.mincut_coherent(state, ["A", "C1"], ["B"], ["C1", "C2"])
+    with pytest.raises(qcore.LabelError, match="overlap"):
+        assisted.assisted_lower_bound(state, ["A"], ["A", "B"], [])
+
+
 def test_mincut_coherent_examples():
     lam = (0.8, 0.2)
     chain = qcore.tensor_all(

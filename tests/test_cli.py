@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +218,48 @@ def test_verify_prints_criterion_seconds(capsys):
     name, verdict, seconds = line.split()[:3]
     assert (name, verdict) == ("swap", "PASS")
     assert seconds.endswith("s") and float(seconds[:-1]) >= 0.0
+
+
+DATA = Path(__file__).parent / "data"
+
+# Region and assist runs on fixed state files; the expected JSON in
+# data/cli_golden.json pins their output byte for byte.
+GOLDEN_CASES = {
+    "merge_pure5": ["region", "--state", "pure5.json", "--mode", "merge", "--senders", "C1,C2,C3",
+                    "--receiver", "B", "--point", "0.5,0.5,0.5"],
+    "merge_pure5_no_receiver": ["region", "--state", "pure5.json", "--mode", "merge", "--senders", "C1,C2,C3,B"],
+    "merge_mixed4": ["region", "--state", "mixed4.json", "--mode", "merge", "--senders", "C1,C2",
+                     "--receiver", "B", "--point", "1,1"],
+    "split_pure5": ["region", "--state", "pure5.json", "--mode", "split", "--senders", "C1,C2,C3", "--cut", "C1",
+                    "--receiver", "B", "--receiver-b", "R"],
+    "split_pure5_empty_cut": ["region", "--state", "pure5.json", "--mode", "split", "--senders", "C1,C2",
+                              "--cut", "", "--receiver", "B", "--receiver-b", "R"],
+    "split_mixed4": ["region", "--state", "mixed4.json", "--mode", "split", "--senders", "C1,C2", "--cut", "C2",
+                     "--receiver", "B", "--receiver-b", "R"],
+    "split_ghz3_zero_cut": ["region", "--state", "ghz3.json", "--mode", "split", "--senders", "A", "--cut", "A",
+                            "--receiver", "B", "--receiver-b", "C"],
+    "cost_mixed4": ["region", "--state", "mixed4.json", "--mode", "cost", "--senders", "C1,C2", "--reference", "R",
+                    "--eps", "0.1", "--point", "20,20"],
+    "seq_mixed4": ["region", "--state", "mixed4.json", "--mode", "seq", "--senders", "C1,C2", "--ordering", "C2,C1",
+                   "--reference", "R", "--eps", "0.1"],
+    "assist_ch5": ["assist", "--state", "ch5.json", "--a", "A", "--b", "B", "--helpers", "C1;C2"],
+    "assist_ch5_cnot": ["assist", "--state", "ch5.json", "--a", "A", "--b", "B", "--helpers", "C1;C2",
+                        "--cnot", "C1,C2"],
+    "assist_mixed4": ["assist", "--state", "assist4.json", "--a", "A", "--b", "B", "--helpers", "C1;C2"],
+    "assist_mixed4_cnot": ["assist", "--state", "assist4.json", "--a", "A", "--b", "B", "--helpers", "C1;C2",
+                           "--cnot", "C1,C2", "--seed", "7"],
+    "assist_mixed4_grouped": ["assist", "--state", "assist4.json", "--a", "A", "--b", "B", "--helpers", "C1,C2"],
+    "assist_mixed4_no_helpers": ["assist", "--state", "assist4.json", "--a", "A", "--b", "B"],
+}
+
+
+def run_golden_case(name: str, out_path: Path) -> str:
+    argv = [str(DATA / arg) if arg.endswith(".json") else arg for arg in GOLDEN_CASES[name]]
+    assert cli.main(argv + ["--out", str(out_path)]) == 0
+    return out_path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    golden = json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))
+    assert run_golden_case(name, tmp_path / "out.json") == golden[name]

@@ -180,13 +180,3 @@ def test_instrument_spec_validation():
     spec = decoupling.InstrumentSpec(senders=(decoupling.sender("C", 3),), samples=5)
     with pytest.raises(qcore.StateError):
         spec.validate_against(qcore.max_mixed(2, "C"))
-
-
-def test_conjectured_rhs_is_only_reported():
-    state = qcore.example_4_1(2, [0.75, 0.25])
-    spec = decoupling.InstrumentSpec(
-        senders=(decoupling.sender("C1", 2), decoupling.sender("C2", 4)), samples=5
-    )
-    sigma = qcore.partial_trace(state, "R")
-    value = decoupling.conjectured_minentropy_rhs(state, spec, "R", {("C1",): sigma})
-    assert value >= 0.0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entlab import entropy, qcore
+from entlab import entropy, qcore, regions
 
 
 def test_von_neumann_reference_values():
@@ -357,3 +357,32 @@ def test_min_entropy_additivity():
     lhs = entropy.min_entropy_relative(joint, qcore.tensor(sig1, sig2))
     rhs = entropy.min_entropy_relative(rho1, sig1) + entropy.min_entropy_relative(rho2, sig2)
     assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+def _table_family(kind: str, seed: int) -> qcore.LabeledState:
+    rng = np.random.default_rng(seed)
+    systems = [("W", 2), ("X", 3), ("Y", 2), ("Z", 2)]
+    if kind == "pure":
+        return qcore.random_pure(systems, rng)
+    return qcore.random_state(systems, rng, rank=2 if kind == "mixed-rank2" else None)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["pure", "mixed-rank2", "mixed-full"])
+def test_subset_entropy_table_satisfies_entropy_inequalities(kind, seed):
+    state = _table_family(kind, seed)
+    s = entropy.subset_entropies(state)
+    labels = state.labels
+    all_subsets = [()] + [t for _, t in regions.subsets(labels)]
+    tol = 1e-9
+    for x, y in itertools.product(map(set, all_subsets), repeat=2):
+        # Strong subadditivity in its submodular form, and weak monotonicity.
+        assert s(x) + s(y) >= s(x | y) + s(x & y) - tol
+        assert s(x) + s(y) >= s(x - y) + s(y - x) - tol
+        if not x & y:
+            assert s(x | y) >= abs(s(x) - s(y)) - tol  # Araki-Lieb
+    if kind == "pure":
+        for t in map(set, all_subsets):
+            assert s(t) == pytest.approx(s(set(labels) - t), abs=tol)
+    assert s([]) == 0.0
+    assert s(["Z", "W"]) == s(("W", "Z")) == entropy.von_neumann(state, ["W", "Z"])

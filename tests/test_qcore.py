@@ -245,6 +245,21 @@ def test_apply_unitary_and_merge_reject_invalid_arguments():
         qcore.merge_systems(three, {"A": ["C"]})
 
 
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        ({"A": ["B"]}, "duplicate"),  # takes the label of the ungrouped system A
+        ({"X": []}, "no members"),
+        ({"X": ["A"], "Y": ["A"]}, "listed in groups"),
+    ],
+    ids=["label-of-ungrouped-neighbour", "empty-group", "system-in-two-groups"],
+)
+def test_merge_systems_rejects_ambiguous_groups(groups, message):
+    state = qcore.tensor(qcore.max_mixed(2, "A"), qcore.max_mixed(2, "B"))
+    with pytest.raises(qcore.LabelError, match=message):
+        qcore.merge_systems(state, groups)
+
+
 def test_states_are_immutable_and_pure_states_stay_vectors():
     psi = qcore.ghz(12)
     assert psi.total_dim == 4096 and psi.is_pure

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entlab import entropy, qcore, regions
+from entlab import assisted, entropy, qcore, regions
 
 
 def _two_sender_state():
@@ -184,3 +184,44 @@ def test_corner_points_satisfy_region():
         verdict = regions.region_membership(region, point)
         assert verdict.verdict in ("inside", "boundary")
         assert not verdict.violated
+
+
+def _count_eigendecompositions(monkeypatch) -> list[int]:
+    calls = [0]
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _random_qubits(labels, seed, pure=False):
+    rng = np.random.default_rng(seed)
+    systems = [(x, 2) for x in labels]
+    return qcore.random_pure(systems, rng) if pure else qcore.random_state(systems, rng)
+
+
+# Each subset entropy is decomposed once per call.  The mixed states carry a
+# reference R, so no subset is the whole state, whose spectrum the state holds.
+@pytest.mark.parametrize(
+    "labels, pure, run, limit, exact",
+    [
+        (["C1", "C2", "C3", "C4", "B", "R"], False,
+         lambda st: regions.merging_rate_region(st, ["C1", "C2", "C3", "C4"], ["B"]), 2**4, False),
+        (["A", "B", "C1", "C2", "C3", "R"], False,
+         lambda st: assisted.mincut_coherent(st, ["A"], ["B"], ["C1", "C2", "C3"]), 2**3 + 1, False),
+        (["A", "B", "C", "R"], False, lambda st: assisted.beating_hashing(st, ["A"], ["B"], ["C"]), 4, True),
+        ([f"C{i}" for i in range(1, 8)] + ["R"], True,
+         lambda st: regions.merging_rate_region(st, [f"C{i}" for i in range(1, 8)]), 2**7, False),
+    ],
+    ids=["merging-4-senders", "mincut-coherent-3-helpers", "beating-hashing", "merging-7-senders-pure"],
+)
+def test_subset_entropies_are_decomposed_once_per_call(monkeypatch, labels, pure, run, limit, exact):
+    state = _random_qubits(labels, seed=len(labels), pure=pure)
+    calls = _count_eigendecompositions(monkeypatch)
+    run(state)
+    assert calls[0] == limit if exact else calls[0] <= limit
