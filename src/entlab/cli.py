@@ -105,23 +105,25 @@ def cmd_entropy(args) -> int:
     right_labels = _split_labels(right)
     want = args.quantity
     payload: dict = {"state": str(args.state), "split": args.split}
+    s = entropy.subset_entropies(state)
     if want in ("svn", "all"):
-        payload["entropy_left"] = entropy.von_neumann(state, left_labels)
-        payload["entropy_right"] = entropy.von_neumann(state, right_labels)
-    if want in ("cond", "all"):
-        payload["conditional"] = entropy.conditional_entropy(state, left_labels, right_labels)
-    if want in ("coh", "all"):
-        payload["coherent"] = entropy.coherent_information(state, left_labels, right_labels)
-    if want in ("hmin", "h2", "all"):
-        sigma = _resolve_sigma(args.sigma, state, right_labels)
+        payload["entropy_left"] = s(left_labels)
+        payload["entropy_right"] = s(right_labels)
+    if want in ("cond", "coh", "all"):
+        conditional = entropy._conditional(s, state, left_labels, right_labels)
+        if want != "coh":
+            payload["conditional"] = conditional
+        if want != "cond":
+            payload["coherent"] = -conditional
+    if want in ("hmin", "h2", "hmax", "all"):
+        sigma = None if want == "hmax" else _resolve_sigma(args.sigma, state, right_labels)
         joint = qcore.partial_trace(state, left_labels + right_labels)
         if want in ("hmin", "all"):
             payload["hmin"] = entropy.min_entropy_relative(joint, sigma)
         if want in ("h2", "all"):
             payload["h2"] = entropy.collision_entropy(joint, sigma)
-    if want in ("hmax", "all"):
-        joint = qcore.partial_trace(state, left_labels + right_labels)
-        payload["hmax"] = entropy.conditional_max_entropy(joint, right_labels)
+        if want in ("hmax", "all"):
+            payload["hmax"] = entropy.conditional_max_entropy(joint, right_labels)
     if want in ("h0", "all"):
         payload["h0"] = entropy.zero_entropy(state, left_labels)
     if args.csv:

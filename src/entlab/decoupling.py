@@ -91,10 +91,10 @@ def antisymmetric_projector(d: int) -> np.ndarray:
 
 
 def purity(state: LabeledState, part: Iterable[str] | str | None = None, check_swap_trick: bool = False) -> float:
-    """Tr[rho_part^2]; optionally cross-checked against Tr[(rho x rho) F]."""
+    """Tr[rho_part^2] as ||rho_part||_F^2; optionally cross-checked against Tr[(rho x rho) F]."""
     reduced = state if part is None else qcore.partial_trace(state, part)
     m = reduced.matrix
-    direct = float(np.real(np.trace(m @ m)))
+    direct = float(np.vdot(m, m).real)
     if check_swap_trick:
         d = m.shape[0]
         via_swap = float(np.real(np.trace(np.kron(m, m) @ swap_operator(d))))
@@ -209,7 +209,6 @@ def simulate_random_instrument(
         raise StateError("reference overlaps the sender systems")
 
     work, grouped, d_ref = _working_state(state, spec, ref_labels)
-    m = len(spec.senders)
     ref_state = qcore.partial_trace(state, ref_labels).matrix if ref_labels else np.ones((1, 1))
     ranks = [s.rank for s in spec.senders]
     l_total = math.prod(ranks)
@@ -222,11 +221,7 @@ def simulate_random_instrument(
     for idx, rng in enumerate(rngs):
         rotated = work
         for i, s in enumerate(spec.senders):
-            u = qcore.haar_unitary(s.dim * s.ancilla, rng)
-            rotated = np.tensordot(u, rotated, axes=([1], [i]))
-            rotated = np.moveaxis(rotated, 0, i)
-            rotated = np.tensordot(rotated, u.conj(), axes=([m + 1 + i], [1]))
-            rotated = np.moveaxis(rotated, -1, m + 1 + i)
+            rotated = qcore._sandwich(qcore.haar_unitary(s.dim * s.ancilla, rng), rotated, [i])
         total_q = 0.0
         total_p = 0.0
         for combo in itertools.product(*[range(len(b)) for b in blocks_per_sender]):
@@ -333,27 +328,30 @@ class TwirlReport:
 
 
 def twirl_average_check(d: int, rank: int, samples: int = 20000, seed: int = qcore.DEFAULT_SEED) -> TwirlReport:
-    """Monte Carlo mean of the conjugated subspace swap against r I + s F."""
+    """Monte Carlo mean of the conjugated subspace swap against r I + s F.
+
+    The subspace swap is F_sub = F (P x P), with P the projector onto the
+    first ``rank`` basis states, and F commutes with U x U, so each sample is
+
+        (U+ x U+) F_sub (U x U) = F (Q x Q),  Q = U+ P U,
+
+    and the mean is F times the mean of Q x Q.
+    """
     if not 1 <= rank <= d:
         raise StateError("rank must lie in [1, d]")
-    f_sub = np.zeros((d * d, d * d))
-    for i in range(rank):
-        for j in range(rank):
-            f_sub[j * d + i, i * d + j] = 1.0
     rng = np.random.default_rng(seed)
     acc = np.zeros((d * d, d * d), dtype=complex)
     chunk = 2000
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
-        us = qcore.haar_unitaries(d, n, rng)
-        # W = U+ x U+ per sample, built via the blockwise Kronecker product.
-        ud = us.conj().transpose(0, 2, 1)
-        w = np.einsum("nab,ncd->nacbd", ud, ud).reshape(n, d * d, d * d)
-        acc += np.einsum("nij,jk,nlk->il", w, f_sub, w.conj())
+        top = qcore.haar_unitaries(d, n, rng)[:, :rank, :]
+        q = top.conj().transpose(0, 2, 1) @ top
+        acc += np.einsum("nab,ncd->acbd", q, q).reshape(d * d, d * d)
         done += n
-    mean = acc / samples
+    f = swap_operator(d)
+    mean = f @ acc / samples
     r, s = twirl_coefficients(d, rank)
-    predicted = float(r) * np.eye(d * d) + float(s) * swap_operator(d)
+    predicted = float(r) * np.eye(d * d) + float(s) * f
     deviation = float(np.max(np.abs(mean - predicted)))
     return TwirlReport(dim=d, rank=rank, samples=samples, r=r, s=s, max_deviation=deviation)

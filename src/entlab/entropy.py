@@ -51,12 +51,16 @@ def subset_entropies(state: LabeledState) -> Callable[[Iterable[str] | str], flo
 
 def conditional_entropy(state: LabeledState, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
     """S(part | given) = S(part, given) - S(given); may be negative."""
+    return _conditional(subset_entropies(state), state, part, given)
+
+
+def _conditional(entropy_of: Callable, state: LabeledState, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
+    """S(part | given) read from ``entropy_of``, a subset_entropies table of ``state``."""
     part_labels = qcore._normalize_labels(state, part)
     given_labels = qcore._normalize_labels(state, given)
     if set(part_labels) & set(given_labels):
         raise qcore.LabelError("conditional entropy needs disjoint label sets")
-    joint = set(part_labels) | set(given_labels)
-    return von_neumann(state, joint) - von_neumann(state, given_labels)
+    return entropy_of(part_labels + given_labels) - entropy_of(given_labels)
 
 
 def coherent_information(state: LabeledState, frm: Iterable[str] | str, to: Iterable[str] | str) -> float:
@@ -101,12 +105,13 @@ def entropy_report(
     """Von Neumann family for the (left | right) split, plus one-shot values on request."""
     t = "".join(left)
     u = "".join(right)
+    s = subset_entropies(state)
     cond = {
-        f"{t}|{u}": conditional_entropy(state, left, right),
-        f"{u}|{t}": conditional_entropy(state, right, left),
+        f"{t}|{u}": _conditional(s, state, left, right),
+        f"{u}|{t}": _conditional(s, state, right, left),
     }
     coherent = {f"{t}>{u}": -cond[f"{t}|{u}"], f"{u}>{t}": -cond[f"{u}|{t}"]}
-    mutual = {f"{t};{u}": mutual_information(state, left, right)}
+    mutual = {f"{t};{u}": s(left) + s(right) - s(list(left) + list(right))}
     hmin_rel = h2_rel = hmax_cond = h0 = None
     if one_shot:
         sigma = qcore.partial_trace(state, right)
@@ -116,7 +121,7 @@ def entropy_report(
         hmax_cond = conditional_max_entropy(joint, right)
         h0 = zero_entropy(state, left)
     return EntropyReport(
-        entropy=von_neumann(state),
+        entropy=s(state.labels),
         cond=cond,
         coherent=coherent,
         mutual=mutual,
@@ -132,30 +137,40 @@ def entropy_report(
 # ---------------------------------------------------------------------------
 
 
-def _split_conditioning(rho: LabeledState, cond: Iterable[str] | str) -> tuple[LabeledState, tuple[str, ...], tuple[str, ...]]:
-    """Permute ``rho`` so the conditioning systems sit last; return (state, a, b)."""
+def _split_conditioning(rho: LabeledState, cond: Iterable[str] | str) -> tuple[LabeledState, int, tuple[str, ...]]:
+    """Permute ``rho`` so the conditioning systems b sit last; return (state, d_a, b)."""
     b_labels = qcore._normalize_labels(rho, cond)
     a_labels = tuple(name for name in rho.labels if name not in b_labels)
     if not a_labels:
         raise qcore.LabelError("conditioning set covers the whole state")
-    return qcore.permute_systems(rho, list(a_labels) + list(b_labels)), a_labels, b_labels
+    d_a = int(np.prod([rho.dim_of(x) for x in a_labels]))
+    return qcore.permute_systems(rho, list(a_labels) + list(b_labels)), d_a, b_labels
 
 
-def _conditioner_roots(sigma: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma^power on its support, kernel projector)."""
-    eigs, vecs = np.linalg.eigh(sigma)
+def _on_conditioning(op: np.ndarray, rho_m: np.ndarray, d_a: int) -> np.ndarray:
+    """(I_A x op) rho (I_A x op)^dagger for rho on A x B; op may map B into a smaller space."""
+    d_b = rho_m.shape[0] // d_a
+    t = qcore._sandwich(op, rho_m.reshape(d_a, d_b, d_a, d_b), [1])
+    side = d_a * op.shape[0]
+    return t.reshape(side, side)
+
+
+def _conditioned(rho: LabeledState, sigma: LabeledState, power: float) -> np.ndarray:
+    """(I x sigma^power) rho (I x sigma^power), the power taken on the support of sigma.
+
+    Weight of rho's marginal outside that support raises SupportError.
+    """
+    arranged, d_a, b_labels = _split_conditioning(rho, sigma.labels)
+    eigs, vecs = np.linalg.eigh(qcore.permute_systems(sigma, b_labels).matrix)
     support = eigs > SUPPORT_TOL
-    inv = np.zeros_like(eigs)
-    inv[support] = eigs[support] ** power
-    root = (vecs * inv) @ vecs.conj().T
     kernel = (vecs * (~support)) @ vecs.conj().T
-    return root, kernel
-
-
-def _check_support(rho_b: np.ndarray, kernel: np.ndarray) -> None:
+    rho_b = qcore.partial_trace(arranged, b_labels).matrix
     leak = float(np.real(np.trace(kernel @ rho_b @ kernel)))
     if leak > 1e-10:
         raise SupportError(f"marginal leaks weight {leak:.3e} outside the conditioning support")
+    powers = np.zeros_like(eigs)
+    powers[support] = eigs[support] ** power
+    return _on_conditioning((vecs * powers) @ vecs.conj().T, arranged.matrix, d_a)
 
 
 def min_entropy_relative(rho: LabeledState, sigma: LabeledState) -> float:
@@ -164,16 +179,7 @@ def min_entropy_relative(rho: LabeledState, sigma: LabeledState) -> float:
     Computed as the top eigenvalue of rho conjugated by (I x sigma^{-1/2}) on the
     support of sigma; weight outside the support raises SupportError.
     """
-    arranged, a_labels, b_labels = _split_conditioning(rho, sigma.labels)
-    d_a = int(np.prod([arranged.dim_of(x) for x in a_labels]))
-    sigma_m = qcore.permute_systems(sigma, b_labels).matrix
-    inv_root, kernel = _conditioner_roots(sigma_m, -0.5)
-    rho_b = qcore.partial_trace(arranged, b_labels).matrix
-    _check_support(rho_b, kernel)
-    conj = np.kron(np.eye(d_a), inv_root)
-    m = conj @ arranged.matrix @ conj
-    lam = float(np.max(qcore.clamped_eigenvalues(m)))
-    return -math.log2(lam)
+    return -math.log2(float(np.max(qcore.clamped_eigenvalues(_conditioned(rho, sigma, -0.5)))))
 
 
 def min_entropy_unconditioned(rho: LabeledState) -> float:
@@ -183,14 +189,7 @@ def min_entropy_unconditioned(rho: LabeledState) -> float:
 
 def collision_entropy(rho: LabeledState, sigma: LabeledState) -> float:
     """H_2(rho^{AB} | sigma^B) = -log2 Tr[((I x sigma^{-1/4}) rho (I x sigma^{-1/4}))^2]."""
-    arranged, a_labels, b_labels = _split_conditioning(rho, sigma.labels)
-    d_a = int(np.prod([arranged.dim_of(x) for x in a_labels]))
-    sigma_m = qcore.permute_systems(sigma, b_labels).matrix
-    inv_quarter, kernel = _conditioner_roots(sigma_m, -0.25)
-    rho_b = qcore.partial_trace(arranged, b_labels).matrix
-    _check_support(rho_b, kernel)
-    conj = np.kron(np.eye(d_a), inv_quarter)
-    tilde = conj @ arranged.matrix @ conj
+    tilde = _conditioned(rho, sigma, -0.25)
     return -math.log2(float(np.real(np.trace(tilde @ tilde))))
 
 
@@ -219,8 +218,7 @@ def conditional_min_entropy(rho: LabeledState, cond: Iterable[str] | str) -> Con
     """
     from . import coneprog
 
-    arranged, a_labels, b_labels = _split_conditioning(rho, cond)
-    d_a = int(np.prod([arranged.dim_of(x) for x in a_labels]))
+    arranged, d_a, b_labels = _split_conditioning(rho, cond)
     d_b = arranged.total_dim // d_a
     rho_m = np.asarray(arranged.matrix)
 
@@ -228,8 +226,7 @@ def conditional_min_entropy(rho: LabeledState, cond: Iterable[str] | str) -> Con
     eigs, vecs = np.linalg.eigh(marginal_b)
     support = vecs[:, eigs > SUPPORT_TOL]
     r = support.shape[1]
-    isometry = np.kron(np.eye(d_a), support)
-    reduced = isometry.conj().T @ rho_m @ isometry
+    reduced = _on_conditioning(support.conj().T, rho_m, d_a)
 
     solution = coneprog.solve_min_trace(reduced, d_a, r, rel_tol=1e-10)
     sig = support @ solution.sigma @ support.conj().T
@@ -282,10 +279,10 @@ def max_entropy_fidelity_search(rho: LabeledState, cond: Iterable[str] | str, re
     """
     from scipy.optimize import minimize
 
-    arranged, a_labels, b_labels = _split_conditioning(rho, cond)
-    d_a = int(np.prod([arranged.dim_of(x) for x in a_labels]))
+    arranged, d_a, b_labels = _split_conditioning(rho, cond)
     d_b = arranged.total_dim // d_a
-    rho_m = arranged.matrix
+    side = arranged.total_dim
+    rho_root = qcore.psd_sqrt(arranged.matrix).reshape(d_a, d_b, side)
     n_params = d_b * d_b
 
     def sigma_of(params: np.ndarray) -> np.ndarray:
@@ -300,8 +297,9 @@ def max_entropy_fidelity_search(rho: LabeledState, cond: Iterable[str] | str, re
         return m / tr if tr > 0 else np.eye(d_b) / d_b
 
     def objective(params: np.ndarray) -> float:
-        sig = sigma_of(params)
-        return -qcore.fidelity_ops(rho_m, np.kron(np.eye(d_a), sig))
+        # F(rho, I x sigma) = ||(I x sigma^{1/2}) rho^{1/2}||_1.
+        product = qcore._act_on_axes(qcore.psd_sqrt(sigma_of(params)), rho_root, [1])
+        return -float(np.sum(np.linalg.svd(product.reshape(side, side), compute_uv=False)))
 
     rng = np.random.default_rng(seed)
     best = -np.inf

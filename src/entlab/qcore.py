@@ -371,6 +371,20 @@ def _act_on_axes(op: np.ndarray, t: np.ndarray, axes: Sequence[int]) -> np.ndarr
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
+def _sandwich(op: np.ndarray, t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """op t op^dagger for an operator tensor ``t`` (row axes, then column axes).
+
+    ``op``, shaped out-dims + in-dims, acts on the row axes ``axes`` and its
+    adjoint on the matching column axes; it may be non-square.
+    """
+    k = len(axes)
+    cols = [t.ndim // 2 + a for a in axes]
+    t = _act_on_axes(op, t, axes)
+    # rho op^dagger contracts conj(op) by its input axes with the column axes.
+    t = np.tensordot(t, op.conj(), axes=(cols, list(range(k, 2 * k))))
+    return np.moveaxis(t, list(range(t.ndim - k, t.ndim)), cols)
+
+
 def apply_unitary(state: LabeledState, labels: Sequence[str], unitary: np.ndarray) -> LabeledState:
     """Conjugate the state by a unitary acting on the listed subsystems (in that order)."""
     labels = list(labels)
@@ -392,12 +406,8 @@ def apply_unitary(state: LabeledState, labels: Sequence[str], unitary: np.ndarra
     if state._amplitudes is not None:
         psi = _act_on_axes(u_t, state._amplitudes.reshape(dims), idx)
         return _trusted(state.systems, state.norm_mode, amplitudes=psi.reshape(-1))
-    n = len(dims)
-    t = _act_on_axes(u_t, state._matrix.reshape(dims + dims), idx)
-    # rho U^dagger contracts conj(U) with the column axes.
-    t = _act_on_axes(u_t.conj(), t, [n + i for i in idx])
-    side = state.total_dim
-    return _trusted(state.systems, state.norm_mode, matrix=_hermitian_part(t.reshape(side, side)), is_pure=state.is_pure)
+    t = _sandwich(u_t, state._matrix.reshape(dims + dims), idx).reshape(state._matrix.shape)
+    return _trusted(state.systems, state.norm_mode, matrix=_hermitian_part(t), is_pure=state.is_pure)
 
 
 def purify(state: LabeledState, ref_label: str = "R") -> LabeledState:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entlab import cli, qcore
+from entlab import cli, entropy, qcore
 
 
 def _write(tmp_path, name, payload):
@@ -263,3 +263,29 @@ def run_golden_case(name: str, out_path: Path) -> str:
 def test_cli_output_matches_golden(name, tmp_path):
     golden = json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))
     assert run_golden_case(name, tmp_path / "out.json") == golden[name]
+
+
+def test_entropy_all_reads_each_subset_entropy_once(monkeypatch, capsys):
+    entropies = []
+    real_entropy = entropy.von_neumann
+    monkeypatch.setattr(entropy, "von_neumann", lambda state, part=None: entropies.append(tuple(part)) or real_entropy(state, part))
+    reductions = []
+    real_trace = qcore.partial_trace
+
+    def traced(state, keep):
+        if state.labels == ("C1", "C2", "B", "R"):
+            reductions.append(qcore._normalize_labels(state, keep))
+        return real_trace(state, keep)
+
+    monkeypatch.setattr(qcore, "partial_trace", traced)
+    assert cli.main(["entropy", "--state", str(DATA / "mixed4.json"), "--split", "C1|B,R", "--quantity", "all"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(entropies) == [("B", "R"), ("C1",), ("C1", "B", "R")]
+    # One reduction for S(C1,B,R) and one joint state for the one-shot values.
+    assert reductions.count(("C1", "B", "R")) == 2
+    assert out["coherent"] == -out["conditional"]
+
+
+def test_entropy_of_an_empty_side_is_zero(capsys):
+    assert cli.main(["entropy", "--state", str(DATA / "mixed4.json"), "--split", "C1|", "--quantity", "svn"]) == 0
+    assert json.loads(capsys.readouterr().out)["entropy_right"] == 0.0

@@ -54,6 +54,43 @@ def test_twirl_monte_carlo_small():
     assert report.max_deviation <= 5e-3
 
 
+def _subspace_swap(d, rank):
+    f_sub = np.zeros((d * d, d * d))
+    for i in range(rank):
+        for j in range(rank):
+            f_sub[j * d + i, i * d + j] = 1.0
+    return f_sub
+
+
+@pytest.mark.parametrize("d, rank", [(2, 1), (3, 2), (4, 3)])
+def test_twirl_sample_identity(d, rank):
+    # (U+ x U+) F_sub (U x U) = F (Q x Q) with Q = U+ P U, sample by sample.
+    rng = np.random.default_rng(10 * d + rank)
+    f = decoupling.swap_operator(d)
+    p = np.diag([1.0] * rank + [0.0] * (d - rank))
+    for u in qcore.haar_unitaries(d, 25, rng):
+        w = np.kron(u.conj().T, u.conj().T)
+        q = u.conj().T @ p @ u
+        assert np.max(np.abs(f @ np.kron(q, q) - w @ _subspace_swap(d, rank) @ w.conj().T)) <= 1e-12
+
+
+@pytest.mark.parametrize("d, rank", [(2, 1), (3, 2), (4, 3)])
+def test_twirl_check_matches_the_conjugated_swap_average(d, rank):
+    # The conjugated subspace swap averaged on the same RNG stream, over a chunk boundary.
+    samples, seed = 2100, 9
+    rng = np.random.default_rng(seed)
+    acc = np.zeros((d * d, d * d), dtype=complex)
+    for n in (2000, 100):
+        ud = qcore.haar_unitaries(d, n, rng).conj().transpose(0, 2, 1)
+        w = np.einsum("nab,ncd->nacbd", ud, ud).reshape(n, d * d, d * d)
+        acc += np.einsum("nij,jk,nlk->il", w, _subspace_swap(d, rank), w.conj())
+    r, s = decoupling.twirl_coefficients(d, rank)
+    predicted = float(r) * np.eye(d * d) + float(s) * decoupling.swap_operator(d)
+    expected = float(np.max(np.abs(acc / samples - predicted)))
+    report = decoupling.twirl_average_check(d, rank, samples=samples, seed=seed)
+    assert report.max_deviation == pytest.approx(expected, abs=1e-12)
+
+
 def test_single_sender_bound_plugin():
     # Pure maximally entangled pair: the plug-in value is intentionally vacuous.
     state = qcore.max_entangled(2, ("C", "R"))

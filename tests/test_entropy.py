@@ -66,6 +66,27 @@ def test_entropy_report_identities():
     assert report.hmin_rel <= report.h2_rel + 1e-9
 
 
+def test_entropy_report_decomposes_each_subset_once(monkeypatch):
+    # S(A,B,C), S(B,C) and S(A); the whole state's spectrum is held by the state.
+    state = qcore.random_state([(x, 2) for x in "ABCD"], np.random.default_rng(12))
+    calls = [0]
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = entropy.entropy_report(state, ["A"], ["B", "C"])
+    assert calls[0] == 3
+    monkeypatch.undo()
+    s_abc, s_bc, s_a = (entropy.von_neumann(state, part) for part in (["A", "B", "C"], ["B", "C"], ["A"]))
+    assert report.cond == {"A|BC": s_abc - s_bc, "BC|A": s_abc - s_a}
+    assert report.mutual == {"A;BC": s_a + s_bc - s_abc}
+    assert report.entropy == entropy.von_neumann(state)
+
+
 # ---------------------------------------------------------------------------
 # Min-entropy
 # ---------------------------------------------------------------------------

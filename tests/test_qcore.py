@@ -387,3 +387,57 @@ def test_vector_phase_convention_and_stored_amplitudes():
     assert abs(v[k].imag) <= 1e-15 and v[k].real > 0.0
     dense_pure = qcore.make_state(psi.systems, psi.matrix)
     assert np.max(np.abs(dense_pure.vector() - v)) <= 1e-12
+
+
+# -- the operator-sandwich kernel against a dense kron reference --
+
+
+def _random_matrix(side, rng):
+    return rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+
+
+def _kernel(op, matrix, dims, axes):
+    out_dims = list(dims)
+    k = len(axes)
+    for a, d in zip(axes, op.shape[:k]):
+        out_dims[a] = d
+    side = int(np.prod(out_dims))
+    return qcore._sandwich(op, matrix.reshape(tuple(dims) * 2), axes).reshape(side, side)
+
+
+def test_sandwich_matches_dense_kron_reference():
+    rng = np.random.default_rng(17)
+    rho = qcore.random_density([2, 3, 2], rng)
+
+    h = _random_matrix(3, rng)
+    h = h + h.conj().T
+    full = np.kron(np.kron(np.eye(2), h), np.eye(2))
+    assert np.max(np.abs(_kernel(h, rho, [2, 3, 2], [1]) - full @ rho @ full.conj().T)) <= 1e-13
+
+    # The adjoint of a 3 x 2 isometry restricts the middle system to its range.
+    v, _ = np.linalg.qr(_random_matrix(3, rng)[:, :2])
+    full = np.kron(np.kron(np.eye(2), v.conj().T), np.eye(2))
+    got = _kernel(v.conj().T, rho, [2, 3, 2], [1])
+    assert got.shape == (8, 8)
+    assert np.max(np.abs(got - full @ rho @ full.conj().T)) <= 1e-13
+
+    u = qcore.haar_unitary(6, rng)
+    full = np.kron(np.eye(2), u)
+    got = _kernel(u.reshape(3, 2, 3, 2), rho, [2, 3, 2], [1, 2])
+    assert np.max(np.abs(got - full @ rho @ full.conj().T)) <= 1e-13
+    # Two systems out of order and not adjacent: u acts on (third, first).
+    u = qcore.haar_unitary(4, rng)
+    got = _kernel(u.reshape(2, 2, 2, 2), rho, [2, 3, 2], [2, 0])
+    assert np.max(np.abs(got - _dense_apply(rho, [2, 3, 2], [2, 0], u))) <= 1e-13
+
+
+def test_sandwich_on_one_axis_is_the_tensordot_pair_bit_for_bit():
+    # The random instrument's outputs depend on these exact contractions.
+    rng = np.random.default_rng(5)
+    dims = (2, 3, 4)
+    t = qcore.random_density(list(dims), rng).reshape(dims * 2)
+    for i, d in enumerate(dims):
+        u = qcore.haar_unitary(d, rng)
+        pair = np.moveaxis(np.tensordot(u, t, axes=([1], [i])), 0, i)
+        pair = np.moveaxis(np.tensordot(pair, u.conj(), axes=([3 + i], [1])), -1, 3 + i)
+        assert np.array_equal(qcore._sandwich(u, t, [i]), pair)
