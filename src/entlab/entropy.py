@@ -195,16 +195,28 @@ def collision_entropy(rho: LabeledState, sigma: LabeledState) -> float:
 
 @dataclass(frozen=True)
 class ConeProgramResult:
-    """Solution of min Tr(sigma) subject to I_A x sigma >= rho, sigma >= 0."""
+    """Solution of min Tr(sigma) subject to I_A x sigma >= rho, sigma >= 0.
+
+    ``dual_certificate`` is X >= 0 on A x B with Tr_A X <= I, so
+    ``dual_bound`` = Tr(rho X) is a lower bound on the optimum; ``gap`` is the
+    resulting primal-dual gap and ``gap_bound`` the barrier's nu / t.
+    """
 
     optimum: float
     certificate: np.ndarray
     iterations: int
     residual: float
+    dual_certificate: np.ndarray
+    dual_bound: float
+    gap_bound: float
 
     @property
     def hmin_bits(self) -> float:
         return -math.log2(self.optimum)
+
+    @property
+    def gap(self) -> float:
+        return self.optimum - self.dual_bound
 
 
 def conditional_min_entropy(rho: LabeledState, cond: Iterable[str] | str) -> ConeProgramResult:
@@ -214,7 +226,8 @@ def conditional_min_entropy(rho: LabeledState, cond: Iterable[str] | str) -> Con
     (the optimizer never places weight outside it), then the barrier solver of
     :mod:`entlab.coneprog` runs there.  The certificate is the normalized
     optimizer; its feasibility and its agreement with the relative min-entropy
-    are re-verified before returning.
+    are re-verified before returning.  The solver's dual point is mapped back
+    through the support isometry, and Tr(rho X) is reported as a lower bound.
     """
     from . import coneprog
 
@@ -247,11 +260,15 @@ def conditional_min_entropy(rho: LabeledState, cond: Iterable[str] | str) -> Con
     residual = abs(optimum - cross)
     if residual > RESIDUAL_TOL * max(1.0, optimum):
         raise StateError(f"cone program residual {residual:.3e} exceeds {RESIDUAL_TOL}")
+    dual = _on_conditioning(support, solution.dual, d_a)
     return ConeProgramResult(
         optimum=optimum,
         certificate=certificate,
         iterations=solution.newton_steps,
         residual=residual,
+        dual_certificate=dual,
+        dual_bound=float(np.real(np.vdot(dual, rho_m))),
+        gap_bound=solution.gap_bound,
     )
 
 
