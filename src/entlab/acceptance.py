@@ -189,6 +189,12 @@ def criterion_regions(c: _Checks) -> None:
         c.expect(verdict.verdict == want, f"point {point}: {verdict.verdict} != {want}")
     verdict = regions.region_membership(region, (-2.0, 0.0))
     c.expect(region.mask_of(["C1"]) in verdict.violated, "outside point misses the R1 violation")
+    # Merging the senders one after the other reaches the corner points.
+    full = region.mask_of(region.parties)
+    for ordering, point in regions.corner_points(region).items():
+        verdict = regions.region_membership(region, point)
+        c.expect(verdict.verdict == "inside" and not verdict.violated, f"corner {ordering} {point}: {verdict.verdict}")
+        c.expect(full in verdict.tight, f"corner {ordering} {point} leaves the full-set constraint slack")
 
     eps = 0.1
     threshold = regions.compression_example_negative_pair(1.0, eps)["log2_d_threshold"]
@@ -285,6 +291,15 @@ def criterion_hashing(c: _Checks) -> None:
     c.expect(agg["success_frequency"] >= 0.9, f"success frequency {agg['success_frequency']!r} < 0.9")
     target = 1.0 - agg["entropy_bits"]
     c.expect(abs(agg["yield"] - target) <= 0.1, f"yield {agg['yield']!r} not within 0.1 of {target!r}")
+    # A case inside the feasible regime, where the rounds fit in the pairs.
+    n, delta = 2000, 0.05
+    feasible = protocols.hashing_simulation((0.9, 0.05, 0.03, 0.02), n=n, delta=delta, trials=5, seed=ACCEPTANCE_SEED)
+    agg_f = feasible.aggregate
+    c.expect(agg_f["feasible"], f"feasible case: {agg_f['nominal_rounds']} rounds need more than {n} pairs")
+    c.expect(agg_f["rounds_run"] == agg_f["nominal_rounds"], f"feasible case ran {agg_f['rounds_run']} rounds")
+    target_f = 1.0 - agg_f["entropy_bits"] - 2.0 * delta
+    c.expect(abs(agg_f["yield"] - target_f) <= 1.0 / n, f"feasible yield {agg_f['yield']!r} not within 1/n of {target_f!r}")
+    c.expect(agg_f["success_frequency"] >= 0.9, f"feasible success frequency {agg_f['success_frequency']!r} < 0.9")
     elapsed = time.perf_counter() - start
     c.expect(elapsed < 60.0, f"hashing runtime {elapsed:.1f}s over the 1 min budget")
     c.note(
@@ -331,6 +346,9 @@ def criterion_min_cut(c: _Checks) -> None:
         want = min(entropy.von_neumann(psi, "A"), entropy.von_neumann(psi, "B"))
         c.expect(abs(asymptotic - want) <= 1e-9, f"state {i}: assisted value {asymptotic!r} != {want!r}")
         c.expect(one_shot <= asymptotic + 1e-7, f"state {i}: search {one_shot!r} above the concavity cap")
+        c_a = assisted.concurrence_of_assistance(psi, ["A"], ["B"])
+        floor = qcore.binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c_a * c_a))) / 2.0)
+        c.expect(one_shot >= floor - 1e-9, f"state {i}: search {one_shot!r} below E_F(C_a) = {floor!r}")
 
 
 def criterion_property_suites(c: _Checks) -> None:

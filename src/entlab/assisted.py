@@ -139,6 +139,25 @@ def eoa_pure(
     return asymptotic, one_shot
 
 
+def concurrence_of_assistance(state: LabeledState, a_labels: Sequence[str], b_labels: Sequence[str]) -> float:
+    """C_a = F(rho_AB, rho~_AB) with rho~ = (Y x Y) rho* (Y x Y), for qubit A and B.
+
+    C_a is the largest average concurrence over pure-state ensembles of rho_AB
+    (Laustsen, Verstraete and van Enk, quant-ph/0206192).  A projective
+    measurement on the purifying helper realizes such an ensemble, and
+    E_F(C) = h((1 + sqrt(1 - C^2)) / 2) is convex and increasing, so E_F(C_a) is
+    a lower bound on the one-shot value of ``eoa_pure``.
+    """
+    _check_disjoint(a_labels, b_labels)
+    for labels in (a_labels, b_labels):
+        if math.prod(state.dim_of(x) for x in labels) != 2:
+            raise StateError("the concurrence of assistance needs qubit A and B")
+    rho = qcore.partial_trace(state, list(a_labels) + list(b_labels)).matrix
+    y = np.array([[0, -1j], [1j, 0]])
+    flip = np.kron(y, y)
+    return qcore.fidelity_ops(rho, flip @ rho.conj() @ flip)
+
+
 def average_entropy_for_basis(
     state: LabeledState,
     a_labels: Sequence[str],
@@ -163,7 +182,7 @@ def average_entropy_for_basis(
         rho = block / p
         rho_a = qcore._partial_trace_dense(rho, rest_dims, a_pos)
         eigs = qcore.clamped_eigenvalues(rho_a)
-        total += p * -float(sum(qcore.xlog2x(float(x)) for x in eigs))
+        total += p * qcore.shannon_entropy(eigs)
     return total
 
 

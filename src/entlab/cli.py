@@ -230,11 +230,7 @@ def cmd_decouple(args) -> int:
         "seed": args.seed,
     }
     if args.csv:
-        rows = [
-            {k: v for k, v in row.items() if k != "post_state"}
-            for row in result.outcome_rows
-        ]
-        emit_csv(rows, args.csv)
+        emit_csv(list(result.outcome_rows), args.csv)
     emit_json(payload, args.out)
     return 0
 

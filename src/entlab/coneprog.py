@@ -35,6 +35,7 @@ BARRIER_GROWTH = 20.0
 NEWTON_DECREMENT_TOL = 1e-12
 MAX_STAGES = 60
 MAX_NEWTON_PER_STAGE = 60
+REL_TOL = 1e-10  # stop once the gap bound nu / t is within REL_TOL of Tr(sigma)
 
 
 class ConeProgramError(RuntimeError):
@@ -83,7 +84,7 @@ def _logdet_pd(matrix: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
 
 
-def solve_min_trace(rho: np.ndarray, d_a: int, d_b: int, rel_tol: float = 1e-9) -> ConeSolution:
+def solve_min_trace(rho: np.ndarray, d_a: int, d_b: int) -> ConeSolution:
     """Minimize Tr(sigma) over Hermitian sigma with I_{d_a} x sigma >= rho >= 0."""
     if d_b == 1:
         opt = float(np.max(np.linalg.eigvalsh(rho)))
@@ -133,7 +134,7 @@ def solve_min_trace(rho: np.ndarray, d_a: int, d_b: int, rel_tol: float = 1e-9) 
             f0 = trial
             steps += 1
         trace = float(np.real(np.trace(sigma)))
-        if nu / t <= rel_tol * max(trace, 1e-18):
+        if nu / t <= REL_TOL * max(trace, 1e-18):
             step, _, m_inv = newton_step(sigma, t)
             return ConeSolution(optimum=trace, sigma=sigma, newton_steps=steps, gap_bound=nu / t,
                                 dual=_dual_certificate(m_inv, step, t, d_a, d_b))

@@ -82,14 +82,6 @@ def swap_operator(d: int) -> np.ndarray:
     return f
 
 
-def symmetric_projector(d: int) -> np.ndarray:
-    return (np.eye(d * d) + swap_operator(d)) / 2.0
-
-
-def antisymmetric_projector(d: int) -> np.ndarray:
-    return (np.eye(d * d) - swap_operator(d)) / 2.0
-
-
 def purity(state: LabeledState, part: Iterable[str] | str | None = None, check_swap_trick: bool = False) -> float:
     """Tr[rho_part^2] as ||rho_part||_F^2; optionally cross-checked against Tr[(rho x rho) F]."""
     reduced = state if part is None else qcore.partial_trace(state, part)
@@ -123,21 +115,15 @@ def decoupling_bound_purity(state: LabeledState, spec: InstrumentSpec, reference
     return 2.0 * linear + 2.0 * math.sqrt(d_ref * quad)
 
 
-def decoupling_bound_minentropy(
-    state: LabeledState,
-    spec: InstrumentSpec,
-    reference: Iterable[str] | str,
-    sigma: LabeledState | None = None,
-) -> float:
+def decoupling_bound_minentropy(state: LabeledState, spec: InstrumentSpec, reference: Iterable[str] | str) -> float:
     """Min-entropy form of the decoupling bound, ancillas included:
 
-    prefactor * sqrt(sum_T 2^{-(H_min(psi^{T R}|sigma^R) + log K_T - log L_T)})
+    prefactor * sqrt(sum_T 2^{-(H_min(psi^{T R}|psi^R) + log K_T - log L_T)})
     with prefactor prod_i N_i L_i / (d_i K_i) <= 1.
     """
     spec.validate_against(state)
     ref_labels = qcore._normalize_labels(state, reference)
-    if sigma is None:
-        sigma = qcore.partial_trace(state, ref_labels)
+    sigma = qcore.partial_trace(state, ref_labels)
     prefactor = math.prod(s.blocks * s.rank / (s.dim * s.ancilla) for s in spec.senders)
     total = 0.0
     for _, subset in regions.subsets(spec.senders):
@@ -189,7 +175,6 @@ def simulate_random_instrument(
     state: LabeledState,
     spec: InstrumentSpec,
     reference: Iterable[str] | str,
-    sigma: LabeledState | None = None,
     with_minentropy_bound: bool = False,
     keep_outcomes: bool = False,
 ) -> DecouplingResult:
@@ -249,7 +234,6 @@ def simulate_random_instrument(
                         "probability": p,
                         "distance": distance,
                         "remainder": remainder_hit,
-                        "post_state": omega / p if p >= ZERO_PROB else None,
                     }
                 )
         if abs(total_p - 1.0) > 1e-9:
@@ -261,7 +245,7 @@ def simulate_random_instrument(
     bound = decoupling_bound_purity(state, spec, ref_labels)
     me_bound = None
     if with_minentropy_bound:
-        me_bound = decoupling_bound_minentropy(state, spec, ref_labels, sigma)
+        me_bound = decoupling_bound_minentropy(state, spec, ref_labels)
     return DecouplingResult(
         empirical_q=mean,
         stderr=stderr,

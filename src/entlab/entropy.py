@@ -27,7 +27,7 @@ class SupportError(StateError):
 def von_neumann(state: LabeledState, part: Iterable[str] | str | None = None) -> float:
     """Von Neumann entropy of the reduced operator on ``part`` (whole state if None)."""
     reduced = state if part is None else qcore.partial_trace(state, part)
-    return -float(sum(qcore.xlog2x(float(x)) for x in reduced.spectrum()))
+    return qcore.shannon_entropy(reduced.spectrum())
 
 
 def subset_entropies(state: LabeledState) -> Callable[[Iterable[str] | str], float]:
@@ -66,14 +66,6 @@ def _conditional(entropy_of: Callable, state: LabeledState, part: Iterable[str] 
 def coherent_information(state: LabeledState, frm: Iterable[str] | str, to: Iterable[str] | str) -> float:
     """I(frm > to) = S(to) - S(frm, to)."""
     return -conditional_entropy(state, frm, to)
-
-
-def mutual_information(state: LabeledState, a: Iterable[str] | str, b: Iterable[str] | str) -> float:
-    a_labels = qcore._normalize_labels(state, a)
-    b_labels = qcore._normalize_labels(state, b)
-    if set(a_labels) & set(b_labels):
-        raise qcore.LabelError("mutual information needs disjoint label sets")
-    return von_neumann(state, a_labels) + von_neumann(state, b_labels) - von_neumann(state, set(a_labels) | set(b_labels))
 
 
 def zero_entropy(state: LabeledState, part: Iterable[str] | str | None = None) -> float:
@@ -241,7 +233,7 @@ def conditional_min_entropy(rho: LabeledState, cond: Iterable[str] | str) -> Con
     r = support.shape[1]
     reduced = _on_conditioning(support.conj().T, rho_m, d_a)
 
-    solution = coneprog.solve_min_trace(reduced, d_a, r, rel_tol=1e-10)
+    solution = coneprog.solve_min_trace(reduced, d_a, r)
     sig = support @ solution.sigma @ support.conj().T
     sig = (sig + sig.conj().T) / 2.0
 

@@ -10,33 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import entropy, qcore
+from . import entropy, qcore, typicality
 from .qcore import LabeledState, StateError
 
 BELL_ORDER = ("phi_plus", "psi_plus", "phi_minus", "psi_minus")  # bit codes 00 01 10 11
-
-
-@dataclass(frozen=True)
-class BellString:
-    """A sequence of Bell pairs encoded as two classical bits per pair."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) % 2 or any(b not in (0, 1) for b in self.bits):
-            raise StateError("a Bell string needs an even number of 0/1 bits")
-
-    @classmethod
-    def from_symbols(cls, symbols) -> "BellString":
-        return cls(bits=tuple(int(b) for b in _symbols_to_bits(np.asarray(symbols, dtype=np.uint8))))
-
-    @property
-    def symbols(self) -> tuple[int, ...]:
-        return tuple(2 * self.bits[2 * i] + self.bits[2 * i + 1] for i in range(len(self.bits) // 2))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(BELL_ORDER[s] for s in self.symbols)
 
 
 @dataclass(frozen=True)
@@ -157,12 +134,6 @@ def _sample_symbols(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarra
     return out
 
 
-def _typical_mask(symbols: np.ndarray, p: np.ndarray, delta: float) -> np.ndarray:
-    n = symbols.shape[-1]
-    counts = np.stack([(symbols == k).sum(axis=-1) for k in range(4)], axis=-1)
-    return np.all(np.abs(counts / n - p) <= delta + 1e-12, axis=-1)
-
-
 def hashing_simulation(
     p: Sequence[float],
     n: int,
@@ -198,7 +169,7 @@ def hashing_simulation(
     for trial_index, rng in enumerate(rngs):
         hidden = _sample_symbols(rng, p_arr, n)
         record = HashingTrial(hidden=hidden)
-        record.hidden_typical = bool(_typical_mask(hidden, p_arr, delta))
+        record.hidden_typical = bool(typicality.typical_mask(hidden, p_arr, delta))
         panel = _sample_typical_decoys(rng, p_arr, n, delta, decoys)
         distinct = np.any(panel != hidden[np.newaxis, :], axis=1)
         panel = panel[distinct]
@@ -271,7 +242,7 @@ def _sample_typical_decoys(rng: np.random.Generator, p: np.ndarray, n: int, delt
     out = np.empty((0, n), dtype=np.uint8)
     while out.shape[0] < count:
         batch = _sample_symbols(rng, p, (count, n))
-        ok = _typical_mask(batch, p, delta)
+        ok = typicality.typical_mask(batch, p, delta)
         out = np.concatenate([out, batch[ok]])[:count]
     return out
 

@@ -10,7 +10,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
 HERMITICITY_REJECT = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-10
@@ -558,8 +557,6 @@ _BELL_AMPLITUDES = {
     "psi_plus": np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2),
     "psi_minus": np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2),
 }
-
-BELL_BIT_CODES = {"phi_plus": "00", "psi_plus": "01", "phi_minus": "10", "psi_minus": "11"}
 
 
 def bell(kind: str = "phi_plus", labels: Sequence[str] = ("A", "B")) -> LabeledState:

@@ -3,6 +3,7 @@ membership tests, min-cut search, and the one-shot cost formulas."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -330,8 +331,6 @@ def compression_example_sequential_bounds(log2_d: float, eps: float) -> dict:
 
 def corner_points(region: RegionSpec) -> dict[str, tuple[float, ...]]:
     """Sequential-ordering corner points of a region over all party orderings."""
-    import itertools
-
     out = {}
     m = len(region.parties)
     for order in itertools.permutations(range(m)):

@@ -23,6 +23,13 @@ def typicality_constant(p: Sequence[float]) -> float:
     return max(abs(math.log2(x)) for x in support)
 
 
+def typical_mask(sequences: np.ndarray, p: Sequence[float], delta: float) -> np.ndarray:
+    """Whether each sequence (along the last axis) has |N(x)/n - p(x)| <= delta for every symbol x."""
+    n = sequences.shape[-1]
+    counts = np.stack([(sequences == k).sum(axis=-1) for k in range(len(p))], axis=-1)
+    return np.all(np.abs(counts / n - np.asarray(p)) <= delta + 1e-12, axis=-1)
+
+
 @dataclass(frozen=True)
 class TypicalSet:
     """Statistics of the delta-typical set of length-n sequences for p."""
@@ -40,8 +47,7 @@ class TypicalSet:
         return len(self.p)
 
     def contains(self, sequence: Sequence[int]) -> bool:
-        counts = np.bincount(np.asarray(sequence), minlength=self.alphabet)
-        return bool(np.all(np.abs(counts / self.n - np.asarray(self.p)) <= self.delta + 1e-12))
+        return bool(typical_mask(np.asarray(sequence), self.p, self.delta))
 
     def members(self) -> Iterator[tuple[int, ...]]:
         """All typical sequences; only available below the enumeration cap."""
@@ -128,15 +134,13 @@ def typical_projector_checks(state: LabeledState, n: int, delta: float) -> Proje
         raise StateError(f"d^n = {d ** n} exceeds the projector cap {PROJECTOR_CAP}")
     p = np.sort(state.spectrum())[::-1]
     c = typicality_constant(p)
-    entropy_bits = -float(sum(qcore.xlog2x(float(x)) for x in p))
+    entropy_bits = qcore.shannon_entropy(p)
 
     sequences = np.array(list(itertools.product(range(d), repeat=n)))
     with np.errstate(divide="ignore"):
         log_p = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), -np.inf)
     seq_log_prob = log_p[sequences].sum(axis=1)
-    counts = np.stack([(sequences == k).sum(axis=1) for k in range(d)], axis=-1)
-    typical = np.all(np.abs(counts / n - p) <= delta + 1e-12, axis=-1)
-    typical &= seq_log_prob > -np.inf
+    typical = typical_mask(sequences, p, delta) & (seq_log_prob > -np.inf)
 
     probs = np.where(seq_log_prob > -np.inf, 2.0**seq_log_prob, 0.0)
     mass = float(probs[typical].sum())
@@ -184,70 +188,3 @@ def gentle_measurement_defect(rho: np.ndarray, x_op: np.ndarray) -> tuple[float,
     root = qcore.psd_sqrt(x_op)
     defect = qcore.trace_norm(root @ rho @ root - rho)
     return defect, 2.0 * math.sqrt(eps)
-
-
-def projector_union_bound_defect(projectors: Sequence[np.ndarray]) -> float:
-    """Smallest eigenvalue of (x)Pi_i - (sum_i Pi_i - (m-1) I) for commuting projectors.
-
-    Non-negative values certify the multi-projector union bound; inputs are the
-    FULL-SPACE embeddings (same side), assumed simultaneously diagonalizable.
-    """
-    product = projectors[0]
-    for pi in projectors[1:]:
-        product = product @ pi
-    total = sum(projectors) - (len(projectors) - 1) * np.eye(projectors[0].shape[0])
-    return float(np.min(np.linalg.eigvalsh(product - total)))
-
-
-def blocking_construction_bounds(
-    s1: int,
-    delta1: float,
-    delta2: float,
-    d1: int,
-    d2: int,
-    entropies: tuple[float, float, float],
-) -> dict:
-    """Closed-form parameters of the two-stage typical-projection construction.
-
-    ``entropies`` are (S(C1 C2), S(C1), S(C2)) for the underlying mixed state.
-    Returns the stage sizes, the trace-distance budget nu, and the exponents of
-    the three purity bounds at total length n = s1 * s2.  No simulation: the
-    parameter sizes are astronomical by design.
-    """
-    c = 2.0 * (d1 + d2)
-    eps = c * math.exp(-2.0 * s1 * delta1 * delta1)
-    ln_c = math.log(c)
-    s2 = (s1 * (2.0 * delta1 * delta1 + ln_c) - ln_c) / (2.0 * delta2 * delta2)
-    nu = (4.0 + (s1 * (2.0 * delta1 * delta1 + ln_c) - ln_c) / (delta2 * delta2)) * math.sqrt(c) * math.exp(
-        -s1 * delta1 * delta1
-    )
-    s_joint, s_c1, s_c2 = entropies
-    n = s1 * s2
-    eta = eps - eps * math.log2(eps) if 0 < eps <= 1 / math.e else eps + math.log2(math.e) / math.e
-    upsilon = eta * math.log2(d1 * d2) + 3.0 * delta2 / s1
-    return {
-        "epsilon": eps,
-        "s2": s2,
-        "n": n,
-        "nu": nu,
-        "joint_purity_exponent": -(s_joint - upsilon),
-        "c1_purity_exponent": -(s_c1 - 3.0 * delta1),
-        "c2_purity_exponent": -(s_c2 - 3.0 * delta1),
-        "upsilon": upsilon,
-    }
-
-
-def multiparty_typicality_case(report: dict, n: int, entropies: dict[frozenset, float], slack: dict[frozenset, float]) -> dict:
-    """Conjectured multiparty typicality predicate, evaluated but never asserted.
-
-    For each subset the question is whether a nearby state could satisfy the
-    purity bound 2^{-n(S(T) - slack_T)}; only the m = 2 instance has a proof,
-    via the blocking construction above.  Returned for inspection only.
-    """
-    return {
-        tuple(sorted(key)): {
-            "target_exponent": -(n * (entropies[key] - slack[key])),
-            "proved": len(key) <= 2,
-        }
-        for key in entropies
-    }

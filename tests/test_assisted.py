@@ -126,10 +126,16 @@ def test_eoa_pure_values():
     expected = min(entropy.von_neumann(psi, "A"), entropy.von_neumann(psi, "B"))
     assert asymptotic == pytest.approx(expected, abs=1e-12)
     assert one_shot <= asymptotic + 1e-7
+    # E_F of the concurrence of assistance is a floor for the measurement search.
+    c_a = assisted.concurrence_of_assistance(psi, ["A"], ["B"])
+    assert one_shot >= qcore.binary_entropy((1 + math.sqrt(max(0.0, 1 - c_a**2))) / 2) - 1e-9
 
     ghz = qcore.ghz(3, ["A", "B", "C"])
     asymptotic, one_shot = assisted.eoa_pure(ghz, ["A"], ["B"], ["C"], grid=6, seed=2)
     assert asymptotic == pytest.approx(1.0, abs=1e-9)
+    assert assisted.concurrence_of_assistance(ghz, ["A"], ["B"]) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(qcore.StateError):
+        assisted.concurrence_of_assistance(qcore.ghz(3, ["A", "B", "C"]), ["A", "C"], ["B"])
     # The conjugate (Hadamard) basis on the helper leaves A-B maximally entangled.
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     attained = assisted.average_entropy_for_basis(ghz, ["A"], ["C"], hadamard)

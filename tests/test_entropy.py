@@ -51,8 +51,9 @@ def test_three_sender_compression_entropies():
     assert entropy.conditional_entropy(state, ["C1", "C2"], ["C3"]) == pytest.approx(-theta_entropy, abs=1e-9)
 
 
-def test_mutual_information_of_maximally_entangled():
-    assert entropy.mutual_information(qcore.max_entangled(4), "A", "B") == pytest.approx(4.0, abs=1e-9)
+def test_entropy_report_mutual_term_of_maximally_entangled():
+    report = entropy.entropy_report(qcore.max_entangled(4), ["A"], ["B"])
+    assert report.mutual["A;B"] == pytest.approx(4.0, abs=1e-9)
 
 
 def test_entropy_report_identities():

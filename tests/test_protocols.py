@@ -115,9 +115,10 @@ def test_schmidt_projection_exact_probability_total():
 
 
 def test_bell_string_round_trip():
-    string = protocols.BellString.from_symbols([0, 3, 2])
-    assert string.bits == (0, 0, 1, 1, 1, 0)
-    assert string.symbols == (0, 3, 2)
-    assert string.names == ("phi_plus", "psi_minus", "phi_minus")
-    with pytest.raises(qcore.StateError):
-        protocols.BellString(bits=(0, 1, 1))
+    # Hashing reads Bell symbol s as the bit pair (s >> 1, s & 1), one string or a batch at a time.
+    symbols = np.array([0, 3, 2, 1], dtype=np.uint8)
+    bits = protocols._symbols_to_bits(symbols)
+    assert bits.tolist() == [0, 0, 1, 1, 1, 0, 0, 1]
+    assert (2 * bits[0::2] + bits[1::2]).tolist() == symbols.tolist()
+    assert np.array_equal(protocols._symbols_to_bits_batch(np.stack([symbols, symbols[::-1]]))[0], bits)
+    assert [protocols.BELL_ORDER[s] for s in symbols] == ["phi_plus", "psi_minus", "phi_minus", "psi_plus"]

@@ -1,0 +1,69 @@
+"""Every public name of the package has a caller in the package or the benchmark.
+
+A public top-level function, class or UPPER_CASE constant that only its own
+tests name is surface to maintain with nothing depending on it: give it a
+caller or delete it.  The paper's evaluators below are kept as library entry
+points; their tests are what checks them.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "entlab"
+SEARCHED = {
+    path: path.read_text(encoding="utf-8").splitlines()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+}
+
+EVALUATORS = {
+    "beating_hashing": "the predicate I(C>AB) > 0 and S(A|BC) < S(A|B) for helpers beating hashing",
+    "da_upper_bounds": "ensemble and marginal upper estimates of the one-shot assisted rate",
+    "split_transfer_errors": "decoupling errors of the two halves of a split transfer",
+    "entropy_report": "the von Neumann family and one-shot entropies of one bipartition",
+    "max_entropy_fidelity_search": "the direct fidelity search that cross-checks H_max duality",
+    "smooth_max_lower_bound": "the truncation lower bound on the smooth max-entropy",
+    "fannes_bound": "the Fannes continuity bound on entropy differences",
+}
+
+
+def _public_definitions(path: Path) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each public top-level definition in ``path``."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id.isupper():
+            names = [node.target.id]
+        else:
+            continue
+        out += [(name, node.lineno, node.end_lineno) for name in names if not name.startswith("_")]
+    return out
+
+
+def _has_caller(name: str, home: Path, first: int, last: int) -> bool:
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    for path, lines in SEARCHED.items():
+        for number, line in enumerate(lines, 1):
+            if path == home and first <= number <= last:
+                continue
+            if word.search(line):
+                return True
+    return False
+
+
+def test_every_public_name_has_a_caller():
+    definitions = [(name, path, first, last) for path in sorted(PACKAGE.glob("*.py")) for name, first, last in _public_definitions(path)]
+    defined = {name for name, *_ in definitions}
+    assert not set(EVALUATORS) - defined, "an exempt evaluator no longer exists; drop it from EVALUATORS"
+    unused = [
+        f"{path.stem}.{name}"
+        for name, path, first, last in definitions
+        if name not in EVALUATORS and not _has_caller(name, path, first, last)
+    ]
+    assert not unused, f"public names with no caller outside their tests: {unused}"

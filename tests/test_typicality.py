@@ -45,6 +45,15 @@ def test_membership_probe():
     assert not ts.contains([1] * 8)
 
 
+def test_typical_mask_counts_the_typical_set():
+    p, n, delta = (0.5, 0.3, 0.2), 6, 0.15
+    sequences = np.array(list(itertools.product(range(3), repeat=n)))
+    mask = typicality.typical_mask(sequences, p, delta)
+    ts = typicality.typical_set(p, n, delta)
+    assert int(mask.sum()) == ts.cardinality
+    assert mask.tolist() == [ts.contains(seq) for seq in sequences]
+
+
 def test_projector_checks_on_biased_qubit():
     state = qcore.make_state([("A", 2)], np.diag([0.8, 0.2]).astype(complex))
     report = typicality.typical_projector_checks(state, n=10, delta=0.1)
@@ -78,36 +87,8 @@ def test_gentle_measurement_matrix_level():
     assert lhs <= rhs + 1e-12
 
 
-def test_projector_union_bound_on_commuting_projectors():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        diags = [np.diag(rng.integers(0, 2, 8).astype(float)) for _ in range(3)]
-        assert typicality.projector_union_bound_defect(diags) >= -1e-12
-
-
 def test_hoeffding_floor_matches_direct_mass():
     p = np.array([0.7, 0.3])
     n, delta = 12, 0.2
     ts = typicality.typical_set(p, n, delta)
     assert ts.total_probability >= 1 - 2 * 2 * math.exp(-2 * n * delta**2) - 1e-12
-
-
-def test_blocking_construction_bounds_evaluate():
-    out = typicality.blocking_construction_bounds(
-        s1=10**6, delta1=1e-2, delta2=1e-2, d1=2, d2=2, entropies=(1.5, 1.0, 1.0)
-    )
-    assert out["epsilon"] < 1e-9
-    assert out["s2"] > out["n"] ** 0.0  # positive stage size
-    assert out["nu"] < 1e-9
-    assert out["joint_purity_exponent"] < 0
-
-
-def test_multiparty_predicate_is_reported_not_asserted():
-    report = typicality.multiparty_typicality_case(
-        {},
-        n=100,
-        entropies={frozenset({"C1"}): 1.0, frozenset({"C1", "C2", "C3"}): 2.0},
-        slack={frozenset({"C1"}): 0.1, frozenset({"C1", "C2", "C3"}): 0.1},
-    )
-    assert report[("C1",)]["proved"]
-    assert not report[("C1", "C2", "C3")]["proved"]
