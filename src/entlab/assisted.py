@@ -214,14 +214,12 @@ def _basis_measurement_search(
         return -average_entropy_for_basis(state, a_labels, c_labels, basis_of(params))
 
     n_params = d_c * d_c
-    best = 0.0
     starts = [np.zeros(n_params)] + [rng.standard_normal(n_params) for _ in range(grid)]
-    for x0 in starts:
-        best = max(best, -objective(x0))
-    # Local refinement from the three best grid points.
-    ranked = sorted(starts, key=objective)[:3]
-    for x0 in ranked:
-        res = minimize(objective, x0, method="Nelder-Mead", options={"maxiter": 2500, "fatol": 1e-10})
+    values = [objective(x0) for x0 in starts]
+    best = max([0.0] + [-v for v in values])
+    # Local refinement from the three best grid points; ties keep the start order.
+    for i in sorted(range(len(starts)), key=values.__getitem__)[:3]:
+        res = minimize(objective, starts[i], method="Nelder-Mead", options={"maxiter": 2500, "fatol": 1e-10})
         best = max(best, -res.fun)
     return best
 

@@ -15,7 +15,6 @@ from . import entropy, qcore, regions
 from .qcore import LabeledState, StateError
 
 ZERO_PROB = 1e-14
-MAX_SIM_DIM = qcore.MAX_TOTAL_DIM
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,6 @@ def _working_state(state: LabeledState, spec: InstrumentSpec, ref_labels: Sequen
             order.append(f"_{s.label}0")
     order.extend(ref_labels)
     work = qcore.permute_systems(work, order)
-    if work.total_dim > MAX_SIM_DIM:
-        raise StateError(f"simulation dimension {work.total_dim} exceeds the cap {MAX_SIM_DIM}")
     grouped = [s.dim * s.ancilla for s in spec.senders]
     d_ref = int(np.prod([state.dim_of(x) for x in ref_labels])) if ref_labels else 1
     tensor = work.matrix.reshape(tuple(grouped) + (d_ref,) + tuple(grouped) + (d_ref,))

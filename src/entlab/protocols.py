@@ -20,7 +20,6 @@ BELL_ORDER = ("phi_plus", "psi_plus", "phi_minus", "psi_minus")  # bit codes 00 
 class Outcome:
     label: str
     probability: float | Fraction
-    post_state: LabeledState | None = None
     register: dict | None = None
 
 
@@ -28,9 +27,6 @@ class Outcome:
 class ProtocolTrace:
     outcomes: tuple[Outcome, ...]
     aggregate: dict
-
-    def total_probability(self) -> float:
-        return float(sum(o.probability for o in self.outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -58,27 +54,17 @@ def entanglement_swap(lambda1, lambda2) -> ProtocolTrace:
     p_partial = (l1 * l1 + l2 * l2) / 2
     procrustean = 2 * l2 * l2 / (l1 * l1 + l2 * l2)
 
-    singlet = qcore.bell("psi_minus")
-    partial = _partial_pair(float(l1), float(l2))
     outcomes = (
-        Outcome("01", p_bell, post_state=singlet, register={"correction": "Z"}),
-        Outcome("11", p_bell, post_state=singlet, register={"correction": "I"}),
-        Outcome("00", p_partial, post_state=partial, register={"procrustean_success": procrustean}),
-        Outcome("10", p_partial, post_state=partial, register={"procrustean_success": procrustean}),
+        Outcome("01", p_bell, register={"correction": "Z"}),
+        Outcome("11", p_bell, register={"correction": "I"}),
+        Outcome("00", p_partial, register={"procrustean_success": procrustean}),
+        Outcome("10", p_partial, register={"procrustean_success": procrustean}),
     )
     scp = 2 * p_bell + 2 * p_partial * procrustean
     return ProtocolTrace(
         outcomes=outcomes,
         aggregate={"scp": scp, "scp_closed_form": 2 * l2, "exact": exact},
     )
-
-
-def _partial_pair(l1: float, l2: float) -> LabeledState:
-    norm = math.sqrt(l1 * l1 + l2 * l2)
-    amp = np.zeros(4, dtype=complex)
-    amp[0] = l1 / norm
-    amp[3] = l2 / norm
-    return qcore.pure_state([("A", 2), ("B", 2)], amp)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +104,10 @@ def bell_diagonal_state(p: Sequence[float]) -> LabeledState:
 
 
 def _symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
-    bits = np.empty(2 * symbols.size, dtype=np.uint8)
-    bits[0::2] = symbols >> 1
-    bits[1::2] = symbols & 1
+    """Bell symbols s as the bit pairs (s >> 1, s & 1), along the last axis."""
+    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.uint8)
+    bits[..., 0::2] = symbols >> 1
+    bits[..., 1::2] = symbols & 1
     return bits
 
 
@@ -170,34 +157,36 @@ def hashing_simulation(
         hidden = _sample_symbols(rng, p_arr, n)
         record = HashingTrial(hidden=hidden)
         record.hidden_typical = bool(typicality.typical_mask(hidden, p_arr, delta))
-        panel = _sample_typical_decoys(rng, p_arr, n, delta, decoys)
-        distinct = np.any(panel != hidden[np.newaxis, :], axis=1)
-        panel = panel[distinct]
-        hidden_bits = _symbols_to_bits(hidden)
-        decoy_bits = _symbols_to_bits_batch(panel)
+        # A decoy's parity matches the hidden one exactly when the parity of
+        # their difference is even; the 2-bit code makes XOR of symbols the
+        # XOR of bits.  Decoys equal to the hidden string (zero rows) drop out.
+        diff = _sample_typical_decoys(rng, p_arr, n, delta, decoys)
+        diff ^= hidden
+        diff_bits = _symbols_to_bits(diff[diff.any(axis=1)])
+        del diff  # freed before the next trial samples its panel
         # Round bookkeeping is kept only for the first trial; the full subset
         # lists of every round of every trial would dominate memory otherwise.
+        # Later trials stop once no decoy is left: their own RNG streams
+        # leave every other trial unchanged.
         keep_rounds = trial_index == 0
-        pair_alive = np.ones(n, dtype=bool)
+        hidden_bits = _symbols_to_bits(hidden) if keep_rounds else None
+        bit_alive = np.ones(2 * n, dtype=bool)
         for _ in range(rounds_run):
-            alive_pairs = np.flatnonzero(pair_alive)
-            bit_pool = np.empty(2 * alive_pairs.size, dtype=np.int64)
-            bit_pool[0::2] = 2 * alive_pairs
-            bit_pool[1::2] = 2 * alive_pairs + 1
+            if not (keep_rounds or diff_bits.shape[0]):
+                break
+            alive = np.flatnonzero(bit_alive)
             while True:
-                mask = rng.integers(0, 2, size=bit_pool.size, dtype=np.uint8).view(bool)
+                mask = rng.integers(0, 2, size=alive.size, dtype=np.uint8).view(bool)
                 if mask.any():
                     break
-            subset = bit_pool[mask]
-            parity = int(hidden_bits[subset].sum() & 1)
-            if decoy_bits.shape[0]:
-                keep = (decoy_bits[:, subset].sum(axis=1) & 1) == parity
-                decoy_bits = decoy_bits[keep]
+            subset = alive[mask]
+            diff_bits = diff_bits[(diff_bits[:, subset].sum(axis=1) & 1) == 0]
             consumed = int(subset.max() // 2)
-            pair_alive[consumed] = False
+            bit_alive[2 * consumed : 2 * consumed + 2] = False
             if keep_rounds:
+                parity = int(hidden_bits[subset].sum() & 1)
                 record.rounds.append(HashingRound(subset_bits=subset, parity=parity, consumed_pair=consumed))
-        record.decoys_surviving = int(decoy_bits.shape[0])
+        record.decoys_surviving = int(diff_bits.shape[0])
         trial_records.append(record)
 
     successes = sum(1 for t in trial_records if t.succeeded)
@@ -228,14 +217,6 @@ def hashing_simulation(
         for i, t in enumerate(trial_records)
     )
     return ProtocolTrace(outcomes=outcomes, aggregate=aggregate)
-
-
-def _symbols_to_bits_batch(symbols: np.ndarray) -> np.ndarray:
-    m, n = symbols.shape
-    bits = np.empty((m, 2 * n), dtype=np.uint8)
-    bits[:, 0::2] = symbols >> 1
-    bits[:, 1::2] = symbols & 1
-    return bits
 
 
 def _sample_typical_decoys(rng: np.random.Generator, p: np.ndarray, n: int, delta: float, count: int) -> np.ndarray:

@@ -298,40 +298,50 @@ def tensor_all(states: Sequence[LabeledState]) -> LabeledState:
     return out
 
 
+def _sum_traced(blocks: np.ndarray, traced_dims: Sequence[int], d_keep: int) -> np.ndarray:
+    """Sum the diagonal blocks <j|rho|j> over the traced index j: the summation of every partial trace.
+
+    ``blocks`` holds the traced systems' axes first, last system first, then
+    the kept rows and columns.  Each step adds the outermost axis term by term
+    into every entry; where a step leaves one entry, numpy sums pairwise, as
+    np.trace of the dense tensor does, so both give the same bits.
+    """
+    t = blocks.reshape(tuple(traced_dims) + (d_keep, d_keep))
+    for _ in traced_dims:
+        t = np.add.reduce(np.ascontiguousarray(t), axis=0)
+    return t
+
+
 def _partial_trace_dense(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace a dense operator on systems of ``dims`` down to the systems at positions ``keep``.
 
-    The kept systems stay in their order in ``dims``.
+    The kept systems stay in their order in ``dims``.  Giving each traced
+    system one index for row and column makes einsum return the diagonal
+    blocks as a view, so no D x D copy is made.  Systems of dimension 1 add
+    nothing and are left out, which keeps einsum within its 52 indices.
     """
+    axes = [i for i, d in enumerate(dims) if d > 1]
+    dims, kept = [dims[i] for i in axes], [axes.index(i) for i in sorted(keep) if i in axes]
     n = len(dims)
-    t = matrix.reshape(tuple(dims) + tuple(dims))
-    # Contract each traced axis pair, back to front so axis numbers stay valid.
-    for i in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
-    side = math.prod(dims[i] for i in keep)
-    return t.reshape(side, side)
+    traced = [i for i in reversed(range(n)) if i not in kept]
+    cols = [i if i in traced else n + i for i in range(n)]
+    blocks = np.einsum(matrix.reshape(dims * 2), list(range(n)) + cols, traced + kept + [n + i for i in kept])
+    return _sum_traced(blocks, [dims[i] for i in traced], math.prod(dims[i] for i in kept))
 
 
 def _partial_trace_vector(amplitudes: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix of a pure state on the positions ``keep`` (ascending).
 
-    With the amplitudes reshaped to Psi[traced, kept], this is Psi^T Psi^*: it
-    forms only the D * d_keep products that the trace keeps, never the D x D
-    matrix.  The products and their sums follow _partial_trace_dense applied
-    to the state's dense matrix step by step, so both give the same bits.
+    With the amplitudes reshaped to Psi[traced, kept], the diagonal blocks are
+    the row outer products, symmetrized as the dense matrix is: only the
+    D * d_keep products that the trace keeps, never the D x D matrix.
     """
-    traced = [i for i in range(len(dims)) if i not in keep]
+    traced = [i for i in reversed(range(len(dims))) if i not in keep]
     d_keep = math.prod(dims[i] for i in keep)
     psi = np.ascontiguousarray(amplitudes.reshape(dims).transpose(traced + list(keep))).reshape(-1, d_keep)
     products = psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :]
     products = (products + products.conj().transpose(0, 2, 1)) / 2.0
-    t = products.reshape([dims[i] for i in traced] + [d_keep, d_keep])
-    for axis in reversed(range(len(traced))):
-        if axis == 0 and not keep:
-            return np.add.reduce(t.reshape(-1)).reshape(1, 1)
-        # The summed axis goes outermost, so each entry adds its terms in order.
-        t = np.add.reduce(np.ascontiguousarray(np.moveaxis(t, axis, 0)), axis=0)
-    return t
+    return _sum_traced(products, [dims[i] for i in traced], d_keep)
 
 
 def partial_trace(state: LabeledState, keep: Iterable[str] | str) -> LabeledState:
@@ -417,20 +427,9 @@ def purify(state: LabeledState, ref_label: str = "R") -> LabeledState:
         raise LabelError(f"reference label {ref_label!r} collides with an existing system")
     eigs, vecs = np.linalg.eigh(state.matrix)
     keep = eigs > 1e-12
-    lam = eigs[keep]
-    v = vecs[:, keep]
-    rank = int(lam.size)
-    side = state.total_dim
-    amplitudes = np.zeros(side * rank, dtype=complex)
-    for k in range(rank):
-        amplitudes += math.sqrt(lam[k]) * np.kron(v[:, k], _basis_vector(rank, k))
-    return pure_state(list(state.systems) + [(ref_label, rank)], amplitudes)
-
-
-def _basis_vector(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
+    # Entry (i, k) is sqrt(lambda_k) <i|v_k>: the amplitude of |i>|k>.
+    amplitudes = vecs[:, keep] * np.sqrt(eigs[keep])
+    return pure_state(list(state.systems) + [(ref_label, amplitudes.shape[1])], amplitudes)
 
 
 @dataclass(frozen=True)

@@ -282,16 +282,15 @@ def compression_example_hmin(log2_d: float, log2_lambda1: float) -> dict[frozens
     }
 
 
-def compression_example_negative_pair(log2_d: float, eps: float, theta_exponent: float | None = None) -> dict:
+def compression_example_negative_pair(log2_d: float, eps: float) -> dict:
     """Whether the simultaneous-merge region admits E1 < 0 and E2 < 0.
 
-    ``theta_exponent`` is the log-size of the theta pair relative to log d
-    (default eps, the scaling that makes the sum constraint shrink with d).
-    Returns the three analytic thresholds and the feasibility verdict; m = 3
-    senders enter the constants even though only the (E1, E2) face is tested.
+    The theta pair's log-size is eps log d, the scaling that makes the sum
+    constraint shrink with d.  Returns the three analytic thresholds and the
+    feasibility verdict; m = 3 senders enter the constants even though only
+    the (E1, E2) face is tested.
     """
-    expo = eps if theta_exponent is None else theta_exponent
-    log2_lambda1 = -expo * log2_d
+    log2_lambda1 = -eps * log2_d
     hmin = compression_example_hmin(log2_d, log2_lambda1)
     m = 3
     rhs1 = one_shot_cost_rhs(hmin[frozenset({"C1"})], eps, m)
@@ -300,7 +299,7 @@ def compression_example_negative_pair(log2_d: float, eps: float, theta_exponent:
     return {
         "rhs": {"C1": rhs1, "C2": rhs2, "C1C2": rhs12},
         "admits_negative_pair": rhs1 < 0 and rhs2 < 0 and rhs12 < 0,
-        "log2_d_threshold": (4.0 * math.log2(1.0 / eps) + 2.0 * m + 8.0) / expo,
+        "log2_d_threshold": (4.0 * math.log2(1.0 / eps) + 2.0 * m + 8.0) / eps,
     }
 
 

@@ -222,8 +222,8 @@ def test_verify_prints_criterion_seconds(capsys):
 
 DATA = Path(__file__).parent / "data"
 
-# Region and assist runs on fixed state files; the expected JSON in
-# data/cli_golden.json pins their output byte for byte.
+# Region, assist, entropy and hashing runs on fixed state files and seeds; the
+# expected JSON in data/cli_golden.json pins their output byte for byte.
 GOLDEN_CASES = {
     "merge_pure5": ["region", "--state", "pure5.json", "--mode", "merge", "--senders", "C1,C2,C3",
                     "--receiver", "B", "--point", "0.5,0.5,0.5"],
@@ -250,17 +250,26 @@ GOLDEN_CASES = {
                            "--cnot", "C1,C2", "--seed", "7"],
     "assist_mixed4_grouped": ["assist", "--state", "assist4.json", "--a", "A", "--b", "B", "--helpers", "C1,C2"],
     "assist_mixed4_no_helpers": ["assist", "--state", "assist4.json", "--a", "A", "--b", "B"],
+    "entropy_mixed4": ["entropy", "--state", "mixed4.json", "--split", "C1|B,R", "--quantity", "all"],
+    "entropy_pure5": ["entropy", "--state", "pure5.json", "--split", "C1,C2|B,R", "--quantity", "all"],
+    "hash_sim_n120": ["hash-sim", "--p", "0.7,0.15,0.1,0.05", "--n", "120", "--delta", "0.1", "--trials", "7",
+                      "--seed", "3"],
+    "hash_sim_feasible": ["hash-sim", "--p", "0.9,0.05,0.03,0.02", "--n", "400", "--delta", "0.05", "--trials", "3",
+                          "--seed", "5"],
 }
 
 
 def run_golden_case(name: str, out_path: Path) -> str:
-    argv = [str(DATA / arg) if arg.endswith(".json") else arg for arg in GOLDEN_CASES[name]]
-    assert cli.main(argv + ["--out", str(out_path)]) == 0
+    """Run one case from inside DATA, where its bare state file names resolve."""
+    assert cli.main(GOLDEN_CASES[name] + ["--out", str(out_path)]) == 0
     return out_path.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_cli_output_matches_golden(name, tmp_path):
+def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
+    # Bare file names, so that an output echoing its state file does not
+    # depend on where the checkout lives.
+    monkeypatch.chdir(DATA)
     golden = json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))
     assert run_golden_case(name, tmp_path / "out.json") == golden[name]
 

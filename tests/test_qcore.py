@@ -362,17 +362,48 @@ def test_trusted_operations_match_dense_reference(kind, seed):
     _check_trusted(product, np.kron(dense, other.matrix))
 
 
+def _assert_reductions_equal_dense_partial_trace_bitwise(state):
+    # Same bits, not only close: outputs rounded to 12 digits must not move.
+    dims = list(state.dims)
+    for k in range(len(dims) + 1):  # k = 0 is the full trace
+        for keep in itertools.combinations(range(len(dims)), k):
+            reduced = qcore.partial_trace(state, [state.labels[i] for i in keep])
+            assert np.array_equal(reduced.matrix, _dense_partial_trace(state.matrix, dims, list(keep)))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_vector_reductions_equal_dense_partial_trace_bitwise(seed):
-    # Same bits, not only close: outputs rounded to 12 digits must not move.
     rng = np.random.default_rng(seed)
     dims = [int(d) for d in rng.integers(1, 9, size=int(rng.integers(1, 6)))]
-    psi = qcore.random_pure([(f"S{i}", d) for i, d in enumerate(dims)], rng)
-    for k in range(len(dims) + 1):
-        for keep in itertools.combinations(range(len(dims)), k):
-            reduced = qcore.partial_trace(psi, [psi.labels[i] for i in keep])
-            assert np.array_equal(reduced.matrix, _dense_partial_trace(psi.matrix, dims, list(keep)))
+    systems = [(f"S{i}", d) for i, d in enumerate(dims)]
+    psi = qcore.random_pure(systems, rng)
+    _assert_reductions_equal_dense_partial_trace_bitwise(psi)
     assert psi.trace() == float(np.real(np.trace(psi.matrix)))
+    # A dense mixed state on the same systems takes the matrix path.
+    _assert_reductions_equal_dense_partial_trace_bitwise(qcore.tensor_all([qcore.random_state([s], rng) for s in systems]))
+
+
+@pytest.mark.parametrize("dims", [(16, 4), (3, 16, 2), (64, 2), (2, 64), (2, 16, 64)], ids=lambda d: "x".join(map(str, d)))
+def test_reductions_over_large_traced_systems_equal_dense_partial_trace_bitwise(dims):
+    # numpy sums 8 or more terms pairwise when a reduction leaves one entry and
+    # term by term otherwise; traced dimensions of 16 and 64 reach both cases.
+    rng = np.random.default_rng(len(dims))
+    systems = [(f"S{i}", d) for i, d in enumerate(dims)]
+    _assert_reductions_equal_dense_partial_trace_bitwise(qcore.random_pure(systems, rng))
+    # Correlated and dense without a D-sided eigendecomposition.
+    mixed = qcore.tensor(qcore.random_state(systems[:-1], rng, rank=2), qcore.random_pure(systems[-1:], rng))
+    assert not mixed.is_pure
+    _assert_reductions_equal_dense_partial_trace_bitwise(mixed)
+
+
+def test_dense_reduction_with_more_systems_than_einsum_indices():
+    # 27 systems need 54 einsum indices, above numpy's 52, unless the systems
+    # of dimension 1 are left out.
+    systems = [(f"S{i}", 2 if i < 3 else 1) for i in range(27)]
+    rho = qcore.random_state(systems, np.random.default_rng(0))
+    keep = [1, 5, 26]
+    reduced = qcore.partial_trace(rho, [systems[i][0] for i in keep])
+    assert np.array_equal(reduced.matrix, _dense_partial_trace(rho.matrix, list(rho.dims), keep))
 
 
 def test_vector_phase_convention_and_stored_amplitudes():
