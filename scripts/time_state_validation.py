@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Time state validation: ``make_state`` on mixed inputs and state-file loading.
+
+    python3 scripts/time_state_validation.py [SRC_DIR] [--sizes 256,1024] [--parse-sizes 1024]
+
+Imports ``entlab`` from SRC_DIR (default: this checkout's ``src/``), so the
+same script times two versions of the package side by side.  BLAS runs at one
+thread.  For each side D it builds one random full-rank density matrix and
+prints, as one JSON object:
+
+- ``make_state_s``: the median seconds of ``make_state`` over the repeats;
+- ``parse_state_file_s``: for each parse size, the seconds of the whole
+  ``cli.parse_state_file`` and of its ``json.load`` alone, from one file
+  written to a temporary directory;
+- ``fingerprint``: cores, CPU model and the Python, numpy, scipy and BLAS
+  versions.
+
+The input matrices are drawn from a fixed seed.  Building them and writing
+the files is not timed.  A state file of side D holds D^2 [re, im] pairs,
+52 MB at D = 1024 and 208 MB at D = 2048, and ``json.load`` holds all of
+them as Python lists, so mind the memory before adding larger parse sizes.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 8
+
+
+def _sizes(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x]
+
+
+def _repeats(side: int) -> int:
+    return 7 if side <= 256 else 5 if side <= 1024 else 3 if side <= 2048 else 1
+
+
+def fingerprint() -> dict:
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            model = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), model)
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": model,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": int(os.environ["OPENBLAS_NUM_THREADS"])},
+    }
+
+
+def time_make_state(qcore, side: int, rng) -> list[float]:
+    matrix = qcore.random_density([side], rng)
+    seconds = []
+    for _ in range(_repeats(side)):
+        start = time.perf_counter()
+        qcore.make_state([("A", side)], matrix)
+        seconds.append(time.perf_counter() - start)
+    return seconds
+
+
+def time_parse(cli, qcore, side: int, rng, directory: Path) -> dict:
+    matrix = qcore.random_density([side], rng)
+    spec = {
+        "systems": [{"label": "A", "dim": side}],
+        "state": {"kind": "mixed", "matrix": [[[z.real, z.imag] for z in row] for row in matrix.tolist()]},
+    }
+    path = directory / f"mixed{side}.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
+    del spec, matrix
+    start = time.perf_counter()
+    with open(path, "r", encoding="utf-8") as fh:
+        json.load(fh)
+    json_s = time.perf_counter() - start
+    start = time.perf_counter()
+    cli.parse_state_file(path)
+    total_s = time.perf_counter() - start
+    file_mb = path.stat().st_size / 1e6
+    path.unlink()
+    return {"parse_state_file_s": total_s, "json_load_s": json_s, "file_mb": round(file_mb, 1)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the entlab package")
+    parser.add_argument("--sizes", type=_sizes, default=_sizes("256,1024,2048,4096"), help="make_state sides")
+    parser.add_argument("--parse-sizes", type=_sizes, default=_sizes("1024,2048"), help="state-file sides")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import numpy as np
+
+    from entlab import cli, qcore
+
+    rng = np.random.default_rng(SEED)
+    make_state = {}
+    for side in args.sizes:
+        runs = time_make_state(qcore, side, rng)
+        make_state[str(side)] = {"median_s": statistics.median(runs), "runs_s": runs}
+    parse = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side in args.parse_sizes:
+            parse[str(side)] = time_parse(cli, qcore, side, rng, Path(tmp))
+    json.dump({"fingerprint": fingerprint(),
+               "make_state_s": make_state, "parse_state_file_s": parse}, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

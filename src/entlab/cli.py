@@ -105,6 +105,8 @@ def cmd_entropy(args) -> int:
     right_labels = _split_labels(right)
     want = args.quantity
     payload: dict = {"state": str(args.state), "split": args.split}
+    # The entropy table, the marginal sigma, the one-shot joint state and H_0
+    # share one reduction per label set and its cached spectrum.
     s = entropy.subset_entropies(state)
     if want in ("svn", "all"):
         payload["entropy_left"] = s(left_labels)
@@ -116,8 +118,13 @@ def cmd_entropy(args) -> int:
         if want != "cond":
             payload["coherent"] = -conditional
     if want in ("hmin", "h2", "hmax", "all"):
-        sigma = None if want == "hmax" else _resolve_sigma(args.sigma, state, right_labels)
-        joint = qcore.partial_trace(state, left_labels + right_labels)
+        if want == "hmax":
+            sigma = None
+        elif args.sigma == "marginal":
+            sigma = s.reduced(right_labels)
+        else:
+            sigma = parse_state_file(args.sigma)
+        joint = s.reduced(left_labels + right_labels)
         if want in ("hmin", "all"):
             payload["hmin"] = entropy.min_entropy_relative(joint, sigma)
         if want in ("h2", "all"):
@@ -125,18 +132,11 @@ def cmd_entropy(args) -> int:
         if want in ("hmax", "all"):
             payload["hmax"] = entropy.conditional_max_entropy(joint, right_labels)
     if want in ("h0", "all"):
-        payload["h0"] = entropy.zero_entropy(state, left_labels)
+        payload["h0"] = entropy.zero_entropy(s.reduced(left_labels))
     if args.csv:
         emit_csv([payload], args.csv)
     emit_json(payload, args.out)
     return 0
-
-
-def _resolve_sigma(arg: str, state: qcore.LabeledState, right_labels: list[str]) -> qcore.LabeledState:
-    if arg == "marginal":
-        return qcore.partial_trace(state, right_labels)
-    loaded = parse_state_file(arg)
-    return loaded
 
 
 def cmd_region(args) -> int:

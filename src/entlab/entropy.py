@@ -30,23 +30,36 @@ def von_neumann(state: LabeledState, part: Iterable[str] | str | None = None) ->
     return qcore.shannon_entropy(reduced.spectrum())
 
 
-def subset_entropies(state: LabeledState) -> Callable[[Iterable[str] | str], float]:
+def subset_entropies(state: LabeledState) -> "_SubsetTable":
     """S(T) for label sets T of ``state``, each reduced and decomposed at most once.
 
     Entries are keyed by the labels in the state's system order, so any order
-    of T finds the same entry, and S(empty) = 0.  Make the table inside the
-    call that reads it and let it go with that call: it is a memo of one
-    computation, not a property of the state.
+    of T finds the same entry, and S(empty) = 0.  ``table.reduced(T)`` returns
+    the reduced state behind S(T), with its cached spectrum, for callers that
+    need the operator too.  Make the table inside the call that reads it and
+    let it go with that call: it is a memo of one computation, not a property
+    of the state.
     """
-    table: dict[tuple[str, ...], float] = {(): 0.0}
+    return _SubsetTable(state)
 
-    def entropy_of(part: Iterable[str] | str) -> float:
-        key = qcore._normalize_labels(state, part)
-        if key not in table:
-            table[key] = von_neumann(state, key)
-        return table[key]
 
-    return entropy_of
+class _SubsetTable:
+    def __init__(self, state: LabeledState):
+        self._state = state
+        self._reduced: dict[tuple[str, ...], LabeledState] = {}
+        self._entropy: dict[tuple[str, ...], float] = {(): 0.0}
+
+    def reduced(self, part: Iterable[str] | str) -> LabeledState:
+        key = qcore._normalize_labels(self._state, part)
+        if key not in self._reduced:
+            self._reduced[key] = qcore.partial_trace(self._state, key)
+        return self._reduced[key]
+
+    def __call__(self, part: Iterable[str] | str) -> float:
+        key = qcore._normalize_labels(self._state, part)
+        if key not in self._entropy:
+            self._entropy[key] = von_neumann(self.reduced(key))
+        return self._entropy[key]
 
 
 def conditional_entropy(state: LabeledState, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
@@ -106,12 +119,12 @@ def entropy_report(
     mutual = {f"{t};{u}": s(left) + s(right) - s(list(left) + list(right))}
     hmin_rel = h2_rel = hmax_cond = h0 = None
     if one_shot:
-        sigma = qcore.partial_trace(state, right)
-        joint = qcore.partial_trace(state, list(left) + list(right))
+        sigma = s.reduced(right)
+        joint = s.reduced(list(left) + list(right))
         hmin_rel = min_entropy_relative(joint, sigma)
         h2_rel = collision_entropy(joint, sigma)
         hmax_cond = conditional_max_entropy(joint, right)
-        h0 = zero_entropy(state, left)
+        h0 = zero_entropy(s.reduced(left))
     return EntropyReport(
         entropy=s(state.labels),
         cond=cond,

@@ -66,8 +66,9 @@ class LabeledState:
     The operator is stored in the tensor-product order of ``systems``.  A pure
     state built from amplitudes keeps the amplitude vector and builds the dense
     ``matrix`` only on first access; every other state keeps the matrix.  The
-    spectrum is computed once and cached.  States are immutable after
-    construction.
+    spectrum is computed on the first call of :meth:`spectrum`, from the stored
+    matrix, and cached; a state whose spectrum is never read never pays for
+    an eigendecomposition.  States are immutable after construction.
 
     Only :func:`make_state`, :func:`pure_state` and :func:`build_state`
     validate their input.  The operations of this module map valid states to
@@ -211,8 +212,10 @@ def make_state(
 
     Non-finite entries are rejected.  The matrix is symmetrized to (M + M†)/2;
     a Hermiticity correction larger than 1e-8 is rejected rather than silently
-    absorbed.  The eigenvalues computed for the positivity check are kept as
-    the state's spectrum.
+    absorbed.  Positivity is decided by one Cholesky factorization, and the
+    eigenvalues are computed only if it fails (see :func:`_check_positive`).
+    No spectrum is kept: :meth:`LabeledState.spectrum` computes it from the
+    stored matrix when it is first read.
     """
     systems, side = _checked_systems(systems)
     m = np.asarray(matrix, dtype=complex)
@@ -225,10 +228,7 @@ def make_state(
         raise StateError(f"matrix is not Hermitian (max defect {defect:.3e} > {HERMITICITY_REJECT})")
     m = _hermitian_part(m)
 
-    eigs = np.linalg.eigvalsh(m)
-    if eigs[0] < EIGENVALUE_FLOOR:
-        raise StateError(f"matrix is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
-
+    _check_positive(m)
     tr = float(np.real(np.trace(m)))
     if norm_mode == "normalized":
         if abs(tr - 1.0) > TRACE_TOL:
@@ -238,7 +238,27 @@ def make_state(
             raise StateError(f"trace {tr!r} is not in (0, 1] within {TRACE_TOL}")
     else:
         raise StateError(f"unknown norm_mode {norm_mode!r}")
-    return _trusted(systems, norm_mode, matrix=m, spectrum=_clamp(eigs))
+    return _trusted(systems, norm_mode, matrix=m)
+
+
+def _check_positive(m: np.ndarray) -> None:
+    """Reject a Hermitian matrix whose smallest eigenvalue is below EIGENVALUE_FLOOR.
+
+    Cholesky succeeds on M - EIGENVALUE_FLOOR * I exactly when it is positive
+    definite, up to a backward error of order D * eps * ||M||, far below the
+    floor's 1e-10.  The shift goes onto the diagonal of one copy, so no
+    D x D identity (128 MB at D = 4096) is built.  The
+    eigenvalues are computed only when the factorization fails, so every
+    rejection and its message are decided by the smallest eigenvalue.
+    """
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] -= EIGENVALUE_FLOOR
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        smallest = np.linalg.eigvalsh(m)[0]
+        if smallest < EIGENVALUE_FLOOR:
+            raise StateError(f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})") from None
 
 
 def pure_state(systems: Sequence[tuple[str, int]], amplitudes: np.ndarray) -> LabeledState:
@@ -265,7 +285,6 @@ def _trusted(
     matrix: np.ndarray | None = None,
     amplitudes: np.ndarray | None = None,
     is_pure: bool | None = None,
-    spectrum: np.ndarray | None = None,
 ) -> LabeledState:
     """Wrap a result that is a valid state by construction, without checking it.
 
@@ -278,7 +297,7 @@ def _trusted(
     if is_pure is None:
         is_pure = norm_mode == "normalized" and float(np.vdot(matrix, matrix).real) >= 1.0 - PURITY_TOL
     matrix.setflags(write=False)
-    return LabeledState(systems, is_pure, norm_mode, matrix=matrix, spectrum=spectrum)
+    return LabeledState(systems, is_pure, norm_mode, matrix=matrix)
 
 
 def tensor(a: LabeledState, b: LabeledState) -> LabeledState:

@@ -67,9 +67,7 @@ def test_entropy_report_identities():
     assert report.hmin_rel <= report.h2_rel + 1e-9
 
 
-def test_entropy_report_decomposes_each_subset_once(monkeypatch):
-    # S(A,B,C), S(B,C) and S(A); the whole state's spectrum is held by the state.
-    state = qcore.random_state([(x, 2) for x in "ABCD"], np.random.default_rng(12))
+def _count_eigendecompositions(monkeypatch) -> list[int]:
     calls = [0]
     for name in ("eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
@@ -79,13 +77,32 @@ def test_entropy_report_decomposes_each_subset_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_entropy_report_decomposes_each_subset_once(monkeypatch):
+    # S(A,B,C), S(B,C), S(A) and the whole state's S(A,B,C,D), counted from
+    # the state's construction on: make_state keeps no spectrum.
+    calls = _count_eigendecompositions(monkeypatch)
+    state = qcore.random_state([(x, 2) for x in "ABCD"], np.random.default_rng(12))
     report = entropy.entropy_report(state, ["A"], ["B", "C"])
-    assert calls[0] == 3
+    assert calls[0] == 4
     monkeypatch.undo()
     s_abc, s_bc, s_a = (entropy.von_neumann(state, part) for part in (["A", "B", "C"], ["B", "C"], ["A"]))
     assert report.cond == {"A|BC": s_abc - s_bc, "BC|A": s_abc - s_a}
     assert report.mutual == {"A;BC": s_a + s_bc - s_abc}
     assert report.entropy == entropy.von_neumann(state)
+
+
+def test_make_state_decomposes_nothing_until_the_spectrum_is_read(monkeypatch):
+    rng = np.random.default_rng(13)
+    matrices = [qcore.random_density([4, 4], rng), qcore.random_density([8, 4], rng, rank=3), np.eye(16) / 16]
+    calls = _count_eigendecompositions(monkeypatch)
+    states = [qcore.make_state([("A", m.shape[0])], m) for m in matrices]
+    assert calls[0] == 0
+    states[0].spectrum()
+    states[0].spectrum()
+    assert calls[0] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,75 @@ def test_make_state_rejects_bad_inputs():
         qcore.make_state([("A", 2)], np.diag([0.7, 0.7]))
 
 
+# -- the positivity check at its floor of -1e-10 --
+
+
+def _spectrum_with_smallest(smallest, side, rng):
+    """A unit-sum spectrum, ascending, whose smallest entry is ``smallest``."""
+    eigs = np.sort(rng.uniform(0.5, 1.5, side))
+    eigs[0] = 0.0
+    eigs *= (1.0 - smallest) / eigs.sum()
+    eigs[0] = smallest
+    return eigs
+
+
+def _in_random_basis(eigs, rng):
+    u = qcore.haar_unitary(len(eigs), rng)
+    return (u * eigs) @ u.conj().T
+
+
+@pytest.mark.parametrize("side", [2, 16, 64])
+def test_make_state_accepts_eigenvalues_just_above_the_floor(side):
+    rng = np.random.default_rng(side)
+    eigs = _spectrum_with_smallest(-0.5e-10, side, rng)
+    for m in (np.diag(eigs), _in_random_basis(eigs, rng)):
+        state = qcore.make_state([("A", side)], m)
+        assert state.spectrum()[0] == 0.0
+
+
+@pytest.mark.parametrize("side", [2, 16, 64])
+def test_make_state_rejects_eigenvalues_below_the_floor_with_the_smallest_one(side):
+    rng = np.random.default_rng(side)
+    eigs = _spectrum_with_smallest(-2e-10, side, rng)
+    for m in (np.diag(eigs), _in_random_basis(eigs, rng)):
+        with pytest.raises(qcore.StateError, match=r"^matrix is not positive semidefinite \(min eigenvalue -2\.000e-10\)$"):
+            qcore.make_state([("A", side)], m)
+
+
+def _overlap_family_joint(d, rng):
+    """The rank-d joint operator of the gershgorin criterion's overlap family, on C1 (x) R."""
+    kets = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    family = kets + rng.uniform(0.0, 0.4) * kets[:, :1]
+    family /= np.linalg.norm(family, axis=0)
+    coeff = np.array([1.0 / math.sqrt((j + 1) * qcore.harmonic_number(d)) for j in range(d)])
+    big = np.zeros((d * d, d * d), dtype=complex)
+    idx = np.arange(d) * d + np.arange(d)
+    big[np.ix_(idx, idx)] = np.einsum("i,j,ji->ij", coeff, coeff, family.conj().T @ family)
+    return big
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_make_state_accepts_rank_deficient_states(d):
+    rng = np.random.default_rng(d)
+    big = _overlap_family_joint(d, rng)
+    joint = qcore.make_state([("C1", d), ("R", d)], big)
+    half = qcore.make_state([("C1", d), ("R", d)], big / 2, norm_mode="subnormalized")
+    assert half.trace() == pytest.approx(0.5, abs=1e-12)
+    assert np.sum(joint.spectrum() > 1e-10) == d
+    low_rank = qcore.make_state([("A", d)], qcore.random_density([d], rng, rank=2))
+    assert np.sum(low_rank.spectrum() > 1e-10) == 2
+
+
+def test_spectrum_is_the_clamped_eigvalsh_of_the_stored_matrix_bitwise():
+    rng = np.random.default_rng(8)
+    for k in range(20):
+        side = (2, 3, 8, 16, 64)[k % 5]
+        rank = None if k % 2 else max(1, side // 3)
+        state = qcore.make_state([("A", side)], qcore.random_density([side], rng, rank))
+        expected = qcore._clamp(np.linalg.eigvalsh(state.matrix))
+        assert state.spectrum().tobytes() == expected.tobytes()
+
+
 def test_worked_example_state_shape():
     state = qcore.example_ch5()
     assert state.total_dim == 32
