@@ -77,6 +77,7 @@ class HashingRound:
     subset_bits: np.ndarray  # indices into the 2n-bit string
     parity: int
     consumed_pair: int
+    panel_size: int  # decoys left in the panel after this round
 
 
 @dataclass
@@ -111,6 +112,37 @@ def _symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
     return bits
 
 
+_WORD = np.dtype("<u8")
+
+
+def _pack_symbols(symbols: np.ndarray) -> np.ndarray:
+    """Bell symbols as little-endian uint64 words along the last axis: w = ceil(n / 64)
+    words of the s >> 1 bit plane, then w words of the s & 1 plane.
+
+    Pair i's two bits sit at bit i of each plane; :func:`_pack_subset` packs bit
+    indices of the 2n-bit string (2i + 0 for s >> 1, 2i + 1 for s & 1) the same way.
+    """
+    n = symbols.shape[-1]
+    w = -(-n // 64)
+    planes = np.zeros(symbols.shape[:-1] + (2, 8 * w), dtype=np.uint8)
+    for plane, bit in enumerate((2, 1)):
+        planes[..., plane, : -(-n // 8)] = np.packbits(symbols & bit, axis=-1, bitorder="little")
+    return planes.reshape(symbols.shape[:-1] + (16 * w,)).view(_WORD)
+
+
+def _pack_subset(subset: np.ndarray, n: int) -> np.ndarray:
+    """A set of 2n-bit string indices as a word mask in the layout of :func:`_pack_symbols`."""
+    w = -(-n // 64)
+    flags = np.zeros(128 * w, dtype=bool)
+    flags[(subset & 1) * (64 * w) + (subset >> 1)] = True
+    return np.packbits(flags, bitorder="little").view(_WORD)
+
+
+def _parities(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Parity (0 or 1) of the masked bits of each packed row."""
+    return np.bitwise_count(np.bitwise_xor.reduce(words & mask, axis=-1)) & 1
+
+
 def _sample_symbols(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray:
     """I.i.d. Bell symbols in {0..3}; thresholded uniforms beat a generic sampler here."""
     cut = np.cumsum(p)[:3].astype(np.float32)
@@ -139,13 +171,19 @@ def hashing_simulation(
     ceil(n (S + 2 delta)) is capped at n, and a nominal count >= n marks the
     distillation infeasible (non-positive yield).  Failure modes per trial:
     surviving decoys, or an atypical hidden string (no candidate inside the
-    typical search set).
+    typical search set).  The panel is bit-packed (:func:`_pack_symbols`), so
+    a round takes every decoy's parity with one popcount per row.  An empty
+    delta-typical set or trials < 1 raises StateError.
     """
     p_arr = np.asarray(p, dtype=float)
     state = bell_diagonal_state(p_arr)
     s_bits = entropy.von_neumann(state)
     if n < 1 or n > 5000:
         raise StateError("n must lie in [1, 5000]")
+    if trials < 1:
+        raise StateError(f"trials must be at least 1, got {trials}")
+    if not typicality.has_typical_type(p_arr, n, delta):
+        raise StateError(f"no length-{n} string is {delta!r}-typical for p = {p_arr.tolist()}: no decoy can be drawn")
     # A deterministic source leaves a single candidate: no parities needed.
     nominal_rounds = 0 if s_bits < 1e-9 else math.ceil(n * (s_bits + 2.0 * delta))
     feasible = nominal_rounds < n
@@ -159,20 +197,20 @@ def hashing_simulation(
         record.hidden_typical = bool(typicality.typical_mask(hidden, p_arr, delta))
         # A decoy's parity matches the hidden one exactly when the parity of
         # their difference is even; the 2-bit code makes XOR of symbols the
-        # XOR of bits.  Decoys equal to the hidden string (zero rows) drop out.
-        diff = _sample_typical_decoys(rng, p_arr, n, delta, decoys)
-        diff ^= hidden
-        diff_bits = _symbols_to_bits(diff[diff.any(axis=1)])
-        del diff  # freed before the next trial samples its panel
+        # XOR of bits, so the panel holds the packed differences.  Decoys
+        # equal to the hidden string (zero rows) drop out.
+        hidden_words = _pack_symbols(hidden)
+        panel = _pack_symbols(_sample_typical_decoys(rng, p_arr, n, delta, decoys))
+        panel ^= hidden_words
+        panel = panel[panel.any(axis=1)]
         # Round bookkeeping is kept only for the first trial; the full subset
         # lists of every round of every trial would dominate memory otherwise.
         # Later trials stop once no decoy is left: their own RNG streams
         # leave every other trial unchanged.
         keep_rounds = trial_index == 0
-        hidden_bits = _symbols_to_bits(hidden) if keep_rounds else None
         bit_alive = np.ones(2 * n, dtype=bool)
         for _ in range(rounds_run):
-            if not (keep_rounds or diff_bits.shape[0]):
+            if not (keep_rounds or panel.shape[0]):
                 break
             alive = np.flatnonzero(bit_alive)
             while True:
@@ -180,13 +218,20 @@ def hashing_simulation(
                 if mask.any():
                     break
             subset = alive[mask]
-            diff_bits = diff_bits[(diff_bits[:, subset].sum(axis=1) & 1) == 0]
+            subset_words = _pack_subset(subset, n)
+            panel = panel[_parities(panel, subset_words) == 0]
             consumed = int(subset.max() // 2)
             bit_alive[2 * consumed : 2 * consumed + 2] = False
             if keep_rounds:
-                parity = int(hidden_bits[subset].sum() & 1)
-                record.rounds.append(HashingRound(subset_bits=subset, parity=parity, consumed_pair=consumed))
-        record.decoys_surviving = int(diff_bits.shape[0])
+                record.rounds.append(
+                    HashingRound(
+                        subset_bits=subset,
+                        parity=int(_parities(hidden_words, subset_words)),
+                        consumed_pair=consumed,
+                        panel_size=int(panel.shape[0]),
+                    )
+                )
+        record.decoys_surviving = int(panel.shape[0])
         trial_records.append(record)
 
     successes = sum(1 for t in trial_records if t.succeeded)

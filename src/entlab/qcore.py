@@ -223,10 +223,16 @@ def make_state(
         raise StateError(f"matrix side {m.shape} does not match product dimension {side}")
     if not np.isfinite(m).all():
         raise StateError("matrix has non-finite entries")
-    defect = float(np.max(np.abs(m - m.conj().T))) if side else 0.0
+    # M† is transposed once, into a C-ordered buffer that serves the defect and
+    # then becomes (M + M†)/2 in place: a strided transpose costs about as much
+    # as the sum, and no copy of it stays alive through the Cholesky check.
+    adjoint = np.conjugate(m.T, out=np.empty(m.shape, dtype=complex))
+    defect = float(np.max(np.abs(m - adjoint))) if side else 0.0
     if defect > HERMITICITY_REJECT:
         raise StateError(f"matrix is not Hermitian (max defect {defect:.3e} > {HERMITICITY_REJECT})")
-    m = _hermitian_part(m)
+    adjoint += m
+    adjoint /= 2.0
+    m = adjoint
 
     _check_positive(m)
     tr = float(np.real(np.trace(m)))

@@ -23,11 +23,35 @@ def typicality_constant(p: Sequence[float]) -> float:
     return max(abs(math.log2(x)) for x in support)
 
 
+def _typical_counts(counts: np.ndarray, n: int, p: Sequence[float], delta: float) -> np.ndarray:
+    """|N(x)/n - p(x)| <= delta for each count N(x) along the last axis (symbol x)."""
+    return np.abs(counts / n - np.asarray(p)) <= delta + 1e-12
+
+
 def typical_mask(sequences: np.ndarray, p: Sequence[float], delta: float) -> np.ndarray:
     """Whether each sequence (along the last axis) has |N(x)/n - p(x)| <= delta for every symbol x."""
     n = sequences.shape[-1]
     counts = np.stack([(sequences == k).sum(axis=-1) for k in range(len(p))], axis=-1)
-    return np.all(np.abs(counts / n - np.asarray(p)) <= delta + 1e-12, axis=-1)
+    return np.all(_typical_counts(counts, n, p, delta), axis=-1)
+
+
+def has_typical_type(p: Sequence[float], n: int, delta: float) -> bool:
+    """Whether some count vector N of length-n sequences passes :func:`typical_mask`,
+    i.e. whether the delta-typical set is non-empty.
+
+    Every count N(x) = k in 0..n is tested with the mask's own predicate; the
+    allowed k form an interval per symbol, and counts summing to n exist
+    exactly when the interval ends bracket n.  A symbol with p(x) = 0 is
+    allowed a positive count only when n delta >= 1, and then the other
+    symbols' intervals already reach n, so holding it at 0 (as
+    :func:`typical_set` does, and as sampling does) gives the same answer.
+    """
+    allowed = _typical_counts(np.arange(n + 1)[:, None], n, p, delta).T
+    if not allowed.any(axis=1).all():
+        return False
+    lowest = allowed.argmax(axis=1)
+    highest = n - allowed[:, ::-1].argmax(axis=1)
+    return int(lowest.sum()) <= n <= int(highest.sum())
 
 
 @dataclass(frozen=True)
@@ -78,8 +102,7 @@ def typical_set(p: Sequence[float], n: int, delta: float) -> TypicalSet:
     min_prob = math.inf
     max_prob = 0.0
     for counts in _compositions(n, d):
-        freqs = np.asarray(counts) / n
-        if np.any(np.abs(freqs - p_arr) > delta + 1e-12):
+        if not _typical_counts(np.asarray(counts), n, p_arr, delta).all():
             continue
         if any(c > 0 and p_arr[i] == 0 for i, c in enumerate(counts)):
             continue

@@ -1,10 +1,15 @@
+import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entlab import entropy, protocols, qcore
+from entlab import cli, entropy, protocols, qcore, typicality
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_swap_balanced_links_always_convert():
@@ -69,6 +74,11 @@ def test_hashing_identifies_string_and_replays():
     # Each round consumed a distinct pair.
     consumed = [r.consumed_pair for r in first.rounds]
     assert len(set(consumed)) == len(consumed)
+    # The panel empties well before the last round and stays empty.
+    sizes = [r.panel_size for r in first.rounds]
+    assert 0 < sizes[0] < 500
+    assert sizes.index(0) < len(sizes) - 1
+    assert sizes[sizes.index(0) :] == [0] * (len(sizes) - sizes.index(0))
 
 
 def test_hashing_round_count_follows_entropy_rate():
@@ -118,3 +128,114 @@ def test_bell_string_round_trip():
     assert (2 * bits[0::2] + bits[1::2]).tolist() == symbols.tolist()
     assert np.array_equal(protocols._symbols_to_bits(np.stack([symbols, symbols[::-1]]))[0], bits)
     assert [protocols.BELL_ORDER[s] for s in symbols] == ["phi_plus", "psi_minus", "phi_minus", "psi_plus"]
+
+
+# ---------------------------------------------------------------------------
+# The packed parity kernel
+# ---------------------------------------------------------------------------
+
+
+def _bytewise_parities(bits, subset):
+    # Byte-wise reference: one uint8 per bit, gathered and summed.
+    return bits[:, subset].sum(axis=1) & 1
+
+
+def _check_packed_against_bytewise(symbols, subset):
+    n = symbols.shape[-1]
+    expected = _bytewise_parities(protocols._symbols_to_bits(symbols), subset)
+    words = protocols._pack_symbols(symbols)
+    got = protocols._parities(words, protocols._pack_subset(subset, n))
+    assert got.tolist() == expected.tolist()
+    # The packed survivors are the packed byte-wise survivors, in order.
+    survivors = words[got == 0]
+    assert np.array_equal(survivors, protocols._pack_symbols(symbols[expected == 0]))
+    return expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_parities_match_bytewise_on_every_string(n):
+    symbols = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.uint8)
+    if n <= 3:
+        subsets = [np.flatnonzero(flags) for flags in itertools.product((0, 1), repeat=2 * n)]
+    else:
+        rng = np.random.default_rng(n)
+        subsets = [np.flatnonzero(rng.integers(0, 2, size=2 * n)) for _ in range(64)]
+    for subset in subsets:
+        _check_packed_against_bytewise(symbols, subset)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 2000])
+def test_packed_parities_match_bytewise_across_word_boundaries(n):
+    # 2n bits on both sides of the 64-bit boundaries; the last pair and bit are always in some subsets.
+    rng = np.random.default_rng(1000 + n)
+    symbols = rng.integers(0, 4, size=(300, n), dtype=np.uint8)
+    subsets = [np.flatnonzero(rng.integers(0, 2, size=2 * n)) for _ in range(20)]
+    subsets = [s for s in subsets if s.size]  # a round never announces an empty subset
+    subsets += [np.array([2 * n - 1]), np.array([2 * n - 2]), np.arange(2 * n)]
+    for subset in subsets:
+        expected = _check_packed_against_bytewise(symbols, subset)
+        assert 0 < expected.sum() < len(symbols)  # rows survive and rows drop
+    hidden = symbols[0]
+    for subset in subsets:
+        one = protocols._parities(protocols._pack_symbols(hidden), protocols._pack_subset(subset, n))
+        assert int(one) == int(protocols._symbols_to_bits(hidden)[subset].sum() & 1)
+
+
+# tests/data/hashing_golden.json was written by the byte-wise round filter
+# (commit 4b57762): small panels where decoys survive, with the per-trial
+# survivor counts and trial 0's round log.
+HASHING_GOLDEN = json.loads((DATA / "hashing_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", HASHING_GOLDEN, ids=lambda c: f"n{c['n']}-seed{c['seed']}")
+def test_hashing_matches_bytewise_golden(case):
+    trace = protocols.hashing_simulation(
+        case["p"], case["n"], case["delta"], trials=case["trials"], seed=case["seed"], decoys=case["decoys"]
+    )
+    records = trace.aggregate["trial_records"]
+    assert trace.aggregate["rounds_run"] == case["rounds_run"]
+    assert [t.decoys_surviving for t in records] == case["decoys_surviving"]
+    assert [t.hidden_typical for t in records] == case["hidden_typical"]
+    rounds = [
+        {"subset_bits": r.subset_bits.tolist(), "parity": r.parity, "consumed_pair": r.consumed_pair}
+        for r in records[0].rounds
+    ]
+    assert rounds == case["trial0_rounds"]
+    assert protocols.replay_hashing_trial(records[0])
+    sizes = [r.panel_size for r in records[0].rounds]
+    assert sizes[0] <= case["decoys"]
+    assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert sizes[-1] == records[0].decoys_surviving
+
+
+# ---------------------------------------------------------------------------
+# Inputs that cannot be simulated
+# ---------------------------------------------------------------------------
+
+
+def test_hashing_rejects_negative_delta():
+    with pytest.raises(qcore.StateError, match="typical"):
+        protocols.hashing_simulation((0.7, 0.15, 0.1, 0.05), n=50, delta=-0.01, trials=1, seed=1)
+
+
+def test_hashing_rejects_zero_trials():
+    with pytest.raises(qcore.StateError, match="trials"):
+        protocols.hashing_simulation((0.7, 0.15, 0.1, 0.05), n=50, delta=0.05, trials=0, seed=1)
+
+
+def test_hash_sim_cli_rejects_an_empty_typical_set(capsys):
+    assert typicality.typical_set((0.97, 0.01, 0.01, 0.01), 40, 0.001).cardinality == 0
+    code = cli.main(["hash-sim", "--p", "0.97,0.01,0.01,0.01", "--n", "40", "--delta", "0.001"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: no length-40 string is 0.001-typical")
+
+
+def test_has_typical_type_agrees_with_typical_set_cardinality():
+    distributions = [(0.97, 0.01, 0.01, 0.01), (0.7, 0.15, 0.1, 0.05), (0.25,) * 4, (1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0)]
+    for p in distributions:
+        for n in range(1, 13):
+            for delta in (-0.01, 0.0, 0.001, 0.02, 0.05, 0.1, 0.3):
+                expected = typicality.typical_set(p, n, delta).cardinality > 0
+                assert typicality.has_typical_type(p, n, delta) == expected, (p, n, delta)
