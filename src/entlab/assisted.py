@@ -327,10 +327,8 @@ def hierarchical_vs_random(links: Sequence[LabeledState], inject_cnot: bool = Fa
         if composed.dim_of(ctrl) != 2 or composed.dim_of(tgt) != 2:
             raise StateError("the CNOT fault model acts on qubit registers")
         composed = qcore.apply_unitary(composed, [ctrl, tgt], qcore.CNOT)
-    per_link = tuple(
-        max(0.0, entropy.coherent_information(composed, [link.labels[0]], [link.labels[1]]))
-        for link in links
-    )
+    s = entropy.subset_entropies(composed)
+    per_link = tuple(max(0.0, -s.conditional([link.labels[0]], [link.labels[1]])) for link in links)
     hierarchical = min(per_link)
     a_label = links[0].labels[0]
     b_label = links[-1].labels[1]

@@ -39,7 +39,9 @@ def parse_state_file(path: str | Path) -> qcore.LabeledState:
             raise qcore.StateError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
         return qcore.build_state(spec)
-    except (KeyError, TypeError) as exc:
+    except qcore.StateError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise qcore.StateError(f"{path}: malformed StateSpec ({exc})") from exc
 
 
@@ -112,7 +114,7 @@ def cmd_entropy(args) -> int:
         payload["entropy_left"] = s(left_labels)
         payload["entropy_right"] = s(right_labels)
     if want in ("cond", "coh", "all"):
-        conditional = entropy._conditional(s, state, left_labels, right_labels)
+        conditional = s.conditional(left_labels, right_labels)
         if want != "coh":
             payload["conditional"] = conditional
         if want != "cond":
@@ -304,22 +306,25 @@ def cmd_schmidt(args) -> int:
 
 def cmd_typ_check(args) -> int:
     p = [float(x) for x in args.p.split(",")]
-    ts = typicality.typical_set(p, args.n, args.delta)
-    c = typicality.typicality_constant(p)
-    h = qcore.shannon_entropy(p)
-    eps = max(0.0, 1.0 - ts.total_probability)
-    rows = [
-        {"quantity": "total_probability", "actual": ts.total_probability, "bound": 1.0 - eps, "kind": ">="},
-        {"quantity": "cardinality", "actual": float(ts.cardinality), "bound": 2.0 ** (args.n * (h + c * args.delta)), "kind": "<="},
-        {
-            "quantity": "cardinality_floor",
-            "actual": float(ts.cardinality),
-            "bound": (1 - eps) * 2.0 ** (args.n * (h - c * args.delta)),
-            "kind": ">=",
-        },
-        {"quantity": "member_prob_max", "actual": ts.max_prob, "bound": 2.0 ** (-args.n * (h - c * args.delta)), "kind": "<="},
-        {"quantity": "member_prob_min", "actual": ts.min_prob, "bound": 2.0 ** (-args.n * (h + c * args.delta)), "kind": ">="},
-    ]
+    try:
+        ts = typicality.typical_set(p, args.n, args.delta)
+        c = typicality.typicality_constant(p)
+        h = qcore.shannon_entropy(p)
+        eps = max(0.0, 1.0 - ts.total_probability)
+        rows = [
+            {"quantity": "total_probability", "actual": ts.total_probability, "bound": 1.0 - eps, "kind": ">="},
+            {"quantity": "cardinality", "actual": float(ts.cardinality), "bound": 2.0 ** (args.n * (h + c * args.delta)), "kind": "<="},
+            {
+                "quantity": "cardinality_floor",
+                "actual": float(ts.cardinality),
+                "bound": (1 - eps) * 2.0 ** (args.n * (h - c * args.delta)),
+                "kind": ">=",
+            },
+            {"quantity": "member_prob_max", "actual": ts.max_prob, "bound": 2.0 ** (-args.n * (h - c * args.delta)), "kind": "<="},
+            {"quantity": "member_prob_min", "actual": ts.min_prob, "bound": 2.0 ** (-args.n * (h + c * args.delta)), "kind": ">="},
+        ]
+    except OverflowError as exc:
+        raise qcore.StateError(f"typ-check at n = {args.n}: a type-class size or bound exceeds float range ({exc})") from exc
     if args.csv:
         emit_csv(rows, args.csv)
     emit_json({"n": args.n, "delta": args.delta, "rows": rows}, args.out)
@@ -347,8 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--csv", default=None, help="optional CSV output path")
         p.add_argument("--seed", type=parse_seed, default=default_seed(), help="root RNG seed")
+
+    def csv_output(p):
+        p.add_argument("--csv", default=None, help="optional CSV output path")
 
     p = sub.add_parser("entropy", help="entropy family of a state for one bipartition")
     p.add_argument("--state", required=True)
@@ -356,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", default="all", choices=["svn", "cond", "coh", "hmin", "h2", "hmax", "h0", "all"])
     p.add_argument("--sigma", default="marginal", help="conditioning operator: 'marginal' or a state file")
     common(p)
+    csv_output(p)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("region", help="rate/cost region constraints and membership")
@@ -370,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", default=None, help="comma-separated rate/cost point to classify")
     p.add_argument("--ordering", default="", help="sender ordering for seq mode")
     common(p)
+    csv_output(p)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("decouple", help="Monte Carlo decoupling error vs analytic bound")
@@ -379,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--bound", default="purity", choices=["purity", "hmin", "both"])
     common(p)
+    csv_output(p)
     p.set_defaults(func=cmd_decouple)
 
     p = sub.add_parser("twirl", help="Monte Carlo check of the two-copy twirl identity")
@@ -408,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=50)
     common(p)
+    csv_output(p)
     p.set_defaults(func=cmd_hash_sim)
 
     p = sub.add_parser("schmidt", help="Schmidt projection concentration statistics")
@@ -421,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     common(p)
+    csv_output(p)
     p.set_defaults(func=cmd_typ_check)
 
     p = sub.add_parser("verify", help="run the acceptance suite and print a pass/fail table")

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import entropy, qcore, regions
+from . import qcore, regions
 from .qcore import LabeledState, StateError
 
 ZERO_PROB = 1e-14
@@ -122,12 +122,11 @@ def decoupling_bound_minentropy(state: LabeledState, spec: InstrumentSpec, refer
     """
     spec.validate_against(state)
     ref_labels = qcore._normalize_labels(state, reference)
-    sigma = qcore.partial_trace(state, ref_labels)
     prefactor = math.prod(s.blocks * s.rank / (s.dim * s.ancilla) for s in spec.senders)
+    hmins = regions.subset_min_entropies(state, [s.label for s in spec.senders], ref_labels)
     total = 0.0
-    for _, subset in regions.subsets(spec.senders):
-        joint = qcore.partial_trace(state, [s.label for s in subset] + list(ref_labels))
-        hmin = entropy.min_entropy_relative(joint, sigma)
+    for mask, subset in regions.subsets(spec.senders):
+        hmin = hmins[mask]
         log_k = sum(math.log2(s.ancilla) for s in subset)
         log_l = sum(math.log2(s.rank) for s in subset)
         total += 2.0 ** (-(hmin + log_k - log_l))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,19 +61,18 @@ class _SubsetTable:
             self._entropy[key] = von_neumann(self.reduced(key))
         return self._entropy[key]
 
+    def conditional(self, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
+        """S(part | given) = S(part, given) - S(given) from the table's entries."""
+        part_labels = qcore._normalize_labels(self._state, part)
+        given_labels = qcore._normalize_labels(self._state, given)
+        if set(part_labels) & set(given_labels):
+            raise qcore.LabelError("conditional entropy needs disjoint label sets")
+        return self(part_labels + given_labels) - self(given_labels)
+
 
 def conditional_entropy(state: LabeledState, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
     """S(part | given) = S(part, given) - S(given); may be negative."""
-    return _conditional(subset_entropies(state), state, part, given)
-
-
-def _conditional(entropy_of: Callable, state: LabeledState, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
-    """S(part | given) read from ``entropy_of``, a subset_entropies table of ``state``."""
-    part_labels = qcore._normalize_labels(state, part)
-    given_labels = qcore._normalize_labels(state, given)
-    if set(part_labels) & set(given_labels):
-        raise qcore.LabelError("conditional entropy needs disjoint label sets")
-    return entropy_of(part_labels + given_labels) - entropy_of(given_labels)
+    return subset_entropies(state).conditional(part, given)
 
 
 def coherent_information(state: LabeledState, frm: Iterable[str] | str, to: Iterable[str] | str) -> float:
@@ -112,8 +111,8 @@ def entropy_report(
     u = "".join(right)
     s = subset_entropies(state)
     cond = {
-        f"{t}|{u}": _conditional(s, state, left, right),
-        f"{u}|{t}": _conditional(s, state, right, left),
+        f"{t}|{u}": s.conditional(left, right),
+        f"{u}|{t}": s.conditional(right, left),
     }
     coherent = {f"{t}>{u}": -cond[f"{t}|{u}"], f"{u}>{t}": -cond[f"{u}|{t}"]}
     mutual = {f"{t};{u}": s(left) + s(right) - s(list(left) + list(right))}

@@ -14,6 +14,7 @@ from . import entropy, qcore, typicality
 from .qcore import LabeledState, StateError
 
 BELL_ORDER = ("phi_plus", "psi_plus", "phi_minus", "psi_minus")  # bit codes 00 01 10 11
+DECOY_BATCHES = 30  # rejection-sampling batches per decoy panel before giving up
 
 
 @dataclass(frozen=True)
@@ -265,11 +266,21 @@ def hashing_simulation(
 
 
 def _sample_typical_decoys(rng: np.random.Generator, p: np.ndarray, n: int, delta: float, count: int) -> np.ndarray:
+    """``count`` i.i.d. draws from p restricted to the delta-typical set, by
+    rejection in batches of ``count`` rows; at most DECOY_BATCHES batches."""
     out = np.empty((0, n), dtype=np.uint8)
+    batches = 0
     while out.shape[0] < count:
+        if batches == DECOY_BATCHES:
+            drawn = batches * count
+            raise StateError(
+                f"only {out.shape[0]} of {drawn} length-{n} draws ({out.shape[0] / drawn:.3g}) were {delta!r}-typical: "
+                f"the typical set is too unlikely to sample {count} decoys"
+            )
         batch = _sample_symbols(rng, p, (count, n))
         ok = typicality.typical_mask(batch, p, delta)
         out = np.concatenate([out, batch[ok]])[:count]
+        batches += 1
     return out
 
 

@@ -30,6 +30,20 @@ def subsets(items: Sequence[Item]) -> Iterator[tuple[int, tuple[Item, ...]]]:
         yield mask, tuple(x for i, x in enumerate(items) if mask >> i & 1)
 
 
+def subset_min_entropies(state: LabeledState, senders: Sequence[str], reference: Sequence[str]) -> dict[int, float]:
+    """H_min(T R | R) relative to sigma = psi^R for every non-empty subset T of ``senders``.
+
+    Keyed by the :func:`subsets` bitmask, in its order; sigma and each joint
+    state are read from one :func:`entropy.subset_entropies` table.
+    """
+    s = entropy.subset_entropies(state)
+    sigma = s.reduced(reference)
+    return {
+        mask: entropy.min_entropy_relative(s.reduced(list(t) + list(reference)), sigma)
+        for mask, t in subsets(senders)
+    }
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """Linear subset-sum constraints sum_{i in mask} x_i >= rhs over the parties."""
@@ -127,14 +141,11 @@ def one_shot_cost_region(
     senders = tuple(senders)
     if len(senders) > MAX_COST_PARTIES:
         raise StateError(f"at most {MAX_COST_PARTIES} senders supported for cost regions")
-    sigma = qcore.partial_trace(state, reference)
     m = len(senders)
-    constraints = []
-    for mask, t in subsets(senders):
-        joint = qcore.partial_trace(state, list(t) + list(reference))
-        hmin = entropy.min_entropy_relative(joint, sigma)
-        constraints.append((mask, one_shot_cost_rhs(hmin, eps, m)))
-    return RegionSpec(parties=senders, constraints=tuple(constraints), kind="one_shot_cost")
+    constraints = tuple(
+        (mask, one_shot_cost_rhs(hmin, eps, m)) for mask, hmin in subset_min_entropies(state, senders, reference).items()
+    )
+    return RegionSpec(parties=senders, constraints=constraints, kind="one_shot_cost")
 
 
 @dataclass(frozen=True)
@@ -168,12 +179,12 @@ def sequential_cost(state: LabeledState, ordering: Sequence[str], reference: Seq
     """
     m = len(ordering)
     delta = eps * eps / (52.0 * m * m)
+    s = entropy.subset_entropies(state)
     entries = []
     for pos, label in enumerate(ordering):
         rel_ref = tuple(ordering[pos + 1 :]) + tuple(reference)
-        joint = qcore.partial_trace(state, [label] + list(rel_ref))
-        hmin_exact = entropy.conditional_min_entropy(joint, rel_ref).hmin_bits
-        s_cond = entropy.conditional_entropy(state, [label], rel_ref)
+        hmin_exact = entropy.conditional_min_entropy(s.reduced([label] + list(rel_ref)), rel_ref).hmin_bits
+        s_cond = s.conditional([label], rel_ref)
         renes = entropy.renes_smoothing_bound(s_cond, state.dim_of(label), delta, eps)
         entries.append(
             SequentialCostEntry(

@@ -6,14 +6,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import qcore
 from .qcore import LabeledState, StateError
 
-ENUMERATION_CAP = 10_000_000
 PROJECTOR_CAP = 4096
 
 
@@ -28,30 +27,39 @@ def _typical_counts(counts: np.ndarray, n: int, p: Sequence[float], delta: float
     return np.abs(counts / n - np.asarray(p)) <= delta + 1e-12
 
 
+def _count_bounds(p: Sequence[float], n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol count intervals [low(x), high(x)] of the delta-typical set.
+
+    Every count k in 0..n is tested with :func:`_typical_counts`.  fl(k/n) - p(x)
+    is monotone in k, so the passing counts of each symbol are one contiguous
+    run, and a count vector is typical exactly when each count lies in its
+    symbol's interval.  A symbol with no passing count gets low > high.
+    """
+    k = np.arange(n + 1)[:, None]
+    allowed = _typical_counts(k, n, p, delta)
+    return np.where(allowed, k, n + 1).min(axis=0), np.where(allowed, k, -1).max(axis=0)
+
+
 def typical_mask(sequences: np.ndarray, p: Sequence[float], delta: float) -> np.ndarray:
     """Whether each sequence (along the last axis) has |N(x)/n - p(x)| <= delta for every symbol x."""
     n = sequences.shape[-1]
+    low, high = _count_bounds(p, n, delta)
     counts = np.stack([(sequences == k).sum(axis=-1) for k in range(len(p))], axis=-1)
-    return np.all(_typical_counts(counts, n, p, delta), axis=-1)
+    return np.all((counts >= low) & (counts <= high), axis=-1)
 
 
 def has_typical_type(p: Sequence[float], n: int, delta: float) -> bool:
     """Whether some count vector N of length-n sequences passes :func:`typical_mask`,
     i.e. whether the delta-typical set is non-empty.
 
-    Every count N(x) = k in 0..n is tested with the mask's own predicate; the
-    allowed k form an interval per symbol, and counts summing to n exist
-    exactly when the interval ends bracket n.  A symbol with p(x) = 0 is
-    allowed a positive count only when n delta >= 1, and then the other
-    symbols' intervals already reach n, so holding it at 0 (as
+    Counts summing to n exist exactly when every interval of
+    :func:`_count_bounds` is non-empty and together they bracket n.  A symbol
+    with p(x) = 0 is allowed a positive count only when n delta >= 1, and then
+    the other symbols' intervals already reach n, so holding it at 0 (as
     :func:`typical_set` does, and as sampling does) gives the same answer.
     """
-    allowed = _typical_counts(np.arange(n + 1)[:, None], n, p, delta).T
-    if not allowed.any(axis=1).all():
-        return False
-    lowest = allowed.argmax(axis=1)
-    highest = n - allowed[:, ::-1].argmax(axis=1)
-    return int(lowest.sum()) <= n <= int(highest.sum())
+    low, high = _count_bounds(p, n, delta)
+    return bool(np.all(low <= high)) and int(low.sum()) <= n <= int(high.sum())
 
 
 @dataclass(frozen=True)
@@ -66,46 +74,28 @@ class TypicalSet:
     min_prob: float
     max_prob: float
 
-    @property
-    def alphabet(self) -> int:
-        return len(self.p)
-
-    def contains(self, sequence: Sequence[int]) -> bool:
-        return bool(typical_mask(np.asarray(sequence), self.p, self.delta))
-
-    def members(self) -> Iterator[tuple[int, ...]]:
-        """All typical sequences; only available below the enumeration cap."""
-        if self.alphabet**self.n > ENUMERATION_CAP:
-            raise StateError("typical-set enumeration exceeds the cap; use statistics only")
-        for seq in itertools.product(range(self.alphabet), repeat=self.n):
-            if self.contains(seq):
-                yield seq
-
-
-def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, parts - 1):
-            yield (head,) + rest
-
 
 def typical_set(p: Sequence[float], n: int, delta: float) -> TypicalSet:
-    """Exact typical-set statistics via type classes (no sequence enumeration)."""
+    """Exact typical-set statistics via type classes (no sequence enumeration).
+
+    The types are the box of :func:`_count_bounds` intervals with the last
+    count fixed by the others, walked in lexicographic order; a symbol with
+    p(x) = 0 keeps count 0.
+    """
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < -1e-12) or abs(p_arr.sum() - 1.0) > 1e-9:
         raise StateError("p must be a probability vector")
-    d = p_arr.size
+    low, high = _count_bounds(p_arr, n, delta)
+    low, high = low.tolist(), np.where(p_arr == 0, np.minimum(high, 0), high).tolist()
     cardinality = 0
     total = 0.0
     min_prob = math.inf
     max_prob = 0.0
-    for counts in _compositions(n, d):
-        if not _typical_counts(np.asarray(counts), n, p_arr, delta).all():
+    for head in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(low[:-1], high[:-1]))):
+        last = n - sum(head)
+        if not low[-1] <= last <= high[-1]:
             continue
-        if any(c > 0 and p_arr[i] == 0 for i, c in enumerate(counts)):
-            continue
+        counts = head + (last,)
         size = math.factorial(n)
         for c in counts:
             size //= math.factorial(c)

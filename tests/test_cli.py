@@ -139,6 +139,14 @@ def test_typ_check_subcommand(capsys):
     assert kinds["cardinality"]["actual"] <= kinds["cardinality"]["bound"]
 
 
+def test_typ_check_beyond_float_range_names_n(capsys):
+    # The type-class sizes at n = 700 exceed float range.
+    assert cli.main(["typ-check", "--p", "0.7,0.15,0.1,0.05", "--n", "700", "--delta", "0.05"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: typ-check at n = 700: ")
+
+
 def test_decouple_subcommand_json(tmp_path, capsys):
     spec = {
         "systems": [],
@@ -201,6 +209,36 @@ def test_state_file_with_nan_amplitude_is_rejected_with_diagnostic(tmp_path, cap
         cli.parse_state_file(str(path))
     assert cli.main(["entropy", "--state", str(path), "--split", "A|B"]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, entry",
+    [("pure", [0]), ("pure", [0, 0, 3]), ("pure", [10**400, 0]), ("pure", "ab"), ("pure", "0"), ("mixed", [0])],
+    ids=["short", "long", "int-overflow", "string", "one-char-string", "mixed-short"],
+)
+def test_malformed_entries_are_rejected_with_diagnostic(tmp_path, capsys, kind, entry):
+    if kind == "pure":
+        body = {"kind": "pure", "amplitudes": [[1.0, 0.0], entry]}
+    else:
+        body = {"kind": "mixed", "matrix": [[[1.0, 0.0], entry], [[0.0, 0.0], [0.0, 0.0]]]}
+    path = _write(tmp_path, "bad.json", {"systems": [{"label": "A", "dim": 2}], "state": body})
+    with pytest.raises(qcore.StateError, match="malformed StateSpec"):
+        cli.parse_state_file(path)
+    assert cli.main(["entropy", "--state", path, "--split", "A|"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed StateSpec (")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["twirl", "--d", "2", "--L", "1"], ["swap", "--lambda2", "0.3"], ["schmidt", "--theta", "0.5", "--n", "2"],
+     ["assist", "--state", "s.json", "--a", "A", "--b", "B"]],
+    ids=lambda argv: argv[0],
+)
+def test_csv_is_rejected_where_no_csv_is_written(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--csv", "out.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --csv out.csv" in capsys.readouterr().err
 
 
 def test_seed_option_accepts_any_integer_notation(capsys):

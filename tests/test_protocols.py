@@ -208,6 +208,35 @@ def test_hashing_matches_bytewise_golden(case):
     assert sizes[-1] == records[0].decoys_surviving
 
 
+@pytest.mark.parametrize(
+    "case", [c for c in HASHING_GOLDEN if c["n"] <= 9], ids=lambda c: f"n{c['n']}-seed{c['seed']}"
+)
+def test_hashing_decoys_match_the_exact_oracle(case):
+    # All 4^n strings: the typical ones, and those a decoy could be while
+    # surviving trial 0 (typical, not the hidden string, every announced
+    # parity matched).  Decoys are i.i.d. from p restricted to the typical
+    # set, so the survivor count is Binomial(decoys, q).
+    p, n, delta, decoys = np.asarray(case["p"]), case["n"], case["delta"], case["decoys"]
+    strings = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.uint8)
+    typical = typicality.typical_mask(strings, p, delta)
+    assert int(typical.sum()) == typicality.typical_set(p, n, delta).cardinality
+    trace = protocols.hashing_simulation(p, n, delta, trials=case["trials"], seed=case["seed"], decoys=decoys)
+    trial = trace.aggregate["trial_records"][0]
+    bits = protocols._symbols_to_bits(strings)
+    survivors = typical & (strings != trial.hidden).any(axis=1)
+    for rnd in trial.rounds:
+        survivors &= (bits[:, rnd.subset_bits].sum(axis=1) & 1) == rnd.parity
+    if not survivors.any():
+        assert trial.decoys_surviving == 0
+    elif (survivors == typical).all():
+        assert trial.decoys_surviving == decoys
+    else:
+        probs = p[strings].prod(axis=1)
+        q = probs[survivors].sum() / probs[typical].sum()
+        z = (trial.decoys_surviving - decoys * q) / math.sqrt(decoys * q * (1 - q))
+        assert abs(z) <= 5, (q, trial.decoys_surviving)
+
+
 # ---------------------------------------------------------------------------
 # Inputs that cannot be simulated
 # ---------------------------------------------------------------------------
@@ -221,6 +250,17 @@ def test_hashing_rejects_negative_delta():
 def test_hashing_rejects_zero_trials():
     with pytest.raises(qcore.StateError, match="trials"):
         protocols.hashing_simulation((0.7, 0.15, 0.1, 0.05), n=50, delta=0.05, trials=0, seed=1)
+
+
+def test_hashing_stops_redrawing_a_typical_set_too_unlikely_to_sample():
+    # At delta = 0 only the exact type (500 of each symbol) is typical, about
+    # 1e-5 of the draws: the panel cannot fill, and the sampler gives up after
+    # DECOY_BATCHES batches with the accepted fraction.
+    p, n, delta, decoys = (0.25,) * 4, 2000, 0.0, 1000
+    assert typicality.has_typical_type(p, n, delta)
+    drawn = protocols.DECOY_BATCHES * decoys
+    with pytest.raises(qcore.StateError, match=rf"only \d+ of {drawn} length-{n} draws \(\S+\) were 0.0-typical"):
+        protocols.hashing_simulation(p, n, delta, trials=1, seed=1, decoys=decoys)
 
 
 def test_hash_sim_cli_rejects_an_empty_typical_set(capsys):

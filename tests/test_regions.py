@@ -119,6 +119,24 @@ def test_sequential_cost_single_sender_constants():
     assert entries[0].rhs_renes <= entries[0].rhs_unsmoothed + 1e-9
 
 
+def test_sequential_cost_reduces_each_label_set_once(monkeypatch):
+    state = qcore.random_state([("C1", 2), ("C2", 2), ("C3", 2), ("B", 2), ("R", 2)], np.random.default_rng(4))
+    reductions = []
+    real_trace = qcore.partial_trace
+
+    def traced(rho, keep):
+        if rho is state:
+            reductions.append(qcore._normalize_labels(rho, keep))
+        return real_trace(rho, keep)
+
+    monkeypatch.setattr(qcore, "partial_trace", traced)
+    entries = regions.sequential_cost(state, ["C1", "C2", "C3"], ["R"], eps=0.1)
+    # The joint state of each entry and both terms of S(label | rel_ref) come
+    # from one table: each label set is reduced from the input once.
+    assert sorted(reductions) == sorted([("C1", "C2", "C3", "R"), ("C2", "C3", "R"), ("C3", "R"), ("R",)])
+    assert [e.relative_reference for e in entries] == [("C2", "C3", "R"), ("C3", "R"), ("R",)]
+
+
 def test_sequential_orderings_keep_first_mover_positive():
     eps = 0.1
     for log2_d in (4.0, 64.0, 280.0):
