@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Time the one-shot assisted-entanglement search on the ``min-cut`` criterion's states.
+
+    python3 scripts/time_assisted_search.py [SRC_DIR]
+
+Imports ``entlab`` from SRC_DIR (default: this checkout's ``src/``), so the
+same script times two versions of the package side by side.  BLAS runs at one
+thread.  It draws the 20 random pure states of the ``min-cut`` acceptance
+criterion (qubit A and B, a helper C of dimension 2 or 3) from the acceptance
+seed, in the criterion's order, and times ``assisted.eoa_pure`` on each with
+the criterion's grid and search seed.  It prints one JSON object:
+
+- ``states``: for each state, ``d_c``, ``seconds``, the one-shot value, the
+  asymptotic value min{S(A), S(B)} and the floor E_F(C_a);
+- ``total_s``: the sum of the per-state seconds;
+- ``fingerprint``: cores, CPU model and the Python, numpy, scipy and BLAS
+  versions, as ``time_state_validation.py`` reports them.
+
+Each state is timed once after one untimed warm-up search on the first state.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import math
+import sys
+import time
+from pathlib import Path
+
+from time_state_validation import fingerprint
+
+ROOT = Path(__file__).resolve().parent.parent
+GRID = 4  # the criterion's grid
+
+
+def criterion_states(acceptance, qcore, np) -> list[tuple]:
+    """(state, search seed) pairs drawn as ``acceptance.criterion_min_cut`` draws them."""
+    rng = np.random.default_rng(acceptance.ACCEPTANCE_SEED)
+    out = []
+    for _ in range(20):
+        dims = [("A", 2), ("B", 2), ("C", int(rng.integers(2, 4)))]
+        psi = qcore.random_pure(dims, rng)
+        out.append((psi, int(rng.integers(1 << 31))))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the entlab package")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import numpy as np
+
+    from entlab import acceptance, assisted, qcore
+
+    states = criterion_states(acceptance, qcore, np)
+    psi, seed = states[0]
+    assisted.eoa_pure(psi, ["A"], ["B"], ["C"], grid=GRID, seed=seed)
+    rows = []
+    for psi, seed in states:
+        start = time.perf_counter()
+        asymptotic, one_shot = assisted.eoa_pure(psi, ["A"], ["B"], ["C"], grid=GRID, seed=seed)
+        seconds = time.perf_counter() - start
+        c_a = assisted.concurrence_of_assistance(psi, ["A"], ["B"])
+        floor = qcore.binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c_a * c_a))) / 2.0)
+        rows.append({
+            "d_c": psi.dim_of("C"),
+            "seconds": round(seconds, 4),
+            "one_shot": one_shot,
+            "asymptotic": asymptotic,
+            "floor": floor,
+        })
+    json.dump(
+        {"states": rows, "total_s": round(sum(r["seconds"] for r in rows), 3), "fingerprint": fingerprint()},
+        sys.stdout, indent=1,
+    )
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -753,6 +753,14 @@ CONSTRUCTORS = {
 }
 
 
+def _spec_dimension(value) -> int:
+    """A StateSpec dimension: an integer, or a float with an integral value; booleans are rejected."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"dimension {value!r} is not an integer")
+    return int(value)
+
+
 def build_state(spec: dict) -> LabeledState:
     """Build a LabeledState from a StateSpec mapping (see the CLI file schema)."""
     body = spec.get("state", spec)
@@ -762,7 +770,7 @@ def build_state(spec: dict) -> LabeledState:
         if name not in CONSTRUCTORS:
             raise StateError(f"unknown constructor {name!r}; known: {sorted(CONSTRUCTORS)}")
         return CONSTRUCTORS[name](dict(body.get("params") or {}))
-    systems = [(entry["label"], int(entry["dim"])) for entry in spec["systems"]]
+    systems = [(entry["label"], _spec_dimension(entry["dim"])) for entry in spec["systems"]]
     if kind == "pure":
         amplitudes = np.array([complex(re, im) for re, im in body["amplitudes"]])
         return pure_state(systems, amplitudes)

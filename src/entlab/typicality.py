@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,14 +92,15 @@ def typical_set(p: Sequence[float], n: int, delta: float) -> TypicalSet:
     total = 0.0
     min_prob = math.inf
     max_prob = 0.0
+    factorial = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
     for head in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(low[:-1], high[:-1]))):
         last = n - sum(head)
         if not low[-1] <= last <= high[-1]:
             continue
         counts = head + (last,)
-        size = math.factorial(n)
+        size = factorial[n]
         for c in counts:
-            size //= math.factorial(c)
+            size //= factorial[c]
         prob_one = math.prod(p_arr[i] ** c for i, c in enumerate(counts) if c > 0)
         cardinality += size
         total += size * prob_one

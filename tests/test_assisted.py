@@ -1,9 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entlab import assisted, entropy, qcore
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_assisted_lower_bound_on_worked_example():
@@ -146,6 +150,76 @@ def test_eoa_pure_values():
     purified = qcore.purify(qcore.partial_trace(product, ["A", "B"]), "C")
     asymptotic, one_shot = assisted.eoa_pure(purified, ["A"], ["B"], ["C"], grid=4, seed=3)
     assert asymptotic == pytest.approx(1.0, abs=1e-9)
+
+
+def _average_entropy_reference(state, a_labels, c_labels, basis):
+    """sum_i p_i S(A) from the dense matrix: one einsum and one partial trace per outcome."""
+    rest = [x for x in state.labels if x not in c_labels]
+    arranged = qcore.permute_systems(state, list(c_labels) + rest)
+    d_c = int(np.prod([state.dim_of(x) for x in c_labels]))
+    d_rest = arranged.total_dim // d_c
+    t = arranged.matrix.reshape(d_c, d_rest, d_c, d_rest)
+    a_pos = [rest.index(x) for x in a_labels]
+    rest_dims = [state.dim_of(x) for x in rest]
+    total = 0.0
+    for k in range(d_c):
+        v = basis[:, k]
+        block = np.einsum("i,iajb,j->ab", v.conj(), t, v)
+        p = float(np.real(np.trace(block)))
+        if p < 1e-14:
+            continue
+        rho_a = qcore._partial_trace_dense(block / p, rest_dims, a_pos)
+        total += p * qcore.shannon_entropy(qcore.clamped_eigenvalues(rho_a))
+    return total
+
+
+def test_average_entropy_for_basis_matches_the_dense_reference():
+    ghz = qcore.ghz(3, ["A", "B", "C"])
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    rng = np.random.default_rng(31)
+    # Systems out of (C, A, rest) order, with two systems left after A and C.
+    psi = qcore.random_pure([("B", 2), ("C", 3), ("A", 2), ("D", 2)], rng)
+    for state, basis in ((ghz, hadamard), (ghz, np.eye(2, dtype=complex)), (psi, qcore.haar_unitary(3, rng))):
+        value = assisted.average_entropy_for_basis(state, ["A"], ["C"], basis)
+        assert abs(value - _average_entropy_reference(state, ["A"], ["C"], basis)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_c", [2, 3, 4])
+def test_gradient_matches_central_differences(d_c):
+    rng = np.random.default_rng(37 + d_c)
+    psi = qcore.random_pure([("A", 2), ("B", 2), ("C", d_c)], rng)
+    t = assisted._helper_tensor(psi, ["A"], ["C"])
+    h = 1e-6
+    # params = 0 gives H = 0, whose eigenvalues are all equal.
+    for params in (np.zeros(d_c * d_c), rng.standard_normal(d_c * d_c)):
+        _, grad = assisted._entropy_and_gradient(t, params)
+        numeric = [
+            (assisted._entropy_and_gradient(t, params + h * e)[0] - assisted._entropy_and_gradient(t, params - h * e)[0]) / (2 * h)
+            for e in np.eye(d_c * d_c)
+        ]
+        assert np.max(np.abs(grad - numeric)) <= 1e-7
+
+
+# tests/data/eoa_golden.json was written by the Nelder-Mead search (commit
+# 2800351) before BFGS on the analytic gradient replaced it: the one-shot value
+# of each of the min-cut criterion's 20 states, of the three eoa_pure calls of
+# test_eoa_pure_values and of the three ea_marginal_bound searches of
+# test_lower_bound_below_upper_bounds, with the state's amplitudes, the labels,
+# the grid and the seed.
+EOA_GOLDEN = json.loads((DATA / "eoa_golden.json").read_text())
+
+
+@pytest.mark.parametrize("entry", EOA_GOLDEN, ids=lambda e: e["source"].replace(" ", "-"))
+def test_one_shot_value_against_golden(entry):
+    amplitudes = np.array([complex(re, im) for re, im in entry["amplitudes"]])
+    psi = qcore.pure_state([tuple(s) for s in entry["systems"]], amplitudes)
+    a, b = entry["a"], entry["b"]
+    asymptotic, one_shot = assisted.eoa_pure(psi, a, b, entry["c"], grid=entry["grid"], seed=entry["seed"])
+    assert asymptotic == pytest.approx(entry["asymptotic"], abs=1e-12)
+    assert one_shot >= entry["one_shot"] - 1e-12
+    assert one_shot <= asymptotic + 1e-7
+    c_a = assisted.concurrence_of_assistance(psi, a, b)
+    assert one_shot >= qcore.binary_entropy((1 + math.sqrt(max(0.0, 1 - c_a**2))) / 2) - 1e-9
 
 
 def test_da_upper_bounds_on_classical_quantum_state():

@@ -228,6 +228,20 @@ def test_malformed_entries_are_rejected_with_diagnostic(tmp_path, capsys, kind, 
     assert capsys.readouterr().err.startswith(f"error: {path}: malformed StateSpec (")
 
 
+@pytest.mark.parametrize("dim", [2.7, True, "2"], ids=["fraction", "boolean", "string"])
+def test_non_integral_dimensions_are_rejected_with_diagnostic(tmp_path, capsys, dim):
+    bell = {"kind": "pure", "amplitudes": [[0.5**0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5**0.5, 0.0]]}
+    path = _write(tmp_path, "bad.json", {"systems": [{"label": "A", "dim": dim}, {"label": "B", "dim": 2}], "state": bell})
+    assert cli.main(["entropy", "--state", path, "--split", "A|B"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: malformed StateSpec (dimension {dim!r} is not an integer)\n"
+
+
+def test_integral_float_dimension_is_accepted(tmp_path):
+    bell = {"kind": "pure", "amplitudes": [[0.5**0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5**0.5, 0.0]]}
+    path = _write(tmp_path, "bell.json", {"systems": [{"label": "A", "dim": 2.0}, {"label": "B", "dim": 2}], "state": bell})
+    assert cli.parse_state_file(path).dims == (2, 2)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["twirl", "--d", "2", "--L", "1"], ["swap", "--lambda2", "0.3"], ["schmidt", "--theta", "0.5", "--n", "2"],

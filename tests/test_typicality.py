@@ -40,6 +40,26 @@ def test_biased_source_against_exhaustive_enumeration():
     assert ts.cardinality >= (1 - (1 - ts.total_probability)) * 2 ** (n * (h - c * delta)) * (1 - 1e-9)
 
 
+def test_typical_set_sums_equal_the_factorial_formula_exactly():
+    """The factorial table gives the integers, and so the sums, of n! / prod(c!) with math.factorial."""
+    p, n, delta = np.array([0.7, 0.15, 0.1, 0.05]), 400, 0.05
+    low, high = typicality._count_bounds(p, n, delta)
+    cardinality, total = 0, 0.0
+    for head in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(low[:-1].tolist(), high[:-1].tolist()))):
+        last = n - sum(head)
+        if not low[-1] <= last <= high[-1]:
+            continue
+        counts = head + (last,)
+        size = math.factorial(n)
+        for c in counts:
+            size //= math.factorial(c)
+        cardinality += size
+        total += size * math.prod(p[i] ** c for i, c in enumerate(counts) if c > 0)
+    ts = typicality.typical_set(p, n, delta)
+    assert ts.cardinality == cardinality
+    assert ts.total_probability == total
+
+
 def test_membership_probe():
     p, delta = [0.75, 0.25], 0.15
     assert typicality.typical_mask(np.array([0] * 6 + [1] * 2), p, delta)
