@@ -291,16 +291,14 @@ def da_upper_bounds(
     c_labels: Sequence[str],
     ensembles: int = 200,
     seed: int = qcore.DEFAULT_SEED,
-    extra_ensembles: Sequence[Sequence[tuple[float, LabeledState]]] = (),
-    include_marginal_bound: bool = True,
 ) -> dict:
     """Two upper estimates for the one-shot assisted rate of a mixed tripartite state.
 
     ``ensemble_bound``: best (smallest) average asymptotic assisted entanglement
-    over sampled pure-state decompositions of the state (spectral ensemble plus
-    Haar-rotated square-root ensembles, plus any explicitly supplied candidate
-    ensembles).  ``ea_marginal_bound``: assisted entanglement of the AB
-    marginal, searched on its purification.
+    sum_k p_k min(S(A), S(B)) of psi_k over sampled pure-state decompositions
+    of the state (spectral ensemble plus Haar-rotated square-root ensembles).
+    ``ea_marginal_bound``: assisted entanglement of the AB marginal, searched
+    on its purification.
     """
     arranged = qcore.permute_systems(state, list(a_labels) + list(b_labels) + list(c_labels))
     eigs, vecs = np.linalg.eigh(arranged.matrix)
@@ -311,9 +309,6 @@ def da_upper_bounds(
     systems = arranged.systems
     rng = np.random.default_rng(seed)
 
-    def member_value(member: LabeledState) -> float:
-        return min(entropy.von_neumann(member, a_labels), entropy.von_neumann(member, b_labels))
-
     def ensemble_value(isometry: np.ndarray) -> float:
         total = 0.0
         for i in range(isometry.shape[1]):
@@ -322,23 +317,19 @@ def da_upper_bounds(
             if p < 1e-14:
                 continue
             member = qcore.pure_state(systems, amp / math.sqrt(p))
-            total += p * member_value(member)
+            total += p * min(entropy.von_neumann(member, a_labels), entropy.von_neumann(member, b_labels))
         return total
 
     best = ensemble_value(np.eye(rank))  # spectral ensemble
     for u in qcore.haar_unitaries(rank, ensembles, rng):
         best = min(best, ensemble_value(u))
-    for candidate in extra_ensembles:
-        best = min(best, sum(p * member_value(member) for p, member in candidate))
 
-    ea_bound = None
-    if include_marginal_bound:
-        marginal = qcore.partial_trace(state, list(a_labels) + list(b_labels))
-        purified = qcore.purify(marginal, ref_label="_eaC")
-        if purified.dim_of("_eaC") <= 4:
-            _, ea_bound = eoa_pure(purified, a_labels, b_labels, ["_eaC"], seed=seed)
-        else:
-            ea_bound = min(entropy.von_neumann(purified, a_labels), entropy.von_neumann(purified, b_labels))
+    marginal = qcore.partial_trace(state, list(a_labels) + list(b_labels))
+    purified = qcore.purify(marginal, ref_label="_eaC")
+    if purified.dim_of("_eaC") <= 4:
+        _, ea_bound = eoa_pure(purified, a_labels, b_labels, ["_eaC"], seed=seed)
+    else:
+        ea_bound = min(entropy.von_neumann(purified, a_labels), entropy.von_neumann(purified, b_labels))
     return {
         "ensemble_bound": best,
         "ea_marginal_bound": ea_bound,

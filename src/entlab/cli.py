@@ -27,7 +27,32 @@ def parse_seed(text: str) -> int:
 
 def default_seed() -> int:
     env = os.environ.get(SEED_ENV)
-    return parse_seed(env) if env else qcore.DEFAULT_SEED
+    if not env:
+        return qcore.DEFAULT_SEED
+    try:
+        return parse_seed(env)
+    except ValueError:
+        raise qcore.StateError(f"{SEED_ENV}={env!r} is not an integer") from None
+
+
+def _parse_numbers(text: str) -> list[float]:
+    """A comma-separated list of finite floats, e.g. ``0.7,0.3``."""
+    message = f"{text!r} is not a comma-separated list of finite numbers"
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(message)
+    return values
+
+
+def _parse_weight(text: str) -> float | Fraction:
+    """A float, or an exact fraction such as ``1/3``."""
+    try:
+        return Fraction(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number or a fraction p/q with q != 0") from None
 
 
 def parse_state_file(path: str | Path) -> qcore.LabeledState:
@@ -103,38 +128,12 @@ def _split_labels(arg: str) -> list[str]:
 def cmd_entropy(args) -> int:
     state = parse_state_file(args.state)
     left, _, right = args.split.partition("|")
-    left_labels = _split_labels(left)
-    right_labels = _split_labels(right)
-    want = args.quantity
+    # Only H_min and H_2 read sigma, so only they read its file.
+    sigma = None
+    if args.sigma != "marginal" and args.quantity in ("hmin", "h2", "all"):
+        sigma = parse_state_file(args.sigma)
     payload: dict = {"state": str(args.state), "split": args.split}
-    # The entropy table, the marginal sigma, the one-shot joint state and H_0
-    # share one reduction per label set and its cached spectrum.
-    s = entropy.subset_entropies(state)
-    if want in ("svn", "all"):
-        payload["entropy_left"] = s(left_labels)
-        payload["entropy_right"] = s(right_labels)
-    if want in ("cond", "coh", "all"):
-        conditional = s.conditional(left_labels, right_labels)
-        if want != "coh":
-            payload["conditional"] = conditional
-        if want != "cond":
-            payload["coherent"] = -conditional
-    if want in ("hmin", "h2", "hmax", "all"):
-        if want == "hmax":
-            sigma = None
-        elif args.sigma == "marginal":
-            sigma = s.reduced(right_labels)
-        else:
-            sigma = parse_state_file(args.sigma)
-        joint = s.reduced(left_labels + right_labels)
-        if want in ("hmin", "all"):
-            payload["hmin"] = entropy.min_entropy_relative(joint, sigma)
-        if want in ("h2", "all"):
-            payload["h2"] = entropy.collision_entropy(joint, sigma)
-        if want in ("hmax", "all"):
-            payload["hmax"] = entropy.conditional_max_entropy(joint, right_labels)
-    if want in ("h0", "all"):
-        payload["h0"] = entropy.zero_entropy(s.reduced(left_labels))
+    payload.update(entropy.entropy_report(state, _split_labels(left), _split_labels(right), args.quantity, sigma))
     if args.csv:
         emit_csv([payload], args.csv)
     emit_json(payload, args.out)
@@ -142,14 +141,12 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_region(args) -> int:
+    if args.mode in ("split", "seq") and (args.csv or args.point):
+        raise qcore.StateError(f"region --mode {args.mode} writes no CSV and classifies no point; drop --csv and --point")
     state = parse_state_file(args.state)
     senders = _split_labels(args.senders)
     payload: dict = {"mode": args.mode}
-    if args.mode == "merge":
-        region = regions.merging_rate_region(state, senders, _split_labels(args.receiver))
-    elif args.mode == "cost":
-        region = regions.one_shot_cost_region(state, senders, _split_labels(args.reference), args.eps)
-    elif args.mode == "split":
+    if args.mode == "split":
         t_side = _split_labels(args.cut)
         tbar_side = [x for x in senders if x not in t_side]
         region_t, region_tbar = regions.split_transfer_region(
@@ -157,32 +154,26 @@ def cmd_region(args) -> int:
         )
         payload["region_T"] = _region_payload(region_t)
         payload["region_Tbar"] = _region_payload(region_tbar)
-        emit_json(payload, args.out)
-        return 0
     elif args.mode == "seq":
         ordering = _split_labels(args.ordering)
         entries = regions.sequential_cost(state, ordering, _split_labels(args.reference), args.eps)
         payload["sequential"] = [asdict(e) for e in entries]
-        emit_json(payload, args.out)
-        return 0
     else:
-        raise SystemExit(f"unknown mode {args.mode!r}")
-    payload["region"] = _region_payload(region)
-    if args.point:
-        point = [float(x) for x in args.point.split(",")]
-        verdict = regions.region_membership(region, point)
-        payload["membership"] = {
-            "point": point,
-            "verdict": verdict.verdict,
-            "violated": [list(region.subset_labels(m)) for m in verdict.violated],
-            "tight": [list(region.subset_labels(m)) for m in verdict.tight],
-        }
-    if args.csv:
-        rows = [
-            {"bitmask": mask, "subset": "+".join(region.subset_labels(mask)), "rhs": rhs}
-            for mask, rhs in region.constraints
-        ]
-        emit_csv(rows, args.csv)
+        if args.mode == "merge":
+            region = regions.merging_rate_region(state, senders, _split_labels(args.receiver))
+        else:
+            region = regions.one_shot_cost_region(state, senders, _split_labels(args.reference), args.eps)
+        payload["region"] = _region_payload(region)
+        if args.point:
+            verdict = regions.region_membership(region, args.point)
+            payload["membership"] = {
+                "point": args.point,
+                "verdict": verdict.verdict,
+                "violated": [list(region.subset_labels(m)) for m in verdict.violated],
+                "tight": [list(region.subset_labels(m)) for m in verdict.tight],
+            }
+        if args.csv:
+            emit_csv(payload["region"]["constraints"], args.csv)
     emit_json(payload, args.out)
     return 0
 
@@ -206,7 +197,12 @@ def _parse_senders(arg: str, state: qcore.LabeledState) -> list[decoupling.Sende
         opts = {"K": 1, "L": 1}
         for p in parts[1:]:
             key, _, value = p.partition("=")
-            opts[key.upper()] = int(value)
+            if key.upper() not in opts:
+                raise qcore.StateError(f"sender {label!r}: unknown option {key!r}; expected K=<int> or L=<int>")
+            try:
+                opts[key.upper()] = int(value)
+            except ValueError:
+                raise qcore.StateError(f"sender {label!r}: {key}={value!r} is not an integer") from None
         out.append(decoupling.sender(label, state.dim_of(label), ancilla=opts["K"], rank=opts["L"]))
     return out
 
@@ -264,9 +260,7 @@ def cmd_assist(args) -> int:
 
 
 def cmd_swap(args) -> int:
-    lam2 = Fraction(args.lambda2) if "/" in args.lambda2 else float(args.lambda2)
-    lam1 = 1 - lam2 if isinstance(lam2, Fraction) else 1.0 - lam2
-    trace = protocols.entanglement_swap(lam1, lam2)
+    trace = protocols.entanglement_swap(1 - args.lambda2, args.lambda2)
     payload = {
         "outcomes": [
             {"label": o.label, "probability": o.probability, "register": o.register}
@@ -280,8 +274,7 @@ def cmd_swap(args) -> int:
 
 
 def cmd_hash_sim(args) -> int:
-    p = [float(x) for x in args.p.split(",")]
-    trace = protocols.hashing_simulation(p, args.n, args.delta, trials=args.trials, seed=args.seed)
+    trace = protocols.hashing_simulation(args.p, args.n, args.delta, trials=args.trials, seed=args.seed)
     aggregate = {k: v for k, v in trace.aggregate.items() if k != "trial_records"}
     if args.csv:
         rows = [
@@ -305,11 +298,10 @@ def cmd_schmidt(args) -> int:
 
 
 def cmd_typ_check(args) -> int:
-    p = [float(x) for x in args.p.split(",")]
     try:
-        ts = typicality.typical_set(p, args.n, args.delta)
-        c = typicality.typicality_constant(p)
-        h = qcore.shannon_entropy(p)
+        ts = typicality.typical_set(args.p, args.n, args.delta)
+        c = typicality.typicality_constant(args.p)
+        h = qcore.shannon_entropy(args.p)
         eps = max(0.0, 1.0 - ts.total_probability)
         rows = [
             {"quantity": "total_probability", "actual": ts.total_probability, "bound": 1.0 - eps, "kind": ">="},
@@ -360,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="entropy family of a state for one bipartition")
     p.add_argument("--state", required=True)
     p.add_argument("--split", required=True, help="labels as LEFT|RIGHT, e.g. A|B,C")
-    p.add_argument("--quantity", default="all", choices=["svn", "cond", "coh", "hmin", "h2", "hmax", "h0", "all"])
+    p.add_argument("--quantity", default="all", choices=entropy.QUANTITIES)
     p.add_argument("--sigma", default="marginal", help="conditioning operator: 'marginal' or a state file")
     common(p)
     csv_output(p)
@@ -375,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default="", help="reference labels for cost/seq modes")
     p.add_argument("--cut", default="", help="T-side labels for split mode")
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--point", default=None, help="comma-separated rate/cost point to classify")
+    p.add_argument("--point", type=_parse_numbers, default=None, help="comma-separated rate/cost point to classify (merge, cost)")
     p.add_argument("--ordering", default="", help="sender ordering for seq mode")
     common(p)
     csv_output(p)
@@ -408,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_assist)
 
     p = sub.add_parser("swap", help="entanglement swapping with optimal singlet conversion")
-    p.add_argument("--lambda2", required=True, help="smaller Schmidt weight, float or fraction like 1/3")
+    p.add_argument("--lambda2", type=_parse_weight, required=True, help="smaller Schmidt weight, float or fraction like 1/3")
     common(p)
     p.set_defaults(func=cmd_swap)
 
     p = sub.add_parser("hash-sim", help="parity-hashing identification simulation")
-    p.add_argument("--p", required=True, help="four comma-separated Bell weights")
+    p.add_argument("--p", type=_parse_numbers, required=True, help="four comma-separated Bell weights")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=50)
@@ -428,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schmidt)
 
     p = sub.add_parser("typ-check", help="typical-set bounds vs exact statistics")
-    p.add_argument("--p", required=True)
+    p.add_argument("--p", type=_parse_numbers, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     common(p)
@@ -442,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # The parser reads ENTLAB_SEED for the --seed default.
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (qcore.StateError, qcore.LabelError, entropy.SupportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,37 +133,41 @@ def decoupling_bound_minentropy(state: LabeledState, spec: InstrumentSpec, refer
     return prefactor * math.sqrt(total)
 
 
-def _working_state(state: LabeledState, spec: InstrumentSpec, ref_labels: Sequence[str]) -> tuple[np.ndarray, list[int], int]:
-    """Marginal on senders + reference with per-sender ancillas appended.
+def _working_state(state: LabeledState, spec: InstrumentSpec, ref_labels: Sequence[str]) -> np.ndarray:
+    """Marginal on senders + reference with each sender's ancilla in I/K, as an operator tensor.
 
-    Returns the density tensor grouped as (g_1, ..., g_m, ref) on both index
-    sides, where g_i = d_i * K_i, plus the grouped dims and reference dim.
+    Both index sides are grouped as (g_1, ..., g_m, d_R): g_i = d_i K_i is
+    sender i's system followed by its ancilla, and d_R is the reference.
     """
     sender_labels = [s.label for s in spec.senders]
     marginal = qcore.partial_trace(state, sender_labels + list(ref_labels))
     marginal = qcore.permute_systems(marginal, sender_labels + list(ref_labels))
-    work = marginal
-    for s in spec.senders:
+    m = marginal.matrix
+    # The ancillas go on last, in sender order, as qcore.tensor would append them.
+    ancillas = [s for s in spec.senders if s.ancilla > 1]
+    for s in ancillas:
+        m = np.kron(m, np.eye(s.ancilla, dtype=complex) / s.ancilla)
+    # Then each ancilla axis moves next to its sender's.
+    n = len(marginal.dims)
+    order: list[int] = []
+    ancilla_axis = n
+    for i, s in enumerate(spec.senders):
+        order.append(i)
         if s.ancilla > 1:
-            work = qcore.tensor(work, qcore.max_mixed(s.ancilla, label=f"_{s.label}0"))
-    order: list[str] = []
-    for s in spec.senders:
-        order.append(s.label)
-        if s.ancilla > 1:
-            order.append(f"_{s.label}0")
-    order.extend(ref_labels)
-    work = qcore.permute_systems(work, order)
-    grouped = [s.dim * s.ancilla for s in spec.senders]
-    d_ref = int(np.prod([state.dim_of(x) for x in ref_labels])) if ref_labels else 1
-    tensor = work.matrix.reshape(tuple(grouped) + (d_ref,) + tuple(grouped) + (d_ref,))
-    return tensor, grouped, d_ref
+            order.append(ancilla_axis)
+            ancilla_axis += 1
+    order.extend(range(len(spec.senders), n))
+    dims = marginal.dims + tuple(s.ancilla for s in ancillas)
+    grouped = tuple(s.dim * s.ancilla for s in spec.senders) + (math.prod(marginal.dims[len(spec.senders) :]),)
+    t = m.reshape(dims + dims).transpose(order + [p + len(dims) for p in order])
+    return t.reshape(grouped + grouped)
 
 
-def _outcome_blocks(s: SenderSpec) -> list[np.ndarray]:
-    """Computational-basis index blocks: N rank-L blocks plus a possible remainder."""
-    blocks = [np.arange(j * s.rank, (j + 1) * s.rank) for j in range(s.blocks)]
+def _outcome_blocks(s: SenderSpec) -> list[slice]:
+    """Computational-basis blocks: N rank-L blocks plus a possible remainder."""
+    blocks = [slice(j * s.rank, (j + 1) * s.rank) for j in range(s.blocks)]
     if s.remainder:
-        blocks.append(np.arange(s.blocks * s.rank, s.dim * s.ancilla))
+        blocks.append(slice(s.blocks * s.rank, s.dim * s.ancilla))
     return blocks
 
 
@@ -189,7 +193,7 @@ def simulate_random_instrument(
     if set(ref_labels) & {s.label for s in spec.senders}:
         raise StateError("reference overlaps the sender systems")
 
-    work, grouped, d_ref = _working_state(state, spec, ref_labels)
+    work = _working_state(state, spec, ref_labels)
     ref_state = qcore.partial_trace(state, ref_labels).matrix if ref_labels else np.ones((1, 1))
     ranks = [s.rank for s in spec.senders]
     l_total = math.prod(ranks)
@@ -206,9 +210,9 @@ def simulate_random_instrument(
         total_q = 0.0
         total_p = 0.0
         for combo in itertools.product(*[range(len(b)) for b in blocks_per_sender]):
-            idx_rows = [blocks_per_sender[i][j] for i, j in enumerate(combo)]
-            sub = rotated[np.ix_(*idx_rows, np.arange(d_ref), *idx_rows, np.arange(d_ref))]
-            side = math.prod(len(r) for r in idx_rows) * d_ref
+            rows = tuple(blocks_per_sender[i][j] for i, j in enumerate(combo)) + (slice(None),)
+            sub = rotated[rows + rows]
+            side = math.prod(sub.shape[: len(rows)])
             omega = sub.reshape(side, side)
             p = float(np.real(np.trace(omega)))
             total_p += p

@@ -86,54 +86,52 @@ def zero_entropy(state: LabeledState, part: Iterable[str] | str | None = None) -
     return math.log2(int(np.sum(reduced.spectrum() > 1e-10)))
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Entropies of one state for one (T | U) bipartition."""
-
-    entropy: float
-    cond: dict[str, float]
-    coherent: dict[str, float]
-    mutual: dict[str, float]
-    hmin_rel: float | None = None
-    h2_rel: float | None = None
-    hmax_cond: float | None = None
-    h0: float | None = None
+QUANTITIES = ("svn", "cond", "coh", "hmin", "h2", "hmax", "h0", "all")
 
 
 def entropy_report(
     state: LabeledState,
     left: Sequence[str],
     right: Sequence[str],
-    one_shot: bool = False,
-) -> EntropyReport:
-    """Von Neumann family for the (left | right) split, plus one-shot values on request."""
-    t = "".join(left)
-    u = "".join(right)
+    quantity: str = "all",
+    sigma: LabeledState | None = None,
+) -> dict[str, float]:
+    """Entropies of ``state`` for the (left | right) split, named as ``entlab entropy`` prints them.
+
+    ``quantity`` is one of QUANTITIES: ``svn`` gives ``entropy_left`` and
+    ``entropy_right``; ``cond`` and ``coh`` give ``conditional`` = S(left|right)
+    and ``coherent`` = I(left>right); ``hmin`` and ``h2`` are relative to
+    ``sigma``, or to the right marginal when it is None; ``hmax`` is
+    H_max(left|right); ``h0`` is H_0 of the left marginal; ``all`` gives every
+    one.  All values read one subset-entropy table, so each label set is
+    reduced once and the von Neumann values decompose it once.
+    """
+    if quantity not in QUANTITIES:
+        raise StateError(f"unknown entropy quantity {quantity!r}; expected one of {', '.join(QUANTITIES)}")
     s = subset_entropies(state)
-    cond = {
-        f"{t}|{u}": s.conditional(left, right),
-        f"{u}|{t}": s.conditional(right, left),
-    }
-    coherent = {f"{t}>{u}": -cond[f"{t}|{u}"], f"{u}>{t}": -cond[f"{u}|{t}"]}
-    mutual = {f"{t};{u}": s(left) + s(right) - s(list(left) + list(right))}
-    hmin_rel = h2_rel = hmax_cond = h0 = None
-    if one_shot:
-        sigma = s.reduced(right)
+    out: dict[str, float] = {}
+    if quantity in ("svn", "all"):
+        out["entropy_left"] = s(left)
+        out["entropy_right"] = s(right)
+    if quantity in ("cond", "coh", "all"):
+        conditional = s.conditional(left, right)
+        if quantity != "coh":
+            out["conditional"] = conditional
+        if quantity != "cond":
+            out["coherent"] = -conditional
+    if quantity in ("hmin", "h2", "hmax", "all"):
+        if sigma is None and quantity != "hmax":
+            sigma = s.reduced(right)
         joint = s.reduced(list(left) + list(right))
-        hmin_rel = min_entropy_relative(joint, sigma)
-        h2_rel = collision_entropy(joint, sigma)
-        hmax_cond = conditional_max_entropy(joint, right)
-        h0 = zero_entropy(s.reduced(left))
-    return EntropyReport(
-        entropy=s(state.labels),
-        cond=cond,
-        coherent=coherent,
-        mutual=mutual,
-        hmin_rel=hmin_rel,
-        h2_rel=h2_rel,
-        hmax_cond=hmax_cond,
-        h0=h0,
-    )
+        if quantity in ("hmin", "all"):
+            out["hmin"] = min_entropy_relative(joint, sigma)
+        if quantity in ("h2", "all"):
+            out["h2"] = collision_entropy(joint, sigma)
+        if quantity in ("hmax", "all"):
+            out["hmax"] = conditional_max_entropy(joint, right)
+    if quantity in ("h0", "all"):
+        out["h0"] = zero_entropy(s.reduced(left))
+    return out
 
 
 # ---------------------------------------------------------------------------

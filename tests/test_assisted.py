@@ -222,6 +222,11 @@ def test_one_shot_value_against_golden(entry):
     assert one_shot >= qcore.binary_entropy((1 + math.sqrt(max(0.0, 1 - c_a**2))) / 2) - 1e-9
 
 
+def _ensemble_value(ensemble) -> float:
+    """sum_k p_k min(S(A), S(B)) of a decomposition [(p_k, psi_k)], as da_upper_bounds scores its ensembles."""
+    return sum(p * min(entropy.von_neumann(member, "A"), entropy.von_neumann(member, "B")) for p, member in ensemble)
+
+
 def test_da_upper_bounds_on_classical_quantum_state():
     rng = np.random.default_rng(11)
     weights = [0.3, 0.7]
@@ -233,13 +238,14 @@ def test_da_upper_bounds_on_classical_quantum_state():
         m += w * np.kron(member.matrix, reg)
     state = qcore.make_state([("A", 2), ("B", 2), ("C", 2)], m)
     expected = sum(w * entropy.von_neumann(member, "A") for w, member in zip(weights, members))
-    candidates = [
-        [(w, qcore.tensor(member, qcore.make_state([("C", 2)], np.diag([1 - k, k]).astype(complex) * 1.0)))
-         for k, (w, member) in enumerate(zip(weights, members))]
+    candidate = [
+        (w, qcore.tensor(member, qcore.make_state([("C", 2)], np.diag([1 - k, k]).astype(complex) * 1.0)))
+        for k, (w, member) in enumerate(zip(weights, members))
     ]
-    bounds = assisted.da_upper_bounds(state, ["A"], ["B"], ["C"], ensembles=60, seed=5, extra_ensembles=candidates)
-    assert bounds["ensemble_bound"] <= expected + 1e-9
-    assert bounds["ensemble_bound"] >= expected - 0.15  # sampled infimum, not certified
+    bounds = assisted.da_upper_bounds(state, ["A"], ["B"], ["C"], ensembles=60, seed=5)
+    best = min(bounds["ensemble_bound"], _ensemble_value(candidate))
+    assert best <= expected + 1e-9
+    assert best >= expected - 0.15  # sampled infimum, not certified
 
 
 def test_da_upper_bounds_reduce_for_pure_inputs():
@@ -250,24 +256,19 @@ def test_da_upper_bounds_reduce_for_pure_inputs():
     assert bounds["ensemble_bound"] == pytest.approx(expected, abs=1e-7)
 
 
-def test_da_convexity_spot_check():
+def test_da_ensemble_bound_scores_the_spectral_ensemble():
+    # With no sampled rotation the ensemble bound is the spectral ensemble's
+    # value, scored as the tests score their own candidate decompositions.
     rng = np.random.default_rng(17)
     weights = np.array([0.5, 0.3, 0.2])
-    for _ in range(50):
+    for _ in range(3):
         members = [qcore.random_pure([("A", 2), ("B", 2), ("C", 2)], rng) for _ in range(3)]
-        mixture = qcore.make_state(
-            members[0].systems, sum(w * s.matrix for w, s in zip(weights, members))
-        )
-        candidate = [list(zip(weights, members))]
-        bounds = assisted.da_upper_bounds(
-            mixture, ["A"], ["B"], ["C"], ensembles=0, seed=3,
-            extra_ensembles=candidate, include_marginal_bound=False,
-        )
-        mixture_of_values = sum(
-            w * min(entropy.von_neumann(s, "A"), entropy.von_neumann(s, "B"))
-            for w, s in zip(weights, members)
-        )
-        assert bounds["ensemble_bound"] <= mixture_of_values + 1e-9
+        mixture = qcore.make_state(members[0].systems, sum(w * s.matrix for w, s in zip(weights, members)))
+        bounds = assisted.da_upper_bounds(mixture, ["A"], ["B"], ["C"], ensembles=0, seed=3)
+        eigs, vecs = np.linalg.eigh(mixture.matrix)
+        spectral = [(lam, qcore.pure_state(mixture.systems, vecs[:, i])) for i, lam in enumerate(eigs) if lam > 1e-12]
+        assert bounds["ensemble_bound"] == pytest.approx(_ensemble_value(spectral), abs=1e-12)
+        assert bounds["ensembles_sampled"] == 1
 
 
 def test_lower_bound_below_upper_bounds():

@@ -8,6 +8,8 @@ import pytest
 
 from entlab import cli, entropy, qcore
 
+DATA = Path(__file__).parent / "data"
+
 
 def _write(tmp_path, name, payload):
     path = tmp_path / name
@@ -255,6 +257,69 @@ def test_csv_is_rejected_where_no_csv_is_written(argv, capsys):
     assert "unrecognized arguments: --csv out.csv" in capsys.readouterr().err
 
 
+def _exit_code(argv: list[str]) -> int:
+    """main's return value, or the code of the SystemExit that argparse raises."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed",
+    [
+        (["hash-sim", "--p", "0.8,abc,0.1,0.1", "--n", "20", "--delta", "0.1"], None),
+        (["typ-check", "--p", "0.5,x", "--n", "5", "--delta", "0.1"], None),
+        (["region", "--state", str(DATA / "mixed4.json"), "--mode", "merge", "--senders", "C1,C2", "--point", "1,abc"],
+         None),
+        (["region", "--state", str(DATA / "mixed4.json"), "--mode", "merge", "--senders", "C1,C2", "--point", "nan,1"],
+         None),
+        (["swap", "--lambda2", "abc"], None),
+        (["swap", "--lambda2", "1/0"], None),
+        (["decouple", "--state", str(DATA / "mixed4.json"), "--senders", "C1:K=x", "--reference", "R"], None),
+        (["decouple", "--state", str(DATA / "mixed4.json"), "--senders", "C1:Q=2", "--reference", "R"], None),
+        (["twirl", "--d", "2", "--L", "1"], "abc"),
+        (["verify", "--only", "swap"], "abc"),
+    ],
+    ids=["hash-sim-p", "typ-check-p", "region-point", "region-point-nan", "swap-word", "swap-zero-denominator", "decouple-K",
+         "decouple-unknown-key", "env-seed-twirl", "env-seed-verify"],
+)
+def test_malformed_arguments_exit_2_with_a_diagnostic(argv, env_seed, monkeypatch, capsys):
+    if env_seed is not None:
+        monkeypatch.setenv(cli.SEED_ENV, env_seed)
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("mode, extra", [("split", ["--cut", "C1", "--receiver", "B", "--receiver-b", "R"]),
+                                         ("seq", ["--ordering", "C2,C1", "--reference", "R"])])
+@pytest.mark.parametrize("option", [["--csv", "region.csv"], ["--point", "1,1"]], ids=["csv", "point"])
+def test_region_split_and_seq_reject_csv_and_point(mode, extra, option, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["region", "--state", str(DATA / "mixed4.json"), "--mode", mode, "--senders", "C1,C2"] + extra
+    assert cli.main(argv + option) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: region --mode {mode} writes no CSV and classifies no point; drop --csv and --point\n"
+    assert not (tmp_path / "region.csv").exists()
+
+
+def test_region_csv_rows_are_the_json_constraints(tmp_path, capsys):
+    csv_path = tmp_path / "region.csv"
+    argv = ["region", "--state", str(DATA / "mixed4.json"), "--mode", "cost", "--senders", "C1,C2", "--reference", "R",
+            "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    constraints = json.loads(capsys.readouterr().out)["region"]["constraints"]
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "bitmask,subset,rhs"
+    assert [line.split(",") for line in lines[1:]] == [
+        [str(c["bitmask"]), c["subset"], f"{c['rhs']:.12g}"] for c in constraints
+    ]
+
+
 def test_seed_option_accepts_any_integer_notation(capsys):
     outputs = []
     for seed in ("0x10", "16"):
@@ -272,10 +337,8 @@ def test_verify_prints_criterion_seconds(capsys):
     assert seconds.endswith("s") and float(seconds[:-1]) >= 0.0
 
 
-DATA = Path(__file__).parent / "data"
-
-# Region, assist, entropy and hashing runs on fixed state files and seeds; the
-# expected JSON in data/cli_golden.json pins their output byte for byte.
+# Region, assist, entropy, hashing and decoupling runs on fixed state files and
+# seeds; the expected JSON in data/cli_golden.json pins their output byte for byte.
 GOLDEN_CASES = {
     "merge_pure5": ["region", "--state", "pure5.json", "--mode", "merge", "--senders", "C1,C2,C3",
                     "--receiver", "B", "--point", "0.5,0.5,0.5"],
@@ -308,6 +371,8 @@ GOLDEN_CASES = {
                       "--seed", "3"],
     "hash_sim_feasible": ["hash-sim", "--p", "0.9,0.05,0.03,0.02", "--n", "400", "--delta", "0.05", "--trials", "3",
                           "--seed", "5"],
+    "decouple_mixed4": ["decouple", "--state", "mixed4.json", "--senders", "C1:K=2:L=3,C2", "--reference", "R",
+                        "--samples", "20", "--bound", "both", "--seed", "9"],
 }
 
 
@@ -351,6 +416,17 @@ def test_entropy_all_reads_each_subset_entropy_once(monkeypatch, capsys):
     # state of the one-shot values and H_0 share them.
     assert sorted(reductions) == [("B", "R"), ("C1",), ("C1", "B", "R")]
     assert out["coherent"] == -out["conditional"]
+
+
+@pytest.mark.parametrize("quantity", entropy.QUANTITIES)
+def test_entropy_reads_the_sigma_file_only_for_hmin_and_h2(quantity, tmp_path, capsys):
+    argv = ["entropy", "--state", str(DATA / "mixed4.json"), "--split", "C1|B,R", "--quantity", quantity]
+    code = cli.main(argv + ["--sigma", str(tmp_path / "missing.json")])
+    assert code == (2 if quantity in ("hmin", "h2", "all") else 0)
+    if code == 0:
+        with_missing_sigma = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == with_missing_sigma
 
 
 def test_entropy_of_an_empty_side_is_zero(capsys):

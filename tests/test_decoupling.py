@@ -216,3 +216,16 @@ def test_instrument_spec_validation():
     spec = decoupling.InstrumentSpec(senders=(decoupling.sender("C", 3),), samples=5)
     with pytest.raises(qcore.StateError):
         spec.validate_against(qcore.max_mixed(2, "C"))
+
+
+def test_working_state_is_the_tensor_of_marginal_and_ancillas():
+    # Senders listed against the state's order, one without an ancilla, and a
+    # reference between them: the tensor equals the marginal tensored with
+    # I/K per ancilla and permuted to (C2, C2's ancilla, C1, R), entry for entry.
+    state = qcore.random_state([("C1", 2), ("R", 2), ("B", 2), ("C2", 3)], np.random.default_rng(23))
+    spec = decoupling.InstrumentSpec(senders=(decoupling.sender("C2", 3, ancilla=2), decoupling.sender("C1", 2)))
+    work = decoupling._working_state(state, spec, ["R"])
+    reference = qcore.tensor(qcore.partial_trace(state, ["C2", "C1", "R"]), qcore.max_mixed(2, "K2"))
+    reference = qcore.permute_systems(reference, ["C2", "K2", "C1", "R"]).matrix
+    assert work.shape == (6, 2, 2, 6, 2, 2)
+    assert np.array_equal(work.reshape(24, 24), reference)

@@ -53,18 +53,45 @@ def test_three_sender_compression_entropies():
 
 def test_entropy_report_mutual_term_of_maximally_entangled():
     report = entropy.entropy_report(qcore.max_entangled(4), ["A"], ["B"])
-    assert report.mutual["A;B"] == pytest.approx(4.0, abs=1e-9)
+    # I(A;B) = S(A) - S(A|B) = 2 log2 d.
+    assert report["entropy_left"] - report["conditional"] == pytest.approx(4.0, abs=1e-9)
+    for key in ("conditional", "hmin", "h2", "hmax"):
+        assert report[key] == pytest.approx(-2.0, abs=1e-7), key
+    assert report["h0"] == 2.0
 
 
 def test_entropy_report_identities():
     rng = np.random.default_rng(8)
     state = qcore.random_state([("A", 2), ("B", 3)], rng)
-    report = entropy.entropy_report(state, ["A"], ["B"], one_shot=True)
+    report = entropy.entropy_report(state, ["A"], ["B"])
     s_ab = entropy.von_neumann(state)
     s_b = entropy.von_neumann(state, "B")
-    assert report.cond["A|B"] == pytest.approx(s_ab - s_b, abs=1e-9)
-    assert report.coherent["A>B"] == pytest.approx(-(s_ab - s_b), abs=1e-9)
-    assert report.hmin_rel <= report.h2_rel + 1e-9
+    assert report["conditional"] == pytest.approx(s_ab - s_b, abs=1e-9)
+    assert report["coherent"] == pytest.approx(-(s_ab - s_b), abs=1e-9)
+    assert report["hmin"] <= report["h2"] + 1e-9
+    # sigma = None means the right marginal.
+    marginal = qcore.partial_trace(state, "B")
+    assert entropy.entropy_report(state, ["A"], ["B"], "hmin", marginal) == {"hmin": report["hmin"]}
+    assert entropy.entropy_report(state, ["A"], ["B"], "hmin", qcore.max_mixed(3, "B"))["hmin"] != report["hmin"]
+
+
+@pytest.mark.parametrize(
+    "quantity, keys",
+    [("svn", ["entropy_left", "entropy_right"]), ("cond", ["conditional"]), ("coh", ["coherent"]), ("hmin", ["hmin"]),
+     ("h2", ["h2"]), ("hmax", ["hmax"]), ("h0", ["h0"]),
+     ("all", ["entropy_left", "entropy_right", "conditional", "coherent", "hmin", "h2", "hmax", "h0"])],
+)
+def test_entropy_report_keys_follow_the_quantity(quantity, keys):
+    state = qcore.random_state([("A", 2), ("B", 2)], np.random.default_rng(9))
+    report = entropy.entropy_report(state, ["A"], ["B"], quantity)
+    assert list(report) == keys
+    full = entropy.entropy_report(state, ["A"], ["B"])
+    assert report == {key: full[key] for key in keys}
+
+
+def test_entropy_report_rejects_an_unknown_quantity():
+    with pytest.raises(qcore.StateError, match="unknown entropy quantity 'mutual'"):
+        entropy.entropy_report(qcore.bell("phi_plus"), ["A"], ["B"], "mutual")
 
 
 def _count_eigendecompositions(monkeypatch) -> list[int]:
@@ -81,17 +108,19 @@ def _count_eigendecompositions(monkeypatch) -> list[int]:
 
 
 def test_entropy_report_decomposes_each_subset_once(monkeypatch):
-    # S(A,B,C), S(B,C), S(A) and the whole state's S(A,B,C,D), counted from
-    # the state's construction on: make_state keeps no spectrum.
-    calls = _count_eigendecompositions(monkeypatch)
-    state = qcore.random_state([(x, 2) for x in "ABCD"], np.random.default_rng(12))
-    report = entropy.entropy_report(state, ["A"], ["B", "C"])
-    assert calls[0] == 4
-    monkeypatch.undo()
+    # One eigendecomposition per label set read: S(A) and S(B,C) for svn,
+    # S(A,B,C) and S(B,C) for cond, counted from the state's construction on
+    # (make_state keeps no spectrum).
+    reports = {}
+    for quantity in ("svn", "cond"):
+        calls = _count_eigendecompositions(monkeypatch)
+        state = qcore.random_state([(x, 2) for x in "ABCD"], np.random.default_rng(12))
+        reports[quantity] = entropy.entropy_report(state, ["A"], ["B", "C"], quantity)
+        assert calls[0] == 2, quantity
+        monkeypatch.undo()
     s_abc, s_bc, s_a = (entropy.von_neumann(state, part) for part in (["A", "B", "C"], ["B", "C"], ["A"]))
-    assert report.cond == {"A|BC": s_abc - s_bc, "BC|A": s_abc - s_a}
-    assert report.mutual == {"A;BC": s_a + s_bc - s_abc}
-    assert report.entropy == entropy.von_neumann(state)
+    assert reports["svn"] == {"entropy_left": s_a, "entropy_right": s_bc}
+    assert reports["cond"] == {"conditional": s_abc - s_bc}
 
 
 def test_make_state_decomposes_nothing_until_the_spectrum_is_read(monkeypatch):

@@ -23,7 +23,6 @@ EVALUATORS = {
     "beating_hashing": "the predicate I(C>AB) > 0 and S(A|BC) < S(A|B) for helpers beating hashing",
     "da_upper_bounds": "ensemble and marginal upper estimates of the one-shot assisted rate",
     "split_transfer_errors": "decoupling errors of the two halves of a split transfer",
-    "entropy_report": "the von Neumann family and one-shot entropies of one bipartition",
     "max_entropy_fidelity_search": "the direct fidelity search that cross-checks H_max duality",
     "smooth_max_lower_bound": "the truncation lower bound on the smooth max-entropy",
     "fannes_bound": "the Fannes continuity bound on entropy differences",
