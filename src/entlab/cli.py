@@ -116,8 +116,8 @@ def _format_cell(value):
     return value
 
 
-def _split_labels(arg: str) -> list[str]:
-    return [x for x in arg.replace("|", ",").split(",") if x]
+def _split_labels(arg: str | None) -> list[str]:
+    return [x for x in (arg or "").replace("|", ",").split(",") if x]
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +140,34 @@ def cmd_entropy(args) -> int:
     return 0
 
 
+# Region options read by some modes only, with those modes; the others reject them.
+_REGION_MODE_OPTIONS = {
+    "receiver": ("merge", "split"),
+    "receiver_b": ("split",),
+    "reference": ("cost", "seq"),
+    "cut": ("split",),
+    "eps": ("cost", "seq"),
+    "ordering": ("seq",),
+}
+_DEFAULT_EPS = 0.1
+
+
 def cmd_region(args) -> int:
     if args.mode in ("split", "seq") and (args.csv or args.point):
         raise qcore.StateError(f"region --mode {args.mode} writes no CSV and classifies no point; drop --csv and --point")
+    ignored = [
+        "--" + name.replace("_", "-")
+        for name, modes in _REGION_MODE_OPTIONS.items()
+        if args.mode not in modes and getattr(args, name) is not None
+    ]
+    if ignored:
+        raise qcore.StateError(
+            f"region --mode {args.mode} does not read {', '.join(ignored)}; drop {'it' if len(ignored) == 1 else 'them'}"
+        )
     state = parse_state_file(args.state)
-    senders = _split_labels(args.senders)
+    # Split mode hands the constructors the cut and the rest, where a repeat would vanish.
+    senders = regions.distinct_parties(_split_labels(args.senders), "senders")
+    eps = _DEFAULT_EPS if args.eps is None else args.eps
     payload: dict = {"mode": args.mode}
     if args.mode == "split":
         t_side = _split_labels(args.cut)
@@ -156,13 +179,13 @@ def cmd_region(args) -> int:
         payload["region_Tbar"] = _region_payload(region_tbar)
     elif args.mode == "seq":
         ordering = _split_labels(args.ordering)
-        entries = regions.sequential_cost(state, ordering, _split_labels(args.reference), args.eps)
+        entries = regions.sequential_cost(state, ordering, _split_labels(args.reference), eps)
         payload["sequential"] = [asdict(e) for e in entries]
     else:
         if args.mode == "merge":
             region = regions.merging_rate_region(state, senders, _split_labels(args.receiver))
         else:
-            region = regions.one_shot_cost_region(state, senders, _split_labels(args.reference), args.eps)
+            region = regions.one_shot_cost_region(state, senders, _split_labels(args.reference), eps)
         payload["region"] = _region_payload(region)
         if args.point:
             verdict = regions.region_membership(region, args.point)
@@ -362,13 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--mode", required=True, choices=["merge", "split", "cost", "seq"])
     p.add_argument("--senders", required=True, help="comma-separated sender labels")
-    p.add_argument("--receiver", default="", help="receiver-side labels (A side for split)")
-    p.add_argument("--receiver-b", default="", help="B-side receiver labels for split mode")
-    p.add_argument("--reference", default="", help="reference labels for cost/seq modes")
-    p.add_argument("--cut", default="", help="T-side labels for split mode")
-    p.add_argument("--eps", type=float, default=0.1)
+    # Mode-specific options default to None, so that cmd_region can tell when one is given.
+    p.add_argument("--receiver", default=None, help="receiver-side labels (merge; A side for split)")
+    p.add_argument("--receiver-b", default=None, help="B-side receiver labels for split mode")
+    p.add_argument("--reference", default=None, help="reference labels for cost/seq modes")
+    p.add_argument("--cut", default=None, help="T-side labels for split mode")
+    p.add_argument("--eps", type=float, default=None, help=f"smoothing for cost/seq modes (default {_DEFAULT_EPS})")
     p.add_argument("--point", type=_parse_numbers, default=None, help="comma-separated rate/cost point to classify (merge, cost)")
-    p.add_argument("--ordering", default="", help="sender ordering for seq mode")
+    p.add_argument("--ordering", default=None, help="sender ordering for seq mode")
     common(p)
     csv_output(p)
     p.set_defaults(func=cmd_region)

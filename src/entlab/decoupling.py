@@ -323,6 +323,8 @@ def twirl_average_check(d: int, rank: int, samples: int = 20000, seed: int = qco
     """
     if not 1 <= rank <= d:
         raise StateError("rank must lie in [1, d]")
+    if samples < 1:
+        raise StateError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     acc = np.zeros((d * d, d * d), dtype=complex)
     chunk = 2000

@@ -144,9 +144,16 @@ def _parities(words: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.bitwise_xor.reduce(words & mask, axis=-1)) & 1
 
 
+def _cuts(p: np.ndarray) -> np.ndarray:
+    """float32 thresholds of the symbol sampler: a uniform u gives symbol
+    (u > cut[0]) + (u > cut[1]) + (u > cut[2]).  They never decrease, so the
+    three comparisons are nested."""
+    return np.maximum.accumulate(np.cumsum(p)[:3].astype(np.float32))
+
+
 def _sample_symbols(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray:
     """I.i.d. Bell symbols in {0..3}; thresholded uniforms beat a generic sampler here."""
-    cut = np.cumsum(p)[:3].astype(np.float32)
+    cut = _cuts(p)
     u = rng.random(shape, dtype=np.float32)
     out = (u > cut[0]).astype(np.uint8)
     out += u > cut[1]
@@ -201,7 +208,7 @@ def hashing_simulation(
         # XOR of bits, so the panel holds the packed differences.  Decoys
         # equal to the hidden string (zero rows) drop out.
         hidden_words = _pack_symbols(hidden)
-        panel = _pack_symbols(_sample_typical_decoys(rng, p_arr, n, delta, decoys))
+        panel = _sample_typical_panel(rng, p_arr, n, delta, decoys)
         panel ^= hidden_words
         panel = panel[panel.any(axis=1)]
         # Round bookkeeping is kept only for the first trial; the full subset
@@ -265,23 +272,66 @@ def hashing_simulation(
     return ProtocolTrace(outcomes=outcomes, aggregate=aggregate)
 
 
-def _sample_typical_decoys(rng: np.random.Generator, p: np.ndarray, n: int, delta: float, count: int) -> np.ndarray:
-    """``count`` i.i.d. draws from p restricted to the delta-typical set, by
-    rejection in batches of ``count`` rows; at most DECOY_BATCHES batches."""
-    out = np.empty((0, n), dtype=np.uint8)
-    batches = 0
-    while out.shape[0] < count:
-        if batches == DECOY_BATCHES:
-            drawn = batches * count
-            raise StateError(
-                f"only {out.shape[0]} of {drawn} length-{n} draws ({out.shape[0] / drawn:.3g}) were {delta!r}-typical: "
-                f"the typical set is too unlikely to sample {count} decoys"
-            )
-        batch = _sample_symbols(rng, p, (count, n))
-        ok = typicality.typical_mask(batch, p, delta)
-        out = np.concatenate([out, batch[ok]])[:count]
-        batches += 1
-    return out
+_CHUNK_DRAWS = 1 << 17  # float32 uniforms drawn at a time by the decoy sampler: 512 KiB, inside L2
+
+
+def _sample_typical_panel(rng: np.random.Generator, p: np.ndarray, n: int, delta: float, count: int) -> np.ndarray:
+    """``count`` i.i.d. draws from p restricted to the delta-typical set, packed
+    as :func:`_pack_symbols` packs them.
+
+    Rejection in batches of ``count`` rows, at most DECOY_BATCHES of them.  Each
+    batch is drawn in row chunks of about _CHUNK_DRAWS uniforms, and a chunk is
+    thresholded, counted and packed while it is in cache; no symbol array is
+    built.  The planes g_j = u > cut[j] are nested, so symbol s = g0 + g1 + g2
+    has the bits s >> 1 = g1 and s & 1 = g0 ^ g1 ^ g2, and the counts N(0..3)
+    are the differences of n, |g0|, |g1|, |g2| and 0.  Once ``count`` rows are
+    kept, the rest of the batch is skipped (:func:`_skip_floats`), so the panel
+    and the generator's state are those of drawing and filtering whole batches.
+    """
+    low, high = typicality._count_bounds(p, n, delta)
+    low, high = low[:, None], high[:, None]
+    cut = _cuts(p)
+    w, nbytes = -(-n // 64), -(-n // 8)
+    panel = np.zeros((count, 16 * w), dtype=np.uint8)
+    rows = max(1, _CHUNK_DRAWS // n)
+    kept = 0
+    for _ in range(DECOY_BATCHES):
+        for start in range(0, count, rows):
+            u = rng.random((min(rows, count - start), n), dtype=np.float32)
+            g0, g1, g2 = (np.packbits(u > c, axis=1, bitorder="little") for c in cut)
+            a0, a1, a2 = (np.bitwise_count(g).sum(axis=1, dtype=np.intp) for g in (g0, g1, g2))
+            counts = np.stack([n - a0, a0 - a1, a1 - a2, a2])
+            ok = np.flatnonzero(np.all((counts >= low) & (counts <= high), axis=0))[: count - kept]
+            if ok.size:
+                dest = panel[kept : kept + ok.size]
+                dest[:, :nbytes] = g1[ok]
+                dest[:, 8 * w : 8 * w + nbytes] = (g0 ^ g1 ^ g2)[ok]
+                kept += ok.size
+            if kept == count:
+                _skip_floats(rng, (count - start - u.shape[0]) * n)
+                return panel.view(_WORD)
+    drawn = DECOY_BATCHES * count
+    raise StateError(
+        f"only {kept} of {drawn} length-{n} draws ({kept / drawn:.3g}) were {delta!r}-typical: "
+        f"the typical set is too unlikely to sample {count} decoys"
+    )
+
+
+def _skip_floats(rng: np.random.Generator, k: int) -> None:
+    """Move rng past k float32 draws without making them.
+
+    A float32 takes one uint32, and PCG64 serves uint32s as the low, then the
+    buffered high half of a 64-bit word.  ``advance`` drops that buffer, so a
+    buffered half is drawn first, and the last one or two floats are drawn too:
+    they leave the buffer (and the whole state) as drawing all k does.
+    """
+    if k and rng.bit_generator.state["has_uint32"]:
+        rng.random(dtype=np.float32)
+        k -= 1
+    tail = k if k <= 2 else 2 - k % 2
+    if k > tail:
+        rng.bit_generator.advance((k - tail) // 2)
+    rng.random(tail, dtype=np.float32)
 
 
 def replay_hashing_trial(trial: HashingTrial) -> bool:

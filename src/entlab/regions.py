@@ -44,6 +44,15 @@ def subset_min_entropies(state: LabeledState, senders: Sequence[str], reference:
     }
 
 
+def distinct_parties(labels: Sequence[str], role: str) -> tuple[str, ...]:
+    """``labels`` as a tuple; a label named twice raises LabelError.  Every
+    region constructor checks its parties with it."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise qcore.LabelError(f"{role} {list(labels)!r} name a party twice")
+    return labels
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """Linear subset-sum constraints sum_{i in mask} x_i >= rhs over the parties."""
@@ -87,7 +96,7 @@ def merging_rate_region(
     receiver_side: Sequence[str] = (),
 ) -> RegionSpec:
     """Asymptotic merging region: sum_{i in T} R_i >= S(T | T-bar, B) for all non-empty T."""
-    senders = tuple(senders)
+    senders = distinct_parties(senders, "senders")
     if len(senders) > MAX_REGION_PARTIES:
         raise StateError(f"at most {MAX_REGION_PARTIES} senders supported")
     if set(senders) & set(receiver_side):
@@ -138,7 +147,7 @@ def one_shot_cost_region(
     eps: float,
 ) -> RegionSpec:
     """One-shot simultaneous-merging cost region over all non-empty sender subsets."""
-    senders = tuple(senders)
+    senders = distinct_parties(senders, "senders")
     if len(senders) > MAX_COST_PARTIES:
         raise StateError(f"at most {MAX_COST_PARTIES} senders supported for cost regions")
     m = len(senders)
@@ -177,6 +186,7 @@ def sequential_cost(state: LabeledState, ordering: Sequence[str], reference: Seq
     The smoothing parameter is eps^2 / (52 m^2); the Renes plug-in uses the
     sender's own dimension, as in the worked cost comparisons.
     """
+    ordering = distinct_parties(ordering, "ordering")
     m = len(ordering)
     delta = eps * eps / (52.0 * m * m)
     s = entropy.subset_entropies(state)

@@ -307,6 +307,54 @@ def test_region_split_and_seq_reject_csv_and_point(mode, extra, option, tmp_path
     assert not (tmp_path / "region.csv").exists()
 
 
+# Each region option with a mode that does not read it.
+@pytest.mark.parametrize(
+    "mode, extra, option",
+    [
+        ("merge", [], ["--eps", "5"]),
+        ("split", ["--cut", "C1"], ["--eps", "0.1"]),
+        ("merge", [], ["--reference", "R"]),
+        ("split", ["--cut", "C1"], ["--reference", "R"]),
+        ("merge", [], ["--ordering", "C2,C1"]),
+        ("cost", ["--reference", "R"], ["--ordering", "C2,C1"]),
+        ("merge", [], ["--cut", "C1"]),
+        ("seq", ["--ordering", "C2,C1"], ["--cut", ""]),
+        ("cost", ["--reference", "R"], ["--receiver-b", "B"]),
+        ("merge", [], ["--receiver-b", "R"]),
+        ("seq", ["--ordering", "C2,C1"], ["--receiver", "B"]),
+    ],
+)
+def test_region_rejects_options_of_other_modes(mode, extra, option, capsys):
+    argv = ["region", "--state", str(DATA / "mixed4.json"), "--mode", mode, "--senders", "C1,C2"] + extra
+    assert cli.main(argv + option) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: region --mode {mode} does not read {option[0]}; drop it\n"
+
+
+def test_region_names_every_option_it_does_not_read(capsys):
+    argv = ["region", "--state", str(DATA / "mixed4.json"), "--mode", "merge", "--senders", "C1,C2",
+            "--eps", "5", "--ordering", "X,Y", "--cut", "Z"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: region --mode merge does not read --cut, --eps, --ordering; drop them\n"
+
+
+@pytest.mark.parametrize("mode, extra", [("merge", []), ("cost", ["--reference", "R"]), ("split", ["--cut", "C1"])])
+def test_region_rejects_a_sender_named_twice(mode, extra, capsys):
+    argv = ["region", "--state", str(DATA / "mixed4.json"), "--mode", mode, "--senders", "C1,C1"] + extra
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "name a party twice" in captured.err
+
+
+def test_twirl_rejects_zero_samples(capsys):
+    assert cli.main(["twirl", "--d", "2", "--L", "1", "--samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: samples must be at least 1, got 0\n"
+
+
 def test_region_csv_rows_are_the_json_constraints(tmp_path, capsys):
     csv_path = tmp_path / "region.csv"
     argv = ["region", "--state", str(DATA / "mixed4.json"), "--mode", "cost", "--senders", "C1,C2", "--reference", "R",

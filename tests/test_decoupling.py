@@ -53,6 +53,12 @@ def test_twirl_monte_carlo_small():
     assert report.max_deviation <= 5e-3
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_twirl_check_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(qcore.StateError, match=rf"samples must be at least 1, got {samples}"):
+        decoupling.twirl_average_check(2, 1, samples=samples, seed=5)
+
+
 def _subspace_swap(d, rank):
     f_sub = np.zeros((d * d, d * d))
     for i in range(rank):

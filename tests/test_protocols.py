@@ -238,6 +238,164 @@ def test_hashing_decoys_match_the_exact_oracle(case):
 
 
 # ---------------------------------------------------------------------------
+# The fused decoy sampler
+# ---------------------------------------------------------------------------
+
+
+def _reference_panel(rng, p, n, delta, count):
+    # The sampler before fusing: whole batches of thresholded symbols,
+    # typical_mask, concatenate and truncate, then pack.  Returns the panel and
+    # the number of batches drawn.
+    cut = np.cumsum(p)[:3].astype(np.float32)
+    out = np.empty((0, n), dtype=np.uint8)
+    batches = 0
+    while out.shape[0] < count:
+        u = rng.random((count, n), dtype=np.float32)
+        batch = (u > cut[0]).astype(np.uint8)
+        batch += u > cut[1]
+        batch += u > cut[2]
+        out = np.concatenate([out, batch[typicality.typical_mask(batch, p, delta)]])[:count]
+        batches += 1
+    return protocols._pack_symbols(out), batches
+
+
+def _both_panels(p, n, delta, count, seed, monkeypatch, lead=0):
+    """Draw a panel with the reference and with the fused sampler from equal
+    generators, and check that the panels and the generators' states agree.
+    ``lead`` uniforms are drawn first, as the hidden string is.  Returns the
+    reference's batch count and each skip of the fused sampler as (draws
+    skipped, whether a half-word was buffered)."""
+    p = np.asarray(p)
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    for rng in rngs:
+        rng.random(lead, dtype=np.float32)
+    skips = []
+    real_skip = protocols._skip_floats
+
+    def spy(rng, k):
+        skips.append((k, rng.bit_generator.state["has_uint32"]))
+        real_skip(rng, k)
+
+    monkeypatch.setattr(protocols, "_skip_floats", spy)
+    expected, batches = _reference_panel(rngs[0], p, n, delta, count)
+    got = protocols._sample_typical_panel(rngs[1], p, n, delta, count)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
+    assert rngs[1].random(5).tolist() == rngs[0].random(5).tolist()
+    return batches, skips
+
+
+# (n, delta) pairs that keep about 70-80% of the draws of p = (0.7, 0.15, 0.1, 0.05).
+@pytest.mark.parametrize(
+    "n, delta",
+    [(1, 0.3), (7, 0.2), (63, 0.08), (64, 0.08), (65, 0.08), (301, 0.04), (1001, 0.02), (2000, 0.015)],
+)
+def test_fused_sampler_matches_the_batch_sampler(n, delta, monkeypatch):
+    batches, skips = _both_panels((0.7, 0.15, 0.1, 0.05), n, delta, 300, seed=n, monkeypatch=monkeypatch)
+    assert batches >= 2
+    assert len(skips) == 1
+
+
+def test_fused_sampler_matches_across_many_batches(monkeypatch):
+    batches, _ = _both_panels((0.8, 0.1, 0.05, 0.05), 1000, 0.01, 200, seed=5, monkeypatch=monkeypatch)
+    assert batches >= 3
+
+
+def test_fused_sampler_stops_inside_a_first_chunk(monkeypatch):
+    # 65 rows of 2000 uniforms fill a chunk.  The first 100-row batch keeps
+    # fewer than 100 rows, and the first chunk of the second batch tops the
+    # panel up, so the sampler skips that batch's last 35 rows.
+    n, count = 2000, 100
+    rows = protocols._CHUNK_DRAWS // n
+    batches, skips = _both_panels((0.7, 0.15, 0.1, 0.05), n, 0.015, count, seed=2, monkeypatch=monkeypatch)
+    assert batches == 2
+    assert [k for k, _ in skips] == [(count - rows) * n]
+
+
+@pytest.mark.parametrize(
+    "n, count, lead, odd, buffered",
+    [(301, 500, 0, 1, 1), (301, 500, 1, 1, 0), (65, 3000, 0, 0, 0), (65, 3000, 1, 0, 1)],
+)
+def test_fused_sampler_keeps_the_half_word_buffer(n, count, lead, odd, buffered, monkeypatch):
+    # A lead of one uniform (an odd-n hidden string) leaves half of a 64-bit
+    # word in the generator's buffer when the panel starts.  Each case stops in
+    # the first chunk of the second batch, with an odd or even number of draws
+    # to skip, and with or without a buffered half at that point.
+    _, skips = _both_panels((0.7, 0.15, 0.1, 0.05), n, 0.04, count, seed=11, monkeypatch=monkeypatch, lead=lead)
+    assert [(k > 0, k % 2, has_half) for k, has_half in skips] == [(True, odd, buffered)]
+
+
+def test_sampler_thresholds_never_decrease():
+    # bell_diagonal_state lets a weight reach -1e-12.  Just above a float32
+    # midpoint, p(0) rounds up while p(0) + p(1) rounds down, and the nested
+    # planes the fused sampler counts would not be nested.
+    low = np.float32(0.3)
+    p0 = (float(low) + float(np.nextafter(low, np.float32(1)))) / 2 + 4e-13
+    p = np.array([p0, -1e-12, 0.3, 0.7 - p0 + 1e-12])
+    protocols.bell_diagonal_state(p)
+    assert np.cumsum(p)[1].astype(np.float32) < np.float32(p0)
+    cut = protocols._cuts(p)
+    assert np.all(np.diff(cut) >= 0)
+    # At delta = 0.3 every drawn string is typical, so the panel is the symbol draw packed.
+    rngs = [np.random.default_rng(4) for _ in range(2)]
+    symbols = protocols._sample_symbols(rngs[0], p, (400, 50))
+    assert typicality.typical_mask(symbols, p, 0.3).all()
+    panel = protocols._sample_typical_panel(rngs[1], p, 50, 0.3, 400)
+    assert np.array_equal(panel, protocols._pack_symbols(symbols))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 1000, 1001])
+@pytest.mark.parametrize("lead", [0, 1])
+def test_skip_floats_leaves_the_state_of_drawing(k, lead):
+    drawn, skipped = np.random.default_rng(9), np.random.default_rng(9)
+    for rng in (drawn, skipped):
+        rng.random(lead, dtype=np.float32)
+    drawn.random(k, dtype=np.float32)
+    protocols._skip_floats(skipped, k)
+    assert skipped.bit_generator.state == drawn.bit_generator.state
+
+
+def _decoy_types(words, n):
+    # Type (N(0), ..., N(3)) of each packed decoy, read back bit by bit.
+    w = -(-n // 64)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    symbols = 2 * bits[:, :n] + bits[:, 64 * w : 64 * w + n]
+    return (symbols[:, :, None] == np.arange(4)).sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "p, n, delta",
+    [((0.4, 0.3, 0.2, 0.1), 3, 0.4), ((0.7, 0.15, 0.1, 0.05), 5, 0.2), ((0.4, 0.3, 0.2, 0.1), 8, 0.2),
+     ((0.7, 0.15, 0.1, 0.05), 9, 0.2), ((0.25, 0.25, 0.25, 0.25), 9, 0.25)],
+    ids=["n3", "n5", "n8", "n9", "n9-uniform"],
+)
+def test_decoy_types_fit_p_restricted_to_the_typical_set(p, n, delta):
+    # Pearson chi-square of the decoys' types against |type class| prod p^N /
+    # P(typical), over the typical types, with types of expectation under 5
+    # pooled into one cell.  Decoys drawn from p without the restriction miss
+    # the typical cells by a factor P(typical) and fail it.
+    from scipy import stats
+
+    p, count = np.asarray(p), 20_000
+    ts = typicality.typical_set(p, n, delta)
+    assert ts.total_probability < 0.95
+    types = np.array([c for c in itertools.product(range(n + 1), repeat=4) if sum(c) == n])
+    representatives = np.array([np.repeat(np.arange(4), t) for t in types])
+    types = types[typicality.typical_mask(representatives, p, delta)]
+    size = np.array([math.factorial(n) // math.prod(math.factorial(c) for c in t) for t in types])
+    expected = count * size * np.prod(p ** types, axis=1) / ts.total_probability
+    observed_types = _decoy_types(protocols._sample_typical_panel(np.random.default_rng(17), p, n, delta, count), n)
+    observed = (observed_types[:, None, :] == types[None, :, :]).all(axis=2).sum(axis=0)
+    small = expected < 5
+    cells_e, cells_o = expected[~small], observed[~small]
+    if small.any():
+        cells_e, cells_o = np.append(cells_e, expected[small].sum()), np.append(cells_o, observed[small].sum())
+    statistic = float(((cells_o - cells_e) ** 2 / cells_e).sum())
+    assert statistic <= stats.chi2.isf(1e-3, cells_e.size - 1), statistic
+    assert observed.sum() == count
+
+
+# ---------------------------------------------------------------------------
 # Inputs that cannot be simulated
 # ---------------------------------------------------------------------------
 

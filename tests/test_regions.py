@@ -88,6 +88,19 @@ def test_one_shot_cost_region_from_state():
     assert region.rhs_of(["C1", "C2"]) == pytest.approx(math.log2(0.75) + consts, abs=1e-7)
 
 
+def test_region_constructors_reject_a_party_named_twice():
+    state = qcore.example_4_1(2, [0.75, 0.25])
+    builds = [
+        lambda: regions.merging_rate_region(state, ["C1", "C1"]),
+        lambda: regions.one_shot_cost_region(state, ["C1", "C2", "C1"], ["R"], 0.1),
+        lambda: regions.sequential_cost(state, ["C2", "C2"], ["R"], 0.1),
+        lambda: regions.split_transfer_region(state, ["C1", "C1"], ["C2"], [], ["R"]),
+    ]
+    for build in builds:
+        with pytest.raises(qcore.LabelError, match="name a party twice"):
+            build()
+
+
 def test_one_shot_cost_constant_tracks_party_count():
     # Same single-subset entropy, different m: the 2m term must move the rhs.
     for m in (1, 2, 3):
