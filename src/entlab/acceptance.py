@@ -441,22 +441,22 @@ def criterion_property_suites(c: _Checks) -> None:
             c.expect(getattr(report, flag), f"projector check {flag} failed (d={d}, n={n})")
 
 
-CRITERIA: dict[str, tuple[str, Callable[[_Checks], None]]] = {
-    "twirl-identity": ("two-copy twirl identity, 20000 samples, 5e-3", criterion_twirl_identity),
-    "decoupling-bound": ("Monte Carlo decoupling error under the analytic bound", criterion_decoupling_bound),
-    "entropy-engine": ("closed-form min-entropy identities at 1e-6", criterion_entropy_engine),
-    "worked-example": ("five-party example numbers and CNOT fault tolerance", criterion_worked_example_numbers),
-    "regions": ("two-sender region, membership, one-shot separation", criterion_regions),
-    "gershgorin": ("overlap-family min-entropies under the circle bound", criterion_gershgorin),
-    "swap": ("exact singlet conversion probabilities", criterion_swap),
-    "hashing": ("hashing success frequency and yield", criterion_hashing),
-    "min-cut": ("chain min-cuts and assisted values", criterion_min_cut),
-    "properties": ("randomized invariant suites, 100+ instances each", criterion_property_suites),
+CRITERIA: dict[str, Callable[[_Checks], None]] = {
+    "twirl-identity": criterion_twirl_identity,
+    "decoupling-bound": criterion_decoupling_bound,
+    "entropy-engine": criterion_entropy_engine,
+    "worked-example": criterion_worked_example_numbers,
+    "regions": criterion_regions,
+    "gershgorin": criterion_gershgorin,
+    "swap": criterion_swap,
+    "hashing": criterion_hashing,
+    "min-cut": criterion_min_cut,
+    "properties": criterion_property_suites,
 }
 
 
 def run_one(name: str) -> CriterionResult:
-    _, fn = CRITERIA[name]
+    fn = CRITERIA[name]
     checks = _Checks()
     start = time.perf_counter()
     try:
@@ -468,5 +468,7 @@ def run_one(name: str) -> CriterionResult:
 
 
 def run_all(only: str | None = None) -> list[CriterionResult]:
+    if only and only not in CRITERIA:
+        raise qcore.StateError(f"unknown criterion {only!r}; expected one of {', '.join(CRITERIA)}")
     names = [only] if only else list(CRITERIA)
     return [run_one(name) for name in names]

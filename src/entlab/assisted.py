@@ -43,10 +43,9 @@ def _mincut_coherent(
     helpers: Sequence[Sequence[str] | str],
 ) -> tuple[float, tuple[str, ...]]:
     """mincut_coherent read from the subset-entropy table ``s``."""
-    groups = [[h] if isinstance(h, str) else list(h) for h in helpers]
+    a_labels, b_labels, *groups = qcore.distinct_labels(a_labels, b_labels, *helpers)
     names = [_group_name(g) for g in groups]
     by_name = dict(zip(names, groups))
-    _check_disjoint(a_labels, b_labels, *by_name.values())
     everything = list(a_labels) + list(b_labels) + [x for g in groups for x in g]
 
     def value(cut: tuple[str, ...]) -> float:
@@ -60,14 +59,6 @@ def _group_name(group: Sequence[str]) -> str:
     return "+".join(group)
 
 
-def _check_disjoint(*parts: Sequence[str]) -> None:
-    seen: set[str] = set()
-    for part in parts:
-        if seen & set(part):
-            raise qcore.LabelError(f"label sets overlap in {sorted(seen & set(part))!r}")
-        seen |= set(part)
-
-
 def assisted_lower_bound(
     state: LabeledState,
     a_labels: Sequence[str],
@@ -75,7 +66,7 @@ def assisted_lower_bound(
     helpers: Sequence[Sequence[str] | str],
 ) -> AssistReport:
     """Achievable-rate report: hashing term, helper-cut term, and their maximum."""
-    _check_disjoint(a_labels, b_labels)
+    qcore.distinct_labels(a_labels, b_labels)
     s = entropy.subset_entropies(state)
     hashing = -(s(list(a_labels) + list(b_labels)) - s(b_labels))
     if not helpers:
@@ -105,7 +96,7 @@ def beating_hashing(
     c_labels: Sequence[str],
 ) -> tuple[bool, dict[str, float]]:
     """Predicate I(C > A,B) > 0 and S(A|B,C) < S(A|B), with both slacks reported."""
-    _check_disjoint(a_labels, b_labels, c_labels)
+    qcore.distinct_labels(a_labels, b_labels, c_labels)
     s = entropy.subset_entropies(state)
     a, b, c = list(a_labels), list(b_labels), list(c_labels)
     coh_slack = -(s(a + b + c) - s(a + b))
@@ -137,6 +128,7 @@ def eoa_pure(
     """
     if not state.is_pure:
         raise StateError("assisted entanglement of pure states needs a pure input")
+    qcore.distinct_labels(a_labels, b_labels, c_labels)
     asymptotic = min(entropy.von_neumann(state, a_labels), entropy.von_neumann(state, b_labels))
     one_shot = _basis_measurement_search(state, a_labels, c_labels, grid=grid, seed=seed)
     return asymptotic, one_shot
@@ -151,7 +143,7 @@ def concurrence_of_assistance(state: LabeledState, a_labels: Sequence[str], b_la
     E_F(C) = h((1 + sqrt(1 - C^2)) / 2) is convex and increasing, so E_F(C_a) is
     a lower bound on the one-shot value of ``eoa_pure``.
     """
-    _check_disjoint(a_labels, b_labels)
+    qcore.distinct_labels(a_labels, b_labels)
     for labels in (a_labels, b_labels):
         if math.prod(state.dim_of(x) for x in labels) != 2:
             raise StateError("the concurrence of assistance needs qubit A and B")
@@ -176,6 +168,7 @@ def _helper_tensor(state: LabeledState, a_labels: Sequence[str], c_labels: Seque
     """The amplitudes of a pure state as T[c, a, b]: the helper C, then A, then every other system."""
     if not state.is_pure:
         raise StateError("a helper-basis measurement needs a pure input")
+    qcore.distinct_labels(a_labels, c_labels)
     rest = [x for x in state.labels if x not in c_labels and x not in a_labels]
     perm = [state.index_of(x) for x in list(c_labels) + list(a_labels) + rest]
     d_c = math.prod(state.dim_of(x) for x in c_labels)
@@ -300,7 +293,7 @@ def da_upper_bounds(
     ``ea_marginal_bound``: assisted entanglement of the AB marginal, searched
     on its purification.
     """
-    arranged = qcore.permute_systems(state, list(a_labels) + list(b_labels) + list(c_labels))
+    arranged = qcore.permute_systems(state, sum(qcore.distinct_labels(a_labels, b_labels, c_labels), ()))
     eigs, vecs = np.linalg.eigh(arranged.matrix)
     keep = eigs > 1e-12
     lam = eigs[keep]
@@ -347,8 +340,6 @@ class ChainComparison:
     hierarchical_rate: float
     random_rate: float
     per_link: tuple[float, ...]
-    helper_groups: tuple[tuple[str, ...], ...]
-    cnot_applied: bool
 
 
 def hierarchical_vs_random(links: Sequence[LabeledState], inject_cnot: bool = False) -> ChainComparison:
@@ -383,6 +374,4 @@ def hierarchical_vs_random(links: Sequence[LabeledState], inject_cnot: bool = Fa
         hierarchical_rate=hierarchical,
         random_rate=report.lower_bound,
         per_link=per_link,
-        helper_groups=tuple(tuple(g) for g in groups),
-        cnot_applied=inject_cnot,
     )

@@ -166,11 +166,16 @@ def cmd_region(args) -> int:
         )
     state = parse_state_file(args.state)
     # Split mode hands the constructors the cut and the rest, where a repeat would vanish.
-    senders = regions.distinct_parties(_split_labels(args.senders), "senders")
+    (senders,) = qcore.distinct_labels(_split_labels(args.senders))
     eps = _DEFAULT_EPS if args.eps is None else args.eps
     payload: dict = {"mode": args.mode}
     if args.mode == "split":
         t_side = _split_labels(args.cut)
+        stray = [x for x in t_side if x not in senders]
+        if stray:
+            raise qcore.StateError(
+                f"region --mode split: cut label {stray[0]!r} is not one of the senders {list(senders)!r}"
+            )
         tbar_side = [x for x in senders if x not in t_side]
         region_t, region_tbar = regions.split_transfer_region(
             state, t_side, tbar_side, _split_labels(args.receiver), _split_labels(args.receiver_b)

@@ -101,9 +101,8 @@ def decoupling_bound_purity(state: LabeledState, spec: InstrumentSpec, reference
       + 2 sqrt(d_R sum_T prod_{i in T} (L_i/K_i) Tr[psi^2_{R T}]).
     """
     spec.validate_against(state)
+    qcore.distinct_labels([s.label for s in spec.senders], reference)
     ref_labels = qcore._normalize_labels(state, reference)
-    if set(ref_labels) & {s.label for s in spec.senders}:
-        raise StateError("reference overlaps the sender systems")
     d_ref = int(np.prod([state.dim_of(x) for x in ref_labels]))
     linear = 0.0
     quad = 0.0
@@ -121,6 +120,7 @@ def decoupling_bound_minentropy(state: LabeledState, spec: InstrumentSpec, refer
     with prefactor prod_i N_i L_i / (d_i K_i) <= 1.
     """
     spec.validate_against(state)
+    qcore.distinct_labels([s.label for s in spec.senders], reference)
     ref_labels = qcore._normalize_labels(state, reference)
     prefactor = math.prod(s.blocks * s.rank / (s.dim * s.ancilla) for s in spec.senders)
     hmins = regions.subset_min_entropies(state, [s.label for s in spec.senders], ref_labels)
@@ -189,9 +189,8 @@ def simulate_random_instrument(
     if state.norm_mode != "normalized":
         raise StateError("decoupling simulation requires a normalized input state")
     spec.validate_against(state)
+    qcore.distinct_labels([s.label for s in spec.senders], reference)
     ref_labels = qcore._normalize_labels(state, reference)
-    if set(ref_labels) & {s.label for s in spec.senders}:
-        raise StateError("reference overlaps the sender systems")
 
     work = _working_state(state, spec, ref_labels)
     ref_state = qcore.partial_trace(state, ref_labels).matrix if ref_labels else np.ones((1, 1))
@@ -273,8 +272,7 @@ def split_transfer_errors(
     a_labels, b_labels = (list(receivers[0]), list(receivers[1]))
     t_labels = [s.label for s in spec_t.senders]
     tbar_labels = [s.label for s in spec_tbar.senders]
-    if set(t_labels) & set(tbar_labels):
-        raise StateError("split-transfer cuts must partition the senders")
+    qcore.distinct_labels(t_labels, tbar_labels)
     ref1 = tbar_labels + b_labels + list(extra_reference)
     ref2 = t_labels + a_labels + list(extra_reference)
     q1 = simulate_random_instrument(state, spec_t, ref1) if t_labels else _empty_result()

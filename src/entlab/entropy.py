@@ -63,10 +63,9 @@ class _SubsetTable:
 
     def conditional(self, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
         """S(part | given) = S(part, given) - S(given) from the table's entries."""
+        part, given = qcore.distinct_labels(part, given)
         part_labels = qcore._normalize_labels(self._state, part)
         given_labels = qcore._normalize_labels(self._state, given)
-        if set(part_labels) & set(given_labels):
-            raise qcore.LabelError("conditional entropy needs disjoint label sets")
         return self(part_labels + given_labels) - self(given_labels)
 
 
@@ -108,6 +107,7 @@ def entropy_report(
     """
     if quantity not in QUANTITIES:
         raise StateError(f"unknown entropy quantity {quantity!r}; expected one of {', '.join(QUANTITIES)}")
+    left, right = qcore.distinct_labels(left, right)
     s = subset_entropies(state)
     out: dict[str, float] = {}
     if quantity in ("svn", "all"):
@@ -122,7 +122,7 @@ def entropy_report(
     if quantity in ("hmin", "h2", "hmax", "all"):
         if sigma is None and quantity != "hmax":
             sigma = s.reduced(right)
-        joint = s.reduced(list(left) + list(right))
+        joint = s.reduced(left + right)
         if quantity in ("hmin", "all"):
             out["hmin"] = min_entropy_relative(joint, sigma)
         if quantity in ("h2", "all"):

@@ -64,7 +64,7 @@ def entanglement_swap(lambda1, lambda2) -> ProtocolTrace:
     scp = 2 * p_bell + 2 * p_partial * procrustean
     return ProtocolTrace(
         outcomes=outcomes,
-        aggregate={"scp": scp, "scp_closed_form": 2 * l2, "exact": exact},
+        aggregate={"scp": scp, "exact": exact},
     )
 
 

@@ -175,6 +175,21 @@ class LabeledState:
         return v / phase
 
 
+def distinct_labels(*groups: Iterable[str] | str) -> tuple[tuple[str, ...], ...]:
+    """Each group as a tuple, a plain string being one label.
+
+    A label that appears twice, within one group or across two, raises
+    LabelError.  Every check that label groups do not clash comes here.
+    """
+    groups = tuple([(g,) if isinstance(g, str) else tuple(g) for g in groups])
+    flat = groups[0] if len(groups) == 1 else sum(groups, ())
+    if len(set(flat)) != len(flat):
+        seen: set[str] = set()
+        repeat = next(x for x in flat if x in seen or seen.add(x))
+        raise LabelError(f"duplicate label {repeat!r} in {[list(g) for g in groups]!r}")
+    return groups
+
+
 def _normalize_labels(state: LabeledState, labels: Iterable[str] | str) -> tuple[str, ...]:
     """Validate labels against the state and return them in the state's system order."""
     if isinstance(labels, str):
@@ -191,9 +206,7 @@ def _normalize_labels(state: LabeledState, labels: Iterable[str] | str) -> tuple
 def _checked_systems(systems: Sequence[tuple[str, int]]) -> tuple[tuple[tuple[str, int], ...], int]:
     """Labels and dimensions checked against the state contract; returns (systems, total dimension)."""
     systems = tuple((str(name), int(d)) for name, d in systems)
-    names = [name for name, _ in systems]
-    if len(set(names)) != len(names):
-        raise LabelError(f"duplicate subsystem labels in {names!r}")
+    distinct_labels([name for name, _ in systems])
     for name, d in systems:
         if d < 1:
             raise StateError(f"subsystem {name!r} has non-positive dimension {d}")
@@ -421,9 +434,7 @@ def _sandwich(op: np.ndarray, t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
 
 def apply_unitary(state: LabeledState, labels: Sequence[str], unitary: np.ndarray) -> LabeledState:
     """Conjugate the state by a unitary acting on the listed subsystems (in that order)."""
-    labels = list(labels)
-    if len(set(labels)) != len(labels):
-        raise LabelError(f"duplicate labels in {labels!r}")
+    (labels,) = distinct_labels(labels)
     idx = [state.index_of(name) for name in labels]
     dims = state.dims
     act_dims = tuple(dims[i] for i in idx)
@@ -448,8 +459,7 @@ def purify(state: LabeledState, ref_label: str = "R") -> LabeledState:
     """Rank-padded purification: pure state on systems + ref whose reduction recovers the input."""
     if state.norm_mode != "normalized":
         raise StateError("purification requires a normalized state")
-    if ref_label in state.labels:
-        raise LabelError(f"reference label {ref_label!r} collides with an existing system")
+    distinct_labels(state.labels, ref_label)
     eigs, vecs = np.linalg.eigh(state.matrix)
     keep = eigs > 1e-12
     # Entry (i, k) is sqrt(lambda_k) <i|v_k>: the amplitude of |i>|k>.
@@ -726,9 +736,7 @@ def merge_systems(state: LabeledState, groups: dict[str, Sequence[str]]) -> Labe
             new_systems.append((target, dim))
         else:
             new_systems[-1] = (target, new_systems[-1][1] * dim)
-    names = [name for name, _ in new_systems]
-    if len(set(names)) != len(names):
-        raise LabelError(f"duplicate subsystem labels in {names!r}")
+    distinct_labels([name for name, _ in new_systems])
     # The stored operator is unchanged, so purity and spectrum carry over.
     return LabeledState(
         tuple(new_systems), state.is_pure, state.norm_mode,

@@ -44,15 +44,6 @@ def subset_min_entropies(state: LabeledState, senders: Sequence[str], reference:
     }
 
 
-def distinct_parties(labels: Sequence[str], role: str) -> tuple[str, ...]:
-    """``labels`` as a tuple; a label named twice raises LabelError.  Every
-    region constructor checks its parties with it."""
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise qcore.LabelError(f"{role} {list(labels)!r} name a party twice")
-    return labels
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """Linear subset-sum constraints sum_{i in mask} x_i >= rhs over the parties."""
@@ -96,13 +87,11 @@ def merging_rate_region(
     receiver_side: Sequence[str] = (),
 ) -> RegionSpec:
     """Asymptotic merging region: sum_{i in T} R_i >= S(T | T-bar, B) for all non-empty T."""
-    senders = distinct_parties(senders, "senders")
+    senders, receiver_side = qcore.distinct_labels(senders, receiver_side)
     if len(senders) > MAX_REGION_PARTIES:
         raise StateError(f"at most {MAX_REGION_PARTIES} senders supported")
-    if set(senders) & set(receiver_side):
-        raise qcore.LabelError("senders overlap the receiver side")
     s = entropy.subset_entropies(state)
-    joint = senders + tuple(receiver_side)
+    joint = senders + receiver_side
     constraints = []
     for mask, t in subsets(senders):
         rest = [p for p in joint if p not in t]
@@ -122,8 +111,7 @@ def split_transfer_region(
     Cuts with conditional entropy exactly zero are flagged in the returned
     region kinds ("...:zero-cut") since negative rates then fail to exist.
     """
-    if set(t_side) & set(tbar_side):
-        raise StateError("cuts must partition the senders")
+    t_side, tbar_side = qcore.distinct_labels(t_side, tbar_side)
 
     def side(cut: Sequence[str], receiver: Sequence[str], tag: str) -> RegionSpec:
         if not cut:
@@ -147,7 +135,7 @@ def one_shot_cost_region(
     eps: float,
 ) -> RegionSpec:
     """One-shot simultaneous-merging cost region over all non-empty sender subsets."""
-    senders = distinct_parties(senders, "senders")
+    senders, reference = qcore.distinct_labels(senders, reference)
     if len(senders) > MAX_COST_PARTIES:
         raise StateError(f"at most {MAX_COST_PARTIES} senders supported for cost regions")
     m = len(senders)
@@ -186,13 +174,13 @@ def sequential_cost(state: LabeledState, ordering: Sequence[str], reference: Seq
     The smoothing parameter is eps^2 / (52 m^2); the Renes plug-in uses the
     sender's own dimension, as in the worked cost comparisons.
     """
-    ordering = distinct_parties(ordering, "ordering")
+    ordering, reference = qcore.distinct_labels(ordering, reference)
     m = len(ordering)
     delta = eps * eps / (52.0 * m * m)
     s = entropy.subset_entropies(state)
     entries = []
     for pos, label in enumerate(ordering):
-        rel_ref = tuple(ordering[pos + 1 :]) + tuple(reference)
+        rel_ref = ordering[pos + 1 :] + reference
         hmin_exact = entropy.conditional_min_entropy(s.reduced([label] + list(rel_ref)), rel_ref).hmin_bits
         s_cond = s.conditional([label], rel_ref)
         renes = entropy.renes_smoothing_bound(s_cond, state.dim_of(label), delta, eps)
@@ -272,7 +260,7 @@ def min_cut_entanglement(
     helpers: Sequence[str],
 ) -> tuple[float, tuple[str, ...]]:
     """min over cuts T of S(A, T): the optimal assisted EPR rate for pure states."""
-    qcore._normalize_labels(state, list(a_labels) + list(b_labels) + list(helpers))
+    qcore._normalize_labels(state, sum(qcore.distinct_labels(a_labels, b_labels, helpers), ()))
     return min_cut_entanglement_oracle(entropy.subset_entropies(state), a_labels, helpers)
 
 
@@ -282,7 +270,8 @@ def min_cut_entanglement_oracle(
     helpers: Sequence[str],
 ) -> tuple[float, tuple[str, ...]]:
     """Min-cut search against an external entropy oracle (for states past the dim cap)."""
-    return min_over_cuts(helpers, lambda cut: entropy_of(frozenset(list(a_labels) + list(cut))))
+    a_labels, helpers = qcore.distinct_labels(a_labels, helpers)
+    return min_over_cuts(helpers, lambda cut: entropy_of(frozenset(a_labels + cut)))
 
 
 # ---------------------------------------------------------------------------

@@ -65,11 +65,11 @@ def test_beating_hashing_predicate():
 
 def test_overlapping_label_sets_are_rejected():
     state = qcore.example_ch5()
-    with pytest.raises(qcore.LabelError, match="overlap"):
+    with pytest.raises(qcore.LabelError, match="duplicate label"):
         assisted.beating_hashing(state, ["A"], ["B", "C1"], ["C1", "C2"])
-    with pytest.raises(qcore.LabelError, match="overlap"):
+    with pytest.raises(qcore.LabelError, match="duplicate label"):
         assisted.mincut_coherent(state, ["A", "C1"], ["B"], ["C1", "C2"])
-    with pytest.raises(qcore.LabelError, match="overlap"):
+    with pytest.raises(qcore.LabelError, match="duplicate label"):
         assisted.assisted_lower_bound(state, ["A"], ["A", "B"], [])
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entlab import cli, entropy, qcore
+from entlab import acceptance, cli, entropy, qcore
 
 DATA = Path(__file__).parent / "data"
 
@@ -345,7 +345,24 @@ def test_region_rejects_a_sender_named_twice(mode, extra, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "name a party twice" in captured.err
+    assert captured.err.startswith("error: ") and "duplicate label" in captured.err
+
+
+@pytest.mark.parametrize("cut, stray", [("R", "R"), ("C1,B", "B")])
+def test_region_split_rejects_a_cut_label_that_is_not_a_sender(cut, stray, capsys):
+    argv = ["region", "--state", str(DATA / "mixed4.json"), "--mode", "split", "--senders", "C1,C2", "--cut", cut,
+            "--receiver", "B"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: region --mode split: cut label {stray!r} is not one of the senders ['C1', 'C2']\n"
+
+
+def test_verify_rejects_an_unknown_criterion(capsys):
+    assert cli.main(["verify", "--only", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown criterion 'nope'; expected one of {', '.join(acceptance.CRITERIA)}\n"
 
 
 def test_twirl_rejects_zero_samples(capsys):
@@ -437,6 +454,27 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(DATA)
     golden = json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))
     assert run_golden_case(name, tmp_path / "out.json") == golden[name]
+
+
+# The CSV writers of entropy, decouple, hash-sim and typ-check; the expected
+# text in data/cli_csv_golden.json pins each header and its rows byte for byte.
+CSV_GOLDEN_CASES = {
+    "entropy_mixed4": ["entropy", "--state", "mixed4.json", "--split", "C1|B,R", "--quantity", "all"],
+    "decouple_mixed4": ["decouple", "--state", "mixed4.json", "--senders", "C1:K=2:L=3,C2", "--reference", "R",
+                        "--samples", "3", "--bound", "both", "--seed", "9"],
+    "hash_sim_n120": GOLDEN_CASES["hash_sim_n120"],
+    "typ_check_n12": ["typ-check", "--p", "0.7,0.2,0.1", "--n", "12", "--delta", "0.1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_GOLDEN_CASES))
+def test_cli_csv_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(DATA)
+    golden = json.loads((DATA / "cli_csv_golden.json").read_text(encoding="utf-8"))
+    csv_path = tmp_path / "out.csv"
+    assert cli.main(CSV_GOLDEN_CASES[name] + ["--csv", str(csv_path), "--out", str(tmp_path / "out.json")]) == 0
+    # Bytes, not text: the csv module ends rows with CRLF.
+    assert csv_path.read_bytes().decode("utf-8") == golden[name]
 
 
 def test_entropy_all_reads_each_subset_entropy_once(monkeypatch, capsys):

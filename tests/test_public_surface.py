@@ -2,20 +2,21 @@
 
 A public top-level function, class or UPPER_CASE constant that only its own
 tests name is surface to maintain with nothing depending on it: give it a
-caller or delete it.  The paper's evaluators below are kept as library entry
-points; their tests are what checks them.
+caller or delete it.  A caller is code: a name, an attribute or an imported
+name in the package or the benchmark; a string or comment that happens to
+contain the name does not count.  The paper's evaluators below are kept as
+library entry points; their tests are what checks them.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "entlab"
 SEARCHED = {
-    path: path.read_text(encoding="utf-8").splitlines()
+    path: ast.parse(path.read_text(encoding="utf-8"))
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
 }
 
@@ -26,13 +27,14 @@ EVALUATORS = {
     "max_entropy_fidelity_search": "the direct fidelity search that cross-checks H_max duality",
     "smooth_max_lower_bound": "the truncation lower bound on the smooth max-entropy",
     "fannes_bound": "the Fannes continuity bound on entropy differences",
+    "schmidt": "the Schmidt analysis of a pure bipartite state",
 }
 
 
 def _public_definitions(path: Path) -> list[tuple[str, int, int]]:
     """(name, first line, last line) of each public top-level definition in ``path``."""
     out = []
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for node in SEARCHED[path].body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -45,15 +47,29 @@ def _public_definitions(path: Path) -> list[tuple[str, int, int]]:
     return out
 
 
+def _references(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every name the code in ``tree`` refers to: names,
+    attributes and imported names; strings and comments do not count."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out.append((node.name, node.lineno))
+    return out
+
+
+REFERENCES = {path: _references(tree) for path, tree in SEARCHED.items()}
+
+
 def _has_caller(name: str, home: Path, first: int, last: int) -> bool:
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    for path, lines in SEARCHED.items():
-        for number, line in enumerate(lines, 1):
-            if path == home and first <= number <= last:
-                continue
-            if word.search(line):
-                return True
-    return False
+    return any(
+        ref == name and not (path == home and first <= line <= last)
+        for path, refs in REFERENCES.items()
+        for ref, line in refs
+    )
 
 
 def test_every_public_name_has_a_caller():

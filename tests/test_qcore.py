@@ -1,10 +1,11 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from entlab import entropy, qcore
+from entlab import assisted, decoupling, entropy, qcore, regions
 
 
 def test_bell_constructors_are_orthonormal_basis():
@@ -301,6 +302,92 @@ def test_trace_norm_uses_absolute_hermiticity_tolerance():
     svd = float(np.sum(np.linalg.svd(x, compute_uv=False)))
     assert qcore.trace_norm(x) == pytest.approx(svd, abs=1e-15)
     assert abs(float(np.sum(np.abs(np.linalg.eigvalsh(x)))) - svd) > 1e-8
+
+
+def test_distinct_labels_returns_tuples_and_names_the_first_repeat():
+    assert qcore.distinct_labels(["A", "B"], "C", (), (x for x in "DE")) == (("A", "B"), ("C",), (), ("D", "E"))
+    assert qcore.distinct_labels() == ()
+    with pytest.raises(qcore.LabelError) as within:
+        qcore.distinct_labels(["A", "B", "B", "A"])
+    assert within.value.args[0] == "duplicate label 'B' in [['A', 'B', 'B', 'A']]"
+    with pytest.raises(qcore.LabelError) as across:
+        qcore.distinct_labels(["A"], "B", ["C", "B"])
+    assert across.value.args[0] == "duplicate label 'B' in [['A'], ['B'], ['C', 'B']]"
+
+
+def _four_party():
+    return qcore.example_4_1(2, [0.75, 0.25])  # C1, C2, C3, R
+
+
+def _one_sender(label="C1"):
+    return decoupling.InstrumentSpec(senders=(decoupling.sender(label, 2),), samples=1)
+
+
+# Every entry point that takes label groups, each given a label twice.
+LABEL_CLASHES = {
+    "make_state": (lambda: qcore.make_state([("A", 2), ("A", 2)], np.eye(4) / 4), "A"),
+    "tensor": (lambda: qcore.tensor(qcore.max_mixed(2, "A"), qcore.max_mixed(2, "A")), "A"),
+    "apply_unitary": (lambda: qcore.apply_unitary(qcore.example_ch5(), ["C1", "C1"], np.eye(4)), "C1"),
+    "purify": (lambda: qcore.purify(qcore.max_mixed(2, "A"), "A"), "A"),
+    "merge_systems": (
+        lambda: qcore.merge_systems(qcore.tensor(qcore.max_mixed(2, "A"), qcore.max_mixed(2, "B")), {"A": ["B"]}),
+        "A",
+    ),
+    "conditional_entropy": (lambda: entropy.conditional_entropy(_four_party(), ["C1", "C2"], ["C2"]), "C2"),
+    "entropy_report": (lambda: entropy.entropy_report(_four_party(), ["C1"], ["C1", "R"], "svn"), "C1"),
+    "merging_rate_region": (lambda: regions.merging_rate_region(_four_party(), ["C1", "C2"], ["C2", "R"]), "C2"),
+    "split_transfer_region": (
+        lambda: regions.split_transfer_region(_four_party(), ["C1"], ["C1", "C2"], [], ["R"]),
+        "C1",
+    ),
+    "one_shot_cost_region": (lambda: regions.one_shot_cost_region(_four_party(), ["C1", "R"], ["R"], 0.1), "R"),
+    "sequential_cost": (lambda: regions.sequential_cost(_four_party(), ["C1", "C2"], ["C2"], 0.1), "C2"),
+    "min_cut_entanglement": (
+        lambda: regions.min_cut_entanglement(_four_party(), ["C1"], ["R"], ["C1", "C2"]),
+        "C1",
+    ),
+    "min_cut_entanglement_oracle": (
+        lambda: regions.min_cut_entanglement_oracle(lambda labels: 0.0, ["C1"], ["C2", "C1"]),
+        "C1",
+    ),
+    "decoupling_bound_purity": (
+        lambda: decoupling.decoupling_bound_purity(_four_party(), _one_sender(), ["C1", "R"]),
+        "C1",
+    ),
+    "decoupling_bound_minentropy": (
+        lambda: decoupling.decoupling_bound_minentropy(_four_party(), _one_sender(), ["R", "C1"]),
+        "C1",
+    ),
+    "simulate_random_instrument": (
+        lambda: decoupling.simulate_random_instrument(_four_party(), _one_sender(), "C1"),
+        "C1",
+    ),
+    "split_transfer_errors": (
+        lambda: decoupling.split_transfer_errors(_four_party(), _one_sender(), _one_sender(), (["C2"], ["C3"])),
+        "C1",
+    ),
+    "mincut_coherent": (lambda: assisted.mincut_coherent(qcore.example_ch5(), ["A", "C1"], ["B"], ["C1", "C2"]), "C1"),
+    "assisted_lower_bound": (lambda: assisted.assisted_lower_bound(qcore.example_ch5(), ["A"], ["A", "B"], []), "A"),
+    "beating_hashing": (
+        lambda: assisted.beating_hashing(qcore.example_ch5(), ["A"], ["B", "C1"], ["C1", "C2"]),
+        "C1",
+    ),
+    "concurrence_of_assistance": (lambda: assisted.concurrence_of_assistance(qcore.example_ch5(), ["A"], ["A"]), "A"),
+    "eoa_pure": (lambda: assisted.eoa_pure(qcore.example_ch5(), ["A"], ["A", "B"], ["C1"]), "A"),
+    "average_entropy_for_basis": (
+        lambda: assisted.average_entropy_for_basis(qcore.example_ch5(), ["A", "C1"], ["C1"], np.eye(2)),
+        "C1",
+    ),
+    "da_upper_bounds": (lambda: assisted.da_upper_bounds(qcore.example_ch5(), ["A"], ["B"], ["C1", "B"]), "B"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_CLASHES))
+def test_every_entry_point_rejects_a_label_clash_through_distinct_labels(name):
+    call, label = LABEL_CLASHES[name]
+    with pytest.raises(qcore.LabelError) as clash:
+        call()
+    assert re.fullmatch(rf"duplicate label {re.escape(repr(label))} in \[\[.*\]\]", clash.value.args[0])
 
 
 def test_apply_unitary_and_merge_reject_invalid_arguments():

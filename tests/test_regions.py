@@ -97,7 +97,7 @@ def test_region_constructors_reject_a_party_named_twice():
         lambda: regions.split_transfer_region(state, ["C1", "C1"], ["C2"], [], ["R"]),
     ]
     for build in builds:
-        with pytest.raises(qcore.LabelError, match="name a party twice"):
+        with pytest.raises(qcore.LabelError, match="duplicate label"):
             build()
 
 
