@@ -62,7 +62,8 @@ def _two_sender_state() -> qcore.LabeledState:
 
 
 def criterion_decoupling_bound(c: _Checks) -> None:
-    """Empirical mean + 2 stderr stays below the analytic bound on both benchmarks."""
+    """Empirical mean + 2 stderr stays below the analytic bound on all three
+    benchmarks, one of them with a bound below 2."""
     start = time.perf_counter()
     state = _two_sender_state()
     spec = decoupling.InstrumentSpec(
@@ -88,6 +89,21 @@ def criterion_decoupling_bound(c: _Checks) -> None:
         f"single-helper: {single.empirical_q:.4f}+2*{single.stderr:.4f} > {single.analytic_bound:.4f}",
     )
     c.note(f"single-helper Q={single.empirical_q:.4f} bound={single.analytic_bound:.4f}")
+
+    # The two cases above have bounds over 2, which no Q can exceed; with
+    # ancillas (4, 4) the bound falls below 2, so this check can fail.
+    spec44 = decoupling.InstrumentSpec(
+        senders=(decoupling.sender("C1", 2, ancilla=4, rank=1), decoupling.sender("C2", 4, ancilla=4, rank=1)),
+        seed=ACCEPTANCE_SEED,
+        samples=200,
+    )
+    ancillas = decoupling.simulate_random_instrument(state, spec44, ["R"])
+    c.expect(ancillas.analytic_bound < 2.0, f"two-sender (4,4): bound {ancillas.analytic_bound:.4f} not below 2")
+    c.expect(
+        ancillas.empirical_q + 2 * ancillas.stderr <= ancillas.analytic_bound,
+        f"two-sender (4,4): {ancillas.empirical_q:.4f}+2*{ancillas.stderr:.4f} > {ancillas.analytic_bound:.4f}",
+    )
+    c.note(f"two-sender (4,4) Q={ancillas.empirical_q:.4f} bound={ancillas.analytic_bound:.4f}")
     elapsed = time.perf_counter() - start
     c.expect(elapsed < 120.0, f"decoupling runtime {elapsed:.1f}s over the 2 min budget")
 
@@ -233,7 +249,8 @@ def criterion_regions(c: _Checks) -> None:
 
 
 def criterion_gershgorin(c: _Checks) -> None:
-    """Exact -H_min of the overlap family against the circle-theorem envelope."""
+    """Exact -H_min of the overlap family against the circle-theorem envelope,
+    and against log2 of the family's largest Gram eigenvalue."""
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     for d in (8, 16, 32):
         for trial in range(20):
@@ -259,6 +276,12 @@ def criterion_gershgorin(c: _Checks) -> None:
             exact = -entropy.min_entropy_relative(joint, sigma)
             upper = math.log2(2 * alpha * d + 1)
             c.expect(exact <= upper + 1e-9, f"d={d} trial {trial}: exact {exact:.4f} > {upper:.4f}")
+            # On span{|ii>} the conditioned operator is the transposed Gram matrix.
+            gram_value = math.log2(np.linalg.eigvalsh(gram)[-1])
+            c.expect(
+                abs(exact - gram_value) <= 1e-9,
+                f"d={d} trial {trial}: exact {exact!r} != log2 lambda_max(G) = {gram_value!r}",
+            )
             c.expect(
                 upper <= math.log2(alpha * d) + 2.0 + 1e-12,
                 f"d={d} trial {trial}: envelope chain broke (alpha={alpha:.3f})",

@@ -184,7 +184,8 @@ def simulate_random_instrument(
     partitions the rotated space into rank-L blocks, and accumulates the
     probability-weighted distance of every outcome's reduced state from the
     decoupled target.  Remainder-rank outcomes are charged the worst-case
-    distance 2, matching the quantity the analytic bound controls.
+    distance 2, matching the quantity the analytic bound controls.  A sample's
+    distances come from one stacked :func:`qcore.trace_norm` call.
     """
     if state.norm_mode != "normalized":
         raise StateError("decoupling simulation requires a normalized input state")
@@ -198,6 +199,13 @@ def simulate_random_instrument(
     l_total = math.prod(ranks)
     target = np.kron(np.eye(l_total) / l_total, ref_state)
     blocks_per_sender = [_outcome_blocks(s) for s in spec.senders]
+    # Each outcome's index into the rotated tensor, side, label and remainder flag.
+    outcomes = []
+    for combo in itertools.product(*[range(len(b)) for b in blocks_per_sender]):
+        rows = tuple(blocks_per_sender[i][j] for i, j in enumerate(combo)) + (slice(None),)
+        side = math.prod(r.stop - r.start for r in rows[:-1]) * work.shape[-1]
+        remainder_hit = any(s.remainder and j == s.blocks for s, j in zip(spec.senders, combo))
+        outcomes.append((rows + rows, side, "+".join(str(j) for j in combo), remainder_hit))
 
     rngs = qcore.spawn_rngs(spec.seed, spec.samples)
     per_sample = np.zeros(spec.samples)
@@ -206,34 +214,29 @@ def simulate_random_instrument(
         rotated = work
         for i, s in enumerate(spec.senders):
             rotated = qcore._sandwich(qcore.haar_unitary(s.dim * s.ancilla, rng), rotated, [i])
+        probs = []
+        gaps = []  # omega / p - target of the outcomes whose distance is computed
+        for index, side, _, remainder_hit in outcomes:
+            omega = rotated[index].reshape(side, side)
+            p = float(np.real(np.trace(omega)))
+            probs.append(p)
+            if p >= ZERO_PROB and not remainder_hit:
+                gaps.append(omega / p - target)
+        norms = iter(qcore.trace_norm(np.stack(gaps)).tolist() if gaps else ())
         total_q = 0.0
         total_p = 0.0
-        for combo in itertools.product(*[range(len(b)) for b in blocks_per_sender]):
-            rows = tuple(blocks_per_sender[i][j] for i, j in enumerate(combo)) + (slice(None),)
-            sub = rotated[rows + rows]
-            side = math.prod(sub.shape[: len(rows)])
-            omega = sub.reshape(side, side)
-            p = float(np.real(np.trace(omega)))
+        for (_, _, label, remainder_hit), p in zip(outcomes, probs):
             total_p += p
-            remainder_hit = any(
-                spec.senders[i].remainder and j == spec.senders[i].blocks for i, j in enumerate(combo)
-            )
             if p < ZERO_PROB:
                 distance = 0.0
             elif remainder_hit:
                 distance = 2.0
             else:
-                distance = qcore.trace_norm(omega / p - target)
+                distance = next(norms)
             total_q += distance * p
             if keep_outcomes:
                 outcome_rows.append(
-                    {
-                        "sample": idx,
-                        "outcome": "+".join(str(j) for j in combo),
-                        "probability": p,
-                        "distance": distance,
-                        "remainder": remainder_hit,
-                    }
+                    {"sample": idx, "outcome": label, "probability": p, "distance": distance, "remainder": remainder_hit}
                 )
         if abs(total_p - 1.0) > 1e-9:
             raise StateError(f"instrument outcome probabilities sum to {total_p!r}")

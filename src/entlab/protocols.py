@@ -207,15 +207,17 @@ def hashing_simulation(
         # their difference is even; the 2-bit code makes XOR of symbols the
         # XOR of bits, so the panel holds the packed differences.  Decoys
         # equal to the hidden string (zero rows) drop out.
-        hidden_words = _pack_symbols(hidden)
         panel = _sample_typical_panel(rng, p_arr, n, delta, decoys)
-        panel ^= hidden_words
+        panel ^= _pack_symbols(hidden)
         panel = panel[panel.any(axis=1)]
         # Round bookkeeping is kept only for the first trial; the full subset
         # lists of every round of every trial would dominate memory otherwise.
-        # Later trials stop once no decoy is left: their own RNG streams
-        # leave every other trial unchanged.
+        # Trial 0 draws every round and logs parities of the unpacked hidden
+        # bits, but filters its panel only while a decoy is left.  Later
+        # trials stop once no decoy is left: their own RNG streams leave every
+        # other trial unchanged.
         keep_rounds = trial_index == 0
+        hidden_bits = _symbols_to_bits(hidden)
         bit_alive = np.ones(2 * n, dtype=bool)
         for _ in range(rounds_run):
             if not (keep_rounds or panel.shape[0]):
@@ -226,15 +228,15 @@ def hashing_simulation(
                 if mask.any():
                     break
             subset = alive[mask]
-            subset_words = _pack_subset(subset, n)
-            panel = panel[_parities(panel, subset_words) == 0]
-            consumed = int(subset.max() // 2)
+            if panel.shape[0]:
+                panel = panel[_parities(panel, _pack_subset(subset, n)) == 0]
+            consumed = int(subset[-1] // 2)  # alive is sorted, so this is the largest index
             bit_alive[2 * consumed : 2 * consumed + 2] = False
             if keep_rounds:
                 record.rounds.append(
                     HashingRound(
                         subset_bits=subset,
-                        parity=int(_parities(hidden_words, subset_words)),
+                        parity=int(np.bitwise_xor.reduce(hidden_bits[subset])),
                         consumed_pair=consumed,
                         panel_size=int(panel.shape[0]),
                     )

@@ -516,15 +516,24 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 
-def trace_norm(matrix: np.ndarray) -> float:
+def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
     """Sum of singular values; eigvalsh absolute sum for Hermitian input.
 
-    Hermiticity is decided by an absolute tolerance alone: a relative one would
-    let a defect that scales with the entries through.
+    A stack (..., n, n) gives one norm per matrix; a single matrix gives a float.
+    Hermiticity is decided per matrix, entrywise, by an absolute tolerance
+    alone, as ``np.allclose(m, m^H, rtol=0, atol=1e-12)`` decides it (equal
+    infinities count as close): a relative one would let a defect that scales
+    with the entries through.
     """
-    if np.allclose(matrix, matrix.conj().T, rtol=0.0, atol=1e-12):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(matrix))))
-    return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
+    adjoint = np.swapaxes(matrix, -1, -2).conj()
+    hermitian = ((np.abs(matrix - adjoint) <= 1e-12) | (matrix == adjoint)).all(axis=(-2, -1))
+    if hermitian.all():
+        norms = np.sum(np.abs(np.linalg.eigvalsh(matrix)), axis=-1)
+    else:
+        norms = np.empty(hermitian.shape)
+        norms[hermitian] = np.sum(np.abs(np.linalg.eigvalsh(matrix[hermitian])), axis=-1)
+        norms[~hermitian] = np.sum(np.linalg.svd(matrix[~hermitian], compute_uv=False), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def fidelity_ops(rho: np.ndarray, sigma: np.ndarray) -> float:

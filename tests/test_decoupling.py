@@ -1,10 +1,14 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entlab import decoupling, entropy, qcore
+from entlab import acceptance, decoupling, entropy, qcore
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_purity_values_and_swap_trick():
@@ -235,3 +239,57 @@ def test_working_state_is_the_tensor_of_marginal_and_ancillas():
     reference = qcore.permute_systems(reference, ["C2", "K2", "C1", "R"]).matrix
     assert work.shape == (6, 2, 2, 6, 2, 2)
     assert np.array_equal(work.reshape(24, 24), reference)
+
+
+# tests/data/instrument_golden.json was written by the one-outcome-at-a-time
+# loop (commit cbacd45), whose distances came from one trace_norm call each:
+# every per-sample value and outcome row, as float.hex.
+INSTRUMENT_GOLDEN = json.loads((DATA / "instrument_golden.json").read_text(encoding="utf-8"))
+HAAR = qcore.haar_unitary
+
+
+def _golden_state(spec):
+    if spec["kind"] == "acceptance_two_sender":
+        return acceptance._two_sender_state()
+    dims = [tuple(d) for d in spec["dims"]]
+    if spec["kind"] == "amplitudes":
+        return qcore.pure_state(dims, np.array(spec["amplitudes"], dtype=complex))
+    rng = np.random.default_rng(spec["seed"])
+    return qcore.random_pure(dims, rng) if spec["kind"] == "pure" else qcore.random_state(dims, rng)
+
+
+def _support_unitary(d, rng):
+    """A Haar unitary on span{|0>, |1>}, the identity elsewhere."""
+    u = np.eye(d, dtype=complex)
+    u[:2, :2] = HAAR(2, rng)
+    return u
+
+
+@pytest.mark.parametrize("case", INSTRUMENT_GOLDEN, ids=lambda c: c["name"])
+def test_instrument_matches_golden_bit_for_bit(case, monkeypatch):
+    if case.get("unitary") == "support2":
+        monkeypatch.setattr(qcore, "haar_unitary", _support_unitary)
+    spec = decoupling.InstrumentSpec(
+        senders=tuple(decoupling.sender(*s) for s in case["senders"]), seed=case["seed"], samples=case["samples"]
+    )
+    result = decoupling.simulate_random_instrument(
+        _golden_state(case["state"]), spec, case["reference"], keep_outcomes=True
+    )
+    assert [float(x).hex() for x in result.per_sample] == case["per_sample"]
+    assert result.empirical_q.hex() == case["empirical_q"]
+    assert result.stderr.hex() == case["stderr"]
+    rows = [
+        [r["sample"], r["outcome"], r["probability"].hex(), r["distance"].hex(), r["remainder"]]
+        for r in result.outcome_rows
+    ]
+    assert rows == case["outcome_rows"]
+    assert all(type(r["distance"]) is float and type(r["probability"]) is float for r in result.outcome_rows)
+
+
+def test_instrument_golden_covers_remainders_and_zero_probabilities():
+    rows = [row for case in INSTRUMENT_GOLDEN for row in case["outcome_rows"]]
+    zero = [r for r in rows if float.fromhex(r[2]) < decoupling.ZERO_PROB]
+    assert any(r[4] for r in zero) and any(not r[4] for r in zero)
+    assert any(r[4] and float.fromhex(r[2]) >= decoupling.ZERO_PROB for r in rows)
+    assert {len(case["senders"]) for case in INSTRUMENT_GOLDEN} == {1, 2}
+    assert any(s[2] > 1 for case in INSTRUMENT_GOLDEN for s in case["senders"])

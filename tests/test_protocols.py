@@ -208,6 +208,37 @@ def test_hashing_matches_bytewise_golden(case):
     assert sizes[-1] == records[0].decoys_surviving
 
 
+# tests/data/hashing_rounds_golden.json was written by the loop that packed
+# and filtered every round (commit cbacd45): trial 0's panel empties well
+# before its last round, and each round is [subset, parity, consumed pair,
+# panel size].
+HASHING_ROUNDS_GOLDEN = json.loads((DATA / "hashing_rounds_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", HASHING_ROUNDS_GOLDEN, ids=lambda c: f"n{c['n']}-seed{c['seed']}")
+def test_hashing_round_log_matches_golden(case):
+    trace = protocols.hashing_simulation(
+        case["p"], case["n"], case["delta"], trials=case["trials"], seed=case["seed"], decoys=case["decoys"]
+    )
+    agg = trace.aggregate
+    records = agg["trial_records"]
+    assert (agg["feasible"], agg["rounds_run"]) == (case["feasible"], case["rounds_run"])
+    assert [t.decoys_surviving for t in records] == case["decoys_surviving"]
+    assert [t.hidden_typical for t in records] == case["hidden_typical"]
+    rounds = [[r.subset_bits.tolist(), r.parity, r.consumed_pair, r.panel_size] for r in records[0].rounds]
+    assert rounds == case["trial0_rounds"]
+    assert all(type(r.parity) is int and type(r.consumed_pair) is int for r in records[0].rounds)
+    assert protocols.replay_hashing_trial(records[0])
+
+
+def test_hashing_rounds_golden_empties_early_in_both_regimes():
+    assert {c["feasible"] for c in HASHING_ROUNDS_GOLDEN} == {True, False}
+    for case in HASHING_ROUNDS_GOLDEN:
+        sizes = [r[3] for r in case["trial0_rounds"]]
+        assert len(sizes) == case["rounds_run"]
+        assert sizes.index(0) < len(sizes) // 4
+
+
 @pytest.mark.parametrize(
     "case", [c for c in HASHING_GOLDEN if c["n"] <= 9], ids=lambda c: f"n{c['n']}-seed{c['seed']}"
 )

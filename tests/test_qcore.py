@@ -304,6 +304,118 @@ def test_trace_norm_uses_absolute_hermiticity_tolerance():
     assert abs(float(np.sum(np.abs(np.linalg.eigvalsh(x)))) - svd) > 1e-8
 
 
+def _trace_norm_reference(matrix):
+    """One matrix's trace norm as computed before trace_norm took stacks."""
+    if np.allclose(matrix, matrix.conj().T, rtol=0.0, atol=1e-12):
+        return float(np.sum(np.abs(np.linalg.eigvalsh(matrix))))
+    return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
+
+
+def _mixed_stack(side, rng, count=9, complex_entries=True):
+    """Hermitian and non-Hermitian members, interleaved."""
+    x = rng.standard_normal((count, side, side))
+    if complex_entries:
+        x = x + 1j * rng.standard_normal((count, side, side))
+    hermitian = (x + np.swapaxes(x, -1, -2).conj()) / 2
+    return np.where((np.arange(count) % 3 != 1)[:, None, None], hermitian, x)
+
+
+@pytest.mark.parametrize("side", range(1, 13))
+@pytest.mark.parametrize("complex_entries", [True, False])
+def test_stacked_trace_norm_equals_the_per_matrix_reference_bitwise(side, complex_entries):
+    rng = np.random.default_rng(100 * side + complex_entries)
+    stack = _mixed_stack(side, rng, complex_entries=complex_entries)
+    want = np.array([_trace_norm_reference(m) for m in stack])
+    norms = qcore.trace_norm(stack)
+    assert norms.shape == (9,) and norms.dtype == np.float64
+    assert norms.tobytes() == want.tobytes()
+    # More leading axes, and each member on its own.
+    assert qcore.trace_norm(stack[:8].reshape(2, 4, side, side)).tobytes() == want[:8].reshape(2, 4).tobytes()
+    for member, value in zip(stack, want):
+        alone = qcore.trace_norm(member)
+        assert type(alone) is float and alone.hex() == value.hex()
+    # All members Hermitian, and none.
+    for kind in (stack[::3], stack[1::3]):
+        assert qcore.trace_norm(kind).tobytes() == np.array([_trace_norm_reference(m) for m in kind]).tobytes()
+
+
+def _asymmetric(base, defect):
+    """[[0, base], [base + defect, 0]]: Hermitian within 1e-12 iff |defect| <= 1e-12.
+
+    eigvalsh reads the lower triangle, so the Hermitian path gives
+    2 |base + defect| and the SVD path |base| + |base + defect|.
+    """
+    return np.array([[0.0, base], [base + defect, 0.0]], dtype=complex)
+
+
+# Each defect is exact: base + defect is representable, and the difference
+# of the two entries is the defect itself.
+BOUNDARY_CASES = [
+    (0.0, 1e-12, True),
+    (0.0, np.nextafter(1e-12, 1.0), False),
+    (0.0, -1e-12, True),
+    (0.0, 1e-12j, True),
+    (0.0, np.nextafter(1e-12, 1.0) * 1j, False),
+    (1024.0, 2.0**-40, True),
+    (1024.0, 2.0**-39, False),
+    (1.0, 2.0**-40, True),
+    (1.0, 2.0**-39, False),
+]
+
+
+@pytest.mark.parametrize("base, defect, hermitian", BOUNDARY_CASES)
+def test_trace_norm_hermiticity_boundary_is_absolute_at_1e12(base, defect, hermitian):
+    m = _asymmetric(base, defect)
+    assert m[1, 0] - m[0, 1] == defect
+    expected = 2 * abs(base + defect) if hermitian else abs(base) + abs(base + defect)
+    assert qcore.trace_norm(m) == pytest.approx(expected, rel=1e-15, abs=1e-27)
+    assert qcore.trace_norm(m) == _trace_norm_reference(m)
+
+
+def test_trace_norm_decides_hermiticity_per_member_of_a_stack():
+    stack = np.array([_asymmetric(base, defect) for base, defect, _ in BOUNDARY_CASES])
+    want = np.array([_trace_norm_reference(m) for m in stack])
+    assert qcore.trace_norm(stack).tobytes() == want.tobytes()
+    assert qcore.trace_norm(stack[::-1]).tobytes() == want[::-1].tobytes()
+
+
+def _outcome(fn, matrix):
+    with np.errstate(all="ignore"):
+        try:
+            return ("value", repr(fn(matrix)))
+        except Exception as exc:  # the exception itself is the behaviour under test
+            return ("raises", type(exc), str(exc))
+
+
+NAN, INF = np.nan, np.inf
+
+
+@pytest.mark.parametrize(
+    "entries, kind",
+    [
+        ([[NAN, 1], [1, 0]], "raises"),
+        ([[0, NAN], [NAN, 0]], "raises"),
+        ([[0, NAN], [1, 0]], "raises"),
+        ([[INF, 1], [1, 0]], "value"),
+        ([[-INF, 0], [0, 1]], "value"),
+        ([[0, INF], [INF, 0]], "value"),
+        ([[0, INF], [-INF, 0]], "value"),
+        ([[0, complex(INF, 1)], [complex(INF, -1), 0]], "value"),
+        ([[0, complex(1, INF)], [complex(1, -INF), 0]], "value"),
+        ([[1, 0], [0, complex(INF, NAN)]], "value"),
+        # Equal infinities count as Hermitian, and eigvalsh raises where the SVD gives nan.
+        ([[0, 0, 0], [0, INF, 0], [0, 0, 0]], "raises"),
+    ],
+)
+def test_trace_norm_of_non_finite_input_behaves_as_before(entries, kind):
+    real = not any(isinstance(x, complex) for row in entries for x in row)
+    for dtype in (float, complex) if real else (complex,):
+        m = np.array(entries, dtype=dtype)
+        expected = _outcome(_trace_norm_reference, m)
+        assert expected[0] == kind
+        assert _outcome(qcore.trace_norm, m) == expected
+
+
 def test_distinct_labels_returns_tuples_and_names_the_first_repeat():
     assert qcore.distinct_labels(["A", "B"], "C", (), (x for x in "DE")) == (("A", "B"), ("C",), (), ("D", "E"))
     assert qcore.distinct_labels() == ()
