@@ -92,7 +92,11 @@ def _round_floats(obj, digits: int = 12):
 
 
 def emit_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(_round_floats(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        # NaN and infinities have no JSON form: refuse the output, write nothing.
+        raise qcore.StateError(f"output is not valid JSON: {exc}") from None
     if out_path:
         tmp = Path(out_path).with_suffix(".tmp")
         tmp.write_text(text, encoding="utf-8")
@@ -372,6 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+
+    def seeded(p):
         p.add_argument("--seed", type=parse_seed, default=default_seed(), help="root RNG seed")
 
     def csv_output(p):
@@ -409,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--bound", default="purity", choices=["purity", "hmin", "both"])
     common(p)
+    seeded(p)
     csv_output(p)
     p.set_defaults(func=cmd_decouple)
 
@@ -417,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--samples", type=int, default=20000)
     common(p)
+    seeded(p)
     p.set_defaults(func=cmd_twirl)
 
     p = sub.add_parser("assist", help="assisted-distillation rate report")
@@ -439,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=50)
     common(p)
+    seeded(p)
     csv_output(p)
     p.set_defaults(func=cmd_hash_sim)
 
@@ -464,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # The parser reads ENTLAB_SEED for the --seed default.
+        # Building the parser reads ENTLAB_SEED for the --seed default, whatever the command.
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (qcore.StateError, qcore.LabelError, entropy.SupportError, OSError) as exc:

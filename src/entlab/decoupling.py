@@ -139,28 +139,16 @@ def _working_state(state: LabeledState, spec: InstrumentSpec, ref_labels: Sequen
     Both index sides are grouped as (g_1, ..., g_m, d_R): g_i = d_i K_i is
     sender i's system followed by its ancilla, and d_R is the reference.
     """
-    sender_labels = [s.label for s in spec.senders]
-    marginal = qcore.partial_trace(state, sender_labels + list(ref_labels))
-    marginal = qcore.permute_systems(marginal, sender_labels + list(ref_labels))
-    m = marginal.matrix
-    # The ancillas go on last, in sender order, as qcore.tensor would append them.
-    ancillas = [s for s in spec.senders if s.ancilla > 1]
-    for s in ancillas:
-        m = np.kron(m, np.eye(s.ancilla, dtype=complex) / s.ancilla)
-    # Then each ancilla axis moves next to its sender's.
-    n = len(marginal.dims)
-    order: list[int] = []
-    ancilla_axis = n
-    for i, s in enumerate(spec.senders):
-        order.append(i)
+    parts = [qcore.partial_trace(state, [s.label for s in spec.senders] + list(ref_labels))]
+    order = []
+    for s in spec.senders:
+        order.append(s.label)
         if s.ancilla > 1:
-            order.append(ancilla_axis)
-            ancilla_axis += 1
-    order.extend(range(len(spec.senders), n))
-    dims = marginal.dims + tuple(s.ancilla for s in ancillas)
-    grouped = tuple(s.dim * s.ancilla for s in spec.senders) + (math.prod(marginal.dims[len(spec.senders) :]),)
-    t = m.reshape(dims + dims).transpose(order + [p + len(dims) for p in order])
-    return t.reshape(grouped + grouped)
+            parts.append(qcore.max_mixed(s.ancilla, f"_anc{s.label}"))
+            order.append(f"_anc{s.label}")
+    work = qcore.permute_systems(qcore.tensor_all(parts), order + list(ref_labels))
+    grouped = tuple(s.dim * s.ancilla for s in spec.senders) + (math.prod(state.dim_of(x) for x in ref_labels),)
+    return work.matrix.reshape(grouped + grouped)
 
 
 def _outcome_blocks(s: SenderSpec) -> list[slice]:

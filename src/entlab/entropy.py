@@ -79,10 +79,9 @@ def coherent_information(state: LabeledState, frm: Iterable[str] | str, to: Iter
     return -conditional_entropy(state, frm, to)
 
 
-def zero_entropy(state: LabeledState, part: Iterable[str] | str | None = None) -> float:
-    """H_0: log2 of the rank of the reduced operator."""
-    reduced = state if part is None else qcore.partial_trace(state, part)
-    return math.log2(int(np.sum(reduced.spectrum() > 1e-10)))
+def zero_entropy(state: LabeledState) -> float:
+    """H_0: log2 of the rank of the state's operator; reduce first for a marginal's."""
+    return math.log2(int(np.sum(state.spectrum() > 1e-10)))
 
 
 QUANTITIES = ("svn", "cond", "coh", "hmin", "h2", "hmax", "h0", "all")
@@ -289,44 +288,6 @@ def conditional_max_entropy(rho: LabeledState, cond: Iterable[str] | str) -> flo
     purified = qcore.purify(rho, ref_label="_hmaxR")
     marginal_ar = qcore.partial_trace(purified, a_labels + ["_hmaxR"])
     return -conditional_min_entropy(marginal_ar, ["_hmaxR"]).hmin_bits
-
-
-def max_entropy_fidelity_search(rho: LabeledState, cond: Iterable[str] | str, restarts: int = 6, seed: int = 11) -> float:
-    """Direct maximization of log2 F^2(rho^{AB}, I x sigma^B); small dims only.
-
-    Serves as the independent cross-check for the duality route.
-    """
-    from scipy.optimize import minimize
-
-    arranged, d_a, b_labels = _split_conditioning(rho, cond)
-    d_b = arranged.total_dim // d_a
-    side = arranged.total_dim
-    rho_root = qcore.psd_sqrt(arranged.matrix).reshape(d_a, d_b, side)
-    n_params = d_b * d_b
-
-    def sigma_of(params: np.ndarray) -> np.ndarray:
-        tril = np.zeros((d_b, d_b), dtype=complex)
-        idx = np.tril_indices(d_b)
-        half = len(idx[0])
-        tril[idx] = params[:half]
-        strict = np.tril_indices(d_b, -1)
-        tril[strict] += 1j * params[half : half + len(strict[0])]
-        m = tril @ tril.conj().T
-        tr = np.real(np.trace(m))
-        return m / tr if tr > 0 else np.eye(d_b) / d_b
-
-    def objective(params: np.ndarray) -> float:
-        # F(rho, I x sigma) = ||(I x sigma^{1/2}) rho^{1/2}||_1.
-        product = qcore._act_on_axes(qcore.psd_sqrt(sigma_of(params)), rho_root, [1])
-        return -float(np.sum(np.linalg.svd(product.reshape(side, side), compute_uv=False)))
-
-    rng = np.random.default_rng(seed)
-    best = -np.inf
-    for _ in range(restarts):
-        x0 = rng.standard_normal(n_params)
-        res = minimize(objective, x0, method="Nelder-Mead", options={"maxiter": 4000, "fatol": 1e-12, "xatol": 1e-9})
-        best = max(best, -res.fun)
-    return 2.0 * math.log2(best)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ conversion, the hashing method on Bell-pair strings, and Schmidt projection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,6 +47,8 @@ def entanglement_swap(lambda1, lambda2) -> ProtocolTrace:
     exact = isinstance(lambda1, (int, Fraction)) and isinstance(lambda2, (int, Fraction))
     l1 = Fraction(lambda1) if exact else float(lambda1)
     l2 = Fraction(lambda2) if exact else float(lambda2)
+    if not (exact or math.isfinite(l1) and math.isfinite(l2)):
+        raise StateError(f"lambda1 and lambda2 must be finite, got {l1!r} and {l2!r}")
     sum_defect = abs(float(l1 + l2) - 1.0)
     if l1 < l2 or l2 < 0 or sum_defect > (0 if exact else 1e-12):
         raise StateError("need lambda1 >= lambda2 >= 0 with lambda1 + lambda2 = 1")
@@ -75,7 +77,7 @@ def entanglement_swap(lambda1, lambda2) -> ProtocolTrace:
 
 @dataclass
 class HashingRound:
-    subset_bits: np.ndarray  # indices into the 2n-bit string
+    subset_bits: np.ndarray  # uint16 indices into the 2n-bit string (2n <= 10000)
     parity: int
     consumed_pair: int
     panel_size: int  # decoys left in the panel after this round
@@ -84,9 +86,9 @@ class HashingRound:
 @dataclass
 class HashingTrial:
     hidden: np.ndarray  # n Bell symbols in {0,1,2,3}
-    rounds: list[HashingRound] = field(default_factory=list)
-    decoys_surviving: int = 0
-    hidden_typical: bool = True
+    rounds: list[HashingRound]  # logged for trial 0 only
+    decoys_surviving: int
+    hidden_typical: bool
 
     @property
     def succeeded(self) -> bool:
@@ -201,8 +203,7 @@ def hashing_simulation(
     trial_records: list[HashingTrial] = []
     for trial_index, rng in enumerate(rngs):
         hidden = _sample_symbols(rng, p_arr, n)
-        record = HashingTrial(hidden=hidden)
-        record.hidden_typical = bool(typicality.typical_mask(hidden, p_arr, delta))
+        hidden_typical = bool(typicality.typical_mask(hidden, p_arr, delta))
         # A decoy's parity matches the hidden one exactly when the parity of
         # their difference is even; the 2-bit code makes XOR of symbols the
         # XOR of bits, so the panel holds the packed differences.  Decoys
@@ -217,6 +218,7 @@ def hashing_simulation(
         # trials stop once no decoy is left: their own RNG streams leave every
         # other trial unchanged.
         keep_rounds = trial_index == 0
+        rounds: list[HashingRound] = []
         hidden_bits = _symbols_to_bits(hidden)
         bit_alive = np.ones(2 * n, dtype=bool)
         for _ in range(rounds_run):
@@ -233,16 +235,15 @@ def hashing_simulation(
             consumed = int(subset[-1] // 2)  # alive is sorted, so this is the largest index
             bit_alive[2 * consumed : 2 * consumed + 2] = False
             if keep_rounds:
-                record.rounds.append(
+                rounds.append(
                     HashingRound(
-                        subset_bits=subset,
+                        subset_bits=subset.astype(np.uint16),
                         parity=int(np.bitwise_xor.reduce(hidden_bits[subset])),
                         consumed_pair=consumed,
                         panel_size=int(panel.shape[0]),
                     )
                 )
-        record.decoys_surviving = int(panel.shape[0])
-        trial_records.append(record)
+        trial_records.append(HashingTrial(hidden, rounds, int(panel.shape[0]), hidden_typical))
 
     successes = sum(1 for t in trial_records if t.succeeded)
     yield_per_pair = (n - rounds_run) / n

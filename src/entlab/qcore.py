@@ -798,17 +798,16 @@ def build_state(spec: dict) -> LabeledState:
     raise StateError(f"unknown state kind {kind!r}")
 
 
-def random_density(dims: Sequence[int], rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density matrix from a normalized Ginibre factor (full rank by default)."""
+def random_density(dims: Sequence[int], rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank density matrix from a normalized square Ginibre factor."""
     side = int(np.prod(dims))
-    r = side if rank is None else rank
-    g = rng.standard_normal((side, r)) + 1j * rng.standard_normal((side, r))
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     m = g @ g.conj().T
     return m / np.real(np.trace(m))
 
 
-def random_state(systems: Sequence[tuple[str, int]], rng: np.random.Generator, rank: int | None = None) -> LabeledState:
-    return make_state(systems, random_density([d for _, d in systems], rng, rank))
+def random_state(systems: Sequence[tuple[str, int]], rng: np.random.Generator) -> LabeledState:
+    return make_state(systems, random_density([d for _, d in systems], rng))
 
 
 def random_pure(systems: Sequence[tuple[str, int]], rng: np.random.Generator) -> LabeledState:

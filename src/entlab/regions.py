@@ -128,6 +128,11 @@ def one_shot_cost_rhs(hmin_bits: float, eps: float, m: int) -> float:
     return -hmin_bits + 4.0 * math.log2(1.0 / eps) + 2.0 * m + 8.0
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise StateError(f"eps must lie in (0, 1), got {eps!r}")
+
+
 def one_shot_cost_region(
     state: LabeledState,
     senders: Sequence[str],
@@ -135,6 +140,7 @@ def one_shot_cost_region(
     eps: float,
 ) -> RegionSpec:
     """One-shot simultaneous-merging cost region over all non-empty sender subsets."""
+    _check_eps(eps)
     senders, reference = qcore.distinct_labels(senders, reference)
     if len(senders) > MAX_COST_PARTIES:
         raise StateError(f"at most {MAX_COST_PARTIES} senders supported for cost regions")
@@ -174,6 +180,7 @@ def sequential_cost(state: LabeledState, ordering: Sequence[str], reference: Seq
     The smoothing parameter is eps^2 / (52 m^2); the Renes plug-in uses the
     sender's own dimension, as in the worked cost comparisons.
     """
+    _check_eps(eps)
     ordering, reference = qcore.distinct_labels(ordering, reference)
     m = len(ordering)
     delta = eps * eps / (52.0 * m * m)

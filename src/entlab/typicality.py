@@ -86,6 +86,10 @@ def typical_set(p: Sequence[float], n: int, delta: float) -> TypicalSet:
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < -1e-12) or abs(p_arr.sum() - 1.0) > 1e-9:
         raise StateError("p must be a probability vector")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise StateError(f"n must be an integer >= 1, got {n!r}")
+    if not math.isfinite(delta):
+        raise StateError(f"delta must be finite, got {delta!r}")
     low, high = _count_bounds(p_arr, n, delta)
     low, high = low.tolist(), np.where(p_arr == 0, np.minimum(high, 0), high).tolist()
     cardinality = 0

@@ -11,3 +11,27 @@ def test_acceptance_criterion(name):
     result = acceptance.run_one(name)
     print(f"[{'PASS' if result.passed else 'FAIL'}] {name} ({result.seconds:.1f}s): {result.detail}")
     assert result.passed, result.detail
+
+
+def test_a_failed_expectation_fails_the_criterion_and_names_every_failure(monkeypatch):
+    def criterion(c):
+        c.note("notes are dropped once a check fails")
+        c.expect(True, "a check that holds is not reported")
+        c.expect(False, "first failure")
+        c.expect(False, "second failure")
+
+    monkeypatch.setitem(acceptance.CRITERIA, "stub", criterion)
+    result = acceptance.run_one("stub")
+    assert not result.passed
+    assert result.detail == "first failure; second failure"
+
+
+def test_a_criterion_that_raises_fails_with_the_exception(monkeypatch):
+    def criterion(c):
+        c.expect(True, "a check before the crash")
+        raise ValueError("broken input")
+
+    monkeypatch.setitem(acceptance.CRITERIA, "stub", criterion)
+    result = acceptance.run_one("stub")
+    assert not result.passed
+    assert result.detail == "exception: ValueError('broken input')"

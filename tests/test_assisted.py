@@ -7,6 +7,8 @@ import pytest
 
 from entlab import assisted, entropy, qcore
 
+import ginibre
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -274,7 +276,7 @@ def test_da_ensemble_bound_scores_the_spectral_ensemble():
 def test_lower_bound_below_upper_bounds():
     rng = np.random.default_rng(19)
     for _ in range(3):
-        state = qcore.random_state([("A", 2), ("B", 2), ("C", 2)], rng, rank=2)
+        state = ginibre.state([("A", 2), ("B", 2), ("C", 2)], rng, rank=2)
         report = assisted.assisted_lower_bound(state, ["A"], ["B"], [["C"]])
         bounds = assisted.da_upper_bounds(state, ["A"], ["B"], ["C"], ensembles=40, seed=11)
         assert report.lower_bound <= bounds["ensemble_bound"] + 1e-7

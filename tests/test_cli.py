@@ -257,6 +257,31 @@ def test_csv_is_rejected_where_no_csv_is_written(argv, capsys):
     assert "unrecognized arguments: --csv out.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["entropy", "--state", "s.json", "--split", "A|B"],
+     ["region", "--state", "s.json", "--mode", "merge", "--senders", "A"],
+     ["assist", "--state", "s.json", "--a", "A", "--b", "B"],
+     ["swap", "--lambda2", "0.3"],
+     ["schmidt", "--theta", "0.5", "--n", "2"],
+     ["typ-check", "--p", "0.7,0.3", "--n", "4", "--delta", "0.1"]],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_rejected_where_no_seed_is_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "99"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+
+
+def test_emit_json_refuses_nan_and_writes_nothing(tmp_path):
+    out = tmp_path / "out.json"
+    for value in (math.nan, math.inf):
+        with pytest.raises(qcore.StateError, match="not valid JSON"):
+            cli.emit_json({"value": value}, str(out))
+    assert list(tmp_path.iterdir()) == []
+
+
 def _exit_code(argv: list[str]) -> int:
     """main's return value, or the code of the SystemExit that argparse raises."""
     try:
@@ -280,9 +305,23 @@ def _exit_code(argv: list[str]) -> int:
         (["decouple", "--state", str(DATA / "mixed4.json"), "--senders", "C1:Q=2", "--reference", "R"], None),
         (["twirl", "--d", "2", "--L", "1"], "abc"),
         (["verify", "--only", "swap"], "abc"),
+        (["region", "--state", str(DATA / "mixed4.json"), "--mode", "cost", "--senders", "C1,C2", "--reference", "R",
+          "--eps", "0"], None),
+        (["region", "--state", str(DATA / "mixed4.json"), "--mode", "seq", "--senders", "C1,C2", "--ordering", "C2,C1",
+          "--reference", "R", "--eps", "0"], None),
+        (["region", "--state", str(DATA / "mixed4.json"), "--mode", "cost", "--senders", "C1,C2", "--reference", "R",
+          "--eps", "-1"], None),
+        (["region", "--state", str(DATA / "mixed4.json"), "--mode", "cost", "--senders", "C1,C2", "--reference", "R",
+          "--eps", "nan"], None),
+        (["swap", "--lambda2", "nan"], None),
+        (["typ-check", "--p", "0.7,0.3", "--n", "-3", "--delta", "0.1"], None),
+        (["typ-check", "--p", "0.7,0.3", "--n", "0", "--delta", "0.1"], None),
+        (["typ-check", "--p", "0.7,0.3", "--n", "5", "--delta", "nan"], None),
     ],
     ids=["hash-sim-p", "typ-check-p", "region-point", "region-point-nan", "swap-word", "swap-zero-denominator", "decouple-K",
-         "decouple-unknown-key", "env-seed-twirl", "env-seed-verify"],
+         "decouple-unknown-key", "env-seed-twirl", "env-seed-verify", "region-cost-eps-zero", "region-seq-eps-zero",
+         "region-eps-negative", "region-eps-nan", "swap-nan", "typ-check-n-negative", "typ-check-n-zero",
+         "typ-check-delta-nan"],
 )
 def test_malformed_arguments_exit_2_with_a_diagnostic(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:
@@ -427,7 +466,7 @@ GOLDEN_CASES = {
                         "--cnot", "C1,C2"],
     "assist_mixed4": ["assist", "--state", "assist4.json", "--a", "A", "--b", "B", "--helpers", "C1;C2"],
     "assist_mixed4_cnot": ["assist", "--state", "assist4.json", "--a", "A", "--b", "B", "--helpers", "C1;C2",
-                           "--cnot", "C1,C2", "--seed", "7"],
+                           "--cnot", "C1,C2"],
     "assist_mixed4_grouped": ["assist", "--state", "assist4.json", "--a", "A", "--b", "B", "--helpers", "C1,C2"],
     "assist_mixed4_no_helpers": ["assist", "--state", "assist4.json", "--a", "A", "--b", "B"],
     "entropy_mixed4": ["entropy", "--state", "mixed4.json", "--split", "C1|B,R", "--quantity", "all"],

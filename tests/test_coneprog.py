@@ -11,6 +11,8 @@ import pytest
 
 from entlab import coneprog, entropy, qcore
 
+import ginibre
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -102,7 +104,7 @@ def _golden_state(spec: dict) -> qcore.LabeledState:
     if spec["state"] == "max_entangled":
         return qcore.max_entangled(spec["d_a"])
     systems = [("A", spec["d_a"]), ("B", spec["d_b"])]
-    return qcore.random_state(systems, np.random.default_rng(spec["seed"]), rank=spec["rank"])
+    return ginibre.state(systems, np.random.default_rng(spec["seed"]), rank=spec["rank"])
 
 
 def _solve(spec: dict, monkeypatch) -> tuple[entropy.ConeProgramResult, float]:

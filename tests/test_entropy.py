@@ -6,6 +6,8 @@ import pytest
 
 from entlab import entropy, qcore, regions
 
+import ginibre
+
 
 def test_von_neumann_reference_values():
     assert entropy.von_neumann(qcore.max_mixed(8)) == pytest.approx(3.0, abs=1e-12)
@@ -125,7 +127,7 @@ def test_entropy_report_decomposes_each_subset_once(monkeypatch):
 
 def test_make_state_decomposes_nothing_until_the_spectrum_is_read(monkeypatch):
     rng = np.random.default_rng(13)
-    matrices = [qcore.random_density([4, 4], rng), qcore.random_density([8, 4], rng, rank=3), np.eye(16) / 16]
+    matrices = [qcore.random_density([4, 4], rng), ginibre.density([8, 4], rng, rank=3), np.eye(16) / 16]
     calls = _count_eigendecompositions(monkeypatch)
     states = [qcore.make_state([("A", m.shape[0])], m) for m in matrices]
     assert calls[0] == 0
@@ -167,7 +169,7 @@ def test_min_entropy_of_pure_state_is_minus_log_rank_of_marginal():
     joint = qcore.partial_trace(psi, ["C1", "C2", "R"])
     sigma = qcore.partial_trace(psi, "R")
     lhs = -entropy.min_entropy_relative(joint, sigma)
-    rhs = entropy.zero_entropy(psi, ["C1", "C2"])
+    rhs = entropy.zero_entropy(qcore.partial_trace(psi, ["C1", "C2"]))
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -323,11 +325,51 @@ def test_max_entropy_values():
     )
 
 
+def _max_entropy_fidelity_search(rho: qcore.LabeledState, cond, restarts: int, seed: int) -> float:
+    """H_max(A|B) = max over states sigma^B of log2 F^2(rho^{AB}, I x sigma^B), by
+    Nelder-Mead from ``restarts`` random starts; small dims only.
+
+    The oracle for the duality route of entropy.conditional_max_entropy: it
+    shares no step with the cone program.
+    """
+    from scipy.optimize import minimize
+
+    arranged, d_a, _ = entropy._split_conditioning(rho, cond)
+    d_b = arranged.total_dim // d_a
+    side = arranged.total_dim
+    rho_root = qcore.psd_sqrt(arranged.matrix).reshape(d_a, d_b, side)
+    n_params = d_b * d_b
+
+    def sigma_of(params: np.ndarray) -> np.ndarray:
+        tril = np.zeros((d_b, d_b), dtype=complex)
+        idx = np.tril_indices(d_b)
+        half = len(idx[0])
+        tril[idx] = params[:half]
+        strict = np.tril_indices(d_b, -1)
+        tril[strict] += 1j * params[half : half + len(strict[0])]
+        m = tril @ tril.conj().T
+        tr = np.real(np.trace(m))
+        return m / tr if tr > 0 else np.eye(d_b) / d_b
+
+    def objective(params: np.ndarray) -> float:
+        # F(rho, I x sigma) = ||(I x sigma^{1/2}) rho^{1/2}||_1.
+        product = qcore._act_on_axes(qcore.psd_sqrt(sigma_of(params)), rho_root, [1])
+        return -float(np.sum(np.linalg.svd(product.reshape(side, side), compute_uv=False)))
+
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for _ in range(restarts):
+        x0 = rng.standard_normal(n_params)
+        res = minimize(objective, x0, method="Nelder-Mead", options={"maxiter": 4000, "fatol": 1e-12, "xatol": 1e-9})
+        best = max(best, -res.fun)
+    return 2.0 * math.log2(best)
+
+
 def test_max_entropy_duality_vs_fidelity_search():
     rng = np.random.default_rng(41)
     rho = qcore.random_state([("A", 2), ("B", 2)], rng)
     dual = entropy.conditional_max_entropy(rho, ["B"])
-    searched = entropy.max_entropy_fidelity_search(rho, ["B"], restarts=4, seed=3)
+    searched = _max_entropy_fidelity_search(rho, ["B"], restarts=4, seed=3)
     assert dual == pytest.approx(searched, abs=1e-4)
 
 
@@ -432,7 +474,7 @@ def _table_family(kind: str, seed: int) -> qcore.LabeledState:
     systems = [("W", 2), ("X", 3), ("Y", 2), ("Z", 2)]
     if kind == "pure":
         return qcore.random_pure(systems, rng)
-    return qcore.random_state(systems, rng, rank=2 if kind == "mixed-rank2" else None)
+    return ginibre.state(systems, rng, rank=2 if kind == "mixed-rank2" else None)
 
 
 @pytest.mark.parametrize("seed", range(3))

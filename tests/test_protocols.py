@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -41,6 +42,12 @@ def test_swap_exactness_for_rationals_and_float_path():
         protocols.entanglement_swap(0.4, 0.6)
 
 
+@pytest.mark.parametrize("lambda1, lambda2", [(math.nan, 0.3), (0.7, math.nan), (math.nan, math.nan), (math.inf, -math.inf)])
+def test_swap_rejects_weights_that_are_not_finite(lambda1, lambda2):
+    with pytest.raises(qcore.StateError, match="finite"):
+        protocols.entanglement_swap(lambda1, lambda2)
+
+
 def test_bell_diagonal_entropy_matches_weights():
     p = (0.8, 0.1, 0.05, 0.05)
     state = protocols.bell_diagonal_state(p)
@@ -79,6 +86,43 @@ def test_hashing_identifies_string_and_replays():
     assert 0 < sizes[0] < 500
     assert sizes.index(0) < len(sizes) - 1
     assert sizes[sizes.index(0) :] == [0] * (len(sizes) - sizes.index(0))
+
+
+def test_round_log_keeps_subsets_as_uint16():
+    # 2n <= 10000 indices fit in uint16, a quarter of the int64 subsets the
+    # rounds draw: trial 0's log holds two bytes per logged index.
+    trace = protocols.hashing_simulation((0.9, 0.05, 0.03, 0.02), n=400, delta=0.05, trials=2, seed=5, decoys=100)
+    rounds = trace.aggregate["trial_records"][0].rounds
+    assert len(rounds) == trace.aggregate["rounds_run"] > 0
+    assert {r.subset_bits.dtype for r in rounds} == {np.dtype(np.uint16)}
+    indices = sum(r.subset_bits.size for r in rounds)
+    assert sum(r.subset_bits.nbytes for r in rounds) == 2 * indices
+    assert trace.aggregate["trial_records"][1].rounds == []
+
+
+def _replayable_trial() -> protocols.HashingTrial:
+    trace = protocols.hashing_simulation((0.7, 0.15, 0.1, 0.05), n=120, delta=0.1, trials=1, seed=3, decoys=50)
+    trial = trace.aggregate["trial_records"][0]
+    assert protocols.replay_hashing_trial(trial)
+    return trial
+
+
+def test_replay_rejects_a_flipped_parity():
+    trial = _replayable_trial()
+    announced = trial.rounds[5]
+    trial.rounds[5] = dataclasses.replace(announced, parity=1 - announced.parity)
+    assert not protocols.replay_hashing_trial(trial)
+
+
+def test_replay_rejects_a_subset_that_touches_a_consumed_pair():
+    trial = _replayable_trial()
+    consumed = trial.rounds[0].consumed_pair
+    later = trial.rounds[1]
+    subset = np.append(later.subset_bits, np.uint16(2 * consumed))
+    # The parity stays true to the hidden string, so only the consumed pair can fail the replay.
+    parity = int(protocols._symbols_to_bits(trial.hidden)[subset].sum() & 1)
+    trial.rounds[1] = dataclasses.replace(later, subset_bits=subset, parity=parity)
+    assert not protocols.replay_hashing_trial(trial)
 
 
 def test_hashing_round_count_follows_entropy_rate():

@@ -7,6 +7,8 @@ import pytest
 
 from entlab import assisted, decoupling, entropy, qcore, regions
 
+import ginibre
+
 
 def test_bell_constructors_are_orthonormal_basis():
     kinds = ["phi_plus", "phi_minus", "psi_plus", "psi_minus"]
@@ -254,8 +256,19 @@ def test_make_state_accepts_rank_deficient_states(d):
     half = qcore.make_state([("C1", d), ("R", d)], big / 2, norm_mode="subnormalized")
     assert half.trace() == pytest.approx(0.5, abs=1e-12)
     assert np.sum(joint.spectrum() > 1e-10) == d
-    low_rank = qcore.make_state([("A", d)], qcore.random_density([d], rng, rank=2))
+    low_rank = qcore.make_state([("A", d)], ginibre.density([d], rng, rank=2))
     assert np.sum(low_rank.spectrum() > 1e-10) == 2
+
+
+def test_full_rank_test_densities_are_the_library_draws_bitwise():
+    # tests/ginibre.py keeps the ranked generator that tests draw their inputs
+    # from; at full rank it must still make the library's draws and arithmetic.
+    for dims in ([2], [3, 2], [4, 4]):
+        library = qcore.random_density(dims, np.random.default_rng(5))
+        assert ginibre.density(dims, np.random.default_rng(5), None).tobytes() == library.tobytes()
+    systems = [("A", 2), ("B", 3)]
+    library = qcore.random_state(systems, np.random.default_rng(6))
+    assert ginibre.state(systems, np.random.default_rng(6), None).matrix.tobytes() == library.matrix.tobytes()
 
 
 def test_spectrum_is_the_clamped_eigvalsh_of_the_stored_matrix_bitwise():
@@ -263,7 +276,7 @@ def test_spectrum_is_the_clamped_eigvalsh_of_the_stored_matrix_bitwise():
     for k in range(20):
         side = (2, 3, 8, 16, 64)[k % 5]
         rank = None if k % 2 else max(1, side // 3)
-        state = qcore.make_state([("A", side)], qcore.random_density([side], rng, rank))
+        state = qcore.make_state([("A", side)], ginibre.density([side], rng, rank))
         expected = qcore._clamp(np.linalg.eigvalsh(state.matrix))
         assert state.spectrum().tobytes() == expected.tobytes()
 
@@ -574,7 +587,7 @@ def _random_family(kind, dims, rng):
     if kind == "pure":
         return qcore.random_pure(systems, rng)
     rank = int(rng.integers(1, int(np.prod(dims)) + 1))
-    m = qcore.random_density(dims, rng, rank)
+    m = ginibre.density(dims, rng, rank)
     if kind == "subnormalized":
         return qcore.make_state(systems, m * rng.uniform(0.3, 1.0), "subnormalized")
     return qcore.make_state(systems, m)
@@ -659,7 +672,7 @@ def test_reductions_over_large_traced_systems_equal_dense_partial_trace_bitwise(
     systems = [(f"S{i}", d) for i, d in enumerate(dims)]
     _assert_reductions_equal_dense_partial_trace_bitwise(qcore.random_pure(systems, rng))
     # Correlated and dense without a D-sided eigendecomposition.
-    mixed = qcore.tensor(qcore.random_state(systems[:-1], rng, rank=2), qcore.random_pure(systems[-1:], rng))
+    mixed = qcore.tensor(ginibre.state(systems[:-1], rng, rank=2), qcore.random_pure(systems[-1:], rng))
     assert not mixed.is_pure
     _assert_reductions_equal_dense_partial_trace_bitwise(mixed)
 

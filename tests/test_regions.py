@@ -88,6 +88,15 @@ def test_one_shot_cost_region_from_state():
     assert region.rhs_of(["C1", "C2"]) == pytest.approx(math.log2(0.75) + consts, abs=1e-7)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, 1.0, math.nan, math.inf])
+def test_cost_regions_reject_eps_outside_the_open_unit_interval(eps):
+    state = qcore.example_4_1(2, [0.75, 0.25])
+    with pytest.raises(qcore.StateError, match="eps must lie in"):
+        regions.one_shot_cost_region(state, ["C1", "C2"], ["R"], eps)
+    with pytest.raises(qcore.StateError, match="eps must lie in"):
+        regions.sequential_cost(state, ["C1", "C2"], ["R"], eps)
+
+
 def test_region_constructors_reject_a_party_named_twice():
     state = qcore.example_4_1(2, [0.75, 0.25])
     builds = [

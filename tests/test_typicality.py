@@ -15,6 +15,12 @@ def test_deterministic_source_has_single_member():
     assert sequences[typicality.typical_mask(sequences, [1.0, 0.0], 0.01)].tolist() == [[0] * 8]
 
 
+@pytest.mark.parametrize("n, delta", [(0, 0.1), (-3, 0.1), (2.0, 0.1), (4, math.nan), (4, math.inf)])
+def test_typical_set_rejects_a_bad_length_or_delta(n, delta):
+    with pytest.raises(qcore.StateError, match="must be"):
+        typicality.typical_set([0.7, 0.3], n, delta)
+
+
 def test_uniform_source_every_string_is_typical():
     ts = typicality.typical_set([0.5, 0.5], n=6, delta=0.5)
     assert ts.cardinality == 64
