@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -156,8 +156,8 @@ def _on_conditioning(op: np.ndarray, rho_m: np.ndarray, d_a: int) -> np.ndarray:
     return t.reshape(side, side)
 
 
-def _conditioned(rho: LabeledState, sigma: LabeledState, power: float) -> np.ndarray:
-    """(I x sigma^power) rho (I x sigma^power), the power taken on the support of sigma.
+def _conditioning(rho: LabeledState, sigma: LabeledState) -> tuple[np.ndarray, int, Callable[[float], np.ndarray]]:
+    """rho's matrix with sigma's systems last, d_A, and p -> sigma^p on the support of sigma.
 
     Weight of rho's marginal outside that support raises SupportError.
     """
@@ -169,18 +169,57 @@ def _conditioned(rho: LabeledState, sigma: LabeledState, power: float) -> np.nda
     leak = float(np.real(np.trace(kernel @ rho_b @ kernel)))
     if leak > 1e-10:
         raise SupportError(f"marginal leaks weight {leak:.3e} outside the conditioning support")
-    powers = np.zeros_like(eigs)
-    powers[support] = eigs[support] ** power
-    return _on_conditioning((vecs * powers) @ vecs.conj().T, arranged.matrix, d_a)
+
+    def sigma_power(power: float) -> np.ndarray:
+        powers = np.zeros_like(eigs)
+        powers[support] = eigs[support] ** power
+        return (vecs * powers) @ vecs.conj().T
+
+    return arranged.matrix, d_a, sigma_power
+
+
+def _conditioned(rho: LabeledState, sigma: LabeledState, power: float) -> np.ndarray:
+    """(I x sigma^power) rho (I x sigma^power), the power taken on the support of sigma.
+
+    Weight of rho's marginal outside that support raises SupportError.  This
+    is the D x D operator that the min- and collision entropies build for rho
+    without zero rows, and the reference their support paths are tested
+    against.
+    """
+    rho_m, d_a, sigma_power = _conditioning(rho, sigma)
+    return _on_conditioning(sigma_power(power), rho_m, d_a)
+
+
+def _conditioning_columns(op: np.ndarray, d_a: int, rows: np.ndarray) -> np.ndarray:
+    """The columns ``rows`` of I_A x op, as a D x k matrix, without building I_A x op."""
+    d_b = op.shape[0]
+    a_idx, b_idx = np.divmod(rows, d_b)
+    cols = np.zeros((d_a, d_b, rows.size), dtype=complex)
+    cols[a_idx, :, np.arange(rows.size)] = op[:, b_idx].T
+    return cols.reshape(d_a * d_b, rows.size)
 
 
 def min_entropy_relative(rho: LabeledState, sigma: LabeledState) -> float:
     """H_min(rho^{AB} | sigma^B): -log2 of the least lambda with lambda(I x sigma) >= rho.
 
-    Computed as the top eigenvalue of rho conjugated by (I x sigma^{-1/2}) on the
-    support of sigma; weight outside the support raises SupportError.
+    Computed as the top eigenvalue of rho conjugated by X = I x sigma^{-1/2},
+    the power taken on the support of sigma; weight outside the support raises
+    SupportError.  When rho has exactly-zero rows (:func:`qcore.support_rows`),
+    let S be the other k rows and Y = QR the thin QR of the D x k column block
+    X[:, S].  Then X rho X = Y rho_S Y^dagger = Q (R rho_S R^dagger) Q^dagger,
+    so its nonzero spectrum is that of the k x k matrix R rho_S R^dagger, which
+    is decomposed instead of the D x D one.  Without zero rows the D x D
+    operator is decomposed as before.
     """
-    return -math.log2(float(np.max(qcore.clamped_eigenvalues(_conditioned(rho, sigma, -0.5)))))
+    rho_m, d_a, sigma_power = _conditioning(rho, sigma)
+    root = sigma_power(-0.5)
+    rows = qcore.support_rows(rho_m)
+    if rows is None:
+        conditioned = _on_conditioning(root, rho_m, d_a)
+    else:
+        r = np.linalg.qr(_conditioning_columns(root, d_a, rows), mode="r")
+        conditioned = r @ rho_m[np.ix_(rows, rows)] @ r.conj().T
+    return -math.log2(float(np.max(qcore.clamped_eigenvalues(conditioned))))
 
 
 def min_entropy_unconditioned(rho: LabeledState) -> float:
@@ -189,9 +228,23 @@ def min_entropy_unconditioned(rho: LabeledState) -> float:
 
 
 def collision_entropy(rho: LabeledState, sigma: LabeledState) -> float:
-    """H_2(rho^{AB} | sigma^B) = -log2 Tr[((I x sigma^{-1/4}) rho (I x sigma^{-1/4}))^2]."""
-    tilde = _conditioned(rho, sigma, -0.25)
-    return -math.log2(float(np.real(np.trace(tilde @ tilde))))
+    """H_2(rho^{AB} | sigma^B) = -log2 Tr[((I x sigma^{-1/4}) rho (I x sigma^{-1/4}))^2].
+
+    The trace equals Tr[(rho (I x sigma^{-1/2}))^2].  When rho has exactly-zero
+    rows (:func:`qcore.support_rows`), only the k rows S of rho that are not
+    zero enter it, and it is Tr[(rho_S (I x sigma^{-1/2})_SS)^2], a k x k
+    product.  Without zero rows the D x D conjugated operator is squared as
+    before.
+    """
+    rho_m, d_a, sigma_power = _conditioning(rho, sigma)
+    rows = qcore.support_rows(rho_m)
+    if rows is None:
+        tilde = _on_conditioning(sigma_power(-0.25), rho_m, d_a)
+        return -math.log2(float(np.real(np.trace(tilde @ tilde))))
+    a_idx, b_idx = np.divmod(rows, rho_m.shape[0] // d_a)
+    weight = sigma_power(-0.5)[np.ix_(b_idx, b_idx)] * (a_idx[:, None] == a_idx[None, :])
+    product = rho_m[np.ix_(rows, rows)] @ weight
+    return -math.log2(float(np.real(np.sum(product * product.T))))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,29 @@
+"""Each acceptance criterion must fail when the engine function it checks is
+plausibly wrong: a criterion that passes a broken engine checks nothing.
+
+Every mutant here is a monkeypatch of one engine function, and each test
+asserts that the criterion fails on the check that should catch it, not on
+an exception.
+"""
+
+import pytest
+
+from entlab import acceptance, entropy
+
+
+def _scaled(fn, factor):
+    def mutant(*args, **kwargs):
+        return factor * fn(*args, **kwargs)
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "name, failed_check",
+    [("gershgorin", "!= log2 lambda_max(G)"), ("entropy-engine", "H_min(C1R|R)")],
+)
+def test_min_entropy_scaled_by_one_percent_fails_the_criterion(monkeypatch, name, failed_check):
+    monkeypatch.setattr(entropy, "min_entropy_relative", _scaled(entropy.min_entropy_relative, 1.01))
+    result = acceptance.run_one(name)
+    assert not result.passed
+    assert failed_check in result.detail, result.detail

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,7 +129,9 @@ def test_entropy_report_decomposes_each_subset_once(monkeypatch):
 
 def test_make_state_decomposes_nothing_until_the_spectrum_is_read(monkeypatch):
     rng = np.random.default_rng(13)
-    matrices = [qcore.random_density([4, 4], rng), ginibre.density([8, 4], rng, rank=3), np.eye(16) / 16]
+    zero_rows = np.zeros((16, 16), dtype=complex)
+    zero_rows[np.ix_([0, 5, 10, 15], [0, 5, 10, 15])] = qcore.random_density([4], rng)
+    matrices = [qcore.random_density([4, 4], rng), ginibre.density([8, 4], rng, rank=3), np.eye(16) / 16, zero_rows]
     calls = _count_eigendecompositions(monkeypatch)
     states = [qcore.make_state([("A", m.shape[0])], m) for m in matrices]
     assert calls[0] == 0
@@ -178,6 +182,100 @@ def test_min_entropy_support_violation_raises():
     sigma = qcore.make_state([("B", 2)], np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(entropy.SupportError):
         entropy.min_entropy_relative(rho, sigma)
+
+
+# -- the support path: rho with exactly-zero rows --
+
+DATA = Path(__file__).parent / "data"
+STATE_FILES = ["assist4.json", "ch5.json", "ghz3.json", "mixed4.json", "pure5.json"]
+
+
+def _dense_min_entropy(rho, sigma):
+    """H_min from the D x D conditioned operator, the path of states without zero rows."""
+    return -math.log2(float(np.max(qcore.clamped_eigenvalues(entropy._conditioned(rho, sigma, -0.5)))))
+
+
+def _dense_collision_entropy(rho, sigma):
+    tilde = entropy._conditioned(rho, sigma, -0.25)
+    return -math.log2(float(np.real(np.trace(tilde @ tilde))))
+
+
+def _assert_matches_dense(rho, sigma):
+    assert entropy.min_entropy_relative(rho, sigma) == pytest.approx(_dense_min_entropy(rho, sigma), abs=1e-12)
+    assert entropy.collision_entropy(rho, sigma) == pytest.approx(_dense_collision_entropy(rho, sigma), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", STATE_FILES)
+def test_support_path_matches_the_dense_operator_on_every_one_versus_rest_split(name):
+    state = qcore.build_state(json.loads((DATA / name).read_text()))
+    for label in state.labels:
+        rest = [x for x in state.labels if x != label]
+        for given in (rest, [label]):
+            _assert_matches_dense(state, qcore.partial_trace(state, given))
+
+
+def test_state_files_with_zero_rows_take_the_support_path():
+    with_zero_rows = [
+        name for name in STATE_FILES
+        if qcore.support_rows(qcore.build_state(json.loads((DATA / name).read_text())).matrix) is not None
+    ]
+    assert with_zero_rows == ["ch5.json", "ghz3.json"]
+
+
+def _sparse_pure(dims, nonzero, rng):
+    amplitudes = np.zeros(int(np.prod(dims)), dtype=complex)
+    amplitudes[nonzero] = rng.standard_normal(len(nonzero)) + 1j * rng.standard_normal(len(nonzero))
+    return qcore.pure_state([(f"S{i}", d) for i, d in enumerate(dims)], amplitudes)
+
+
+def test_support_path_matches_the_dense_operator_against_a_non_diagonal_sigma():
+    # A complex sigma with no zero entry: a dropped conj on the support path shows.
+    rng = np.random.default_rng(41)
+    for dims, nonzero in (((3, 4), [0, 5, 6, 11]), ((2, 2, 3), [1, 4, 9]), ((4, 4), [3])):
+        rho = _sparse_pure(dims, nonzero, rng)
+        assert qcore.support_rows(rho.matrix).tolist() == nonzero
+        sigma = qcore.random_state([("S1", dims[1])], rng)
+        _assert_matches_dense(rho, sigma)
+        two = qcore.random_state([(f"S{i}", d) for i, d in enumerate(dims)][1:], rng)
+        _assert_matches_dense(rho, two)
+
+
+def test_support_path_with_a_rank_deficient_sigma_that_contains_the_marginal():
+    rng = np.random.default_rng(43)
+    # rho lives on B in span{|0>, |1>}, sigma on span{|0>, |1>, |2>} (d_B = 4).
+    block = ginibre.density([4], rng, rank=3)
+    rows = [0, 1, 4, 5]
+    m = np.zeros((8, 8), dtype=complex)
+    m[np.ix_(rows, rows)] = block
+    rho = qcore.make_state([("A", 2), ("B", 4)], m)
+    assert qcore.support_rows(rho.matrix).tolist() == rows
+    s = np.zeros((4, 4), dtype=complex)
+    s[:3, :3] = qcore.random_density([3], rng)
+    sigma = qcore.make_state([("B", 4)], s)
+    assert np.sum(np.linalg.eigvalsh(s) > entropy.SUPPORT_TOL) == 3
+    _assert_matches_dense(rho, sigma)
+
+
+def test_support_path_raises_when_the_marginal_leaks_outside_sigma():
+    rho = _sparse_pure((2, 4), [0, 5], np.random.default_rng(47))
+    assert qcore.support_rows(rho.matrix) is not None
+    sigma = qcore.make_state([("S1", 4)], np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    for fn in (entropy.min_entropy_relative, entropy.collision_entropy):
+        with pytest.raises(entropy.SupportError, match="outside the conditioning support"):
+            fn(rho, sigma)
+
+
+def test_a_zero_diagonal_row_with_an_off_diagonal_entry_stays_on_the_dense_path():
+    # PSD within the eigenvalue floor, no row exactly zero: the D x D path runs.
+    m = np.zeros((4, 4), dtype=complex)
+    m[1:, 1:] = np.diag([0.8, 0.15, 0.05])
+    m[0, 1] = m[1, 0] = 0.7e-5
+    rho = qcore.make_state([("A", 2), ("B", 2)], m)
+    assert np.linalg.eigvalsh(m)[0] < -1e-11
+    assert qcore.support_rows(rho.matrix) is None
+    sigma = qcore.random_state([("B", 2)], np.random.default_rng(53))
+    assert entropy.min_entropy_relative(rho, sigma) == _dense_min_entropy(rho, sigma)
+    assert entropy.collision_entropy(rho, sigma) == _dense_collision_entropy(rho, sigma)
 
 
 def _lambda_at_bloch(rho_matrix: np.ndarray, x: float, y: float, z: float) -> float:

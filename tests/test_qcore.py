@@ -236,6 +236,45 @@ def test_make_state_rejects_eigenvalues_below_the_floor_with_the_smallest_one(si
             qcore.make_state([("A", side)], m)
 
 
+def _with_zero_rows(block, side, rng):
+    """``block`` on a random set of rows of a side x side matrix whose other rows are exactly zero."""
+    rows = np.sort(rng.choice(side, block.shape[0], replace=False))
+    m = np.zeros((side, side), dtype=complex)
+    m[np.ix_(rows, rows)] = block
+    return m
+
+
+@pytest.mark.parametrize("side", [16, 64])
+def test_make_state_floor_on_the_support_of_a_zero_row_matrix(side):
+    # The Cholesky check runs on the block of rows that are not zero.  A block
+    # eigenvalue of -0.9e-10 passes; -1.1e-10 is rejected with the message of
+    # the whole matrix's eigenvalues, as before the block check.
+    rng = np.random.default_rng(side + 1)
+    k = side // 4
+    accepted = _with_zero_rows(_in_random_basis(_spectrum_with_smallest(-0.9e-10, k, rng), rng), side, rng)
+    assert qcore.support_rows(accepted).size == k
+    assert qcore.make_state([("A", side)], accepted).spectrum()[0] == 0.0
+    rejected = _with_zero_rows(_in_random_basis(_spectrum_with_smallest(-1.1e-10, k, rng), rng), side, rng)
+    assert qcore.support_rows(rejected).size == k
+    smallest = np.linalg.eigvalsh((rejected + rejected.conj().T) / 2)[0]
+    message = f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})"
+    assert message.endswith("(min eigenvalue -1.100e-10)")
+    with pytest.raises(qcore.StateError, match=f"^{re.escape(message)}$"):
+        qcore.make_state([("A", side)], rejected)
+
+
+def test_support_rows_drops_only_rows_that_are_exactly_zero():
+    m = np.zeros((4, 4), dtype=complex)
+    m[1, 1] = m[3, 3] = 0.5
+    assert qcore.support_rows(m).tolist() == [1, 3]
+    # A zero diagonal entry with a nonzero entry elsewhere in its row keeps the row.
+    m[0, 3] = m[3, 0] = 1e-300j
+    assert qcore.support_rows(m).tolist() == [0, 1, 3]
+    assert qcore.support_rows(np.eye(4)) is None
+    m[2, 1] = m[1, 2] = 1e-5
+    assert qcore.support_rows(m) is None
+
+
 def _overlap_family_joint(d, rng):
     """The rank-d joint operator of the gershgorin criterion's overlap family, on C1 (x) R."""
     kets = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
