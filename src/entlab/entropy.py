@@ -178,18 +178,6 @@ def _conditioning(rho: LabeledState, sigma: LabeledState) -> tuple[np.ndarray, i
     return arranged.matrix, d_a, sigma_power
 
 
-def _conditioned(rho: LabeledState, sigma: LabeledState, power: float) -> np.ndarray:
-    """(I x sigma^power) rho (I x sigma^power), the power taken on the support of sigma.
-
-    Weight of rho's marginal outside that support raises SupportError.  This
-    is the D x D operator that the min- and collision entropies build for rho
-    without zero rows, and the reference their support paths are tested
-    against.
-    """
-    rho_m, d_a, sigma_power = _conditioning(rho, sigma)
-    return _on_conditioning(sigma_power(power), rho_m, d_a)
-
-
 def _conditioning_columns(op: np.ndarray, d_a: int, rows: np.ndarray) -> np.ndarray:
     """The columns ``rows`` of I_A x op, as a D x k matrix, without building I_A x op."""
     d_b = op.shape[0]
@@ -230,21 +218,12 @@ def min_entropy_unconditioned(rho: LabeledState) -> float:
 def collision_entropy(rho: LabeledState, sigma: LabeledState) -> float:
     """H_2(rho^{AB} | sigma^B) = -log2 Tr[((I x sigma^{-1/4}) rho (I x sigma^{-1/4}))^2].
 
-    The trace equals Tr[(rho (I x sigma^{-1/2}))^2].  When rho has exactly-zero
-    rows (:func:`qcore.support_rows`), only the k rows S of rho that are not
-    zero enter it, and it is Tr[(rho_S (I x sigma^{-1/2})_SS)^2], a k x k
-    product.  Without zero rows the D x D conjugated operator is squared as
-    before.
+    The D x D conditioned operator is built for every rho, with or without
+    exactly-zero rows.
     """
     rho_m, d_a, sigma_power = _conditioning(rho, sigma)
-    rows = qcore.support_rows(rho_m)
-    if rows is None:
-        tilde = _on_conditioning(sigma_power(-0.25), rho_m, d_a)
-        return -math.log2(float(np.real(np.trace(tilde @ tilde))))
-    a_idx, b_idx = np.divmod(rows, rho_m.shape[0] // d_a)
-    weight = sigma_power(-0.5)[np.ix_(b_idx, b_idx)] * (a_idx[:, None] == a_idx[None, :])
-    product = rho_m[np.ix_(rows, rows)] @ weight
-    return -math.log2(float(np.real(np.sum(product * product.T))))
+    tilde = _on_conditioning(sigma_power(-0.25), rho_m, d_a)
+    return -math.log2(float(np.real(np.trace(tilde @ tilde))))
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,7 @@ def support_rows(matrix: np.ndarray) -> np.ndarray | None:
     PSD within EIGENVALUE_FLOOR can carry off-diagonal entries of about 1e-5
     in a row whose diagonal entry is 0, and such a row stays.  A matrix with
     no zero diagonal entry costs one O(D) scan of the diagonal.  ``make_state``
-    and the conditioned min- and collision-entropies read this one rule.
+    and ``entropy.min_entropy_relative`` read this one rule.
     """
     if np.all(np.diagonal(matrix)):
         return None

@@ -190,13 +190,19 @@ DATA = Path(__file__).parent / "data"
 STATE_FILES = ["assist4.json", "ch5.json", "ghz3.json", "mixed4.json", "pure5.json"]
 
 
+def _conditioned(rho, sigma, power):
+    """(I x sigma^power) rho (I x sigma^power), the D x D operator of states without zero rows."""
+    rho_m, d_a, sigma_power = entropy._conditioning(rho, sigma)
+    return entropy._on_conditioning(sigma_power(power), rho_m, d_a)
+
+
 def _dense_min_entropy(rho, sigma):
     """H_min from the D x D conditioned operator, the path of states without zero rows."""
-    return -math.log2(float(np.max(qcore.clamped_eigenvalues(entropy._conditioned(rho, sigma, -0.5)))))
+    return -math.log2(float(np.max(qcore.clamped_eigenvalues(_conditioned(rho, sigma, -0.5)))))
 
 
 def _dense_collision_entropy(rho, sigma):
-    tilde = entropy._conditioned(rho, sigma, -0.25)
+    tilde = _conditioned(rho, sigma, -0.25)
     return -math.log2(float(np.real(np.trace(tilde @ tilde))))
 
 
