@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Time state validation: ``make_state`` on mixed inputs and state-file loading.
 
-    python3 scripts/time_state_validation.py [SRC_DIR] [--sizes 256,1024] [--parse-sizes 1024]
+    python3 scripts/time_state_validation.py [SRC_DIR] [--sizes 256,1024] [--joints 32] [--parse-sizes 1024]
 
 Imports ``entlab`` from SRC_DIR (default: this checkout's ``src/``), so the
 same script times two versions of the package side by side.  BLAS runs at one
-thread.  For each side D it builds one random full-rank density matrix and
-prints, as one JSON object:
+thread.  For each side D it builds one random full-rank density matrix, and
+for each d in ``--joints`` one joint of the ``gershgorin`` criterion's overlap
+family (d nonzero rows of D = d^2), and prints, as one JSON object:
 
-- ``make_state_s``: the median seconds of ``make_state`` over the repeats;
+- ``make_state_s``: the median seconds of ``make_state`` over the repeats,
+  for each full-rank side;
+- ``make_state_joint_s``: the same for each overlap-family joint, keyed by d;
 - ``parse_state_file_s``: for each parse size, the seconds of the whole
   ``cli.parse_state_file`` and of its ``json.load`` alone, from one file
   written to a temporary directory;
@@ -70,8 +73,22 @@ def fingerprint() -> dict:
     }
 
 
-def time_make_state(qcore, side: int, rng) -> list[float]:
-    matrix = qcore.random_density([side], rng)
+def overlap_joint(qcore, d: int, rng):
+    """rho with entries c_i c_j <psi_j|psi_i> at |ii><jj| of C1 (x) R, as in the ``gershgorin`` criterion."""
+    import numpy as np
+
+    kets = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    family = kets + rng.uniform(0.05, 0.4) * kets[:, :1]
+    family /= np.linalg.norm(family, axis=0)
+    coeff = 1.0 / np.sqrt(np.arange(1, d + 1) * qcore.harmonic_number(d))
+    joint = np.zeros((d * d, d * d), dtype=complex)
+    idx = np.arange(d) * (d + 1)
+    joint[np.ix_(idx, idx)] = np.einsum("i,j,ji->ij", coeff, coeff, family.conj().T @ family)
+    return joint
+
+
+def time_make_state(qcore, matrix) -> list[float]:
+    side = matrix.shape[0]
     seconds = []
     for _ in range(_repeats(side)):
         start = time.perf_counter()
@@ -106,6 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the entlab package")
     parser.add_argument("--sizes", type=_sizes, default=_sizes("256,1024,2048,4096"), help="make_state sides")
+    parser.add_argument("--joints", type=_sizes, default=_sizes("32"), help="overlap-family joints, by d")
     parser.add_argument("--parse-sizes", type=_sizes, default=_sizes("1024,2048"), help="state-file sides")
     args = parser.parse_args(argv)
 
@@ -117,14 +135,19 @@ def main(argv: list[str] | None = None) -> int:
     rng = np.random.default_rng(SEED)
     make_state = {}
     for side in args.sizes:
-        runs = time_make_state(qcore, side, rng)
+        runs = time_make_state(qcore, qcore.random_density([side], rng))
         make_state[str(side)] = {"median_s": statistics.median(runs), "runs_s": runs}
+    make_state_joint = {}
+    for d in args.joints:
+        runs = time_make_state(qcore, overlap_joint(qcore, d, rng))
+        make_state_joint[str(d)] = {"median_s": statistics.median(runs), "runs_s": runs}
     parse = {}
     with tempfile.TemporaryDirectory() as tmp:
         for side in args.parse_sizes:
             parse[str(side)] = time_parse(cli, qcore, side, rng, Path(tmp))
     json.dump({"fingerprint": fingerprint(),
-               "make_state_s": make_state, "parse_state_file_s": parse}, sys.stdout, indent=2)
+               "make_state_s": make_state, "make_state_joint_s": make_state_joint,
+               "parse_state_file_s": parse}, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 

@@ -102,11 +102,24 @@ def solve_min_trace(rho: np.ndarray, d_a: int, d_b: int) -> ConeSolution:
     def barrier_value(sig: np.ndarray, tt: float) -> float:
         return tt * float(np.real(np.trace(sig))) - _logdet_pd(_slack(rho, sig, d_a)) - _logdet_pd(sig)
 
+    # The last Newton system and the last step, each with the point it was
+    # computed at.  The system does not depend on t, so the first step of a
+    # stage, at the sigma where the last one stopped, reuses it; the return
+    # certificate reuses the whole last step.  sigma is never changed in
+    # place, so its identity names the point.
+    system = last = None
+
     def newton_step(sig: np.ndarray, tt: float) -> tuple[np.ndarray, float, np.ndarray]:
         """Newton direction (as a Hermitian matrix), decrement and M^-1 at sig."""
-        hess, grad, m_inv = _newton_system(rho, sig, tt, d_a, alpha, beta)
-        direction, decrement = _newton_direction(hess, grad)
-        return _from_grid(direction, alpha, beta), decrement, m_inv
+        nonlocal system, last
+        if last is not None and last[0] is sig and last[1] == tt:
+            return last[2]
+        if system is None or system[0] is not sig:
+            system = (sig, _newton_system(rho, sig, d_a, alpha, beta))
+        hess, traced, s_inv, m_inv = system[1]
+        direction, decrement = _newton_direction(hess, _gradient(tt, traced, s_inv, alpha, beta))
+        last = (sig, tt, (_from_grid(direction, alpha, beta), decrement, m_inv))
+        return last[2]
 
     steps = 0
     for _ in range(MAX_STAGES):
@@ -148,10 +161,20 @@ def _from_grid(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray
     return beta * x + alpha.T * x.T
 
 
+def _gradient(t: float, traced: np.ndarray, s_inv: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Gradient of the barrier in flat grid coordinates: t I - Tr_A M^-1 - sigma^-1 mapped onto the grid."""
+    g = t * np.eye(s_inv.shape[0]) - traced - s_inv
+    return np.real(alpha * g + beta * g.T).ravel()
+
+
 def _newton_system(
-    rho: np.ndarray, sigma: np.ndarray, t: float, d_a: int, alpha: np.ndarray, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hessian and gradient of the barrier in flat grid coordinates, and M^-1, at sigma."""
+    rho: np.ndarray, sigma: np.ndarray, d_a: int, alpha: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of the Newton system at sigma that do not depend on t.
+
+    Returns the Hessian of the barrier in flat grid coordinates, Tr_A M^-1,
+    sigma^-1 and M^-1, where M = I x sigma - rho.
+    """
     d_b = sigma.shape[0]
     n = d_b * d_b
     m_inv = np.linalg.inv(_slack(rho, sigma, d_a))
@@ -161,8 +184,7 @@ def _newton_system(
     m_inv = (m_inv + m_inv.conj().T) / 2.0
     s_inv = np.linalg.inv(sigma)
     t4 = m_inv.reshape(d_a, d_b, d_a, d_b)
-    g = t * np.eye(d_b) - np.einsum("abad->bd", t4) - s_inv
-    grad = np.real(alpha * g + beta * g.T).ravel()
+    traced = np.einsum("abad->bd", t4)
     # K[i,j,k,l] = sum_ab T[a,i,b,j] T[b,k,a,l] + S^-1_ij S^-1_kl is one product
     # (S^-1 x S^-1 is a rank-one term on the (ij) x (kl) pairing), and
     # hess[m,n] = Re sum K[i,j,k,l] (B_m)_jk (B_n)_li.  The (k,j) pair goes into
@@ -175,7 +197,7 @@ def _newton_system(
     k = (left @ right).reshape(d_b, d_b, d_b, d_b)
     y = alpha[:, :, None, None] * k.transpose(2, 1, 0, 3) + beta[:, :, None, None] * k.transpose(1, 2, 0, 3)
     y *= alpha + beta.conj()
-    return y.real.reshape(n, n), grad, m_inv
+    return y.real.reshape(n, n), traced, s_inv, m_inv
 
 
 def _dual_certificate(m_inv: np.ndarray, step: np.ndarray, t: float, d_a: int, d_b: int) -> np.ndarray:
@@ -206,7 +228,7 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, f
     reg = 0.0
     for _ in range(10):
         try:
-            direction = np.linalg.solve(hess + reg * np.eye(hess.shape[0]), -grad)
+            direction = np.linalg.solve(hess if reg == 0.0 else hess + reg * np.eye(hess.shape[0]), -grad)
         except np.linalg.LinAlgError:
             reg = 1e-10 if reg == 0.0 else reg * 10.0
             continue

@@ -8,7 +8,7 @@ an exception.
 
 import pytest
 
-from entlab import acceptance, entropy
+from entlab import acceptance, entropy, qcore
 
 
 def _scaled(fn, factor):
@@ -27,3 +27,16 @@ def test_min_entropy_scaled_by_one_percent_fails_the_criterion(monkeypatch, name
     result = acceptance.run_one(name)
     assert not result.passed
     assert failed_check in result.detail, result.detail
+
+
+def test_support_that_drops_its_last_row_fails_gershgorin(monkeypatch):
+    support_rows = qcore.support_rows
+
+    def mutant(matrix):
+        rows = support_rows(matrix)
+        return rows if rows is None else rows[:-1]
+
+    monkeypatch.setattr(qcore, "support_rows", mutant)
+    result = acceptance.run_one("gershgorin")
+    assert not result.passed
+    assert "!= log2 lambda_max(G)" in result.detail, result.detail

@@ -275,6 +275,170 @@ def test_support_rows_drops_only_rows_that_are_exactly_zero():
     assert qcore.support_rows(m) is None
 
 
+def _make_state_full_passes(systems, matrix, norm_mode="normalized"):
+    """make_state as it was before its support path: every check runs on the whole matrix."""
+    systems, side = qcore._checked_systems(systems)
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (side, side):
+        raise qcore.StateError(f"matrix side {m.shape} does not match product dimension {side}")
+    if not np.isfinite(m).all():
+        raise qcore.StateError("matrix has non-finite entries")
+    adjoint = np.conjugate(m.T, out=np.empty(m.shape, dtype=complex))
+    defect = float(np.max(np.abs(m - adjoint))) if side else 0.0
+    if defect > qcore.HERMITICITY_REJECT:
+        raise qcore.StateError(f"matrix is not Hermitian (max defect {defect:.3e} > {qcore.HERMITICITY_REJECT})")
+    adjoint += m
+    adjoint /= 2.0
+    m = adjoint
+    rows = qcore.support_rows(m)
+    shifted = m.copy() if rows is None else m[np.ix_(rows, rows)]
+    shifted.flat[:: shifted.shape[0] + 1] -= qcore.EIGENVALUE_FLOOR
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        smallest = np.linalg.eigvalsh(m)[0]
+        if smallest < qcore.EIGENVALUE_FLOOR:
+            raise qcore.StateError(f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})") from None
+    tr = float(np.real(np.trace(m)))
+    if norm_mode == "normalized":
+        if abs(tr - 1.0) > qcore.TRACE_TOL:
+            raise qcore.StateError(f"trace {tr!r} is not 1 within {qcore.TRACE_TOL}")
+    elif not (0.0 < tr <= 1.0 + qcore.TRACE_TOL):
+        raise qcore.StateError(f"trace {tr!r} is not in (0, 1] within {qcore.TRACE_TOL}")
+    return qcore._trusted(systems, norm_mode, matrix=m)
+
+
+def _assert_same_make_state(matrix, norm_mode="normalized"):
+    """make_state and the full-pass reference give the same bits, signs of zeros included, or the same error.
+
+    Returns the error message, or None when both accept the matrix.
+    """
+    systems = [("A", matrix.shape[0])]
+    try:
+        want = _make_state_full_passes(systems, matrix, norm_mode)
+    except qcore.StateError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            qcore.make_state(systems, matrix, norm_mode)
+        return str(exc)
+    got = qcore.make_state(systems, matrix, norm_mode)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got.matrix, part)), np.signbit(getattr(want.matrix, part)))
+    assert got.is_pure == want.is_pure
+    assert got.trace() == want.trace()
+    return None
+
+
+def _hermitian_block(k, rng, rank=None, smallest=None):
+    """A k x k unit-trace density on a random basis, of the given rank or with the given smallest eigenvalue."""
+    if smallest is not None:
+        return _in_random_basis(_spectrum_with_smallest(smallest, k, rng), rng)
+    return ginibre.density([k], rng, rank)
+
+
+def test_make_state_on_the_support_equals_the_full_passes_bitwise():
+    rng = np.random.default_rng(18)
+    side, k = 32, 8
+    block = _hermitian_block(k, rng, rank=3)
+    # Zero rows with zero columns: the support path.  A small anti-Hermitian
+    # part inside the block is symmetrized away.
+    noise = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    m = _with_zero_rows(block + 1e-9 * (noise - noise.conj().T), side, rng)
+    assert _assert_same_make_state(m) is None
+    assert _assert_same_make_state(m / 2, "subnormalized") is None
+    assert _assert_same_make_state(m.T.copy(order="F").T) is None
+    pure = np.zeros((side, side), dtype=complex)
+    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    pure[np.ix_(range(k), range(k))] = np.outer(v, v.conj()) / np.vdot(v, v).real
+    assert _assert_same_make_state(pure) is None
+    rows = qcore.support_rows(m)
+    out = np.setdiff1d(np.arange(side), rows)
+    # A zero row whose column carries 1e-12: the full passes turn it into a
+    # nonzero row of (M + M†)/2.
+    leak = m.copy()
+    leak[rows[0], out[0]] = 1e-12
+    assert qcore.support_rows(leak).tolist() == rows.tolist()
+    assert _assert_same_make_state(leak) is None
+    # A -0.0 off the block, in a kept row or in zero rows, that (M + M†)/2 keeps.
+    for entries in (
+        {(rows[1], out[1]): complex(0.0, -0.0)},
+        {(out[2], out[3]): complex(-0.0, -0.0), (out[3], out[2]): complex(-0.0, 0.0)},
+    ):
+        signed = m.copy()
+        for (i, j), z in entries.items():
+            signed[i, j] = z
+        i, j = next(iter(entries))
+        kept = _make_state_full_passes([("A", side)], signed).matrix[i, j]
+        assert np.signbit(kept.real) or np.signbit(kept.imag)
+        assert _assert_same_make_state(signed) is None
+    # A real outer product has -0.0 off its block as well.
+    real = np.outer([-0.6, 0.0, 0.8, 0.0], [-0.6, 0.0, 0.8, 0.0])
+    assert np.signbit(real).any() and _assert_same_make_state(real) is None
+    # A row that (M + M†)/2 zeroes: kept by the support of M, dropped by that of the result.
+    anti = m.copy()
+    anti[out[4], out[4]] = 2e-9j
+    assert _assert_same_make_state(anti) is None
+    # NaN inside the support, a Hermiticity defect inside the block, a non-PSD block.
+    nan = m.copy()
+    nan[rows[2], rows[3]] = np.nan
+    assert _assert_same_make_state(nan) == "matrix has non-finite entries"
+    skew = m.copy()
+    skew[rows[2], rows[3]] += 3e-8
+    assert _assert_same_make_state(skew).startswith("matrix is not Hermitian (max defect ")
+    negative = _with_zero_rows(_hermitian_block(k, rng, smallest=-1e-6), side, rng)
+    assert _assert_same_make_state(negative).startswith("matrix is not positive semidefinite (min eigenvalue -1.000e-06")
+    assert _assert_same_make_state(np.zeros((side, side))).startswith("trace 0.0 is not 1")
+
+
+def test_make_state_with_a_tiled_adjoint_equals_the_full_passes_bitwise():
+    # Above side 256 M† is built in 64 x 64 tiles; at side 300 the last ones are partial.
+    rng = np.random.default_rng(300)
+    dense = ginibre.density([300], rng, None)
+    assert _assert_same_make_state(dense) is None
+    dense[7, 290] += 2e-8
+    assert _assert_same_make_state(dense).startswith("matrix is not Hermitian (max defect 2.0")
+    leaky = _with_zero_rows(ginibre.density([40], rng, 5), 300, rng)
+    leaky[qcore.support_rows(leaky)[0], np.flatnonzero(~np.any(leaky, axis=0))[-1]] = 1e-12
+    assert _assert_same_make_state(leaky) is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_make_state_on_random_zero_row_matrices_equals_the_full_passes_bitwise(seed):
+    rng = np.random.default_rng(1800 + seed)
+    for _ in range(15):
+        side = int(rng.choice([4, 9, 16, 48, 128]))
+        k = int(rng.integers(2, side))
+        kind = rng.integers(6)
+        block = _hermitian_block(k, rng, smallest=-1e-6 if kind == 0 else None, rank=int(rng.integers(1, k + 1)))
+        m = _with_zero_rows(block, side, rng)
+        rows = qcore.support_rows(m)
+        out = np.setdiff1d(np.arange(side), rows)
+        i, j = rng.choice(rows, 2)
+        if kind == 1 and out.size:
+            m[i, rng.choice(out)] = 1e-12
+        elif kind == 2:
+            m[i, j] += rng.choice([5e-9, 5e-8])
+        elif kind == 3:
+            m[i, j] = rng.choice([np.nan, np.inf])
+        elif kind == 4 and out.size:
+            m[rng.choice(out), rng.choice(out)] = -0.0
+        _assert_same_make_state(m, rng.choice(["normalized", "subnormalized"]))
+
+
+def test_make_state_scans_the_support_of_the_overlap_joint_once(monkeypatch):
+    support_rows = qcore.support_rows
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return support_rows(matrix)
+
+    monkeypatch.setattr(qcore, "support_rows", counted)
+    big = _overlap_family_joint(32, np.random.default_rng(32))
+    qcore.make_state([("C1", 32), ("R", 32)], big)
+    assert calls == [(1024, 1024)]
+
+
 def _overlap_family_joint(d, rng):
     """The rank-d joint operator of the gershgorin criterion's overlap family, on C1 (x) R."""
     kets = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
