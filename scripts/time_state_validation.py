@@ -6,8 +6,9 @@
 Imports ``entlab`` from SRC_DIR (default: this checkout's ``src/``), so the
 same script times two versions of the package side by side.  BLAS runs at one
 thread.  For each side D it builds one random full-rank density matrix, and
-for each d in ``--joints`` one joint of the ``gershgorin`` criterion's overlap
-family (d nonzero rows of D = d^2), and prints, as one JSON object:
+for each d in ``--joints`` the benchmark's joint of the ``gershgorin``
+criterion's overlap family (d nonzero rows of D = d^2, see overlap_joint),
+and prints, as one JSON object:
 
 - ``make_state_s``: the median seconds of ``make_state`` over the repeats,
   for each full-rank side;
@@ -73,18 +74,19 @@ def fingerprint() -> dict:
     }
 
 
-def overlap_joint(qcore, d: int, rng):
-    """rho with entries c_i c_j <psi_j|psi_i> at |ii><jj| of C1 (x) R, as in the ``gershgorin`` criterion."""
-    import numpy as np
+def overlap_joint(d: int, directory: Path):
+    """The benchmark's overlap-family joint for d: d nonzero rows of D = d^2.
 
-    kets = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-    family = kets + rng.uniform(0.05, 0.4) * kets[:, :1]
-    family /= np.linalg.norm(family, axis=0)
-    coeff = 1.0 / np.sqrt(np.arange(1, d + 1) * qcore.harmonic_number(d))
-    joint = np.zeros((d * d, d * d), dtype=complex)
-    idx = np.arange(d) * (d + 1)
-    joint[np.ix_(idx, idx)] = np.einsum("i,j,ji->ij", coeff, coeff, family.conj().T @ family)
-    return joint
+    It is built by ``_overlap_family`` of ``bench/workloads.py``, which makes
+    the draws of ``entlab.acceptance.overlap_family`` with the bias from
+    [0.05, 0.4), from a generator seeded with SEED.  It is taken from the
+    benchmark rather than the package so that every SRC_DIR is timed on the
+    same matrix, also one whose package has no such helper.
+    """
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import _Inputs, _overlap_family
+
+    return _overlap_family(_Inputs("time_state_validation", SEED, directory), d, 0)[1]
 
 
 def time_make_state(qcore, matrix) -> list[float]:
@@ -138,11 +140,11 @@ def main(argv: list[str] | None = None) -> int:
         runs = time_make_state(qcore, qcore.random_density([side], rng))
         make_state[str(side)] = {"median_s": statistics.median(runs), "runs_s": runs}
     make_state_joint = {}
-    for d in args.joints:
-        runs = time_make_state(qcore, overlap_joint(qcore, d, rng))
-        make_state_joint[str(d)] = {"median_s": statistics.median(runs), "runs_s": runs}
     parse = {}
     with tempfile.TemporaryDirectory() as tmp:
+        for d in args.joints:
+            runs = time_make_state(qcore, overlap_joint(d, Path(tmp)))
+            make_state_joint[str(d)] = {"median_s": statistics.median(runs), "runs_s": runs}
         for side in args.parse_sizes:
             parse[str(side)] = time_parse(cli, qcore, side, rng, Path(tmp))
     json.dump({"fingerprint": fingerprint(),

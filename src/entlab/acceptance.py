@@ -248,29 +248,40 @@ def criterion_regions(c: _Checks) -> None:
     c.note(f"log2 d threshold at eps=0.1: {threshold:.2f}")
 
 
+def overlap_family(d: int, rng: np.random.Generator):
+    """The ``gershgorin`` criterion's overlap family of d unit kets, drawn from rng.
+
+    The kets are the columns of a random unitary, each given a random phase
+    and mixed toward the first column by one bias drawn from [0, 0.4), then
+    normalized.  Returns (gram, coeff, joint): their Gram matrix G, the
+    embezzling amplitudes c_j = 1/sqrt(j H_d), and the joint operator on
+    C1 (x) R with entries c_i c_j G_ji at |ii><jj|, whose d nonzero rows are
+    the |ii> of D = d^2.  The benchmark's ``_overlap_family`` makes the same
+    draws with the bias from [0.05, 0.4).
+    """
+    kets = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    kets = kets @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d)))
+    family = kets + rng.uniform(0.0, 0.4) * kets[:, :1]
+    family /= np.linalg.norm(family, axis=0)
+    gram = family.conj().T @ family
+    h_d = qcore.harmonic_number(d)
+    coeff = np.array([1.0 / math.sqrt((j + 1) * h_d) for j in range(d)])
+    joint = np.zeros((d * d, d * d), dtype=complex)
+    idx = np.arange(d) * d + np.arange(d)
+    joint[np.ix_(idx, idx)] = np.einsum("i,j,ji->ij", coeff, coeff, gram)
+    return gram, coeff, joint
+
+
 def criterion_gershgorin(c: _Checks) -> None:
     """Exact -H_min of the overlap family against the circle-theorem envelope,
     and against log2 of the family's largest Gram eigenvalue."""
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     for d in (8, 16, 32):
         for trial in range(20):
-            kets = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-            kets = kets @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d)))
-            # Random non-orthogonal family: mix each column toward a common ray.
-            bias = rng.uniform(0.0, 0.4)
-            common = kets[:, 0]
-            family = kets + bias * common[:, None]
-            family /= np.linalg.norm(family, axis=0)
-            gram = family.conj().T @ family
+            gram, coeff, big = overlap_family(d, rng)
             alpha = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
             if alpha < 1.0 / (2 * d):
                 continue
-            h_d = qcore.harmonic_number(d)
-            coeff = np.array([1.0 / math.sqrt((j + 1) * h_d) for j in range(d)])
-            rho = np.einsum("i,j,ji->ij", coeff, coeff, gram)  # entries at |ii><jj|
-            big = np.zeros((d * d, d * d), dtype=complex)
-            idx = np.arange(d) * d + np.arange(d)
-            big[np.ix_(idx, idx)] = rho
             joint = qcore.make_state([("C1", d), ("R", d)], big)
             sigma = qcore.make_state([("R", d)], np.diag(coeff**2).astype(complex))
             exact = -entropy.min_entropy_relative(joint, sigma)

@@ -102,24 +102,20 @@ def solve_min_trace(rho: np.ndarray, d_a: int, d_b: int) -> ConeSolution:
     def barrier_value(sig: np.ndarray, tt: float) -> float:
         return tt * float(np.real(np.trace(sig))) - _logdet_pd(_slack(rho, sig, d_a)) - _logdet_pd(sig)
 
-    # The last Newton system and the last step, each with the point it was
-    # computed at.  The system does not depend on t, so the first step of a
-    # stage, at the sigma where the last one stopped, reuses it; the return
-    # certificate reuses the whole last step.  sigma is never changed in
-    # place, so its identity names the point.
-    system = last = None
+    # The last Newton system, with the sigma it was computed at.  It does not
+    # depend on t, so the first step of a stage, at the sigma where the last
+    # stage stopped, and the return certificate reuse it.  sigma is never
+    # changed in place, so its identity names the point.
+    system = None
 
     def newton_step(sig: np.ndarray, tt: float) -> tuple[np.ndarray, float, np.ndarray]:
         """Newton direction (as a Hermitian matrix), decrement and M^-1 at sig."""
-        nonlocal system, last
-        if last is not None and last[0] is sig and last[1] == tt:
-            return last[2]
+        nonlocal system
         if system is None or system[0] is not sig:
             system = (sig, _newton_system(rho, sig, d_a, alpha, beta))
         hess, traced, s_inv, m_inv = system[1]
         direction, decrement = _newton_direction(hess, _gradient(tt, traced, s_inv, alpha, beta))
-        last = (sig, tt, (_from_grid(direction, alpha, beta), decrement, m_inv))
-        return last[2]
+        return _from_grid(direction, alpha, beta), decrement, m_inv
 
     steps = 0
     for _ in range(MAX_STAGES):

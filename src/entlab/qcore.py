@@ -290,22 +290,25 @@ def _zero_outside(m: np.ndarray, rows: np.ndarray) -> bool:
     """True when every entry of M outside the block of ``rows`` x ``rows`` is +0.0 in both parts.
 
     +0.0 is the one float whose bits are all zero, so the test reads M's bits
-    as int64.  The rows outside are zero (:func:`support_rows`), so each of
-    their entries is +0.0 or -0.0, read as 0 or INT64_MIN: one row minimum
-    finds a -0.0.  The columns outside are read on the k kept rows only.
-    A -0.0 is sent to the full-matrix passes because (M + M†)/2 can keep it
-    where the zeros that the block is scattered into have +0.0.
+    as int64.  The columns outside are read first, on the k kept rows only: a
+    leak into a zero row's column is found there at k x (D - k) cost.  The
+    rows outside are zero (:func:`support_rows`), so each of their entries is
+    +0.0 or -0.0, read as 0 or INT64_MIN, and a row minimum finds a -0.0.  It
+    runs over all D rows: selecting the rows outside first copies them, which
+    costs more than the minimum over the k rows it skips (3.4 against 0.9 ms
+    on the d = 32 overlap joint, 32 kept rows of 1024).  A -0.0 is sent to
+    the full-matrix passes because (M + M†)/2 can keep it where the zeros that
+    the block is scattered into have +0.0.
     """
     outside = np.ones(m.shape[0], dtype=bool)
     outside[rows] = False
     bits = np.ascontiguousarray(m).view(np.int64)
-    if np.any(bits.min(axis=1)[outside]):
+    if np.any(bits[rows][:, np.repeat(outside, 2)]):
         return False
-    return not np.any(bits[rows][:, np.repeat(outside, 2)])
+    return not np.any(bits.min(axis=1)[outside])
 
 
 _ADJOINT_TILE = 64
-_UNTILED_SIDE = 256
 
 
 def _checked_hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -313,23 +316,21 @@ def _checked_hermitian_part(m: np.ndarray) -> np.ndarray:
 
     M† is built once into a C-ordered buffer that serves the defect and then
     becomes (M + M†)/2 in place, so no copy of it stays alive through the
-    Cholesky check.  A strided transpose reads M column by column; once M
-    outgrows the cache (side above 256, 1 MB) that costs about as much as
-    the sum, so M† is then built in 64 x 64 tiles: 17 -> 9 ms at D = 1024,
-    100 -> 61 ms at D = 2048 (one core of a Xeon with 4 MB of L2), the same
-    bits either way.  Up to side 256 one strided call is the faster.
+    Cholesky check.  M† is built in 64 x 64 tiles, each read from a block of
+    M that stays in cache: 19.5 -> 11.0 ms at D = 1024 and 104 -> 63 ms at
+    D = 2048 against one strided transpose, which reads M column by column
+    (one core of a Xeon with 4 MB of L2), the same bits either way.  While M
+    fits in L2 the strided call is the faster, by about 2 us at side 64 or
+    less (one tile) and 110 us at side 256.
     """
     if not np.isfinite(m).all():
         raise StateError("matrix has non-finite entries")
     side = m.shape[0]
     adjoint = np.empty(m.shape, dtype=complex)
-    if side <= _UNTILED_SIDE:
-        np.conjugate(m.T, out=adjoint)
-    else:
-        for i in range(0, side, _ADJOINT_TILE):
-            for j in range(0, side, _ADJOINT_TILE):
-                np.conjugate(m[j:j + _ADJOINT_TILE, i:i + _ADJOINT_TILE].T,
-                             out=adjoint[i:i + _ADJOINT_TILE, j:j + _ADJOINT_TILE])
+    for i in range(0, side, _ADJOINT_TILE):
+        for j in range(0, side, _ADJOINT_TILE):
+            np.conjugate(m[j:j + _ADJOINT_TILE, i:i + _ADJOINT_TILE].T,
+                         out=adjoint[i:i + _ADJOINT_TILE, j:j + _ADJOINT_TILE])
     defect = float(np.max(np.abs(m - adjoint))) if side else 0.0
     if defect > HERMITICITY_REJECT:
         raise StateError(f"matrix is not Hermitian (max defect {defect:.3e} > {HERMITICITY_REJECT})")

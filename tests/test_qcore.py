@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from entlab import assisted, decoupling, entropy, qcore, regions
+from entlab import acceptance, assisted, decoupling, entropy, qcore, regions
 
 import ginibre
 
@@ -391,7 +391,7 @@ def test_make_state_on_the_support_equals_the_full_passes_bitwise():
 
 
 def test_make_state_with_a_tiled_adjoint_equals_the_full_passes_bitwise():
-    # Above side 256 M† is built in 64 x 64 tiles; at side 300 the last ones are partial.
+    # M† is built in 64 x 64 tiles; at side 300 the last ones are partial.
     rng = np.random.default_rng(300)
     dense = ginibre.density([300], rng, None)
     assert _assert_same_make_state(dense) is None
@@ -434,27 +434,15 @@ def test_make_state_scans_the_support_of_the_overlap_joint_once(monkeypatch):
         return support_rows(matrix)
 
     monkeypatch.setattr(qcore, "support_rows", counted)
-    big = _overlap_family_joint(32, np.random.default_rng(32))
+    big = acceptance.overlap_family(32, np.random.default_rng(32))[2]
     qcore.make_state([("C1", 32), ("R", 32)], big)
     assert calls == [(1024, 1024)]
-
-
-def _overlap_family_joint(d, rng):
-    """The rank-d joint operator of the gershgorin criterion's overlap family, on C1 (x) R."""
-    kets = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-    family = kets + rng.uniform(0.0, 0.4) * kets[:, :1]
-    family /= np.linalg.norm(family, axis=0)
-    coeff = np.array([1.0 / math.sqrt((j + 1) * qcore.harmonic_number(d)) for j in range(d)])
-    big = np.zeros((d * d, d * d), dtype=complex)
-    idx = np.arange(d) * d + np.arange(d)
-    big[np.ix_(idx, idx)] = np.einsum("i,j,ji->ij", coeff, coeff, family.conj().T @ family)
-    return big
 
 
 @pytest.mark.parametrize("d", [8, 16, 32])
 def test_make_state_accepts_rank_deficient_states(d):
     rng = np.random.default_rng(d)
-    big = _overlap_family_joint(d, rng)
+    big = acceptance.overlap_family(d, rng)[2]
     joint = qcore.make_state([("C1", d), ("R", d)], big)
     half = qcore.make_state([("C1", d), ("R", d)], big / 2, norm_mode="subnormalized")
     assert half.trace() == pytest.approx(0.5, abs=1e-12)
