@@ -317,11 +317,11 @@ def _checked_hermitian_part(m: np.ndarray) -> np.ndarray:
     M† is built once into a C-ordered buffer that serves the defect and then
     becomes (M + M†)/2 in place, so no copy of it stays alive through the
     Cholesky check.  M† is built in 64 x 64 tiles, each read from a block of
-    M that stays in cache: 19.5 -> 11.0 ms at D = 1024 and 104 -> 63 ms at
-    D = 2048 against one strided transpose, which reads M column by column
+    M that stays in cache: 9.3 ms at D = 1024 and 50 ms at D = 2048, against
+    17.2 and 95 ms for one strided transpose, which reads M column by column
     (one core of a Xeon with 4 MB of L2), the same bits either way.  While M
     fits in L2 the strided call is the faster, by about 2 us at side 64 or
-    less (one tile) and 110 us at side 256.
+    less (one tile) and 140 us at side 256.
     """
     if not np.isfinite(m).all():
         raise StateError("matrix has non-finite entries")
