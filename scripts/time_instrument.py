@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Time ``decoupling.simulate_random_instrument`` per call on the shapes the lab runs.
+
+    python3 scripts/time_instrument.py [SRC_DIR] [--repeats 15]
+
+Imports ``entlab`` from SRC_DIR (default: this checkout's ``src/``), so the
+same script times two versions of the package side by side.  BLAS runs at one
+thread.  The cases:
+
+- the four instrument shapes of the benchmark's ``monte-carlo`` workload at
+  80 samples, with outcome rows kept: ``two_sender`` (C1 of 2, C2 of 4 with
+  an ancilla of 2, reference R of 4), ``two_sender.rem`` (C2 of rank 3),
+  ``single_helper`` (C of 4 against A and R, with B traced out) and
+  ``single_helper.rem`` (C of rank 3), each on a random pure state;
+- ``cli.decouple``: the two-sender shape at 30 samples, as ``entlab
+  decouple`` runs it in the benchmark;
+- the three cases of the ``decoupling-bound`` criterion at 200 samples, built
+  and seeded as the criterion builds them;
+- ``two_sender.8x8``: the criterion's two-sender state with ancillas (8, 8),
+  20 samples.
+
+Each case gets one untimed warm-up call.  The repeats are ``--repeats`` for
+the benchmark and CLI shapes and a fifth of it (at least 3) for the others.
+It prints one JSON object:
+
+- ``cases``: for each case, ``samples``, ``repeats``, the median and the
+  quartiles of the per-call seconds, and ``empirical_q`` as ``float.hex``, so
+  that two trees can be checked for equal results;
+- ``fingerprint``: cores, CPU model and the Python, numpy, scipy and BLAS
+  versions, as ``time_state_validation.py`` reports them.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from time_state_validation import fingerprint
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 19
+
+
+def cases(acceptance, decoupling, qcore, np) -> list[tuple]:
+    """(name, state, senders, reference, samples, seed, slow) for every timed case."""
+    rng = np.random.default_rng(SEED)
+    sender = decoupling.sender
+    two = qcore.random_pure([("C1", 2), ("C2", 4), ("R", 4)], rng)
+    single = qcore.random_pure([("A", 2), ("B", 2), ("R", 2), ("C", 4)], rng)
+    two_acc = acceptance._two_sender_state()
+    ch5 = qcore.permute_systems(qcore.example_ch5(), ["A", "B", "R", "C1", "C2"])
+    merged = qcore.merge_systems(ch5, {"C": ["C1", "C2"]})
+    seed = acceptance.ACCEPTANCE_SEED
+    return [
+        ("two_sender", two, (sender("C1", 2), sender("C2", 4, ancilla=2)), ["R"], 80, 1, False),
+        ("two_sender.rem", two, (sender("C1", 2), sender("C2", 4, ancilla=2, rank=3)), ["R"], 80, 2, False),
+        ("single_helper", single, (sender("C", 4),), ["A", "R"], 80, 3, False),
+        ("single_helper.rem", single, (sender("C", 4, rank=3),), ["A", "R"], 80, 4, False),
+        ("cli.decouple", two, (sender("C1", 2), sender("C2", 4, ancilla=2)), ["R"], 30, 5, False),
+        ("decoupling-bound.two_sender", two_acc, (sender("C1", 2), sender("C2", 4, ancilla=2)), ["R"], 200, seed, True),
+        ("decoupling-bound.single_helper", merged, (sender("C", 4),), ["A", "R"], 200, seed + 1, True),
+        ("decoupling-bound.4x4", two_acc, (sender("C1", 2, ancilla=4), sender("C2", 4, ancilla=4)), ["R"], 200, seed, True),
+        ("two_sender.8x8", two_acc, (sender("C1", 2, ancilla=8), sender("C2", 4, ancilla=8)), ["R"], 20, seed, True),
+    ]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the entlab package")
+    parser.add_argument("--repeats", type=int, default=15, help="timed calls per benchmark and CLI shape")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import numpy as np
+
+    from entlab import acceptance, decoupling, qcore
+
+    out = {}
+    for name, state, senders, reference, samples, seed, slow in cases(acceptance, decoupling, qcore, np):
+        spec = decoupling.InstrumentSpec(senders=senders, seed=seed, samples=samples)
+        keep = name.startswith(("two_sender", "single_helper")) and not slow
+
+        def call():
+            return decoupling.simulate_random_instrument(state, spec, reference, keep_outcomes=keep)
+
+        result = call()
+        repeats = max(3, args.repeats // 5) if slow else args.repeats
+        seconds = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            call()
+            seconds.append(time.perf_counter() - start)
+        q1, median, q3 = statistics.quantiles(seconds, n=4)
+        out[name] = {
+            "samples": samples,
+            "repeats": repeats,
+            "median_s": round(median, 5),
+            "q1_q3_s": [round(q1, 5), round(q3, 5)],
+            "empirical_q": result.empirical_q.hex(),
+        }
+    json.dump({"cases": out, "fingerprint": fingerprint()}, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -159,6 +159,51 @@ def _outcome_blocks(s: SenderSpec) -> list[slice]:
     return blocks
 
 
+def _block_index(rows: np.ndarray, grouped: tuple[int, ...]) -> tuple:
+    """Index of the blocks rows x rows in a stack of operator tensors shaped (samples,) + grouped + grouped.
+
+    ``rows`` (..., side) holds flat row numbers; the index gives (samples, ..., side, side).
+    """
+    axes = np.unravel_index(rows, grouped)
+    return (slice(None),) + tuple(a[..., :, np.newaxis] for a in axes) + tuple(a[..., np.newaxis, :] for a in axes)
+
+
+_CHUNK_BYTES = 1 << 20  # rotated tensors per chunk of samples: 16 samples of working side 64, 1 of side 256
+
+
+def _rotated(work: np.ndarray, senders: Sequence[SenderSpec], rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """``work`` rotated by one Haar unitary per sender, for each sample in ``rngs``, stacked on a leading axis.
+
+    The unitaries are drawn sample by sample, senders in order, one
+    :func:`qcore.haar_unitary` call each.  For each sender the stacked U acts
+    on its row axis through one batched ``np.matmul`` and the stacked
+    conj(U)^T on its column axis through another; ``work`` itself, without a
+    sample axis, is the broadcast operand of the first.  Each sample's
+    products are the gemm calls that ``np.dot`` makes in
+    :func:`qcore._sandwich`, on the same operands, so the rotated bits are
+    its bits.  A sender of dimension 1 without an ancilla draws a 1 x 1
+    unitary, a phase, and is not applied: U rho U^dagger = rho.  ``np.dot``
+    scaled by such a factor with a BLAS axpy whose rounding depends on the
+    operand's strides, so the bits it gave there were roundoff of rho.
+    """
+    drawn = [[qcore.haar_unitary(s.dim * s.ancilla, rng) for s in senders] for rng in rngs]
+    half = work.ndim // 2
+    rotated = work[np.newaxis]
+    for i in range(len(senders)):
+        u = np.stack([row[i] for row in drawn])
+        if u.shape[-1] == 1:
+            continue  # a phase, which U rho U^dagger cancels
+        # U on the row axis: one (g, rest) product per sample, the rest in axis order.
+        moved = np.moveaxis(rotated, 1 + i, 1)
+        shape = (len(u),) + moved.shape[1:]
+        rotated = np.moveaxis(np.matmul(u, moved.reshape(len(moved), shape[1], -1)).reshape(shape), 1, 1 + i)
+        # conj(U)^T on the column axis: one (rest, g) product per sample.
+        moved = np.moveaxis(rotated, 1 + half + i, -1)
+        product = np.matmul(moved.reshape(len(u), -1, shape[1]), u.conj().transpose(0, 2, 1))
+        rotated = np.moveaxis(product.reshape(moved.shape), -1, 1 + half + i)
+    return np.broadcast_to(rotated, (len(rngs),) + work.shape)
+
+
 def simulate_random_instrument(
     state: LabeledState,
     spec: InstrumentSpec,
@@ -172,8 +217,20 @@ def simulate_random_instrument(
     partitions the rotated space into rank-L blocks, and accumulates the
     probability-weighted distance of every outcome's reduced state from the
     decoupled target.  Remainder-rank outcomes are charged the worst-case
-    distance 2, matching the quantity the analytic bound controls.  A sample's
-    distances come from one stacked :func:`qcore.trace_norm` call.
+    distance 2, matching the quantity the analytic bound controls.
+
+    Samples are processed in chunks of about _CHUNK_BYTES of rotated tensors
+    (:func:`_rotated`): 16 samples of the two-sender shape with side 64, one
+    sample of side 256 or more.  Per chunk, the blocks of every non-remainder
+    outcome come from one index into the stacked tensor (each remainder
+    outcome's from one more), their probabilities from one stacked
+    ``np.trace``, which sums each block's diagonal in the pairwise order of the
+    2-D trace, and the gaps omega / p - target of the live non-remainder
+    outcomes form one stack with one :func:`qcore.trace_norm` call.  The
+    probabilities and weighted distances are then added as Python floats,
+    sample by sample and outcome by outcome, as a loop over single samples
+    adds them, so every per-sample value, outcome row and probability-sum
+    check is that loop's to the bit.
     """
     if state.norm_mode != "normalized":
         raise StateError("decoupling simulation requires a normalized input state")
@@ -187,48 +244,55 @@ def simulate_random_instrument(
     l_total = math.prod(ranks)
     target = np.kron(np.eye(l_total) / l_total, ref_state)
     blocks_per_sender = [_outcome_blocks(s) for s in spec.senders]
-    # Each outcome's index into the rotated tensor, side, label and remainder flag.
+    grouped = work.shape[: work.ndim // 2]
+    ids = np.arange(math.prod(grouped)).reshape(grouped)
+    # Each outcome's rows of the rotated matrix, label and remainder flag.
     outcomes = []
     for combo in itertools.product(*[range(len(b)) for b in blocks_per_sender]):
-        rows = tuple(blocks_per_sender[i][j] for i, j in enumerate(combo)) + (slice(None),)
-        side = math.prod(r.stop - r.start for r in rows[:-1]) * work.shape[-1]
+        rows = ids[tuple(blocks_per_sender[i][j] for i, j in enumerate(combo))].ravel()
         remainder_hit = any(s.remainder and j == s.blocks for s, j in zip(spec.senders, combo))
-        outcomes.append((rows + rows, side, "+".join(str(j) for j in combo), remainder_hit))
+        outcomes.append((rows, "+".join(str(j) for j in combo), remainder_hit))
+    measured = [k for k, (_, _, remainder_hit) in enumerate(outcomes) if not remainder_hit]
+    measured_index = _block_index(np.stack([outcomes[k][0] for k in measured]), grouped)
+    remainders = [(k, _block_index(rows, grouped)) for k, (rows, _, remainder_hit) in enumerate(outcomes) if remainder_hit]
 
     rngs = qcore.spawn_rngs(spec.seed, spec.samples)
+    chunk = max(1, _CHUNK_BYTES // work.nbytes)
     per_sample = np.zeros(spec.samples)
     outcome_rows: list[dict] = []
-    for idx, rng in enumerate(rngs):
-        rotated = work
-        for i, s in enumerate(spec.senders):
-            rotated = qcore._sandwich(qcore.haar_unitary(s.dim * s.ancilla, rng), rotated, [i])
-        probs = []
-        gaps = []  # omega / p - target of the outcomes whose distance is computed
-        for index, side, _, remainder_hit in outcomes:
-            omega = rotated[index].reshape(side, side)
-            p = float(np.real(np.trace(omega)))
-            probs.append(p)
-            if p >= ZERO_PROB and not remainder_hit:
-                gaps.append(omega / p - target)
-        norms = iter(qcore.trace_norm(np.stack(gaps)).tolist() if gaps else ())
-        total_q = 0.0
-        total_p = 0.0
-        for (_, _, label, remainder_hit), p in zip(outcomes, probs):
-            total_p += p
-            if p < ZERO_PROB:
-                distance = 0.0
-            elif remainder_hit:
-                distance = 2.0
-            else:
-                distance = next(norms)
-            total_q += distance * p
-            if keep_outcomes:
-                outcome_rows.append(
-                    {"sample": idx, "outcome": label, "probability": p, "distance": distance, "remainder": remainder_hit}
-                )
-        if abs(total_p - 1.0) > 1e-9:
-            raise StateError(f"instrument outcome probabilities sum to {total_p!r}")
-        per_sample[idx] = total_q
+    for start in range(0, spec.samples, chunk):
+        rotated = _rotated(work, spec.senders, rngs[start:start + chunk])
+        probs = np.empty((rotated.shape[0], len(outcomes)))
+        # A gathered stack has its sample axis innermost; np.trace sums a block's
+        # diagonal in the 2-D trace's pairwise order only with that axis outermost.
+        omegas = np.ascontiguousarray(rotated[measured_index])
+        measured_p = np.real(np.trace(omegas, axis1=-2, axis2=-1))
+        probs[:, measured] = measured_p
+        for k, index in remainders:
+            probs[:, k] = np.real(np.trace(np.ascontiguousarray(rotated[index]), axis1=-2, axis2=-1))
+        live = measured_p >= ZERO_PROB
+        gaps = omegas[live] / measured_p[live][:, np.newaxis, np.newaxis]
+        gaps -= target
+        norms = iter(qcore.trace_norm(gaps).tolist() if len(gaps) else ())
+        for idx, sample_probs in enumerate(probs.tolist(), start):
+            total_q = 0.0
+            total_p = 0.0
+            for (_, label, remainder_hit), p in zip(outcomes, sample_probs):
+                total_p += p
+                if p < ZERO_PROB:
+                    distance = 0.0
+                elif remainder_hit:
+                    distance = 2.0
+                else:
+                    distance = next(norms)
+                total_q += distance * p
+                if keep_outcomes:
+                    outcome_rows.append(
+                        {"sample": idx, "outcome": label, "probability": p, "distance": distance, "remainder": remainder_hit}
+                    )
+            if abs(total_p - 1.0) > 1e-9:
+                raise StateError(f"instrument outcome probabilities sum to {total_p!r}")
+            per_sample[idx] = total_q
 
     mean = float(per_sample.mean())
     stderr = float(per_sample.std(ddof=1) / math.sqrt(spec.samples)) if spec.samples > 1 else 0.0

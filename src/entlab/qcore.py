@@ -258,7 +258,8 @@ def make_state(
     read only zeros, so every check, message and stored bit is the same.  Any
     other input, a 1e-12 entry in a zero row's column or a -0.0 off the block
     included, takes the full-matrix passes, and its Cholesky block is the
-    support of (M + M†)/2.
+    support of (M + M†)/2.  That support is scanned only when some diagonal
+    entry of M has real part 0: the diagonal of (M + M†)/2 is Re M_ii.
     """
     systems, side = _checked_systems(systems)
     m = np.asarray(matrix, dtype=complex)
@@ -270,8 +271,9 @@ def make_state(
         m = np.zeros((side, side), dtype=complex)
         m[np.ix_(rows, rows)] = block
     else:
+        scan = not np.all(np.diagonal(m).real)
         m = _checked_hermitian_part(m)
-        rows = support_rows(m)
+        rows = support_rows(m) if scan else None
 
     _check_positive(m, rows)
     tr = float(np.real(np.trace(m)))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -293,3 +294,188 @@ def test_instrument_golden_covers_remainders_and_zero_probabilities():
     assert any(r[4] and float.fromhex(r[2]) >= decoupling.ZERO_PROB for r in rows)
     assert {len(case["senders"]) for case in INSTRUMENT_GOLDEN} == {1, 2}
     assert any(s[2] > 1 for case in INSTRUMENT_GOLDEN for s in case["senders"])
+
+
+def _instrument_reference(state, spec, reference):
+    """simulate_random_instrument's sample loop before it was batched: one sample at a time, one
+    qcore._sandwich per sender, one np.trace per outcome.  Returns (per_sample, outcome rows)."""
+    ref_labels = qcore._normalize_labels(state, reference)
+    work = decoupling._working_state(state, spec, ref_labels)
+    ref_state = qcore.partial_trace(state, ref_labels).matrix if ref_labels else np.ones((1, 1))
+    l_total = math.prod(s.rank for s in spec.senders)
+    target = np.kron(np.eye(l_total) / l_total, ref_state)
+    blocks_per_sender = [decoupling._outcome_blocks(s) for s in spec.senders]
+    outcomes = []
+    for combo in itertools.product(*[range(len(b)) for b in blocks_per_sender]):
+        rows = tuple(blocks_per_sender[i][j] for i, j in enumerate(combo)) + (slice(None),)
+        side = math.prod(r.stop - r.start for r in rows[:-1]) * work.shape[-1]
+        remainder_hit = any(s.remainder and j == s.blocks for s, j in zip(spec.senders, combo))
+        outcomes.append((rows + rows, side, "+".join(str(j) for j in combo), remainder_hit))
+
+    per_sample = np.zeros(spec.samples)
+    outcome_rows = []
+    for idx, rng in enumerate(qcore.spawn_rngs(spec.seed, spec.samples)):
+        rotated = work
+        for i, s in enumerate(spec.senders):
+            rotated = qcore._sandwich(qcore.haar_unitary(s.dim * s.ancilla, rng), rotated, [i])
+        probs = []
+        gaps = []
+        for index, side, _, remainder_hit in outcomes:
+            omega = rotated[index].reshape(side, side)
+            p = float(np.real(np.trace(omega)))
+            probs.append(p)
+            if p >= decoupling.ZERO_PROB and not remainder_hit:
+                gaps.append(omega / p - target)
+        norms = iter(qcore.trace_norm(np.stack(gaps)).tolist() if gaps else ())
+        total_q = 0.0
+        total_p = 0.0
+        for (_, _, label, remainder_hit), p in zip(outcomes, probs):
+            total_p += p
+            if p < decoupling.ZERO_PROB:
+                distance = 0.0
+            elif remainder_hit:
+                distance = 2.0
+            else:
+                distance = next(norms)
+            total_q += distance * p
+            outcome_rows.append(
+                {"sample": idx, "outcome": label, "probability": p, "distance": distance, "remainder": remainder_hit}
+            )
+        if abs(total_p - 1.0) > 1e-9:
+            raise qcore.StateError(f"instrument outcome probabilities sum to {total_p!r}")
+        per_sample[idx] = total_q
+    return per_sample, outcome_rows
+
+
+def _hex_rows(rows):
+    return [(r["sample"], r["outcome"], r["probability"].hex(), r["distance"].hex(), r["remainder"]) for r in rows]
+
+
+def _working_nbytes(state, senders, reference):
+    spec = decoupling.InstrumentSpec(senders=senders)
+    return decoupling._working_state(state, spec, qcore._normalize_labels(state, reference)).nbytes
+
+
+def _random_pure(dims, seed):
+    return qcore.random_pure(dims, np.random.default_rng(seed))
+
+
+def _random_mixed(dims, seed):
+    return qcore.random_state(dims, np.random.default_rng(seed))
+
+
+S = decoupling.sender
+# (id, state, senders, reference, samples): sample counts on both sides of a
+# chunk boundary, a shape over the chunk budget, outcome blocks of side 8 to
+# 32 (pairwise summation inside np.trace), three senders and no reference.
+BATCH_CASES = [
+    ("one_sample", _random_pure([("C1", 2), ("C2", 4), ("R", 4)], 1), (S("C1", 2), S("C2", 4, ancilla=2)), ["R"], 1),
+    ("two_sender_37", _random_pure([("C1", 2), ("C2", 4), ("R", 4)], 2), (S("C1", 2), S("C2", 4, ancilla=2)), ["R"], 37),
+    ("two_sender_rem_33", _random_pure([("C1", 2), ("C2", 4), ("R", 4)], 3),
+     (S("C1", 2), S("C2", 4, ancilla=2, rank=3)), ["R"], 33),
+    ("single_helper_rem", _random_pure([("A", 2), ("B", 2), ("R", 2), ("C", 4)], 4), (S("C", 4, rank=3),), ["A", "R"], 20),
+    ("over_budget", _random_pure([("C", 8), ("R", 16)], 5), (S("C", 8, ancilla=4),), ["R"], 3),
+    ("acceptance_44", acceptance._two_sender_state(), (S("C1", 2, ancilla=4), S("C2", 4, ancilla=4)), ["R"], 3),
+    ("side8_mixed", _random_mixed([("C", 4), ("R", 4), ("B", 2)], 6), (S("C", 4, rank=2),), ["R"], 9),
+    ("side16_rem", _random_mixed([("C", 5), ("R", 8)], 7), (S("C", 5, rank=2),), ["R"], 7),
+    ("side32", _random_pure([("C", 4), ("R", 8), ("B", 2)], 8), (S("C", 4, ancilla=2, rank=4),), ["R"], 5),
+    ("three_senders", _random_mixed([("C1", 2), ("C2", 2), ("C3", 3), ("R", 2)], 9),
+     (S("C1", 2), S("C2", 2, ancilla=2), S("C3", 3, rank=2)), ["R"], 11),
+    ("no_reference", _random_mixed([("C1", 2), ("C2", 3), ("B", 2)], 10), (S("C1", 2), S("C2", 3, ancilla=2)), [], 21),
+]
+
+
+def _low_support_pure(dims, label, seed):
+    """A random pure state whose system ``label`` lives on its levels |0> and |1>."""
+    rng = np.random.default_rng(seed)
+    amplitudes = np.zeros([d for _, d in dims], dtype=complex)
+    low = tuple(slice(0, 2) if name == label else slice(None) for name, _ in dims)
+    amplitudes[low] = rng.standard_normal(amplitudes[low].shape) + 1j * rng.standard_normal(amplitudes[low].shape)
+    return qcore.pure_state(dims, amplitudes.reshape(-1) / np.linalg.norm(amplitudes))
+
+
+# Under the support2 patch the sender's levels above |1> stay empty, so their
+# outcomes have probability 0, remainder outcomes included.
+SUPPORT2_CASES = [
+    ("support2_single", _low_support_pure([("C", 4), ("R", 2)], "C", 11), (S("C", 4),), ["R"], 5),
+    ("support2_two_sender_37", _low_support_pure([("C1", 2), ("C2", 4), ("R", 4)], "C2", 12),
+     (S("C1", 2), S("C2", 4, ancilla=2)), ["R"], 37),
+    ("support2_remainder", _low_support_pure([("C", 5), ("R", 8)], "C", 13), (S("C", 5, rank=2),), ["R"], 6),
+]
+
+
+def _assert_matches_reference(case):
+    name, state, senders, reference, samples = case
+    spec = decoupling.InstrumentSpec(senders=senders, seed=len(name), samples=samples)
+    want_per_sample, want_rows = _instrument_reference(state, spec, reference)
+    got = decoupling.simulate_random_instrument(state, spec, reference, keep_outcomes=True)
+    assert got.per_sample.tobytes() == want_per_sample.tobytes()
+    assert _hex_rows(got.outcome_rows) == _hex_rows(want_rows)
+    return want_rows
+
+
+@pytest.mark.parametrize("case", BATCH_CASES, ids=lambda c: c[0])
+def test_batched_instrument_matches_the_per_sample_loop_bit_for_bit(case):
+    _assert_matches_reference(case)
+
+
+@pytest.mark.parametrize("case", SUPPORT2_CASES, ids=lambda c: c[0])
+def test_batched_instrument_matches_the_per_sample_loop_on_zero_probabilities(case, monkeypatch):
+    monkeypatch.setattr(qcore, "haar_unitary", _support_unitary)
+    rows = _assert_matches_reference(case)
+    zero = [r for r in rows if r["probability"] < decoupling.ZERO_PROB]
+    assert zero and any(r["probability"] >= decoupling.ZERO_PROB and r["distance"] > 0 for r in rows)
+    if case[0] == "support2_remainder":
+        assert {r["remainder"] for r in zero} == {True, False}
+
+
+BATCH = {case[0]: case for case in BATCH_CASES}
+
+
+def test_batch_cases_cross_chunk_boundaries_and_the_budget():
+    _, state, senders, reference, samples = BATCH["two_sender_37"]
+    assert _working_nbytes(state, senders, reference) * 16 == decoupling._CHUNK_BYTES and samples % 16
+    _, state, senders, reference, _ = BATCH["acceptance_44"]
+    assert _working_nbytes(state, senders, reference) == decoupling._CHUNK_BYTES
+    _, state, senders, reference, _ = BATCH["over_budget"]
+    assert _working_nbytes(state, senders, reference) > decoupling._CHUNK_BYTES
+
+
+def test_haar_draws_are_the_per_sample_loops_in_order(monkeypatch):
+    # Unitaries are drawn sample by sample, senders in order, from each sample's own stream.
+    _, state, senders, reference, _ = BATCH["three_senders"]
+    spec = decoupling.InstrumentSpec(senders=senders, seed=4, samples=19)
+    calls = []
+
+    def spy(dim, rng):
+        calls.append((dim, rng.bit_generator.seed_seq.spawn_key))
+        return HAAR(dim, rng)
+
+    monkeypatch.setattr(qcore, "haar_unitary", spy)
+    _instrument_reference(state, spec, reference)
+    want, calls[:] = list(calls), []
+    decoupling.simulate_random_instrument(state, spec, reference)
+    assert calls == want
+    assert want[:4] == [(2, (0,)), (4, (0,)), (3, (0,)), (2, (1,))]
+
+
+def test_one_dimensional_sender_is_a_phase_that_is_not_applied(monkeypatch):
+    # Its 1 x 1 unitary is still drawn, so the other senders' draws are the loop's.
+    state = _random_mixed([("C0", 1), ("C1", 3), ("R", 3), ("C2", 1)], 14)
+    senders = (S("C0", 1), S("C1", 3, ancilla=2, rank=2), S("C2", 1))
+    spec = decoupling.InstrumentSpec(senders=senders, seed=6, samples=20)
+    got = decoupling.simulate_random_instrument(state, spec, ["R"], keep_outcomes=True)
+    want_per_sample, want_rows = _instrument_reference(state, spec, ["R"])
+    assert np.max(np.abs(got.per_sample - want_per_sample)) <= 1e-14
+    assert [(r["outcome"], r["remainder"]) for r in got.outcome_rows] == [(r["outcome"], r["remainder"]) for r in want_rows]
+
+    # With each phase set to exactly 1 the loop applies the identity too, and the bits agree.
+    def unit_phase(dim, rng):
+        u = HAAR(dim, rng)
+        return np.ones((1, 1), dtype=complex) if dim == 1 else u
+
+    monkeypatch.setattr(qcore, "haar_unitary", unit_phase)
+    want_per_sample, want_rows = _instrument_reference(state, spec, ["R"])
+    monkeypatch.setattr(qcore, "haar_unitary", HAAR)
+    assert got.per_sample.tobytes() == want_per_sample.tobytes()
+    assert _hex_rows(got.outcome_rows) == _hex_rows(want_rows)
