@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +80,7 @@ def test_newton_system_matches_dense_basis_reference(d_a, d_b):
     hess_ref, grad_ref = _reference_system(rho, sigma, t, d_a, basis)
 
     alpha, beta = coneprog._grid_coefficients(d_b)
-    hess, traced, s_inv, _ = coneprog._newton_system(rho, sigma, d_a, alpha, beta)
+    hess, traced, s_inv, _ = coneprog._newton_system(coneprog._slack(-rho, sigma, d_a), sigma, d_a, alpha, beta)
     grad = coneprog._gradient(t, traced, s_inv, alpha, beta)
     assert _rel(hess[np.ix_(cells, cells)], hess_ref) < 1e-13
     assert _rel(grad[cells], grad_ref) < 1e-13
@@ -204,3 +205,340 @@ def test_barrier_values_are_reused_within_a_stage(monkeypatch):
     sol = coneprog.solve_min_trace(rho, 2, 4)
     assert sol.newton_steps >= 40
     assert len(repeats) < sol.newton_steps // 4
+
+
+# ---------------------------------------------------------------------------
+# Bitwise reference: the solver as it was before each Newton step and each
+# line-search trial was made cheaper (one slack and one sigma factorization per
+# barrier value, the stage-start value evaluated again, np.eye in the
+# gradient).  The solver must give the same bits.
+# ---------------------------------------------------------------------------
+
+
+def _ref_grid_coefficients(d):
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    lower = upper.T
+    half = math.sqrt(0.5)
+    alpha = np.where(upper, half, np.where(lower, -1j * half, 1.0))
+    beta = np.where(upper, half, np.where(lower, 1j * half, 0.0))
+    return alpha, beta
+
+
+def _ref_slack(rho, sigma, d_a):
+    d_b = sigma.shape[0]
+    m = -rho
+    blocks = m.reshape(d_a, d_b, d_a, d_b)
+    for a in range(d_a):
+        blocks[a, :, a, :] += sigma
+    return m
+
+
+def _ref_logdet_pd(matrix):
+    try:
+        chol = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
+
+
+def _ref_barrier_value(rho, sig, tt, d_a):
+    return tt * float(np.real(np.trace(sig))) - _ref_logdet_pd(_ref_slack(rho, sig, d_a)) - _ref_logdet_pd(sig)
+
+
+def _ref_from_grid(x, alpha, beta):
+    x = x.reshape(alpha.shape)
+    return beta * x + alpha.T * x.T
+
+
+def _ref_gradient(t, traced, s_inv, alpha, beta):
+    g = t * np.eye(s_inv.shape[0]) - traced - s_inv
+    return np.real(alpha * g + beta * g.T).ravel()
+
+
+def _ref_newton_system(rho, sigma, d_a, alpha, beta):
+    d_b = sigma.shape[0]
+    n = d_b * d_b
+    m_inv = np.linalg.inv(_ref_slack(rho, sigma, d_a))
+    m_inv = (m_inv + m_inv.conj().T) / 2.0
+    s_inv = np.linalg.inv(sigma)
+    t4 = m_inv.reshape(d_a, d_b, d_a, d_b)
+    traced = np.einsum("abad->bd", t4)
+    s_vec = s_inv.reshape(n, 1)
+    left = np.hstack([t4.transpose(1, 3, 0, 2).reshape(n, d_a * d_a), s_vec])
+    right = np.vstack([t4.transpose(2, 0, 1, 3).reshape(d_a * d_a, n), s_vec.T])
+    k = (left @ right).reshape(d_b, d_b, d_b, d_b)
+    y = alpha[:, :, None, None] * k.transpose(2, 1, 0, 3) + beta[:, :, None, None] * k.transpose(1, 2, 0, 3)
+    y *= alpha + beta.conj()
+    return y.real.reshape(n, n), traced, s_inv, m_inv
+
+
+def _ref_dual_certificate(m_inv, step, t, d_a, d_b):
+    side = d_a * d_b
+    x = (m_inv - (m_inv.reshape(side * d_a, d_b) @ step).reshape(side, side) @ m_inv) / t
+    eigs, vecs = np.linalg.eigh((x + x.conj().T) / 2.0)
+    x = (vecs * np.clip(eigs, 0.0, None)) @ vecs.conj().T
+    marginal = np.einsum("abac->bc", x.reshape(d_a, d_b, d_a, d_b))
+    return x / max(1.0, float(np.max(np.linalg.eigvalsh(marginal))))
+
+
+def _ref_newton_direction(hess, grad):
+    reg = 0.0
+    for _ in range(10):
+        try:
+            direction = np.linalg.solve(hess if reg == 0.0 else hess + reg * np.eye(hess.shape[0]), -grad)
+        except np.linalg.LinAlgError:
+            reg = 1e-10 if reg == 0.0 else reg * 10.0
+            continue
+        decrement = float(-grad @ direction)
+        if decrement >= 0.0:
+            return direction, decrement
+        reg = 1e-10 if reg == 0.0 else reg * 10.0
+    return -grad, float(grad @ grad)
+
+
+def _solve_min_trace_reference(rho, d_a, d_b):
+    if d_b == 1:
+        opt = float(np.max(np.linalg.eigvalsh(rho)))
+        top = np.linalg.eigh(rho)[1][:, -1:]
+        return coneprog.ConeSolution(optimum=opt, sigma=np.array([[opt + 0j]]), newton_steps=0, gap_bound=0.0,
+                                     dual=top @ top.conj().T)
+
+    alpha, beta = _ref_grid_coefficients(d_b)
+    lam_max = float(np.max(np.linalg.eigvalsh(rho)))
+    scale = max(lam_max, 1e-18)
+    sigma = scale * 1.1 * np.eye(d_b, dtype=complex)
+    nu = d_a * d_b + d_b
+    t = nu / float(np.real(np.trace(sigma)))
+
+    system = None
+
+    def newton_step(sig, tt):
+        nonlocal system
+        if system is None or system[0] is not sig:
+            system = (sig, _ref_newton_system(rho, sig, d_a, alpha, beta))
+        hess, traced, s_inv, m_inv = system[1]
+        direction, decrement = _ref_newton_direction(hess, _ref_gradient(tt, traced, s_inv, alpha, beta))
+        return _ref_from_grid(direction, alpha, beta), decrement, m_inv
+
+    steps = 0
+    for _ in range(60):
+        f0 = None
+        for _ in range(60):
+            step, decrement, _ = newton_step(sigma, t)
+            if decrement / 2.0 < 1e-12:
+                break
+            if f0 is None:
+                f0 = _ref_barrier_value(rho, sigma, t, d_a)
+            step_size = 1.0
+            while step_size > 1e-14:
+                candidate = sigma + step_size * step
+                if np.array_equal(candidate, sigma):
+                    step_size = 0.0
+                    break
+                trial = _ref_barrier_value(rho, candidate, t, d_a)
+                if trial < f0 - 0.25 * step_size * decrement:
+                    break
+                step_size *= 0.5
+            if step_size <= 1e-14:
+                break
+            sigma = candidate
+            f0 = trial
+            steps += 1
+        trace = float(np.real(np.trace(sigma)))
+        if nu / t <= 1e-10 * max(trace, 1e-18):
+            step, _, m_inv = newton_step(sigma, t)
+            return coneprog.ConeSolution(optimum=trace, sigma=sigma, newton_steps=steps, gap_bound=nu / t,
+                                         dual=_ref_dual_certificate(m_inv, step, t, d_a, d_b))
+        t *= 20.0
+    raise coneprog.ConeProgramError("stalled")
+
+
+def _assert_same_bits(rho, d_a, d_b):
+    new = coneprog.solve_min_trace(rho, d_a, d_b)
+    ref = _solve_min_trace_reference(rho, d_a, d_b)
+    assert new.optimum.hex() == ref.optimum.hex()
+    assert new.gap_bound.hex() == ref.gap_bound.hex()
+    assert new.newton_steps == ref.newton_steps
+    assert new.sigma.tobytes() == ref.sigma.tobytes()
+    assert new.dual.tobytes() == ref.dual.tobytes()
+    return new
+
+
+BITWISE_SHAPES = [(2, 2), (2, 4), (3, 4), (4, 4), (2, 8), (4, 8), (2, 16), (4, 16)]
+
+
+@pytest.mark.parametrize("rank", [None, 2], ids=["full", "r2"])
+@pytest.mark.parametrize("d_a,d_b", BITWISE_SHAPES, ids=lambda v: str(v))
+def test_solver_matches_the_reference_bit_for_bit(d_a, d_b, rank):
+    rho = ginibre.density([d_a, d_b], np.random.default_rng(1000 + 10 * d_a + d_b), rank)
+    sol = _assert_same_bits(rho, d_a, d_b)
+    assert sol.newton_steps >= 40
+
+
+def _real_product() -> np.ndarray:
+    # Real matrices leave the imaginary parts exactly zero all through the
+    # solve, so signed zeros must come out the same too.
+    rho_a = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
+    rho_b = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, -0.05], [0.0, -0.05, 0.2]], dtype=complex)
+    return np.kron(rho_a, rho_b)
+
+
+@pytest.mark.parametrize("name", ["max_entangled", "product", "real_product", "classical"])
+def test_solver_matches_the_reference_on_structured_states(name):
+    rng = np.random.default_rng(31)
+    if name == "max_entangled":
+        rho, d_a, d_b = qcore.max_entangled(2).matrix, 2, 2
+    elif name == "product":
+        rho, d_a, d_b = np.kron(ginibre.density([2], rng, None), ginibre.density([3], rng, None)), 2, 3
+    elif name == "real_product":
+        rho, d_a, d_b = _real_product(), 2, 3
+    else:
+        rho, d_a, d_b = np.diag(rng.dirichlet(np.ones(8))).astype(complex), 2, 4
+    _assert_same_bits(np.asarray(rho, dtype=complex), d_a, d_b)
+
+
+def test_solver_matches_the_reference_for_a_one_dimensional_conditioning_system():
+    rho = ginibre.density([3, 1], np.random.default_rng(32), None)
+    sol = _assert_same_bits(rho, 3, 1)
+    assert sol.newton_steps == 0
+
+
+@pytest.mark.parametrize("spec", GOLDEN, ids=lambda s: f"{s['kind']}-{s['state']}-{s['d_a']}x{s['d_b']}-r{s['rank']}")
+def test_solver_matches_the_reference_on_the_golden_inputs(spec, monkeypatch):
+    seen = []
+    inner = coneprog.solve_min_trace
+
+    def spy(rho, d_a, d_b):
+        seen.append((rho.copy(), d_a, d_b))
+        return inner(rho, d_a, d_b)
+
+    monkeypatch.setattr(coneprog, "solve_min_trace", spy)
+    _solve(spec, monkeypatch)
+    ((rho, d_a, d_b),) = seen
+    _assert_same_bits(rho, d_a, d_b)
+
+
+# ---------------------------------------------------------------------------
+# Trial counts and failure paths
+# ---------------------------------------------------------------------------
+
+
+def _evaluations(monkeypatch, owner, logdet, system, solve, d_b):
+    """The solution and the log-dets ``solve`` takes, as a list of barrier values.
+
+    Each entry is (slack, slack positive definite, sigma factored or None,
+    current), with the matrices as bytes and ``current`` true when the point is
+    the current iterate, the sigma of the last Newton system built.
+    """
+    events = []
+    inner_logdet, inner_system = getattr(owner, logdet), getattr(owner, system)
+
+    def logdet_spy(matrix):
+        value = inner_logdet(matrix)
+        events.append(("sigma" if matrix.shape[0] == d_b else "slack", matrix.tobytes(), value != -np.inf))
+        return value
+
+    def system_spy(first, sigma, *args):
+        events.append(("system", sigma.tobytes(), None))
+        return inner_system(first, sigma, *args)
+
+    monkeypatch.setattr(owner, logdet, logdet_spy)
+    monkeypatch.setattr(owner, system, system_spy)
+    sol = solve()
+
+    values, current = [], None
+    for kind, data, pd in events:
+        if kind == "system":
+            current = data
+        elif kind == "sigma":
+            values[-1] = (*values[-1][:2], data, data == current)
+        else:
+            values.append((data, pd, None, False))
+    return sol, values
+
+
+@pytest.mark.parametrize("d_a,d_b,seed", [(2, 4, 3), (3, 4, 5), (4, 8, 7)])
+def test_line_search_factors_the_reference_trials_once_each(d_a, d_b, seed, monkeypatch):
+    # The reference factors a slack and then sigma for every barrier value,
+    # including the value that starts each stage at the point where the last
+    # stage stopped, which it evaluated before.  The solver takes the same
+    # barrier values in the same order, minus those repeated stage starts, and
+    # skips sigma after a slack that is not positive definite.  (Two trials of
+    # one line search can still round to the same matrix; both codes evaluate
+    # both.)
+    rho = qcore.random_density([d_a, d_b], np.random.default_rng(seed))
+    this_module = sys.modules[__name__]
+    ref, ref_values = _evaluations(monkeypatch, this_module, "_ref_logdet_pd", "_ref_newton_system",
+                                   lambda: _solve_min_trace_reference(rho, d_a, d_b), d_b)
+    sol, values = _evaluations(monkeypatch, coneprog, "_logdet_pd", "_newton_system",
+                               lambda: coneprog.solve_min_trace(rho, d_a, d_b), d_b)
+    assert sol.newton_steps == ref.newton_steps
+
+    expected, seen, repeats, skipped = [], set(), 0, 0
+    for slack, slack_pd, sigma, current in ref_values:
+        assert sigma is not None  # the reference always factors both
+        if current and (slack, sigma) in seen:
+            repeats += 1
+            continue
+        seen.add((slack, sigma))
+        if slack_pd:
+            expected.append((slack, True, sigma, current))
+        else:
+            expected.append((slack, False, None, False))
+            skipped += 1
+    assert values == expected
+    assert sum(current for *_, current in values) == 1  # only the starting point's value is taken at the iterate
+    assert repeats >= 5  # one per stage after the first
+    assert skipped >= 1  # the instance has a trial outside the cone
+
+
+@pytest.mark.parametrize("d_a,d_b,seed", [(2, 4, 3), (4, 8, 7)])
+def test_line_search_compares_the_reference_barrier_values(d_a, d_b, seed, monkeypatch):
+    # Every barrier value, the reused stage starts and the +inf of a trial
+    # outside the cone included, has the reference's bits.
+    rho = qcore.random_density([d_a, d_b], np.random.default_rng(seed))
+    ref_values, values = [], []
+    ref_inner, inner = _ref_barrier_value, coneprog._barrier
+
+    def ref_spy(*args):
+        ref_values.append(ref_inner(*args))
+        return ref_values[-1]
+
+    def spy(*args):
+        values.append(inner(*args))
+        return values[-1]
+
+    monkeypatch.setattr(sys.modules[__name__], "_ref_barrier_value", ref_spy)
+    monkeypatch.setattr(coneprog, "_barrier", spy)
+    _solve_min_trace_reference(rho, d_a, d_b)
+    coneprog.solve_min_trace(rho, d_a, d_b)
+    assert [v.hex() for v in values] == [v.hex() for v in ref_values]
+    assert np.inf in values
+
+
+def test_stalled_solver_raises_with_its_step_count_and_gap(monkeypatch):
+    monkeypatch.setattr(coneprog, "MAX_STAGES", 1)
+    rho = qcore.random_density([2, 4], np.random.default_rng(3))
+    with pytest.raises(coneprog.ConeProgramError, match=r"^barrier method stalled after \d+ Newton steps \(gap bound \d\.\d{3}e[+-]\d\d\)$"):
+        coneprog.solve_min_trace(rho, 2, 4)
+
+
+def test_singular_hessian_is_regularized_into_a_descent_direction():
+    # The first solve fails on the exactly singular matrix; the next, with
+    # 1e-10 on the diagonal, succeeds.
+    hess = np.diag([2.0, 0.0, 1.0])
+    grad = np.array([1.0, -3.0, 0.5])
+    direction, decrement = coneprog._newton_direction(hess, grad)
+    assert decrement > 0.0
+    assert float(grad @ direction) == -decrement
+    assert np.array_equal(direction, np.linalg.solve(hess + 1e-10 * np.eye(3), -grad))
+
+
+def test_newton_direction_falls_back_to_the_gradient_after_ten_tries():
+    # Singular and indefinite: every regularization up to 1e-2 leaves an ascent
+    # direction, so the tenth try gives up on the Hessian.
+    hess = np.diag([-1.0, 0.0])
+    grad = np.array([1.0, 0.0])
+    direction, decrement = coneprog._newton_direction(hess, grad)
+    assert np.array_equal(direction, -grad)
+    assert decrement == 1.0
