@@ -153,13 +153,28 @@ def _cuts(p: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.cumsum(p)[:3].astype(np.float32))
 
 
+def _word_cuts(p: np.ndarray) -> list[int]:
+    """:func:`_cuts` as thresholds on the uint32 x behind each float32 draw.
+
+    A float32 draw is u = (x >> 8) 2^-24, so u > c exactly when
+    x >> 8 >= floor(c 2^24) + 1, that is x >= (floor(c 2^24) + 1) << 8.  A cut
+    of 1.0 or just below gives 2^32 or more and a cut below 0 gives at most 0:
+    Python ints, so the comparison is all False or all True without wrapping.
+    """
+    return [(math.floor(float(c) * (1 << 24)) + 1) << 8 for c in _cuts(p)]
+
+
 def _sample_symbols(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray:
-    """I.i.d. Bell symbols in {0..3}; thresholded uniforms beat a generic sampler here."""
-    cut = _cuts(p)
-    u = rng.random(shape, dtype=np.float32)
-    out = (u > cut[0]).astype(np.uint8)
-    out += u > cut[1]
-    out += u > cut[2]
+    """I.i.d. Bell symbols in {0..3}; thresholded uniforms beat a generic sampler here.
+
+    The symbols and the generator's state are those of thresholding
+    ``rng.random(shape, dtype=np.float32)`` at :func:`_cuts`.
+    """
+    cut = _word_cuts(p)
+    x = _next_words(rng, int(np.prod(shape))).reshape(shape)
+    out = (x >= cut[0]).astype(np.uint8)
+    out += x >= cut[1]
+    out += x >= cut[2]
     return out
 
 
@@ -183,7 +198,8 @@ def hashing_simulation(
     surviving decoys, or an atypical hidden string (no candidate inside the
     typical search set).  The panel is bit-packed (:func:`_pack_symbols`), so
     a round takes every decoy's parity with one popcount per row.  An empty
-    delta-typical set or trials < 1 raises StateError.
+    delta-typical set, a delta that is not finite, trials < 1 or decoys < 1
+    raises StateError.
     """
     p_arr = np.asarray(p, dtype=float)
     state = bell_diagonal_state(p_arr)
@@ -192,6 +208,10 @@ def hashing_simulation(
         raise StateError("n must lie in [1, 5000]")
     if trials < 1:
         raise StateError(f"trials must be at least 1, got {trials}")
+    if decoys < 1:
+        raise StateError(f"decoys must be at least 1, got {decoys}")
+    if not math.isfinite(delta):
+        raise StateError(f"delta must be finite, got {delta!r}")
     if not typicality.has_typical_type(p_arr, n, delta):
         raise StateError(f"no length-{n} string is {delta!r}-typical for p = {p_arr.tolist()}: no decoy can be drawn")
     # A deterministic source leaves a single candidate: no parities needed.
@@ -275,7 +295,7 @@ def hashing_simulation(
     return ProtocolTrace(outcomes=outcomes, aggregate=aggregate)
 
 
-_CHUNK_DRAWS = 1 << 17  # float32 uniforms drawn at a time by the decoy sampler: 512 KiB, inside L2
+_CHUNK_DRAWS = 1 << 17  # uint32 words drawn at a time by the decoy sampler: 512 KiB, inside L2
 
 
 def _sample_typical_panel(rng: np.random.Generator, p: np.ndarray, n: int, delta: float, count: int) -> np.ndarray:
@@ -283,25 +303,29 @@ def _sample_typical_panel(rng: np.random.Generator, p: np.ndarray, n: int, delta
     as :func:`_pack_symbols` packs them.
 
     Rejection in batches of ``count`` rows, at most DECOY_BATCHES of them.  Each
-    batch is drawn in row chunks of about _CHUNK_DRAWS uniforms, and a chunk is
-    thresholded, counted and packed while it is in cache; no symbol array is
-    built.  The planes g_j = u > cut[j] are nested, so symbol s = g0 + g1 + g2
-    has the bits s >> 1 = g1 and s & 1 = g0 ^ g1 ^ g2, and the counts N(0..3)
-    are the differences of n, |g0|, |g1|, |g2| and 0.  Once ``count`` rows are
-    kept, the rest of the batch is skipped (:func:`_skip_floats`), so the panel
-    and the generator's state are those of drawing and filtering whole batches.
+    batch is drawn in row chunks of about _CHUNK_DRAWS words (:func:`_next_words`),
+    and a chunk is thresholded at :func:`_word_cuts`, counted and packed while
+    it is in cache; no uniform and no symbol array is built.  The planes
+    g_j = x >= cut[j] are nested, so symbol s = g0 + g1 + g2 has the bits
+    s >> 1 = g1 and s & 1 = g0 ^ g1 ^ g2, and the counts N(0..3) are the
+    differences of n, |g0|, |g1|, |g2| and 0.  Once ``count`` rows are kept,
+    the rest of the batch is skipped (:func:`_skip_floats`).  The panel and the
+    generator's state are those of thresholding whole batches of
+    ``rng.random((count, n), dtype=np.float32)`` at :func:`_cuts` and filtering
+    them.
     """
     low, high = typicality._count_bounds(p, n, delta)
     low, high = low[:, None], high[:, None]
-    cut = _cuts(p)
+    cut = _word_cuts(p)
     w, nbytes = -(-n // 64), -(-n // 8)
     panel = np.zeros((count, 16 * w), dtype=np.uint8)
     rows = max(1, _CHUNK_DRAWS // n)
     kept = 0
     for _ in range(DECOY_BATCHES):
         for start in range(0, count, rows):
-            u = rng.random((min(rows, count - start), n), dtype=np.float32)
-            g0, g1, g2 = (np.packbits(u > c, axis=1, bitorder="little") for c in cut)
+            size = min(rows, count - start)
+            x = _next_words(rng, size * n).reshape(size, n)
+            g0, g1, g2 = (np.packbits(x >= c, axis=1, bitorder="little") for c in cut)
             a0, a1, a2 = (np.bitwise_count(g).sum(axis=1, dtype=np.intp) for g in (g0, g1, g2))
             counts = np.stack([n - a0, a0 - a1, a1 - a2, a2])
             ok = np.flatnonzero(np.all((counts >= low) & (counts <= high), axis=0))[: count - kept]
@@ -311,13 +335,47 @@ def _sample_typical_panel(rng: np.random.Generator, p: np.ndarray, n: int, delta
                 dest[:, 8 * w : 8 * w + nbytes] = (g0 ^ g1 ^ g2)[ok]
                 kept += ok.size
             if kept == count:
-                _skip_floats(rng, (count - start - u.shape[0]) * n)
+                _skip_floats(rng, (count - start - size) * n)
                 return panel.view(_WORD)
     drawn = DECOY_BATCHES * count
     raise StateError(
         f"only {kept} of {drawn} length-{n} draws ({kept / drawn:.3g}) were {delta!r}-typical: "
         f"the typical set is too unlikely to sample {count} decoys"
     )
+
+
+def _next_words(rng: np.random.Generator, k: int) -> np.ndarray:
+    """The next k uint32s x that ``rng.random(k, dtype=np.float32)`` turns into
+    floats u = (x >> 8) 2^-24, in order, leaving rng in the state that call leaves.
+
+    For PCG64 only, the bit generator :func:`qcore.spawn_rngs` makes.  It
+    serves uint32s as the low, then the high half of a 64-bit word and keeps
+    an unserved high half in its buffer (``has_uint32``, ``uinteger``).
+    ``random_raw`` reads whole words past that buffer at about half the cost
+    of float32 draws.  So a buffered half is served first, by one float32 draw;
+    the rest comes from ``random_raw``; then ``advance(-1)`` steps back over the
+    last word (and empties the buffer), and one or two float32 draws take that
+    word again, which leaves the buffer as drawing all k does (as in
+    :func:`_skip_floats`).  Taking the last word twice, rather than drawing the
+    last values as floats after the bulk, returns ``random_raw``'s array
+    without a copy.
+    """
+    bits = rng.bit_generator
+    state = bits.state
+    lead = min(k, state["has_uint32"])
+    if lead:
+        rng.random(dtype=np.float32)  # serves the buffered half, which random_raw skips
+    m = k - lead
+    words = bits.random_raw(-(-m // 2)).astype("<u8", copy=False).view("<u4")[:m]  # low half first
+    if m:
+        bits.advance(-1)
+        rng.random(2 - m % 2, dtype=np.float32)
+    if not lead:
+        return words
+    out = np.empty(k, dtype=np.uint32)
+    out[0] = state["uinteger"]
+    out[1:] = words
+    return out
 
 
 def _skip_floats(rng: np.random.Generator, k: int) -> None:

@@ -430,6 +430,86 @@ def test_skip_floats_leaves_the_state_of_drawing(k, lead):
     assert skipped.bit_generator.state == drawn.bit_generator.state
 
 
+# Edge cuts of the float32 sampler and their float32 neighbours: below 0,
+# 0, the smallest uniform above 0, cuts on exact multiples of 2^-24, and 1.0.
+_EDGE_CUTS = sorted(
+    {
+        float(np.nextafter(np.float32(c), np.float32(towards)))
+        for c in (-1e-12, 0.0, 2.0**-24, 0.5, 0.75, 1.0)
+        for towards in (-1.0, c, 2.0)
+    }
+)
+
+
+def test_word_cuts_match_float_thresholds_on_every_mantissa():
+    # u = (x >> 8) 2^-24 for the uint32 x behind a float32 draw: for every
+    # 24-bit mantissa, and both extremes of the 8 dropped bits, x >= t must be
+    # u > cut.  p = (c, 0, 0, 1 - c) makes all three cuts c.
+    cuts = [np.float32(c) for c in _EDGE_CUTS]
+    thresholds = [protocols._word_cuts(np.array([c, 0.0, 0.0, 1.0 - float(c)]))[0] for c in cuts]
+    assert len(cuts) >= 13
+    block = 1 << 20
+    for start in range(0, 1 << 24, block):
+        mantissa = np.arange(start, start + block, dtype=np.uint32)
+        u = mantissa.astype(np.float32) * np.float32(2.0**-24)
+        low, high = mantissa << 8, (mantissa << 8) | 0xFF
+        for c, t in zip(cuts, thresholds):
+            expected = u > c
+            assert np.array_equal(low >= t, expected), (float(c), t, start)
+            assert np.array_equal(high >= t, expected), (float(c), t, start)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 1000, 1001, 2**17 + 1])
+@pytest.mark.parametrize("lead", [0, 1])
+def test_next_words_are_the_float32_stream(k, lead):
+    # The words are the uint32s behind rng.random(k, dtype=np.float32), all 32
+    # bits of them (rng.integers serves the same uint32 stream), and the
+    # generator ends in the same state, half-word buffer included.
+    rngs = [np.random.default_rng(9) for _ in range(3)]
+    for rng in rngs:
+        rng.random(lead, dtype=np.float32)
+    words = protocols._next_words(rngs[0], k)
+    floats = rngs[1].random(k, dtype=np.float32)
+    assert words.dtype == np.uint32 and words.shape == (k,)
+    assert np.array_equal(words, rngs[2].integers(0, 1 << 32, size=k, dtype=np.uint32))
+    assert np.array_equal((words >> 8).astype(np.float32) * np.float32(2.0**-24), floats)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+    assert rngs[0].random(3, dtype=np.float32).tolist() == rngs[1].random(3, dtype=np.float32).tolist()
+
+
+@pytest.mark.parametrize(
+    "p, delta",
+    [((0.5, 0.25, 0.125, 0.125), 0.04), ((0.5, 0.5, 0.0, 0.0), 0.04)],
+    ids=["cuts-on-multiples-of-2^-24", "cut-at-one"],
+)
+def test_fused_sampler_matches_on_exact_cuts(p, delta, monkeypatch):
+    # Cuts of 0.5, 0.75 and 0.875 are uniforms the generator can return, so
+    # u > cut and u >= cut differ there; a cut of exactly 1.0 gives a word
+    # threshold past every uint32.  Odd n with a lead of one leaves half a word
+    # buffered at the start and at every other chunk.
+    assert protocols._cuts(np.asarray(p)).tolist() in ([0.5, 0.75, 0.875], [0.5, 1.0, 1.0])
+    _both_panels(p, 301, delta, 500, seed=23, monkeypatch=monkeypatch, lead=1)
+
+
+@pytest.mark.parametrize(
+    "p", [(0.7, 0.15, 0.1, 0.05), (0.5, 0.25, 0.125, 0.125), (0.5, 0.5, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)]
+)
+@pytest.mark.parametrize("shape, lead", [(1, 0), (301, 1), (2000, 0), ((7, 33), 1)])
+def test_sample_symbols_matches_the_float32_sampler(p, shape, lead):
+    # The reference thresholds float32 uniforms at _cuts; the symbols and the
+    # generator states must agree.
+    p = np.asarray(p)
+    rngs = [np.random.default_rng(31) for _ in range(2)]
+    for rng in rngs:
+        rng.random(lead, dtype=np.float32)
+    cut = protocols._cuts(p)
+    u = rngs[0].random(shape, dtype=np.float32)
+    expected = (u > cut[0]).astype(np.uint8) + (u > cut[1]) + (u > cut[2])
+    got = protocols._sample_symbols(rngs[1], p, shape)
+    assert got.dtype == np.uint8 and np.array_equal(got, expected)
+    assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
+
+
 def _decoy_types(words, n):
     # Type (N(0), ..., N(3)) of each packed decoy, read back bit by bit.
     w = -(-n // 64)
@@ -483,6 +563,21 @@ def test_hashing_rejects_negative_delta():
 def test_hashing_rejects_zero_trials():
     with pytest.raises(qcore.StateError, match="trials"):
         protocols.hashing_simulation((0.7, 0.15, 0.1, 0.05), n=50, delta=0.05, trials=0, seed=1)
+
+
+@pytest.mark.parametrize("decoys", [0, -5])
+def test_hashing_rejects_fewer_than_one_decoy(decoys):
+    with pytest.raises(qcore.StateError, match=rf"decoys must be at least 1, got {decoys}"):
+        protocols.hashing_simulation((0.7, 0.15, 0.1, 0.05), n=50, delta=0.05, trials=1, seed=1, decoys=decoys)
+
+
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_hash_sim_cli_rejects_a_delta_that_is_not_finite(delta, capsys):
+    code = cli.main(["hash-sim", "--p", "0.7,0.15,0.1,0.05", "--n", "64", "--delta", delta])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: delta must be finite, got {float(delta)!r}\n"
 
 
 def test_hashing_stops_redrawing_a_typical_set_too_unlikely_to_sample():
