@@ -3,39 +3,27 @@
 
     python3 scripts/time_assisted_search.py [SRC_DIR]
 
-Imports ``entlab`` from SRC_DIR (default: this checkout's ``src/``), so the
-same script times two versions of the package side by side.  BLAS runs at one
-thread.  It draws the 20 random pure states of the ``min-cut`` acceptance
-criterion (qubit A and B, a helper C of dimension 2 or 3) from the acceptance
-seed, in the criterion's order, and times ``assisted.eoa_pure`` on each with
-the criterion's grid and search seed.  It prints one JSON object:
+SRC_DIR, the BLAS threads and the fingerprint are as ``timing.py`` describes.
+It draws the 20 random pure states of the ``min-cut`` acceptance criterion
+(qubit A and B, a helper C of dimension 2 or 3) from the acceptance seed, in
+the criterion's order, and times ``assisted.eoa_pure`` on each with the
+criterion's grid and search seed.  It prints one JSON object:
 
 - ``states``: for each state, ``d_c``, ``seconds``, the one-shot value, the
   asymptotic value min{S(A), S(B)} and the floor E_F(C_a);
 - ``total_s``: the sum of the per-state seconds;
-- ``fingerprint``: cores, CPU model and the Python, numpy, scipy and BLAS
-  versions, as ``time_state_validation.py`` reports them.
+- ``fingerprint``.
 
 Each state is timed once after one untimed warm-up search on the first state.
 """
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse
-import json
 import math
-import sys
 import time
-from pathlib import Path
 
-from time_state_validation import fingerprint
+import timing  # before numpy: it pins BLAS at one thread
 
-ROOT = Path(__file__).resolve().parent.parent
 GRID = 4  # the criterion's grid
 
 
@@ -51,14 +39,9 @@ def criterion_states(acceptance, qcore, np) -> list[tuple]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the entlab package")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    args = timing.parser(__doc__).parse_args(argv)
+    acceptance, assisted, qcore = timing.load(args.src, "acceptance", "assisted", "qcore")
     import numpy as np
-
-    from entlab import acceptance, assisted, qcore
 
     states = criterion_states(acceptance, qcore, np)
     psi, seed = states[0]
@@ -77,11 +60,7 @@ def main(argv: list[str] | None = None) -> int:
             "asymptotic": asymptotic,
             "floor": floor,
         })
-    json.dump(
-        {"states": rows, "total_s": round(sum(r["seconds"] for r in rows), 3), "fingerprint": fingerprint()},
-        sys.stdout, indent=1,
-    )
-    print()
+    timing.emit({"states": rows, "total_s": round(sum(r["seconds"] for r in rows), 3)})
     return 0
 
 

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Time ``coneprog.solve_min_trace`` per solve, and count its line-search trials.
 
-    python3 scripts/time_cone.py [SRC_DIR] [--repeats 7]
+    python3 scripts/time_cone.py [SRC_DIR]
 
-Imports ``entlab`` from SRC_DIR (default: this checkout's ``src/``), so the
-same script times two versions of the package side by side.  BLAS runs at one
-thread.  The shapes (d_A, d_B) are those of the benchmark's ``small-states``
-solves, (2, 4) to (4, 16), and the ROADMAP's (2, 32) and (16, 16), each on a
-random full-rank state with a fixed seed.
+SRC_DIR, the BLAS threads and the fingerprint are as ``timing.py`` describes.
+The shapes (d_A, d_B) are those of the benchmark's ``small-states`` solves,
+(2, 4) to (4, 16), and the ROADMAP's (2, 32) and (16, 16), each on a random
+full-rank state with a fixed seed.
 
-Each shape gets one untimed warm-up solve, then ``--repeats`` timed solves (3
-for (2, 32) and (16, 16)).  One more solve runs with ``coneprog._logdet_pd``,
+Each shape gets one untimed warm-up solve, then REPEATS timed solves (3 for
+(2, 32) and (16, 16)).  One more solve runs with ``coneprog._logdet_pd``,
 ``coneprog._newton_system`` and ``coneprog._gradient`` wrapped from outside,
 which every version of the solver calls through the module.  From those calls:
 
@@ -30,29 +29,18 @@ It prints one JSON object:
   milliseconds per solve, ``newton_steps``, ``ms_per_step`` (the median
   divided by the steps), the counts above and ``digest``, a hash of the optimum, sigma
   and the dual certificate, so that two trees can be checked for equal bits;
-- ``fingerprint``: cores, CPU model and the Python, numpy, scipy and BLAS
-  versions, as ``time_state_validation.py`` reports them.
+- ``fingerprint``.
 """
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse
 import hashlib
-import json
-import statistics
-import sys
 import time
 from collections import Counter
-from pathlib import Path
 
-from time_state_validation import fingerprint
+import timing  # before numpy: it pins BLAS at one thread
 
-ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 7
 SHAPES = [(2, 4), (3, 4), (4, 4), (2, 8), (4, 8), (2, 16), (4, 16), (2, 32), (16, 16)]
 SLOW = {(2, 32), (16, 16)}
 SEED = 20
@@ -113,27 +101,21 @@ def census(coneprog, rho, d_a: int, d_b: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the entlab package")
-    parser.add_argument("--repeats", type=int, default=7, help="timed solves per shape, (2, 32) and (16, 16) take 3")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    args = timing.parser(__doc__).parse_args(argv)
+    coneprog, qcore = timing.load(args.src, "coneprog", "qcore")
     import numpy as np
-
-    from entlab import coneprog, qcore
 
     out = {}
     for d_a, d_b in SHAPES:
         rho = qcore.random_density([d_a, d_b], np.random.default_rng([SEED, d_a, d_b]))
         sol = coneprog.solve_min_trace(rho, d_a, d_b)
-        repeats = 3 if (d_a, d_b) in SLOW else args.repeats
+        repeats = 3 if (d_a, d_b) in SLOW else REPEATS
         ms = []
         for _ in range(repeats):
             start = time.perf_counter()
             coneprog.solve_min_trace(rho, d_a, d_b)
             ms.append(1e3 * (time.perf_counter() - start))
-        q1, median, q3 = statistics.quantiles(ms, n=4) if repeats > 1 else (ms[0],) * 3
+        q1, median, q3 = timing.quartiles(ms)
         digest = hashlib.sha256(np.float64(sol.optimum).tobytes() + sol.sigma.tobytes() + sol.dual.tobytes())
         out[f"{d_a}x{d_b}"] = {
             "repeats": repeats,
@@ -144,8 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             **census(coneprog, rho, d_a, d_b),
             "digest": digest.hexdigest()[:16],
         }
-    json.dump({"shapes": out, "fingerprint": fingerprint()}, sys.stdout, indent=1)
-    print()
+    timing.emit({"shapes": out})
     return 0
 
 

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Time the hashing simulation: its decoy sampler and its rounds.
 
-    python3 scripts/time_hashing.py [SRC_DIR] [--repeats 7]
+    python3 scripts/time_hashing.py [SRC_DIR]
 
-Imports ``entlab`` from SRC_DIR (default: this checkout's ``src/``), so the
-same script times two versions of the package side by side.  BLAS runs at one
-thread.  The cases:
+SRC_DIR, the BLAS threads and the fingerprint are as ``timing.py`` describes.
+The cases:
 
 - ``panel.n2000``: one ``protocols._sample_typical_panel`` of 10^4 decoys at
   n = 2000, delta = 0.05 and p = (0.8, 0.1, 0.05, 0.05), the ``hashing``
@@ -21,8 +20,8 @@ thread.  The cases:
   ``acceptance.run_one`` runs it.
 
 Each case gets one untimed call first, which also hashes every panel the
-sampler returns.  Then ``--repeats`` timed calls (half of it, at least 1, for
-``verify.hashing``).  In the simulations, ``protocols._sample_symbols`` and
+sampler returns.  Then REPEATS timed calls (3 for ``verify.hashing``).  In
+the simulations, ``protocols._sample_symbols`` and
 ``protocols._sample_typical_panel`` are wrapped from outside and timed:
 ``sampler_s`` is their time per call and ``rounds_s`` the rest (the rounds,
 packing and bookkeeping).  It prints one JSON object:
@@ -32,28 +31,18 @@ packing and bookkeeping).  It prints one JSON object:
   simulations, and ``panels``, a SHA-256 over the bytes of every panel the
   first call drew, so that two trees can be checked for equal output;
   ``verify.hashing`` also gives the criterion's ``detail`` line;
-- ``fingerprint``: cores, CPU model and the Python, numpy, scipy and BLAS
-  versions, as ``time_state_validation.py`` reports them.
+- ``fingerprint``.
 """
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse
 import hashlib
-import json
 import statistics
-import sys
 import time
-from pathlib import Path
 
-from time_state_validation import fingerprint
+import timing  # before numpy: it pins BLAS at one thread
 
-ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 7
 SEED = 21
 VERIFY_P = (0.8, 0.1, 0.05, 0.05)
 FEASIBLE_P = (0.9, 0.05, 0.03, 0.02)
@@ -81,22 +70,10 @@ class Sampler:
         return call
 
 
-def _quartiles(values: list[float]) -> tuple[float, float, float]:
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    return tuple(statistics.quantiles(values, n=4))
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the entlab package")
-    parser.add_argument("--repeats", type=int, default=7, help="timed calls per case")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    args = timing.parser(__doc__).parse_args(argv)
+    acceptance, protocols = timing.load(args.src, "acceptance", "protocols")
     import numpy as np
-
-    from entlab import acceptance, protocols
 
     sampler = Sampler(protocols)
 
@@ -109,11 +86,11 @@ def main(argv: list[str] | None = None) -> int:
         return lambda: protocols.hashing_simulation(p, n, 0.05, trials=2, seed=SEED)
 
     cases = [
-        ("panel.n2000", panel, args.repeats),
-        ("hashing.feasible.n2000", simulation(FEASIBLE_P, 2000), args.repeats),
-        ("hashing.infeasible.n2000", simulation(VERIFY_P, 2000), args.repeats),
-        ("cli.hash_sim.n1000", simulation(FEASIBLE_P, 1000), args.repeats),
-        ("verify.hashing", lambda: acceptance.run_one("hashing"), max(1, args.repeats // 2)),
+        ("panel.n2000", panel, REPEATS),
+        ("hashing.feasible.n2000", simulation(FEASIBLE_P, 2000), REPEATS),
+        ("hashing.infeasible.n2000", simulation(VERIFY_P, 2000), REPEATS),
+        ("cli.hash_sim.n1000", simulation(FEASIBLE_P, 1000), REPEATS),
+        ("verify.hashing", lambda: acceptance.run_one("hashing"), 3),
     ]
     out = {}
     for name, call, repeats in cases:
@@ -127,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             call()
             seconds.append(time.perf_counter() - start)
             sampled.append(sampler.seconds)
-        q1, median, q3 = _quartiles(seconds)
+        q1, median, q3 = timing.quartiles(seconds)
         case = {"repeats": repeats, "median_s": round(median, 4), "q1_q3_s": [round(q1, 4), round(q3, 4)]}
         if name != "panel.n2000":
             case["sampler_s"] = round(statistics.median(sampled), 4)
@@ -136,8 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         if name == "verify.hashing":
             case["detail"] = first.detail
         out[name] = case
-    json.dump({"cases": out, "fingerprint": fingerprint()}, sys.stdout, indent=1)
-    print()
+    timing.emit({"cases": out})
     return 0
 
 

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Time ``decoupling.simulate_random_instrument`` per call on the shapes the lab runs.
 
-    python3 scripts/time_instrument.py [SRC_DIR] [--repeats 15]
+    python3 scripts/time_instrument.py [SRC_DIR]
 
-Imports ``entlab`` from SRC_DIR (default: this checkout's ``src/``), so the
-same script times two versions of the package side by side.  BLAS runs at one
-thread.  The cases:
+SRC_DIR, the BLAS threads and the fingerprint are as ``timing.py`` describes.
+The cases:
 
 - the four instrument shapes of the benchmark's ``monte-carlo`` workload at
   80 samples, with outcome rows kept: ``two_sender`` (C1 of 2, C2 of 4 with
@@ -19,34 +18,23 @@ thread.  The cases:
 - ``two_sender.8x8``: the criterion's two-sender state with ancillas (8, 8),
   20 samples.
 
-Each case gets one untimed warm-up call.  The repeats are ``--repeats`` for
-the benchmark and CLI shapes and a fifth of it (at least 3) for the others.
+Each case gets one untimed warm-up call.  The repeats are REPEATS for the
+benchmark and CLI shapes and 3 for the others.
 It prints one JSON object:
 
 - ``cases``: for each case, ``samples``, ``repeats``, the median and the
   quartiles of the per-call seconds, and ``empirical_q`` as ``float.hex``, so
   that two trees can be checked for equal results;
-- ``fingerprint``: cores, CPU model and the Python, numpy, scipy and BLAS
-  versions, as ``time_state_validation.py`` reports them.
+- ``fingerprint``.
 """
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse
-import json
-import statistics
-import sys
 import time
-from pathlib import Path
 
-from time_state_validation import fingerprint
+import timing  # before numpy: it pins BLAS at one thread
 
-ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 15
 SEED = 19
 
 
@@ -74,15 +62,9 @@ def cases(acceptance, decoupling, qcore, np) -> list[tuple]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the entlab package")
-    parser.add_argument("--repeats", type=int, default=15, help="timed calls per benchmark and CLI shape")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    args = timing.parser(__doc__).parse_args(argv)
+    acceptance, decoupling, qcore = timing.load(args.src, "acceptance", "decoupling", "qcore")
     import numpy as np
-
-    from entlab import acceptance, decoupling, qcore
 
     out = {}
     for name, state, senders, reference, samples, seed, slow in cases(acceptance, decoupling, qcore, np):
@@ -93,13 +75,13 @@ def main(argv: list[str] | None = None) -> int:
             return decoupling.simulate_random_instrument(state, spec, reference, keep_outcomes=keep)
 
         result = call()
-        repeats = max(3, args.repeats // 5) if slow else args.repeats
+        repeats = 3 if slow else REPEATS
         seconds = []
         for _ in range(repeats):
             start = time.perf_counter()
             call()
             seconds.append(time.perf_counter() - start)
-        q1, median, q3 = statistics.quantiles(seconds, n=4)
+        q1, median, q3 = timing.quartiles(seconds)
         out[name] = {
             "samples": samples,
             "repeats": repeats,
@@ -107,8 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             "q1_q3_s": [round(q1, 5), round(q3, 5)],
             "empirical_q": result.empirical_q.hex(),
         }
-    json.dump({"cases": out, "fingerprint": fingerprint()}, sys.stdout, indent=1)
-    print()
+    timing.emit({"cases": out})
     return 0
 
 

@@ -3,12 +3,11 @@
 
     python3 scripts/time_state_validation.py [SRC_DIR] [--sizes 256,1024] [--joints 32] [--parse-sizes 1024]
 
-Imports ``entlab`` from SRC_DIR (default: this checkout's ``src/``), so the
-same script times two versions of the package side by side.  BLAS runs at one
-thread.  For each side D it builds one random full-rank density matrix, and
-for each d in ``--joints`` the benchmark's joint of the ``gershgorin``
-criterion's overlap family (d nonzero rows of D = d^2, see overlap_joint),
-and prints, as one JSON object:
+SRC_DIR, the BLAS threads and the fingerprint are as ``timing.py`` describes.
+For each side D it builds one random full-rank density matrix, and for each
+d in ``--joints`` the benchmark's joint of the ``gershgorin`` criterion's
+overlap family (d nonzero rows of D = d^2, see overlap_joint), and prints,
+as one JSON object:
 
 - ``make_state_s``: the median seconds of ``make_state`` over the repeats,
   for each full-rank side;
@@ -16,8 +15,7 @@ and prints, as one JSON object:
 - ``parse_state_file_s``: for each parse size, the seconds of the whole
   ``cli.parse_state_file`` and of its ``json.load`` alone, from one file
   written to a temporary directory;
-- ``fingerprint``: cores, CPU model and the Python, numpy, scipy and BLAS
-  versions.
+- ``fingerprint``.
 
 The input matrices are drawn from a fixed seed.  Building them and writing
 the files is not timed.  A state file of side D holds D^2 [re, im] pairs,
@@ -27,21 +25,14 @@ them as Python lists, so mind the memory before adding larger parse sizes.
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse
 import json
-import platform
 import statistics
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import timing  # before numpy: it pins BLAS at one thread
+
 SEED = 8
 
 
@@ -53,27 +44,6 @@ def _repeats(side: int) -> int:
     return 7 if side <= 256 else 5 if side <= 1024 else 3 if side <= 2048 else 1
 
 
-def fingerprint() -> dict:
-    import numpy as np
-    import scipy
-
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    model = platform.processor() or platform.machine()
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            model = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), model)
-    except OSError:
-        pass
-    return {
-        "nproc": os.cpu_count(),
-        "cpu_model": model,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": int(os.environ["OPENBLAS_NUM_THREADS"])},
-    }
-
-
 def overlap_joint(d: int, directory: Path):
     """The benchmark's overlap-family joint for d: d nonzero rows of D = d^2.
 
@@ -83,7 +53,6 @@ def overlap_joint(d: int, directory: Path):
     benchmark rather than the package so that every SRC_DIR is timed on the
     same matrix, also one whose package has no such helper.
     """
-    sys.path.insert(0, str(ROOT / "bench"))
     from workloads import _Inputs, _overlap_family
 
     return _overlap_family(_Inputs("time_state_validation", SEED, directory), d, 0)[1]
@@ -122,17 +91,13 @@ def time_parse(cli, qcore, side: int, rng, directory: Path) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the entlab package")
+    parser = timing.parser(__doc__)
     parser.add_argument("--sizes", type=_sizes, default=_sizes("256,1024,2048,4096"), help="make_state sides")
     parser.add_argument("--joints", type=_sizes, default=_sizes("32"), help="overlap-family joints, by d")
     parser.add_argument("--parse-sizes", type=_sizes, default=_sizes("1024,2048"), help="state-file sides")
     args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    cli, qcore = timing.load(args.src, "cli", "qcore")
     import numpy as np
-
-    from entlab import cli, qcore
 
     rng = np.random.default_rng(SEED)
     make_state = {}
@@ -147,12 +112,9 @@ def main(argv: list[str] | None = None) -> int:
             make_state_joint[str(d)] = {"median_s": statistics.median(runs), "runs_s": runs}
         for side in args.parse_sizes:
             parse[str(side)] = time_parse(cli, qcore, side, rng, Path(tmp))
-    json.dump({"fingerprint": fingerprint(),
-               "make_state_s": make_state, "make_state_joint_s": make_state_joint,
-               "parse_state_file_s": parse}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    timing.emit({"make_state_s": make_state, "make_state_joint_s": make_state_joint, "parse_state_file_s": parse})
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

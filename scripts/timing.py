@@ -1,0 +1,81 @@
+"""Shared parts of the ``time_*.py`` scripts in this directory.
+
+Each script imports ``entlab`` from SRC_DIR (default: this checkout's
+``src/``), so the same script times two versions of the package side by side.
+``load`` refuses a SRC_DIR that holds no ``entlab/__init__.py``, or whose
+``entlab`` is not the one imported, with ``error: ...`` and exit status 2
+before anything is timed, so a mistyped path cannot time another tree.  BLAS
+runs at one thread: importing this module pins it, as ``bench/run.py`` does,
+so every script imports it before numpy.  Each script prints one JSON object
+through ``emit``, which adds ``fingerprint``: cores, CPU model, the Python,
+numpy and scipy versions, and the BLAS name, version and thread count, the
+count read from OpenBLAS itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import platform
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import run  # noqa: E402  (bench/run.py imports only the standard library at module level)
+
+run.pin_blas_threads()
+
+
+def parser(doc: str) -> argparse.ArgumentParser:
+    """An argument parser described by the first line of ``doc``, with SRC_DIR."""
+    p = argparse.ArgumentParser(description=doc.splitlines()[0])
+    p.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the entlab package")
+    return p
+
+
+def load(src: str, *names: str) -> list:
+    """The ``entlab`` submodules ``names``, imported from the package in ``src``."""
+    package = Path(src).resolve() / "entlab"
+    if not (package / "__init__.py").is_file():
+        _fail(f"{package / '__init__.py'} is missing; SRC_DIR must hold the entlab package")
+    sys.path.insert(0, str(package.parent))
+    import entlab
+
+    if Path(entlab.__file__).resolve().parent != package:
+        _fail(f"imported entlab from {entlab.__file__}, not from {package}")
+    return [importlib.import_module(f"entlab.{name}") for name in names]
+
+
+def _fail(message: str) -> None:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The first quartile, the median and the third quartile of ``values``."""
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def fingerprint() -> dict:
+    import numpy as np
+    import scipy
+
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": run.cpu_model(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": run.blas_info(),
+    }
+
+
+def emit(payload: dict) -> None:
+    """Print ``payload`` with the machine's ``fingerprint`` as one JSON object."""
+    json.dump({**payload, "fingerprint": fingerprint()}, sys.stdout, indent=1)
+    print()

@@ -280,11 +280,16 @@ def cmd_twirl(args) -> int:
 
 
 def cmd_assist(args) -> int:
-    state = parse_state_file(args.state)
-    if args.cnot:
-        ctrl, tgt = _split_labels(args.cnot)
-        state = qcore.apply_unitary(state, [ctrl, tgt], qcore.CNOT)
+    cnot = _split_labels(args.cnot)
+    if args.cnot and len(cnot) != 2:
+        raise qcore.StateError(f"--cnot {args.cnot!r}: expected two labels, control,target")
     helpers = [_split_labels(h) for h in args.helpers.split(";")] if args.helpers else []
+    for position, group in enumerate(helpers, 1):
+        if not group:
+            raise qcore.StateError(f"--helpers {args.helpers!r}: helper group {position} of {len(helpers)} is empty")
+    state = parse_state_file(args.state)
+    if cnot:
+        state = qcore.apply_unitary(state, cnot, qcore.CNOT)
     report = assisted.assisted_lower_bound(state, _split_labels(args.a), _split_labels(args.b), helpers)
     payload = asdict(report)
     emit_json(payload, args.out)

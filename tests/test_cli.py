@@ -317,11 +317,16 @@ def _exit_code(argv: list[str]) -> int:
         (["typ-check", "--p", "0.7,0.3", "--n", "-3", "--delta", "0.1"], None),
         (["typ-check", "--p", "0.7,0.3", "--n", "0", "--delta", "0.1"], None),
         (["typ-check", "--p", "0.7,0.3", "--n", "5", "--delta", "nan"], None),
+        (["assist", "--state", str(DATA / "assist4.json"), "--a", "A", "--b", "B", "--cnot", "C1"], None),
+        (["assist", "--state", str(DATA / "assist4.json"), "--a", "A", "--b", "B", "--cnot", "C1,C2,B"], None),
+        (["assist", "--state", str(DATA / "assist4.json"), "--a", "A", "--b", "B", "--helpers", "C1;"], None),
+        (["assist", "--state", str(DATA / "assist4.json"), "--a", "A", "--b", "B", "--helpers", ";"], None),
     ],
     ids=["hash-sim-p", "typ-check-p", "region-point", "region-point-nan", "swap-word", "swap-zero-denominator", "decouple-K",
          "decouple-unknown-key", "env-seed-twirl", "env-seed-verify", "region-cost-eps-zero", "region-seq-eps-zero",
          "region-eps-negative", "region-eps-nan", "swap-nan", "typ-check-n-negative", "typ-check-n-zero",
-         "typ-check-delta-nan"],
+         "typ-check-delta-nan", "assist-cnot-one-label", "assist-cnot-three-labels", "assist-helpers-trailing-empty",
+         "assist-helpers-empty"],
 )
 def test_malformed_arguments_exit_2_with_a_diagnostic(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:
