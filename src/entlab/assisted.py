@@ -65,7 +65,13 @@ def assisted_lower_bound(
     b_labels: Sequence[str],
     helpers: Sequence[Sequence[str] | str],
 ) -> AssistReport:
-    """Achievable-rate report: hashing term, helper-cut term, and their maximum."""
+    """Achievable-rate report: hashing term, helper-cut term, and their maximum.
+    A, B and each helper group must hold at least one label."""
+    parties = [("party A", a_labels), ("party B", b_labels)]
+    parties += [(f"helper group {i} of {len(helpers)}", group) for i, group in enumerate(helpers, 1)]
+    for party, labels in parties:
+        if not labels:
+            raise qcore.LabelError(f"{party} has no labels")
     qcore.distinct_labels(a_labels, b_labels)
     s = entropy.subset_entropies(state)
     hashing = -(s(list(a_labels) + list(b_labels)) - s(b_labels))

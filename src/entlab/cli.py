@@ -64,8 +64,8 @@ def parse_state_file(path: str | Path) -> qcore.LabeledState:
             raise qcore.StateError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
         return qcore.build_state(spec)
-    except qcore.StateError:
-        raise
+    except qcore.StateError as exc:
+        raise qcore.StateError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise qcore.StateError(f"{path}: malformed StateSpec ({exc})") from exc
 
@@ -284,9 +284,6 @@ def cmd_assist(args) -> int:
     if args.cnot and len(cnot) != 2:
         raise qcore.StateError(f"--cnot {args.cnot!r}: expected two labels, control,target")
     helpers = [_split_labels(h) for h in args.helpers.split(";")] if args.helpers else []
-    for position, group in enumerate(helpers, 1):
-        if not group:
-            raise qcore.StateError(f"--helpers {args.helpers!r}: helper group {position} of {len(helpers)} is empty")
     state = parse_state_file(args.state)
     if cnot:
         state = qcore.apply_unitary(state, cnot, qcore.CNOT)
@@ -481,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
         # Building the parser reads ENTLAB_SEED for the --seed default, whatever the command.
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (qcore.StateError, qcore.LabelError, entropy.SupportError, OSError) as exc:
+    except (qcore.StateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -97,8 +97,8 @@ class HashingTrial:
 
 def bell_diagonal_state(p: Sequence[float]) -> LabeledState:
     """Two-qubit mixture of the four Bell states with weights p (code order 00,01,10,11)."""
-    p = np.asarray(p, dtype=float)
-    if p.size != 4 or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+    p = qcore.probability_vector(p, "p")
+    if p.size != 4:
         raise StateError("p must be a distribution over the four Bell states")
     m = np.zeros((4, 4), dtype=complex)
     for weight, kind in zip(p, BELL_ORDER):

@@ -21,11 +21,11 @@ DEFAULT_SEED = 0x51A7E
 
 
 class StateError(ValueError):
-    """Raised when an operator violates a density-operator contract."""
+    """Raised on rejected input: a broken density-operator contract, a bad label or argument."""
 
 
-class LabelError(KeyError):
-    """Raised on unknown or duplicated subsystem labels."""
+class LabelError(StateError):
+    """Raised on unknown, duplicated or missing subsystem labels."""
 
 
 def xlog2x(x: float) -> float:
@@ -45,6 +45,15 @@ def binary_entropy(x: float) -> float:
 def shannon_entropy(p: Sequence[float]) -> float:
     """Shannon entropy of a probability vector, in bits."""
     return -sum(xlog2x(float(x)) for x in p)
+
+
+def probability_vector(p: Sequence[float], name: str) -> np.ndarray:
+    """p as a float array; StateError unless every entry is finite and at least
+    -1e-12 and the entries sum to 1 within 1e-9."""
+    p = np.asarray(p, dtype=float)
+    if not (np.isfinite(p).all() and (p >= -1e-12).all() and abs(p.sum() - 1.0) <= 1e-9):
+        raise StateError(f"{name} must be a probability vector")
+    return p
 
 
 def clamped_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -744,9 +753,7 @@ def embezzle(d: int, labels: Sequence[str] = ("A", "B")) -> LabeledState:
 
 def schmidt_pair(lambdas: Sequence[float], labels: Sequence[str] = ("A", "B")) -> LabeledState:
     """Bipartite pure state sum_i sqrt(lambda_i)|ii> for a probability vector lambda."""
-    lam = np.asarray(lambdas, dtype=float)
-    if np.any(lam < -1e-12) or abs(lam.sum() - 1.0) > 1e-9:
-        raise StateError("Schmidt weights must be a probability vector")
+    lam = probability_vector(lambdas, "Schmidt weights")
     d = lam.size
     amplitudes = np.zeros(d * d, dtype=complex)
     for i in range(d):

@@ -88,6 +88,8 @@ def merging_rate_region(
 ) -> RegionSpec:
     """Asymptotic merging region: sum_{i in T} R_i >= S(T | T-bar, B) for all non-empty T."""
     senders, receiver_side = qcore.distinct_labels(senders, receiver_side)
+    if not senders:
+        raise qcore.LabelError("the sender list has no labels")
     if len(senders) > MAX_REGION_PARTIES:
         raise StateError(f"at most {MAX_REGION_PARTIES} senders supported")
     s = entropy.subset_entropies(state)
@@ -142,6 +144,8 @@ def one_shot_cost_region(
     """One-shot simultaneous-merging cost region over all non-empty sender subsets."""
     _check_eps(eps)
     senders, reference = qcore.distinct_labels(senders, reference)
+    if not senders:
+        raise qcore.LabelError("the sender list has no labels")
     if len(senders) > MAX_COST_PARTIES:
         raise StateError(f"at most {MAX_COST_PARTIES} senders supported for cost regions")
     m = len(senders)
@@ -182,6 +186,8 @@ def sequential_cost(state: LabeledState, ordering: Sequence[str], reference: Seq
     """
     _check_eps(eps)
     ordering, reference = qcore.distinct_labels(ordering, reference)
+    if not ordering:
+        raise qcore.LabelError("the sender ordering has no labels")
     m = len(ordering)
     delta = eps * eps / (52.0 * m * m)
     s = entropy.subset_entropies(state)

@@ -83,9 +83,7 @@ def typical_set(p: Sequence[float], n: int, delta: float) -> TypicalSet:
     count fixed by the others, walked in lexicographic order; a symbol with
     p(x) = 0 keeps count 0.
     """
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < -1e-12) or abs(p_arr.sum() - 1.0) > 1e-9:
-        raise StateError("p must be a probability vector")
+    p_arr = qcore.probability_vector(p, "p")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise StateError(f"n must be an integer >= 1, got {n!r}")
     if not math.isfinite(delta):

@@ -299,3 +299,15 @@ def test_hierarchical_vs_random_chains():
     expected = qcore.shannon_entropy(lam)
     assert both.hierarchical_rate == pytest.approx(expected, abs=1e-9)
     assert both.random_rate == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "a, b, helpers, party",
+    [([], ["B"], [["C1"]], "party A"), (["A"], [], [], "party B"),
+     (["A"], ["B"], [["C1"], []], "helper group 2 of 2"), (["A"], ["B"], ["", "C2"], "helper group 1 of 2")],
+    ids=["a", "b", "second-helper", "first-helper-string"],
+)
+def test_assisted_lower_bound_rejects_an_empty_party_by_name(a, b, helpers, party):
+    with pytest.raises(qcore.LabelError) as empty:
+        assisted.assisted_lower_bound(qcore.example_ch5(), a, b, helpers)
+    assert empty.value.args[0] == f"{party} has no labels"

@@ -321,12 +321,18 @@ def _exit_code(argv: list[str]) -> int:
         (["assist", "--state", str(DATA / "assist4.json"), "--a", "A", "--b", "B", "--cnot", "C1,C2,B"], None),
         (["assist", "--state", str(DATA / "assist4.json"), "--a", "A", "--b", "B", "--helpers", "C1;"], None),
         (["assist", "--state", str(DATA / "assist4.json"), "--a", "A", "--b", "B", "--helpers", ";"], None),
+        (["assist", "--state", str(DATA / "assist4.json"), "--a", "", "--b", "B", "--helpers", "C1;C2"], None),
+        (["assist", "--state", str(DATA / "assist4.json"), "--a", "A", "--b", ""], None),
+        (["region", "--state", str(DATA / "mixed4.json"), "--mode", "merge", "--senders", ""], None),
+        (["region", "--state", str(DATA / "mixed4.json"), "--mode", "cost", "--senders", "", "--reference", "R"], None),
+        (["region", "--state", str(DATA / "mixed4.json"), "--mode", "seq", "--senders", "C1", "--reference", "R"], None),
     ],
     ids=["hash-sim-p", "typ-check-p", "region-point", "region-point-nan", "swap-word", "swap-zero-denominator", "decouple-K",
          "decouple-unknown-key", "env-seed-twirl", "env-seed-verify", "region-cost-eps-zero", "region-seq-eps-zero",
          "region-eps-negative", "region-eps-nan", "swap-nan", "typ-check-n-negative", "typ-check-n-zero",
          "typ-check-delta-nan", "assist-cnot-one-label", "assist-cnot-three-labels", "assist-helpers-trailing-empty",
-         "assist-helpers-empty"],
+         "assist-helpers-empty", "assist-a-empty", "assist-b-empty", "region-merge-senders-empty",
+         "region-cost-senders-empty", "region-seq-no-ordering"],
 )
 def test_malformed_arguments_exit_2_with_a_diagnostic(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:
@@ -562,3 +568,33 @@ def test_entropy_reads_the_sigma_file_only_for_hmin_and_h2(quantity, tmp_path, c
 def test_entropy_of_an_empty_side_is_zero(capsys):
     assert cli.main(["entropy", "--state", str(DATA / "mixed4.json"), "--split", "C1|", "--quantity", "svn"]) == 0
     assert json.loads(capsys.readouterr().out)["entropy_right"] == 0.0
+
+
+def test_label_diagnostics_print_the_plain_message(capsys):
+    argv = ["assist", "--state", str(DATA / "assist4.json"), "--a", "A", "--b", "B", "--helpers", "X"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: unknown subsystem labels ['X']\n"
+
+
+def test_a_rejected_sigma_file_is_named_in_the_diagnostic(tmp_path, capsys):
+    state = _write(tmp_path, "state.json", {"state": {"kind": "constructor", "name": "bell_phi_plus"}})
+    sigma = _write(
+        tmp_path,
+        "sigma.json",
+        {
+            "systems": [{"label": "B", "dim": 2}],
+            "state": {"kind": "mixed", "matrix": [[[0.5, 0.0], [0.9, 0.0]], [[0.9, 0.0], [0.5, 0.0]]]},
+        },
+    )
+    assert cli.main(["entropy", "--state", state, "--split", "A|B", "--quantity", "hmin", "--sigma", sigma]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {sigma}: matrix is not positive semidefinite")
+
+
+def test_a_duplicate_label_in_a_state_file_is_named_with_the_file(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "dup.json",
+        {"systems": [{"label": "A", "dim": 1}, {"label": "A", "dim": 1}], "state": {"kind": "pure", "amplitudes": [[1.0, 0.0]]}},
+    )
+    assert cli.main(["entropy", "--state", path, "--split", "A|"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: duplicate label 'A' in [['A', 'A']]\n"

@@ -1,11 +1,14 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
-from entlab import acceptance, assisted, decoupling, entropy, qcore, regions
+import entlab
+from entlab import acceptance, assisted, coneprog, decoupling, entropy, protocols, qcore, regions, typicality
 
 import ginibre
 
@@ -970,3 +973,41 @@ def test_sandwich_on_one_axis_is_the_tensordot_pair_bit_for_bit():
         pair = np.moveaxis(np.tensordot(u, t, axes=([1], [i])), 0, i)
         pair = np.moveaxis(np.tensordot(pair, u.conj(), axes=([3 + i], [1])), -1, 3 + i)
         assert np.array_equal(qcore._sandwich(u, t, [i]), pair)
+
+
+def test_every_exception_class_of_the_package_is_a_state_error():
+    # Rejected input is one class; only the cone program's stall is not input.
+    modules = [importlib.import_module(f"entlab.{info.name}") for info in pkgutil.iter_modules(entlab.__path__)]
+    found = {
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, BaseException) and cls.__module__ == module.__name__
+    }
+    assert {qcore.StateError, qcore.LabelError, entropy.SupportError, coneprog.ConeProgramError} <= found
+    assert [cls for cls in found - {coneprog.ConeProgramError} if not issubclass(cls, qcore.StateError)] == []
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[math.nan, math.nan, 0.5, 0.5], [1.0, math.nan, 0.0, 0.0], [math.inf, -math.inf, 0.5, 0.5]],
+    ids=["nan-pair", "nan-with-unit-sum", "infinities"],
+)
+@pytest.mark.parametrize("caller", ["schmidt_pair", "bell_diagonal_state", "hashing_simulation", "typical_set"])
+def test_non_finite_weights_are_rejected_as_no_probability_vector(caller, weights):
+    calls = {
+        "schmidt_pair": lambda: qcore.schmidt_pair(weights),
+        "bell_diagonal_state": lambda: protocols.bell_diagonal_state(weights),
+        "hashing_simulation": lambda: protocols.hashing_simulation(weights, 20, 0.1, trials=1),
+        "typical_set": lambda: typicality.typical_set(weights, 5, 0.1),
+    }
+    with pytest.raises(qcore.StateError, match="must be a probability vector"):
+        calls[caller]()
+
+
+def test_probability_vector_keeps_the_tolerances_of_the_three_checks():
+    assert qcore.probability_vector([0.5 + 9e-10, 0.5], "p").tolist() == [0.5 + 9e-10, 0.5]
+    assert qcore.probability_vector([1.0 + 1e-12, -1e-12], "p").dtype == np.float64
+    for bad in ([0.5 + 2e-9, 0.5], [1.0 + 1e-11, -1e-11], [], [math.nan]):
+        with pytest.raises(qcore.StateError, match="^w must be a probability vector$"):
+            qcore.probability_vector(bad, "w")

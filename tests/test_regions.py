@@ -265,3 +265,19 @@ def test_subset_entropies_are_decomposed_once_per_call(monkeypatch, labels, pure
     calls = _count_eigendecompositions(monkeypatch)
     run(state)
     assert calls[0] == limit if exact else calls[0] <= limit
+
+
+def test_region_constructors_reject_an_empty_party_by_name():
+    state = qcore.example_4_1(2, [0.75, 0.25])
+    builds = [
+        ("the sender list", lambda: regions.merging_rate_region(state, [])),
+        ("the sender list", lambda: regions.one_shot_cost_region(state, [], ["R"], 0.1)),
+        ("the sender ordering", lambda: regions.sequential_cost(state, [], ["R"], 0.1)),
+    ]
+    for party, build in builds:
+        with pytest.raises(qcore.LabelError) as empty:
+            build()
+        assert empty.value.args[0] == f"{party} has no labels"
+    # A split keeps its empty side.
+    region_t, _ = regions.split_transfer_region(state, [], ["C1", "C2"], [], ["R"])
+    assert region_t.kind == "split_transfer:empty"
