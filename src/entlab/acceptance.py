@@ -43,8 +43,7 @@ class _Checks:
 
 
 def criterion_twirl_identity(c: _Checks) -> None:
-    """Sampled two-copy twirl matches r I + s F entrywise within 5e-3, under 30 s."""
-    start = time.perf_counter()
+    """Sampled two-copy twirl matches r I + s F entrywise within 5e-3."""
     for d, rank in ((2, 1), (4, 2), (4, 3)):
         report = decoupling.twirl_average_check(d, rank, samples=20000, seed=ACCEPTANCE_SEED)
         expected_r = Fraction(rank * (d - rank), d * (d * d - 1))
@@ -52,8 +51,6 @@ def criterion_twirl_identity(c: _Checks) -> None:
         c.expect(report.r == expected_r and report.s == expected_s, f"(d={d},L={rank}) coefficient mismatch")
         c.expect(report.max_deviation <= 5e-3, f"(d={d},L={rank}) deviation {report.max_deviation:.2e} > 5e-3")
         c.note(f"d={d},L={rank}: dev={report.max_deviation:.2e}")
-    elapsed = time.perf_counter() - start
-    c.expect(elapsed < 30.0, f"twirl runtime {elapsed:.1f}s over the 30 s budget")
 
 
 def _two_sender_state() -> qcore.LabeledState:
@@ -64,7 +61,6 @@ def _two_sender_state() -> qcore.LabeledState:
 def criterion_decoupling_bound(c: _Checks) -> None:
     """Empirical mean + 2 stderr stays below the analytic bound on all three
     benchmarks, one of them with a bound below 2."""
-    start = time.perf_counter()
     state = _two_sender_state()
     spec = decoupling.InstrumentSpec(
         senders=(decoupling.sender("C1", 2, ancilla=1, rank=1), decoupling.sender("C2", 4, ancilla=2, rank=1)),
@@ -104,8 +100,6 @@ def criterion_decoupling_bound(c: _Checks) -> None:
         f"two-sender (4,4): {ancillas.empirical_q:.4f}+2*{ancillas.stderr:.4f} > {ancillas.analytic_bound:.4f}",
     )
     c.note(f"two-sender (4,4) Q={ancillas.empirical_q:.4f} bound={ancillas.analytic_bound:.4f}")
-    elapsed = time.perf_counter() - start
-    c.expect(elapsed < 120.0, f"decoupling runtime {elapsed:.1f}s over the 2 min budget")
 
 
 def criterion_entropy_engine(c: _Checks) -> None:
@@ -218,17 +212,13 @@ def criterion_regions(c: _Checks) -> None:
     below = regions.compression_example_negative_pair(threshold - 5.0, eps)
     c.expect(above["admits_negative_pair"], "negative pair infeasible above the threshold")
     c.expect(not below["admits_negative_pair"], "negative pair feasible below the threshold")
-    rhs12 = above["rhs"]["C1C2"]
+    rhs = above["rhs"]
+    rhs12 = rhs["C1C2"]
     # The (E1, E2) face of the three-sender cost region, from the exact
     # closed-form subset min-entropies.
-    hmin = regions.compression_example_hmin(threshold + 1.0, -eps * (threshold + 1.0))
     face = regions.RegionSpec(
         parties=("C1", "C2"),
-        constraints=(
-            (0b01, regions.one_shot_cost_rhs(hmin[frozenset({"C1"})], eps, 3)),
-            (0b10, regions.one_shot_cost_rhs(hmin[frozenset({"C2"})], eps, 3)),
-            (0b11, regions.one_shot_cost_rhs(hmin[frozenset({"C1", "C2"})], eps, 3)),
-        ),
+        constraints=((0b01, rhs["C1"]), (0b10, rhs["C2"]), (0b11, rhs12)),
         kind="one_shot_cost",
     )
     verdict = regions.region_membership(face, (0.495 * rhs12, 0.495 * rhs12))
@@ -316,7 +306,6 @@ def criterion_swap(c: _Checks) -> None:
 
 def criterion_hashing(c: _Checks) -> None:
     """Decoy-elimination success rate and executed yield of the hashing run."""
-    start = time.perf_counter()
     trace = protocols.hashing_simulation(
         (0.8, 0.1, 0.05, 0.05), n=2000, delta=0.05, trials=50, seed=ACCEPTANCE_SEED
     )
@@ -334,8 +323,6 @@ def criterion_hashing(c: _Checks) -> None:
     target_f = 1.0 - agg_f["entropy_bits"] - 2.0 * delta
     c.expect(abs(agg_f["yield"] - target_f) <= 1.0 / n, f"feasible yield {agg_f['yield']!r} not within 1/n of {target_f!r}")
     c.expect(agg_f["success_frequency"] >= 0.9, f"feasible success frequency {agg_f['success_frequency']!r} < 0.9")
-    elapsed = time.perf_counter() - start
-    c.expect(elapsed < 60.0, f"hashing runtime {elapsed:.1f}s over the 1 min budget")
     c.note(
         f"success={agg['success_frequency']:.2f} yield={agg['yield']:.3f} "
         f"rounds={agg['rounds_run']}/{agg['nominal_rounds']} feasible={agg['feasible']}"
@@ -489,6 +476,14 @@ CRITERIA: dict[str, Callable[[_Checks], None]] = {
 }
 
 
+# Seconds a criterion may take, timed by run_one; the others have no budget.
+RUNTIME_BUDGETS: dict[str, float] = {
+    "twirl-identity": 30.0,
+    "decoupling-bound": 120.0,
+    "hashing": 60.0,
+}
+
+
 def run_one(name: str) -> CriterionResult:
     fn = CRITERIA[name]
     checks = _Checks()
@@ -498,6 +493,8 @@ def run_one(name: str) -> CriterionResult:
     except Exception as exc:  # a crash is a failure, not an abort
         checks.failures.append(f"exception: {exc!r}")
     elapsed = time.perf_counter() - start
+    budget = RUNTIME_BUDGETS.get(name, math.inf)
+    checks.expect(elapsed < budget, f"runtime {elapsed:.1f}s over the {budget:g} s budget")
     return CriterionResult(name=name, passed=not checks.failures, detail=checks.detail(), seconds=elapsed)
 
 

@@ -33,17 +33,33 @@ def mincut_coherent(
     helpers: Sequence[Sequence[str] | str],
 ) -> tuple[float, tuple[str, ...]]:
     """min over helper cuts T of I(A,T > B,T-bar); helpers may be label groups."""
-    return _mincut_coherent(entropy.subset_entropies(state), a_labels, b_labels, helpers)
+    a_labels, b_labels, groups = _parties(a_labels, b_labels, helpers)
+    return _mincut_coherent(entropy.subset_entropies(state), a_labels, b_labels, groups)
+
+
+def _parties(
+    a_labels: Sequence[str],
+    b_labels: Sequence[str],
+    helpers: Sequence[Sequence[str] | str],
+) -> tuple[tuple[str, ...], tuple[str, ...], list[tuple[str, ...]]]:
+    """(A, B, helper groups) as tuples; LabelError unless each holds at least
+    one label and no label appears twice."""
+    parties = [("party A", a_labels), ("party B", b_labels)]
+    parties += [(f"helper group {i} of {len(helpers)}", group) for i, group in enumerate(helpers, 1)]
+    for party, labels in parties:
+        if not labels:
+            raise qcore.LabelError(f"{party} has no labels")
+    a_labels, b_labels, *groups = qcore.distinct_labels(a_labels, b_labels, *helpers)
+    return a_labels, b_labels, groups
 
 
 def _mincut_coherent(
     s: Callable[[Sequence[str]], float],
-    a_labels: Sequence[str],
-    b_labels: Sequence[str],
-    helpers: Sequence[Sequence[str] | str],
+    a_labels: tuple[str, ...],
+    b_labels: tuple[str, ...],
+    groups: Sequence[tuple[str, ...]],
 ) -> tuple[float, tuple[str, ...]]:
-    """mincut_coherent read from the subset-entropy table ``s``."""
-    a_labels, b_labels, *groups = qcore.distinct_labels(a_labels, b_labels, *helpers)
+    """mincut_coherent read from the subset-entropy table ``s``, for groups checked by :func:`_parties`."""
     names = [_group_name(g) for g in groups]
     by_name = dict(zip(names, groups))
     everything = list(a_labels) + list(b_labels) + [x for g in groups for x in g]
@@ -67,22 +83,17 @@ def assisted_lower_bound(
 ) -> AssistReport:
     """Achievable-rate report: hashing term, helper-cut term, and their maximum.
     A, B and each helper group must hold at least one label."""
-    parties = [("party A", a_labels), ("party B", b_labels)]
-    parties += [(f"helper group {i} of {len(helpers)}", group) for i, group in enumerate(helpers, 1)]
-    for party, labels in parties:
-        if not labels:
-            raise qcore.LabelError(f"{party} has no labels")
-    qcore.distinct_labels(a_labels, b_labels)
+    a_labels, b_labels, groups = _parties(a_labels, b_labels, helpers)
     s = entropy.subset_entropies(state)
     hashing = -(s(list(a_labels) + list(b_labels)) - s(b_labels))
-    if not helpers:
+    if not groups:
         return AssistReport(
             hashing=hashing, l_value=None, lower_bound=hashing,
             mincut_coherent=None, mincut_arg=None, upper_ea=None,
             beats_hashing=False,
         )
-    value, arg = _mincut_coherent(s, a_labels, b_labels, helpers)
-    l_value = value if len(helpers) == 1 else None
+    value, arg = _mincut_coherent(s, a_labels, b_labels, groups)
+    l_value = value if len(groups) == 1 else None
     lower = max(hashing, value)
     return AssistReport(
         hashing=hashing,

@@ -188,6 +188,10 @@ def cmd_region(args) -> int:
         payload["region_Tbar"] = _region_payload(region_tbar)
     elif args.mode == "seq":
         ordering = _split_labels(args.ordering)
+        if sorted(ordering) != sorted(senders):
+            raise qcore.StateError(
+                f"region --mode seq: the ordering {ordering!r} is not a permutation of the senders {list(senders)!r}"
+            )
         entries = regions.sequential_cost(state, ordering, _split_labels(args.reference), eps)
         payload["sequential"] = [asdict(e) for e in entries]
     else:
@@ -333,22 +337,7 @@ def cmd_schmidt(args) -> int:
 
 def cmd_typ_check(args) -> int:
     try:
-        ts = typicality.typical_set(args.p, args.n, args.delta)
-        c = typicality.typicality_constant(args.p)
-        h = qcore.shannon_entropy(args.p)
-        eps = max(0.0, 1.0 - ts.total_probability)
-        rows = [
-            {"quantity": "total_probability", "actual": ts.total_probability, "bound": 1.0 - eps, "kind": ">="},
-            {"quantity": "cardinality", "actual": float(ts.cardinality), "bound": 2.0 ** (args.n * (h + c * args.delta)), "kind": "<="},
-            {
-                "quantity": "cardinality_floor",
-                "actual": float(ts.cardinality),
-                "bound": (1 - eps) * 2.0 ** (args.n * (h - c * args.delta)),
-                "kind": ">=",
-            },
-            {"quantity": "member_prob_max", "actual": ts.max_prob, "bound": 2.0 ** (-args.n * (h - c * args.delta)), "kind": "<="},
-            {"quantity": "member_prob_min", "actual": ts.min_prob, "bound": 2.0 ** (-args.n * (h + c * args.delta)), "kind": ">="},
-        ]
+        rows = typicality.typical_set_report(args.p, args.n, args.delta)
     except OverflowError as exc:
         raise qcore.StateError(f"typ-check at n = {args.n}: a type-class size or bound exceeds float range ({exc})") from exc
     if args.csv:

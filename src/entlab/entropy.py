@@ -363,9 +363,12 @@ def fannes_bound(d: int, eps: float) -> float:
     return eta * math.log2(d)
 
 
-def renes_smoothing_bound(s_cond: float, d: int, delta: float, eps: float) -> float:
+def renes_smoothing_bound(s_cond: float, log2_d: float, delta: float, eps: float) -> float:
     """Plug-in upper bound on the smoothed min-entropy:
-    S_cond + 8 delta (eps + 1) log2(d) + 2 h2(2 delta)."""
+    S_cond + 8 delta (eps + 1) log2 d + 2 h2(2 delta).
+
+    Takes log2 d rather than d, so that a dimension known only by its log
+    (such as d^eps) needs no second copy of the bound."""
     if not 0.0 <= delta < 0.25:
         raise StateError("delta must lie in [0, 1/4)")
-    return s_cond + 8.0 * delta * (eps + 1.0) * math.log2(d) + 2.0 * qcore.binary_entropy(2.0 * delta)
+    return s_cond + 8.0 * delta * (eps + 1.0) * log2_d + 2.0 * qcore.binary_entropy(2.0 * delta)

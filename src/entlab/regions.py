@@ -53,15 +53,18 @@ class RegionSpec:
     kind: str
 
     def rhs_of(self, labels: Iterable[str]) -> float:
+        labels = tuple(labels)
         mask = self.mask_of(labels)
         for m, rhs in self.constraints:
             if m == mask:
                 return rhs
-        raise KeyError(f"no constraint for subset {sorted(labels)!r}")
+        raise qcore.LabelError(f"the region has no constraint for the subset {sorted(labels)!r}")
 
     def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
         for name in labels:
+            if name not in self.parties:
+                raise qcore.LabelError(f"{name!r} is not a party of the region; its parties are {list(self.parties)!r}")
             mask |= 1 << self.parties.index(name)
         return mask
 
@@ -178,25 +181,30 @@ def sequential_cost_rhs(hmin_bits: float, eps: float, m: int) -> float:
     return -hmin_bits + 4.0 * math.log2(2.0 * m / eps) + 2.0 * math.log2(13.0)
 
 
+def sequential_smoothing(eps: float, m: int) -> float:
+    """The smoothing parameter delta = eps^2 / (52 m^2) of the sequential protocol."""
+    return eps * eps / (52.0 * m * m)
+
+
 def sequential_cost(state: LabeledState, ordering: Sequence[str], reference: Sequence[str], eps: float) -> list[SequentialCostEntry]:
     """Sequential one-at-a-time merging costs for a sender ordering.
 
-    The smoothing parameter is eps^2 / (52 m^2); the Renes plug-in uses the
-    sender's own dimension, as in the worked cost comparisons.
+    The smoothing parameter is :func:`sequential_smoothing`; the Renes plug-in
+    uses the sender's own dimension, as in the worked cost comparisons.
     """
     _check_eps(eps)
     ordering, reference = qcore.distinct_labels(ordering, reference)
     if not ordering:
         raise qcore.LabelError("the sender ordering has no labels")
     m = len(ordering)
-    delta = eps * eps / (52.0 * m * m)
+    delta = sequential_smoothing(eps, m)
     s = entropy.subset_entropies(state)
     entries = []
     for pos, label in enumerate(ordering):
         rel_ref = ordering[pos + 1 :] + reference
         hmin_exact = entropy.conditional_min_entropy(s.reduced([label] + list(rel_ref)), rel_ref).hmin_bits
         s_cond = s.conditional([label], rel_ref)
-        renes = entropy.renes_smoothing_bound(s_cond, state.dim_of(label), delta, eps)
+        renes = entropy.renes_smoothing_bound(s_cond, math.log2(state.dim_of(label)), delta, eps)
         entries.append(
             SequentialCostEntry(
                 label=label,
@@ -322,7 +330,7 @@ def compression_example_negative_pair(log2_d: float, eps: float) -> dict:
     return {
         "rhs": {"C1": rhs1, "C2": rhs2, "C1C2": rhs12},
         "admits_negative_pair": rhs1 < 0 and rhs2 < 0 and rhs12 < 0,
-        "log2_d_threshold": (4.0 * math.log2(1.0 / eps) + 2.0 * m + 8.0) / eps,
+        "log2_d_threshold": one_shot_cost_rhs(0.0, eps, m) / eps,
     }
 
 
@@ -334,12 +342,10 @@ def compression_example_sequential_bounds(log2_d: float, eps: float) -> dict:
     Both use smoothing parameter delta = eps^2 / 468 (m = 3).
     """
     m = 3
-    delta = eps * eps / (52.0 * m * m)
-    consts = 4.0 * math.log2(2.0 * m / eps) + 2.0 * math.log2(13.0)
+    delta = sequential_smoothing(eps, m)
     # Renes route: S(C2|C1 R) = (-1 + eps) log d for the theta of size d^eps.
-    s_cond = (-1.0 + eps) * log2_d
-    renes_upper = s_cond + 8.0 * delta * (eps + 1.0) * log2_d + 2.0 * qcore.binary_entropy(2.0 * delta)
-    e2_bound = -renes_upper + consts
+    renes_upper = entropy.renes_smoothing_bound((-1.0 + eps) * log2_d, log2_d, delta, eps)
+    e2_bound = sequential_cost_rhs(renes_upper, eps, m)
     e2_printed = (1.0 - 4.0 * eps * eps / 117.0 - eps) * log2_d + 4.0 * math.log2(6.0 / eps) + 5.0
     # Max-entropy truncation route on the maximally mixed d-level marginal.
     e1_bound = log2_d + 4.0 * math.log2(6.0 / eps) + 5.0

@@ -122,6 +122,46 @@ def typical_set(p: Sequence[float], n: int, delta: float) -> TypicalSet:
 
 
 @dataclass(frozen=True)
+class TypicalSetBounds:
+    """The typical-set sandwich for n symbols of entropy H, typicality constant c
+    and slack delta, with epsilon the mass outside the set."""
+
+    cardinality_max: float  # 2^{n(H + c delta)}
+    cardinality_min: float  # (1 - epsilon) 2^{n(H - c delta)}
+    member_prob_max: float  # 2^{-n(H - c delta)}
+    member_prob_min: float  # 2^{-n(H + c delta)}
+
+
+def typical_set_bounds(entropy_bits: float, c: float, n: int, delta: float, epsilon: float) -> TypicalSetBounds:
+    """The one statement of the typical-set sandwich; OverflowError past float range."""
+    return TypicalSetBounds(
+        cardinality_max=2.0 ** (n * (entropy_bits + c * delta)),
+        cardinality_min=(1 - epsilon) * 2.0 ** (n * (entropy_bits - c * delta)),
+        member_prob_max=2.0 ** (-n * (entropy_bits - c * delta)),
+        member_prob_min=2.0 ** (-n * (entropy_bits + c * delta)),
+    )
+
+
+def typical_set_report(p: Sequence[float], n: int, delta: float) -> list[dict]:
+    """The rows ``entlab typ-check`` prints: each exact statistic of :func:`typical_set`
+    beside its bound from :func:`typical_set_bounds`.
+
+    Raises OverflowError when a type-class size or a bound exceeds float range.
+    """
+    ts = typical_set(p, n, delta)
+    eps = max(0.0, 1.0 - ts.total_probability)
+    cardinality = float(ts.cardinality)
+    bounds = typical_set_bounds(qcore.shannon_entropy(p), typicality_constant(p), n, delta, eps)
+    return [
+        {"quantity": "total_probability", "actual": ts.total_probability, "bound": 1.0 - eps, "kind": ">="},
+        {"quantity": "cardinality", "actual": cardinality, "bound": bounds.cardinality_max, "kind": "<="},
+        {"quantity": "cardinality_floor", "actual": cardinality, "bound": bounds.cardinality_min, "kind": ">="},
+        {"quantity": "member_prob_max", "actual": ts.max_prob, "bound": bounds.member_prob_max, "kind": "<="},
+        {"quantity": "member_prob_min", "actual": ts.min_prob, "bound": bounds.member_prob_min, "kind": ">="},
+    ]
+
+
+@dataclass(frozen=True)
 class ProjectorReport:
     n: int
     delta: float
@@ -163,14 +203,15 @@ def typical_projector_checks(state: LabeledState, n: int, delta: float) -> Proje
     mass = float(probs[typical].sum())
     epsilon = max(0.0, 1.0 - mass)
 
-    lo, hi = 2.0 ** (-n * (entropy_bits + c * delta)), 2.0 ** (-n * (entropy_bits - c * delta))
+    bounds = typical_set_bounds(entropy_bits, c, n, delta, epsilon)
     typ_probs = probs[typical]
     # All member checks are vacuously true for an empty typical set.
-    eig_ok = bool(np.all(typ_probs >= lo * (1 - 1e-9)) and np.all(typ_probs <= hi * (1 + 1e-9)))
+    eig_ok = bool(
+        np.all(typ_probs >= bounds.member_prob_min * (1 - 1e-9))
+        and np.all(typ_probs <= bounds.member_prob_max * (1 + 1e-9))
+    )
     card = int(typical.sum())
-    card_ok = (1 - epsilon) * 2.0 ** (n * (entropy_bits - c * delta)) * (1 - 1e-9) <= card <= 2.0 ** (
-        n * (entropy_bits + c * delta)
-    ) * (1 + 1e-9)
+    card_ok = bounds.cardinality_min * (1 - 1e-9) <= card <= bounds.cardinality_max * (1 + 1e-9)
 
     if mass > 0:
         purity = float((typ_probs**2).sum() / mass**2)

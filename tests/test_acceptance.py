@@ -35,3 +35,18 @@ def test_a_criterion_that_raises_fails_with_the_exception(monkeypatch):
     result = acceptance.run_one("stub")
     assert not result.passed
     assert result.detail == "exception: ValueError('broken input')"
+
+
+def test_a_criterion_over_its_runtime_budget_fails_with_the_budget(monkeypatch):
+    def criterion(c):
+        c.note("the checks themselves pass")
+
+    monkeypatch.setitem(acceptance.CRITERIA, "stub", criterion)
+    monkeypatch.setitem(acceptance.RUNTIME_BUDGETS, "stub", 0.0)
+    result = acceptance.run_one("stub")
+    assert not result.passed
+    assert result.detail == f"runtime {result.seconds:.1f}s over the 0 s budget"
+
+
+def test_every_runtime_budget_names_a_criterion():
+    assert set(acceptance.RUNTIME_BUDGETS) <= set(acceptance.CRITERIA)

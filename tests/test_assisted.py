@@ -311,3 +311,12 @@ def test_assisted_lower_bound_rejects_an_empty_party_by_name(a, b, helpers, part
     with pytest.raises(qcore.LabelError) as empty:
         assisted.assisted_lower_bound(qcore.example_ch5(), a, b, helpers)
     assert empty.value.args[0] == f"{party} has no labels"
+
+
+def test_mincut_coherent_rejects_an_empty_helper_group():
+    # An empty group would add a cut that moves no label, and a value near 0.
+    with pytest.raises(qcore.LabelError) as empty:
+        assisted.mincut_coherent(qcore.example_ch5(), ["A"], ["B"], [["C1"], []])
+    assert empty.value.args[0] == "helper group 2 of 2 has no labels"
+    with pytest.raises(qcore.LabelError, match="party B has no labels"):
+        assisted.mincut_coherent(qcore.example_ch5(), ["A"], [], [["C1"]])

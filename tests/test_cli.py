@@ -326,13 +326,15 @@ def _exit_code(argv: list[str]) -> int:
         (["region", "--state", str(DATA / "mixed4.json"), "--mode", "merge", "--senders", ""], None),
         (["region", "--state", str(DATA / "mixed4.json"), "--mode", "cost", "--senders", "", "--reference", "R"], None),
         (["region", "--state", str(DATA / "mixed4.json"), "--mode", "seq", "--senders", "C1", "--reference", "R"], None),
+        (["region", "--state", str(DATA / "mixed4.json"), "--mode", "seq", "--senders", "NOPE", "--ordering", "C2,C1",
+          "--reference", "R"], None),
     ],
     ids=["hash-sim-p", "typ-check-p", "region-point", "region-point-nan", "swap-word", "swap-zero-denominator", "decouple-K",
          "decouple-unknown-key", "env-seed-twirl", "env-seed-verify", "region-cost-eps-zero", "region-seq-eps-zero",
          "region-eps-negative", "region-eps-nan", "swap-nan", "typ-check-n-negative", "typ-check-n-zero",
          "typ-check-delta-nan", "assist-cnot-one-label", "assist-cnot-three-labels", "assist-helpers-trailing-empty",
          "assist-helpers-empty", "assist-a-empty", "assist-b-empty", "region-merge-senders-empty",
-         "region-cost-senders-empty", "region-seq-no-ordering"],
+         "region-cost-senders-empty", "region-seq-no-ordering", "region-seq-ordering-not-senders"],
 )
 def test_malformed_arguments_exit_2_with_a_diagnostic(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:

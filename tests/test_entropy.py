@@ -536,7 +536,11 @@ def test_fannes_bound_values_and_randomized_oracle():
 
 
 def test_renes_smoothing_bound_and_composition():
-    assert entropy.renes_smoothing_bound(-3.0, 16, 0.0, 0.5) == pytest.approx(-3.0, abs=1e-12)
+    assert entropy.renes_smoothing_bound(-3.0, math.log2(16), 0.0, 0.5) == pytest.approx(-3.0, abs=1e-12)
+    # With delta > 0 the dimension enters through log2 d: 4 bits here, not 16.
+    s_cond, log2_d, delta, eps = -1.5, 4.0, 0.01, 0.3
+    want = s_cond + 8.0 * delta * (eps + 1.0) * log2_d + 2.0 * qcore.binary_entropy(2.0 * delta)
+    assert entropy.renes_smoothing_bound(s_cond, log2_d, delta, eps) == pytest.approx(want, abs=1e-12)
     # Composition with the sequential cost constant reproduces the printed
     # closed form up to its deliberately loosened constants.
     from entlab import regions

@@ -180,3 +180,11 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
         if not _is_passed(param, position, called, path, first, last)
     ]
     assert not unpassed, f"defaulted parameters no caller outside their tests passes: {unpassed}"
+
+
+def test_cli_does_no_power_arithmetic():
+    # Bounds such as the typical-set sandwich are stated in the library; the
+    # CLI reads arguments and emits, so it has no ``**`` of its own.
+    tree = SEARCHED[PACKAGE / "cli.py"]
+    powers = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
+    assert not powers, f"cli.py raises to a power on lines {powers}"

@@ -267,6 +267,19 @@ def test_subset_entropies_are_decomposed_once_per_call(monkeypatch, labels, pure
     assert calls[0] == limit if exact else calls[0] <= limit
 
 
+def test_region_lookups_reject_an_unknown_party_or_subset():
+    region = regions.merging_rate_region(_two_sender_state(), ["C1", "C2"])
+    with pytest.raises(qcore.LabelError) as unknown:
+        region.mask_of(["C1", "C3"])
+    assert unknown.value.args[0] == "'C3' is not a party of the region; its parties are ['C1', 'C2']"
+    with pytest.raises(qcore.LabelError, match="'C3' is not a party"):
+        region.rhs_of(["C3"])
+    face = regions.RegionSpec(parties=("C1", "C2"), constraints=((0b01, 1.0),), kind="one_shot_cost")
+    with pytest.raises(qcore.LabelError) as missing:
+        face.rhs_of(label for label in ("C2", "C1"))
+    assert missing.value.args[0] == "the region has no constraint for the subset ['C1', 'C2']"
+
+
 def test_region_constructors_reject_an_empty_party_by_name():
     state = qcore.example_4_1(2, [0.75, 0.25])
     builds = [

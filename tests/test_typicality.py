@@ -81,6 +81,23 @@ def test_typical_mask_counts_the_typical_set():
     assert mask.tolist() == [bool(typicality.typical_mask(seq, p, delta)) for seq in sequences]
 
 
+def test_typical_set_bounds_equal_the_sandwich_written_out():
+    # The reference is the sandwich written out term by term.  typ-check prints
+    # these bounds and its goldens are byte-pinned, so they must agree bit for bit.
+    epsilons = []
+    for p, n, delta in (((0.8, 0.2), 12, 0.1), ((0.7, 0.2, 0.1), 12, 0.1), ((0.5, 0.5), 9, 0.05), ((0.6, 0.3, 0.1), 20, 0.02)):
+        ts = typicality.typical_set(p, n, delta)
+        eps = max(0.0, 1.0 - ts.total_probability)
+        h, c = qcore.shannon_entropy(p), typicality.typicality_constant(p)
+        bounds = typicality.typical_set_bounds(h, c, n, delta, eps)
+        assert bounds.cardinality_max == 2.0 ** (n * (h + c * delta))
+        assert bounds.cardinality_min == (1 - eps) * 2.0 ** (n * (h - c * delta))
+        assert bounds.member_prob_max == 2.0 ** (-n * (h - c * delta))
+        assert bounds.member_prob_min == 2.0 ** (-n * (h + c * delta))
+        epsilons.append(eps)
+    assert max(epsilons) > 0.5
+
+
 def test_projector_checks_on_biased_qubit():
     state = qcore.make_state([("A", 2)], np.diag([0.8, 0.2]).astype(complex))
     report = typicality.typical_projector_checks(state, n=10, delta=0.1)
