@@ -28,9 +28,13 @@ packing and bookkeeping).  It prints one JSON object:
 
 - ``cases``: for each case, ``repeats``, the median and the quartiles of the
   seconds per call, the medians of ``sampler_s`` and ``rounds_s`` for the
-  simulations, and ``panels``, a SHA-256 over the bytes of every panel the
-  first call drew, so that two trees can be checked for equal output;
-  ``verify.hashing`` also gives the criterion's ``detail`` line;
+  simulations and the criterion, and ``panels``, a SHA-256 over the bytes of
+  every panel the first call drew, so that two trees can be checked for
+  equal output.  The three simulations also give ``rounds``, the length of
+  trial 0's round log, and ``us_per_round``, ``rounds_s`` over those rounds
+  in microseconds (it also carries the panel filtering and the second
+  trial's few rounds); ``verify.hashing`` gives the criterion's ``detail``
+  line;
 - ``fingerprint``.
 """
 
@@ -107,8 +111,12 @@ def main(argv: list[str] | None = None) -> int:
         q1, median, q3 = timing.quartiles(seconds)
         case = {"repeats": repeats, "median_s": round(median, 4), "q1_q3_s": [round(q1, 4), round(q3, 4)]}
         if name != "panel.n2000":
+            rounds_s = statistics.median(s - t for s, t in zip(seconds, sampled))
             case["sampler_s"] = round(statistics.median(sampled), 4)
-            case["rounds_s"] = round(statistics.median(s - t for s, t in zip(seconds, sampled)), 4)
+            case["rounds_s"] = round(rounds_s, 4)
+        if name not in ("panel.n2000", "verify.hashing"):
+            case["rounds"] = len(first.aggregate["trial_records"][0].rounds)
+            case["us_per_round"] = round(rounds_s / case["rounds"] * 1e6, 1)
         case["panels"] = digest
         if name == "verify.hashing":
             case["detail"] = first.detail

@@ -200,6 +200,14 @@ def hashing_simulation(
     a round takes every decoy's parity with one popcount per row.  An empty
     delta-typical set, a delta that is not finite, trials < 1 or decoys < 1
     raises StateError.
+
+    Round r picks a random non-empty subset of the 2(n - r) bits still alive:
+    its mask is a ``rng.integers(0, 2, 2(n - r), dtype=np.uint8)`` draw,
+    redrawn while all zero, which :class:`_RoundMasks` reads from words drawn
+    ahead.  Every log, survivor count and output is that of drawing each mask
+    when it is needed; only the generator's end state can differ (it may run
+    ahead), and each trial's generator is its own and is dropped after its
+    rounds.
     """
     p_arr = np.asarray(p, dtype=float)
     state = bell_diagonal_state(p_arr)
@@ -218,6 +226,9 @@ def hashing_simulation(
     nominal_rounds = 0 if s_bits < 1e-9 else math.ceil(n * (s_bits + 2.0 * delta))
     feasible = nominal_rounds < n
     rounds_run = min(n, nominal_rounds)
+
+    # Round r draws a mask over the 2(n - r) alive bits: ceil((n - r) / 2) words.
+    mask_words = sum(-(-(n - r) // 2) for r in range(rounds_run))
 
     rngs = qcore.spawn_rngs(seed, trials)
     trial_records: list[HashingTrial] = []
@@ -239,30 +250,36 @@ def hashing_simulation(
         # other trial unchanged.
         keep_rounds = trial_index == 0
         rounds: list[HashingRound] = []
+        # The alive bit indices (pairs 2i, 2i + 1 side by side, in order) and
+        # their hidden bits, shrunk in place as pairs are consumed.
+        alive = np.arange(2 * n, dtype=np.uint16)
         hidden_bits = _symbols_to_bits(hidden)
-        bit_alive = np.ones(2 * n, dtype=bool)
-        for _ in range(rounds_run):
+        masks = _RoundMasks(rng, mask_words)
+        for r in range(rounds_run):
             if not (keep_rounds or panel.shape[0]):
                 break
-            alive = np.flatnonzero(bit_alive)
+            m = 2 * (n - r)
             while True:
-                mask = rng.integers(0, 2, size=alive.size, dtype=np.uint8).view(bool)
-                if mask.any():
+                picked = masks(m).nonzero()[0]
+                if picked.size:
                     break
-            subset = alive[mask]
+            subset = alive.take(picked)
             if panel.shape[0]:
                 panel = panel[_parities(panel, _pack_subset(subset, n)) == 0]
-            consumed = int(subset[-1] // 2)  # alive is sorted, so this is the largest index
-            bit_alive[2 * consumed : 2 * consumed + 2] = False
+            # The largest picked position and its partner are one pair.
+            j = int(picked[-1]) & ~1
+            consumed = int(alive[j]) >> 1
             if keep_rounds:
                 rounds.append(
                     HashingRound(
-                        subset_bits=subset.astype(np.uint16),
-                        parity=int(np.bitwise_xor.reduce(hidden_bits[subset])),
+                        subset_bits=subset,
+                        parity=int(np.bitwise_xor.reduce(hidden_bits.take(picked))),
                         consumed_pair=consumed,
                         panel_size=int(panel.shape[0]),
                     )
                 )
+            alive[j : m - 2] = alive[j + 2 : m]
+            hidden_bits[j : m - 2] = hidden_bits[j + 2 : m]
         trial_records.append(HashingTrial(hidden, rounds, int(panel.shape[0]), hidden_typical))
 
     successes = sum(1 for t in trial_records if t.succeeded)
@@ -395,16 +412,59 @@ def _skip_floats(rng: np.random.Generator, k: int) -> None:
     rng.random(tail, dtype=np.float32)
 
 
+_MASK_WORDS = 1 << 14  # uint32s a trial's round masks are drawn ahead into: 64 KiB
+
+
+class _RoundMasks:
+    """Call after call, the bool masks ``rng.integers(0, 2, m, dtype=np.uint8).view(bool)``
+    would return.
+
+    numpy makes each of the m bytes from the next uint32 of the generator's
+    stream, low byte first, and keeps its top bit (b >> 7).  A call takes
+    ceil(m / 4) whole uint32s: numpy drops the unused bytes of its last word.
+    The words are drawn ahead by :func:`_next_words` into one fixed buffer of
+    _MASK_WORDS, refilled in place.  ``words`` is how many the caller plans to
+    take; a fill draws no more than that plan still needs (and always what the
+    call needs), so a caller whose plan holds leaves rng where the integers
+    calls leave it.  A caller that stops early leaves rng ahead of them.
+    """
+
+    def __init__(self, rng: np.random.Generator, words: int):
+        self._rng = rng
+        self._planned = words  # words the caller still plans to take
+        self._words = np.empty(_MASK_WORDS, dtype=np.uint32)
+        self._bytes = self._words.view(np.uint8)
+        self._next = self._end = 0  # the drawn words not yet served are [_next, _end)
+
+    def __call__(self, m: int) -> np.ndarray:
+        k = -(-m // 4)
+        left = self._end - self._next
+        if left < k:
+            self._words[:left] = self._words[self._next : self._end]
+            self._next, self._end = 0, min(_MASK_WORDS, max(k, self._planned))
+            self._words[left : self._end] = _next_words(self._rng, self._end - left)
+        start = 4 * self._next
+        self._next += k
+        self._planned -= k
+        return self._bytes[start : start + m] >= 128
+
+
 def replay_hashing_trial(trial: HashingTrial) -> bool:
-    """Recompute every announced parity from the hidden string; True when all match."""
+    """Check a round log against the hidden string and the protocol's rule.
+
+    True when every announced parity is that of the hidden bits in its subset,
+    every round consumes the pair of its largest subset bit, and no subset
+    touches a pair consumed in an earlier round, so no pair is consumed twice.
+    """
     bits = _symbols_to_bits(trial.hidden)
-    consumed: set[int] = set()
+    consumed = np.zeros(trial.hidden.size, dtype=bool)
     for rnd in trial.rounds:
-        if any(int(b) // 2 in consumed for b in rnd.subset_bits):
+        subset = rnd.subset_bits
+        if not subset.size or consumed[subset >> 1].any() or rnd.consumed_pair != int(subset.max()) >> 1:
             return False
-        if int(bits[rnd.subset_bits].sum() & 1) != rnd.parity:
+        if int(np.bitwise_xor.reduce(bits[subset])) != rnd.parity:
             return False
-        consumed.add(rnd.consumed_pair)
+        consumed[rnd.consumed_pair] = True
     return True
 
 

@@ -89,8 +89,8 @@ def test_hashing_identifies_string_and_replays():
 
 
 def test_round_log_keeps_subsets_as_uint16():
-    # 2n <= 10000 indices fit in uint16, a quarter of the int64 subsets the
-    # rounds draw: trial 0's log holds two bytes per logged index.
+    # 2n <= 10000 indices fit in uint16: trial 0's log holds two bytes per
+    # logged index.
     trace = protocols.hashing_simulation((0.9, 0.05, 0.03, 0.02), n=400, delta=0.05, trials=2, seed=5, decoys=100)
     rounds = trace.aggregate["trial_records"][0].rounds
     assert len(rounds) == trace.aggregate["rounds_run"] > 0
@@ -123,6 +123,138 @@ def test_replay_rejects_a_subset_that_touches_a_consumed_pair():
     parity = int(protocols._symbols_to_bits(trial.hidden)[subset].sum() & 1)
     trial.rounds[1] = dataclasses.replace(later, subset_bits=subset, parity=parity)
     assert not protocols.replay_hashing_trial(trial)
+
+
+def test_replay_rejects_a_round_that_consumes_another_pair():
+    # Round r consumes the pair of its largest subset bit.  The last round's pair
+    # is touched by no later subset, so only that rule can catch this log.
+    trial = _replayable_trial()
+    last = trial.rounds[-1]
+    trial.rounds[-1] = dataclasses.replace(last, consumed_pair=(last.consumed_pair + 1) % trial.hidden.size)
+    assert not protocols.replay_hashing_trial(trial)
+
+
+def _rounds_reference(p, n, delta, trials, seed, decoys):
+    """hashing_simulation's round loop before it drew its masks ahead: one
+    rng.integers mask per round over the flatnonzero of a bool array of alive
+    bits.  Returns each trial's surviving decoys, trial 0's rounds as (subset,
+    parity, consumed pair, panel size) and the number of all-zero masks redrawn."""
+    p = np.asarray(p, dtype=float)
+    s_bits = entropy.von_neumann(protocols.bell_diagonal_state(p))
+    nominal_rounds = 0 if s_bits < 1e-9 else math.ceil(n * (s_bits + 2.0 * delta))
+    survivors, log, redraws = [], [], 0
+    for trial_index, rng in enumerate(qcore.spawn_rngs(seed, trials)):
+        hidden = protocols._sample_symbols(rng, p, n)
+        panel = protocols._sample_typical_panel(rng, p, n, delta, decoys)
+        panel ^= protocols._pack_symbols(hidden)
+        panel = panel[panel.any(axis=1)]
+        hidden_bits = protocols._symbols_to_bits(hidden)
+        bit_alive = np.ones(2 * n, dtype=bool)
+        for _ in range(min(n, nominal_rounds)):
+            if not (trial_index == 0 or panel.shape[0]):
+                break
+            alive = np.flatnonzero(bit_alive)
+            while True:
+                mask = rng.integers(0, 2, size=alive.size, dtype=np.uint8).view(bool)
+                if mask.any():
+                    break
+                redraws += 1
+            subset = alive[mask]
+            if panel.shape[0]:
+                panel = panel[protocols._parities(panel, protocols._pack_subset(subset, n)) == 0]
+            consumed = int(subset[-1] // 2)
+            bit_alive[2 * consumed : 2 * consumed + 2] = False
+            if trial_index == 0:
+                parity = int(np.bitwise_xor.reduce(hidden_bits[subset]))
+                log.append((subset, parity, consumed, int(panel.shape[0])))
+        survivors.append(int(panel.shape[0]))
+    return survivors, log, redraws
+
+
+# (p, n, delta, trials, seed, decoys).  Uniform p and p = (0.8, 0.1, 0.05, 0.05)
+# are infeasible: every pair is consumed and the last rounds draw masks of 4
+# and 2 bits, which are all zero one time in 16 and in 4.
+_ROUND_CASES = [
+    ((0.25, 0.25, 0.25, 0.25), 6, 0.3, 3, seed, 50) for seed in (1, 2, 3)
+] + [
+    ((0.8, 0.1, 0.05, 0.05), 64, 0.05, 3, 4, 300),
+    ((0.8, 0.1, 0.05, 0.05), 301, 0.05, 2, 5, 300),
+    ((0.7, 0.15, 0.1, 0.05), 9, 0.2, 4, 6, 100),
+    ((0.9, 0.05, 0.03, 0.02), 301, 0.05, 3, 7, 2000),
+    ((0.9, 0.05, 0.03, 0.02), 5000, 0.05, 2, 8, 200),
+]
+
+
+@pytest.fixture(scope="module")
+def round_runs():
+    return [(case, _rounds_reference(*case), protocols.hashing_simulation(*case)) for case in _ROUND_CASES]
+
+
+def test_rounds_match_the_per_round_loop(round_runs):
+    for case, (survivors, log, _), trace in round_runs:
+        records = trace.aggregate["trial_records"]
+        assert [t.decoys_surviving for t in records] == survivors, case
+        got = records[0].rounds
+        assert [(r.parity, r.consumed_pair, r.panel_size) for r in got] == [row[1:] for row in log], case
+        assert all(np.array_equal(r.subset_bits, row[0]) for r, row in zip(got, log)), case
+        assert {r.subset_bits.dtype for r in records[0].rounds} <= {np.dtype(np.uint16)}
+
+
+def test_round_cases_redraw_and_reach_the_last_pair_and_the_largest_n(round_runs):
+    assert sum(redraws for _, (_, _, redraws), _ in round_runs) > 0
+    for case, (_, log, _), trace in round_runs:
+        if not trace.aggregate["feasible"]:
+            assert trace.aggregate["rounds_run"] == case[1] == len(log)
+            assert len(log[-1][0]) <= 2
+    # At n = 5000 the uint16 subsets reach _pack_subset's largest flag index,
+    # 64 w + 4999 with w = 79 words per plane, and filter a non-empty panel.
+    case, (_, log, _), _ = round_runs[-1]
+    assert case[1] == 5000 and max(int(r[0][-1]) for r in log) >= 9998 and log[0][3] > 0
+
+
+@pytest.mark.parametrize(
+    "ms",
+    [[1, 2, 3, 4, 5, 7, 3998, 4000], [4000] * 20 + [3998] * 20 + [7, 5, 3, 1], [1, 2] * 40],
+    ids=["lengths", "refills", "short"],
+)
+@pytest.mark.parametrize("lead", [0, 1, 3])
+def test_round_masks_are_the_integers_draws(ms, lead):
+    # Call after call, across refills of the buffer (40 calls of 1000 words
+    # overrun its 2^14 and leave part of a call at the end of a fill), the
+    # masks are rng.integers' bool masks.  A helper told the words its calls
+    # take leaves the generator as integers does.  An odd lead of float32
+    # draws leaves half a word buffered at the start.
+    drawn, masked = np.random.default_rng(12), np.random.default_rng(12)
+    for rng in (drawn, masked):
+        rng.random(lead, dtype=np.float32)
+    masks = protocols._RoundMasks(masked, sum(-(-m // 4) for m in ms))
+    for m in ms:
+        got = masks(m)
+        assert got.dtype == np.dtype(bool)
+        assert np.array_equal(got, drawn.integers(0, 2, m, dtype=np.uint8).view(bool))
+    assert masked.bit_generator.state == drawn.bit_generator.state
+
+
+@pytest.mark.parametrize("lead", [0, 1])
+def test_round_masks_redraw_as_the_round_loop_does(lead):
+    # Rounds over 8, 6, 4 and 2 alive bits, each mask redrawn while all zero.
+    # The plan counts one draw per round, so the redraws overrun it; the masks
+    # and the generator's end state are still those of rng.integers.
+    redraws = 0
+    for seed in range(20):
+        drawn, masked = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (drawn, masked):
+            rng.random(lead, dtype=np.float32)
+        masks = protocols._RoundMasks(masked, sum(-(-m // 4) for m in (8, 6, 4, 2)))
+        for m in (8, 6, 4, 2):
+            while True:
+                got, want = masks(m), drawn.integers(0, 2, m, dtype=np.uint8).view(bool)
+                assert np.array_equal(got, want)
+                if want.any():
+                    break
+                redraws += 1
+        assert masked.bit_generator.state == drawn.bit_generator.state
+    assert redraws > 0
 
 
 def test_hashing_round_count_follows_entropy_rate():
