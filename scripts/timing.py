@@ -38,11 +38,17 @@ def parser(doc: str) -> argparse.ArgumentParser:
     return p
 
 
-def load(src: str, *names: str) -> list:
-    """The ``entlab`` submodules ``names``, imported from the package in ``src``."""
+def package_dir(src: str) -> Path:
+    """The ``entlab`` package directory in ``src``; exits 2 if ``src`` holds none."""
     package = Path(src).resolve() / "entlab"
     if not (package / "__init__.py").is_file():
         _fail(f"{package / '__init__.py'} is missing; SRC_DIR must hold the entlab package")
+    return package
+
+
+def load(src: str, *names: str) -> list:
+    """The ``entlab`` submodules ``names``, imported from the package in ``src``."""
+    package = package_dir(src)
     sys.path.insert(0, str(package.parent))
     import entlab
 

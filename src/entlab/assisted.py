@@ -22,7 +22,6 @@ class AssistReport:
     lower_bound: float
     mincut_coherent: float | None
     mincut_arg: tuple[str, ...] | None
-    upper_ea: float | None
     beats_hashing: bool
 
 
@@ -89,7 +88,7 @@ def assisted_lower_bound(
     if not groups:
         return AssistReport(
             hashing=hashing, l_value=None, lower_bound=hashing,
-            mincut_coherent=None, mincut_arg=None, upper_ea=None,
+            mincut_coherent=None, mincut_arg=None,
             beats_hashing=False,
         )
     value, arg = _mincut_coherent(s, a_labels, b_labels, groups)
@@ -101,7 +100,6 @@ def assisted_lower_bound(
         lower_bound=lower,
         mincut_coherent=value,
         mincut_arg=arg,
-        upper_ea=None,
         beats_hashing=value > hashing + 1e-12 and value > 1e-12,
     )
 

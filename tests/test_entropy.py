@@ -284,34 +284,45 @@ def test_a_zero_diagonal_row_with_an_off_diagonal_entry_stays_on_the_dense_path(
     assert entropy.collision_entropy(rho, sigma) == _dense_collision_entropy(rho, sigma)
 
 
-def _lambda_at_bloch(rho_matrix: np.ndarray, x: float, y: float, z: float) -> float:
-    if math.sqrt(x * x + y * y + z * z) > 1 - 1e-9:
-        return math.inf
-    sigma = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
+def _lambda_at_bloch(rho_matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """lambda_max((I x sigma^{-1/2}) rho (I x sigma^{-1/2})) at each Bloch point (x, y, z) of ``points``.
+
+    A point outside the ball of radius 1 - 1e-9, or whose sigma has an
+    eigenvalue below 1e-9, gives inf.
+    """
+    x, y, z = points.T
+    sigma = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]).transpose(2, 0, 1)
     eigs, vecs = np.linalg.eigh(sigma)
-    if eigs.min() < 1e-9:
-        return math.inf
-    inv_root = (vecs * eigs**-0.5) @ vecs.conj().T
-    conj = np.kron(np.eye(2), inv_root)
-    return float(np.max(np.linalg.eigvalsh(conj @ rho_matrix @ conj)))
+    valid = (np.sqrt(x * x + y * y + z * z) <= 1 - 1e-9) & (eigs.min(axis=1) >= 1e-9)
+    powers = np.where(valid[:, None], eigs, 1.0) ** -0.5
+    inv_root = (vecs * powers[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    conj = np.zeros((len(points), 4, 4), dtype=complex)
+    conj[:, :2, :2] = conj[:, 2:, 2:] = inv_root  # I_2 x sigma^{-1/2}
+    return np.where(valid, np.linalg.eigvalsh(conj @ rho_matrix @ conj).max(axis=1), np.inf)
 
 
 def _grid_min_entropy_2x2(rho: qcore.LabeledState, coarse: int = 31, fine: int = 13, rounds: int = 3) -> float:
-    """Exhaustive grid over qubit conditioning states with shrinking refinements."""
-    best = (math.inf, (0.0, 0.0, 0.0))
-    axis = np.linspace(-1, 1, coarse)
-    for x, y, z in itertools.product(axis, repeat=3):
-        lam = _lambda_at_bloch(rho.matrix, x, y, z)
-        if lam < best[0]:
-            best = (lam, (x, y, z))
+    """Exhaustive grid over qubit conditioning states with shrinking refinements.
+
+    Each grid is scanned in itertools.product order over (x, y, z), and a point
+    replaces the best so far only when it is strictly lower, so the first
+    minimum wins.
+    """
+
+    def cube(axis: np.ndarray) -> np.ndarray:
+        return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    points = cube(np.linspace(-1, 1, coarse))
+    lam = _lambda_at_bloch(rho.matrix, points)
+    first = int(np.argmin(lam))
+    best = (lam[first], points[first])
     step = 2.0 / (coarse - 1)
     for _ in range(rounds):
-        cx, cy, cz = best[1]
-        local = np.linspace(-step, step, fine)
-        for dx, dy, dz in itertools.product(local, repeat=3):
-            lam = _lambda_at_bloch(rho.matrix, cx + dx, cy + dy, cz + dz)
-            if lam < best[0]:
-                best = (lam, (cx + dx, cy + dy, cz + dz))
+        points = best[1] + cube(np.linspace(-step, step, fine))
+        lam = _lambda_at_bloch(rho.matrix, points)
+        first = int(np.argmin(lam))
+        if lam[first] < best[0]:
+            best = (lam[first], points[first])
         step = 2.0 * step / (fine - 1)
     return -math.log2(best[0])
 

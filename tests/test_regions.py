@@ -38,6 +38,28 @@ def test_merging_rhs_two_routes_agree_for_pure_states():
         assert direct == pytest.approx(complement, abs=1e-9)
 
 
+def test_pure_state_entropies_agree_with_the_dense_twin():
+    # The state above is stored as amplitudes, so S(T) and S(T^c) come from one
+    # reduction and the two routes read the same spectra.  Its dense twin keeps
+    # the eigh path on every side: there T and T^c agree on their own, and the
+    # twin agrees with the amplitude route.
+    rng = np.random.default_rng(5)
+    psi = qcore.random_pure([("C1", 2), ("C2", 2), ("B", 2), ("R", 2)], rng)
+    twin = qcore.make_state(psi.systems, psi.matrix)
+    assert twin.is_pure and np.array_equal(twin.spectrum(), qcore.clamped_eigenvalues(twin.matrix))
+    for k in range(1, len(psi.labels)):
+        for part in itertools.combinations(psi.labels, k):
+            rest = [x for x in psi.labels if x not in part]
+            dense = entropy.von_neumann(twin, part)
+            assert dense == pytest.approx(entropy.von_neumann(twin, rest), abs=1e-12)
+            assert dense == pytest.approx(entropy.von_neumann(psi, part), abs=1e-12)
+    senders = (["C1", "C2"], ["B"])
+    for (_, rhs), (_, dense_rhs) in zip(
+        regions.merging_rate_region(psi, *senders).constraints, regions.merging_rate_region(twin, *senders).constraints
+    ):
+        assert rhs == pytest.approx(dense_rhs, abs=1e-12)
+
+
 def test_membership_verdicts():
     region = regions.merging_rate_region(_two_sender_state(), ["C1", "C2"])
     assert regions.region_membership(region, (0.0, 1.0)).verdict == "inside"
@@ -226,17 +248,18 @@ def test_corner_points_satisfy_region():
         assert not verdict.violated
 
 
-def _count_eigendecompositions(monkeypatch) -> list[int]:
-    calls = [0]
+def _eigendecomposition_sides(monkeypatch) -> list[int]:
+    """The side of each matrix given to eigvalsh or eigh from here on."""
+    sides = []
     for name in ("eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _original=original, **kwargs):
-            calls[0] += 1
-            return _original(*args, **kwargs)
+        def recorded(a, *args, _original=original, **kwargs):
+            sides.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return sides
 
 
 def _random_qubits(labels, seed, pure=False):
@@ -262,9 +285,24 @@ def _random_qubits(labels, seed, pure=False):
 )
 def test_subset_entropies_are_decomposed_once_per_call(monkeypatch, labels, pure, run, limit, exact):
     state = _random_qubits(labels, seed=len(labels), pure=pure)
-    calls = _count_eigendecompositions(monkeypatch)
+    sides = _eigendecomposition_sides(monkeypatch)
     run(state)
-    assert calls[0] == limit if exact else calls[0] <= limit
+    assert len(sides) == limit if exact else len(sides) <= limit
+
+
+def test_pure_states_decompose_the_smaller_side_only(monkeypatch):
+    # The 7-sender region reads every subset of the senders.  Of a set and its
+    # complement within the 8 qubits, one has at most 4 qubits, so no matrix
+    # with a side above 16 is decomposed, once for each of the 127 subsets.
+    senders = [f"C{i}" for i in range(1, 8)]
+    psi = _random_qubits(senders + ["R"], seed=8, pure=True)
+    sides = _eigendecomposition_sides(monkeypatch)
+    regions.merging_rate_region(psi, senders)
+    assert len(sides) == 2**7 - 1 and max(sides) <= 16
+    # The whole state's spectrum is exact: (0, ..., 0, Tr psi).
+    sides.clear()
+    assert entropy.von_neumann(psi) == -qcore.xlog2x(psi.trace())
+    assert sides == []
 
 
 def test_region_lookups_reject_an_unknown_party_or_subset():
