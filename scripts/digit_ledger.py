@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """List every reported value that differs between two entlab trees, with the evidence behind each move.
 
-    python3 scripts/digit_ledger.py OLD_SRC [NEW_SRC] [--sources cli,verify,golden,bench]
+    python3 scripts/digit_ledger.py OLD_SRC NEW_SRC [--sources cli,verify,golden,bench]
 
-OLD_SRC and NEW_SRC (default: this checkout's ``src/``) each hold an
-``entlab`` package; a directory without one is refused as ``timing.py``
-describes.  Each tree runs in its own interpreter at one BLAS thread, both at
-once, on the same inputs, all taken from this checkout:
+OLD_SRC and NEW_SRC each hold an ``entlab`` package; a directory without
+one is refused as ``timing.py`` describes.  Each tree runs in its own
+interpreter at one BLAS thread, both at once, on the same inputs, all taken
+from this checkout:
 
 - ``cli``: the golden JSON and CSV cases of ``tests/test_cli.py``, run in
   ``tests/data``, with every float printed to 17 significant digits instead
@@ -29,14 +29,18 @@ the old tree's own max |S(T) - S(T^c)|, each side reduced and decomposed on
 its own, over the label sets that the output read from such states (with
 S(empty) = 0) is the roundoff its entropies carry; the ``evidence`` column
 holds that number.  An output that read no such state has none, and the
-column says so.
+column says so.  A moved float is explained when |delta| is at most
+EVIDENCE_FACTOR times its output's evidence (``delta_over_evidence`` gives
+the ratio): a reported value such as S(T|rest) is a difference of two
+entropies, and each may carry that roundoff.  A larger move, or one without
+evidence, is unexplained.
 
 It prints one JSON object: ``summary``, per source the outputs, fields,
-moved fields, those whose 12-digit string moved, the largest |delta|, and the
-moved fields without evidence or beyond BOUND; ``moved``, one row per moved
-field; and ``fingerprint``.  The exit status is 0 when every moved field is a
-float within BOUND of its old value and has evidence, else 1; a tree against
-a copy of itself lists nothing.
+moved fields, those whose 12-digit string moved, the largest |delta| and
+|delta| / evidence, and the moved fields unexplained or beyond BOUND;
+``moved``, one row per moved field; and ``fingerprint``.  The exit status is
+0 when every moved field is a float within BOUND of its old value and
+explained, else 1; a tree against a copy of itself lists nothing.
 """
 
 from __future__ import annotations
@@ -59,12 +63,13 @@ SOURCES = ("cli", "verify", "golden", "bench")
 SEEDS = range(1, 11)
 MODULES = ("acceptance", "assisted", "cli", "decoupling", "entropy", "protocols", "qcore")
 BOUND = 1e-11  # the largest |delta| a moved float may have
+EVIDENCE_FACTOR = 2.0  # the largest |delta| / evidence of an explained move: a difference of two entropies
 TESTS = timing.ROOT / "tests"
 DATA = TESTS / "data"
 FULL_DIGITS = 17  # enough for every float to round-trip
 NO_EVIDENCE = "none: the output reads no pure state stored as amplitudes"
 ABSENT = "<absent>"  # a field that one tree's output does not have
-COLUMNS = ("output", "field", "old", "new", "abs_delta", "old_12", "new_12", "evidence")
+COLUMNS = ("output", "field", "old", "new", "abs_delta", "old_12", "new_12", "evidence", "delta_over_evidence")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         return collect(argv[1:])
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", help="directory holding the old entlab package")
-    p.add_argument("new", nargs="?", default=str(timing.ROOT / "src"), help="directory holding the new entlab package")
+    p.add_argument("new", help="directory holding the new entlab package")
     _add_sources_option(p)
     args = p.parse_args(argv)
     for src in (args.old, args.new):
@@ -81,11 +86,12 @@ def main(argv: list[str] | None = None) -> int:
     old, new = _collect_both([args.old, "--sources", args.sources, "--evidence"], [args.new, "--sources", args.sources])
     rows = moved_rows(old, new)
     summary = summarize(old, new, rows)
-    payload = {"old": str(Path(args.old).resolve()), "new": str(Path(args.new).resolve()), "bound": BOUND,
+    payload = {"old": str(Path(args.old).resolve()), "new": str(Path(args.new).resolve()),
+               "bound": BOUND, "evidence_factor": EVIDENCE_FACTOR,
                "sources": args.sources.split(","), "summary": summary,
                "fingerprint": timing.fingerprint(), "moved_columns": list(COLUMNS)}
     print(_dump(payload, rows))
-    return 0 if all(s["without_evidence"] == s["beyond_bound"] == 0 for s in summary.values()) else 1
+    return 0 if all(s["unexplained"] == s["beyond_bound"] == 0 for s in summary.values()) else 1
 
 
 def _add_sources_option(p: argparse.ArgumentParser) -> None:
@@ -137,7 +143,8 @@ def moved_rows(old: dict, new: dict) -> list[list]:
                 continue
             x, y = (ABSENT if v is missing else v for v in (x, y))
             delta = abs(y - x) if isinstance(x, float) and isinstance(y, float) else None
-            rows.append([output, field, x, y, delta, _twelve(x), _twelve(y), evidence])
+            ratio = delta / gap if delta is not None and gap else None
+            rows.append([output, field, x, y, delta, _twelve(x), _twelve(y), evidence, ratio])
     return rows
 
 
@@ -146,18 +153,20 @@ def summarize(old: dict, new: dict, rows: list[list]) -> dict:
     for output in sorted(set(old["outputs"]) | set(new["outputs"])):
         s = summary.setdefault(output.split("/")[0], {
             "outputs": 0, "fields": 0, "moved": 0, "moved_12": 0, "max_abs_delta": 0.0,
-            "without_evidence": 0, "beyond_bound": 0,
+            "max_delta_over_evidence": 0.0, "unexplained": 0, "beyond_bound": 0,
         })
         s["outputs"] += 1
         s["fields"] += len(new["outputs"].get(output, old["outputs"].get(output, {})))
-    for output, _, _, _, delta, old_12, new_12, evidence in rows:
+    for output, _, _, _, delta, old_12, new_12, _, ratio in rows:
         s = summary[output.split("/")[0]]
         s["moved"] += 1
         s["moved_12"] += old_12 != new_12
-        s["without_evidence"] += evidence == NO_EVIDENCE
+        s["unexplained"] += ratio is None or not ratio <= EVIDENCE_FACTOR
         s["beyond_bound"] += delta is None or not delta <= BOUND
         if delta is not None:
             s["max_abs_delta"] = max(s["max_abs_delta"], delta)
+        if ratio is not None:
+            s["max_delta_over_evidence"] = max(s["max_delta_over_evidence"], ratio)
     return summary
 
 

@@ -16,10 +16,9 @@ The cases, on a seeded random pure state of 12 qubits stored as amplitudes
 Each call gets a state built afresh outside the timed span, so no spectrum
 cached by an earlier call is read.  The entropies are timed REPEATS times
 each, the region once.  Without the complement rule of
-``entropy.spectral_side`` a tree decomposes the 2048-sided reduction of
+``entropy._spectral_side`` a tree decomposes the 2048-sided reduction of
 ``S(T).k11`` and the 4096-sided whole state: seconds each at one thread, and
-hours for the region.
-It prints one JSON object:
+hours for the region.  It prints one JSON object:
 
 - ``cases``: for each case, ``repeats`` and the median and quartiles of the
   per-call seconds (the seconds of the one call for the region), with

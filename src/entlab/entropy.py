@@ -27,28 +27,31 @@ class SupportError(StateError):
 def von_neumann(state: LabeledState, part: Iterable[str] | str | None = None) -> float:
     """Von Neumann entropy of the reduced operator on ``part`` (whole state if None).
 
-    The spectrum is read from the reduction that :func:`spectral_side` picks.
+    The spectrum is read from the reduction that :func:`_spectral_side` picks,
+    and S(empty) = 0.
     """
-    reduced = state if part is None else qcore.partial_trace(state, spectral_side(state, part))
+    side = _spectral_side(state, state.labels if part is None else part)
+    if not side:
+        return 0.0
+    reduced = state if side == state.labels else qcore.partial_trace(state, side)
     return qcore.shannon_entropy(reduced.spectrum())
 
 
-def spectral_side(state: LabeledState, part: Iterable[str] | str) -> tuple[str, ...]:
+def _spectral_side(state: LabeledState, part: Iterable[str] | str) -> tuple[str, ...]:
     """The labels whose reduced spectrum gives S(part): T or its complement.
 
-    A state stored as an amplitude vector is pure, and its Schmidt
-    decomposition gives rho_T and rho_{T^c} the same non-zero spectrum
+    A state stored as an amplitude vector is pure and normalized, and its
+    Schmidt decomposition gives rho_T and rho_{T^c} the same non-zero spectrum
     (Nielsen-Chuang, Thm 2.7).  For such a state this is the smaller of T and
     T^c by dimension, a tie going to T, so the matrix decomposed has side at
-    most sqrt(D) instead of up to D/2.  The whole state is its own side: its
-    spectrum is exact and costs O(D) (:meth:`LabeledState.spectrum`).  For
-    every other state it is T, in the state's system order.
+    most sqrt(D) instead of up to D/2, and the whole state reads as the empty
+    set: S = 0.  For every other state it is T, in the state's system order.
     """
     kept = qcore._normalize_labels(state, part)
     if state._amplitudes is None:
         return kept
     rest = tuple(name for name in state.labels if name not in kept)
-    if rest and math.prod(map(state.dim_of, rest)) < math.prod(map(state.dim_of, kept)):
+    if math.prod(map(state.dim_of, rest)) < math.prod(map(state.dim_of, kept)):
         return rest
     return kept
 
@@ -58,7 +61,7 @@ def subset_entropies(state: LabeledState) -> "_SubsetTable":
 
     Entries are keyed by the labels in the state's system order, so any order
     of T finds the same entry, and S(empty) = 0.  S(T) is read from the side
-    that :func:`spectral_side` picks, so for a pure state stored as amplitudes
+    that :func:`_spectral_side` picks, so for a pure state stored as amplitudes
     S(T) and S(T^c) share one decomposition.  ``table.reduced(T)`` returns T's
     own reduced state, with its cached spectrum, for callers that need the
     operator too.  Make the table inside the call that reads it and
@@ -83,7 +86,8 @@ class _SubsetTable:
     def __call__(self, part: Iterable[str] | str) -> float:
         key = qcore._normalize_labels(self._state, part)
         if key not in self._entropy:
-            self._entropy[key] = von_neumann(self.reduced(spectral_side(self._state, key)))
+            side = _spectral_side(self._state, key)
+            self._entropy[key] = self(side) if side != key else von_neumann(self.reduced(key))
         return self._entropy[key]
 
     def conditional(self, part: Iterable[str] | str, given: Iterable[str] | str) -> float:

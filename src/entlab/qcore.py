@@ -479,53 +479,13 @@ def _partial_trace_vector(amplitudes: np.ndarray, dims: Sequence[int], keep: Seq
     With the amplitudes reshaped to Psi[traced, kept], the diagonal blocks are
     the row outer products, symmetrized as the dense matrix is: only the
     D * d_keep products that the trace keeps, never the D x D matrix.
-
-    Blocks of more than _BLOCK_CHUNK entries are made and summed a chunk at a
-    time, in one pair of buffers that stays in cache.  A chunk holds the rows
-    of one value of the traced systems that :func:`_sum_traced` adds last; its
-    sum is the partial sum that function forms on the way, so the chunks'
-    sums add up to the same bits.  With d_keep = 1 every block is made at
-    once, because numpy's order of summation there depends on the shape.
     """
     traced = [i for i in reversed(range(len(dims))) if i not in keep]
-    traced_dims = [dims[i] for i in traced]
     d_keep = math.prod(dims[i] for i in keep)
     psi = np.ascontiguousarray(amplitudes.reshape(dims).transpose(traced + list(keep))).reshape(-1, d_keep)
-    head = len(traced_dims)  # the traced systems summed within a chunk
-    if d_keep > 1 and psi.size * d_keep > _BLOCK_CHUNK:
-        head = 1
-        while math.prod(traced_dims[: head + 1]) * d_keep * d_keep <= _BLOCK_CHUNK:
-            head += 1
-    d_head = math.prod(traced_dims[:head])
-    products = np.empty((d_head, d_keep, d_keep), dtype=complex)
-    adjoints = np.empty_like(products)
-    if head >= len(traced_dims):
-        return _sum_traced(_symmetrized_blocks(psi, products, adjoints), traced_dims, d_keep)
-    rows = psi.reshape(d_head, -1, d_keep)
-    partials = np.empty((rows.shape[1], d_keep, d_keep), dtype=complex)
-    for c in range(rows.shape[1]):
-        blocks = _symmetrized_blocks(np.ascontiguousarray(rows[:, c]), products, adjoints)
-        partials[c] = _sum_traced(blocks, traced_dims[:head], d_keep)
-    return _sum_traced(partials, traced_dims[head:], d_keep)
-
-
-_BLOCK_CHUNK = 1 << 15  # block entries made at a time: 512 KiB of products and as much of adjoints
-
-
-def _symmetrized_blocks(psi: np.ndarray, products: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
-    """(p_k + p_k^dagger) / 2 for the outer product p_k of each row of ``psi``, written into ``products``.
-
-    ``adjoints`` is scratch of the same shape.  Each block's adjoint is
-    computed as a product of its own, with the operands of the mirrored entry
-    in their order, so it has the same bits as the transposed conjugate
-    without a strided pass over the blocks.
-    """
-    conj = psi.conj()
-    np.multiply(psi[:, :, np.newaxis], conj[:, np.newaxis, :], out=products)
-    np.multiply(psi[:, np.newaxis, :], conj[:, :, np.newaxis], out=adjoints)
-    products += np.conjugate(adjoints, out=adjoints)
-    products /= 2.0
-    return products
+    products = psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :]
+    products = (products + products.conj().transpose(0, 2, 1)) / 2.0
+    return _sum_traced(products, [dims[i] for i in traced], d_keep)
 
 
 def partial_trace(state: LabeledState, keep: Iterable[str] | str) -> LabeledState:

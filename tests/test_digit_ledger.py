@@ -1,7 +1,8 @@
-"""scripts/digit_ledger.py lists nothing between a tree and itself, and
-exactly the outputs that read a function whose values a copy moves by 1e-13.
+"""scripts/digit_ledger.py refuses a tree without entlab, lists nothing between
+a tree and itself, and exactly the outputs that read a function whose values
+a copy moves by 1e-13, none of them explained.
 
-Both runs read the golden CLI cases only (``--sources cli``), each tree in its
+The ledger runs read the golden CLI cases only (``--sources cli``), each tree in its
 own interpreter, so each takes a few seconds.
 """
 
@@ -38,6 +39,14 @@ def _ledger(old: Path, new: Path) -> tuple[int, dict]:
     return done.returncode, json.loads(done.stdout)
 
 
+def test_a_tree_without_entlab_is_refused(tmp_path):
+    for trees in ([tmp_path, ROOT / "src"], [ROOT / "src", tmp_path]):
+        argv = [sys.executable, str(ROOT / "scripts" / "digit_ledger.py"), *map(str, trees)]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and str(tmp_path) in done.stderr
+
+
 def test_a_tree_against_itself_lists_nothing():
     code, out = _ledger(ROOT / "src", ROOT / "src")
     assert code == 0
@@ -53,10 +62,14 @@ def test_a_planted_change_lists_exactly_the_outputs_that_read_it(tmp_path):
     moved = {(row[0], row[1]): row for row in out["moved"]}
     # The two `entropy --quantity all` cases print h2, and one of them is also a CSV case.
     assert set(moved) == {("cli/entropy_mixed4", "json.h2"), ("cli/entropy_pure5", "json.h2"), ("csv/entropy_mixed4", "rows[0].h2")}
-    for _, _, old, new, delta, old_12, new_12, _ in out["moved"]:
+    for _, _, old, new, delta, old_12, new_12, _, _ in out["moved"]:
         assert new == pytest.approx(old * (1.0 + 1e-13), rel=1e-15, abs=0.0)
         assert delta == abs(new - old) and old_12 == new_12
-    # mixed4.json is a dense state, so its h2 has no evidence, and the exit status says so.
+    # mixed4.json is a dense state, so its h2 has no evidence.  pure5.json is
+    # stored as amplitudes, but the planted move is more than twice the
+    # roundoff of its entropies, so the evidence does not explain it either.
     assert moved["cli/entropy_mixed4", "json.h2"][7].startswith("none")
-    assert moved["cli/entropy_pure5", "json.h2"][7] < 1e-12
+    pure = moved["cli/entropy_pure5", "json.h2"]
+    assert isinstance(pure[7], float) and pure[8] > 2.0
+    assert out["summary"]["cli"]["unexplained"] == 2 and out["summary"]["csv"]["unexplained"] == 1
     assert code == 1

@@ -884,18 +884,6 @@ def test_vector_reductions_equal_dense_partial_trace_bitwise(seed):
     _assert_reductions_equal_dense_partial_trace_bitwise(qcore.tensor_all([qcore.random_state([s], rng) for s in systems]))
 
 
-@pytest.mark.parametrize("chunk", [1, 8, 64])
-def test_vector_reductions_made_in_chunks_equal_dense_partial_trace_bitwise(chunk, monkeypatch):
-    # Blocks above _BLOCK_CHUNK entries are summed a chunk at a time; small
-    # chunks split every reduction of these states into many.
-    monkeypatch.setattr(qcore, "_BLOCK_CHUNK", chunk)
-    rng = np.random.default_rng(chunk)
-    for dims in ([2, 3, 2, 2], [3, 1, 4, 2, 2]):
-        amplitudes = rng.standard_normal(math.prod(dims)) + 1j * rng.standard_normal(math.prod(dims))
-        amplitudes[rng.random(amplitudes.size) < 0.3] = 0.0
-        _assert_reductions_equal_dense_partial_trace_bitwise(qcore.pure_state([(f"S{i}", d) for i, d in enumerate(dims)], amplitudes))
-
-
 @pytest.mark.parametrize("dims", [(16, 4), (3, 16, 2), (64, 2), (2, 64), (2, 16, 64)], ids=lambda d: "x".join(map(str, d)))
 def test_reductions_over_large_traced_systems_equal_dense_partial_trace_bitwise(dims):
     # numpy sums 8 or more terms pairwise when a reduction leaves one entry and

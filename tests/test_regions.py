@@ -299,9 +299,9 @@ def test_pure_states_decompose_the_smaller_side_only(monkeypatch):
     sides = _eigendecomposition_sides(monkeypatch)
     regions.merging_rate_region(psi, senders)
     assert len(sides) == 2**7 - 1 and max(sides) <= 16
-    # The whole state's spectrum is exact: (0, ..., 0, Tr psi).
+    # The whole state reads as the empty set, without a decomposition.
     sides.clear()
-    assert entropy.von_neumann(psi) == -qcore.xlog2x(psi.trace())
+    assert entropy.von_neumann(psi) == 0.0 and psi.spectrum()[-1] == psi.trace()
     assert sides == []
 
 

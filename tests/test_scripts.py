@@ -1,4 +1,4 @@
-"""The scripts in scripts/ start, and refuse a SRC_DIR without entlab.
+"""The timing scripts in scripts/ start, and refuse a SRC_DIR without entlab.
 
 Both checks stop before anything is timed, so each run takes well under a
 second.  Each script runs in its own interpreter, as from the command line.
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = sorted(path for path in (ROOT / "scripts").glob("*.py") if path.name != "timing.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("time_*.py"))
 
 
 def _run(script: Path, *args: str) -> subprocess.CompletedProcess:
