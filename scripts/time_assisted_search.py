@@ -9,22 +9,21 @@ It draws the 20 random pure states of the ``min-cut`` acceptance criterion
 the criterion's order, and times ``assisted.eoa_pure`` on each with the
 criterion's grid and search seed.  It prints one JSON object:
 
-- ``states``: for each state, ``d_c``, ``seconds``, the one-shot value, the
-  asymptotic value min{S(A), S(B)} and the floor E_F(C_a);
-- ``total_s``: the sum of the per-state seconds;
+- ``states``: for each state, ``d_c``, the ``timing.measure`` record of its
+  REPEATS searches, the one-shot value, the asymptotic value
+  min{S(A), S(B)} and the floor E_F(C_a);
+- ``total_s``: the sum of the per-state nominal medians;
 - ``fingerprint``.
-
-Each state is timed once after one untimed warm-up search on the first state.
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 import timing  # before numpy: it pins BLAS at one thread
 
 GRID = 4  # the criterion's grid
+REPEATS = 3
 
 
 def criterion_states(acceptance, qcore, np) -> list[tuple]:
@@ -43,24 +42,14 @@ def main(argv: list[str] | None = None) -> int:
     acceptance, assisted, qcore = timing.load(args.src, "acceptance", "assisted", "qcore")
     import numpy as np
 
-    states = criterion_states(acceptance, qcore, np)
-    psi, seed = states[0]
-    assisted.eoa_pure(psi, ["A"], ["B"], ["C"], grid=GRID, seed=seed)
     rows = []
-    for psi, seed in states:
-        start = time.perf_counter()
-        asymptotic, one_shot = assisted.eoa_pure(psi, ["A"], ["B"], ["C"], grid=GRID, seed=seed)
-        seconds = time.perf_counter() - start
+    for psi, seed in criterion_states(acceptance, qcore, np):
+        (asymptotic, one_shot), record = timing.measure(
+            lambda: assisted.eoa_pure(psi, ["A"], ["B"], ["C"], grid=GRID, seed=seed), REPEATS)
         c_a = assisted.concurrence_of_assistance(psi, ["A"], ["B"])
         floor = qcore.binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c_a * c_a))) / 2.0)
-        rows.append({
-            "d_c": psi.dim_of("C"),
-            "seconds": round(seconds, 4),
-            "one_shot": one_shot,
-            "asymptotic": asymptotic,
-            "floor": floor,
-        })
-    timing.emit({"states": rows, "total_s": round(sum(r["seconds"] for r in rows), 3)})
+        rows.append({"d_c": psi.dim_of("C"), **record, "one_shot": one_shot, "asymptotic": asymptotic, "floor": floor})
+    timing.emit({"states": rows, "total_s": round(sum(r["median_s"] for r in rows), 3)})
     return 0
 
 

@@ -8,8 +8,8 @@ The shapes (d_A, d_B) are those of the benchmark's ``small-states`` solves,
 (2, 4) to (4, 16), and the ROADMAP's (2, 32) and (16, 16), each on a random
 full-rank state with a fixed seed.
 
-Each shape gets one untimed warm-up solve, then REPEATS timed solves (3 for
-(2, 32) and (16, 16)).  One more solve runs with ``coneprog._logdet_pd``,
+Each shape is timed by ``timing.measure`` over REPEATS solves (3 for (2, 32)
+and (16, 16)).  One more solve runs with ``coneprog._logdet_pd``,
 ``coneprog._newton_system`` and ``coneprog._gradient`` wrapped from outside,
 which every version of the solver calls through the module.  From those calls:
 
@@ -25,9 +25,9 @@ which every version of the solver calls through the module.  From those calls:
 
 It prints one JSON object:
 
-- ``shapes``: for each shape, ``repeats``, the median and quartiles of the
-  milliseconds per solve, ``newton_steps``, ``ms_per_step`` (the median
-  divided by the steps), the counts above and ``digest``, a hash of the optimum, sigma
+- ``shapes``: for each shape, the ``timing.measure`` record of the seconds
+  per solve, ``newton_steps``, ``ms_per_step`` (the nominal median divided by
+  the steps), the counts above and ``digest``, a hash of the optimum, sigma
   and the dual certificate, so that two trees can be checked for equal bits;
 - ``fingerprint``.
 """
@@ -35,7 +35,6 @@ It prints one JSON object:
 from __future__ import annotations
 
 import hashlib
-import time
 from collections import Counter
 
 import timing  # before numpy: it pins BLAS at one thread
@@ -108,21 +107,13 @@ def main(argv: list[str] | None = None) -> int:
     out = {}
     for d_a, d_b in SHAPES:
         rho = qcore.random_density([d_a, d_b], np.random.default_rng([SEED, d_a, d_b]))
-        sol = coneprog.solve_min_trace(rho, d_a, d_b)
         repeats = 3 if (d_a, d_b) in SLOW else REPEATS
-        ms = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            coneprog.solve_min_trace(rho, d_a, d_b)
-            ms.append(1e3 * (time.perf_counter() - start))
-        q1, median, q3 = timing.quartiles(ms)
+        sol, record = timing.measure(lambda: coneprog.solve_min_trace(rho, d_a, d_b), repeats)
         digest = hashlib.sha256(np.float64(sol.optimum).tobytes() + sol.sigma.tobytes() + sol.dual.tobytes())
         out[f"{d_a}x{d_b}"] = {
-            "repeats": repeats,
-            "median_ms": round(median, 3),
-            "q1_q3_ms": [round(q1, 3), round(q3, 3)],
+            **record,
             "newton_steps": sol.newton_steps,
-            "ms_per_step": round(median / max(sol.newton_steps, 1), 4),
+            "ms_per_step": round(1e3 * record["median_s"] / max(sol.newton_steps, 1), 4),
             **census(coneprog, rho, d_a, d_b),
             "digest": digest.hexdigest()[:16],
         }

@@ -19,22 +19,23 @@ The cases:
 - ``verify.hashing``: the ``hashing`` criterion of ``entlab verify``, run as
   ``acceptance.run_one`` runs it.
 
-Each case gets one untimed call first, which also hashes every panel the
-sampler returns.  Then REPEATS timed calls (3 for ``verify.hashing``).  In
-the simulations, ``protocols._sample_symbols`` and
+Each case is timed by ``timing.measure`` over REPEATS calls (3 for
+``verify.hashing``); its untimed first call also hashes every panel the
+sampler returns.  ``protocols._sample_symbols`` and
 ``protocols._sample_typical_panel`` are wrapped from outside and timed:
-``sampler_s`` is their time per call and ``rounds_s`` the rest (the rounds,
-packing and bookkeeping).  It prints one JSON object:
+``sampler_s`` is the median of their time per timed call and ``rounds_s``
+the median per call less ``sampler_s`` (the rounds, packing and
+bookkeeping), both scaled by the case's ``speed_scale``.  It prints one JSON
+object:
 
-- ``cases``: for each case, ``repeats``, the median and the quartiles of the
-  seconds per call, the medians of ``sampler_s`` and ``rounds_s`` for the
-  simulations and the criterion, and ``panels``, a SHA-256 over the bytes of
-  every panel the first call drew, so that two trees can be checked for
-  equal output.  The three simulations also give ``rounds``, the length of
-  trial 0's round log, and ``us_per_round``, ``rounds_s`` over those rounds
-  in microseconds (it also carries the panel filtering and the second
-  trial's few rounds); ``verify.hashing`` gives the criterion's ``detail``
-  line;
+- ``cases``: for each case, the ``timing.measure`` record of the seconds per
+  call, ``sampler_s`` and ``rounds_s`` for the simulations and the
+  criterion, and ``panels``, a SHA-256 over the bytes of every panel the
+  first call drew, so that two trees can be checked for equal output.  The
+  three simulations also give ``rounds``, the length of trial 0's round
+  log, and ``us_per_round``, ``rounds_s`` over those rounds in microseconds
+  (it also carries the panel filtering and the second trial's few rounds);
+  ``verify.hashing`` gives the criterion's ``detail`` line;
 - ``fingerprint``.
 """
 
@@ -98,26 +99,26 @@ def main(argv: list[str] | None = None) -> int:
     ]
     out = {}
     for name, call, repeats in cases:
-        sampler.digest = hashlib.sha256()
-        first = call()
-        digest, sampler.digest = sampler.digest.hexdigest(), None
-        seconds, sampled = [], []
-        for _ in range(repeats):
+        digest = sampler.digest = hashlib.sha256()
+        sampled = []
+
+        def counted():
             sampler.seconds = 0.0
-            start = time.perf_counter()
-            call()
-            seconds.append(time.perf_counter() - start)
+            result = call()
+            sampler.digest = None  # only the first call's panels are hashed
             sampled.append(sampler.seconds)
-        q1, median, q3 = timing.quartiles(seconds)
-        case = {"repeats": repeats, "median_s": round(median, 4), "q1_q3_s": [round(q1, 4), round(q3, 4)]}
+            return result
+
+        first, case = timing.measure(counted, repeats)
         if name != "panel.n2000":
-            rounds_s = statistics.median(s - t for s, t in zip(seconds, sampled))
-            case["sampler_s"] = round(statistics.median(sampled), 4)
+            sampler_s = statistics.median(sampled[1:]) * case["speed_scale"]  # [0] is the untimed call
+            rounds_s = case["median_s"] - sampler_s
+            case["sampler_s"] = round(sampler_s, 4)
             case["rounds_s"] = round(rounds_s, 4)
         if name not in ("panel.n2000", "verify.hashing"):
             case["rounds"] = len(first.aggregate["trial_records"][0].rounds)
             case["us_per_round"] = round(rounds_s / case["rounds"] * 1e6, 1)
-        case["panels"] = digest
+        case["panels"] = digest.hexdigest()
         if name == "verify.hashing":
             case["detail"] = first.detail
         out[name] = case

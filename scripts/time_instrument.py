@@ -18,19 +18,16 @@ The cases:
 - ``two_sender.8x8``: the criterion's two-sender state with ancillas (8, 8),
   20 samples.
 
-Each case gets one untimed warm-up call.  The repeats are REPEATS for the
-benchmark and CLI shapes and 3 for the others.
-It prints one JSON object:
+Each case is timed by ``timing.measure``, over REPEATS calls for the
+benchmark and CLI shapes and 3 for the others.  It prints one JSON object:
 
-- ``cases``: for each case, ``samples``, ``repeats``, the median and the
-  quartiles of the per-call seconds, and ``empirical_q`` as ``float.hex``, so
-  that two trees can be checked for equal results;
+- ``cases``: for each case, ``samples``, the ``timing.measure`` record of the
+  seconds per call, and ``empirical_q`` as ``float.hex``, so that two trees
+  can be checked for equal results;
 - ``fingerprint``.
 """
 
 from __future__ import annotations
-
-import time
 
 import timing  # before numpy: it pins BLAS at one thread
 
@@ -71,24 +68,11 @@ def main(argv: list[str] | None = None) -> int:
         spec = decoupling.InstrumentSpec(senders=senders, seed=seed, samples=samples)
         keep = name.startswith(("two_sender", "single_helper")) and not slow
 
-        def call():
-            return decoupling.simulate_random_instrument(state, spec, reference, keep_outcomes=keep)
-
-        result = call()
-        repeats = 3 if slow else REPEATS
-        seconds = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            call()
-            seconds.append(time.perf_counter() - start)
-        q1, median, q3 = timing.quartiles(seconds)
-        out[name] = {
-            "samples": samples,
-            "repeats": repeats,
-            "median_s": round(median, 5),
-            "q1_q3_s": [round(q1, 5), round(q3, 5)],
-            "empirical_q": result.empirical_q.hex(),
-        }
+        result, record = timing.measure(
+            lambda: decoupling.simulate_random_instrument(state, spec, reference, keep_outcomes=keep),
+            3 if slow else REPEATS,
+        )
+        out[name] = {"samples": samples, **record, "empirical_q": result.empirical_q.hex()}
     timing.emit({"cases": out})
     return 0
 

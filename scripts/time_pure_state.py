@@ -13,30 +13,33 @@ The cases, on a seeded random pure state of 12 qubits stored as amplitudes
 - ``ghz12.merge.m11``: ``regions.merging_rate_region`` of ``qcore.ghz(12)``
   with the first 11 qubits as senders, 2047 constraints.
 
-Each call gets a state built afresh outside the timed span, so no spectrum
-cached by an earlier call is read.  The entropies are timed REPEATS times
-each, the region once.  Without the complement rule of
-``entropy._spectral_side`` a tree decomposes the 2048-sided reduction of
-``S(T).k11`` and the 4096-sided whole state: seconds each at one thread, and
-hours for the region.  It prints one JSON object:
+Each case is timed by ``timing.measure``: the entropies over REPEATS calls,
+the region over one.  Each call gets a state built afresh outside the timed
+span, so no spectrum cached by an earlier call is read.  Without the
+complement rule of ``entropy._spectral_side`` a tree decomposes the
+2048-sided reduction of ``S(T).k11`` and the 4096-sided whole state: seconds
+each at one thread, and hours for the region.  It prints one JSON object:
 
-- ``cases``: for each case, ``repeats`` and the median and quartiles of the
-  per-call seconds (the seconds of the one call for the region), with
-  ``entropy`` as ``float.hex`` or, for the region, ``max_abs_error``, the
-  largest distance of a right-hand side from its exact value (1 for the full
-  sender set, 0 for every other);
+- ``cases``: for each case, the ``timing.measure`` record of the seconds per
+  call, with ``entropy`` as ``float.hex`` or, for the region,
+  ``max_abs_error``, the largest distance of a right-hand side from its
+  exact value (1 for the full sender set, 0 for every other);
 - ``fingerprint``.
 """
 
 from __future__ import annotations
-
-import time
 
 import timing  # before numpy: it pins BLAS at one thread
 
 REPEATS = 7
 SEED = 26
 QUBITS = 12
+
+
+def on_fresh(build, evaluate, repeats: int):
+    """``timing.measure`` of ``evaluate`` on a state from ``build`` per call, built before any is timed."""
+    states = [build() for _ in range(repeats + 1)]
+    return timing.measure(lambda: evaluate(states.pop()), repeats)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -49,23 +52,15 @@ def main(argv: list[str] | None = None) -> int:
     labels = [name for name, _ in systems]
     out = {}
     for name, part in [("S(whole)", None)] + [(f"S(T).k{k}", labels[:k]) for k in (1, 6, 11)]:
-        seconds = []
-        for _ in range(REPEATS):
-            psi = qcore.pure_state(systems, amplitudes)
-            start = time.perf_counter()
-            value = entropy.von_neumann(psi, part)
-            seconds.append(time.perf_counter() - start)
-        q1, median, q3 = timing.quartiles(seconds)
-        out[name] = {"repeats": REPEATS, "median_s": round(median, 5), "q1_q3_s": [round(q1, 5), round(q3, 5)],
-                     "entropy": value.hex()}
+        value, record = on_fresh(lambda: qcore.pure_state(systems, amplitudes),
+                                 lambda psi: entropy.von_neumann(psi, part), REPEATS)
+        out[name] = {**record, "entropy": value.hex()}
 
-    ghz = qcore.ghz(QUBITS)
-    start = time.perf_counter()
-    region = regions.merging_rate_region(ghz, ghz.labels[:-1])
-    seconds = time.perf_counter() - start
+    region, record = on_fresh(lambda: qcore.ghz(QUBITS),
+                              lambda ghz: regions.merging_rate_region(ghz, ghz.labels[:-1]), 1)
     full = (1 << (QUBITS - 1)) - 1
     error = max(abs(rhs - (1.0 if mask == full else 0.0)) for mask, rhs in region.constraints)
-    out["ghz12.merge.m11"] = {"repeats": 1, "median_s": round(seconds, 3), "max_abs_error": error}
+    out["ghz12.merge.m11"] = {**record, "max_abs_error": error}
     timing.emit({"cases": out})
     return 0
 

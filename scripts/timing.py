@@ -6,10 +6,11 @@ Each script imports ``entlab`` from SRC_DIR (default: this checkout's
 ``entlab`` is not the one imported, with ``error: ...`` and exit status 2
 before anything is timed, so a mistyped path cannot time another tree.  BLAS
 runs at one thread: importing this module pins it, as ``bench/run.py`` does,
-so every script imports it before numpy.  Each script prints one JSON object
-through ``emit``, which adds ``fingerprint``: cores, CPU model, the Python,
-numpy and scipy versions, and the BLAS name, version and thread count, the
-count read from OpenBLAS itself.
+so every script imports it before numpy.  Every whole-call timing goes
+through ``measure``, which gives seconds at the benchmark's nominal machine
+speed.  Each script prints one JSON object through ``emit``, which adds
+``fingerprint``: cores, CPU model, the Python, numpy and scipy versions, and
+the BLAS name, version and thread count, the count read from OpenBLAS itself.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import platform
 import statistics
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,9 +64,39 @@ def _fail(message: str) -> None:
     raise SystemExit(2)
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """The first quartile, the median and the third quartile of ``values``."""
-    return tuple(statistics.quantiles(values, n=4))
+def measure(call, repeats: int) -> tuple[object, dict]:
+    """``call()``'s result and the record of ``repeats`` timed calls.
+
+    One untimed call comes first; its result is returned.  Each timed call
+    runs right after one run of the benchmark's ``run.reference_kernel``, and
+    one more kernel run follows the last, as in ``run.run_pass``.  The record
+    holds ``repeats``, ``median_s``, ``q1_q3_s`` and ``speed_scale``
+    (``run.speed_scale`` of the kernel runs), each to four significant
+    digits; its seconds are at the benchmark's nominal speed, and raw seconds
+    are those over ``speed_scale``.
+    """
+    first = call()
+    kernel = run.reference_kernel()
+    seconds, reference_s = [], []
+    for _ in range(repeats):
+        reference_s.append(kernel())
+        start = time.perf_counter()
+        call()
+        seconds.append(time.perf_counter() - start)
+    reference_s.append(kernel())
+    scale = run.speed_scale(reference_s)
+    # statistics.quantiles refuses a single value; one call is its own quartiles
+    q1, median, q3 = statistics.quantiles(seconds, n=4) if repeats > 1 else seconds * 3
+    return first, {
+        "repeats": repeats,
+        "median_s": _significant(median * scale),
+        "q1_q3_s": [_significant(q1 * scale), _significant(q3 * scale)],
+        "speed_scale": _significant(scale),
+    }
+
+
+def _significant(x: float) -> float:
+    return float(f"{x:.4g}")
 
 
 def fingerprint() -> dict:

@@ -372,8 +372,11 @@ def twirl_average_check(d: int, rank: int, samples: int = 20000, seed: int = qco
 
         (U+ x U+) F_sub (U x U) = F (Q x Q),  Q = U+ P U,
 
-    and the mean is F times the mean of Q x Q.
+    and the mean is F times the mean of Q x Q.  The coefficients divide by
+    d(d^2 - 1), so d must be at least 2.
     """
+    if d < 2:
+        raise StateError(f"d must be at least 2, got {d}")
     if not 1 <= rank <= d:
         raise StateError("rank must lie in [1, d]")
     if samples < 1:

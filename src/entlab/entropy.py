@@ -109,8 +109,14 @@ def coherent_information(state: LabeledState, frm: Iterable[str] | str, to: Iter
 
 
 def zero_entropy(state: LabeledState) -> float:
-    """H_0: log2 of the rank of the state's operator; reduce first for a marginal's."""
-    return math.log2(int(np.sum(state.spectrum() > 1e-10)))
+    """H_0: log2 of the rank of the state's operator; reduce first for a marginal's.
+
+    An operator with no eigenvalue above 1e-10 has rank 0 and raises StateError.
+    """
+    rank = int(np.sum(state.spectrum() > 1e-10))
+    if rank == 0:
+        raise StateError("H_0 is undefined: the operator has no eigenvalue above 1e-10")
+    return math.log2(rank)
 
 
 QUANTITIES = ("svn", "cond", "coh", "hmin", "h2", "hmax", "h0", "all")
@@ -188,11 +194,13 @@ def _on_conditioning(op: np.ndarray, rho_m: np.ndarray, d_a: int) -> np.ndarray:
 def _conditioning(rho: LabeledState, sigma: LabeledState) -> tuple[np.ndarray, int, Callable[[float], np.ndarray]]:
     """rho's matrix with sigma's systems last, d_A, and p -> sigma^p on the support of sigma.
 
-    Weight of rho's marginal outside that support raises SupportError.
+    An empty support, or weight of rho's marginal outside it, raises SupportError.
     """
     arranged, d_a, b_labels = _split_conditioning(rho, sigma.labels)
     eigs, vecs = np.linalg.eigh(qcore.permute_systems(sigma, b_labels).matrix)
     support = eigs > SUPPORT_TOL
+    if not support.any():
+        raise SupportError(f"the conditioning operator has no eigenvalue above {SUPPORT_TOL:g}")
     kernel = (vecs * (~support)) @ vecs.conj().T
     rho_b = qcore.partial_trace(arranged, b_labels).matrix
     leak = float(np.real(np.trace(kernel @ rho_b @ kernel)))
@@ -301,6 +309,8 @@ def conditional_min_entropy(rho: LabeledState, cond: Iterable[str] | str) -> Con
     eigs, vecs = np.linalg.eigh(marginal_b)
     support = vecs[:, eigs > SUPPORT_TOL]
     r = support.shape[1]
+    if r == 0:
+        raise SupportError(f"the conditioning marginal has no eigenvalue above {SUPPORT_TOL:g}")
     reduced = _on_conditioning(support.conj().T, rho_m, d_a)
 
     solution = coneprog.solve_min_trace(reduced, d_a, r)

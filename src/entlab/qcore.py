@@ -286,9 +286,8 @@ def make_state(
         m = np.zeros((side, side), dtype=complex)
         m[np.ix_(rows, rows)] = block
     else:
-        scan = not np.all(np.diagonal(m).real)
         m = _checked_hermitian_part(m)
-        rows = support_rows(m) if scan else None
+        rows = support_rows(m)
 
     _check_positive(m, rows)
     tr = float(np.real(np.trace(m)))

@@ -328,13 +328,14 @@ def _exit_code(argv: list[str]) -> int:
         (["region", "--state", str(DATA / "mixed4.json"), "--mode", "seq", "--senders", "C1", "--reference", "R"], None),
         (["region", "--state", str(DATA / "mixed4.json"), "--mode", "seq", "--senders", "NOPE", "--ordering", "C2,C1",
           "--reference", "R"], None),
+        (["twirl", "--d", "1", "--L", "1"], None),
     ],
     ids=["hash-sim-p", "typ-check-p", "region-point", "region-point-nan", "swap-word", "swap-zero-denominator", "decouple-K",
          "decouple-unknown-key", "env-seed-twirl", "env-seed-verify", "region-cost-eps-zero", "region-seq-eps-zero",
          "region-eps-negative", "region-eps-nan", "swap-nan", "typ-check-n-negative", "typ-check-n-zero",
          "typ-check-delta-nan", "assist-cnot-one-label", "assist-cnot-three-labels", "assist-helpers-trailing-empty",
          "assist-helpers-empty", "assist-a-empty", "assist-b-empty", "region-merge-senders-empty",
-         "region-cost-senders-empty", "region-seq-no-ordering", "region-seq-ordering-not-senders"],
+         "region-cost-senders-empty", "region-seq-no-ordering", "region-seq-ordering-not-senders", "twirl-d-one"],
 )
 def test_malformed_arguments_exit_2_with_a_diagnostic(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:
@@ -344,6 +345,32 @@ def test_malformed_arguments_exit_2_with_a_diagnostic(argv, env_seed, monkeypatc
     assert captured.out == ""
     assert "error: " in captured.err
     assert "Traceback" not in captured.err
+
+
+# A(2) x B(1) with weight 1e-12, below every support and rank tolerance: each
+# quantity below is undefined on it, and its command exits 2 instead of
+# taking a logarithm of 0 or solving on an empty support.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--split", "A|B", "--quantity", "h0"],
+        ["entropy", "--split", "A|B", "--quantity", "hmin"],
+        ["entropy", "--split", "A|B", "--quantity", "h2"],
+        ["region", "--mode", "cost", "--senders", "A", "--reference", "B"],
+        ["region", "--mode", "seq", "--senders", "A", "--ordering", "A", "--reference", "B"],
+    ],
+    ids=["entropy-h0", "entropy-hmin", "entropy-h2", "region-cost", "region-seq"],
+)
+def test_a_state_below_the_tolerances_exits_2_with_a_diagnostic(argv, tmp_path, capsys):
+    matrix = [[[1e-12, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path = _write(tmp_path, "faint.json", {
+        "systems": [{"label": "A", "dim": 2}, {"label": "B", "dim": 1}],
+        "state": {"kind": "mixed", "norm_mode": "subnormalized", "matrix": matrix},
+    })
+    assert cli.main([argv[0], "--state", path] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("mode, extra", [("split", ["--cut", "C1", "--receiver", "B", "--receiver-b", "R"]),
