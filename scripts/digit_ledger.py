@@ -5,8 +5,8 @@
 
 OLD_SRC and NEW_SRC each hold an ``entlab`` package; a directory without
 one is refused as ``timing.py`` describes.  Each tree runs in its own
-interpreter at one BLAS thread, both at once, on the same inputs, all taken
-from this checkout:
+interpreter at one BLAS thread, the old one twice (see ``cone`` below), all
+at once, on the same inputs, all taken from this checkout:
 
 - ``cli``: the golden JSON and CSV cases of ``tests/test_cli.py``, run in
   ``tests/data``, with every float printed to 17 significant digits instead
@@ -23,24 +23,45 @@ An output is one case, criterion, golden input or task; a field is one value
 in it.  A field moves when it is not the same float (the same ``repr``), or,
 for any other value, not equal.  Each moved field is listed with its old and
 new values, |delta|, both 12-significant-digit strings and the evidence that
-its old digits were not certified.  The ledger knows one kind of evidence: a
-pure state stored as amplitudes has spec(rho_T) = spec(rho_{T^c}) exactly, so
-the old tree's own max |S(T) - S(T^c)|, each side reduced and decomposed on
-its own, over the label sets that the output read from such states (with
-S(empty) = 0) is the roundoff its entropies carry; the ``evidence`` column
-holds that number.  An output that read no such state has none, and the
+its old digits were not certified.  The ledger knows two kinds of evidence,
+both read from the old tree:
+
+- ``pure``: a pure state stored as amplitudes has spec(rho_T) =
+  spec(rho_{T^c}) exactly, so the old tree's own max |S(T) - S(T^c)|, each
+  side reduced and decomposed on its own, over the label sets that the
+  output read from such states (with S(empty) = 0) is the roundoff its
+  entropies carry.  It holds for every field of the output.
+- ``cone``: each ``conditional_min_entropy`` result certifies the interval
+  [``dual_bound``, ``optimum``], which holds the true optimum; ``cone_width``
+  is the widest of them, relative to its optimum, over the results the
+  output read.  A third collection runs the old tree with every such result
+  scaled by 1 + TAINT, optimum and dual bound alike.  The fields that it
+  moves are the ones read from the cone, and its move over TAINT converts
+  the width into the field's unit: cone_width times the optimum for a raw
+  optimum, dual bound or 2^H_max, about log2(optimum / dual_bound) for an
+  H_min, an H_max or a cost built from them.
+
+A field's evidence is the larger of the two that it has; the ``evidence``
+column holds it, and the ``evidence`` object of the payload both kinds for
+each output with a moved field.  A field with neither has none, and the
 column says so.  A moved float is explained when |delta| is at most
-EVIDENCE_FACTOR times its output's evidence (``delta_over_evidence`` gives
-the ratio): a reported value such as S(T|rest) is a difference of two
+EVIDENCE_FACTOR times its evidence (``delta_over_evidence`` gives the
+ratio): a reported value such as S(T|rest) is a difference of two
 entropies, and each may carry that roundoff.  A larger move, or one without
 evidence, is unexplained.
 
+Newton step counts are work counts, not reported values.  A moved integer
+field whose old value is the step count of a cone solve that the output ran
+in the old tree, and whose new value is one in the new tree, is listed under
+``work_counts`` (output, field, old, new) and not under ``moved``.
+
 It prints one JSON object: ``summary``, per source the outputs, fields,
 moved fields, those whose 12-digit string moved, the largest |delta| and
-|delta| / evidence, and the moved fields unexplained or beyond BOUND;
-``moved``, one row per moved field; and ``fingerprint``.  The exit status is
-0 when every moved field is a float within BOUND of its old value and
-explained, else 1; a tree against a copy of itself lists nothing.
+|delta| / evidence, the moved fields unexplained or beyond BOUND, and the
+moved work counts; ``evidence``; ``moved``, one row per moved field;
+``work_counts``; and ``fingerprint``.  The exit status is 0 when every moved
+field is a float within BOUND of its old value and explained, else 1; a tree
+against a copy of itself lists nothing.
 """
 
 from __future__ import annotations
@@ -48,12 +69,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,12 +85,14 @@ SEEDS = range(1, 11)
 MODULES = ("acceptance", "assisted", "cli", "decoupling", "entropy", "protocols", "qcore")
 BOUND = 1e-11  # the largest |delta| a moved float may have
 EVIDENCE_FACTOR = 2.0  # the largest |delta| / evidence of an explained move: a difference of two entropies
+TAINT = 1e-9  # the relative scaling of cone results that finds the fields read from them
 TESTS = timing.ROOT / "tests"
 DATA = TESTS / "data"
 FULL_DIGITS = 17  # enough for every float to round-trip
-NO_EVIDENCE = "none: the output reads no pure state stored as amplitudes"
+NO_EVIDENCE = "none: the output reads no pure state stored as amplitudes, and the field no cone value"
 ABSENT = "<absent>"  # a field that one tree's output does not have
 COLUMNS = ("output", "field", "old", "new", "abs_delta", "old_12", "new_12", "evidence", "delta_over_evidence")
+WORK_COLUMNS = ("output", "field", "old", "new")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,14 +106,18 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     for src in (args.old, args.new):
         timing.package_dir(src)
-    old, new = _collect_both([args.old, "--sources", args.sources, "--evidence"], [args.new, "--sources", args.sources])
-    rows = moved_rows(old, new)
-    summary = summarize(old, new, rows)
+    old, new, tainted = _collect_all([args.old, "--sources", args.sources, "--evidence"],
+                                     [args.new, "--sources", args.sources],
+                                     [args.old, "--sources", args.sources, "--taint"])
+    old["tainted"] = tainted["outputs"]
+    rows, work = moved_rows(old, new)
+    summary = summarize(old, new, rows, work)
     payload = {"old": str(Path(args.old).resolve()), "new": str(Path(args.new).resolve()),
                "bound": BOUND, "evidence_factor": EVIDENCE_FACTOR,
                "sources": args.sources.split(","), "summary": summary,
-               "fingerprint": timing.fingerprint(), "moved_columns": list(COLUMNS)}
-    print(_dump(payload, rows))
+               "evidence": {output: evidence_kinds(old, output) for output in dict.fromkeys(row[0] for row in rows)},
+               "fingerprint": timing.fingerprint(), "moved_columns": list(COLUMNS), "work_columns": list(WORK_COLUMNS)}
+    print(_dump(payload, {"moved": rows, "work_counts": work}))
     return 0 if all(s["unexplained"] == s["beyond_bound"] == 0 for s in summary.values()) else 1
 
 
@@ -98,20 +125,19 @@ def _add_sources_option(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sources", default=",".join(SOURCES), help=f"comma-separated subset of {', '.join(SOURCES)}")
 
 
-def _collect_both(old_args: list[str], new_args: list[str]) -> tuple[dict, dict]:
-    """Run the two collections at once, each in its own interpreter, and read what they print."""
+def _collect_all(*collections: list[str]) -> list[dict]:
+    """Run the collections at once, each in its own interpreter, and read what they print."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
-        for i, args in enumerate((old_args, new_args)):
+        for i, args in enumerate(collections):
             path = Path(tmp) / f"{i}.json"
             with open(path, "w", encoding="utf-8") as out:  # the child keeps its own descriptor
                 runs.append((path, args[0], subprocess.Popen([sys.executable, __file__, "--collect", *args], stdout=out, env=env)))
         for _, src, proc in runs:
             if proc.wait() != 0:
                 timing._fail(f"collecting from {src} exited with status {proc.returncode}")
-        old, new = (json.loads(path.read_text(encoding="utf-8")) for path, _, _ in runs)
-    return old, new
+        return [json.loads(path.read_text(encoding="utf-8")) for path, _, _ in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -129,31 +155,56 @@ def _twelve(x) -> str | None:
     return f"{x:.12g}" if isinstance(x, float) else None
 
 
-def moved_rows(old: dict, new: dict) -> list[list]:
-    """One row (see COLUMNS) per field whose value differs, or exists on one side only."""
-    rows = []
+def evidence_kinds(old: dict, output: str) -> dict:
+    """The old tree's evidence for ``output``: ``pure``, and the widest relative cone interval."""
+    widths = [max(0.0, optimum - dual) / optimum for dual, optimum, _ in old["cones"].get(output, [])]
+    return {"pure": old["evidence"].get(output), "cone_width": max(widths, default=None)}
+
+
+def field_evidence(old: dict, kinds: dict, output: str, field: str) -> float | None:
+    """The larger of the pure evidence and, for a field read from the cone, the cone width in its unit."""
+    known = [kinds["pure"]]
+    x, z = old["outputs"].get(output, {}).get(field), old["tainted"].get(output, {}).get(field)
+    if kinds["cone_width"] is not None and isinstance(x, float) and isinstance(z, float) and not _same(x, z):
+        known.append(abs(z - x) / TAINT * kinds["cone_width"])
+    return max((e for e in known if e is not None), default=None)
+
+
+def _is_steps(value, output: str, side: dict) -> bool:
+    """True when ``value`` is an int and the step count of a cone solve of ``output`` in ``side``."""
+    return type(value) is int and value in {steps for *_, steps in side["cones"].get(output, [])}
+
+
+def moved_rows(old: dict, new: dict) -> tuple[list[list], list[list]]:
+    """One row (see COLUMNS) per field whose value differs, or exists on one side only,
+    and one (see WORK_COLUMNS) per moved Newton step count."""
+    rows, work = [], []
     missing = object()
     for output in sorted(set(old["outputs"]) | set(new["outputs"])):
         a, b = old["outputs"].get(output, {}), new["outputs"].get(output, {})
-        gap = old["evidence"].get(output)
-        evidence = NO_EVIDENCE if gap is None else gap
+        kinds = evidence_kinds(old, output)
         for field in list(a) + [f for f in b if f not in a]:
             x, y = a.get(field, missing), b.get(field, missing)
             if _same(x, y):
                 continue
+            if _is_steps(x, output, old) and _is_steps(y, output, new):
+                work.append([output, field, x, y])
+                continue
+            gap = field_evidence(old, kinds, output, field)
+            evidence = NO_EVIDENCE if gap is None else gap
             x, y = (ABSENT if v is missing else v for v in (x, y))
             delta = abs(y - x) if isinstance(x, float) and isinstance(y, float) else None
             ratio = delta / gap if delta is not None and gap else None
             rows.append([output, field, x, y, delta, _twelve(x), _twelve(y), evidence, ratio])
-    return rows
+    return rows, work
 
 
-def summarize(old: dict, new: dict, rows: list[list]) -> dict:
+def summarize(old: dict, new: dict, rows: list[list], work: list[list]) -> dict:
     summary = {}
     for output in sorted(set(old["outputs"]) | set(new["outputs"])):
         s = summary.setdefault(output.split("/")[0], {
             "outputs": 0, "fields": 0, "moved": 0, "moved_12": 0, "max_abs_delta": 0.0,
-            "max_delta_over_evidence": 0.0, "unexplained": 0, "beyond_bound": 0,
+            "max_delta_over_evidence": 0.0, "unexplained": 0, "beyond_bound": 0, "work_counts": 0,
         })
         s["outputs"] += 1
         s["fields"] += len(new["outputs"].get(output, old["outputs"].get(output, {})))
@@ -167,14 +218,18 @@ def summarize(old: dict, new: dict, rows: list[list]) -> dict:
             s["max_abs_delta"] = max(s["max_abs_delta"], delta)
         if ratio is not None:
             s["max_delta_over_evidence"] = max(s["max_delta_over_evidence"], ratio)
+    for output, *_ in work:
+        summary[output.split("/")[0]]["work_counts"] += 1
     return summary
 
 
-def _dump(payload: dict, rows: list[list]) -> str:
-    """``payload`` indented, then ``moved`` with one row per line."""
-    head = json.dumps(payload, indent=1)
-    body = ",".join("\n  " + json.dumps(row) for row in rows)
-    return head[:-2] + ',\n "moved": [' + body + ("\n ]" if rows else "]") + "\n}"
+def _dump(payload: dict, tables: dict[str, list[list]]) -> str:
+    """``payload`` indented, then each table with one row per line."""
+    text = json.dumps(payload, indent=1)[:-2]
+    for name, rows in tables.items():
+        body = ",".join("\n  " + json.dumps(row) for row in rows)
+        text += f',\n "{name}": [' + body + ("\n ]" if rows else "]")
+    return text + "\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -184,28 +239,33 @@ def _dump(payload: dict, rows: list[list]) -> str:
 
 def collect(argv: list[str]) -> int:
     """Print, as one JSON object, the fields of every output of ``--sources`` in the tree at SRC,
-    and with ``--evidence`` each output's price (:class:`PureReads`)."""
+    the cone solves each output read (:class:`ConeReads`), and with ``--evidence``
+    each output's price (:class:`PureReads`); with ``--taint`` every cone result is
+    scaled by 1 + TAINT."""
     p = argparse.ArgumentParser()
     p.add_argument("src")
     _add_sources_option(p)
     p.add_argument("--evidence", action="store_true")
+    p.add_argument("--taint", action="store_true")
     args = p.parse_args(argv)
     modules = dict(zip(MODULES, timing.load(args.src, *MODULES)))
     sys.path.insert(0, str(TESTS))
     import pytest
 
-    outputs, evidence = {}, {}
+    outputs, evidence, cones = {}, {}, {}
     with pytest.MonkeyPatch.context() as mp:
         cli = modules["cli"]
         round_floats, format_cell = cli._round_floats, cli._format_cell
         mp.setattr(cli, "_round_floats", lambda obj, digits=12: round_floats(obj, FULL_DIGITS))
         mp.setattr(cli, "_format_cell", lambda value: f"{value:.{FULL_DIGITS}g}" if isinstance(value, float) else format_cell(value))
         reads = PureReads(modules["entropy"], modules["qcore"], mp) if args.evidence else None
+        solves = ConeReads(modules["entropy"], mp, 1.0 + TAINT if args.taint else 1.0)
         for source in args.sources.split(","):
             for output, produce in UNITS[source](modules):
                 outputs[output] = dict(leaves(produce()))
                 evidence[output] = reads.price() if reads else None
-    json.dump({"outputs": outputs, "evidence": evidence}, sys.stdout)
+                cones[output] = solves.take()
+    json.dump({"outputs": outputs, "evidence": evidence, "cones": cones}, sys.stdout)
     return 0
 
 
@@ -213,8 +273,8 @@ def leaves(obj, path: str = ""):
     """(field, value) for every scalar in ``obj``, as JSON values; a field is a path like ``a.b[2]``."""
     import numpy as np
 
-    if is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         for key, value in obj.items():
             yield from leaves(value, f"{path}.{key}" if path else str(key))
@@ -293,6 +353,33 @@ class PureReads:
         if not labels:
             return 0.0
         return self._qcore.shannon_entropy(self._qcore.partial_trace(state, labels).spectrum())
+
+
+class ConeReads:
+    """The cone solves each output reads: [dual_bound, optimum, Newton steps] per
+    ``conditional_min_entropy`` result, the one door to the cone program.
+
+    With ``scale`` other than 1, each result is handed on with its optimum
+    and dual bound multiplied by it.
+    """
+
+    def __init__(self, entropy, mp, scale: float):
+        self._solves: list[list] = []
+        inner = entropy.conditional_min_entropy
+
+        def read(rho, cond):
+            result = inner(rho, cond)
+            self._solves.append([result.dual_bound, result.optimum, result.iterations])
+            if scale == 1.0:
+                return result
+            return dataclasses.replace(result, optimum=result.optimum * scale, dual_bound=result.dual_bound * scale)
+
+        mp.setattr(entropy, "conditional_min_entropy", read)
+
+    def take(self) -> list[list]:
+        """The solves since the last call."""
+        solves, self._solves = self._solves, []
+        return solves
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,11 @@ which every version of the solver calls through the module.  From those calls:
 It prints one JSON object:
 
 - ``shapes``: for each shape, the ``timing.measure`` record of the seconds
-  per solve, ``newton_steps``, ``ms_per_step`` (the nominal median divided by
-  the steps), the counts above and ``digest``, a hash of the optimum, sigma
-  and the dual certificate, so that two trees can be checked for equal bits;
+  per solve, ``newton_steps``, ``newton_steps_one_ulp`` (the steps of one
+  more solve with rho_00 moved up by one ulp: roundoff should not move the
+  count), ``ms_per_step`` (the nominal median divided by the steps), the
+  counts above and ``digest``, a hash of the optimum, sigma and the dual
+  certificate, so that two trees can be checked for equal bits;
 - ``fingerprint``.
 """
 
@@ -110,9 +112,12 @@ def main(argv: list[str] | None = None) -> int:
         repeats = 3 if (d_a, d_b) in SLOW else REPEATS
         sol, record = timing.measure(lambda: coneprog.solve_min_trace(rho, d_a, d_b), repeats)
         digest = hashlib.sha256(np.float64(sol.optimum).tobytes() + sol.sigma.tobytes() + sol.dual.tobytes())
+        bumped = rho.copy()
+        bumped[0, 0] = np.nextafter(rho[0, 0].real, np.inf)
         out[f"{d_a}x{d_b}"] = {
             **record,
             "newton_steps": sol.newton_steps,
+            "newton_steps_one_ulp": coneprog.solve_min_trace(bumped, d_a, d_b).newton_steps,
             "ms_per_step": round(1e3 * record["median_s"] / max(sol.newton_steps, 1), 4),
             **census(coneprog, rho, d_a, d_b),
             "digest": digest.hexdigest()[:16],

@@ -24,6 +24,22 @@ hands them on: the next Newton system inverts that M, and the barrier value
 that starts the next stage is formed from those log-dets without a
 factorization.
 
+Stopping.  Each barrier stage at parameter t centres sigma by damped Newton
+steps; the next stage multiplies t by BARRIER_GROWTH.  A stage other than the
+last only has to start the next one near the central path, so it ends once
+lambda^2 / 2 <= CENTERING_TOL (1/8), lambda^2 being the Newton decrement
+(Boyd and Vandenberghe, Convex Optimization, 11.3-11.5).  The last stage is
+the first whose gap bound nu / t is within REL_TOL of Tr(sigma) when it
+starts, and the solver returns after it.  It ends once lambda^2 / 2 falls to
+eps t Tr(sigma), the resolution of the barrier value: below it the line
+search's sufficient-decrease test is decided by roundoff.  No stage waits for
+a line search to fail, which roundoff decides, so a change of rho in its last
+bit leaves the step count alone.  Over 144 random instances from (2, 2) to
+(2, 16), centring every stage to 1e-12 took 7278 steps and this rule 4021.
+A bound of 1/2 took 3334 and still certified every gap, but 1 left gaps of
+0.93 and 0.13 on two golden instances; a growth of 50 or 100 took 4031 and
+4196 steps.
+
 At return the solver also gives a dual certificate: X >= 0 with Tr_A X <= I,
 so Tr(rho X) is a lower bound on the optimum (the dual of König, Renner and
 Schaffner, arXiv:0807.1338, d_A times the maximal singlet fraction).
@@ -37,10 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 BARRIER_GROWTH = 20.0
-NEWTON_DECREMENT_TOL = 1e-12
+CENTERING_TOL = 0.125  # lambda^2 / 2 that ends a stage other than the last
 MAX_STAGES = 60
 MAX_NEWTON_PER_STAGE = 60
-REL_TOL = 1e-10  # stop once the gap bound nu / t is within REL_TOL of Tr(sigma)
+REL_TOL = 1e-10  # the last stage is the first whose gap bound nu / t is within REL_TOL of Tr(sigma)
 
 
 class ConeProgramError(RuntimeError):
@@ -146,10 +162,16 @@ def solve_min_trace(rho: np.ndarray, d_a: int, d_b: int) -> ConeSolution:
 
     steps = 0
     for _ in range(MAX_STAGES):
+        last = nu / t <= REL_TOL * max(float(sigma.trace().real), 1e-18)
         f0 = None
         for _ in range(MAX_NEWTON_PER_STAGE):
             step, decrement = newton_step(t)
-            if decrement / 2.0 < NEWTON_DECREMENT_TOL:
+            # The last stage stops at the resolution of the barrier value, about
+            # eps t Tr(sigma): a smaller decrease cannot be seen by the line
+            # search.  Earlier stages only need to start the next one near the
+            # central path.
+            tol = np.finfo(float).eps * t * float(sigma.trace().real) if last else CENTERING_TOL
+            if decrement / 2.0 <= tol:
                 break
             if f0 is None:
                 if logdets is None:
@@ -173,10 +195,9 @@ def solve_min_trace(rho: np.ndarray, d_a: int, d_b: int) -> ConeSolution:
             sigma, slack, logdets = candidate, trial_slack, trial_logdets
             f0 = trial
             steps += 1
-        trace = float(sigma.trace().real)
-        if nu / t <= REL_TOL * max(trace, 1e-18):
+        if last:
             step, _ = newton_step(t)
-            return ConeSolution(optimum=trace, sigma=sigma, newton_steps=steps, gap_bound=nu / t,
+            return ConeSolution(optimum=float(sigma.trace().real), sigma=sigma, newton_steps=steps, gap_bound=nu / t,
                                 dual=_dual_certificate(system[1][3], step, t, d_a, d_b))
         t *= BARRIER_GROWTH
     raise ConeProgramError(f"barrier method stalled after {steps} Newton steps (gap bound {nu / t:.3e})")
@@ -241,10 +262,10 @@ def _dual_certificate(m_inv: np.ndarray, step: np.ndarray, t: float, d_a: int, d
     """Dual point (M^-1 - M^-1 (I x step) M^-1) / t, made feasible: X >= 0 and Tr_A X <= I.
 
     ``step`` is the Newton direction at the final iterate.  M^-1 / t alone is
-    feasible too, but the line search stops where barrier values lose their
-    resolution, so the last iterate can be poorly centred, and that point then
-    reaches a gap of only 1e-6 to 1e-5 relative; with the Newton correction the
-    gap is about nu / t.
+    feasible too, but the last stage stops where barrier values lose their
+    resolution, so the last iterate is centred only that far, and that point
+    then reaches a gap of only 1e-6 to 1e-5 relative; with the Newton
+    correction the gap is about nu / t.
     """
     side = d_a * d_b
     x = (m_inv - (m_inv.reshape(side * d_a, d_b) @ step).reshape(side, side) @ m_inv) / t
@@ -259,8 +280,9 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, f
 
     The system is symmetric positive definite, but numpy has no Cholesky solve
     (no triangular solver), and its LU solve is faster than its Cholesky
-    factorization alone; importing scipy.linalg would add about 28 MB of
-    resident memory to processes that do not load it otherwise.
+    factorization alone; importing scipy.linalg would add 26-28 MB of peak
+    resident memory (from 27-30 MB to 55-57 MB, one BLAS thread) to processes
+    that do not load it otherwise.
     """
     rhs = -grad
     reg = 0.0

@@ -1,6 +1,7 @@
 """scripts/digit_ledger.py refuses a tree without entlab, lists nothing between
 a tree and itself, and exactly the outputs that read a function whose values
-a copy moves by 1e-13, none of them explained.
+a copy moves by 1e-13, none of them explained; a cone optimum moved inside its
+certified interval is explained, one moved outside it is not.
 
 The ledger runs read the golden CLI cases only (``--sources cli``), each tree in its
 own interpreter, so each takes a few seconds.
@@ -9,6 +10,7 @@ own interpreter, so each takes a few seconds.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -29,6 +31,33 @@ _planted = collision_entropy
 def collision_entropy(rho, sigma):
     return _planted(rho, sigma) * (1.0 + 1e-13)
 """
+
+
+# Appended to a copy of entropy.py: every cone optimum is scaled by 1 + SCALE,
+# which the test fills in.  The dual bound stays, so the certified interval of
+# the old tree is about 5e-11 wide, relative.
+CONE_PLANT = """
+
+import dataclasses as _dataclasses
+
+_planted_cone = conditional_min_entropy
+
+
+def conditional_min_entropy(rho, cond):
+    result = _planted_cone(rho, cond)
+    return _dataclasses.replace(result, optimum=result.optimum * (1.0 + SCALE))
+"""
+
+# The CLI golden outputs that read a cone solve: H_max in `entropy --quantity
+# all`, and the sequential costs.
+CONE_OUTPUTS = {"cli/entropy_mixed4", "cli/entropy_pure5", "cli/seq_mixed4", "csv/entropy_mixed4"}
+
+
+def _planted_copy(tmp_path: Path, plant: str) -> Path:
+    shutil.copytree(ROOT / "src" / "entlab", tmp_path / "entlab", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "entlab" / "entropy.py", "a", encoding="utf-8") as fh:
+        fh.write(plant)
+    return tmp_path
 
 
 def _ledger(old: Path, new: Path) -> tuple[int, dict]:
@@ -55,10 +84,7 @@ def test_a_tree_against_itself_lists_nothing():
 
 
 def test_a_planted_change_lists_exactly_the_outputs_that_read_it(tmp_path):
-    shutil.copytree(ROOT / "src" / "entlab", tmp_path / "entlab", ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "entlab" / "entropy.py", "a", encoding="utf-8") as fh:
-        fh.write(PLANT)
-    code, out = _ledger(ROOT / "src", tmp_path)
+    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, PLANT))
     moved = {(row[0], row[1]): row for row in out["moved"]}
     # The two `entropy --quantity all` cases print h2, and one of them is also a CSV case.
     assert set(moved) == {("cli/entropy_mixed4", "json.h2"), ("cli/entropy_pure5", "json.h2"), ("csv/entropy_mixed4", "rows[0].h2")}
@@ -73,3 +99,22 @@ def test_a_planted_change_lists_exactly_the_outputs_that_read_it(tmp_path):
     assert isinstance(pure[7], float) and pure[8] > 2.0
     assert out["summary"]["cli"]["unexplained"] == 2 and out["summary"]["csv"]["unexplained"] == 1
     assert code == 1
+
+
+@pytest.mark.parametrize("scale,explained", [(1e-13, True), (1e-9, False)], ids=["inside", "outside"])
+def test_a_planted_cone_move_is_explained_only_inside_its_interval(tmp_path, scale, explained):
+    # 1e-13 relative is about 1.4e-13 bits, inside the interval's 7e-11 bits;
+    # 1e-9 relative is 20 times beyond it.
+    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, CONE_PLANT.replace("SCALE", repr(scale))))
+    assert {row[0] for row in out["moved"]} == CONE_OUTPUTS
+    assert out["work_counts"] == []
+    for output, _, _, _, delta, _, _, evidence, ratio in out["moved"]:
+        # Each moved field is an H_max, an H_min or a cost, so its cone
+        # evidence is the interval's width in bits, about 5e-11 / ln 2.
+        width = out["evidence"][output]["cone_width"]
+        assert 0.0 < width < 1e-10 and evidence == pytest.approx(width / math.log(2.0), rel=1e-6)
+        assert delta == pytest.approx(ratio * evidence)
+        assert (ratio <= 2.0) is explained
+    unexplained = sum(out["summary"][source]["unexplained"] for source in ("cli", "csv"))
+    assert unexplained == (0 if explained else len(out["moved"]))
+    assert code == (0 if explained else 1)
