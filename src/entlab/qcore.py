@@ -681,16 +681,36 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    return haar_unitaries(dim, 1, rng)[0]
-
-
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` Haar unitaries; QR phases fixed by diag(r_ii/|r_ii|)."""
+    """Stack of ``count`` Haar unitaries from one stream: all real parts, then all imaginary parts."""
+    _check_unitary_dim(dim)
+    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    return _haar_from_ginibre(z)
+
+
+def haar_unitaries_per_stream(dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One Haar unitary from each stream of ``rngs``, stacked in their order.
+
+    Each stream draws its real block, then its imaginary block, as
+    ``haar_unitaries(dim, 1, rng)`` does, and the stack goes through one QR
+    call.  numpy's stacked QR factors each matrix with the LAPACK calls of a
+    single one, so every unitary is that stream's
+    ``haar_unitaries(dim, 1, rng)[0]``, bit for bit.
+    """
+    _check_unitary_dim(dim)
+    z = np.stack([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for rng in rngs])
+    return _haar_from_ginibre(z)
+
+
+def _check_unitary_dim(dim: int) -> None:
     if dim < 1:
         raise StateError("unitary dimension must be >= 1")
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+
+
+def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack z = X + iY, X and Y of standard normal entries:
+    z scaled in place by 1/sqrt(2), then QR, phases fixed by diag(r_ii/|r_ii|)
+    (Mezzadri, arXiv:math-ph/0609050)."""
     z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)

@@ -119,7 +119,7 @@ def test_mincut_coherent_invariant_under_local_helper_unitary():
     rng = np.random.default_rng(7)
     psi = qcore.random_pure([("A", 2), ("B", 2), ("H1", 2), ("H2", 2)], rng)
     base, _ = assisted.mincut_coherent(psi, ["A"], ["B"], ["H1", "H2"])
-    u = qcore.haar_unitary(2, rng)
+    u = qcore.haar_unitaries_per_stream(2, [rng])[0]
     rotated = qcore.apply_unitary(psi, ["H1"], u)
     value, _ = assisted.mincut_coherent(rotated, ["A"], ["B"], ["H1", "H2"])
     assert value == pytest.approx(base, abs=1e-9)
@@ -181,7 +181,7 @@ def test_average_entropy_for_basis_matches_the_dense_reference():
     rng = np.random.default_rng(31)
     # Systems out of (C, A, rest) order, with two systems left after A and C.
     psi = qcore.random_pure([("B", 2), ("C", 3), ("A", 2), ("D", 2)], rng)
-    for state, basis in ((ghz, hadamard), (ghz, np.eye(2, dtype=complex)), (psi, qcore.haar_unitary(3, rng))):
+    for state, basis in ((ghz, hadamard), (ghz, np.eye(2, dtype=complex)), (psi, qcore.haar_unitaries_per_stream(3, [rng])[0])):
         value = assisted.average_entropy_for_basis(state, ["A"], ["C"], basis)
         assert abs(value - _average_entropy_reference(state, ["A"], ["C"], basis)) <= 1e-12
 

@@ -193,6 +193,20 @@ def test_unknown_state_file_returns_error_code(tmp_path):
     assert cli.main(["entropy", "--state", str(tmp_path / "missing.json"), "--split", "A|B"]) == 2
 
 
+def test_an_uncertified_max_entropy_exits_2_with_a_diagnostic(tmp_path, capsys):
+    # H_max(A|B) with B trivial is -H_min(A|R) of a purification of rho_A: a
+    # rank-one 12 x 12 cone program, on which the barrier stalls.
+    rho = qcore.random_density([12], np.random.default_rng(1))
+    path = _write(tmp_path, "stall.json", {
+        "systems": [{"label": "A", "dim": 12}, {"label": "B", "dim": 1}],
+        "state": {"kind": "mixed", "matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]},
+    })
+    assert cli.main(["entropy", "--state", path, "--split", "A|B", "--quantity", "hmax"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cone program gap ")
+
+
 def test_seed_env_override(monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV, "0x123")
     assert cli.default_seed() == 0x123

@@ -246,7 +246,6 @@ def test_working_state_is_the_tensor_of_marginal_and_ancillas():
 # loop (commit cbacd45), whose distances came from one trace_norm call each:
 # every per-sample value and outcome row, as float.hex.
 INSTRUMENT_GOLDEN = json.loads((DATA / "instrument_golden.json").read_text(encoding="utf-8"))
-HAAR = qcore.haar_unitary
 
 
 def _golden_state(spec):
@@ -262,14 +261,19 @@ def _golden_state(spec):
 def _support_unitary(d, rng):
     """A Haar unitary on span{|0>, |1>}, the identity elsewhere."""
     u = np.eye(d, dtype=complex)
-    u[:2, :2] = HAAR(2, rng)
+    u[:2, :2] = qcore.haar_unitaries(2, 1, rng)[0]
     return u
+
+
+def _support_unitaries(d, rngs):
+    """``_support_unitary`` from each stream: the support2 patch of ``qcore.haar_unitaries_per_stream``."""
+    return np.stack([_support_unitary(d, rng) for rng in rngs])
 
 
 @pytest.mark.parametrize("case", INSTRUMENT_GOLDEN, ids=lambda c: c["name"])
 def test_instrument_matches_golden_bit_for_bit(case, monkeypatch):
     if case.get("unitary") == "support2":
-        monkeypatch.setattr(qcore, "haar_unitary", _support_unitary)
+        monkeypatch.setattr(qcore, "haar_unitaries_per_stream", _support_unitaries)
     spec = decoupling.InstrumentSpec(
         senders=tuple(decoupling.sender(*s) for s in case["senders"]), seed=case["seed"], samples=case["samples"]
     )
@@ -317,7 +321,7 @@ def _instrument_reference(state, spec, reference):
     for idx, rng in enumerate(qcore.spawn_rngs(spec.seed, spec.samples)):
         rotated = work
         for i, s in enumerate(spec.senders):
-            rotated = qcore._sandwich(qcore.haar_unitary(s.dim * s.ancilla, rng), rotated, [i])
+            rotated = qcore._sandwich(qcore.haar_unitaries_per_stream(s.dim * s.ancilla, [rng])[0], rotated, [i])
         probs = []
         gaps = []
         for index, side, _, remainder_hit in outcomes:
@@ -421,7 +425,7 @@ def test_batched_instrument_matches_the_per_sample_loop_bit_for_bit(case):
 
 @pytest.mark.parametrize("case", SUPPORT2_CASES, ids=lambda c: c[0])
 def test_batched_instrument_matches_the_per_sample_loop_on_zero_probabilities(case, monkeypatch):
-    monkeypatch.setattr(qcore, "haar_unitary", _support_unitary)
+    monkeypatch.setattr(qcore, "haar_unitaries_per_stream", _support_unitaries)
     rows = _assert_matches_reference(case)
     zero = [r for r in rows if r["probability"] < decoupling.ZERO_PROB]
     assert zero and any(r["probability"] >= decoupling.ZERO_PROB and r["distance"] > 0 for r in rows)
@@ -442,20 +446,30 @@ def test_batch_cases_cross_chunk_boundaries_and_the_budget():
 
 
 def test_haar_draws_are_the_per_sample_loops_in_order(monkeypatch):
-    # Unitaries are drawn sample by sample, senders in order, from each sample's own stream.
+    # Each sample's own stream draws its senders' unitaries in order.  Draws
+    # from different streams may interleave: only the order within a stream
+    # decides a bit.
     _, state, senders, reference, _ = BATCH["three_senders"]
     spec = decoupling.InstrumentSpec(senders=senders, seed=4, samples=19)
+    draw = qcore.haar_unitaries_per_stream
     calls = []
 
-    def spy(dim, rng):
-        calls.append((dim, rng.bit_generator.seed_seq.spawn_key))
-        return HAAR(dim, rng)
+    def spy(dim, rngs):
+        calls.extend((dim, rng.bit_generator.seed_seq.spawn_key) for rng in rngs)
+        return draw(dim, rngs)
 
-    monkeypatch.setattr(qcore, "haar_unitary", spy)
+    def per_stream(drawn):
+        dims = {}
+        for dim, key in drawn:
+            dims.setdefault(key, []).append(dim)
+        return dims
+
+    monkeypatch.setattr(qcore, "haar_unitaries_per_stream", spy)
     _instrument_reference(state, spec, reference)
     want, calls[:] = list(calls), []
     decoupling.simulate_random_instrument(state, spec, reference)
-    assert calls == want
+    assert per_stream(calls) == per_stream(want)
+    assert len(per_stream(want)) == spec.samples
     assert want[:4] == [(2, (0,)), (4, (0,)), (3, (0,)), (2, (1,))]
 
 
@@ -470,12 +484,14 @@ def test_one_dimensional_sender_is_a_phase_that_is_not_applied(monkeypatch):
     assert [(r["outcome"], r["remainder"]) for r in got.outcome_rows] == [(r["outcome"], r["remainder"]) for r in want_rows]
 
     # With each phase set to exactly 1 the loop applies the identity too, and the bits agree.
-    def unit_phase(dim, rng):
-        u = HAAR(dim, rng)
-        return np.ones((1, 1), dtype=complex) if dim == 1 else u
+    draw = qcore.haar_unitaries_per_stream
 
-    monkeypatch.setattr(qcore, "haar_unitary", unit_phase)
+    def unit_phase(dim, rngs):
+        u = draw(dim, rngs)
+        return np.ones_like(u) if dim == 1 else u
+
+    monkeypatch.setattr(qcore, "haar_unitaries_per_stream", unit_phase)
     want_per_sample, want_rows = _instrument_reference(state, spec, ["R"])
-    monkeypatch.setattr(qcore, "haar_unitary", HAAR)
+    monkeypatch.undo()
     assert got.per_sample.tobytes() == want_per_sample.tobytes()
     assert _hex_rows(got.outcome_rows) == _hex_rows(want_rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entlab import entropy, qcore, regions
+from entlab import coneprog, entropy, qcore, regions
 
 import ginibre
 
@@ -398,6 +399,41 @@ def test_conditional_min_entropy_classical_register_is_zero():
     res = entropy.conditional_min_entropy(cq, ["B"])
     assert abs(res.hmin_bits) < 1e-7
     assert np.min(np.linalg.eigvalsh(np.kron(np.eye(d), res.certificate * res.optimum) - m)) > -1e-8
+
+
+def _rank_one(d, seed):
+    """A rank-one state on A x B, d x d, with 2^-H_min(A|B) = (sum_i sqrt(lambda_i))^2 over spec(rho_A)."""
+    state = ginibre.state([("A", d), ("B", d)], np.random.default_rng(seed), rank=1)
+    lam = np.clip(np.linalg.eigvalsh(qcore.partial_trace(state, ["A"]).matrix), 0.0, None)
+    return state, float(np.sum(np.sqrt(lam))) ** 2
+
+
+def test_rank_one_min_entropy_is_the_squared_root_sum_within_its_gap():
+    state, exact = _rank_one(8, 0)
+    res = entropy.conditional_min_entropy(state, ["B"])
+    assert res.dual_bound <= exact <= res.optimum
+
+
+def test_a_stalled_cone_solve_is_rejected():
+    # At (12, 12) the barrier's Hessian reaches condition number 1e19 and its
+    # stages stall; unchecked, the optimum came out 6e-4 above the exact
+    # value after 321 steps, with a gap of 0.37.
+    state, _ = _rank_one(12, 1)
+    with pytest.raises(qcore.StateError, match=r"^cone program gap \d\.\d{3}e-01 exceeds twice its barrier bound \d\.\d{3}e-10$"):
+        entropy.conditional_min_entropy(state, ["B"])
+
+
+def test_a_gap_above_twice_the_barrier_bound_is_rejected(monkeypatch):
+    solve = coneprog.solve_min_trace
+
+    def weak_dual(rho, d_a, d_b):
+        solution = solve(rho, d_a, d_b)
+        return dataclasses.replace(solution, dual=solution.dual * (1.0 - 3.0 * solution.gap_bound / solution.optimum))
+
+    monkeypatch.setattr(coneprog, "solve_min_trace", weak_dual)
+    state, _ = _rank_one(4, 0)
+    with pytest.raises(qcore.StateError, match=r"^cone program gap .* exceeds twice its barrier bound"):
+        entropy.conditional_min_entropy(state, ["B"])
 
 
 # ---------------------------------------------------------------------------

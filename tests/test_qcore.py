@@ -126,13 +126,32 @@ def test_distance_report_extremes_and_sandwiches():
 
 def test_haar_unitary_contract():
     rng = np.random.default_rng(21)
-    phase = qcore.haar_unitary(1, rng)
+    phase = qcore.haar_unitaries_per_stream(1, [rng])[0]
     assert abs(abs(phase[0, 0]) - 1.0) < 1e-12
 
-    u1 = qcore.haar_unitary(4, np.random.default_rng(99))
-    u2 = qcore.haar_unitary(4, np.random.default_rng(99))
+    u1 = qcore.haar_unitaries_per_stream(4, [np.random.default_rng(99)])[0]
+    u2 = qcore.haar_unitaries_per_stream(4, [np.random.default_rng(99)])[0]
     assert np.allclose(u1, u2)
     assert np.max(np.abs(u1.conj().T @ u1 - np.eye(4))) < 1e-10
+
+
+def _haar_one_stream(dim, rng):
+    """One Haar unitary drawn alone: one Ginibre matrix, one 2-D QR, one phase fix."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+@pytest.mark.parametrize("streams", [1, 17])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_per_stream_draw_is_each_streams_own_draw_bit_for_bit(dim, streams):
+    seeds = np.random.SeedSequence(29).spawn(streams)
+    stacked = qcore.haar_unitaries_per_stream(dim, [np.random.default_rng(s) for s in seeds])
+    alone = np.stack([_haar_one_stream(dim, np.random.default_rng(s)) for s in seeds])
+    assert stacked.shape == (streams, dim, dim)
+    assert stacked.tobytes() == alone.tobytes()
+    assert stacked[0].tobytes() == qcore.haar_unitaries(dim, 1, np.random.default_rng(seeds[0]))[0].tobytes()
 
 
 def test_haar_mean_projects_to_maximally_mixed():
@@ -146,7 +165,7 @@ def test_haar_mean_projects_to_maximally_mixed():
 def test_apply_unitary_matches_direct_conjugation():
     rng = np.random.default_rng(5)
     state = qcore.random_state([("A", 2), ("B", 3)], rng)
-    u = qcore.haar_unitary(3, rng)
+    u = qcore.haar_unitaries_per_stream(3, [rng])[0]
     rotated = qcore.apply_unitary(state, ["B"], u)
     direct = np.kron(np.eye(2), u) @ state.matrix @ np.kron(np.eye(2), u).conj().T
     assert np.max(np.abs(rotated.matrix - direct)) < 1e-12
@@ -217,7 +236,7 @@ def _spectrum_with_smallest(smallest, side, rng):
 
 
 def _in_random_basis(eigs, rng):
-    u = qcore.haar_unitary(len(eigs), rng)
+    u = qcore.haar_unitaries_per_stream(len(eigs), [rng])[0]
     return (u * eigs) @ u.conj().T
 
 
@@ -852,7 +871,7 @@ def test_trusted_operations_match_dense_reference(kind, seed):
     _check_trusted(merged, dense)
 
     idx = [int(i) for i in rng.choice(n, size=int(rng.integers(1, min(n, 2) + 1)), replace=False)]
-    u = qcore.haar_unitary(int(np.prod([dims[i] for i in idx])), rng)
+    u = qcore.haar_unitaries_per_stream(int(np.prod([dims[i] for i in idx])), [rng])[0]
     rotated = qcore.apply_unitary(state, [labels[i] for i in idx], u)
     assert rotated.is_pure == state.is_pure
     _check_trusted(rotated, _dense_apply(dense, dims, idx, u))
@@ -953,12 +972,12 @@ def test_sandwich_matches_dense_kron_reference():
     assert got.shape == (8, 8)
     assert np.max(np.abs(got - full @ rho @ full.conj().T)) <= 1e-13
 
-    u = qcore.haar_unitary(6, rng)
+    u = qcore.haar_unitaries_per_stream(6, [rng])[0]
     full = np.kron(np.eye(2), u)
     got = _kernel(u.reshape(3, 2, 3, 2), rho, [2, 3, 2], [1, 2])
     assert np.max(np.abs(got - full @ rho @ full.conj().T)) <= 1e-13
     # Two systems out of order and not adjacent: u acts on (third, first).
-    u = qcore.haar_unitary(4, rng)
+    u = qcore.haar_unitaries_per_stream(4, [rng])[0]
     got = _kernel(u.reshape(2, 2, 2, 2), rho, [2, 3, 2], [2, 0])
     assert np.max(np.abs(got - _dense_apply(rho, [2, 3, 2], [2, 0], u))) <= 1e-13
 
@@ -969,7 +988,7 @@ def test_sandwich_on_one_axis_is_the_tensordot_pair_bit_for_bit():
     dims = (2, 3, 4)
     t = qcore.random_density(list(dims), rng).reshape(dims * 2)
     for i, d in enumerate(dims):
-        u = qcore.haar_unitary(d, rng)
+        u = qcore.haar_unitaries_per_stream(d, [rng])[0]
         pair = np.moveaxis(np.tensordot(u, t, axes=([1], [i])), 0, i)
         pair = np.moveaxis(np.tensordot(pair, u.conj(), axes=([3 + i], [1])), -1, 3 + i)
         assert np.array_equal(qcore._sandwich(u, t, [i]), pair)
