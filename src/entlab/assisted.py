@@ -309,8 +309,7 @@ def da_upper_bounds(
     on its purification.
     """
     arranged = qcore.permute_systems(state, sum(qcore.distinct_labels(a_labels, b_labels, c_labels), ()))
-    eigs, vecs = np.linalg.eigh(arranged.matrix)
-    keep = eigs > 1e-12
+    eigs, vecs, keep = qcore._support_eigh(arranged.matrix)
     lam = eigs[keep]
     v = vecs[:, keep]
     rank = int(lam.size)

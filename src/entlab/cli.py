@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import os
+import secrets
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
@@ -98,9 +99,12 @@ def emit_json(payload: dict, out_path: str | None) -> None:
         # NaN and infinities have no JSON form: refuse the output, write nothing.
         raise qcore.StateError(f"output is not valid JSON: {exc}") from None
     if out_path:
-        tmp = Path(out_path).with_suffix(".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(out_path)
+        # A random sibling, created exclusively, then renamed over the output in one step.
+        out = Path(out_path)
+        tmp = out.with_name(f".{out.name}.{secrets.token_hex(8)}.tmp")
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        tmp.replace(out)
     else:
         sys.stdout.write(text)
 

@@ -94,15 +94,20 @@ def purity(state: LabeledState, part: Iterable[str] | str | None = None, check_s
     return direct
 
 
+def _reference_labels(state: LabeledState, spec: InstrumentSpec, reference: Iterable[str] | str) -> tuple[str, ...]:
+    """The reference labels in the state's order, once the senders match the state and the reference is disjoint from them."""
+    spec.validate_against(state)
+    qcore.distinct_labels([s.label for s in spec.senders], reference)
+    return qcore._normalize_labels(state, reference)
+
+
 def decoupling_bound_purity(state: LabeledState, spec: InstrumentSpec, reference: Iterable[str] | str) -> float:
     """Average-case decoupling error bound from subset purities:
 
     2 sum_T prod_{i in T} L_i/(d_i K_i)
       + 2 sqrt(d_R sum_T prod_{i in T} (L_i/K_i) Tr[psi^2_{R T}]).
     """
-    spec.validate_against(state)
-    qcore.distinct_labels([s.label for s in spec.senders], reference)
-    ref_labels = qcore._normalize_labels(state, reference)
+    ref_labels = _reference_labels(state, spec, reference)
     d_ref = int(np.prod([state.dim_of(x) for x in ref_labels]))
     linear = 0.0
     quad = 0.0
@@ -119,9 +124,7 @@ def decoupling_bound_minentropy(state: LabeledState, spec: InstrumentSpec, refer
     prefactor * sqrt(sum_T 2^{-(H_min(psi^{T R}|psi^R) + log K_T - log L_T)})
     with prefactor prod_i N_i L_i / (d_i K_i) <= 1.
     """
-    spec.validate_against(state)
-    qcore.distinct_labels([s.label for s in spec.senders], reference)
-    ref_labels = qcore._normalize_labels(state, reference)
+    ref_labels = _reference_labels(state, spec, reference)
     prefactor = math.prod(s.blocks * s.rank / (s.dim * s.ancilla) for s in spec.senders)
     hmins = regions.subset_min_entropies(state, [s.label for s in spec.senders], ref_labels)
     total = 0.0
@@ -238,9 +241,7 @@ def simulate_random_instrument(
     """
     if state.norm_mode != "normalized":
         raise StateError("decoupling simulation requires a normalized input state")
-    spec.validate_against(state)
-    qcore.distinct_labels([s.label for s in spec.senders], reference)
-    ref_labels = qcore._normalize_labels(state, reference)
+    ref_labels = _reference_labels(state, spec, reference)
 
     work = _working_state(state, spec, ref_labels)
     ref_state = qcore.partial_trace(state, ref_labels).matrix if ref_labels else np.ones((1, 1))

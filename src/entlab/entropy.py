@@ -13,15 +13,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import qcore
-from .qcore import LabeledState, StateError
+from .qcore import SUPPORT_TOL, LabeledState, StateError, SupportError  # SUPPORT_TOL is re-exported
 
-SUPPORT_TOL = 1e-12
 FEASIBILITY_TOL = 1e-8
 RESIDUAL_TOL = 1e-7
-
-
-class SupportError(StateError):
-    """Conditioning operator is rank-deficient on the support of the marginal."""
 
 
 def von_neumann(state: LabeledState, part: Iterable[str] | str | None = None) -> float:
@@ -197,10 +192,7 @@ def _conditioning(rho: LabeledState, sigma: LabeledState) -> tuple[np.ndarray, i
     An empty support, or weight of rho's marginal outside it, raises SupportError.
     """
     arranged, d_a, b_labels = _split_conditioning(rho, sigma.labels)
-    eigs, vecs = np.linalg.eigh(qcore.permute_systems(sigma, b_labels).matrix)
-    support = eigs > SUPPORT_TOL
-    if not support.any():
-        raise SupportError(f"the conditioning operator has no eigenvalue above {SUPPORT_TOL:g}")
+    eigs, vecs, support = qcore._support_eigh(qcore.permute_systems(sigma, b_labels).matrix)
     kernel = (vecs * (~support)) @ vecs.conj().T
     rho_b = qcore.partial_trace(arranged, b_labels).matrix
     leak = float(np.real(np.trace(kernel @ rho_b @ kernel)))
@@ -310,15 +302,11 @@ def conditional_min_entropy(rho: LabeledState, cond: Iterable[str] | str) -> Con
     d_b = arranged.total_dim // d_a
     rho_m = np.asarray(arranged.matrix)
 
-    marginal_b = qcore.partial_trace(arranged, b_labels).matrix
-    eigs, vecs = np.linalg.eigh(marginal_b)
-    support = vecs[:, eigs > SUPPORT_TOL]
-    r = support.shape[1]
-    if r == 0:
-        raise SupportError(f"the conditioning marginal has no eigenvalue above {SUPPORT_TOL:g}")
+    _, vecs, kept = qcore._support_eigh(qcore.partial_trace(arranged, b_labels).matrix)
+    support = vecs[:, kept]
     reduced = _on_conditioning(support.conj().T, rho_m, d_a)
 
-    solution = coneprog.solve_min_trace(reduced, d_a, r)
+    solution = coneprog.solve_min_trace(reduced, d_a, support.shape[1])
     sig = support @ solution.sigma @ support.conj().T
     sig = (sig + sig.conj().T) / 2.0
 
@@ -359,11 +347,15 @@ def max_entropy_unconditioned(rho: LabeledState) -> float:
 
 
 def conditional_max_entropy(rho: LabeledState, cond: Iterable[str] | str) -> float:
-    """H_max(A|B) via duality: -H_min(A|R) on the A,R marginal of a purification."""
+    """H_max(A|B) via duality: -H_min(A|R) on the A,R marginal of a purification.
+
+    A B of total dimension 1, no label included, conditions on nothing:
+    H_max(A|B) is then H_max(rho_A), in closed form.
+    """
     b_labels = qcore._normalize_labels(rho, cond)
-    if not b_labels:
-        return max_entropy_unconditioned(rho)
     a_labels = [x for x in rho.labels if x not in b_labels]
+    if math.prod(map(rho.dim_of, b_labels)) == 1:
+        return max_entropy_unconditioned(qcore.partial_trace(rho, a_labels))
     purified = qcore.purify(rho, ref_label="_hmaxR")
     marginal_ar = qcore.partial_trace(purified, a_labels + ["_hmaxR"])
     return -conditional_min_entropy(marginal_ar, ["_hmaxR"]).hmin_bits

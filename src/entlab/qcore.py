@@ -14,6 +14,7 @@ HERMITICITY_REJECT = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-10
 PURITY_TOL = 1e-9
+SUPPORT_TOL = 1e-12
 UNITARITY_TOL = 1e-8
 MAX_TOTAL_DIM = 4096
 
@@ -26,6 +27,10 @@ class StateError(ValueError):
 
 class LabelError(StateError):
     """Raised on unknown, duplicated or missing subsystem labels."""
+
+
+class SupportError(StateError):
+    """Raised when an operator has no eigenvalue above SUPPORT_TOL, or a marginal has weight outside a support."""
 
 
 def xlog2x(x: float) -> float:
@@ -69,13 +74,22 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def _support_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and the mask of those above SUPPORT_TOL, the one eigenvalue cut; SupportError if none is."""
+    eigs, vecs = np.linalg.eigh(matrix)
+    kept = eigs > SUPPORT_TOL
+    if not kept.any():
+        raise SupportError(f"the operator has no eigenvalue above {SUPPORT_TOL:g}")
+    return eigs, vecs, kept
+
+
 class LabeledState:
     """A density operator carrying an ordered list of named subsystems.
 
     The operator is stored in the tensor-product order of ``systems``.  A pure
     state built from amplitudes keeps the amplitude vector and builds the dense
     ``matrix`` only on first access; every other state keeps the matrix.  The
-    spectrum is computed on the first call of :meth:`spectrum` and cached; a
+    spectrum and :attr:`is_pure` are computed on first read and cached; a
     state whose spectrum is never read never pays for an eigendecomposition,
     and one stored as amplitudes never pays for one at all.  States are
     immutable after construction.
@@ -85,28 +99,20 @@ class LabeledState:
     valid states, so they wrap their results without a new eigendecomposition.
     """
 
-    __slots__ = ("systems", "is_pure", "norm_mode", "_matrix", "_amplitudes", "_spectrum")
+    __slots__ = ("systems", "norm_mode", "_matrix", "_amplitudes", "_spectrum", "_pure")
 
     systems: tuple[tuple[str, int], ...]
-    is_pure: bool
     norm_mode: str
 
-    def __init__(
-        self,
-        systems: tuple[tuple[str, int], ...],
-        is_pure: bool,
-        norm_mode: str,
-        matrix: np.ndarray | None = None,
-        amplitudes: np.ndarray | None = None,
-        spectrum: np.ndarray | None = None,
-    ):
+    def __init__(self, systems: tuple[tuple[str, int], ...], norm_mode: str,
+                 matrix: np.ndarray | None = None, amplitudes: np.ndarray | None = None):
         init = object.__setattr__
         init(self, "systems", systems)
-        init(self, "is_pure", is_pure)
         init(self, "norm_mode", norm_mode)
         init(self, "_matrix", matrix)
         init(self, "_amplitudes", amplitudes)
-        init(self, "_spectrum", spectrum)
+        init(self, "_spectrum", None)
+        init(self, "_pure", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"LabeledState is immutable; cannot set {name!r}")
@@ -141,6 +147,17 @@ class LabeledState:
             eigs.setflags(write=False)
             object.__setattr__(self, "_spectrum", eigs)
         return eigs
+
+    @property
+    def is_pure(self) -> bool:
+        """Decided on first read: stored amplitudes are pure; a matrix is pure when
+        the state is normalized and Tr(rho^2) = ||rho||_F^2 >= 1 - PURITY_TOL."""
+        if self._pure is None:
+            m = self._matrix
+            pure = self._amplitudes is not None or (
+                self.norm_mode == "normalized" and float(np.vdot(m, m).real) >= 1.0 - PURITY_TOL)
+            object.__setattr__(self, "_pure", pure)
+        return self._pure
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -407,25 +424,11 @@ def pure_state(systems: Sequence[tuple[str, int]], amplitudes: np.ndarray) -> La
     return _trusted(systems, "normalized", amplitudes=v / norm)
 
 
-def _trusted(
-    systems: tuple[tuple[str, int], ...],
-    norm_mode: str,
-    matrix: np.ndarray | None = None,
-    amplitudes: np.ndarray | None = None,
-    is_pure: bool | None = None,
-) -> LabeledState:
-    """Wrap a result that is a valid state by construction, without checking it.
-
-    An amplitude vector is pure.  A matrix's purity is Tr(rho^2) = ||rho||_F^2
-    unless the caller passes ``is_pure``.
-    """
-    if amplitudes is not None:
-        amplitudes.setflags(write=False)
-        return LabeledState(systems, True, norm_mode, amplitudes=amplitudes)
-    if is_pure is None:
-        is_pure = norm_mode == "normalized" and float(np.vdot(matrix, matrix).real) >= 1.0 - PURITY_TOL
-    matrix.setflags(write=False)
-    return LabeledState(systems, is_pure, norm_mode, matrix=matrix)
+def _trusted(systems: tuple[tuple[str, int], ...], norm_mode: str,
+             matrix: np.ndarray | None = None, amplitudes: np.ndarray | None = None) -> LabeledState:
+    """Wrap a result that is a valid state by construction, without checking it."""
+    (matrix if amplitudes is None else amplitudes).setflags(write=False)
+    return LabeledState(systems, norm_mode, matrix=matrix, amplitudes=amplitudes)
 
 
 def tensor(a: LabeledState, b: LabeledState) -> LabeledState:
@@ -435,7 +438,7 @@ def tensor(a: LabeledState, b: LabeledState) -> LabeledState:
         raise StateError("cannot tensor states with different norm modes")
     # Dense even for two amplitude vectors: reductions of the product then
     # reproduce those of kron(rho_a, rho_b) bit for bit.
-    return _trusted(systems, a.norm_mode, matrix=np.kron(a.matrix, b.matrix), is_pure=a.is_pure and b.is_pure)
+    return _trusted(systems, a.norm_mode, matrix=np.kron(a.matrix, b.matrix))
 
 
 def tensor_all(states: Sequence[LabeledState]) -> LabeledState:
@@ -517,7 +520,7 @@ def permute_systems(state: LabeledState, order: Sequence[str]) -> LabeledState:
     n = len(perm)
     t = state._matrix.reshape(dims + dims).transpose(perm + [p + n for p in perm])
     side = state.total_dim
-    return _trusted(new_systems, state.norm_mode, matrix=t.reshape(side, side), is_pure=state.is_pure)
+    return _trusted(new_systems, state.norm_mode, matrix=t.reshape(side, side))
 
 
 def _act_on_axes(op: np.ndarray, t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -561,7 +564,7 @@ def apply_unitary(state: LabeledState, labels: Sequence[str], unitary: np.ndarra
         psi = _act_on_axes(u_t, state._amplitudes.reshape(dims), idx)
         return _trusted(state.systems, state.norm_mode, amplitudes=psi.reshape(-1))
     t = _sandwich(u_t, state._matrix.reshape(dims + dims), idx).reshape(state._matrix.shape)
-    return _trusted(state.systems, state.norm_mode, matrix=_hermitian_part(t), is_pure=state.is_pure)
+    return _trusted(state.systems, state.norm_mode, matrix=_hermitian_part(t))
 
 
 def purify(state: LabeledState, ref_label: str = "R") -> LabeledState:
@@ -569,8 +572,7 @@ def purify(state: LabeledState, ref_label: str = "R") -> LabeledState:
     if state.norm_mode != "normalized":
         raise StateError("purification requires a normalized state")
     distinct_labels(state.labels, ref_label)
-    eigs, vecs = np.linalg.eigh(state.matrix)
-    keep = eigs > 1e-12
+    eigs, vecs, keep = _support_eigh(state.matrix)
     # Entry (i, k) is sqrt(lambda_k) <i|v_k>: the amplitude of |i>|k>.
     amplitudes = vecs[:, keep] * np.sqrt(eigs[keep])
     return pure_state(list(state.systems) + [(ref_label, amplitudes.shape[1])], amplitudes)
@@ -873,11 +875,11 @@ def merge_systems(state: LabeledState, groups: dict[str, Sequence[str]]) -> Labe
         else:
             new_systems[-1] = (target, new_systems[-1][1] * dim)
     distinct_labels([name for name, _ in new_systems])
-    # The stored operator is unchanged, so purity and spectrum carry over.
-    return LabeledState(
-        tuple(new_systems), state.is_pure, state.norm_mode,
-        matrix=state._matrix, amplitudes=state._amplitudes, spectrum=state._spectrum,
-    )
+    merged = LabeledState(tuple(new_systems), state.norm_mode, matrix=state._matrix, amplitudes=state._amplitudes)
+    # The stored operator is unchanged, so the cached spectrum and purity carry over.
+    for cache in ("_spectrum", "_pure"):
+        object.__setattr__(merged, cache, getattr(state, cache))
+    return merged
 
 
 CONSTRUCTORS = {

@@ -194,17 +194,39 @@ def test_unknown_state_file_returns_error_code(tmp_path):
 
 
 def test_an_uncertified_max_entropy_exits_2_with_a_diagnostic(tmp_path, capsys):
-    # H_max(A|B) with B trivial is -H_min(A|R) of a purification of rho_A: a
-    # rank-one 12 x 12 cone program, on which the barrier stalls.
-    rho = qcore.random_density([12], np.random.default_rng(1))
+    # H_max(A|B) of rho_A x |0><0|_B is -H_min(A|R) of a purification: a
+    # rank-one 12 x 12 cone program, on which the barrier stalls.  (A B of
+    # dimension 1 is read in closed form instead.)
+    rho = np.kron(qcore.random_density([12], np.random.default_rng(1)), np.diag([1.0, 0.0]))
     path = _write(tmp_path, "stall.json", {
-        "systems": [{"label": "A", "dim": 12}, {"label": "B", "dim": 1}],
+        "systems": [{"label": "A", "dim": 12}, {"label": "B", "dim": 2}],
         "state": {"kind": "mixed", "matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]},
     })
     assert cli.main(["entropy", "--state", path, "--split", "A|B", "--quantity", "hmax"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cone program gap ")
+
+
+def test_max_entropy_given_a_dimension_one_system_exits_0(tmp_path, capsys):
+    rho = qcore.random_density([12], np.random.default_rng(1))
+    path = _write(tmp_path, "trivial_b.json", {
+        "systems": [{"label": "A", "dim": 12}, {"label": "B", "dim": 1}],
+        "state": {"kind": "mixed", "matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]},
+    })
+    assert cli.main(["entropy", "--state", path, "--split", "A|B", "--quantity", "hmax"]) == 0
+    assert json.loads(capsys.readouterr().out)["hmax"] == pytest.approx(3.0611411837600855, abs=1e-11)
+
+
+def test_out_keeps_a_sibling_tmp_file_and_writes_the_stdout_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "result.tmp").write_text("user data\n", encoding="utf-8")
+    assert cli.main(["swap", "--lambda2", "1/3"]) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(["swap", "--lambda2", "1/3", "--out", "result.json"]) == 0
+    assert (tmp_path / "result.tmp").read_text(encoding="utf-8") == "user data\n"
+    assert (tmp_path / "result.json").read_bytes() == printed.encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json", "result.tmp"]
 
 
 def test_seed_env_override(monkeypatch):
@@ -385,6 +407,20 @@ def test_a_state_below_the_tolerances_exits_2_with_a_diagnostic(argv, tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_a_state_below_the_support_cut_gives_one_message_for_hmin_and_seq(tmp_path, capsys):
+    matrix = [[[1e-12, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path = _write(tmp_path, "faint.json", {
+        "systems": [{"label": "A", "dim": 2}, {"label": "B", "dim": 1}],
+        "state": {"kind": "mixed", "norm_mode": "subnormalized", "matrix": matrix},
+    })
+    messages = []
+    for argv in (["entropy", "--split", "A|B", "--quantity", "hmin"],
+                 ["region", "--mode", "seq", "--senders", "A", "--ordering", "A", "--reference", "B"]):
+        assert cli.main([argv[0], "--state", path] + argv[1:]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages == [f"error: the operator has no eigenvalue above {entropy.SUPPORT_TOL:g}\n"] * 2
 
 
 @pytest.mark.parametrize("mode, extra", [("split", ["--cut", "C1", "--receiver", "B", "--receiver-b", "R"]),

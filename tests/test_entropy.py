@@ -476,6 +476,15 @@ def test_max_entropy_values():
     )
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_max_entropy_conditioned_on_a_dimension_one_system_is_the_closed_form(seed):
+    # Seeds 1 and 2 stall the cone program of the purification route.
+    rho = qcore.make_state([("A", 12), ("B", 1)], qcore.random_density([12], np.random.default_rng(seed)))
+    closed_form = entropy.max_entropy_unconditioned(qcore.partial_trace(rho, ["A"]))
+    assert entropy.conditional_max_entropy(rho, ["B"]) == closed_form
+    assert entropy.conditional_max_entropy(rho, []) == entropy.max_entropy_unconditioned(rho)
+
+
 def _max_entropy_fidelity_search(rho: qcore.LabeledState, cond, restarts: int, seed: int) -> float:
     """H_max(A|B) = max over states sigma^B of log2 F^2(rho^{AB}, I x sigma^B), by
     Nelder-Mead from ``restarts`` random starts; small dims only.

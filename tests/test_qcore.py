@@ -882,6 +882,22 @@ def test_trusted_operations_match_dense_reference(kind, seed):
     _check_trusted(product, np.kron(dense, other.matrix))
 
 
+@pytest.mark.parametrize("kind", ["pure", "mixed", "subnormalized"])
+def test_dense_states_read_their_purity_on_first_read(kind):
+    state = _revalidated(_random_family(kind, [2, 3, 2], np.random.default_rng(len(kind))))
+    reduced = qcore.partial_trace(state, ["A", "C"])
+    # Built, reduced and relabeled without a purity sum.
+    assert state._pure is None and reduced._pure is None
+    assert qcore.merge_systems(state, {"M": ["A", "B"]})._pure is None
+    for out in (state, reduced):
+        assert out.is_pure == _revalidated(out).is_pure
+        assert out._pure is out.is_pure
+    if kind != "mixed":  # a random mixed state may have rank one
+        assert state.is_pure == (kind == "pure")
+    # A relabeling made after the first read carries the flag along.
+    assert qcore.merge_systems(state, {"M": ["A", "B"]})._pure is state.is_pure
+
+
 def _assert_reductions_equal_dense_partial_trace_bitwise(state):
     # Same bits, not only close: outputs rounded to 12 digits must not move.
     dims = list(state.dims)
