@@ -447,10 +447,8 @@ def golden_units(m):
 
     def instrument(case: dict):
         with pytest.MonkeyPatch.context() as mp:
-            if case.get("unitary") == "support2" and hasattr(qcore, "haar_unitaries_per_stream"):
+            if case.get("unitary") == "support2":
                 mp.setattr(qcore, "haar_unitaries_per_stream", test_decoupling._support_unitaries)
-            elif case.get("unitary") == "support2":  # a tree that draws one unitary per call
-                mp.setattr(qcore, "haar_unitary", test_decoupling._support_unitary)
             senders = tuple(decoupling.sender(*s) for s in case["senders"])
             spec = decoupling.InstrumentSpec(senders=senders, seed=case["seed"], samples=case["samples"])
             state = test_decoupling._golden_state(case["state"])

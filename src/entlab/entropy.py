@@ -349,12 +349,13 @@ def max_entropy_unconditioned(rho: LabeledState) -> float:
 def conditional_max_entropy(rho: LabeledState, cond: Iterable[str] | str) -> float:
     """H_max(A|B) via duality: -H_min(A|R) on the A,R marginal of a purification.
 
-    A B of total dimension 1, no label included, conditions on nothing:
-    H_max(A|B) is then H_max(rho_A), in closed form.
+    A rho_B with one eigenvalue above SUPPORT_TOL (a B of dimension 1, or no
+    label, included) is pure, so rho_AB = rho_A (x) |b><b| and H_max(A|B) is
+    H_max(rho_A), in closed form.
     """
     b_labels = qcore._normalize_labels(rho, cond)
     a_labels = [x for x in rho.labels if x not in b_labels]
-    if math.prod(map(rho.dim_of, b_labels)) == 1:
+    if qcore._support_eigh(qcore.partial_trace(rho, b_labels).matrix)[2].sum() == 1:
         return max_entropy_unconditioned(qcore.partial_trace(rho, a_labels))
     purified = qcore.purify(rho, ref_label="_hmaxR")
     marginal_ar = qcore.partial_trace(purified, a_labels + ["_hmaxR"])

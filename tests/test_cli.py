@@ -193,16 +193,16 @@ def test_unknown_state_file_returns_error_code(tmp_path):
     assert cli.main(["entropy", "--state", str(tmp_path / "missing.json"), "--split", "A|B"]) == 2
 
 
-def test_an_uncertified_max_entropy_exits_2_with_a_diagnostic(tmp_path, capsys):
-    # H_max(A|B) of rho_A x |0><0|_B is -H_min(A|R) of a purification: a
-    # rank-one 12 x 12 cone program, on which the barrier stalls.  (A B of
-    # dimension 1 is read in closed form instead.)
-    rho = np.kron(qcore.random_density([12], np.random.default_rng(1)), np.diag([1.0, 0.0]))
+def test_an_uncertified_cone_solve_exits_2_with_a_diagnostic(tmp_path, capsys):
+    # The sequential cost of A given B reads H_min(A|B) of a pure 12 x 12
+    # state: a rank-one cone program, on which the barrier stalls.
+    psi = qcore.random_pure([("A", 12), ("B", 12)], np.random.default_rng(1))
     path = _write(tmp_path, "stall.json", {
-        "systems": [{"label": "A", "dim": 12}, {"label": "B", "dim": 2}],
-        "state": {"kind": "mixed", "matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]},
+        "systems": [{"label": "A", "dim": 12}, {"label": "B", "dim": 12}],
+        "state": {"kind": "pure", "amplitudes": [[z.real, z.imag] for z in psi.vector().tolist()]},
     })
-    assert cli.main(["entropy", "--state", path, "--split", "A|B", "--quantity", "hmax"]) == 2
+    argv = ["region", "--state", path, "--mode", "seq", "--senders", "A", "--ordering", "A", "--reference", "B"]
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cone program gap ")
@@ -212,6 +212,18 @@ def test_max_entropy_given_a_dimension_one_system_exits_0(tmp_path, capsys):
     rho = qcore.random_density([12], np.random.default_rng(1))
     path = _write(tmp_path, "trivial_b.json", {
         "systems": [{"label": "A", "dim": 12}, {"label": "B", "dim": 1}],
+        "state": {"kind": "mixed", "matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]},
+    })
+    assert cli.main(["entropy", "--state", path, "--split", "A|B", "--quantity", "hmax"]) == 0
+    assert json.loads(capsys.readouterr().out)["hmax"] == pytest.approx(3.0611411837600855, abs=1e-11)
+
+
+@pytest.mark.parametrize("b", [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [0.0, 0.0, 1.0]], ids=["2-basis", "2-plus", "3-basis"])
+def test_max_entropy_given_a_pure_system_exits_0(b, tmp_path, capsys):
+    # rho_A x |b><b| is the state whose purification route stalled the cone program.
+    rho = np.kron(qcore.random_density([12], np.random.default_rng(1)), np.outer(b, b))
+    path = _write(tmp_path, "pure_b.json", {
+        "systems": [{"label": "A", "dim": 12}, {"label": "B", "dim": len(b)}],
         "state": {"kind": "mixed", "matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]},
     })
     assert cli.main(["entropy", "--state", path, "--split", "A|B", "--quantity", "hmax"]) == 0
@@ -392,10 +404,11 @@ def test_malformed_arguments_exit_2_with_a_diagnostic(argv, env_seed, monkeypatc
         ["entropy", "--split", "A|B", "--quantity", "h0"],
         ["entropy", "--split", "A|B", "--quantity", "hmin"],
         ["entropy", "--split", "A|B", "--quantity", "h2"],
+        ["entropy", "--split", "A|B", "--quantity", "hmax"],
         ["region", "--mode", "cost", "--senders", "A", "--reference", "B"],
         ["region", "--mode", "seq", "--senders", "A", "--ordering", "A", "--reference", "B"],
     ],
-    ids=["entropy-h0", "entropy-hmin", "entropy-h2", "region-cost", "region-seq"],
+    ids=["entropy-h0", "entropy-hmin", "entropy-h2", "entropy-hmax", "region-cost", "region-seq"],
 )
 def test_a_state_below_the_tolerances_exits_2_with_a_diagnostic(argv, tmp_path, capsys):
     matrix = [[[1e-12, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]

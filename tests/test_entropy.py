@@ -485,6 +485,19 @@ def test_max_entropy_conditioned_on_a_dimension_one_system_is_the_closed_form(se
     assert entropy.conditional_max_entropy(rho, []) == entropy.max_entropy_unconditioned(rho)
 
 
+@pytest.mark.parametrize("b", [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+                         ids=["2-basis", "2-plus", "3-basis", "3-first"])
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_max_entropy_conditioned_on_a_pure_system_is_the_closed_form(seed, b):
+    # rho_B pure forces rho_AB = rho_A x |b><b|, so H_max(A|B) = H_max(rho_A); the
+    # purification route sent a rank-one program to the cone, which stalled.
+    rho_a = qcore.random_density([12], np.random.default_rng(seed))
+    rho = qcore.make_state([("A", 12), ("B", len(b))], np.kron(rho_a, np.outer(b, b)))
+    closed_form = entropy.max_entropy_unconditioned(qcore.partial_trace(rho, ["A"]))
+    assert entropy.conditional_max_entropy(rho, ["B"]) == closed_form
+    assert closed_form == pytest.approx([3.0611411837600855, 3.117547413479668, 3.069848404911038][seed - 1], abs=1e-14)
+
+
 def _max_entropy_fidelity_search(rho: qcore.LabeledState, cond, restarts: int, seed: int) -> float:
     """H_max(A|B) = max over states sigma^B of log2 F^2(rho^{AB}, I x sigma^B), by
     Nelder-Mead from ``restarts`` random starts; small dims only.

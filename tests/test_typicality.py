@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from entlab import qcore, typicality
+from entlab import acceptance, qcore, typicality
 
 
 def test_deterministic_source_has_single_member():
@@ -116,10 +117,112 @@ def test_projector_checks_pure_state_trivial():
     assert report.gentle_lhs == pytest.approx(0.0, abs=1e-12)
 
 
-def test_projector_cap_enforced():
-    state = qcore.max_mixed(3)
-    with pytest.raises(qcore.StateError):
-        typicality.typical_projector_checks(state, n=9, delta=0.1)
+def _projector_reference(state: qcore.LabeledState, n: int, delta: float) -> typicality.ProjectorReport:
+    """The typical-projector checks by listing all d^n eigenvalue sequences of rho^{(x)n}."""
+    d = state.total_dim
+    p = np.sort(state.spectrum())[::-1]
+    c = typicality.typicality_constant(p)
+    entropy_bits = qcore.shannon_entropy(p)
+
+    sequences = np.array(list(itertools.product(range(d), repeat=n)))
+    with np.errstate(divide="ignore"):
+        log_p = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), -np.inf)
+    seq_log_prob = log_p[sequences].sum(axis=1)
+    typical = typicality.typical_mask(sequences, p, delta) & (seq_log_prob > -np.inf)
+
+    probs = np.where(seq_log_prob > -np.inf, 2.0**seq_log_prob, 0.0)
+    mass = float(probs[typical].sum())
+    epsilon = max(0.0, 1.0 - mass)
+
+    bounds = typicality.typical_set_bounds(entropy_bits, c, n, delta, epsilon)
+    typ_probs = probs[typical]
+    eig_ok = bool(
+        np.all(typ_probs >= bounds.member_prob_min * (1 - 1e-9))
+        and np.all(typ_probs <= bounds.member_prob_max * (1 + 1e-9))
+    )
+    card = int(typical.sum())
+    card_ok = bounds.cardinality_min * (1 - 1e-9) <= card <= bounds.cardinality_max * (1 + 1e-9)
+
+    if mass > 0:
+        purity = float((typ_probs**2).sum() / mass**2)
+        purity_bound = (1 - epsilon) ** -2 * 2.0 ** (-n * (entropy_bits - 3 * c * delta))
+    else:
+        purity = math.inf
+        purity_bound = math.inf
+    gentle_lhs = float(probs[~typical].sum())  # || P rho P - rho ||_1 for a diagonal projector
+    gentle_rhs = 2.0 * math.sqrt(epsilon)
+    hoeffding = 1.0 - 2.0 * d * math.exp(-2.0 * n * delta * delta)
+    return typicality.ProjectorReport(
+        n=n,
+        delta=delta,
+        epsilon=epsilon,
+        mass_ok=mass >= hoeffding - 1e-12,
+        eigenvalue_sandwich_ok=eig_ok,
+        cardinality_sandwich_ok=bool(card_ok),
+        purity_bound_ok=(purity <= purity_bound * (1 + 1e-9)) or math.isinf(purity_bound),
+        gentle_ok=gentle_lhs <= gentle_rhs + 1e-12,
+        purity=purity,
+        purity_bound=purity_bound,
+        gentle_lhs=gentle_lhs,
+        gentle_rhs=gentle_rhs,
+        hoeffding_floor=hoeffding,
+    )
+
+
+PROJECTOR_FLAGS = ("mass_ok", "eigenvalue_sandwich_ok", "cardinality_sandwich_ok", "purity_bound_ok", "gentle_ok")
+
+
+def _assert_matches_reference(state: qcore.LabeledState, n: int, delta: float) -> None:
+    """Equal flags, plain bools, and every float within 2e-15 absolute or 1e-12 relative of the reference.
+
+    gentle_rhs = 2 sqrt(epsilon) is compared as the epsilon it is computed
+    from: near epsilon = 0 the square root turns a 1e-16 move into 2e-8.
+    """
+    report = typicality.typical_projector_checks(state, n, delta)
+    expected = _projector_reference(state, n, delta)
+    assert report.gentle_rhs == 2.0 * math.sqrt(report.epsilon)
+    for field in dataclasses.fields(report):
+        got, want = getattr(report, field.name), getattr(expected, field.name)
+        if field.name == "gentle_rhs":
+            got, want = (got / 2.0) ** 2, (want / 2.0) ** 2
+        if field.name in PROJECTOR_FLAGS:
+            assert type(got) is bool and got == want, (field.name, n, delta)
+        elif got != want:
+            assert abs(got - want) <= max(2e-15, 1e-12 * abs(want)), (field.name, got, want, n, delta)
+
+
+def test_projector_checks_on_the_properties_draws_match_the_enumeration(monkeypatch):
+    inputs = []
+    checks = typicality.typical_projector_checks
+
+    def spy(state, n, delta):
+        inputs.append((state, n, delta))
+        return checks(state, n, delta)
+
+    monkeypatch.setattr(typicality, "typical_projector_checks", spy)
+    assert acceptance.run_one("properties").passed
+    monkeypatch.undo()
+    assert len(inputs) == 100
+    for state, n, delta in inputs:
+        _assert_matches_reference(state, n, delta)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_projector_checks_on_the_qubit_grid_match_the_enumeration(n):
+    for p in np.linspace(0.05, 0.95, 61):
+        state = qcore.make_state([("A", 2)], np.diag([p, 1 - p]).astype(complex))
+        for delta in (1.0 / n + 0.05, 0.15):
+            _assert_matches_reference(state, n, delta)
+
+
+@pytest.mark.parametrize("spectrum, n, delta", [([1.0, 0.0], 6, 0.05), ([0.8, 0.2], 10, 0.1)])
+def test_projector_checks_on_the_test_states_match_the_enumeration(spectrum, n, delta):
+    _assert_matches_reference(qcore.make_state([("A", 2)], np.diag(spectrum).astype(complex)), n, delta)
+
+
+def test_projector_checks_past_the_old_cap_match_the_enumeration():
+    # 3^9 = 19683 sequences, more than the 4096 that the enumeration was once capped at.
+    _assert_matches_reference(qcore.max_mixed(3), n=9, delta=0.1)
 
 
 def test_gentle_measurement_matrix_level():
