@@ -5,8 +5,9 @@
 
 OLD_SRC and NEW_SRC each hold an ``entlab`` package; a directory without
 one is refused as ``timing.py`` describes.  Each tree runs in its own
-interpreter at one BLAS thread, the old one twice (see ``cone`` below), all
-at once, on the same inputs, all taken from this checkout:
+interpreter at one BLAS thread, the old one five times (see ``cone`` and
+``phase`` below), all at once, on the same inputs, all taken from this
+checkout:
 
 - ``cli``: the golden JSON and CSV cases of ``tests/test_cli.py``, run in
   ``tests/data``, with every float printed to 17 significant digits instead
@@ -23,8 +24,8 @@ An output is one case, criterion, golden input or task; a field is one value
 in it.  A field moves when it is not the same float (the same ``repr``), or,
 for any other value, not equal.  Each moved field is listed with its old and
 new values, |delta|, both 12-significant-digit strings and the evidence that
-its old digits were not certified.  The ledger knows two kinds of evidence,
-both read from the old tree:
+its old digits were not certified.  The ledger knows three kinds of
+evidence, all read from the old tree:
 
 - ``pure``: a pure state stored as amplitudes has spec(rho_T) =
   spec(rho_{T^c}) exactly, so the old tree's own max |S(T) - S(T^c)|, each
@@ -40,11 +41,18 @@ both read from the old tree:
   the width into the field's unit: cone_width times the optimum for a raw
   optimum, dual bound or 2^H_max, about log2(optimum / dual_bound) for an
   H_min, an H_max or a cost built from them.
+- ``phase``: a global phase changes no density operator, so in exact
+  arithmetic no reported value.  Every state stored as amplitudes enters
+  through ``qcore.pure_state``; three more collections run the old tree with
+  its amplitudes multiplied by e^{i theta}, one per theta in PHASES.  The
+  largest |field(theta) - field| over the output's float fields and the
+  three phases is the roundoff that its values carry.  It holds for every
+  field of the output; a spread of 0 is none.
 
-A field's evidence is the larger of the two that it has; the ``evidence``
-column holds it, and the ``evidence`` object of the payload both kinds for
-each output with a moved field.  A field with neither has none, and the
-column says so.  A moved float is explained when |delta| is at most
+A field's evidence is the largest of the kinds that it has; the
+``evidence`` column holds it, and the ``evidence`` object of the payload
+every kind for each output with a moved field.  A field with none has none,
+and the column says so.  A moved float is explained when |delta| is at most
 EVIDENCE_FACTOR times its evidence (``delta_over_evidence`` gives the
 ratio): a reported value such as S(T|rest) is a difference of two
 entropies, and each may carry that roundoff.  A larger move, or one without
@@ -71,6 +79,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -86,10 +95,11 @@ MODULES = ("acceptance", "assisted", "cli", "decoupling", "entropy", "protocols"
 BOUND = 1e-11  # the largest |delta| a moved float may have
 EVIDENCE_FACTOR = 2.0  # the largest |delta| / evidence of an explained move: a difference of two entropies
 TAINT = 1e-9  # the relative scaling of cone results that finds the fields read from them
+PHASES = (0.7, 1.9, 2.6)  # the global phases, in radians, of the phase collections
 TESTS = timing.ROOT / "tests"
 DATA = TESTS / "data"
 FULL_DIGITS = 17  # enough for every float to round-trip
-NO_EVIDENCE = "none: the output reads no pure state stored as amplitudes, and the field no cone value"
+NO_EVIDENCE = "none: the output reads no pure state stored as amplitudes, moves under no global phase, and the field no cone value"
 ABSENT = "<absent>"  # a field that one tree's output does not have
 COLUMNS = ("output", "field", "old", "new", "abs_delta", "old_12", "new_12", "evidence", "delta_over_evidence")
 WORK_COLUMNS = ("output", "field", "old", "new")
@@ -106,10 +116,12 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     for src in (args.old, args.new):
         timing.package_dir(src)
-    old, new, tainted = _collect_all([args.old, "--sources", args.sources, "--evidence"],
-                                     [args.new, "--sources", args.sources],
-                                     [args.old, "--sources", args.sources, "--taint"])
+    old, new, tainted, *phased = _collect_all([args.old, "--sources", args.sources, "--evidence"],
+                                              [args.new, "--sources", args.sources],
+                                              [args.old, "--sources", args.sources, "--taint"],
+                                              *([args.old, "--sources", args.sources, "--phase", repr(theta)] for theta in PHASES))
     old["tainted"] = tainted["outputs"]
+    old["phased"] = [run["outputs"] for run in phased]
     rows, work = moved_rows(old, new)
     summary = summarize(old, new, rows, work)
     payload = {"old": str(Path(args.old).resolve()), "new": str(Path(args.new).resolve()),
@@ -156,14 +168,18 @@ def _twelve(x) -> str | None:
 
 
 def evidence_kinds(old: dict, output: str) -> dict:
-    """The old tree's evidence for ``output``: ``pure``, and the widest relative cone interval."""
+    """The old tree's evidence for ``output``: ``pure``, the widest relative cone interval, and ``phase``."""
     widths = [max(0.0, optimum - dual) / optimum for dual, optimum, _ in old["cones"].get(output, [])]
-    return {"pure": old["evidence"].get(output), "cone_width": max(widths, default=None)}
+    fields = old["outputs"].get(output, {})
+    spreads = [abs(z - x) for run in old["phased"] for field, z in run.get(output, {}).items()
+               if isinstance(x := fields.get(field), float) and isinstance(z, float) and math.isfinite(z - x)]
+    return {"pure": old["evidence"].get(output), "cone_width": max(widths, default=None),
+            "phase": max(spreads, default=0.0) or None}
 
 
 def field_evidence(old: dict, kinds: dict, output: str, field: str) -> float | None:
-    """The larger of the pure evidence and, for a field read from the cone, the cone width in its unit."""
-    known = [kinds["pure"]]
+    """The largest of the pure and phase evidence and, for a field read from the cone, the cone width in its unit."""
+    known = [kinds["pure"], kinds["phase"]]
     x, z = old["outputs"].get(output, {}).get(field), old["tainted"].get(output, {}).get(field)
     if kinds["cone_width"] is not None and isinstance(x, float) and isinstance(z, float) and not _same(x, z):
         known.append(abs(z - x) / TAINT * kinds["cone_width"])
@@ -241,12 +257,14 @@ def collect(argv: list[str]) -> int:
     """Print, as one JSON object, the fields of every output of ``--sources`` in the tree at SRC,
     the cone solves each output read (:class:`ConeReads`), and with ``--evidence``
     each output's price (:class:`PureReads`); with ``--taint`` every cone result is
-    scaled by 1 + TAINT."""
+    scaled by 1 + TAINT, and with ``--phase THETA`` every amplitude vector given to
+    ``qcore.pure_state`` is multiplied by e^{i THETA}."""
     p = argparse.ArgumentParser()
     p.add_argument("src")
     _add_sources_option(p)
     p.add_argument("--evidence", action="store_true")
     p.add_argument("--taint", action="store_true")
+    p.add_argument("--phase", type=float)
     args = p.parse_args(argv)
     modules = dict(zip(MODULES, timing.load(args.src, *MODULES)))
     sys.path.insert(0, str(TESTS))
@@ -259,6 +277,8 @@ def collect(argv: list[str]) -> int:
         mp.setattr(cli, "_round_floats", lambda obj, digits=12: round_floats(obj, FULL_DIGITS))
         mp.setattr(cli, "_format_cell", lambda value: f"{value:.{FULL_DIGITS}g}" if isinstance(value, float) else format_cell(value))
         reads = PureReads(modules["entropy"], modules["qcore"], mp) if args.evidence else None
+        if args.phase is not None:
+            _shift_phase(modules["qcore"], mp, args.phase)
         solves = ConeReads(modules["entropy"], mp, 1.0 + TAINT if args.taint else 1.0)
         for source in args.sources.split(","):
             for output, produce in UNITS[source](modules):
@@ -267,6 +287,15 @@ def collect(argv: list[str]) -> int:
                 cones[output] = solves.take()
     json.dump({"outputs": outputs, "evidence": evidence, "cones": cones}, sys.stdout)
     return 0
+
+
+def _shift_phase(qcore, mp, theta: float) -> None:
+    """Make ``qcore.pure_state`` multiply its amplitudes by e^{i theta}."""
+    import numpy as np
+
+    pure_state = qcore.pure_state
+    phase = np.exp(1j * theta)
+    mp.setattr(qcore, "pure_state", lambda systems, amplitudes: pure_state(systems, phase * np.asarray(amplitudes, dtype=complex)))
 
 
 def leaves(obj, path: str = ""):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -99,23 +100,34 @@ def emit_json(payload: dict, out_path: str | None) -> None:
         # NaN and infinities have no JSON form: refuse the output, write nothing.
         raise qcore.StateError(f"output is not valid JSON: {exc}") from None
     if out_path:
-        # A random sibling, created exclusively, then renamed over the output in one step.
-        out = Path(out_path)
-        tmp = out.with_name(f".{out.name}.{secrets.token_hex(8)}.tmp")
-        with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
-        tmp.replace(out)
+        _replace_file(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def emit_csv(rows: list[dict], out_path: str) -> None:
-    fields = list(rows[0].keys()) if rows else []
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _format_cell(v) for k, v in row.items()})
+    """Format every row, then write the table as :func:`_replace_file` does."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()) if rows else [])
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _format_cell(v) for k, v in row.items()})
+    _replace_file(out_path, buf.getvalue())
+
+
+def _replace_file(out_path: str, text: str) -> None:
+    """Write ``text`` to a random sibling, created exclusively, then rename it over
+    the output in one step; a failed write removes the sibling and leaves the output."""
+    out = Path(out_path)
+    tmp = out.with_name(f".{out.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        tmp.replace(out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _format_cell(value):

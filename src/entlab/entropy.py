@@ -104,14 +104,8 @@ def coherent_information(state: LabeledState, frm: Iterable[str] | str, to: Iter
 
 
 def zero_entropy(state: LabeledState) -> float:
-    """H_0: log2 of the rank of the state's operator; reduce first for a marginal's.
-
-    An operator with no eigenvalue above 1e-10 has rank 0 and raises StateError.
-    """
-    rank = int(np.sum(state.spectrum() > 1e-10))
-    if rank == 0:
-        raise StateError("H_0 is undefined: the operator has no eigenvalue above 1e-10")
-    return math.log2(rank)
+    """H_0: log2 of the number of eigenvalues above SUPPORT_TOL, SupportError if none; reduce first for a marginal's."""
+    return math.log2(int(qcore._support_mask(state.spectrum()).sum()))
 
 
 QUANTITIES = ("svn", "cond", "coh", "hmin", "h2", "hmax", "h0", "all")

@@ -74,13 +74,18 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def _support_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, eigenvectors and the mask of those above SUPPORT_TOL, the one eigenvalue cut; SupportError if none is."""
-    eigs, vecs = np.linalg.eigh(matrix)
+def _support_mask(eigs: np.ndarray) -> np.ndarray:
+    """The mask of the eigenvalues above SUPPORT_TOL, the one eigenvalue cut; SupportError if none is."""
     kept = eigs > SUPPORT_TOL
     if not kept.any():
         raise SupportError(f"the operator has no eigenvalue above {SUPPORT_TOL:g}")
-    return eigs, vecs, kept
+    return kept
+
+
+def _support_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and their :func:`_support_mask`."""
+    eigs, vecs = np.linalg.eigh(matrix)
+    return eigs, vecs, _support_mask(eigs)
 
 
 class LabeledState:
@@ -448,50 +453,38 @@ def tensor_all(states: Sequence[LabeledState]) -> LabeledState:
     return out
 
 
-def _sum_traced(blocks: np.ndarray, traced_dims: Sequence[int], d_keep: int) -> np.ndarray:
-    """Sum the diagonal blocks <j|rho|j> over the traced index j: the summation of every partial trace.
-
-    ``blocks`` holds the traced systems' axes first, last system first, then
-    the kept rows and columns.  Each step adds the outermost axis term by term
-    into every entry; where a step leaves one entry, numpy sums pairwise, as
-    np.trace of the dense tensor does, so both give the same bits.
-    """
-    t = blocks.reshape(tuple(traced_dims) + (d_keep, d_keep))
-    for _ in traced_dims:
-        t = np.add.reduce(np.ascontiguousarray(t), axis=0)
-    return t
-
-
 def _partial_trace_dense(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace a dense operator on systems of ``dims`` down to the systems at positions ``keep``.
 
     The kept systems stay in their order in ``dims``.  Giving each traced
     system one index for row and column makes einsum return the diagonal
-    blocks as a view, so no D x D copy is made.  Systems of dimension 1 add
-    nothing and are left out, which keeps einsum within its 52 indices.
+    blocks <j|rho|j> as a view, traced systems first, last system first, so
+    no D x D copy is made.  Systems of dimension 1 add nothing and are left
+    out, which keeps einsum within its 52 indices.  The blocks are summed one
+    traced axis at a time, the outermost term by term into every entry; where
+    a step leaves one entry, numpy sums pairwise, as np.trace of the dense
+    tensor does, so both give the same bits.
     """
     axes = [i for i, d in enumerate(dims) if d > 1]
     dims, kept = [dims[i] for i in axes], [axes.index(i) for i in sorted(keep) if i in axes]
     n = len(dims)
     traced = [i for i in reversed(range(n)) if i not in kept]
     cols = [i if i in traced else n + i for i in range(n)]
-    blocks = np.einsum(matrix.reshape(dims * 2), list(range(n)) + cols, traced + kept + [n + i for i in kept])
-    return _sum_traced(blocks, [dims[i] for i in traced], math.prod(dims[i] for i in kept))
+    d_keep = math.prod(dims[i] for i in kept)
+    t = np.einsum(matrix.reshape(dims * 2), list(range(n)) + cols, traced + kept + [n + i for i in kept])
+    t = t.reshape([dims[i] for i in traced] + [d_keep, d_keep])
+    for _ in traced:
+        t = np.add.reduce(np.ascontiguousarray(t), axis=0)
+    return t
 
 
 def _partial_trace_vector(amplitudes: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state on the positions ``keep`` (ascending).
-
-    With the amplitudes reshaped to Psi[traced, kept], the diagonal blocks are
-    the row outer products, symmetrized as the dense matrix is: only the
-    D * d_keep products that the trace keeps, never the D x D matrix.
-    """
+    """Reduced density matrix of a pure state on the positions ``keep`` (ascending): the Gram matrix
+    Psi^T conj(Psi) of the amplitudes reshaped to Psi[traced, kept] in the dense path's axis order."""
     traced = [i for i in reversed(range(len(dims))) if i not in keep]
     d_keep = math.prod(dims[i] for i in keep)
-    psi = np.ascontiguousarray(amplitudes.reshape(dims).transpose(traced + list(keep))).reshape(-1, d_keep)
-    products = psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :]
-    products = (products + products.conj().transpose(0, 2, 1)) / 2.0
-    return _sum_traced(products, [dims[i] for i in traced], d_keep)
+    psi = amplitudes.reshape(dims).transpose(traced + list(keep)).reshape(-1, d_keep)
+    return _hermitian_part(psi.T @ psi.conj())
 
 
 def partial_trace(state: LabeledState, keep: Iterable[str] | str) -> LabeledState:

@@ -241,6 +241,18 @@ def test_out_keeps_a_sibling_tmp_file_and_writes_the_stdout_bytes(tmp_path, monk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json", "result.tmp"]
 
 
+def test_a_csv_row_that_cannot_be_formatted_leaves_the_existing_csv(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_bytes(b"kept\r\n1\r\n")
+    # A field that the header, read from the first row, lacks fails before
+    # anything is written; a lone surrogate fails while the sibling is written.
+    for rows in ([{"a": 1.0}, {"a": 2.0, "b": 3.0}], [{"a": 1.0}, {"a": "\ud800"}]):
+        with pytest.raises(ValueError):
+            cli.emit_csv(rows, str(table))
+        assert table.read_bytes() == b"kept\r\n1\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
 def test_seed_env_override(monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV, "0x123")
     assert cli.default_seed() == 0x123
@@ -430,10 +442,26 @@ def test_a_state_below_the_support_cut_gives_one_message_for_hmin_and_seq(tmp_pa
     })
     messages = []
     for argv in (["entropy", "--split", "A|B", "--quantity", "hmin"],
+                 ["entropy", "--split", "A|B", "--quantity", "h0"],
                  ["region", "--mode", "seq", "--senders", "A", "--ordering", "A", "--reference", "B"]):
         assert cli.main([argv[0], "--state", path] + argv[1:]) == 2
         messages.append(capsys.readouterr().err)
-    assert messages == [f"error: the operator has no eigenvalue above {entropy.SUPPORT_TOL:g}\n"] * 2
+    assert messages == [f"error: the operator has no eigenvalue above {entropy.SUPPORT_TOL:g}\n"] * 3
+
+
+def test_zero_entropy_counts_the_support_that_max_entropy_reads(tmp_path, capsys):
+    # rho_A = diag(1 - 5e-11, 5e-11) has rank 2 at the one support cut, as its
+    # purification's reference of dimension 2 shows; H_max(A|B) <= H_0(A).
+    rho_a = np.diag([1.0 - 5e-11, 5e-11])
+    assert qcore.purify(qcore.make_state([("A", 2)], rho_a)).dims == (2, 2)
+    rho = np.kron(rho_a, np.diag([1.0, 0.0]))
+    path = _write(tmp_path, "faint_a.json", {
+        "systems": [{"label": "A", "dim": 2}, {"label": "B", "dim": 2}],
+        "state": {"kind": "mixed", "matrix": [[[x, 0.0] for x in row] for row in rho.tolist()]},
+    })
+    assert cli.main(["entropy", "--state", path, "--split", "A|B", "--quantity", "all"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["h0"] == 1.0 and 0.0 < out["hmax"] <= out["h0"]
 
 
 @pytest.mark.parametrize("mode, extra", [("split", ["--cut", "C1", "--receiver", "B", "--receiver-b", "R"]),

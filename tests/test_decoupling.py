@@ -244,7 +244,9 @@ def test_working_state_is_the_tensor_of_marginal_and_ancillas():
 
 # tests/data/instrument_golden.json was written by the one-outcome-at-a-time
 # loop (commit cbacd45), whose distances came from one trace_norm call each:
-# every per-sample value and outcome row, as float.hex.
+# every per-sample value and outcome row, as float.hex.  The fields of the
+# five random pure-state cases that moved when a reduction of a state stored
+# as amplitudes became one Gram product were rewritten then, and only those.
 INSTRUMENT_GOLDEN = json.loads((DATA / "instrument_golden.json").read_text(encoding="utf-8"))
 
 

@@ -1,7 +1,9 @@
 """scripts/digit_ledger.py refuses a tree without entlab, lists nothing between
 a tree and itself, and exactly the outputs that read a function whose values
 a copy moves by 1e-13, none of them explained; a cone optimum moved inside its
-certified interval is explained, one moved outside it is not.
+certified interval is explained, one moved outside it is not, and a move
+within the spread of an output under a global phase is explained, one beyond
+it is not.
 
 The ledger runs read the golden CLI cases only (``--sources cli``), each tree in its
 own interpreter, so each takes a few seconds.
@@ -53,9 +55,25 @@ def conditional_min_entropy(rho, cond):
 CONE_OUTPUTS = {"cli/entropy_mixed4", "cli/entropy_pure5", "cli/seq_mixed4", "csv/entropy_mixed4"}
 
 
-def _planted_copy(tmp_path: Path, plant: str) -> Path:
+# Appended to a copy of assisted.py: every float of the `entlab assist` report
+# is scaled by 1 + SCALE, which the test fills in.
+ASSIST_PLANT = """
+
+import dataclasses as _dataclasses
+
+_planted_assist = assisted_lower_bound
+
+
+def assisted_lower_bound(state, a_labels, b_labels, helpers):
+    report = _planted_assist(state, a_labels, b_labels, helpers)
+    scaled = {k: v * (1.0 + SCALE) for k, v in _dataclasses.asdict(report).items() if isinstance(v, float)}
+    return _dataclasses.replace(report, **scaled)
+"""
+
+
+def _planted_copy(tmp_path: Path, module: str, plant: str) -> Path:
     shutil.copytree(ROOT / "src" / "entlab", tmp_path / "entlab", ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "entlab" / "entropy.py", "a", encoding="utf-8") as fh:
+    with open(tmp_path / "entlab" / f"{module}.py", "a", encoding="utf-8") as fh:
         fh.write(plant)
     return tmp_path
 
@@ -84,17 +102,19 @@ def test_a_tree_against_itself_lists_nothing():
 
 
 def test_a_planted_change_lists_exactly_the_outputs_that_read_it(tmp_path):
-    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, PLANT))
+    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, "entropy", PLANT))
     moved = {(row[0], row[1]): row for row in out["moved"]}
     # The two `entropy --quantity all` cases print h2, and one of them is also a CSV case.
     assert set(moved) == {("cli/entropy_mixed4", "json.h2"), ("cli/entropy_pure5", "json.h2"), ("csv/entropy_mixed4", "rows[0].h2")}
     for _, _, old, new, delta, old_12, new_12, _, _ in out["moved"]:
         assert new == pytest.approx(old * (1.0 + 1e-13), rel=1e-15, abs=0.0)
         assert delta == abs(new - old) and old_12 == new_12
-    # mixed4.json is a dense state, so its h2 has no evidence.  pure5.json is
-    # stored as amplitudes, but the planted move is more than twice the
-    # roundoff of its entropies, so the evidence does not explain it either.
-    assert moved["cli/entropy_mixed4", "json.h2"][7].startswith("none")
+    # mixed4.json is a dense state, so its h2 has no pure evidence; H_max
+    # purifies it, so the output has phase evidence.  pure5.json is stored as
+    # amplitudes.  The planted move is more than twice the roundoff of either,
+    # so the evidence explains neither.
+    assert out["evidence"]["cli/entropy_mixed4"]["pure"] is None
+    assert moved["cli/entropy_mixed4", "json.h2"][8] > 2.0
     pure = moved["cli/entropy_pure5", "json.h2"]
     assert isinstance(pure[7], float) and pure[8] > 2.0
     assert out["summary"]["cli"]["unexplained"] == 2 and out["summary"]["csv"]["unexplained"] == 1
@@ -105,7 +125,7 @@ def test_a_planted_change_lists_exactly_the_outputs_that_read_it(tmp_path):
 def test_a_planted_cone_move_is_explained_only_inside_its_interval(tmp_path, scale, explained):
     # 1e-13 relative is about 1.4e-13 bits, inside the interval's 7e-11 bits;
     # 1e-9 relative is 20 times beyond it.
-    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, CONE_PLANT.replace("SCALE", repr(scale))))
+    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, "entropy", CONE_PLANT.replace("SCALE", repr(scale))))
     assert {row[0] for row in out["moved"]} == CONE_OUTPUTS
     assert out["work_counts"] == []
     for output, _, _, _, delta, _, _, evidence, ratio in out["moved"]:
@@ -118,3 +138,24 @@ def test_a_planted_cone_move_is_explained_only_inside_its_interval(tmp_path, sca
     unexplained = sum(out["summary"][source]["unexplained"] for source in ("cli", "csv"))
     assert unexplained == (0 if explained else len(out["moved"]))
     assert code == (0 if explained else 1)
+
+
+@pytest.mark.parametrize("scale,explained", [(1e-15, True), (1e-12, False)], ids=["inside", "outside"])
+def test_a_planted_move_is_explained_only_within_the_phase_spread(tmp_path, scale, explained):
+    # ch5.json is example_ch5, the tensor of two pure states: dense, so it has
+    # no pure evidence, but its values move under a global phase.  assist4.json
+    # is a mixed state that no global phase reaches.
+    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, "assisted", ASSIST_PLANT.replace("SCALE", repr(scale))))
+    by_output = {}
+    for row in out["moved"]:
+        by_output.setdefault(row[0], []).append(row)
+    assert "cli/assist_ch5" in by_output and {"cli/assist_mixed4", "cli/assist_mixed4_grouped"} <= set(by_output)
+    ch5 = out["evidence"]["cli/assist_ch5"]
+    assert ch5["pure"] is None and ch5["cone_width"] is None and 0.0 < ch5["phase"] < 1e-13
+    assert all(row[7] == ch5["phase"] for row in by_output["cli/assist_ch5"])
+    assert (max(row[8] for row in by_output["cli/assist_ch5"]) <= 2.0) is explained
+    for output, rows in by_output.items():
+        if output.startswith("cli/assist_mixed4"):
+            assert out["evidence"][output]["phase"] is None
+            assert all(row[7].startswith("none") for row in rows)
+    assert code == 1  # the assist_mixed4 moves have no evidence
