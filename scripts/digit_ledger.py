@@ -45,9 +45,14 @@ evidence, all read from the old tree:
   arithmetic no reported value.  Every state stored as amplitudes enters
   through ``qcore.pure_state``; three more collections run the old tree with
   its amplitudes multiplied by e^{i theta}, one per theta in PHASES.  The
-  largest |field(theta) - field| over the output's float fields and the
-  three phases is the roundoff that its values carry.  It holds for every
-  field of the output; a spread of 0 is none.
+  same collections left-multiply every random-instrument unitary drawn by
+  ``qcore.haar_unitaries_per_stream`` by diag(e^{i theta k}): a diagonal
+  commutes with every outcome projector of the computational basis and with
+  tau x psi^R, so no probability or distance changes either, and dense
+  inputs to the instrument get evidence too.  The largest
+  |field(theta) - field| over the output's float fields and the three
+  phases is the roundoff that its values carry.  It holds for every field of
+  the output; a spread of 0 is none.
 
 A field's evidence is the largest of the kinds that it has; the
 ``evidence`` column holds it, and the ``evidence`` object of the payload
@@ -95,7 +100,7 @@ MODULES = ("acceptance", "assisted", "cli", "decoupling", "entropy", "protocols"
 BOUND = 1e-11  # the largest |delta| a moved float may have
 EVIDENCE_FACTOR = 2.0  # the largest |delta| / evidence of an explained move: a difference of two entropies
 TAINT = 1e-9  # the relative scaling of cone results that finds the fields read from them
-PHASES = (0.7, 1.9, 2.6)  # the global phases, in radians, of the phase collections
+PHASES = (0.7, 1.9, 2.6)  # the phases theta, in radians, of the phase collections
 TESTS = timing.ROOT / "tests"
 DATA = TESTS / "data"
 FULL_DIGITS = 17  # enough for every float to round-trip
@@ -258,7 +263,8 @@ def collect(argv: list[str]) -> int:
     the cone solves each output read (:class:`ConeReads`), and with ``--evidence``
     each output's price (:class:`PureReads`); with ``--taint`` every cone result is
     scaled by 1 + TAINT, and with ``--phase THETA`` every amplitude vector given to
-    ``qcore.pure_state`` is multiplied by e^{i THETA}."""
+    ``qcore.pure_state`` is multiplied by e^{i THETA} and every unitary of
+    ``qcore.haar_unitaries_per_stream`` by diag(e^{i THETA k}) (:func:`_shift_phase`)."""
     p = argparse.ArgumentParser()
     p.add_argument("src")
     _add_sources_option(p)
@@ -290,12 +296,15 @@ def collect(argv: list[str]) -> int:
 
 
 def _shift_phase(qcore, mp, theta: float) -> None:
-    """Make ``qcore.pure_state`` multiply its amplitudes by e^{i theta}."""
+    """Make ``qcore.pure_state`` multiply its amplitudes by e^{i theta}, and
+    ``qcore.haar_unitaries_per_stream`` left-multiply each unitary by diag(e^{i theta k})."""
     import numpy as np
 
-    pure_state = qcore.pure_state
+    pure_state, draw = qcore.pure_state, qcore.haar_unitaries_per_stream
     phase = np.exp(1j * theta)
     mp.setattr(qcore, "pure_state", lambda systems, amplitudes: pure_state(systems, phase * np.asarray(amplitudes, dtype=complex)))
+    mp.setattr(qcore, "haar_unitaries_per_stream",
+               lambda dim, rngs: np.exp(1j * theta * np.arange(dim))[:, np.newaxis] * draw(dim, rngs))
 
 
 def leaves(obj, path: str = ""):

@@ -59,8 +59,8 @@ def _two_sender_state() -> qcore.LabeledState:
 
 
 def criterion_decoupling_bound(c: _Checks) -> None:
-    """Empirical mean + 2 stderr stays below the analytic bound on all three
-    benchmarks, one of them with a bound below 2."""
+    """Empirical mean + 2 stderr stays below the analytic bound on all four
+    benchmarks, two of them with a bound below 2, and Q falls as the ancillas grow."""
     state = _two_sender_state()
     spec = decoupling.InstrumentSpec(
         senders=(decoupling.sender("C1", 2, ancilla=1, rank=1), decoupling.sender("C2", 4, ancilla=2, rank=1)),
@@ -87,19 +87,30 @@ def criterion_decoupling_bound(c: _Checks) -> None:
     c.note(f"single-helper Q={single.empirical_q:.4f} bound={single.analytic_bound:.4f}")
 
     # The two cases above have bounds over 2, which no Q can exceed; with
-    # ancillas (4, 4) the bound falls below 2, so this check can fail.
-    spec44 = decoupling.InstrumentSpec(
-        senders=(decoupling.sender("C1", 2, ancilla=4, rank=1), decoupling.sender("C2", 4, ancilla=4, rank=1)),
-        seed=ACCEPTANCE_SEED,
-        samples=200,
-    )
-    ancillas = decoupling.simulate_random_instrument(state, spec44, ["R"])
-    c.expect(ancillas.analytic_bound < 2.0, f"two-sender (4,4): bound {ancillas.analytic_bound:.4f} not below 2")
-    c.expect(
-        ancillas.empirical_q + 2 * ancillas.stderr <= ancillas.analytic_bound,
-        f"two-sender (4,4): {ancillas.empirical_q:.4f}+2*{ancillas.stderr:.4f} > {ancillas.analytic_bound:.4f}",
-    )
-    c.note(f"two-sender (4,4) Q={ancillas.empirical_q:.4f} bound={ancillas.analytic_bound:.4f}")
+    # ancillas (4, 4) and (8, 8) the bound falls below 2, so these checks can
+    # fail.  A distance replaced by 2 - distance still passes at (4, 4); at
+    # (8, 8) the bound is near 1 and the true Q near 0.3.
+    smaller = None
+    for k in (4, 8):
+        spec_k = decoupling.InstrumentSpec(
+            senders=(decoupling.sender("C1", 2, ancilla=k, rank=1), decoupling.sender("C2", 4, ancilla=k, rank=1)),
+            seed=ACCEPTANCE_SEED,
+            samples=200,
+        )
+        ancillas = decoupling.simulate_random_instrument(state, spec_k, ["R"])
+        tag = f"two-sender ({k},{k})"
+        c.expect(ancillas.analytic_bound < 2.0, f"{tag}: bound {ancillas.analytic_bound:.4f} not below 2")
+        c.expect(
+            ancillas.empirical_q + 2 * ancillas.stderr <= ancillas.analytic_bound,
+            f"{tag}: {ancillas.empirical_q:.4f}+2*{ancillas.stderr:.4f} > {ancillas.analytic_bound:.4f}",
+        )
+        if smaller is not None:
+            c.expect(
+                ancillas.empirical_q < smaller.empirical_q,
+                f"two-sender: Q={ancillas.empirical_q:.4f} at ({k},{k}) does not fall below Q={smaller.empirical_q:.4f} at (4,4)",
+            )
+        c.note(f"{tag} Q={ancillas.empirical_q:.4f} bound={ancillas.analytic_bound:.4f}")
+        smaller = ancillas
 
 
 def criterion_entropy_engine(c: _Checks) -> None:

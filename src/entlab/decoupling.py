@@ -136,22 +136,28 @@ def decoupling_bound_minentropy(state: LabeledState, spec: InstrumentSpec, refer
     return prefactor * math.sqrt(total)
 
 
-def _working_state(state: LabeledState, spec: InstrumentSpec, ref_labels: Sequence[str]) -> np.ndarray:
-    """Marginal on senders + reference with each sender's ancilla in I/K, as an operator tensor.
+def _working_factor(state: LabeledState, spec: InstrumentSpec, ref_labels: Sequence[str]) -> np.ndarray:
+    """A factor V of the working state: V V^dagger is the marginal on senders +
+    reference with each sender's ancilla in I/K, and V a tensor (g_1, ..., g_m, d_R, r).
 
-    Both index sides are grouped as (g_1, ..., g_m, d_R): g_i = d_i K_i is
-    sender i's system followed by its ancilla, and d_R is the reference.
+    g_i = d_i K_i is sender i's system followed by its ancilla, and d_R the
+    reference.  One :func:`qcore._support_eigh` of the marginal gives its kept
+    eigenvectors scaled by sqrt(lambda); each ancilla adds the columns
+    delta(k, k') / sqrt(K), so r is the marginal's rank times prod K_i.
     """
-    parts = [qcore.partial_trace(state, [s.label for s in spec.senders] + list(ref_labels))]
-    order = []
+    labels = [s.label for s in spec.senders] + list(ref_labels)
+    marginal = qcore.permute_systems(qcore.partial_trace(state, labels), labels)
+    eigs, vecs, keep = qcore._support_eigh(marginal.matrix)
+    factor = vecs[:, keep] * np.sqrt(eigs[keep])
     for s in spec.senders:
-        order.append(s.label)
-        if s.ancilla > 1:
-            parts.append(qcore.max_mixed(s.ancilla, f"_anc{s.label}"))
-            order.append(f"_anc{s.label}")
-    work = qcore.permute_systems(qcore.tensor_all(parts), order + list(ref_labels))
-    grouped = tuple(s.dim * s.ancilla for s in spec.senders) + (math.prod(state.dim_of(x) for x in ref_labels),)
-    return work.matrix.reshape(grouped + grouped)
+        factor = np.kron(factor, np.eye(s.ancilla) / math.sqrt(s.ancilla))
+    # Rows (d_1, ..., d_m, d_R, K_1, ..., K_m), regrouped as (d_1 K_1, ..., d_m K_m, d_R).
+    m = len(spec.senders)
+    d_ref = math.prod(state.dim_of(x) for x in ref_labels)
+    rows = [s.dim for s in spec.senders] + [d_ref] + [s.ancilla for s in spec.senders]
+    order = [a for i in range(m) for a in (i, m + 1 + i)] + [m, 2 * m + 1]
+    grouped = tuple(s.dim * s.ancilla for s in spec.senders) + (d_ref, factor.shape[1])
+    return factor.reshape(rows + [factor.shape[1]]).transpose(order).reshape(grouped)
 
 
 def _outcome_blocks(s: SenderSpec) -> list[slice]:
@@ -162,53 +168,34 @@ def _outcome_blocks(s: SenderSpec) -> list[slice]:
     return blocks
 
 
-def _block_index(rows: np.ndarray, grouped: tuple[int, ...]) -> tuple:
-    """Index of the blocks rows x rows in a stack of operator tensors shaped (samples,) + grouped + grouped.
-
-    ``rows`` (..., side) holds flat row numbers; the index gives (samples, ..., side, side).
-    """
-    axes = np.unravel_index(rows, grouped)
-    return (slice(None),) + tuple(a[..., :, np.newaxis] for a in axes) + tuple(a[..., np.newaxis, :] for a in axes)
+_CHUNK_BYTES = 1 << 20  # rotated factors per chunk of samples: 16 samples of the (4, 4) acceptance case, 1 of the (8, 8)
 
 
-_CHUNK_BYTES = 1 << 20  # rotated tensors per chunk of samples: 16 samples of working side 64, 1 of side 256
-
-
-def _rotated(work: np.ndarray, senders: Sequence[SenderSpec], rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """``work`` rotated by one Haar unitary per sender, for each sample in ``rngs``, stacked on a leading axis.
+def _rotated(factor: np.ndarray, senders: Sequence[SenderSpec], rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """``factor`` rotated by one Haar unitary per sender, for each sample in ``rngs``, stacked on a leading axis.
 
     Each sender draws the chunk's unitaries through one
     :func:`qcore.haar_unitaries_per_stream` call, one QR for the chunk, so
     each sample's stream still draws its senders in order and every unitary
     is the one a draw per sample gives, bit for bit.  All are drawn before
     the first rotation, so no small array is allocated between the large
-    products: in a fresh process the (8, 8) case then takes 3,100 minor page
-    faults per call, not 21,500.  The stacked U acts
-    on its row axis through one batched ``np.matmul`` and the stacked
-    conj(U)^T on its column axis through another; ``work`` itself, without a
-    sample axis, is the broadcast operand of the first.  Each sample's
-    products are the gemm calls that ``np.dot`` makes in
-    :func:`qcore._sandwich`, on the same operands, so the rotated bits are
-    its bits.  A sender of dimension 1 without an ancilla draws a 1 x 1
-    unitary, a phase, and is not applied: U rho U^dagger = rho.  ``np.dot``
-    scaled by such a factor with a BLAS axpy whose rounding depends on the
-    operand's strides, so the bits it gave there were roundoff of rho.
+    products.  The stacked U acts on the sender's row axis through one
+    batched ``np.matmul``: U V (U V)^dagger = U V V^dagger U^dagger, so the
+    factor's columns need no rotation.  ``factor`` itself, without a sample
+    axis, is the broadcast operand of the first product.  A sender of
+    dimension 1 without an ancilla draws a 1 x 1 unitary, a phase, and is not
+    applied: it cancels in U V (U V)^dagger.
     """
     drawn = [qcore.haar_unitaries_per_stream(s.dim * s.ancilla, rngs) for s in senders]
-    half = work.ndim // 2
-    rotated = work[np.newaxis]
+    rotated = factor[np.newaxis]
     for i, u in enumerate(drawn):
         if u.shape[-1] == 1:
-            continue  # a phase, which U rho U^dagger cancels
-        # U on the row axis: one (g, rest) product per sample, the rest in axis order.
+            continue  # a phase, which U V (U V)^dagger cancels
+        # One (g, rest) product per sample, the rest in axis order.
         moved = np.moveaxis(rotated, 1 + i, 1)
         shape = (len(u),) + moved.shape[1:]
         rotated = np.moveaxis(np.matmul(u, moved.reshape(len(moved), shape[1], -1)).reshape(shape), 1, 1 + i)
-        # conj(U)^T on the column axis: one (rest, g) product per sample.
-        moved = np.moveaxis(rotated, 1 + half + i, -1)
-        product = np.matmul(moved.reshape(len(u), -1, shape[1]), u.conj().transpose(0, 2, 1))
-        rotated = np.moveaxis(product.reshape(moved.shape), -1, 1 + half + i)
-    return np.broadcast_to(rotated, (len(rngs),) + work.shape)
+    return np.broadcast_to(rotated, (len(rngs),) + factor.shape)
 
 
 def simulate_random_instrument(
@@ -226,57 +213,56 @@ def simulate_random_instrument(
     decoupled target.  Remainder-rank outcomes are charged the worst-case
     distance 2, matching the quantity the analytic bound controls.
 
-    Samples are processed in chunks of about _CHUNK_BYTES of rotated tensors
-    (:func:`_rotated`): 16 samples of the two-sender shape with side 64, one
-    sample of side 256 or more.  Per chunk, the blocks of every non-remainder
-    outcome come from one index into the stacked tensor (each remainder
-    outcome's from one more), their probabilities from one stacked
-    ``np.trace``, which sums each block's diagonal in the pairwise order of the
-    2-D trace, and the gaps omega / p - target of the live non-remainder
-    outcomes form one stack with one :func:`qcore.trace_norm` call.  The
-    probabilities and weighted distances are then added as Python floats,
-    sample by sample and outcome by outcome, as a loop over single samples
-    adds them, so every per-sample value, outcome row and probability-sum
-    check is that loop's to the bit.
+    The working state is never formed: each sample rotates its factor V
+    (:func:`_working_factor`, :func:`_rotated`), and an outcome J reads V_J,
+    the rows of its block, with probability ||V_J||_F^2 and state
+    omega_J = V_J V_J^dagger.  Samples are processed in chunks of about
+    _CHUNK_BYTES of rotated factors.  Per chunk, one pass gives the squared
+    norm of every sender row, and each outcome's probability sums its rows';
+    the factors of the live non-remainder outcomes come from one index into
+    the stacked factor, and their gaps omega / p - target form one stack
+    with one :func:`qcore.trace_norm` call.  The probabilities and weighted
+    distances are then added as Python floats, sample by sample and outcome
+    by outcome, as a loop over single samples adds them.
     """
     if state.norm_mode != "normalized":
         raise StateError("decoupling simulation requires a normalized input state")
     ref_labels = _reference_labels(state, spec, reference)
 
-    work = _working_state(state, spec, ref_labels)
+    factor = _working_factor(state, spec, ref_labels)
     ref_state = qcore.partial_trace(state, ref_labels).matrix if ref_labels else np.ones((1, 1))
     ranks = [s.rank for s in spec.senders]
     l_total = math.prod(ranks)
     target = np.kron(np.eye(l_total) / l_total, ref_state)
     blocks_per_sender = [_outcome_blocks(s) for s in spec.senders]
-    grouped = work.shape[: work.ndim // 2]
-    ids = np.arange(math.prod(grouped)).reshape(grouped)
-    # Each outcome's rows of the rotated matrix, label and remainder flag.
+    ids = np.arange(math.prod(factor.shape[:-2])).reshape(factor.shape[:-2])
+    # Each outcome's rows of the sender axes, label and remainder flag.
     outcomes = []
     for combo in itertools.product(*[range(len(b)) for b in blocks_per_sender]):
         rows = ids[tuple(blocks_per_sender[i][j] for i, j in enumerate(combo))].ravel()
         remainder_hit = any(s.remainder and j == s.blocks for s, j in zip(spec.senders, combo))
         outcomes.append((rows, "+".join(str(j) for j in combo), remainder_hit))
     measured = [k for k, (_, _, remainder_hit) in enumerate(outcomes) if not remainder_hit]
-    measured_index = _block_index(np.stack([outcomes[k][0] for k in measured]), grouped)
-    remainders = [(k, _block_index(rows, grouped)) for k, (rows, _, remainder_hit) in enumerate(outcomes) if remainder_hit]
+    measured_rows = np.stack([outcomes[k][0] for k in measured])
+    remainders = [(k, rows) for k, (rows, _, remainder_hit) in enumerate(outcomes) if remainder_hit]
 
     rngs = qcore.spawn_rngs(spec.seed, spec.samples)
-    chunk = max(1, _CHUNK_BYTES // work.nbytes)
+    chunk = max(1, _CHUNK_BYTES // factor.nbytes)
     per_sample = np.zeros(spec.samples)
     outcome_rows: list[dict] = []
     for start in range(0, spec.samples, chunk):
-        rotated = _rotated(work, spec.senders, rngs[start:start + chunk])
-        probs = np.empty((rotated.shape[0], len(outcomes)))
-        # A gathered stack has its sample axis innermost; np.trace sums a block's
-        # diagonal in the 2-D trace's pairwise order only with that axis outermost.
-        omegas = np.ascontiguousarray(rotated[measured_index])
-        measured_p = np.real(np.trace(omegas, axis1=-2, axis2=-1))
+        rotated = _rotated(factor, spec.senders, rngs[start:start + chunk])
+        # Sender rows, each with its d_R x r entries.
+        flat = rotated.reshape(len(rotated), ids.size, -1)
+        row_p = np.real(np.einsum("ngk,ngk->ng", flat, flat.conj()))
+        probs = np.empty((len(flat), len(outcomes)))
+        measured_p = row_p[:, measured_rows].sum(axis=-1)
         probs[:, measured] = measured_p
-        for k, index in remainders:
-            probs[:, k] = np.real(np.trace(np.ascontiguousarray(rotated[index]), axis1=-2, axis2=-1))
+        for k, rows in remainders:
+            probs[:, k] = row_p[:, rows].sum(axis=-1)
         live = measured_p >= ZERO_PROB
-        gaps = omegas[live] / measured_p[live][:, np.newaxis, np.newaxis]
+        v = flat[:, measured_rows][live].reshape(-1, target.shape[0], factor.shape[-1])
+        gaps = np.matmul(v, v.conj().transpose(0, 2, 1)) / measured_p[live][:, np.newaxis, np.newaxis]
         gaps -= target
         norms = iter(qcore.trace_norm(gaps).tolist() if len(gaps) else ())
         for idx, sample_probs in enumerate(probs.tolist(), start):

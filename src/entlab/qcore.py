@@ -581,7 +581,8 @@ class SchmidtData:
 
     @property
     def rank(self) -> int:
-        return int(np.sum(self.coefficients > 1e-12))
+        """The number of squared coefficients, the marginals' eigenvalues, above SUPPORT_TOL."""
+        return int(np.sum(self.coefficients**2 > SUPPORT_TOL))
 
 
 def schmidt(state: LabeledState, left: Iterable[str] | str) -> SchmidtData:

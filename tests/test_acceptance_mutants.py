@@ -40,3 +40,14 @@ def test_support_that_drops_its_last_row_fails_gershgorin(monkeypatch):
     result = acceptance.run_one("gershgorin")
     assert not result.passed
     assert "!= log2 lambda_max(G)" in result.detail, result.detail
+
+
+def test_distance_replaced_by_two_minus_it_fails_decoupling_bound(monkeypatch):
+    # At (4, 4) the mutant reads Q = 1.5533 against a bound of 1.8048 and
+    # passes; only the (8, 8) case, with a bound near 1, catches it.
+    trace_norm = qcore.trace_norm
+    monkeypatch.setattr(qcore, "trace_norm", lambda matrix: 2.0 - trace_norm(matrix))
+    result = acceptance.run_one("decoupling-bound")
+    assert not result.passed
+    assert "two-sender (8,8): 1.6979+2*" in result.detail, result.detail
+    assert "two-sender (4,4): " not in result.detail, result.detail

@@ -231,22 +231,41 @@ def test_instrument_spec_validation():
 
 def test_working_state_is_the_tensor_of_marginal_and_ancillas():
     # Senders listed against the state's order, one without an ancilla, and a
-    # reference between them: the tensor equals the marginal tensored with
-    # I/K per ancilla and permuted to (C2, C2's ancilla, C1, R), entry for entry.
+    # reference between them: V V^dagger equals the marginal tensored with
+    # I/K per ancilla and permuted to (C2, C2's ancilla, C1, R), and V has the
+    # marginal's rank 12 times K = 2 columns.
     state = qcore.random_state([("C1", 2), ("R", 2), ("B", 2), ("C2", 3)], np.random.default_rng(23))
     spec = decoupling.InstrumentSpec(senders=(decoupling.sender("C2", 3, ancilla=2), decoupling.sender("C1", 2)))
-    work = decoupling._working_state(state, spec, ["R"])
+    factor = decoupling._working_factor(state, spec, ["R"])
     reference = qcore.tensor(qcore.partial_trace(state, ["C2", "C1", "R"]), qcore.max_mixed(2, "K2"))
     reference = qcore.permute_systems(reference, ["C2", "K2", "C1", "R"]).matrix
-    assert work.shape == (6, 2, 2, 6, 2, 2)
-    assert np.array_equal(work.reshape(24, 24), reference)
+    assert factor.shape == (6, 2, 2, 24)
+    v = factor.reshape(24, 24)
+    assert np.max(np.abs(v @ v.conj().T - reference)) <= ROUNDOFF
 
+
+def test_working_factor_drops_the_marginal_kernel():
+    # A pure state's marginal on C + R is the whole state: rank 1, so V has one
+    # column per ancilla level and no more.
+    state = _random_pure([("C", 3), ("R", 2)], 24)
+    spec = decoupling.InstrumentSpec(senders=(decoupling.sender("C", 3, ancilla=4),))
+    factor = decoupling._working_factor(state, spec, ["R"])
+    assert factor.shape == (12, 2, 4)
+    v = factor.reshape(24, 4)
+    assert np.max(np.abs(v @ v.conj().T - _working_state(state, spec, ["R"]).reshape(24, 24))) <= ROUNDOFF
+
+
+# Each output of the instrument sums products of O(1) terms, probabilities at
+# most 1 and distances at most 2, in an order that a change of method
+# reorders; it is compared within ROUNDOFF of its reference, and the sample,
+# label and remainder flag of every outcome row exactly.
+ROUNDOFF = 64 * np.finfo(float).eps
 
 # tests/data/instrument_golden.json was written by the one-outcome-at-a-time
 # loop (commit cbacd45), whose distances came from one trace_norm call each:
-# every per-sample value and outcome row, as float.hex.  The fields of the
-# five random pure-state cases that moved when a reduction of a state stored
-# as amplitudes became one Gram product were rewritten then, and only those.
+# every per-sample value and outcome row, as float.hex.  Its fields were
+# rewritten where the Gram-product reduction of a state stored as amplitudes
+# moved them, and again where rotating a factor of the working state did.
 INSTRUMENT_GOLDEN = json.loads((DATA / "instrument_golden.json").read_text(encoding="utf-8"))
 
 
@@ -282,15 +301,27 @@ def test_instrument_matches_golden_bit_for_bit(case, monkeypatch):
     result = decoupling.simulate_random_instrument(
         _golden_state(case["state"]), spec, case["reference"], keep_outcomes=True
     )
-    assert [float(x).hex() for x in result.per_sample] == case["per_sample"]
-    assert result.empirical_q.hex() == case["empirical_q"]
-    assert result.stderr.hex() == case["stderr"]
-    rows = [
-        [r["sample"], r["outcome"], r["probability"].hex(), r["distance"].hex(), r["remainder"]]
-        for r in result.outcome_rows
+    hexes = case["per_sample"] + [case["empirical_q"], case["stderr"]]
+    _assert_close(list(result.per_sample) + [result.empirical_q, result.stderr], [float.fromhex(h) for h in hexes])
+    want = [
+        {"sample": r[0], "outcome": r[1], "probability": float.fromhex(r[2]), "distance": float.fromhex(r[3]), "remainder": r[4]}
+        for r in case["outcome_rows"]
     ]
-    assert rows == case["outcome_rows"]
+    _assert_rows_close(result.outcome_rows, want)
     assert all(type(r["distance"]) is float and type(r["probability"]) is float for r in result.outcome_rows)
+
+
+def test_empty_reference_distances_are_zero_in_closed_form():
+    # With no reference and L = 1 each outcome's state is the 1 x 1 matrix p,
+    # so omega / p - 1 and its trace norm vanish but for roundoff.
+    (case,) = [c for c in INSTRUMENT_GOLDEN if c["name"] == "empty_reference"]
+    spec = decoupling.InstrumentSpec(
+        senders=tuple(decoupling.sender(*s) for s in case["senders"]), seed=case["seed"], samples=case["samples"]
+    )
+    result = decoupling.simulate_random_instrument(_golden_state(case["state"]), spec, [], keep_outcomes=True)
+    assert {r["remainder"] for r in result.outcome_rows} == {False}
+    assert max(r["distance"] for r in result.outcome_rows) <= 4 * np.finfo(float).eps
+    assert 0.0 <= result.empirical_q <= 4 * np.finfo(float).eps
 
 
 def test_instrument_golden_covers_remainders_and_zero_probabilities():
@@ -302,11 +333,27 @@ def test_instrument_golden_covers_remainders_and_zero_probabilities():
     assert any(s[2] > 1 for case in INSTRUMENT_GOLDEN for s in case["senders"])
 
 
+def _working_state(state, spec, ref_labels):
+    """The working state as an operator tensor: the marginal on senders + reference with each
+    sender's ancilla in I/K, both index sides grouped as (d_1 K_1, ..., d_m K_m, d_R)."""
+    parts = [qcore.partial_trace(state, [s.label for s in spec.senders] + list(ref_labels))]
+    order = []
+    for s in spec.senders:
+        order.append(s.label)
+        if s.ancilla > 1:
+            parts.append(qcore.max_mixed(s.ancilla, f"_anc{s.label}"))
+            order.append(f"_anc{s.label}")
+    work = qcore.permute_systems(qcore.tensor_all(parts), order + list(ref_labels))
+    grouped = tuple(s.dim * s.ancilla for s in spec.senders) + (math.prod(state.dim_of(x) for x in ref_labels),)
+    return work.matrix.reshape(grouped + grouped)
+
+
 def _instrument_reference(state, spec, reference):
-    """simulate_random_instrument's sample loop before it was batched: one sample at a time, one
-    qcore._sandwich per sender, one np.trace per outcome.  Returns (per_sample, outcome rows)."""
+    """simulate_random_instrument's sample loop before it was batched and rotated a factor: one
+    sample at a time, one qcore._sandwich of the dense working state per sender, one np.trace
+    per outcome.  Returns (per_sample, outcome rows)."""
     ref_labels = qcore._normalize_labels(state, reference)
-    work = decoupling._working_state(state, spec, ref_labels)
+    work = _working_state(state, spec, ref_labels)
     ref_state = qcore.partial_trace(state, ref_labels).matrix if ref_labels else np.ones((1, 1))
     l_total = math.prod(s.rank for s in spec.senders)
     target = np.kron(np.eye(l_total) / l_total, ref_state)
@@ -353,13 +400,21 @@ def _instrument_reference(state, spec, reference):
     return per_sample, outcome_rows
 
 
-def _hex_rows(rows):
-    return [(r["sample"], r["outcome"], r["probability"].hex(), r["distance"].hex(), r["remainder"]) for r in rows]
+def _assert_close(got, want):
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= ROUNDOFF
 
 
-def _working_nbytes(state, senders, reference):
+def _assert_rows_close(got, want):
+    """Each row's sample, label and remainder flag are equal, its probability and distance within ROUNDOFF."""
+    assert [(r["sample"], r["outcome"], r["remainder"]) for r in got] == [(r["sample"], r["outcome"], r["remainder"]) for r in want]
+    for key in ("probability", "distance"):
+        _assert_close([r[key] for r in got], [r[key] for r in want])
+
+
+def _factor_nbytes(state, senders, reference):
     spec = decoupling.InstrumentSpec(senders=senders)
-    return decoupling._working_state(state, spec, qcore._normalize_labels(state, reference)).nbytes
+    return decoupling._working_factor(state, spec, qcore._normalize_labels(state, reference)).nbytes
 
 
 def _random_pure(dims, seed):
@@ -373,15 +428,15 @@ def _random_mixed(dims, seed):
 S = decoupling.sender
 # (id, state, senders, reference, samples): sample counts on both sides of a
 # chunk boundary, a shape over the chunk budget, outcome blocks of side 8 to
-# 32 (pairwise summation inside np.trace), three senders and no reference.
+# 32, three senders and no reference.
 BATCH_CASES = [
     ("one_sample", _random_pure([("C1", 2), ("C2", 4), ("R", 4)], 1), (S("C1", 2), S("C2", 4, ancilla=2)), ["R"], 1),
     ("two_sender_37", _random_pure([("C1", 2), ("C2", 4), ("R", 4)], 2), (S("C1", 2), S("C2", 4, ancilla=2)), ["R"], 37),
     ("two_sender_rem_33", _random_pure([("C1", 2), ("C2", 4), ("R", 4)], 3),
      (S("C1", 2), S("C2", 4, ancilla=2, rank=3)), ["R"], 33),
     ("single_helper_rem", _random_pure([("A", 2), ("B", 2), ("R", 2), ("C", 4)], 4), (S("C", 4, rank=3),), ["A", "R"], 20),
-    ("over_budget", _random_pure([("C", 8), ("R", 16)], 5), (S("C", 8, ancilla=4),), ["R"], 3),
-    ("acceptance_44", acceptance._two_sender_state(), (S("C1", 2, ancilla=4), S("C2", 4, ancilla=4)), ["R"], 3),
+    ("over_budget", _random_mixed([("C", 8), ("R", 8)], 5), (S("C", 8, ancilla=5),), ["R"], 3),
+    ("acceptance_44", acceptance._two_sender_state(), (S("C1", 2, ancilla=4), S("C2", 4, ancilla=4)), ["R"], 37),
     ("side8_mixed", _random_mixed([("C", 4), ("R", 4), ("B", 2)], 6), (S("C", 4, rank=2),), ["R"], 9),
     ("side16_rem", _random_mixed([("C", 5), ("R", 8)], 7), (S("C", 5, rank=2),), ["R"], 7),
     ("side32", _random_pure([("C", 4), ("R", 8), ("B", 2)], 8), (S("C", 4, ancilla=2, rank=4),), ["R"], 5),
@@ -415,8 +470,8 @@ def _assert_matches_reference(case):
     spec = decoupling.InstrumentSpec(senders=senders, seed=len(name), samples=samples)
     want_per_sample, want_rows = _instrument_reference(state, spec, reference)
     got = decoupling.simulate_random_instrument(state, spec, reference, keep_outcomes=True)
-    assert got.per_sample.tobytes() == want_per_sample.tobytes()
-    assert _hex_rows(got.outcome_rows) == _hex_rows(want_rows)
+    _assert_close(got.per_sample, want_per_sample)
+    _assert_rows_close(got.outcome_rows, want_rows)
     return want_rows
 
 
@@ -439,12 +494,14 @@ BATCH = {case[0]: case for case in BATCH_CASES}
 
 
 def test_batch_cases_cross_chunk_boundaries_and_the_budget():
+    # (4, 4) runs 16 samples a chunk, so 37 cross two boundaries; 37 two-sender
+    # samples fit in one chunk; one over_budget factor fills more than one.
+    _, state, senders, reference, samples = BATCH["acceptance_44"]
+    assert _factor_nbytes(state, senders, reference) * 16 == decoupling._CHUNK_BYTES and samples > 16 and samples % 16
     _, state, senders, reference, samples = BATCH["two_sender_37"]
-    assert _working_nbytes(state, senders, reference) * 16 == decoupling._CHUNK_BYTES and samples % 16
-    _, state, senders, reference, _ = BATCH["acceptance_44"]
-    assert _working_nbytes(state, senders, reference) == decoupling._CHUNK_BYTES
+    assert _factor_nbytes(state, senders, reference) * samples < decoupling._CHUNK_BYTES
     _, state, senders, reference, _ = BATCH["over_budget"]
-    assert _working_nbytes(state, senders, reference) > decoupling._CHUNK_BYTES
+    assert _factor_nbytes(state, senders, reference) > decoupling._CHUNK_BYTES
 
 
 def test_haar_draws_are_the_per_sample_loops_in_order(monkeypatch):
@@ -475,25 +532,13 @@ def test_haar_draws_are_the_per_sample_loops_in_order(monkeypatch):
     assert want[:4] == [(2, (0,)), (4, (0,)), (3, (0,)), (2, (1,))]
 
 
-def test_one_dimensional_sender_is_a_phase_that_is_not_applied(monkeypatch):
-    # Its 1 x 1 unitary is still drawn, so the other senders' draws are the loop's.
+def test_one_dimensional_sender_is_a_phase_that_is_not_applied():
+    # Its 1 x 1 unitary is still drawn, so the other senders' draws are the
+    # loop's, which applies the phase.
     state = _random_mixed([("C0", 1), ("C1", 3), ("R", 3), ("C2", 1)], 14)
     senders = (S("C0", 1), S("C1", 3, ancilla=2, rank=2), S("C2", 1))
     spec = decoupling.InstrumentSpec(senders=senders, seed=6, samples=20)
     got = decoupling.simulate_random_instrument(state, spec, ["R"], keep_outcomes=True)
     want_per_sample, want_rows = _instrument_reference(state, spec, ["R"])
-    assert np.max(np.abs(got.per_sample - want_per_sample)) <= 1e-14
-    assert [(r["outcome"], r["remainder"]) for r in got.outcome_rows] == [(r["outcome"], r["remainder"]) for r in want_rows]
-
-    # With each phase set to exactly 1 the loop applies the identity too, and the bits agree.
-    draw = qcore.haar_unitaries_per_stream
-
-    def unit_phase(dim, rngs):
-        u = draw(dim, rngs)
-        return np.ones_like(u) if dim == 1 else u
-
-    monkeypatch.setattr(qcore, "haar_unitaries_per_stream", unit_phase)
-    want_per_sample, want_rows = _instrument_reference(state, spec, ["R"])
-    monkeypatch.undo()
-    assert got.per_sample.tobytes() == want_per_sample.tobytes()
-    assert _hex_rows(got.outcome_rows) == _hex_rows(want_rows)
+    _assert_close(got.per_sample, want_per_sample)
+    _assert_rows_close(got.outcome_rows, want_rows)

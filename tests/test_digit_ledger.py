@@ -2,8 +2,8 @@
 a tree and itself, and exactly the outputs that read a function whose values
 a copy moves by 1e-13, none of them explained; a cone optimum moved inside its
 certified interval is explained, one moved outside it is not, and a move
-within the spread of an output under a global phase is explained, one beyond
-it is not.
+within the spread of an output under a global phase, or under diagonal phases
+on the random instrument's unitaries, is explained, one beyond it is not.
 
 The ledger runs read the golden CLI cases only (``--sources cli``), each tree in its
 own interpreter, so each takes a few seconds.
@@ -68,6 +68,22 @@ def assisted_lower_bound(state, a_labels, b_labels, helpers):
     report = _planted_assist(state, a_labels, b_labels, helpers)
     scaled = {k: v * (1.0 + SCALE) for k, v in _dataclasses.asdict(report).items() if isinstance(v, float)}
     return _dataclasses.replace(report, **scaled)
+"""
+
+
+# Appended to a copy of decoupling.py: every outcome distance of the random
+# instrument is scaled by 1 + SCALE, which the test fills in.
+INSTRUMENT_PLANT = """
+
+import dataclasses as _dataclasses
+
+_planted_instrument = simulate_random_instrument
+
+
+def simulate_random_instrument(state, spec, reference, with_minentropy_bound=False, keep_outcomes=False):
+    result = _planted_instrument(state, spec, reference, with_minentropy_bound, keep_outcomes)
+    rows = tuple({**row, "distance": row["distance"] * (1.0 + SCALE)} for row in result.outcome_rows)
+    return _dataclasses.replace(result, outcome_rows=rows)
 """
 
 
@@ -159,3 +175,18 @@ def test_a_planted_move_is_explained_only_within_the_phase_spread(tmp_path, scal
             assert out["evidence"][output]["phase"] is None
             assert all(row[7].startswith("none") for row in rows)
     assert code == 1  # the assist_mixed4 moves have no evidence
+
+
+@pytest.mark.parametrize("scale,explained", [(2e-16, True), (1e-12, False)], ids=["inside", "outside"])
+def test_a_planted_instrument_move_on_a_dense_input_is_explained_only_within_the_phase_spread(tmp_path, scale, explained):
+    # mixed4.json is dense, so no global phase reaches it; the phases of the
+    # instrument's unitaries still spread its outcome rows.  Only the CSV case
+    # prints the rows.  1 + 2e-16 rounds to one ulp above 1, so "inside" moves
+    # each distance by about an ulp, and "outside" by about 4500.
+    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, "decoupling", INSTRUMENT_PLANT.replace("SCALE", repr(scale))))
+    assert {row[0] for row in out["moved"]} == {"csv/decouple_mixed4"}
+    evidence = out["evidence"]["csv/decouple_mixed4"]
+    assert evidence["pure"] is None and evidence["cone_width"] is None and 0.0 < evidence["phase"] < 1e-14
+    assert all(row[1].endswith(".distance") and row[7] == evidence["phase"] for row in out["moved"])
+    assert (max(row[8] for row in out["moved"]) <= 2.0) is explained
+    assert code == (0 if explained else 1)

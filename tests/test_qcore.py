@@ -87,6 +87,15 @@ def test_purification_roundtrip_and_rank_padding():
     assert np.max(np.abs(roundtrip.matrix - werner.matrix)) < 1e-10
 
 
+@pytest.mark.parametrize("lambdas", [[1 - 1e-14, 1e-14], [1 - 1e-11, 1e-11], [0.5, 0.5], [0.6, 0.3, 0.1]])
+def test_schmidt_rank_is_two_to_the_zero_entropy_of_either_marginal(lambdas):
+    # A coefficient c counts when c^2, an eigenvalue of each marginal, is above SUPPORT_TOL.
+    pair = qcore.schmidt_pair(lambdas)
+    rank = qcore.schmidt(pair, "A").rank
+    assert rank == 2 ** entropy.zero_entropy(qcore.partial_trace(pair, "A"))
+    assert rank == 2 ** entropy.zero_entropy(qcore.partial_trace(pair, "B"))
+
+
 def test_schmidt_examples():
     coeffs = qcore.schmidt(qcore.max_entangled(2), "A").coefficients
     assert np.allclose(coeffs, [1 / math.sqrt(2)] * 2, atol=1e-12)
