@@ -16,7 +16,16 @@ The cases:
 - the three cases of the ``decoupling-bound`` criterion at 200 samples, built
   and seeded as the criterion builds them;
 - ``two_sender.8x8``: the criterion's two-sender state with ancillas (8, 8),
-  20 samples.
+  20 samples;
+- ``cli.decouple_mixed4``: ``entlab decouple`` on ``tests/data/mixed4.json``
+  as its CLI golden runs it (C1 with K = 2 and L = 3, C2, reference R, 20
+  samples), a full-rank mixed marginal with L d_R = 6 equal to the senders'
+  summed dimension g_1 + g_2 = 6;
+- ``dense.C16xR4`` and ``dense.C4xR128``: one sender of rank 1 on a random
+  full-rank mixed state, 20 samples.  A full-rank marginal gives the factor
+  r = D columns, and the outcome products cost D L d_R r against the
+  rotation's g D r, so these put L d_R = 4 below g = 16 and L d_R = 128
+  above g = 4.
 
 Each case is timed by ``timing.measure``, over REPEATS calls for the
 benchmark and CLI shapes and 3 for the others.  It prints one JSON object:
@@ -35,7 +44,7 @@ REPEATS = 15
 SEED = 19
 
 
-def cases(acceptance, decoupling, qcore, np) -> list[tuple]:
+def cases(acceptance, cli, decoupling, qcore, np) -> list[tuple]:
     """(name, state, senders, reference, samples, seed, slow) for every timed case."""
     rng = np.random.default_rng(SEED)
     sender = decoupling.sender
@@ -44,6 +53,9 @@ def cases(acceptance, decoupling, qcore, np) -> list[tuple]:
     two_acc = acceptance._two_sender_state()
     ch5 = qcore.permute_systems(qcore.example_ch5(), ["A", "B", "R", "C1", "C2"])
     merged = qcore.merge_systems(ch5, {"C": ["C1", "C2"]})
+    mixed4 = cli.parse_state_file(timing.ROOT / "tests" / "data" / "mixed4.json")
+    dense16 = qcore.random_state([("C", 16), ("R", 4)], rng)
+    dense4 = qcore.random_state([("C", 4), ("R", 128)], rng)
     seed = acceptance.ACCEPTANCE_SEED
     return [
         ("two_sender", two, (sender("C1", 2), sender("C2", 4, ancilla=2)), ["R"], 80, 1, False),
@@ -55,16 +67,19 @@ def cases(acceptance, decoupling, qcore, np) -> list[tuple]:
         ("decoupling-bound.single_helper", merged, (sender("C", 4),), ["A", "R"], 200, seed + 1, True),
         ("decoupling-bound.4x4", two_acc, (sender("C1", 2, ancilla=4), sender("C2", 4, ancilla=4)), ["R"], 200, seed, True),
         ("two_sender.8x8", two_acc, (sender("C1", 2, ancilla=8), sender("C2", 4, ancilla=8)), ["R"], 20, seed, True),
+        ("cli.decouple_mixed4", mixed4, (sender("C1", 2, ancilla=2, rank=3), sender("C2", 2)), ["R"], 20, 9, False),
+        ("dense.C16xR4", dense16, (sender("C", 16),), ["R"], 20, 6, False),
+        ("dense.C4xR128", dense4, (sender("C", 4),), ["R"], 20, 7, True),
     ]
 
 
 def main(argv: list[str] | None = None) -> int:
     args = timing.parser(__doc__).parse_args(argv)
-    acceptance, decoupling, qcore = timing.load(args.src, "acceptance", "decoupling", "qcore")
+    acceptance, cli, decoupling, qcore = timing.load(args.src, "acceptance", "cli", "decoupling", "qcore")
     import numpy as np
 
     out = {}
-    for name, state, senders, reference, samples, seed, slow in cases(acceptance, decoupling, qcore, np):
+    for name, state, senders, reference, samples, seed, slow in cases(acceptance, cli, decoupling, qcore, np):
         spec = decoupling.InstrumentSpec(senders=senders, seed=seed, samples=samples)
         keep = name.startswith(("two_sender", "single_helper")) and not slow
 

@@ -143,7 +143,9 @@ def _working_factor(state: LabeledState, spec: InstrumentSpec, ref_labels: Seque
     g_i = d_i K_i is sender i's system followed by its ancilla, and d_R the
     reference.  One :func:`qcore._support_eigh` of the marginal gives its kept
     eigenvectors scaled by sqrt(lambda); each ancilla adds the columns
-    delta(k, k') / sqrt(K), so r is the marginal's rank times prod K_i.
+    delta(k, k') / sqrt(K), so r is the marginal's rank times prod K_i.  The
+    eigenvalues at or below SUPPORT_TOL go, with their mass delta: a sample's
+    probabilities sum to ||V||_F^2 = 1 - delta, and Q moves by at most 2 delta.
     """
     labels = [s.label for s in spec.senders] + list(ref_labels)
     marginal = qcore.permute_systems(qcore.partial_trace(state, labels), labels)
@@ -168,7 +170,7 @@ def _outcome_blocks(s: SenderSpec) -> list[slice]:
     return blocks
 
 
-_CHUNK_BYTES = 1 << 20  # rotated factors per chunk of samples: 16 samples of the (4, 4) acceptance case, 1 of the (8, 8)
+_CHUNK_BYTES = 1 << 20  # a sample's rotated factor and outcome gaps, per chunk of samples
 
 
 def _rotated(factor: np.ndarray, senders: Sequence[SenderSpec], rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -180,17 +182,16 @@ def _rotated(factor: np.ndarray, senders: Sequence[SenderSpec], rngs: Sequence[n
     is the one a draw per sample gives, bit for bit.  All are drawn before
     the first rotation, so no small array is allocated between the large
     products.  The stacked U acts on the sender's row axis through one
-    batched ``np.matmul``: U V (U V)^dagger = U V V^dagger U^dagger, so the
-    factor's columns need no rotation.  ``factor`` itself, without a sample
-    axis, is the broadcast operand of the first product.  A sender of
-    dimension 1 without an ancilla draws a 1 x 1 unitary, a phase, and is not
-    applied: it cancels in U V (U V)^dagger.
+    batched ``np.matmul``, with ``factor`` itself, without a sample axis, the
+    broadcast operand of the first product: U V (U V)^dagger rotates the
+    working state, and a 1 x 1 unitary, the phase of a sender of dimension 1
+    without an ancilla, cancels in it and is drawn but not applied.
     """
     drawn = [qcore.haar_unitaries_per_stream(s.dim * s.ancilla, rngs) for s in senders]
     rotated = factor[np.newaxis]
     for i, u in enumerate(drawn):
         if u.shape[-1] == 1:
-            continue  # a phase, which U V (U V)^dagger cancels
+            continue
         # One (g, rest) product per sample, the rest in axis order.
         moved = np.moveaxis(rotated, 1 + i, 1)
         shape = (len(u),) + moved.shape[1:]
@@ -216,20 +217,21 @@ def simulate_random_instrument(
     The working state is never formed: each sample rotates its factor V
     (:func:`_working_factor`, :func:`_rotated`), and an outcome J reads V_J,
     the rows of its block, with probability ||V_J||_F^2 and state
-    omega_J = V_J V_J^dagger.  Samples are processed in chunks of about
-    _CHUNK_BYTES of rotated factors.  Per chunk, one pass gives the squared
-    norm of every sender row, and each outcome's probability sums its rows';
-    the factors of the live non-remainder outcomes come from one index into
-    the stacked factor, and their gaps omega / p - target form one stack
-    with one :func:`qcore.trace_norm` call.  The probabilities and weighted
-    distances are then added as Python floats, sample by sample and outcome
-    by outcome, as a loop over single samples adds them.
+    omega_J = V_J V_J^dagger.  Samples run in chunks of about _CHUNK_BYTES of
+    rotated factors and outcome gaps.  Per chunk, one pass gives each sender
+    row's squared norm, which each outcome's probability sums; one index
+    gives the live non-remainder outcomes' V_J, and their gaps
+    omega / p - target form one stack with one :func:`qcore.trace_norm` call.
+    The probabilities and weighted distances are then added as Python floats,
+    sample by sample and outcome by outcome, as a loop over single samples
+    adds them.
     """
     if state.norm_mode != "normalized":
         raise StateError("decoupling simulation requires a normalized input state")
     ref_labels = _reference_labels(state, spec, reference)
 
     factor = _working_factor(state, spec, ref_labels)
+    weight = float(np.vdot(factor, factor).real)  # what each sample's probabilities sum to
     ref_state = qcore.partial_trace(state, ref_labels).matrix if ref_labels else np.ones((1, 1))
     ranks = [s.rank for s in spec.senders]
     l_total = math.prod(ranks)
@@ -247,7 +249,7 @@ def simulate_random_instrument(
     remainders = [(k, rows) for k, (rows, _, remainder_hit) in enumerate(outcomes) if remainder_hit]
 
     rngs = qcore.spawn_rngs(spec.seed, spec.samples)
-    chunk = max(1, _CHUNK_BYTES // factor.nbytes)
+    chunk = max(1, _CHUNK_BYTES // (factor.nbytes + len(measured) * target.nbytes))
     per_sample = np.zeros(spec.samples)
     outcome_rows: list[dict] = []
     for start in range(0, spec.samples, chunk):
@@ -281,8 +283,8 @@ def simulate_random_instrument(
                     outcome_rows.append(
                         {"sample": idx, "outcome": label, "probability": p, "distance": distance, "remainder": remainder_hit}
                     )
-            if abs(total_p - 1.0) > 1e-9:
-                raise StateError(f"instrument outcome probabilities sum to {total_p!r}")
+            if abs(total_p - weight) > 1e-9:
+                raise StateError(f"instrument outcome probabilities sum to {total_p!r}, not {weight!r}")
             per_sample[idx] = total_q
 
     mean = float(per_sample.mean())

@@ -581,8 +581,7 @@ class SchmidtData:
 
     @property
     def rank(self) -> int:
-        """The number of squared coefficients, the marginals' eigenvalues, above SUPPORT_TOL."""
-        return int(np.sum(self.coefficients**2 > SUPPORT_TOL))
+        return int(np.sum(self.coefficients**2 > SUPPORT_TOL))  # squared: the marginals' eigenvalues
 
 
 def schmidt(state: LabeledState, left: Iterable[str] | str) -> SchmidtData:
