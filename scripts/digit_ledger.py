@@ -24,14 +24,17 @@ An output is one case, criterion, golden input or task; a field is one value
 in it.  A field moves when it is not the same float (the same ``repr``), or,
 for any other value, not equal.  Each moved field is listed with its old and
 new values, |delta|, both 12-significant-digit strings and the evidence that
-its old digits were not certified.  The ledger knows three kinds of
+its old digits were not certified.  The ledger knows four kinds of
 evidence, all read from the old tree:
 
-- ``pure``: a pure state stored as amplitudes has spec(rho_T) =
-  spec(rho_{T^c}) exactly, so the old tree's own max |S(T) - S(T^c)|, each
-  side reduced and decomposed on its own, over the label sets that the
-  output read from such states (with S(empty) = 0) is the roundoff its
-  entropies carry.  It holds for every field of the output.
+- ``pure``: a pure state has spec(rho_T) = spec(rho_{T^c}) in exact
+  arithmetic, so the old tree's own max |S(T) - S(T^c)|, each side reduced
+  and decomposed on its own, over the label sets that the output read from
+  pure states (with S(empty) = 0) is the roundoff its entropies carry.  A
+  state counts as pure when ``is_pure`` says so, which admits a matrix of
+  purity down to 1 - PURITY_TOL (1 - 1e-9): on a nearly pure state the gap
+  can exceed roundoff, and BOUND still caps every move.  It holds for every
+  field of the output.
 - ``cone``: each ``conditional_min_entropy`` result certifies the interval
   [``dual_bound``, ``optimum``], which holds the true optimum; ``cone_width``
   is the widest of them, relative to its optimum, over the results the
@@ -52,7 +55,16 @@ evidence, all read from the old tree:
   inputs to the instrument get evidence too.  The largest
   |field(theta) - field| over the output's float fields and the three
   phases is the roundoff that its values carry.  It holds for every field of
-  the output; a spread of 0 is none.
+  the output; a spread of 0 is none.  The ``support2`` instrument goldens
+  replace the Haar draw by fixed unitaries, and get the same diagonal
+  phases on those.
+- ``weight``: a random instrument's probabilities sum to the weight
+  ||V||_F^2 of its working factor V (``decoupling._working_factor``), which
+  equals Tr rho of the input state only up to roundoff, and that defect
+  moves every probability and distance with it.  ``weight`` is the largest
+  |(||V||_F^2 - Tr rho)| / Tr rho over the instrument calls of the output,
+  and a float field's weight evidence is it times |field|.  A tree without
+  ``_working_factor`` gives none; a defect of 0 is none.
 
 A field's evidence is the largest of the kinds that it has; the
 ``evidence`` column holds it, and the ``evidence`` object of the payload
@@ -104,7 +116,8 @@ PHASES = (0.7, 1.9, 2.6)  # the phases theta, in radians, of the phase collectio
 TESTS = timing.ROOT / "tests"
 DATA = TESTS / "data"
 FULL_DIGITS = 17  # enough for every float to round-trip
-NO_EVIDENCE = "none: the output reads no pure state stored as amplitudes, moves under no global phase, and the field no cone value"
+NO_EVIDENCE = ("none: the output reads no pure state and no instrument factor, moves under no global phase,"
+               " and the field no cone value")
 ABSENT = "<absent>"  # a field that one tree's output does not have
 COLUMNS = ("output", "field", "old", "new", "abs_delta", "old_12", "new_12", "evidence", "delta_over_evidence")
 WORK_COLUMNS = ("output", "field", "old", "new")
@@ -173,19 +186,23 @@ def _twelve(x) -> str | None:
 
 
 def evidence_kinds(old: dict, output: str) -> dict:
-    """The old tree's evidence for ``output``: ``pure``, the widest relative cone interval, and ``phase``."""
+    """The old tree's evidence for ``output``: ``pure``, the widest relative cone interval, ``phase``
+    and the relative ``weight`` defect of its instrument factors."""
     widths = [max(0.0, optimum - dual) / optimum for dual, optimum, _ in old["cones"].get(output, [])]
     fields = old["outputs"].get(output, {})
     spreads = [abs(z - x) for run in old["phased"] for field, z in run.get(output, {}).items()
                if isinstance(x := fields.get(field), float) and isinstance(z, float) and math.isfinite(z - x)]
     return {"pure": old["evidence"].get(output), "cone_width": max(widths, default=None),
-            "phase": max(spreads, default=0.0) or None}
+            "phase": max(spreads, default=0.0) or None, "weight": old["weights"].get(output) or None}
 
 
 def field_evidence(old: dict, kinds: dict, output: str, field: str) -> float | None:
-    """The largest of the pure and phase evidence and, for a field read from the cone, the cone width in its unit."""
+    """The largest of the pure and phase evidence, for a float field the weight defect times |field|,
+    and for a field read from the cone the cone width in its unit."""
     known = [kinds["pure"], kinds["phase"]]
     x, z = old["outputs"].get(output, {}).get(field), old["tainted"].get(output, {}).get(field)
+    if kinds["weight"] is not None and isinstance(x, float):
+        known.append(kinds["weight"] * abs(x))
     if kinds["cone_width"] is not None and isinstance(x, float) and isinstance(z, float) and not _same(x, z):
         known.append(abs(z - x) / TAINT * kinds["cone_width"])
     return max((e for e in known if e is not None), default=None)
@@ -261,10 +278,11 @@ def _dump(payload: dict, tables: dict[str, list[list]]) -> str:
 def collect(argv: list[str]) -> int:
     """Print, as one JSON object, the fields of every output of ``--sources`` in the tree at SRC,
     the cone solves each output read (:class:`ConeReads`), and with ``--evidence``
-    each output's price (:class:`PureReads`); with ``--taint`` every cone result is
-    scaled by 1 + TAINT, and with ``--phase THETA`` every amplitude vector given to
-    ``qcore.pure_state`` is multiplied by e^{i THETA} and every unitary of
-    ``qcore.haar_unitaries_per_stream`` by diag(e^{i THETA k}) (:func:`_shift_phase`)."""
+    each output's price (:class:`PureReads`) and weight defect (:class:`WeightReads`);
+    with ``--taint`` every cone result is scaled by 1 + TAINT, and with ``--phase THETA``
+    every amplitude vector given to ``qcore.pure_state`` is multiplied by e^{i THETA}
+    and every unitary of ``qcore.haar_unitaries_per_stream`` by diag(e^{i THETA k})
+    (:func:`_phased_unitaries`)."""
     p = argparse.ArgumentParser()
     p.add_argument("src")
     _add_sources_option(p)
@@ -276,35 +294,42 @@ def collect(argv: list[str]) -> int:
     sys.path.insert(0, str(TESTS))
     import pytest
 
-    outputs, evidence, cones = {}, {}, {}
+    outputs, evidence, weights, cones = {}, {}, {}, {}
     with pytest.MonkeyPatch.context() as mp:
         cli = modules["cli"]
         round_floats, format_cell = cli._round_floats, cli._format_cell
         mp.setattr(cli, "_round_floats", lambda obj, digits=12: round_floats(obj, FULL_DIGITS))
         mp.setattr(cli, "_format_cell", lambda value: f"{value:.{FULL_DIGITS}g}" if isinstance(value, float) else format_cell(value))
         reads = PureReads(modules["entropy"], modules["qcore"], mp) if args.evidence else None
+        factors = WeightReads(modules["decoupling"], mp) if args.evidence else None
         if args.phase is not None:
-            _shift_phase(modules["qcore"], mp, args.phase)
+            mp.setattr(modules["qcore"], "pure_state", _phased_state(modules["qcore"].pure_state, args.phase))
+            mp.setattr(modules["qcore"], "haar_unitaries_per_stream",
+                       _phased_unitaries(modules["qcore"].haar_unitaries_per_stream, args.phase))
         solves = ConeReads(modules["entropy"], mp, 1.0 + TAINT if args.taint else 1.0)
         for source in args.sources.split(","):
-            for output, produce in UNITS[source](modules):
+            for output, produce in UNITS[source](modules, args.phase):
                 outputs[output] = dict(leaves(produce()))
                 evidence[output] = reads.price() if reads else None
+                weights[output] = factors.take() if factors else None
                 cones[output] = solves.take()
-    json.dump({"outputs": outputs, "evidence": evidence, "cones": cones}, sys.stdout)
+    json.dump({"outputs": outputs, "evidence": evidence, "weights": weights, "cones": cones}, sys.stdout)
     return 0
 
 
-def _shift_phase(qcore, mp, theta: float) -> None:
-    """Make ``qcore.pure_state`` multiply its amplitudes by e^{i theta}, and
-    ``qcore.haar_unitaries_per_stream`` left-multiply each unitary by diag(e^{i theta k})."""
+def _phased_state(pure_state, theta: float):
+    """``pure_state`` with its amplitudes multiplied by e^{i theta}."""
     import numpy as np
 
-    pure_state, draw = qcore.pure_state, qcore.haar_unitaries_per_stream
     phase = np.exp(1j * theta)
-    mp.setattr(qcore, "pure_state", lambda systems, amplitudes: pure_state(systems, phase * np.asarray(amplitudes, dtype=complex)))
-    mp.setattr(qcore, "haar_unitaries_per_stream",
-               lambda dim, rngs: np.exp(1j * theta * np.arange(dim))[:, np.newaxis] * draw(dim, rngs))
+    return lambda systems, amplitudes: pure_state(systems, phase * np.asarray(amplitudes, dtype=complex))
+
+
+def _phased_unitaries(draw, theta: float):
+    """``draw(dim, rngs)``, a unitary stack, with each unitary left-multiplied by diag(e^{i theta k})."""
+    import numpy as np
+
+    return lambda dim, rngs: np.exp(1j * theta * np.arange(dim))[:, np.newaxis] * draw(dim, rngs)
 
 
 def leaves(obj, path: str = ""):
@@ -334,7 +359,7 @@ def leaves(obj, path: str = ""):
 
 
 class PureReads:
-    """The label sets each output reads from pure states stored as amplitudes, and their price.
+    """The label sets each output reads from pure states, and their price.
 
     Wraps the subset-entropy table, ``von_neumann`` and ``spectrum`` of the
     tree; a read of the whole state counts as the set of all its labels.  The
@@ -367,7 +392,7 @@ class PureReads:
         mp.setattr(qcore.LabeledState, "spectrum", read_spectrum)
 
     def _read(self, state, part) -> None:
-        if self._paused or state._amplitudes is None:
+        if self._paused or not state.is_pure:
             return
         labels = state.labels if part is None else self._qcore._normalize_labels(state, part)
         if labels:
@@ -391,6 +416,32 @@ class PureReads:
         if not labels:
             return 0.0
         return self._qcore.shannon_entropy(self._qcore.partial_trace(state, labels).spectrum())
+
+
+class WeightReads:
+    """The largest relative weight defect |(||V||_F^2 - Tr rho)| / Tr rho of the random
+    instrument's working factors V since the last :meth:`take`, rho the input state."""
+
+    def __init__(self, decoupling, mp):
+        import numpy as np
+
+        self._defect: float | None = None
+        inner = getattr(decoupling, "_working_factor", None)
+        if inner is None:
+            return
+
+        def read(state, spec, ref_labels):
+            factor = inner(state, spec, ref_labels)
+            weight, trace = float(np.vdot(factor, factor).real), state.trace()
+            self._defect = max(self._defect or 0.0, abs(weight - trace) / trace)
+            return factor
+
+        mp.setattr(decoupling, "_working_factor", read)
+
+    def take(self) -> float | None:
+        """The defect since the last call; None without an instrument call."""
+        defect, self._defect = self._defect, None
+        return defect
 
 
 class ConeReads:
@@ -421,11 +472,12 @@ class ConeReads:
 
 
 # ---------------------------------------------------------------------------
-# The outputs of each source: (name, thunk) pairs, run in order
+# The outputs of each source: (name, thunk) pairs, run in order; theta is the
+# phase of a ``--phase`` collection, else None
 # ---------------------------------------------------------------------------
 
 
-def cli_units(m):
+def cli_units(m, theta):
     import test_cli
 
     cli = m["cli"]
@@ -452,7 +504,7 @@ def _number(cell: str):
         return cell
 
 
-def verify_units(m):
+def verify_units(m, theta):
     acceptance = m["acceptance"]
 
     def run(name: str) -> dict:
@@ -463,7 +515,7 @@ def verify_units(m):
         yield f"verify/{name}", lambda name=name: run(name)
 
 
-def golden_units(m):
+def golden_units(m, theta):
     import pytest
     import test_assisted
     import test_coneprog
@@ -486,7 +538,8 @@ def golden_units(m):
     def instrument(case: dict):
         with pytest.MonkeyPatch.context() as mp:
             if case.get("unitary") == "support2":
-                mp.setattr(qcore, "haar_unitaries_per_stream", test_decoupling._support_unitaries)
+                draw = test_decoupling._support_unitaries
+                mp.setattr(qcore, "haar_unitaries_per_stream", draw if theta is None else _phased_unitaries(draw, theta))
             senders = tuple(decoupling.sender(*s) for s in case["senders"])
             spec = decoupling.InstrumentSpec(senders=senders, seed=case["seed"], samples=case["samples"])
             state = test_decoupling._golden_state(case["state"])
@@ -508,7 +561,7 @@ def golden_units(m):
         yield f"golden/hashing.{i}", lambda case=case: hashing(case)
 
 
-def bench_units(m):
+def bench_units(m, theta):
     import workloads
 
     def run(task):

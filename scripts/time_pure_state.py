@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time von Neumann entropies of a 12-qubit pure state, and an 11-sender GHZ merging region.
+"""Time von Neumann entropies and an H_max of a 12-qubit pure state, and an 11-sender GHZ merging region.
 
     python3 scripts/time_pure_state.py [SRC_DIR]
 
@@ -10,18 +10,23 @@ The cases, on a seeded random pure state of 12 qubits stored as amplitudes
 - ``S(whole)``: ``entropy.von_neumann(psi)``;
 - ``S(T).k1``, ``S(T).k6`` and ``S(T).k11``: ``entropy.von_neumann(psi, T)``
   for T the first 1, 6 and 11 qubits;
+- ``hmax.k3``: H_max(A|B) by ``entropy.entropy_report`` for A the first 3
+  qubits and B the other 9;
 - ``ghz12.merge.m11``: ``regions.merging_rate_region`` of ``qcore.ghz(12)``
   with the first 11 qubits as senders, 2047 constraints.
 
 Each case is timed by ``timing.measure``: the entropies over REPEATS calls,
-the region over one.  Each call gets a state built afresh outside the timed
-span, so no spectrum cached by an earlier call is read.  Without the
-complement rule of ``entropy._spectral_side`` a tree decomposes the
+H_max and the region over one.  Each call gets a state built afresh outside
+the timed span, so no spectrum cached by an earlier call is read.  Without
+the complement rule of ``entropy._spectral_side`` a tree decomposes the
 2048-sided reduction of ``S(T).k11`` and the 4096-sided whole state: seconds
-each at one thread, and hours for the region.  It prints one JSON object:
+each at one thread, and hours for the region.  A tree that purifies the
+state through an eigendecomposition of its 4096-sided matrix, instead of
+reading its amplitudes as the purification's factor, takes about 100 s
+nominal for ``hmax.k3``.  It prints one JSON object:
 
 - ``cases``: for each case, the ``timing.measure`` record of the seconds per
-  call, with ``entropy`` as ``float.hex`` or, for the region,
+  call, with ``entropy`` (H_max included) as ``float.hex`` or, for the region,
   ``max_abs_error``, the largest distance of a right-hand side from its
   exact value (1 for the full sender set, 0 for every other);
 - ``fingerprint``.
@@ -55,6 +60,9 @@ def main(argv: list[str] | None = None) -> int:
         value, record = on_fresh(lambda: qcore.pure_state(systems, amplitudes),
                                  lambda psi: entropy.von_neumann(psi, part), REPEATS)
         out[name] = {**record, "entropy": value.hex()}
+    value, record = on_fresh(lambda: qcore.pure_state(systems, amplitudes),
+                             lambda psi: entropy.entropy_report(psi, labels[:3], labels[3:], "hmax")["hmax"], 1)
+    out["hmax.k3"] = {**record, "entropy": value.hex()}
 
     region, record = on_fresh(lambda: qcore.ghz(QUBITS),
                               lambda ghz: regions.merging_rate_region(ghz, ghz.labels[:-1]), 1)

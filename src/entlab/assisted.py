@@ -309,17 +309,15 @@ def da_upper_bounds(
     on its purification.
     """
     arranged = qcore.permute_systems(state, sum(qcore.distinct_labels(a_labels, b_labels, c_labels), ()))
-    eigs, vecs, keep = qcore._support_eigh(arranged.matrix)
-    lam = eigs[keep]
-    v = vecs[:, keep]
-    rank = int(lam.size)
+    factor = arranged.factor()
+    rank = factor.shape[1]
     systems = arranged.systems
     rng = np.random.default_rng(seed)
 
     def ensemble_value(isometry: np.ndarray) -> float:
         total = 0.0
         for i in range(isometry.shape[1]):
-            amp = v @ (np.sqrt(lam) * isometry[:, i].conj())
+            amp = factor @ isometry[:, i].conj()
             p = float(np.vdot(amp, amp).real)
             if p < 1e-14:
                 continue

@@ -141,16 +141,15 @@ def _working_factor(state: LabeledState, spec: InstrumentSpec, ref_labels: Seque
     reference with each sender's ancilla in I/K, and V a tensor (g_1, ..., g_m, d_R, r).
 
     g_i = d_i K_i is sender i's system followed by its ancilla, and d_R the
-    reference.  One :func:`qcore._support_eigh` of the marginal gives its kept
-    eigenvectors scaled by sqrt(lambda); each ancilla adds the columns
-    delta(k, k') / sqrt(K), so r is the marginal's rank times prod K_i.  The
-    eigenvalues at or below SUPPORT_TOL go, with their mass delta: a sample's
-    probabilities sum to ||V||_F^2 = 1 - delta, and Q moves by at most 2 delta.
+    reference.  The marginal's :meth:`~qcore.LabeledState.factor` gives its
+    kept eigenvectors scaled by sqrt(lambda), or its amplitudes when it is
+    stored as such; each ancilla adds the columns delta(k, k') / sqrt(K), so
+    r is the marginal's rank times prod K_i.  The eigenvalues at or below
+    SUPPORT_TOL go, with their mass delta: a sample's probabilities sum to
+    ||V||_F^2 = 1 - delta, and Q moves by at most 2 delta.
     """
     labels = [s.label for s in spec.senders] + list(ref_labels)
-    marginal = qcore.permute_systems(qcore.partial_trace(state, labels), labels)
-    eigs, vecs, keep = qcore._support_eigh(marginal.matrix)
-    factor = vecs[:, keep] * np.sqrt(eigs[keep])
+    factor = qcore.permute_systems(qcore.partial_trace(state, labels), labels).factor()
     for s in spec.senders:
         factor = np.kron(factor, np.eye(s.ancilla) / math.sqrt(s.ancilla))
     # Rows (d_1, ..., d_m, d_R, K_1, ..., K_m), regrouped as (d_1 K_1, ..., d_m K_m, d_R).

@@ -349,7 +349,7 @@ def conditional_max_entropy(rho: LabeledState, cond: Iterable[str] | str) -> flo
     """
     b_labels = qcore._normalize_labels(rho, cond)
     a_labels = [x for x in rho.labels if x not in b_labels]
-    if qcore._support_eigh(qcore.partial_trace(rho, b_labels).matrix)[2].sum() == 1:
+    if qcore.partial_trace(rho, b_labels).factor().shape[1] == 1:
         return max_entropy_unconditioned(qcore.partial_trace(rho, a_labels))
     purified = qcore.purify(rho, ref_label="_hmaxR")
     marginal_ar = qcore.partial_trace(purified, a_labels + ["_hmaxR"])

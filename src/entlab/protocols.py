@@ -250,8 +250,8 @@ def hashing_simulation(
         # other trial unchanged.
         keep_rounds = trial_index == 0
         rounds: list[HashingRound] = []
-        # The alive bit indices (pairs 2i, 2i + 1 side by side, in order) and
-        # their hidden bits, shrunk in place as pairs are consumed.
+        # The alive bit indices (pairs 2i, 2i + 1 side by side, in order),
+        # shrunk in place as pairs are consumed.
         alive = np.arange(2 * n, dtype=np.uint16)
         hidden_bits = _symbols_to_bits(hidden)
         masks = _RoundMasks(rng, mask_words)
@@ -273,13 +273,12 @@ def hashing_simulation(
                 rounds.append(
                     HashingRound(
                         subset_bits=subset,
-                        parity=int(np.bitwise_xor.reduce(hidden_bits.take(picked))),
+                        parity=int(np.bitwise_xor.reduce(hidden_bits.take(subset))),
                         consumed_pair=consumed,
                         panel_size=int(panel.shape[0]),
                     )
                 )
             alive[j : m - 2] = alive[j + 2 : m]
-            hidden_bits[j : m - 2] = hidden_bits[j + 2 : m]
         trial_records.append(HashingTrial(hidden, rounds, int(panel.shape[0]), hidden_typical))
 
     successes = sum(1 for t in trial_records if t.succeeded)

@@ -92,12 +92,12 @@ class LabeledState:
     """A density operator carrying an ordered list of named subsystems.
 
     The operator is stored in the tensor-product order of ``systems``.  A pure
-    state built from amplitudes keeps the amplitude vector and builds the dense
-    ``matrix`` only on first access; every other state keeps the matrix.  The
-    spectrum and :attr:`is_pure` are computed on first read and cached; a
-    state whose spectrum is never read never pays for an eigendecomposition,
-    and one stored as amplitudes never pays for one at all.  States are
-    immutable after construction.
+    state built from amplitudes, or a tensor of two such states, keeps the
+    amplitude vector and builds the dense ``matrix`` only on first access;
+    every other state keeps the matrix.  The spectrum and :attr:`is_pure` are
+    computed on first read and cached; a state whose spectrum is never read
+    never pays for an eigendecomposition, and one stored as amplitudes never
+    pays for one at all.  States are immutable after construction.
 
     Only :func:`make_state`, :func:`pure_state` and :func:`build_state`
     validate their input.  The operations of this module map valid states to
@@ -195,18 +195,29 @@ class LabeledState:
             return float(np.real(np.sum(v * v.conj())))
         return float(np.real(np.trace(self._matrix)))
 
+    def factor(self) -> np.ndarray:
+        """V (D x r) with V V^dagger = rho less its eigenvalues at or below SUPPORT_TOL.
+
+        A state stored as amplitudes returns them as its one column, with no
+        eigendecomposition.  Any other state returns the eigenvectors of its
+        kept eigenvalues, in ascending order, each scaled by sqrt(lambda).
+        Nothing is cached: the factor of a D = 4096 mixed state is 256 MB.
+        """
+        v = self._amplitudes
+        if v is not None:
+            return v[:, np.newaxis]
+        eigs, vecs, keep = _support_eigh(self._matrix)
+        return vecs[:, keep] * np.sqrt(eigs[keep])
+
     def vector(self) -> np.ndarray:
         """State vector of a pure state, with its largest-magnitude entry real and positive.
 
-        A state built from amplitudes returns them; a pure state given as a
-        matrix returns the dominant eigenvector scaled by its eigenvalue's root.
+        It is the top column of :meth:`factor`: the stored amplitudes, or the
+        dominant eigenvector scaled by its eigenvalue's root.
         """
         if not self.is_pure:
             raise StateError("vector() requires a pure state")
-        v = self._amplitudes
-        if v is None:
-            eigs, vecs = np.linalg.eigh(self._matrix)
-            v = vecs[:, -1] * math.sqrt(max(eigs[-1], 0.0))
+        v = self.factor()[:, -1]
         k = int(np.argmax(np.abs(v)))
         phase = v[k] / abs(v[k]) if abs(v[k]) > 0 else 1.0
         return v / phase
@@ -437,12 +448,12 @@ def _trusted(systems: tuple[tuple[str, int], ...], norm_mode: str,
 
 
 def tensor(a: LabeledState, b: LabeledState) -> LabeledState:
-    """Tensor product of two states with disjoint label sets."""
+    """Tensor product of two states with disjoint label sets; two states stored as amplitudes give one."""
     systems, _ = _checked_systems(a.systems + b.systems)
     if a.norm_mode != b.norm_mode:
         raise StateError("cannot tensor states with different norm modes")
-    # Dense even for two amplitude vectors: reductions of the product then
-    # reproduce those of kron(rho_a, rho_b) bit for bit.
+    if a._amplitudes is not None and b._amplitudes is not None:
+        return _trusted(systems, a.norm_mode, amplitudes=np.kron(a._amplitudes, b._amplitudes))
     return _trusted(systems, a.norm_mode, matrix=np.kron(a.matrix, b.matrix))
 
 
@@ -565,9 +576,7 @@ def purify(state: LabeledState, ref_label: str = "R") -> LabeledState:
     if state.norm_mode != "normalized":
         raise StateError("purification requires a normalized state")
     distinct_labels(state.labels, ref_label)
-    eigs, vecs, keep = _support_eigh(state.matrix)
-    # Entry (i, k) is sqrt(lambda_k) <i|v_k>: the amplitude of |i>|k>.
-    amplitudes = vecs[:, keep] * np.sqrt(eigs[keep])
+    amplitudes = state.factor()  # entry (i, k) is the amplitude of |i>|k>
     return pure_state(list(state.systems) + [(ref_label, amplitudes.shape[1])], amplitudes)
 
 

@@ -269,7 +269,9 @@ ROUNDOFF = 64 * np.finfo(float).eps
 # loop (commit cbacd45), whose distances came from one trace_norm call each:
 # every per-sample value and outcome row, as float.hex.  Its fields were
 # rewritten where the Gram-product reduction of a state stored as amplitudes
-# moved them, and again where rotating a factor of the working state did.
+# moved them, again where rotating a factor of the working state did, and
+# again where that factor became the amplitudes of a pure input whose
+# senders and reference are all of its systems.
 INSTRUMENT_GOLDEN = json.loads((DATA / "instrument_golden.json").read_text(encoding="utf-8"))
 
 
@@ -612,6 +614,28 @@ def test_one_dimensional_sender_is_a_phase_that_is_not_applied():
     senders = (S("C0", 1), S("C1", 3, ancilla=2, rank=2), S("C2", 1))
     spec = decoupling.InstrumentSpec(senders=senders, seed=6, samples=20)
     got = decoupling.simulate_random_instrument(state, spec, ["R"], keep_outcomes=True)
+    want_per_sample, want_rows = _instrument_reference(state, spec, ["R"])
+    _assert_close(got.per_sample, want_per_sample)
+    _assert_rows_close(got.outcome_rows, want_rows)
+
+
+def test_a_pure_input_read_whole_is_rotated_without_an_eigendecomposition(monkeypatch):
+    # The senders and the reference are all of the state's systems, so the
+    # marginal is the state itself, stored as amplitudes: its factor is the
+    # vector.
+    state = _random_pure([("C1", 2), ("R", 2), ("C2", 4)], 25)
+    spec = decoupling.InstrumentSpec(senders=(S("C2", 4, ancilla=2, rank=2), S("C1", 2)), seed=8, samples=12)
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    got = decoupling.simulate_random_instrument(state, spec, ["R"], keep_outcomes=True)
+    assert calls == []
+    assert decoupling._working_factor(state, spec, ["R"]).shape == (8, 2, 2, 2)
+    monkeypatch.undo()
     want_per_sample, want_rows = _instrument_reference(state, spec, ["R"])
     _assert_close(got.per_sample, want_per_sample)
     _assert_rows_close(got.outcome_rows, want_rows)

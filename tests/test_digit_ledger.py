@@ -1,9 +1,11 @@
 """scripts/digit_ledger.py refuses a tree without entlab, lists nothing between
 a tree and itself, and exactly the outputs that read a function whose values
 a copy moves by 1e-13, none of them explained; a cone optimum moved inside its
-certified interval is explained, one moved outside it is not, and a move
-within the spread of an output under a global phase, or under diagonal phases
-on the random instrument's unitaries, is explained, one beyond it is not.
+certified interval is explained, one moved outside it is not, a move within
+the spread of an output under a global phase, or under diagonal phases on
+the random instrument's unitaries, is explained, one beyond it is not, and
+so is a move of the instrument's probabilities within the weight defect of
+its working factor.
 
 The ledger runs read the golden CLI cases only (``--sources cli``), each tree in its
 own interpreter, so each takes a few seconds.
@@ -71,8 +73,8 @@ def assisted_lower_bound(state, a_labels, b_labels, helpers):
 """
 
 
-# Appended to a copy of decoupling.py: every outcome distance of the random
-# instrument is scaled by 1 + SCALE, which the test fills in.
+# Appended to a copy of decoupling.py: one field of every outcome row of the
+# random instrument, FIELD, is scaled by 1 + SCALE; the test fills in both.
 INSTRUMENT_PLANT = """
 
 import dataclasses as _dataclasses
@@ -82,7 +84,7 @@ _planted_instrument = simulate_random_instrument
 
 def simulate_random_instrument(state, spec, reference, with_minentropy_bound=False, keep_outcomes=False):
     result = _planted_instrument(state, spec, reference, with_minentropy_bound, keep_outcomes)
-    rows = tuple({**row, "distance": row["distance"] * (1.0 + SCALE)} for row in result.outcome_rows)
+    rows = tuple({**row, "FIELD": row["FIELD"] * (1.0 + SCALE)} for row in result.outcome_rows)
     return _dataclasses.replace(result, outcome_rows=rows)
 """
 
@@ -158,17 +160,20 @@ def test_a_planted_cone_move_is_explained_only_inside_its_interval(tmp_path, sca
 
 @pytest.mark.parametrize("scale,explained", [(1e-15, True), (1e-12, False)], ids=["inside", "outside"])
 def test_a_planted_move_is_explained_only_within_the_phase_spread(tmp_path, scale, explained):
-    # ch5.json is example_ch5, the tensor of two pure states: dense, so it has
-    # no pure evidence, but its values move under a global phase.  assist4.json
-    # is a mixed state that no global phase reaches.
+    # ch5.json is example_ch5, the tensor of two pure states, stored as
+    # amplitudes: it has pure evidence, and its values move under a global
+    # phase; each row carries the larger.  assist4.json is a mixed state that
+    # no global phase reaches.
     code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, "assisted", ASSIST_PLANT.replace("SCALE", repr(scale))))
     by_output = {}
     for row in out["moved"]:
         by_output.setdefault(row[0], []).append(row)
     assert "cli/assist_ch5" in by_output and {"cli/assist_mixed4", "cli/assist_mixed4_grouped"} <= set(by_output)
     ch5 = out["evidence"]["cli/assist_ch5"]
-    assert ch5["pure"] is None and ch5["cone_width"] is None and 0.0 < ch5["phase"] < 1e-13
-    assert all(row[7] == ch5["phase"] for row in by_output["cli/assist_ch5"])
+    assert ch5["cone_width"] is None and ch5["weight"] is None
+    assert ch5["pure"] > 0.0 and 0.0 < ch5["phase"] < 1e-13
+    largest = max(ch5["pure"], ch5["phase"])
+    assert largest < 1e-13 and all(row[7] == largest for row in by_output["cli/assist_ch5"])
     assert (max(row[8] for row in by_output["cli/assist_ch5"]) <= 2.0) is explained
     for output, rows in by_output.items():
         if output.startswith("cli/assist_mixed4"):
@@ -180,13 +185,34 @@ def test_a_planted_move_is_explained_only_within_the_phase_spread(tmp_path, scal
 @pytest.mark.parametrize("scale,explained", [(2e-16, True), (1e-12, False)], ids=["inside", "outside"])
 def test_a_planted_instrument_move_on_a_dense_input_is_explained_only_within_the_phase_spread(tmp_path, scale, explained):
     # mixed4.json is dense, so no global phase reaches it; the phases of the
-    # instrument's unitaries still spread its outcome rows.  Only the CSV case
-    # prints the rows.  1 + 2e-16 rounds to one ulp above 1, so "inside" moves
-    # each distance by about an ulp, and "outside" by about 4500.
-    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, "decoupling", INSTRUMENT_PLANT.replace("SCALE", repr(scale))))
+    # instrument's unitaries still spread its outcome rows, and the weight
+    # defect of its working factor gives each row its own evidence; a row
+    # carries the larger.  Only the CSV case prints the rows.  1 + 2e-16
+    # rounds to one ulp above 1, so "inside" moves each distance by about an
+    # ulp, and "outside" by about 4500.
+    plant = INSTRUMENT_PLANT.replace("FIELD", "distance").replace("SCALE", repr(scale))
+    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, "decoupling", plant))
     assert {row[0] for row in out["moved"]} == {"csv/decouple_mixed4"}
     evidence = out["evidence"]["csv/decouple_mixed4"]
     assert evidence["pure"] is None and evidence["cone_width"] is None and 0.0 < evidence["phase"] < 1e-14
-    assert all(row[1].endswith(".distance") and row[7] == evidence["phase"] for row in out["moved"])
+    assert 0.0 < evidence["weight"] < 1e-14
+    assert all(row[1].endswith(".distance") for row in out["moved"])
+    assert all(row[7] == max(evidence["phase"], evidence["weight"] * abs(row[2])) for row in out["moved"])
     assert (max(row[8] for row in out["moved"]) <= 2.0) is explained
+    assert code == (0 if explained else 1)
+
+
+@pytest.mark.parametrize("scale,explained", [(1e-15, True), (1e-12, False)], ids=["inside", "outside"])
+def test_a_planted_probability_move_is_explained_only_within_the_weight_defect(tmp_path, scale, explained):
+    # The instrument's probabilities sum to ||V||_F^2 of its working factor,
+    # which misses Tr rho of mixed4.json by about 1e-15 relative: "inside"
+    # scales each probability by less than twice that, "outside" by 1e-12.
+    plant = INSTRUMENT_PLANT.replace("FIELD", "probability").replace("SCALE", repr(scale))
+    code, out = _ledger(ROOT / "src", _planted_copy(tmp_path, "decoupling", plant))
+    assert {row[0] for row in out["moved"]} == {"csv/decouple_mixed4"}
+    weight = out["evidence"]["csv/decouple_mixed4"]["weight"]
+    assert 0.0 < weight < 1e-14
+    for _, field, old, _, delta, _, _, evidence, ratio in out["moved"]:
+        assert field.endswith(".probability") and evidence >= weight * abs(old)
+        assert (delta <= 2.0 * weight * abs(old)) is explained and (ratio <= 2.0) is explained
     assert code == (0 if explained else 1)

@@ -974,6 +974,61 @@ def test_vector_phase_convention_and_stored_amplitudes():
     assert np.max(np.abs(dense_pure.vector() - v)) <= 1e-12
 
 
+def test_the_factor_of_a_state_stored_as_amplitudes_is_its_vector(monkeypatch):
+    psi = qcore.random_pure([("A", 3), ("B", 4)], np.random.default_rng(7))
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    factor = psi.factor()
+    purified = qcore.purify(psi, "R")
+    assert calls == []
+    assert factor.shape == (12, 1) and np.array_equal(factor[:, 0], psi._amplitudes)
+    assert purified.dim_of("R") == 1 and purified._amplitudes is not None
+    assert np.max(np.abs(purified._amplitudes - psi._amplitudes)) <= np.finfo(float).eps
+
+
+def test_vector_and_purify_of_dense_inputs_keep_the_eigh_path_bits():
+    # The dominant eigenvector scaled by math.sqrt of its eigenvalue, and the
+    # kept eigenvectors scaled by np.sqrt: the paths before the factor.
+    rng = np.random.default_rng(11)
+    psi = qcore.random_pure([("A", 3), ("B", 4)], rng)
+    for rho in (qcore.make_state(psi.systems, psi.matrix), qcore.random_state([("A", 3), ("B", 4)], rng),
+                qcore.make_state([("A", 4)], np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))):
+        eigs, vecs = np.linalg.eigh(rho.matrix)
+        keep = eigs > qcore.SUPPORT_TOL
+        amplitudes = vecs[:, keep] * np.sqrt(eigs[keep])
+        assert np.array_equal(rho.factor(), amplitudes)
+        expected = qcore.pure_state(list(rho.systems) + [("R", amplitudes.shape[1])], amplitudes)
+        assert np.array_equal(qcore.purify(rho, "R")._amplitudes, expected._amplitudes)
+        if rho.is_pure:
+            v = vecs[:, -1] * math.sqrt(max(eigs[-1], 0.0))
+            k = int(np.argmax(np.abs(v)))
+            assert np.array_equal(rho.vector(), v / (v[k] / abs(v[k])))
+
+
+def test_tensor_of_two_vectors_is_stored_as_amplitudes():
+    rng = np.random.default_rng(12)
+    a = qcore.random_pure([("A", 2), ("B", 3)], rng)
+    b = qcore.random_pure([("C", 2), ("D", 2)], rng)
+    product = qcore.tensor(a, b)
+    assert product._amplitudes is not None and product._matrix is None
+    assert np.array_equal(product._amplitudes, np.kron(a._amplitudes, b._amplitudes))
+    dense = qcore.make_state(product.systems, np.kron(a.matrix, b.matrix))
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(product.matrix - dense.matrix)) <= eps
+    for k in range(1, len(product.labels)):
+        for keep in itertools.combinations(product.labels, k):
+            d_traced = product.total_dim // math.prod(product.dim_of(x) for x in keep)
+            gap = qcore.partial_trace(product, keep).matrix - qcore.partial_trace(dense, keep).matrix
+            assert np.max(np.abs(gap)) <= d_traced * eps
+    mixed = qcore.tensor(a, qcore.max_mixed(2, "C"))
+    assert mixed._amplitudes is None and np.array_equal(mixed.matrix, np.kron(a.matrix, np.eye(2) / 2))
+
+
 # -- the operator-sandwich kernel against a dense kron reference --
 
 
