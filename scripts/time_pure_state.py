@@ -17,13 +17,16 @@ The cases, on a seeded random pure state of 12 qubits stored as amplitudes
 
 Each case is timed by ``timing.measure``: the entropies over REPEATS calls,
 H_max and the region over one.  Each call gets a state built afresh outside
-the timed span, so no spectrum cached by an earlier call is read.  Without
-the complement rule of ``entropy._spectral_side`` a tree decomposes the
-2048-sided reduction of ``S(T).k11`` and the 4096-sided whole state: seconds
-each at one thread, and hours for the region.  A tree that purifies the
-state through an eigendecomposition of its 4096-sided matrix, instead of
-reading its amplitudes as the purification's factor, takes about 100 s
-nominal for ``hmax.k3``.  It prints one JSON object:
+the timed span, so no spectrum cached by an earlier call is read.  A tree
+that reads S(T) of a state stored as amplitudes from a dense reduction of T
+decomposes the 2048-sided reduction of ``S(T).k11`` and the 4096-sided whole
+state, seconds each at one thread and hours for the region; this one reads
+the larger side through the Gram matrix of the factor its reduction keeps.
+A tree that purifies the state through an eigendecomposition of its
+4096-sided matrix, instead of reading its amplitudes as the purification's
+factor, takes about 100 s nominal for ``hmax.k3``, and one that counts the
+rank of rho_B with an ``eigh`` of its 512 sides about 0.15 s.  It prints one
+JSON object:
 
 - ``cases``: for each case, the ``timing.measure`` record of the seconds per
   call, with ``entropy`` (H_max included) as ``float.hex`` or, for the region,

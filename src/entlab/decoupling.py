@@ -142,8 +142,9 @@ def _working_factor(state: LabeledState, spec: InstrumentSpec, ref_labels: Seque
 
     g_i = d_i K_i is sender i's system followed by its ancilla, and d_R the
     reference.  The marginal's :meth:`~qcore.LabeledState.factor` gives its
-    kept eigenvectors scaled by sqrt(lambda), or its amplitudes when it is
-    stored as such; each ancilla adds the columns delta(k, k') / sqrt(K), so
+    kept eigenvectors scaled by sqrt(lambda), from no eigendecomposition when
+    it is stored as one column and from one of its Gram matrix when it keeps a
+    factor; each ancilla adds the columns delta(k, k') / sqrt(K), so
     r is the marginal's rank times prod K_i.  The eigenvalues at or below
     SUPPORT_TOL go, with their mass delta: a sample's probabilities sum to
     ||V||_F^2 = 1 - delta, and Q moves by at most 2 delta.

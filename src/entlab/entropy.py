@@ -20,48 +20,26 @@ RESIDUAL_TOL = 1e-7
 
 
 def von_neumann(state: LabeledState, part: Iterable[str] | str | None = None) -> float:
-    """Von Neumann entropy of the reduced operator on ``part`` (whole state if None).
+    """Von Neumann entropy of the reduced operator on ``part`` (whole state if None); S(empty) = 0.
 
-    The spectrum is read from the reduction that :func:`_spectral_side` picks,
-    and S(empty) = 0.
+    It is :meth:`~qcore.LabeledState.entropy` of the reduction.  A reduction
+    of a pure state stored as a factor keeps one on the larger side
+    (:func:`qcore.partial_trace`), so S(T) and S(T^c) each decompose a Gram
+    matrix of the smaller side.
     """
-    side = _spectral_side(state, state.labels if part is None else part)
-    if not side:
-        return 0.0
-    reduced = state if side == state.labels else qcore.partial_trace(state, side)
-    return qcore.shannon_entropy(reduced.spectrum())
-
-
-def _spectral_side(state: LabeledState, part: Iterable[str] | str) -> tuple[str, ...]:
-    """The labels whose reduced spectrum gives S(part): T or its complement.
-
-    A state stored as an amplitude vector is pure and normalized, and its
-    Schmidt decomposition gives rho_T and rho_{T^c} the same non-zero spectrum
-    (Nielsen-Chuang, Thm 2.7).  For such a state this is the smaller of T and
-    T^c by dimension, a tie going to T, so the matrix decomposed has side at
-    most sqrt(D) instead of up to D/2, and the whole state reads as the empty
-    set: S = 0.  For every other state it is T, in the state's system order.
-    """
-    kept = qcore._normalize_labels(state, part)
-    if state._amplitudes is None:
-        return kept
-    rest = tuple(name for name in state.labels if name not in kept)
-    if math.prod(map(state.dim_of, rest)) < math.prod(map(state.dim_of, kept)):
-        return rest
-    return kept
+    kept = qcore._normalize_labels(state, state.labels if part is None else part)
+    return qcore.partial_trace(state, kept).entropy() if kept else 0.0
 
 
 def subset_entropies(state: LabeledState) -> "_SubsetTable":
     """S(T) for label sets T of ``state``, each reduced and decomposed at most once.
 
     Entries are keyed by the labels in the state's system order, so any order
-    of T finds the same entry, and S(empty) = 0.  S(T) is read from the side
-    that :func:`_spectral_side` picks, so for a pure state stored as amplitudes
-    S(T) and S(T^c) share one decomposition.  ``table.reduced(T)`` returns T's
-    own reduced state, with its cached spectrum, for callers that need the
-    operator too.  Make the table inside the call that reads it and
-    let it go with that call: it is a memo of one computation, not a property
-    of the state.
+    of T finds the same entry, and S(empty) = 0.  S(T) is the entropy of T's
+    reduced state, which ``table.reduced(T)`` returns with its cached
+    spectrum for callers that need the operator too.  Make the table inside
+    the call that reads it and let it go with that call: it is a memo of one
+    computation, not a property of the state.
     """
     return _SubsetTable(state)
 
@@ -81,8 +59,7 @@ class _SubsetTable:
     def __call__(self, part: Iterable[str] | str) -> float:
         key = qcore._normalize_labels(self._state, part)
         if key not in self._entropy:
-            side = _spectral_side(self._state, key)
-            self._entropy[key] = self(side) if side != key else von_neumann(self.reduced(key))
+            self._entropy[key] = von_neumann(self.reduced(key))
         return self._entropy[key]
 
     def conditional(self, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
@@ -343,13 +320,13 @@ def max_entropy_unconditioned(rho: LabeledState) -> float:
 def conditional_max_entropy(rho: LabeledState, cond: Iterable[str] | str) -> float:
     """H_max(A|B) via duality: -H_min(A|R) on the A,R marginal of a purification.
 
-    A rho_B with one eigenvalue above SUPPORT_TOL (a B of dimension 1, or no
-    label, included) is pure, so rho_AB = rho_A (x) |b><b| and H_max(A|B) is
-    H_max(rho_A), in closed form.
+    A rho_B with one eigenvalue above SUPPORT_TOL, H_0(B) = 0 (a B of
+    dimension 1, or no label, included), is pure, so rho_AB = rho_A (x) |b><b|
+    and H_max(A|B) is H_max(rho_A), in closed form.
     """
     b_labels = qcore._normalize_labels(rho, cond)
     a_labels = [x for x in rho.labels if x not in b_labels]
-    if qcore.partial_trace(rho, b_labels).factor().shape[1] == 1:
+    if zero_entropy(qcore.partial_trace(rho, b_labels)) == 0:
         return max_entropy_unconditioned(qcore.partial_trace(rho, a_labels))
     purified = qcore.purify(rho, ref_label="_hmaxR")
     marginal_ar = qcore.partial_trace(purified, a_labels + ["_hmaxR"])

@@ -48,8 +48,9 @@ def binary_entropy(x: float) -> float:
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
-    """Shannon entropy of a probability vector, in bits."""
-    return -sum(xlog2x(float(x)) for x in p)
+    """Shannon entropy of a probability vector in bits, summed over its positive entries: a zero adds exactly 0.0."""
+    p = np.asarray(p, dtype=float)
+    return -sum(map(xlog2x, p[p > 0].tolist()), 0.0)
 
 
 def probability_vector(p: Sequence[float], name: str) -> np.ndarray:
@@ -74,6 +75,11 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def _gram(v: np.ndarray) -> np.ndarray:
+    """V^dagger V, made exactly Hermitian: the r x r matrix with the non-zero spectrum of V V^dagger."""
+    return _hermitian_part(v.conj().T @ v)
+
+
 def _support_mask(eigs: np.ndarray) -> np.ndarray:
     """The mask of the eigenvalues above SUPPORT_TOL, the one eigenvalue cut; SupportError if none is."""
     kept = eigs > SUPPORT_TOL
@@ -91,31 +97,31 @@ def _support_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 class LabeledState:
     """A density operator carrying an ordered list of named subsystems.
 
-    The operator is stored in the tensor-product order of ``systems``.  A pure
-    state built from amplitudes, or a tensor of two such states, keeps the
-    amplitude vector and builds the dense ``matrix`` only on first access;
-    every other state keeps the matrix.  The spectrum and :attr:`is_pure` are
-    computed on first read and cached; a state whose spectrum is never read
-    never pays for an eigendecomposition, and one stored as amplitudes never
-    pays for one at all.  States are immutable after construction.
+    The operator is stored in the tensor-product order of ``systems``, as the
+    D x D matrix or as a factor V, D x r with rho = V V^dagger: a pure state's
+    amplitudes, a kron of factors, or a reduction of one (:func:`partial_trace`).
+    A factor builds the dense ``matrix`` only on first access.  The spectrum
+    and :attr:`is_pure` are computed on first read and cached; a factor's
+    spectrum decomposes its r x r Gram matrix V^dagger V at most.  States are
+    immutable after construction.
 
     Only :func:`make_state`, :func:`pure_state` and :func:`build_state`
     validate their input.  The operations of this module map valid states to
     valid states, so they wrap their results without a new eigendecomposition.
     """
 
-    __slots__ = ("systems", "norm_mode", "_matrix", "_amplitudes", "_spectrum", "_pure")
+    __slots__ = ("systems", "norm_mode", "_matrix", "_factor", "_spectrum", "_pure")
 
     systems: tuple[tuple[str, int], ...]
     norm_mode: str
 
     def __init__(self, systems: tuple[tuple[str, int], ...], norm_mode: str,
-                 matrix: np.ndarray | None = None, amplitudes: np.ndarray | None = None):
+                 matrix: np.ndarray | None = None, factor: np.ndarray | None = None):
         init = object.__setattr__
         init(self, "systems", systems)
         init(self, "norm_mode", norm_mode)
         init(self, "_matrix", matrix)
-        init(self, "_amplitudes", amplitudes)
+        init(self, "_factor", factor)
         init(self, "_spectrum", None)
         init(self, "_pure", None)
 
@@ -124,11 +130,11 @@ class LabeledState:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense density matrix (read-only), built from the amplitudes on first access."""
+        """The dense density matrix (read-only), built from the factor on first access."""
         m = self._matrix
         if m is None:
-            v = self._amplitudes
-            m = _hermitian_part(np.outer(v, v.conj()))
+            v = self._factor
+            m = _hermitian_part(np.outer(v, v.conj()) if v.shape[1] == 1 else v @ v.conj().T)
             m.setflags(write=False)
             object.__setattr__(self, "_matrix", m)
         return m
@@ -136,31 +142,38 @@ class LabeledState:
     def spectrum(self) -> np.ndarray:
         """Eigenvalues in ascending order; computed once.
 
-        A state stored as an amplitude vector psi has the spectrum
-        (0, ..., 0, ||psi||^2) exactly, with ||psi||^2 = :meth:`trace`, at O(D)
-        cost: no matrix is built or decomposed.  Any other state's spectrum is
-        that of its stored matrix, clamped as by :func:`clamped_eigenvalues`;
-        a pure state given as a matrix included.
+        A factor has the clamped eigenvalues of its Gram matrix V^dagger V,
+        padded with zeros; one column psi has (0, ..., 0, ||psi||^2) exactly,
+        with ||psi||^2 = :meth:`trace`.  A matrix has its own eigenvalues,
+        clamped as by :func:`clamped_eigenvalues`.
         """
         eigs = self._spectrum
         if eigs is None:
-            if self._amplitudes is not None:
-                eigs = np.zeros(self.total_dim)
-                eigs[-1] = self.trace()
-            else:
+            v = self._factor
+            if v is None:
                 eigs = clamped_eigenvalues(self._matrix)
+            else:
+                eigs = np.zeros(self.total_dim)
+                eigs[eigs.size - v.shape[1]:] = self.trace() if v.shape[1] == 1 else clamped_eigenvalues(_gram(v))
             eigs.setflags(write=False)
             object.__setattr__(self, "_spectrum", eigs)
         return eigs
 
+    def entropy(self) -> float:
+        """The Shannon entropy of :meth:`spectrum` in bits; 0 for one stored column, a pure state."""
+        v = self._factor
+        if v is not None and v.shape[1] == 1:
+            return 0.0
+        return shannon_entropy(self.spectrum())
+
     @property
     def is_pure(self) -> bool:
-        """Decided on first read: stored amplitudes are pure; a matrix is pure when
-        the state is normalized and Tr(rho^2) = ||rho||_F^2 >= 1 - PURITY_TOL."""
+        """Decided on first read: the state is normalized and Tr(rho^2) >= 1 - PURITY_TOL,
+        with Tr(rho^2) = ||rho||_F^2, or ||V^dagger V||_F^2 for a factor V."""
         if self._pure is None:
-            m = self._matrix
-            pure = self._amplitudes is not None or (
-                self.norm_mode == "normalized" and float(np.vdot(m, m).real) >= 1.0 - PURITY_TOL)
+            v = self._factor
+            m = self._matrix if v is None else _gram(v)
+            pure = self.norm_mode == "normalized" and float(np.vdot(m, m).real) >= 1.0 - PURITY_TOL
             object.__setattr__(self, "_pure", pure)
         return self._pure
 
@@ -189,7 +202,7 @@ class LabeledState:
         raise LabelError(f"unknown subsystem label {label!r}")
 
     def trace(self) -> float:
-        v = self._amplitudes
+        v = self._factor
         if v is not None:
             # The diagonal of the dense matrix, summed as np.trace sums it.
             return float(np.real(np.sum(v * v.conj())))
@@ -198,21 +211,22 @@ class LabeledState:
     def factor(self) -> np.ndarray:
         """V (D x r) with V V^dagger = rho less its eigenvalues at or below SUPPORT_TOL.
 
-        A state stored as amplitudes returns them as its one column, with no
-        eigendecomposition.  Any other state returns the eigenvectors of its
-        kept eigenvalues, in ascending order, each scaled by sqrt(lambda).
-        Nothing is cached: the factor of a D = 4096 mixed state is 256 MB.
+        A stored column is returned as it is.  Any other state returns the
+        eigenvectors of its kept eigenvalues, in ascending order, each scaled
+        by sqrt(lambda): W U for a stored factor W, with U the kept eigenvectors
+        of its Gram matrix W^dagger W.  Nothing is cached: the factor of a
+        D = 4096 mixed state is 256 MB.
         """
-        v = self._amplitudes
-        if v is not None:
-            return v[:, np.newaxis]
-        eigs, vecs, keep = _support_eigh(self._matrix)
-        return vecs[:, keep] * np.sqrt(eigs[keep])
+        v = self._factor
+        if v is not None and v.shape[1] == 1:
+            return v
+        eigs, vecs, keep = _support_eigh(self._matrix if v is None else _gram(v))
+        return vecs[:, keep] * np.sqrt(eigs[keep]) if v is None else v @ vecs[:, keep]
 
     def vector(self) -> np.ndarray:
         """State vector of a pure state, with its largest-magnitude entry real and positive.
 
-        It is the top column of :meth:`factor`: the stored amplitudes, or the
+        It is the top column of :meth:`factor`: the stored column, or the
         dominant eigenvector scaled by its eigenvalue's root.
         """
         if not self.is_pure:
@@ -425,8 +439,8 @@ def _check_positive(m: np.ndarray, rows: np.ndarray | None) -> None:
 def pure_state(systems: Sequence[tuple[str, int]], amplitudes: np.ndarray) -> LabeledState:
     """Validate an amplitude vector and wrap it, normalized, as a pure LabeledState.
 
-    The state keeps the vector; an outer product is PSD, so no
-    eigendecomposition is needed.
+    The vector is the state's one-column factor; an outer product is PSD, so
+    no eigendecomposition is needed.
     """
     systems, side = _checked_systems(systems)
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -437,23 +451,23 @@ def pure_state(systems: Sequence[tuple[str, int]], amplitudes: np.ndarray) -> La
     norm = float(np.linalg.norm(v))
     if norm <= 0:
         raise StateError("amplitude vector has zero norm")
-    return _trusted(systems, "normalized", amplitudes=v / norm)
+    return _trusted(systems, "normalized", factor=(v / norm)[:, np.newaxis])
 
 
 def _trusted(systems: tuple[tuple[str, int], ...], norm_mode: str,
-             matrix: np.ndarray | None = None, amplitudes: np.ndarray | None = None) -> LabeledState:
+             matrix: np.ndarray | None = None, factor: np.ndarray | None = None) -> LabeledState:
     """Wrap a result that is a valid state by construction, without checking it."""
-    (matrix if amplitudes is None else amplitudes).setflags(write=False)
-    return LabeledState(systems, norm_mode, matrix=matrix, amplitudes=amplitudes)
+    (matrix if factor is None else factor).setflags(write=False)
+    return LabeledState(systems, norm_mode, matrix=matrix, factor=factor)
 
 
 def tensor(a: LabeledState, b: LabeledState) -> LabeledState:
-    """Tensor product of two states with disjoint label sets; two states stored as amplitudes give one."""
+    """Tensor product of two states with disjoint label sets; two stored factors give their kron."""
     systems, _ = _checked_systems(a.systems + b.systems)
     if a.norm_mode != b.norm_mode:
         raise StateError("cannot tensor states with different norm modes")
-    if a._amplitudes is not None and b._amplitudes is not None:
-        return _trusted(systems, a.norm_mode, amplitudes=np.kron(a._amplitudes, b._amplitudes))
+    if a._factor is not None and b._factor is not None:
+        return _trusted(systems, a.norm_mode, factor=np.kron(a._factor, b._factor))
     return _trusted(systems, a.norm_mode, matrix=np.kron(a.matrix, b.matrix))
 
 
@@ -489,27 +503,28 @@ def _partial_trace_dense(matrix: np.ndarray, dims: Sequence[int], keep: Sequence
     return t
 
 
-def _partial_trace_vector(amplitudes: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state on the positions ``keep`` (ascending): the Gram matrix
-    Psi^T conj(Psi) of the amplitudes reshaped to Psi[traced, kept] in the dense path's axis order."""
-    traced = [i for i in reversed(range(len(dims))) if i not in keep]
-    d_keep = math.prod(dims[i] for i in keep)
-    psi = amplitudes.reshape(dims).transpose(traced + list(keep)).reshape(-1, d_keep)
-    return _hermitian_part(psi.T @ psi.conj())
-
-
 def partial_trace(state: LabeledState, keep: Iterable[str] | str) -> LabeledState:
-    """Reduced operator on the kept subsystems, trace preserved."""
+    """Reduced operator on the kept subsystems, trace preserved.
+
+    A factor V (D x r) is reshaped to Psi[traced, kept] in the dense path's
+    axis order, its column the outermost traced axis, and rho = Psi^T conj(Psi).
+    It keeps the factor Psi^T while d_traced * r < d_keep, else is that product.
+    """
     kept = _normalize_labels(state, keep)
     if len(kept) == len(state.systems):
         return state
     keep_idx = [state.index_of(name) for name in kept]
     new_systems = tuple(state.systems[i] for i in keep_idx)
-    if state._amplitudes is not None:
-        reduced = _partial_trace_vector(state._amplitudes, state.dims, keep_idx)
-    else:
-        reduced = _partial_trace_dense(state._matrix, state.dims, keep_idx)
-    return _trusted(new_systems, state.norm_mode, matrix=reduced)
+    v = state._factor
+    if v is None:
+        return _trusted(new_systems, state.norm_mode, matrix=_partial_trace_dense(state._matrix, state.dims, keep_idx))
+    n = len(state.systems)
+    traced = [i for i in reversed(range(n + 1)) if i not in keep_idx]
+    d_keep = math.prod(state.dims[i] for i in keep_idx)
+    psi = v.reshape(state.dims + v.shape[1:]).transpose(traced + keep_idx).reshape(-1, d_keep)
+    if psi.shape[0] < d_keep:
+        return _trusted(new_systems, state.norm_mode, factor=psi.T)
+    return _trusted(new_systems, state.norm_mode, matrix=_hermitian_part(psi.T @ psi.conj()))
 
 
 def permute_systems(state: LabeledState, order: Sequence[str]) -> LabeledState:
@@ -519,9 +534,11 @@ def permute_systems(state: LabeledState, order: Sequence[str]) -> LabeledState:
     perm = [state.index_of(name) for name in order]
     new_systems = tuple(state.systems[p] for p in perm)
     dims = state.dims
-    if state._amplitudes is not None:
-        return _trusted(new_systems, state.norm_mode, amplitudes=state._amplitudes.reshape(dims).transpose(perm).reshape(-1))
     n = len(perm)
+    v = state._factor
+    if v is not None:
+        f = v.reshape(dims + v.shape[1:]).transpose(perm + [n]).reshape(v.shape)
+        return _trusted(new_systems, state.norm_mode, factor=f)
     t = state._matrix.reshape(dims + dims).transpose(perm + [p + n for p in perm])
     side = state.total_dim
     return _trusted(new_systems, state.norm_mode, matrix=t.reshape(side, side))
@@ -564,9 +581,10 @@ def apply_unitary(state: LabeledState, labels: Sequence[str], unitary: np.ndarra
     if defect > UNITARITY_TOL:
         raise StateError(f"operator is not unitary (max defect of U^dagger U {defect:.3e} > {UNITARITY_TOL})")
     u_t = u.reshape(act_dims + act_dims)
-    if state._amplitudes is not None:
-        psi = _act_on_axes(u_t, state._amplitudes.reshape(dims), idx)
-        return _trusted(state.systems, state.norm_mode, amplitudes=psi.reshape(-1))
+    v = state._factor
+    if v is not None:
+        f = _act_on_axes(u_t, v.reshape(dims + v.shape[1:]), idx)
+        return _trusted(state.systems, state.norm_mode, factor=f.reshape(v.shape))
     t = _sandwich(u_t, state._matrix.reshape(dims + dims), idx).reshape(state._matrix.shape)
     return _trusted(state.systems, state.norm_mode, matrix=_hermitian_part(t))
 
@@ -877,7 +895,7 @@ def merge_systems(state: LabeledState, groups: dict[str, Sequence[str]]) -> Labe
         else:
             new_systems[-1] = (target, new_systems[-1][1] * dim)
     distinct_labels([name for name, _ in new_systems])
-    merged = LabeledState(tuple(new_systems), state.norm_mode, matrix=state._matrix, amplitudes=state._amplitudes)
+    merged = LabeledState(tuple(new_systems), state.norm_mode, matrix=state._matrix, factor=state._factor)
     # The stored operator is unchanged, so the cached spectrum and purity carry over.
     for cache in ("_spectrum", "_pure"):
         object.__setattr__(merged, cache, getattr(state, cache))

@@ -271,7 +271,8 @@ ROUNDOFF = 64 * np.finfo(float).eps
 # rewritten where the Gram-product reduction of a state stored as amplitudes
 # moved them, again where rotating a factor of the working state did, and
 # again where that factor became the amplitudes of a pure input whose
-# senders and reference are all of its systems.
+# senders and reference are all of its systems, and again where it came from
+# the Gram matrix of a reduction of a pure input that keeps a factor.
 INSTRUMENT_GOLDEN = json.loads((DATA / "instrument_golden.json").read_text(encoding="utf-8"))
 
 
@@ -637,5 +638,26 @@ def test_a_pure_input_read_whole_is_rotated_without_an_eigendecomposition(monkey
     assert decoupling._working_factor(state, spec, ["R"]).shape == (8, 2, 2, 2)
     monkeypatch.undo()
     want_per_sample, want_rows = _instrument_reference(state, spec, ["R"])
+    _assert_close(got.per_sample, want_per_sample)
+    _assert_rows_close(got.outcome_rows, want_rows)
+
+
+def test_a_pure_input_with_a_traced_system_decomposes_only_its_gram_matrix(monkeypatch):
+    # The single_helper shape: B is traced, so the marginal on C, A and R is a
+    # reduction of the vector that keeps a factor of d_B = 2 columns, and its
+    # factor comes from the 2 x 2 Gram matrix, not the 16-sided marginal.
+    state = _random_pure([("A", 2), ("B", 2), ("R", 2), ("C", 4)], 26)
+    spec = decoupling.InstrumentSpec(senders=(S("C", 4),), seed=9, samples=12)
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    got = decoupling.simulate_random_instrument(state, spec, ["A", "R"], keep_outcomes=True)
+    assert calls == [(2, 2)]
+    monkeypatch.undo()
+    want_per_sample, want_rows = _instrument_reference(state, spec, ["A", "R"])
     _assert_close(got.per_sample, want_per_sample)
     _assert_rows_close(got.outcome_rows, want_rows)

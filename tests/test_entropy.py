@@ -498,6 +498,29 @@ def test_max_entropy_conditioned_on_a_pure_system_is_the_closed_form(seed, b):
     assert closed_form == pytest.approx([3.0611411837600855, 3.117547413479668, 3.069848404911038][seed - 1], abs=1e-14)
 
 
+@pytest.mark.parametrize("stored", ["dense", "vector"])
+def test_the_rank_test_of_max_entropy_decomposes_no_matrix_of_the_conditioning_side(monkeypatch, stored):
+    # rho_B's rank is counted on its spectrum, an eigvalsh of the 5-sided rho_B
+    # for a dense input and of the 2-sided Gram matrix of its factor for a
+    # vector: no eigh of rho_B, whose eigenvectors the count would drop.
+    systems = [("A", 2), ("B", 5)]
+    rng = np.random.default_rng(31)
+    rho = qcore.random_pure(systems, rng) if stored == "vector" else qcore.random_state(systems, rng)
+    eigh, sides = np.linalg.eigh, []
+
+    def counted(matrix, *args, **kwargs):
+        sides.append(np.shape(matrix)[-1])
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    value = entropy.conditional_max_entropy(rho, ["B"])
+    assert 5 not in sides
+    if stored == "vector":
+        # H_max(A|B) of a pure state is -H_min(A|C) with C trivial: log2 lambda_max(rho_A).
+        top = float(np.max(np.linalg.eigvalsh(qcore.partial_trace(rho, ["A"]).matrix)))
+        assert value == pytest.approx(math.log2(top), abs=1e-8)
+
+
 def _max_entropy_fidelity_search(rho: qcore.LabeledState, cond, restarts: int, seed: int) -> float:
     """H_max(A|B) = max over states sigma^B of log2 F^2(rho^{AB}, I x sigma^B), by
     Nelder-Mead from ``restarts`` random starts; small dims only.

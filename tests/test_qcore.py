@@ -917,7 +917,7 @@ def _assert_reductions_match_dense_partial_trace(state):
         for keep in itertools.combinations(range(len(dims)), k):
             reduced = qcore.partial_trace(state, [state.labels[i] for i in keep]).matrix
             want = _dense_partial_trace(state.matrix, dims, list(keep))
-            if state._amplitudes is None:
+            if state._factor is None:
                 assert np.array_equal(reduced, want)
                 continue
             d_traced = math.prod(dims) // math.prod(dims[i] for i in keep)
@@ -986,9 +986,9 @@ def test_the_factor_of_a_state_stored_as_amplitudes_is_its_vector(monkeypatch):
     factor = psi.factor()
     purified = qcore.purify(psi, "R")
     assert calls == []
-    assert factor.shape == (12, 1) and np.array_equal(factor[:, 0], psi._amplitudes)
-    assert purified.dim_of("R") == 1 and purified._amplitudes is not None
-    assert np.max(np.abs(purified._amplitudes - psi._amplitudes)) <= np.finfo(float).eps
+    assert factor.shape == (12, 1) and np.array_equal(factor, psi._factor)
+    assert purified.dim_of("R") == 1 and purified._factor is not None
+    assert np.max(np.abs(purified._factor - psi._factor)) <= np.finfo(float).eps
 
 
 def test_vector_and_purify_of_dense_inputs_keep_the_eigh_path_bits():
@@ -1003,7 +1003,7 @@ def test_vector_and_purify_of_dense_inputs_keep_the_eigh_path_bits():
         amplitudes = vecs[:, keep] * np.sqrt(eigs[keep])
         assert np.array_equal(rho.factor(), amplitudes)
         expected = qcore.pure_state(list(rho.systems) + [("R", amplitudes.shape[1])], amplitudes)
-        assert np.array_equal(qcore.purify(rho, "R")._amplitudes, expected._amplitudes)
+        assert np.array_equal(qcore.purify(rho, "R")._factor, expected._factor)
         if rho.is_pure:
             v = vecs[:, -1] * math.sqrt(max(eigs[-1], 0.0))
             k = int(np.argmax(np.abs(v)))
@@ -1015,8 +1015,8 @@ def test_tensor_of_two_vectors_is_stored_as_amplitudes():
     a = qcore.random_pure([("A", 2), ("B", 3)], rng)
     b = qcore.random_pure([("C", 2), ("D", 2)], rng)
     product = qcore.tensor(a, b)
-    assert product._amplitudes is not None and product._matrix is None
-    assert np.array_equal(product._amplitudes, np.kron(a._amplitudes, b._amplitudes))
+    assert product._factor is not None and product._matrix is None
+    assert np.array_equal(product._factor, np.kron(a._factor, b._factor))
     dense = qcore.make_state(product.systems, np.kron(a.matrix, b.matrix))
     eps = np.finfo(float).eps
     assert np.max(np.abs(product.matrix - dense.matrix)) <= eps
@@ -1026,7 +1026,135 @@ def test_tensor_of_two_vectors_is_stored_as_amplitudes():
             gap = qcore.partial_trace(product, keep).matrix - qcore.partial_trace(dense, keep).matrix
             assert np.max(np.abs(gap)) <= d_traced * eps
     mixed = qcore.tensor(a, qcore.max_mixed(2, "C"))
-    assert mixed._amplitudes is None and np.array_equal(mixed.matrix, np.kron(a.matrix, np.eye(2) / 2))
+    assert mixed._factor is None and np.array_equal(mixed.matrix, np.kron(a.matrix, np.eye(2) / 2))
+
+
+def _eigh_shapes(monkeypatch):
+    """The shape of each matrix given to np.linalg.eigh from here on."""
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
+
+
+def _gram_reduction(amplitudes, dims, keep):
+    # The reduction of a state stored as amplitudes before reductions kept a
+    # factor: the Gram product Psi^T conj(Psi) of Psi[traced, kept].
+    traced = [i for i in reversed(range(len(dims))) if i not in keep]
+    d_keep = math.prod(dims[i] for i in keep)
+    psi = amplitudes.reshape(dims).transpose(traced + list(keep)).reshape(-1, d_keep)
+    return qcore._hermitian_part(psi.T @ psi.conj())
+
+
+def _proper_subsets(labels):
+    return [keep for k in range(1, len(labels)) for keep in itertools.combinations(labels, k)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_reduction_keeps_a_factor_exactly_when_it_has_fewer_columns_than_rows(seed):
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 7, size=5)]
+    psi = qcore.random_pure([(f"S{i}", d) for i, d in enumerate(dims)], rng)
+    factors = []
+    for keep in _proper_subsets(psi.labels):
+        reduced = qcore.partial_trace(psi, keep)
+        d_keep = reduced.total_dim
+        assert reduced.systems == tuple((x, psi.dim_of(x)) for x in keep)
+        assert (reduced._factor is not None) == (psi.total_dim // d_keep < d_keep)
+        if reduced._factor is not None and reduced._factor.shape[1] > 1:
+            factors.append(reduced)
+    assert factors
+    # A kept factor reduced again: its r columns count as traced too.
+    for state in factors:
+        r = state._factor.shape[1]
+        for keep in _proper_subsets(state.labels):
+            reduced = qcore.partial_trace(state, keep)
+            assert (reduced._factor is not None) == (state.total_dim // reduced.total_dim * r < reduced.total_dim)
+            assert np.max(np.abs(reduced.matrix - _dense_partial_trace(state.matrix, list(state.dims),
+                                                                         [state.index_of(x) for x in keep]))) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_kept_factor_s_matrix_is_the_gram_product_bit_for_bit(seed):
+    rng = np.random.default_rng(10 + seed)
+    dims = [int(d) for d in rng.integers(1, 7, size=5)]
+    psi = qcore.random_pure([(f"S{i}", d) for i, d in enumerate(dims)], rng)
+    amplitudes = psi.factor()[:, 0]
+    kept = 0
+    for keep in _proper_subsets(psi.labels):
+        reduced = qcore.partial_trace(psi, keep)
+        want = _gram_reduction(amplitudes, dims, [psi.index_of(x) for x in keep])
+        if reduced._factor is not None and reduced._factor.shape[1] == 1:
+            # Only systems of dimension 1 were traced: one column, whose matrix
+            # is its outer product.
+            assert np.max(np.abs(reduced.matrix - want)) <= np.finfo(float).eps
+            continue
+        kept += reduced._factor is not None
+        assert np.array_equal(reduced.matrix, want)
+    assert kept
+
+
+def test_the_factor_of_a_kept_factor_decomposes_its_gram_matrix_only(monkeypatch):
+    rng = np.random.default_rng(21)
+    psi = qcore.random_pure([("A", 3), ("B", 2), ("C", 5), ("D", 4)], rng)
+    shapes = _eigh_shapes(monkeypatch)
+    eps = np.finfo(float).eps
+    for keep in (["A", "C", "D"], ["C", "D"], ["A", "B", "C"]):
+        reduced = qcore.partial_trace(psi, keep)
+        r = reduced._factor.shape[1]
+        assert 1 < r < reduced.total_dim
+        shapes.clear()
+        v = reduced.factor()
+        assert shapes == [(r, r)]
+        assert v.shape == (reduced.total_dim, r)
+        assert np.max(np.abs(v @ v.conj().T - reduced.matrix)) <= reduced.total_dim * eps
+        # The spectrum is the Gram matrix's, padded with zeros, and pure
+        # states' complementary reductions share it.
+        shapes.clear()
+        eigs = reduced.spectrum()
+        assert shapes == [] and np.all(eigs[:-r] == 0.0)
+        rest = [x for x in psi.labels if x not in keep]
+        other = qcore.partial_trace(psi, rest).spectrum()
+        assert np.max(np.abs(eigs[-r:] - other[-r:])) <= 4 * eps
+
+
+def test_a_reduction_of_a_product_pure_state_is_pure():
+    # Tracing C out of psi_AB (x) phi_C keeps a factor of d_C = 5 columns of rank one.
+    rng = np.random.default_rng(22)
+    product = qcore.tensor(qcore.random_pure([("A", 3), ("B", 4)], rng), qcore.random_pure([("C", 5)], rng))
+    reduced = qcore.partial_trace(product, ["A", "B"])
+    assert reduced._factor.shape == (12, 5) and reduced.is_pure
+    dense = qcore.make_state(reduced.systems, reduced.matrix)
+    assert np.max(np.abs(reduced.vector() - dense.vector())) <= np.finfo(float).eps
+    assert entropy.von_neumann(reduced) == pytest.approx(0.0, abs=1e-14)
+    mixed = qcore.partial_trace(product, ["A", "C"])
+    assert mixed._factor is not None and not mixed.is_pure
+
+
+def _shannon_loop(p):
+    # qcore.shannon_entropy before it selected the positive entries.
+    return -sum(qcore.xlog2x(float(x)) for x in p)
+
+
+def test_shannon_entropy_keeps_the_bits_of_the_sum_over_every_entry():
+    rng = np.random.default_rng(5)
+    weights = rng.dirichlet(np.ones(6))
+    spectra = [
+        np.concatenate([np.zeros(2048 - 6), np.sort(weights)]),
+        rng.permutation(np.concatenate([np.zeros(5), weights])),
+        np.array([0.0, -1e-17, 0.0, 1.0]),
+        [1.0],
+        np.zeros(7),
+        [0.0, 0.25, 0.0, 0.75],
+    ]
+    for p in spectra:
+        got, want = qcore.shannon_entropy(p), _shannon_loop(p)
+        assert type(got) is float and got.hex() == want.hex()
+    assert qcore.shannon_entropy(np.zeros(3)).hex() == "-0x0.0p+0"
 
 
 # -- the operator-sandwich kernel against a dense kron reference --
