@@ -31,12 +31,17 @@ Each case is timed by ``timing.measure``, over REPEATS calls for the
 benchmark and CLI shapes and 3 for the others.  It prints one JSON object:
 
 - ``cases``: for each case, ``samples``, the ``timing.measure`` record of the
-  seconds per call, and ``empirical_q`` as ``float.hex``, so that two trees
-  can be checked for equal results;
+  seconds per call, ``empirical_q`` as ``float.hex``, and the sha256 of the
+  ``per_sample`` array's bytes and of the outcome rows as JSON (the rows of
+  an empty tuple for the cases that keep none), so that two trees can be
+  checked for equal results bit for bit;
 - ``fingerprint``.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import timing  # before numpy: it pins BLAS at one thread
 
@@ -87,7 +92,13 @@ def main(argv: list[str] | None = None) -> int:
             lambda: decoupling.simulate_random_instrument(state, spec, reference, keep_outcomes=keep),
             3 if slow else REPEATS,
         )
-        out[name] = {"samples": samples, **record, "empirical_q": result.empirical_q.hex()}
+        out[name] = {
+            "samples": samples,
+            **record,
+            "empirical_q": result.empirical_q.hex(),
+            "per_sample_sha256": hashlib.sha256(result.per_sample.tobytes()).hexdigest(),
+            "outcome_rows_sha256": hashlib.sha256(json.dumps(result.outcome_rows).encode()).hexdigest(),
+        }
     timing.emit({"cases": out})
     return 0
 

@@ -4,6 +4,7 @@ purification, Schmidt analysis, distance measures, and Haar-random unitaries."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -407,8 +408,9 @@ def _check_positive(m: np.ndarray, rows: np.ndarray | None) -> None:
 
     Cholesky succeeds on M - EIGENVALUE_FLOOR * I exactly when it is positive
     definite, up to a backward error of order D * eps * ||M||, far below the
-    floor's 1e-10.  The shift goes onto the diagonal of one copy, so no
-    D x D identity (128 MB at D = 4096) is built.  The
+    floor's 1e-10.  The shift goes onto M's own diagonal, whose saved values
+    are written back before anything else reads M, so neither a D x D
+    identity nor a copy of M (128 and 256 MB at D = 4096) is built.  The
     eigenvalues are computed only when the factorization fails, so every
     rejection and its message are decided by the smallest eigenvalue.  The
     factorization reads the transpose, which numpy hands to LAPACK without a
@@ -426,10 +428,14 @@ def _check_positive(m: np.ndarray, rows: np.ndarray | None) -> None:
     computed as for any other matrix, so every rejection and its message are
     the same as without the block.
     """
-    shifted = m.copy() if rows is None else m[np.ix_(rows, rows)]
+    shifted = m if rows is None else m[np.ix_(rows, rows)]
+    diagonal = shifted.diagonal().copy()
     shifted.flat[:: shifted.shape[0] + 1] -= EIGENVALUE_FLOOR
     try:
-        np.linalg.cholesky(shifted.T)
+        try:
+            np.linalg.cholesky(shifted.T)
+        finally:
+            shifted.flat[:: shifted.shape[0] + 1] = diagonal
     except np.linalg.LinAlgError:
         smallest = np.linalg.eigvalsh(m)[0]
         if smallest < EIGENVALUE_FLOOR:
@@ -698,9 +704,92 @@ def distances(a: LabeledState, b: LabeledState) -> DistanceReport:
 # ---------------------------------------------------------------------------
 
 
+# numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``): a pool of
+# four uint32 words, filled and mixed by ``hashmix`` at the running constants
+# INIT_A * MULT_A^i, then read out by the same hash at INIT_B * MULT_B^i.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(start: int, mult: int, count: int) -> list[int]:
+    """The running hash constants start * mult^i mod 2^32 for i < ``count``."""
+    out = [start]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hashmix(value, const, next_const):
+    """numpy's ``hashmix`` of ``value`` at the running constant ``const``, whose successor is ``next_const``.
+
+    The arguments are Python ints below 2^32 or uint32 arrays, which wrap
+    mod 2^32 as the mask does; so are those of :func:`_mix`.
+    """
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    """numpy's ``mix`` of a pool word x with a hashed word y."""
+    result = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+class _SpawnedSeed(np.random.bit_generator.ISeedSequence):
+    """Child ``spawn_key`` of ``SeedSequence(entropy)``, holding the four uint64 words PCG64 seeds from."""
+
+    def __init__(self, entropy: int, spawn_key: tuple[int, ...], words: np.ndarray):
+        self.entropy = entropy
+        self.spawn_key = spawn_key
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            raise ValueError("a spawned stream holds only the 4 uint64 words that seed its PCG64")
+        return self._words
+
+
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Deterministic per-task RNG streams derived from one root seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+    """Deterministic per-task RNG streams derived from one root seed.
+
+    Stream k is ``np.random.default_rng(np.random.SeedSequence(seed).spawn(count)[k])``,
+    bit for bit, without building a SeedSequence per stream.  A child's
+    entropy is the seed's little-endian uint32 words, zero-padded to the
+    pool's 4, then its spawn key k.  Every word but k is the same for all
+    children, so their pool is mixed once in Python ints, and k then enters
+    as a column of uint32s: one vectorized pass mixes it into each child's
+    pool and reads out its ``generate_state(4, uint64)``, whose words are
+    lo | hi << 32 of consecutive uint32s.  Each PCG64 is seeded from its
+    words through a :class:`_SpawnedSeed`.
+    """
+    n = operator.index(seed)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (len(entropy) + 1) + 1)
+    steps = iter(zip(consts, consts[1:]))
+    pool = [_hashmix(word, *next(steps)) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
+    # The spawn key, one row per child, is mixed into each pool word at the last four constants.
+    keys = np.arange(count, dtype=np.uint32)[:, np.newaxis]
+    last = np.array(list(steps), dtype=np.uint32)
+    pool = _mix(np.array(pool, dtype=np.uint32), _hashmix(keys, last[:, 0], last[:, 1]))
+    # generate_state reads the pool cyclically into 8 uint32s.
+    out_consts = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), dtype=np.uint32)
+    halves = _hashmix(np.concatenate((pool, pool), axis=1), out_consts[:-1], out_consts[1:]).astype(np.uint64)
+    words = halves[:, 0::2] | halves[:, 1::2] << 32
+    return [np.random.Generator(np.random.PCG64(_SpawnedSeed(seed, (k,), w))) for k, w in enumerate(words)]
 
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -720,8 +809,10 @@ def haar_unitaries_per_stream(dim: int, rngs: Sequence[np.random.Generator]) -> 
     ``haar_unitaries(dim, 1, rng)[0]``, bit for bit.
     """
     _check_unitary_dim(dim)
-    z = np.stack([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for rng in rngs])
-    return _haar_from_ginibre(z)
+    normals = np.empty((len(rngs), 2, dim, dim))
+    for rng, out in zip(rngs, normals):
+        rng.standard_normal(out=out)
+    return _haar_from_ginibre(normals[:, 0] + 1j * normals[:, 1])
 
 
 def _check_unitary_dim(dim: int) -> None:

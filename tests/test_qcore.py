@@ -163,6 +163,67 @@ def test_per_stream_draw_is_each_streams_own_draw_bit_for_bit(dim, streams):
     assert stacked[0].tobytes() == qcore.haar_unitaries(dim, 1, np.random.default_rng(seeds[0]))[0].tobytes()
 
 
+@pytest.mark.parametrize("streams", [1, 17])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_per_stream_draw_leaves_each_stream_where_its_own_draw_does(dim, streams):
+    seeds = np.random.SeedSequence(29).spawn(streams)
+    stacked = [np.random.default_rng(s) for s in seeds]
+    alone = [np.random.default_rng(s) for s in seeds]
+    qcore.haar_unitaries_per_stream(dim, stacked)
+    for rng in alone:
+        _haar_one_stream(dim, rng)
+    assert [rng.bit_generator.state for rng in stacked] == [rng.bit_generator.state for rng in alone]
+
+
+SPAWN_SEEDS = {
+    "0": 0,
+    "1": 1,
+    "2^32-1": 2**32 - 1,
+    "2^32": 2**32,
+    "2^64+5": 2**64 + 5,
+    "2^130+3": 2**130 + 3,
+    "DEFAULT_SEED": qcore.DEFAULT_SEED,
+    "ACCEPTANCE_SEED": acceptance.ACCEPTANCE_SEED,
+}
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 80, 300])
+@pytest.mark.parametrize("seed", SPAWN_SEEDS.values(), ids=SPAWN_SEEDS.keys())
+def test_spawned_streams_are_numpys_spawned_streams(seed, count):
+    got = qcore.spawn_rngs(seed, count)
+    want = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+    assert len(got) == count
+    for k, (rng, ref) in enumerate(zip(got, want)):
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.bit_generator.seed_seq.spawn_key == (k,)
+        assert rng.bit_generator.seed_seq.entropy == seed
+        assert rng.random() == ref.random()
+        assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+
+
+def test_a_negative_seed_is_rejected_as_numpy_rejects_it():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        np.random.SeedSequence(-1)
+    for count in (0, 3):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            qcore.spawn_rngs(-1, count)
+
+
+def test_spawned_streams_build_no_seed_sequence(monkeypatch):
+    built = []
+
+    class Spy(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Spy)
+    monkeypatch.setattr(np.random.bit_generator, "SeedSequence", Spy)
+    rngs = qcore.spawn_rngs(7, 5)
+    assert built == []
+    assert not any(isinstance(rng.bit_generator.seed_seq, np.random.bit_generator.SeedSequence) for rng in rngs)
+
+
 def test_haar_mean_projects_to_maximally_mixed():
     # Monte Carlo version of the single-system averaging identity, 3-sigma headroom.
     rng = np.random.default_rng(7)
@@ -419,6 +480,32 @@ def test_make_state_on_the_support_equals_the_full_passes_bitwise():
     negative = _with_zero_rows(_hermitian_block(k, rng, smallest=-1e-6), side, rng)
     assert _assert_same_make_state(negative).startswith("matrix is not positive semidefinite (min eigenvalue -1.000e-06")
     assert _assert_same_make_state(np.zeros((side, side))).startswith("trace 0.0 is not 1")
+
+
+def test_make_state_eigenvalue_fallback_reads_the_unshifted_matrix(monkeypatch):
+    # With every Cholesky factorization failing, the eigenvalues decide.  The
+    # floor's shift on the diagonal must be undone before they are read and
+    # before the matrix is stored: left on, -1.5e-10 would read as -0.5e-10
+    # and pass, and a stored diagonal would be 1e-10 off.
+    calls = []
+
+    def failing(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    rng = np.random.default_rng(36)
+    k = 24
+    for smallest in (-1.5e-10, -0.5e-10, 1e-3):
+        block = _in_random_basis(_spectrum_with_smallest(smallest, k, rng), rng)
+        for m in (block, _with_zero_rows(block, 40, rng)):
+            calls.clear()
+            message = _assert_same_make_state(m)
+            assert calls == [(k, k)] * 2  # the reference's factorization, then make_state's
+            if smallest < qcore.EIGENVALUE_FLOOR:
+                assert message.startswith("matrix is not positive semidefinite (min eigenvalue -1.500e-10)")
+            else:
+                assert message is None
 
 
 def test_make_state_with_a_tiled_adjoint_equals_the_full_passes_bitwise():
