@@ -361,8 +361,9 @@ def leaves(obj, path: str = ""):
 class PureReads:
     """The label sets each output reads from pure states, and their price.
 
-    Wraps the subset-entropy table, ``von_neumann`` and ``spectrum`` of the
-    tree; a read of the whole state counts as the set of all its labels.  The
+    Wraps the subset-entropy table's reads of one entry and, in a tree that
+    has it, of a list (``entropies``), ``von_neumann`` and ``spectrum`` of
+    the tree; a read of the whole state counts as the set of all its labels.  The
     price reduces and decomposes T and T^c each on its own, whatever side the
     tree's entropies read.
     """
@@ -378,6 +379,13 @@ class PureReads:
             self._read(table._state, part)
             return value
 
+        def read_table_list(table, parts):
+            parts = list(parts)
+            values = table_list(table, parts)
+            for part in parts:
+                self._read(table._state, part)
+            return values
+
         def read_von_neumann(state, part=None):
             value = von_neumann(state, part)
             self._read(state, part)
@@ -388,6 +396,9 @@ class PureReads:
             return spectrum(state)
 
         mp.setattr(entropy._SubsetTable, "__call__", read_table)
+        table_list = getattr(entropy._SubsetTable, "entropies", None)
+        if table_list is not None:
+            mp.setattr(entropy._SubsetTable, "entropies", read_table_list)
         mp.setattr(entropy, "von_neumann", read_von_neumann)
         mp.setattr(qcore.LabeledState, "spectrum", read_spectrum)
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time von Neumann entropies and an H_max of a 12-qubit pure state, and an 11-sender GHZ merging region.
+"""Time von Neumann entropies and an H_max of a 12-qubit pure state, and two merging regions of pure states.
 
     python3 scripts/time_pure_state.py [SRC_DIR]
 
@@ -13,10 +13,13 @@ The cases, on a seeded random pure state of 12 qubits stored as amplitudes
 - ``hmax.k3``: H_max(A|B) by ``entropy.entropy_report`` for A the first 3
   qubits and B the other 9;
 - ``ghz12.merge.m11``: ``regions.merging_rate_region`` of ``qcore.ghz(12)``
-  with the first 11 qubits as senders, 2047 constraints.
+  with the first 11 qubits as senders, 2047 constraints;
+- ``random8.merge.m7``: ``regions.merging_rate_region`` of a seeded random
+  pure state of 8 qubits with the first 7 as senders, 127 constraints, the
+  shape of the benchmark's ``merge_region.pure.m7``.
 
-Each case is timed by ``timing.measure``: the entropies over REPEATS calls,
-H_max and the region over one.  Each call gets a state built afresh outside
+Each case is timed by ``timing.measure``: the entropies and the 8-qubit
+region over REPEATS calls, H_max and the GHZ region over one.  Each call gets a state built afresh outside
 the timed span, so no spectrum cached by an earlier call is read.  A tree
 that reads S(T) of a state stored as amplitudes from a dense reduction of T
 decomposes the 2048-sided reduction of ``S(T).k11`` and the 4096-sided whole
@@ -30,18 +33,23 @@ JSON object:
 
 - ``cases``: for each case, the ``timing.measure`` record of the seconds per
   call, with ``entropy`` (H_max included) as ``float.hex`` or, for the region,
-  ``max_abs_error``, the largest distance of a right-hand side from its
-  exact value (1 for the full sender set, 0 for every other);
+  ``max_abs_error``, the largest distance of a right-hand side of the GHZ
+  region from its exact value (1 for the full sender set, 0 for every
+  other), or ``rhs_sha256``, the sha256 of the 8-qubit region's right-hand
+  sides as ``float.hex``, one a line in mask order;
 - ``fingerprint``.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import timing  # before numpy: it pins BLAS at one thread
 
 REPEATS = 7
 SEED = 26
 QUBITS = 12
+REGION_QUBITS = 8
 
 
 def on_fresh(build, evaluate, repeats: int):
@@ -72,6 +80,13 @@ def main(argv: list[str] | None = None) -> int:
     full = (1 << (QUBITS - 1)) - 1
     error = max(abs(rhs - (1.0 if mask == full else 0.0)) for mask, rhs in region.constraints)
     out["ghz12.merge.m11"] = {**record, "max_abs_error": error}
+
+    systems = systems[:REGION_QUBITS]
+    amplitudes = qcore.random_pure(systems, np.random.default_rng(SEED)).vector()
+    region, record = on_fresh(lambda: qcore.pure_state(systems, amplitudes),
+                              lambda psi: regions.merging_rate_region(psi, psi.labels[:-1]), REPEATS)
+    rhs = "".join(f"{value.hex()}\n" for _, value in region.constraints)
+    out["random8.merge.m7"] = {**record, "rhs_sha256": hashlib.sha256(rhs.encode()).hexdigest()}
     timing.emit({"cases": out})
     return 0
 

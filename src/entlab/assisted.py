@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def _parties(
 
 
 def _mincut_coherent(
-    s: Callable[[Sequence[str]], float],
+    s: "entropy._SubsetTable",
     a_labels: tuple[str, ...],
     b_labels: tuple[str, ...],
     groups: Sequence[tuple[str, ...]],
@@ -61,13 +61,11 @@ def _mincut_coherent(
     """mincut_coherent read from the subset-entropy table ``s``, for groups checked by :func:`_parties`."""
     names = [_group_name(g) for g in groups]
     by_name = dict(zip(names, groups))
-    everything = list(a_labels) + list(b_labels) + [x for g in groups for x in g]
-
-    def value(cut: tuple[str, ...]) -> float:
-        tbar = [x for name, g in by_name.items() if name not in cut for x in g]
-        return -(s(everything) - s(list(b_labels) + tbar))
-
-    return regions.min_over_cuts(names, value)
+    everything = a_labels + b_labels + tuple(x for g in groups for x in g)
+    cuts = regions._cuts(names)
+    tbars = [b_labels + tuple(x for name, g in by_name.items() if name not in cut for x in g) for cut in cuts]
+    whole, *rest = s.entropies([everything] + tbars)
+    return regions._least_cut(cuts, [-(whole - value) for value in rest])
 
 
 def _group_name(group: Sequence[str]) -> str:

@@ -35,11 +35,15 @@ def subset_entropies(state: LabeledState) -> "_SubsetTable":
     """S(T) for label sets T of ``state``, each reduced and decomposed at most once.
 
     Entries are keyed by the labels in the state's system order, so any order
-    of T finds the same entry, and S(empty) = 0.  S(T) is the entropy of T's
-    reduced state, which ``table.reduced(T)`` returns with its cached
-    spectrum for callers that need the operator too.  Make the table inside
-    the call that reads it and let it go with that call: it is a memo of one
-    computation, not a property of the state.
+    of T finds the same entry, and S(empty) = 0.  ``table(T)`` reads one
+    entry and ``table.entropies(Ts)`` a list of them; either computes the
+    entries it lacks, equal to :func:`von_neumann` bit for bit.  A dense
+    state reduces and decomposes each set on its own, while a state stored
+    as a factor fills them in batches (:func:`_factor_entropies`).  S(T) is
+    the entropy of T's reduced state, which ``table.reduced(T)`` returns with
+    its cached spectrum for callers that need the operator too.  Make the
+    table inside the call that reads it and let it go with that call: it is
+    a memo of one computation, not a property of the state.
     """
     return _SubsetTable(state)
 
@@ -59,8 +63,21 @@ class _SubsetTable:
     def __call__(self, part: Iterable[str] | str) -> float:
         key = qcore._normalize_labels(self._state, part)
         if key not in self._entropy:
-            self._entropy[key] = von_neumann(self.reduced(key))
+            self._fill([key])
         return self._entropy[key]
+
+    def entropies(self, parts: Iterable[Iterable[str] | str]) -> list[float]:
+        """S(T) for each label set T of ``parts``, in their order."""
+        keys = [qcore._normalize_labels(self._state, part) for part in parts]
+        self._fill([key for key in dict.fromkeys(keys) if key not in self._entropy])
+        return [self._entropy[key] for key in keys]
+
+    def _fill(self, keys: list[tuple[str, ...]]) -> None:
+        if self._state._factor is not None:
+            self._entropy.update(_factor_entropies(self._state, keys))
+            return
+        for key in keys:
+            self._entropy[key] = von_neumann(self.reduced(key))
 
     def conditional(self, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
         """S(part | given) = S(part, given) - S(given) from the table's entries."""
@@ -68,6 +85,61 @@ class _SubsetTable:
         part_labels = qcore._normalize_labels(self._state, part)
         given_labels = qcore._normalize_labels(self._state, given)
         return self(part_labels + given_labels) - self(given_labels)
+
+
+# Bytes of reductions that one batch of _factor_entropies holds at once.
+_BATCH_BYTES = 1 << 20
+
+
+def _factor_entropies(state: LabeledState, keys: Sequence[tuple[str, ...]]) -> dict[tuple[str, ...], float]:
+    """S(T) for each label set T of ``keys`` (in the state's order) of a state stored as a factor.
+
+    Every value is :func:`von_neumann`'s, bit for bit.  The whole set reads
+    the state's own entropy.  Any other T is reduced as
+    :func:`qcore.partial_trace` reduces it: the factor V, D x r, read as a
+    tensor of the systems' dimensions and r, is copied into Psi[traced, kept],
+    its column axis first, then the traced systems last to first, then the
+    kept ones.  A kept factor Psi^T of one column reads 0.  The other sets
+    are grouped by the shape (d_traced r, d_keep) of Psi and copied into one
+    stack per group, up to _BATCH_BYTES at a time.  Each stack takes one
+    batched product, the Gram of Psi^T while d_traced r < d_keep and Psi^T
+    conj(Psi) otherwise, made Hermitian, and one stacked ``eigvalsh``.
+    numpy runs each matrix of a stack through the BLAS and LAPACK calls of a
+    lone matrix of its layout, so each row of clamped eigenvalues, and its
+    Shannon entropy, is the one a reduction of its own gives.  Each set is
+    copied into its slot of the stack by one transposing copy, which costs
+    less than building an index array per set for one gather.
+    """
+    v = state._factor
+    shape = state.dims + (v.shape[1],)
+    tensor = v.reshape(shape)
+    n = len(state.dims)
+    out = {}
+    groups: dict[tuple[int, int], list[tuple[tuple[str, ...], list[int]]]] = {}
+    for key in keys:
+        keep = [state.index_of(name) for name in key]
+        if len(keep) == n:
+            out[key] = state.entropy()
+            continue
+        d_keep = math.prod(shape[i] for i in keep)
+        side = v.size // d_keep
+        if side == 1 < d_keep:
+            out[key] = 0.0
+        else:
+            order = [i for i in reversed(range(n + 1)) if i not in keep] + keep
+            groups.setdefault((side, d_keep), []).append((key, order))
+    per_batch = max(1, _BATCH_BYTES // v.nbytes)
+    for (side, d_keep), members in groups.items():
+        for start in range(0, len(members), per_batch):
+            batch = members[start:start + per_batch]
+            psi = np.empty((len(batch), side, d_keep), dtype=v.dtype)
+            for slot, (_, order) in zip(psi, batch):
+                slot.reshape([shape[i] for i in order])[...] = tensor.transpose(order)
+            psi_t = psi.swapaxes(-1, -2)
+            gram = psi.conj() @ psi_t if side < d_keep else psi_t @ psi.conj()
+            eigs = qcore._clamp(np.linalg.eigvalsh(qcore._hermitian_part(gram)))
+            out.update((key, qcore.shannon_entropy(row)) for (key, _), row in zip(batch, eigs))
+    return out
 
 
 def conditional_entropy(state: LabeledState, part: Iterable[str] | str, given: Iterable[str] | str) -> float:

@@ -3,6 +3,7 @@ purification, Schmidt analysis, distance measures, and Haar-random unitaries."""
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -73,7 +74,8 @@ def _clamp(eigs: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    """(M + M^dagger)/2 of a matrix, or of each matrix of a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _gram(v: np.ndarray) -> np.ndarray:
@@ -106,20 +108,28 @@ class LabeledState:
     spectrum decomposes its r x r Gram matrix V^dagger V at most.  States are
     immutable after construction.
 
-    Only :func:`make_state`, :func:`pure_state` and :func:`build_state`
-    validate their input.  The operations of this module map valid states to
-    valid states, so they wrap their results without a new eigendecomposition.
+    ``labels``, ``dims`` and the position of each label are built once, at
+    construction.  Only :func:`make_state`, :func:`pure_state` and
+    :func:`build_state` validate their input.  The operations of this module
+    map valid states to valid states, so they wrap their results without a
+    new eigendecomposition.
     """
 
-    __slots__ = ("systems", "norm_mode", "_matrix", "_factor", "_spectrum", "_pure")
+    __slots__ = ("systems", "labels", "dims", "_position", "norm_mode", "_matrix", "_factor", "_spectrum", "_pure")
 
     systems: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
     norm_mode: str
 
     def __init__(self, systems: tuple[tuple[str, int], ...], norm_mode: str,
                  matrix: np.ndarray | None = None, factor: np.ndarray | None = None):
         init = object.__setattr__
         init(self, "systems", systems)
+        labels = tuple(name for name, _ in systems)
+        init(self, "labels", labels)
+        init(self, "dims", tuple(d for _, d in systems))
+        init(self, "_position", {name: i for i, name in enumerate(labels)})
         init(self, "norm_mode", norm_mode)
         init(self, "_matrix", matrix)
         init(self, "_factor", factor)
@@ -179,28 +189,17 @@ class LabeledState:
         return self._pure
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.systems)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.systems)
-
-    @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims)) if self.systems else 1
+        return math.prod(self.dims)
 
     def dim_of(self, label: str) -> int:
-        for name, d in self.systems:
-            if name == label:
-                return d
-        raise LabelError(f"unknown subsystem label {label!r}")
+        return self.dims[self.index_of(label)]
 
     def index_of(self, label: str) -> int:
-        for i, (name, _) in enumerate(self.systems):
-            if name == label:
-                return i
-        raise LabelError(f"unknown subsystem label {label!r}")
+        try:
+            return self._position[label]
+        except KeyError:
+            raise LabelError(f"unknown subsystem label {label!r}") from None
 
     def trace(self) -> float:
         v = self._factor
@@ -255,15 +254,11 @@ def distinct_labels(*groups: Iterable[str] | str) -> tuple[tuple[str, ...], ...]
 
 def _normalize_labels(state: LabeledState, labels: Iterable[str] | str) -> tuple[str, ...]:
     """Validate labels against the state and return them in the state's system order."""
-    if isinstance(labels, str):
-        wanted = {labels}
-    else:
-        wanted = set(labels)
-    known = set(state.labels)
-    unknown = wanted - known
-    if unknown:
-        raise LabelError(f"unknown subsystem labels {sorted(unknown)!r}")
-    return tuple(name for name in state.labels if name in wanted)
+    wanted = {labels} if isinstance(labels, str) else set(labels)
+    position = state._position
+    if not wanted <= position.keys():
+        raise LabelError(f"unknown subsystem labels {sorted(wanted - position.keys())!r}")
+    return tuple(sorted(wanted, key=position.__getitem__))
 
 
 def _checked_systems(systems: Sequence[tuple[str, int]]) -> tuple[tuple[tuple[str, int], ...], int]:
@@ -273,7 +268,7 @@ def _checked_systems(systems: Sequence[tuple[str, int]]) -> tuple[tuple[tuple[st
     for name, d in systems:
         if d < 1:
             raise StateError(f"subsystem {name!r} has non-positive dimension {d}")
-    side = int(np.prod([d for _, d in systems])) if systems else 1
+    side = math.prod(d for _, d in systems)
     if side > MAX_TOTAL_DIM:
         raise StateError(f"total dimension {side} exceeds the cap {MAX_TOTAL_DIM}")
     return systems, side
@@ -715,12 +710,13 @@ _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash_constants(start: int, mult: int, count: int) -> list[int]:
-    """The running hash constants start * mult^i mod 2^32 for i < ``count``."""
+@functools.cache
+def _hash_constants(start: int, mult: int, count: int) -> tuple[int, ...]:
+    """The running hash constants start * mult^i mod 2^32 for i < ``count``, built once per argument set."""
     out = [start]
     for _ in range(count - 1):
         out.append(out[-1] * mult & _MASK32)
-    return out
+    return tuple(out)
 
 
 def _hashmix(value, const, next_const):
@@ -737,6 +733,11 @@ def _mix(x, y):
     """numpy's ``mix`` of a pool word x with a hashed word y."""
     result = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
     return result ^ result >> _XSHIFT
+
+
+# The constants at which generate_state reads out 8 uint32 words.
+_OUTPUT_CONSTANTS = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), dtype=np.uint32)
+_OUTPUT_CONSTANTS.setflags(write=False)
 
 
 class _SpawnedSeed(np.random.bit_generator.ISeedSequence):
@@ -786,8 +787,7 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     last = np.array(list(steps), dtype=np.uint32)
     pool = _mix(np.array(pool, dtype=np.uint32), _hashmix(keys, last[:, 0], last[:, 1]))
     # generate_state reads the pool cyclically into 8 uint32s.
-    out_consts = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), dtype=np.uint32)
-    halves = _hashmix(np.concatenate((pool, pool), axis=1), out_consts[:-1], out_consts[1:]).astype(np.uint64)
+    halves = _hashmix(np.concatenate((pool, pool), axis=1), _OUTPUT_CONSTANTS[:-1], _OUTPUT_CONSTANTS[1:]).astype(np.uint64)
     words = halves[:, 0::2] | halves[:, 1::2] << 32
     return [np.random.Generator(np.random.PCG64(_SpawnedSeed(seed, (k,), w))) for k, w in enumerate(words)]
 

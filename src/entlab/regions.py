@@ -95,13 +95,12 @@ def merging_rate_region(
         raise qcore.LabelError("the sender list has no labels")
     if len(senders) > MAX_REGION_PARTIES:
         raise StateError(f"at most {MAX_REGION_PARTIES} senders supported")
-    s = entropy.subset_entropies(state)
     joint = senders + receiver_side
-    constraints = []
-    for mask, t in subsets(senders):
-        rest = [p for p in joint if p not in t]
-        constraints.append((mask, s(joint) - s(rest)))
-    return RegionSpec(parties=senders, constraints=tuple(constraints), kind="asymptotic_merge")
+    sender_sets = list(subsets(senders))
+    rests = [[p for p in joint if p not in t] for _, t in sender_sets]
+    whole, *rest = entropy.subset_entropies(state).entropies([joint] + rests)
+    constraints = tuple((mask, whole - value) for (mask, _), value in zip(sender_sets, rest))
+    return RegionSpec(parties=senders, constraints=constraints, kind="asymptotic_merge")
 
 
 def split_transfer_region(
@@ -260,14 +259,23 @@ def min_over_cuts(
     value_of_cut: Callable[[tuple[str, ...]], float],
 ) -> tuple[float, tuple[str, ...]]:
     """Minimize over all 2^m helper subsets; ties broken by cardinality then lexicographically."""
+    cuts = _cuts(helpers)
+    return _least_cut(cuts, map(value_of_cut, cuts))
+
+
+def _cuts(helpers: Sequence[str]) -> list[tuple[str, ...]]:
+    """The 2^m subsets of ``helpers`` in the order :func:`min_over_cuts` tries them."""
     helpers = tuple(helpers)
     if len(helpers) > 20:
         raise StateError("at most 20 helpers supported")
+    return [()] + sorted((cut for _, cut in subsets(helpers)), key=lambda cut: (len(cut), cut))
+
+
+def _least_cut(cuts: Sequence[tuple[str, ...]], values: Iterable[float]) -> tuple[float, tuple[str, ...]]:
+    """The least of ``values`` and its cut, ``values`` in the order of ``cuts``; a later cut wins only if lower by BOUNDARY_TOL."""
     best_value = math.inf
     best_cut: tuple[str, ...] = ()
-    cuts = [()] + sorted((cut for _, cut in subsets(helpers)), key=lambda cut: (len(cut), cut))
-    for cut in cuts:
-        value = value_of_cut(cut)
+    for cut, value in zip(cuts, values):
         if value < best_value - BOUNDARY_TOL:
             best_value = value
             best_cut = cut
@@ -281,8 +289,10 @@ def min_cut_entanglement(
     helpers: Sequence[str],
 ) -> tuple[float, tuple[str, ...]]:
     """min over cuts T of S(A, T): the optimal assisted EPR rate for pure states."""
-    qcore._normalize_labels(state, sum(qcore.distinct_labels(a_labels, b_labels, helpers), ()))
-    return min_cut_entanglement_oracle(entropy.subset_entropies(state), a_labels, helpers)
+    a_labels, b_labels, helpers = qcore.distinct_labels(a_labels, b_labels, helpers)
+    qcore._normalize_labels(state, a_labels + b_labels + helpers)
+    cuts = _cuts(helpers)
+    return _least_cut(cuts, entropy.subset_entropies(state).entropies([a_labels + cut for cut in cuts]))
 
 
 def min_cut_entanglement_oracle(

@@ -696,3 +696,81 @@ def test_subset_entropy_table_satisfies_entropy_inequalities(kind, seed):
             assert s(t) == pytest.approx(s(set(labels) - t), abs=tol)
     assert s([]) == 0.0
     assert s(["Z", "W"]) == s(("W", "Z")) == entropy.von_neumann(state, ["W", "Z"])
+
+
+def _every_subset(labels):
+    return [t for _, t in regions.subsets(labels)]
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+def _batch_read_states():
+    rng = np.random.default_rng(37)
+    qubits8 = qcore.random_pure([(f"Q{i}", 2) for i in range(8)], rng)
+    qubits10 = qcore.random_pure([(f"Q{i}", 2) for i in range(10)], rng)
+    kept = qcore.partial_trace(qubits10, [f"Q{i}" for i in range(7)])
+    mixed_dims = qcore.random_pure([("A", 2), ("B", 3), ("C", 1), ("D", 4), ("E", 2)], rng)
+    # Every Psi is 1 x 1 here, a matrix to decompose rather than a kept factor of one column.
+    ones = qcore.pure_state([("A", 1), ("B", 1), ("C", 1)], [0.3 + 0.7j])
+    return {"qubits8": qubits8, "kept-factor": kept, "mixed-dims": mixed_dims, "ones": ones}
+
+
+@pytest.mark.parametrize("name", ["qubits8", "kept-factor", "mixed-dims", "ones"])
+@pytest.mark.parametrize("batch_bytes", [None, 1])
+def test_batch_read_of_a_factor_equals_von_neumann_bit_for_bit(monkeypatch, name, batch_bytes):
+    state = _batch_read_states()[name]
+    assert state._factor is not None and state._matrix is None
+    if name == "kept-factor":
+        assert state._factor.shape == (128, 8)
+    if batch_bytes is not None:
+        # One reduction per batch: every set goes through the chunked path on its own.
+        monkeypatch.setattr(entropy, "_BATCH_BYTES", batch_bytes)
+    parts = _every_subset(state.labels)
+    expected = [entropy.von_neumann(state, t) for t in parts]
+    monkeypatch.setattr(qcore, "partial_trace", None)  # the batch read reduces without it
+    table = entropy.subset_entropies(state)
+    assert _bits(table.entropies(parts)) == _bits(expected)
+    if name != "kept-factor":
+        assert _bits([table(state.labels)] + table.entropies([state.labels[::-1]])) == _bits([0.0, 0.0])
+    # Repeated sets and any order of their labels read the same entries.
+    again = [t[::-1] for t in parts] + [set(t) for t in reversed(parts)] + [[], state.labels[0]]
+    assert _bits(table.entropies(again)) == _bits(expected + expected[::-1] + [0.0, expected[0]])
+    assert _bits([table(t) for t in parts]) == _bits(expected)
+
+
+def test_batch_read_takes_one_stacked_eigvalsh_per_shape(monkeypatch):
+    state = _batch_read_states()["qubits8"]
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    parts = _every_subset(state.labels)
+    entropy.subset_entropies(state).entropies(parts + parts)
+    # |T| = k reduces to a Psi of shape (2^(8-k), 2^k); k = 8 is the whole pure state, which reads 0.
+    assert sorted(shapes) == sorted((math.comb(8, k), min(2**k, 2 ** (8 - k)), min(2**k, 2 ** (8 - k))) for k in range(1, 8))
+
+
+def test_dense_states_read_the_table_per_set(monkeypatch):
+    state = ginibre.state([("W", 2), ("X", 3), ("Y", 1), ("Z", 2)], np.random.default_rng(5), rank=3)
+    assert state._factor is None
+    parts = _every_subset(state.labels)
+    expected = [entropy.von_neumann(state, t) for t in parts]
+    reductions = []
+    original = qcore.partial_trace
+
+    def recorded(st, keep):
+        if st is state:
+            reductions.append(keep)
+        return original(st, keep)
+
+    monkeypatch.setattr(qcore, "partial_trace", recorded)
+    table = entropy.subset_entropies(state)
+    assert _bits(table.entropies(parts + parts[::-1])) == _bits(expected + expected[::-1])
+    # One reduction per set; von_neumann of the whole state passes it through partial_trace once more.
+    assert set(reductions) == set(parts) and len(reductions) == len(parts) + 1

@@ -251,6 +251,41 @@ def test_permute_and_merge_systems():
     assert merged.systems == (("AB", 4), ("C", 3))
 
 
+def _bookkeeping_matches_systems(state):
+    assert state.labels == tuple(name for name, _ in state.systems)
+    assert state.dims == tuple(d for _, d in state.systems)
+    assert state.total_dim == math.prod(state.dims)
+    for i, (name, d) in enumerate(state.systems):
+        assert state.index_of(name) == i and state.dim_of(name) == d
+    for lookup in (state.index_of, state.dim_of):
+        with pytest.raises(qcore.LabelError, match="unknown subsystem label 'nope'"):
+            lookup("nope")
+
+
+@pytest.mark.parametrize("stored", ["factor", "matrix"])
+def test_derived_states_carry_labels_and_dims_of_their_systems(stored):
+    rng = np.random.default_rng(4)
+    systems = [("A", 2), ("B", 3), ("C", 1), ("D", 2)]
+    state = qcore.random_pure(systems, rng) if stored == "factor" else qcore.random_state(systems, rng)
+    derived = [
+        state,
+        qcore.permute_systems(state, ["D", "A", "C", "B"]),
+        qcore.merge_systems(state, {"AB": ["A", "B"]}),
+        qcore.merge_systems(qcore.permute_systems(state, ["C", "D", "B", "A"]), {"DB": ["D", "B"], "Ca": ["C"]}),
+        qcore.partial_trace(state, ["D", "B"]),
+        qcore.partial_trace(state, "C"),
+        qcore.partial_trace(qcore.merge_systems(state, {"BC": ["B", "C"]}), ["D", "BC"]),
+    ]
+    for s in derived:
+        _bookkeeping_matches_systems(s)
+    assert [s.labels for s in derived[1:]] == [
+        ("D", "A", "C", "B"), ("AB", "C", "D"), ("Ca", "DB", "A"), ("B", "D"), ("C",), ("BC", "D"),
+    ]
+    assert qcore._normalize_labels(derived[1], ["B", "A", "D"]) == ("D", "A", "B")
+    with pytest.raises(qcore.LabelError, match=r"unknown subsystem labels \['E', 'F'\]"):
+        qcore._normalize_labels(state, ["F", "A", "E"])
+
+
 def test_build_state_constructor_pure_mixed_and_errors():
     bell = qcore.build_state({"state": {"kind": "constructor", "name": "bell_phi_plus"}})
     assert bell.labels == ("A", "B")

@@ -249,13 +249,14 @@ def test_corner_points_satisfy_region():
 
 
 def _eigendecomposition_sides(monkeypatch) -> list[int]:
-    """The side of each matrix given to eigvalsh or eigh from here on."""
+    """The side of each matrix given to eigvalsh or eigh from here on, one entry per matrix of a stack."""
     sides = []
     for name in ("eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
 
         def recorded(a, *args, _original=original, **kwargs):
-            sides.append(np.shape(a)[-1])
+            shape = np.shape(a)
+            sides.extend([shape[-1]] * math.prod(shape[:-2]))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
