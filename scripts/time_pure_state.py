@@ -19,11 +19,13 @@ The cases, on a seeded random pure state of 12 qubits stored as amplitudes
   shape of the benchmark's ``merge_region.pure.m7``.
 
 Each case is timed by ``timing.measure``: the entropies and the 8-qubit
-region over REPEATS calls, H_max and the GHZ region over one.  Each call gets a state built afresh outside
-the timed span, so no spectrum cached by an earlier call is read.  A tree
-that reads S(T) of a state stored as amplitudes from a dense reduction of T
-decomposes the 2048-sided reduction of ``S(T).k11`` and the 4096-sided whole
-state, seconds each at one thread and hours for the region; this one reads
+region over REPEATS calls, H_max and the GHZ region, whose call takes about
+0.3 s, over SLOW_REPEATS, enough for every record to carry its quartiles.
+Each call gets a state built afresh outside the timed span, so no spectrum
+cached by an earlier call is read.  A tree that reads S(T) of a state
+stored as amplitudes from a dense reduction of T decomposes the 2048-sided
+reduction of ``S(T).k11`` and the 4096-sided whole state, seconds each at
+one thread and hours for the region; this one reads
 the larger side through the Gram matrix of the factor its reduction keeps.
 A tree that purifies the state through an eigendecomposition of its
 4096-sided matrix, instead of reading its amplitudes as the purification's
@@ -47,6 +49,7 @@ import hashlib
 import timing  # before numpy: it pins BLAS at one thread
 
 REPEATS = 7
+SLOW_REPEATS = 5
 SEED = 26
 QUBITS = 12
 REGION_QUBITS = 8
@@ -72,11 +75,11 @@ def main(argv: list[str] | None = None) -> int:
                                  lambda psi: entropy.von_neumann(psi, part), REPEATS)
         out[name] = {**record, "entropy": value.hex()}
     value, record = on_fresh(lambda: qcore.pure_state(systems, amplitudes),
-                             lambda psi: entropy.entropy_report(psi, labels[:3], labels[3:], "hmax")["hmax"], 1)
+                             lambda psi: entropy.entropy_report(psi, labels[:3], labels[3:], "hmax")["hmax"], SLOW_REPEATS)
     out["hmax.k3"] = {**record, "entropy": value.hex()}
 
     region, record = on_fresh(lambda: qcore.ghz(QUBITS),
-                              lambda ghz: regions.merging_rate_region(ghz, ghz.labels[:-1]), 1)
+                              lambda ghz: regions.merging_rate_region(ghz, ghz.labels[:-1]), SLOW_REPEATS)
     full = (1 << (QUBITS - 1)) - 1
     error = max(abs(rhs - (1.0 if mask == full else 0.0)) for mask, rhs in region.constraints)
     out["ghz12.merge.m11"] = {**record, "max_abs_error": error}

@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
 """Time state validation: ``make_state`` on mixed inputs and state-file loading.
 
-    python3 scripts/time_state_validation.py [SRC_DIR] [--sizes 256,1024] [--joints 32] [--parse-sizes 1024]
+    python3 scripts/time_state_validation.py [SRC_DIR] [--sizes 256,1024] [--joints 32,64] [--parse-sizes 1024]
 
 SRC_DIR, the BLAS threads and the fingerprint are as ``timing.py`` describes.
 For each side D it builds one random full-rank density matrix, and for each
 d in ``--joints`` the joint of the ``gershgorin`` criterion's overlap family,
-``acceptance.overlap_family(d, rng)[2]`` of the timed tree on a generator
-seeded with SEED: d nonzero rows of D = d^2, which ``make_state`` validates
-on its d x d block.  For each parse size it writes one state file to a
+``acceptance.overlap_family(d, rng)`` of the timed tree on a generator
+seeded with SEED: d nonzero rows of D = d^2 on C1 (x) R, which
+``make_state`` validates on its d x d block, and sigma^R = diag(c_j^2) of
+its amplitudes.  For each parse size it writes one state file to a
 temporary directory.  Every case is timed by ``timing.measure``.  It prints
 one JSON object:
 
 - ``cases``: the ``timing.measure`` record of each case, keyed
-  ``make_state.D`` for the full-rank sides, ``make_state.joint<d>`` for the
-  joints, and ``json_load.D`` and ``parse_state_file.D`` for ``json.load``
-  of a state file alone and the whole ``cli.parse_state_file`` of it; the
-  last two also give ``file_mb``;
+  ``make_state.D`` for the full-rank sides; ``make_state.joint<d>`` for
+  ``make_state`` of a joint and ``min_entropy_relative.joint<d>`` for
+  H_min(C1 R | R) of the validated joint relative to sigma^R, each over
+  JOINT_REPEATS calls, with ``value`` as ``float.hex``; and
+  ``json_load.D`` and ``parse_state_file.D`` for ``json.load`` of a state
+  file alone and the whole ``cli.parse_state_file`` of it, which also give
+  ``file_mb``;
 - ``fingerprint``.
 
 The input matrices are drawn from fixed seeds.  Building them and writing
@@ -35,6 +39,7 @@ import timing  # before numpy: it pins BLAS at one thread
 
 SEED = 8
 PARSE_REPEATS = 1  # a D = 2048 file takes about 8 s to parse
+JOINT_REPEATS = 7
 
 
 def _sizes(text: str) -> list[int]:
@@ -52,6 +57,24 @@ def time_make_state(qcore, matrix) -> dict:
         qcore.make_state([("A", side)], matrix)
 
     return timing.measure(validate, _repeats(side))[1]
+
+
+def time_joint(acceptance, entropy, qcore, d: int) -> dict:
+    import numpy as np
+
+    _, coeff, big = acceptance.overlap_family(d, np.random.default_rng(SEED))
+    systems = [("C1", d), ("R", d)]
+    sigma = qcore.make_state([("R", d)], np.diag(coeff**2).astype(complex))
+    joint = qcore.make_state(systems, big)
+
+    def validate() -> None:  # as in time_make_state
+        qcore.make_state(systems, big)
+
+    value, record = timing.measure(lambda: entropy.min_entropy_relative(joint, sigma), JOINT_REPEATS)
+    return {
+        f"make_state.joint{d}": timing.measure(validate, JOINT_REPEATS)[1],
+        f"min_entropy_relative.joint{d}": {**record, "value": value.hex()},
+    }
 
 
 def time_parse(cli, qcore, side: int, rng, directory: Path) -> dict:
@@ -84,10 +107,10 @@ def time_parse(cli, qcore, side: int, rng, directory: Path) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = timing.parser(__doc__)
     parser.add_argument("--sizes", type=_sizes, default=_sizes("256,1024,2048,4096"), help="make_state sides")
-    parser.add_argument("--joints", type=_sizes, default=_sizes("32"), help="overlap-family joints, by d")
+    parser.add_argument("--joints", type=_sizes, default=_sizes("32,64"), help="overlap-family joints, by d")
     parser.add_argument("--parse-sizes", type=_sizes, default=_sizes("1024,2048"), help="state-file sides")
     args = parser.parse_args(argv)
-    acceptance, cli, qcore = timing.load(args.src, "acceptance", "cli", "qcore")
+    acceptance, cli, entropy, qcore = timing.load(args.src, "acceptance", "cli", "entropy", "qcore")
     import numpy as np
 
     rng = np.random.default_rng(SEED)
@@ -95,8 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     for side in args.sizes:
         cases[f"make_state.{side}"] = time_make_state(qcore, qcore.random_density([side], rng))
     for d in args.joints:
-        joint = acceptance.overlap_family(d, np.random.default_rng(SEED))[2]
-        cases[f"make_state.joint{d}"] = time_make_state(qcore, joint)
+        cases.update(time_joint(acceptance, entropy, qcore, d))
     with tempfile.TemporaryDirectory() as tmp:
         for side in args.parse_sizes:
             cases.update(time_parse(cli, qcore, side, rng, Path(tmp)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -374,7 +375,13 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    ``--seed`` defaults to None, which :func:`main` replaces by the
+    ENTLAB_SEED default it reads at each call.
+    """
     parser = argparse.ArgumentParser(
         prog="entlab",
         description="Numerical laboratory for state merging, decoupling bounds, and assisted distillation.",
@@ -385,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     def seeded(p):
-        p.add_argument("--seed", type=parse_seed, default=default_seed(), help="root RNG seed")
+        p.add_argument("--seed", type=parse_seed, default=None, help="root RNG seed")
 
     def csv_output(p):
         p.add_argument("--csv", default=None, help="optional CSV output path")
@@ -480,8 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # Building the parser reads ENTLAB_SEED for the --seed default, whatever the command.
+        # ENTLAB_SEED is read before parsing, so a bad value fails every command first.
+        seed = default_seed()
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:
+            args.seed = seed
         return args.func(args)
     except (qcore.StateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

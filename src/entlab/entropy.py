@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -229,25 +229,39 @@ def _on_conditioning(op: np.ndarray, rho_m: np.ndarray, d_a: int) -> np.ndarray:
     return t.reshape(side, side)
 
 
-def _conditioning(rho: LabeledState, sigma: LabeledState) -> tuple[np.ndarray, int, Callable[[float], np.ndarray]]:
-    """rho's matrix with sigma's systems last, d_A, and p -> sigma^p on the support of sigma.
+def _sigma_on_support(sigma: LabeledState, b_labels: tuple[str, ...], power: float) -> tuple[np.ndarray, np.ndarray]:
+    """The projector onto the kernel of sigma and sigma^power on its support.
 
-    An empty support, or weight of rho's marginal outside it, raises SupportError.
+    Both come from one :func:`qcore._support_eigh` of sigma's matrix with its
+    systems in the order ``b_labels``; an empty support raises SupportError.
     """
-    arranged, d_a, b_labels = _split_conditioning(rho, sigma.labels)
     eigs, vecs, support = qcore._support_eigh(qcore.permute_systems(sigma, b_labels).matrix)
     kernel = (vecs * (~support)) @ vecs.conj().T
-    rho_b = qcore.partial_trace(arranged, b_labels).matrix
-    leak = float(np.real(np.trace(kernel @ rho_b @ kernel)))
-    if leak > 1e-10:
-        raise SupportError(f"marginal leaks weight {leak:.3e} outside the conditioning support")
+    powers = np.zeros_like(eigs)
+    powers[support] = eigs[support] ** power
+    return kernel, (vecs * powers) @ vecs.conj().T
 
-    def sigma_power(power: float) -> np.ndarray:
-        powers = np.zeros_like(eigs)
-        powers[support] = eigs[support] ** power
-        return (vecs * powers) @ vecs.conj().T
 
-    return arranged.matrix, d_a, sigma_power
+def _conditioned_on(rhos: Iterable[LabeledState], sigma: LabeledState,
+                    power: float) -> Iterator[tuple[LabeledState, int, np.ndarray]]:
+    """For each rho in turn: rho with sigma's systems last, d_A, and sigma^power on the support of sigma.
+
+    sigma is decomposed once for each order in which the rhos list its
+    systems (:func:`_sigma_on_support`).  A rho whose marginal on sigma's
+    systems has weight outside that support raises SupportError when it is
+    reached, so the checks and errors come in the order of one call per rho.
+    """
+    parts: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+    for rho in rhos:
+        arranged, d_a, b_labels = _split_conditioning(rho, sigma.labels)
+        if b_labels not in parts:
+            parts[b_labels] = _sigma_on_support(sigma, b_labels, power)
+        kernel, sigma_power = parts[b_labels]
+        rho_b = qcore.partial_trace(arranged, b_labels).matrix
+        leak = float(np.real(np.trace(kernel @ rho_b @ kernel)))
+        if leak > 1e-10:
+            raise SupportError(f"marginal leaks weight {leak:.3e} outside the conditioning support")
+        yield arranged, d_a, sigma_power
 
 
 def _conditioning_columns(op: np.ndarray, d_a: int, rows: np.ndarray) -> np.ndarray:
@@ -264,22 +278,36 @@ def min_entropy_relative(rho: LabeledState, sigma: LabeledState) -> float:
 
     Computed as the top eigenvalue of rho conjugated by X = I x sigma^{-1/2},
     the power taken on the support of sigma; weight outside the support raises
-    SupportError.  When rho has exactly-zero rows (:func:`qcore.support_rows`),
+    SupportError.  When rho has exactly-zero rows (the rows outside
+    :attr:`qcore.LabeledState.support` of rho with sigma's systems last),
     let S be the other k rows and Y = QR the thin QR of the D x k column block
     X[:, S].  Then X rho X = Y rho_S Y^dagger = Q (R rho_S R^dagger) Q^dagger,
     so its nonzero spectrum is that of the k x k matrix R rho_S R^dagger, which
     is decomposed instead of the D x D one.  Without zero rows the D x D
-    operator is decomposed as before.
+    operator is decomposed as before.  A state from ``qcore.make_state``
+    carries its support, so the D x D matrix is not scanned for it again.
     """
-    rho_m, d_a, sigma_power = _conditioning(rho, sigma)
-    root = sigma_power(-0.5)
-    rows = qcore.support_rows(rho_m)
-    if rows is None:
-        conditioned = _on_conditioning(root, rho_m, d_a)
-    else:
-        r = np.linalg.qr(_conditioning_columns(root, d_a, rows), mode="r")
-        conditioned = r @ rho_m[np.ix_(rows, rows)] @ r.conj().T
-    return -math.log2(float(np.max(qcore.clamped_eigenvalues(conditioned))))
+    (value,) = min_entropies_relative([rho], sigma)
+    return value
+
+
+def min_entropies_relative(rhos: Iterable[LabeledState], sigma: LabeledState) -> list[float]:
+    """:func:`min_entropy_relative` of each rho against one sigma, bit for bit, in the order of ``rhos``.
+
+    sigma is decomposed and its inverse root built once for each order in
+    which the rhos list its systems; each rho keeps its own support test.
+    """
+    out = []
+    for arranged, d_a, root in _conditioned_on(rhos, sigma, -0.5):
+        rho_m = arranged.matrix
+        rows = arranged.support
+        if rows is None:
+            conditioned = _on_conditioning(root, rho_m, d_a)
+        else:
+            r = np.linalg.qr(_conditioning_columns(root, d_a, rows), mode="r")
+            conditioned = r @ rho_m[np.ix_(rows, rows)] @ r.conj().T
+        out.append(-math.log2(float(np.max(qcore.clamped_eigenvalues(conditioned)))))
+    return out
 
 
 def min_entropy_unconditioned(rho: LabeledState) -> float:
@@ -293,8 +321,8 @@ def collision_entropy(rho: LabeledState, sigma: LabeledState) -> float:
     The D x D conditioned operator is built for every rho, with or without
     exactly-zero rows.
     """
-    rho_m, d_a, sigma_power = _conditioning(rho, sigma)
-    tilde = _on_conditioning(sigma_power(-0.25), rho_m, d_a)
+    ((arranged, d_a, quarter),) = _conditioned_on([rho], sigma, -0.25)
+    tilde = _on_conditioning(quarter, arranged.matrix, d_a)
     return -math.log2(float(np.real(np.trace(tilde @ tilde))))
 
 

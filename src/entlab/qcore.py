@@ -97,16 +97,22 @@ def _support_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return eigs, vecs, _support_mask(eigs)
 
 
+# The value of a cache slot that has not been filled, where None is a value.
+_UNREAD = object()
+
+
 class LabeledState:
     """A density operator carrying an ordered list of named subsystems.
 
     The operator is stored in the tensor-product order of ``systems``, as the
     D x D matrix or as a factor V, D x r with rho = V V^dagger: a pure state's
     amplitudes, a kron of factors, or a reduction of one (:func:`partial_trace`).
-    A factor builds the dense ``matrix`` only on first access.  The spectrum
-    and :attr:`is_pure` are computed on first read and cached; a factor's
-    spectrum decomposes its r x r Gram matrix V^dagger V at most.  States are
-    immutable after construction.
+    A factor builds the dense ``matrix`` only on first access.  The spectrum,
+    :attr:`is_pure` and :attr:`support` are computed on first read and cached;
+    a factor's spectrum decomposes its r x r Gram matrix V^dagger V at most.
+    :func:`make_state` and :func:`permute_systems` fill the support when they
+    build a matrix, as they know it already.  States are immutable after
+    construction.
 
     ``labels``, ``dims`` and the position of each label are built once, at
     construction.  Only :func:`make_state`, :func:`pure_state` and
@@ -115,7 +121,7 @@ class LabeledState:
     new eigendecomposition.
     """
 
-    __slots__ = ("systems", "labels", "dims", "_position", "norm_mode", "_matrix", "_factor", "_spectrum", "_pure")
+    __slots__ = ("systems", "labels", "dims", "_position", "norm_mode", "_matrix", "_factor", "_spectrum", "_pure", "_support")
 
     systems: tuple[tuple[str, int], ...]
     labels: tuple[str, ...]
@@ -123,7 +129,7 @@ class LabeledState:
     norm_mode: str
 
     def __init__(self, systems: tuple[tuple[str, int], ...], norm_mode: str,
-                 matrix: np.ndarray | None = None, factor: np.ndarray | None = None):
+                 matrix: np.ndarray | None = None, factor: np.ndarray | None = None, support=_UNREAD):
         init = object.__setattr__
         init(self, "systems", systems)
         labels = tuple(name for name, _ in systems)
@@ -135,6 +141,7 @@ class LabeledState:
         init(self, "_factor", factor)
         init(self, "_spectrum", None)
         init(self, "_pure", None)
+        init(self, "_support", support)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"LabeledState is immutable; cannot set {name!r}")
@@ -187,6 +194,17 @@ class LabeledState:
             pure = self.norm_mode == "normalized" and float(np.vdot(m, m).real) >= 1.0 - PURITY_TOL
             object.__setattr__(self, "_pure", pure)
         return self._pure
+
+    @property
+    def support(self) -> np.ndarray | None:
+        """:func:`support_rows` of the stored :attr:`matrix`: its rows that are not exactly zero, None if every row is."""
+        rows = self._support
+        if rows is _UNREAD:
+            rows = support_rows(self.matrix)
+            if rows is not None:
+                rows.setflags(write=False)
+            object.__setattr__(self, "_support", rows)
+        return rows
 
     @property
     def total_dim(self) -> int:
@@ -282,7 +300,8 @@ def support_rows(matrix: np.ndarray) -> np.ndarray | None:
     PSD within EIGENVALUE_FLOOR can carry off-diagonal entries of about 1e-5
     in a row whose diagonal entry is 0, and such a row stays.  A matrix with
     no zero diagonal entry costs one O(D) scan of the diagonal.  ``make_state``
-    and ``entropy.min_entropy_relative`` read this one rule.
+    and :attr:`LabeledState.support`, which ``entropy.min_entropy_relative``
+    reads, apply this one rule.
     """
     if np.all(np.diagonal(matrix)):
         return None
@@ -313,11 +332,19 @@ def make_state(
     Hermiticity defect, the symmetrization and the Cholesky factorization run
     on the k x k block M_SS; the stored matrix is the symmetrized block
     scattered into zeros.  Outside the block the full-matrix passes would
-    read only zeros, so every check, message and stored bit is the same.  Any
-    other input, a 1e-12 entry in a zero row's column or a -0.0 off the block
-    included, takes the full-matrix passes, and its Cholesky block is the
-    support of (M + M†)/2.  That support is scanned only when some diagonal
-    entry of M has real part 0: the diagonal of (M + M†)/2 is Re M_ii.
+    read only zeros, so every check, message and stored bit is the same.  The
+    trace sums the block's diagonal placed in D zeros, which are the stored
+    diagonal: the sum ``np.trace`` takes, in its order, so no pass after the
+    scatter reads the D x D zeros.  Any other input, a 1e-12 entry in a zero
+    row's column or a -0.0 off the block included, takes the full-matrix
+    passes, and its Cholesky block is the support of (M + M†)/2.  That support
+    is scanned only when some diagonal entry of M has real part 0: the
+    diagonal of (M + M†)/2 is Re M_ii.
+
+    The state carries the support of its stored matrix
+    (:attr:`LabeledState.support`): the support of (M + M†)/2 on the full
+    path, and on the block path the rows of S less those of the symmetrized
+    block that are exactly zero.
     """
     systems, side = _checked_systems(systems)
     m = np.asarray(matrix, dtype=complex)
@@ -328,12 +355,17 @@ def make_state(
         block = _checked_hermitian_part(m[np.ix_(rows, rows)])
         m = np.zeros((side, side), dtype=complex)
         m[np.ix_(rows, rows)] = block
+        diagonal = np.zeros(side, dtype=complex)
+        diagonal[rows] = block.diagonal()
+        tr = float(np.real(np.sum(diagonal)))
+        inner = support_rows(block)
+        support = rows if inner is None else rows[inner]
     else:
         m = _checked_hermitian_part(m)
-        rows = support_rows(m)
+        tr = float(np.real(np.trace(m)))
+        rows = support = support_rows(m)
 
     _check_positive(m, rows)
-    tr = float(np.real(np.trace(m)))
     if norm_mode == "normalized":
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace {tr!r} is not 1 within {TRACE_TOL}")
@@ -342,7 +374,7 @@ def make_state(
             raise StateError(f"trace {tr!r} is not in (0, 1] within {TRACE_TOL}")
     else:
         raise StateError(f"unknown norm_mode {norm_mode!r}")
-    return _trusted(systems, norm_mode, matrix=m)
+    return _trusted(systems, norm_mode, matrix=m, support=support)
 
 
 def _zero_outside(m: np.ndarray, rows: np.ndarray) -> bool:
@@ -456,10 +488,12 @@ def pure_state(systems: Sequence[tuple[str, int]], amplitudes: np.ndarray) -> La
 
 
 def _trusted(systems: tuple[tuple[str, int], ...], norm_mode: str,
-             matrix: np.ndarray | None = None, factor: np.ndarray | None = None) -> LabeledState:
+             matrix: np.ndarray | None = None, factor: np.ndarray | None = None, support=_UNREAD) -> LabeledState:
     """Wrap a result that is a valid state by construction, without checking it."""
     (matrix if factor is None else factor).setflags(write=False)
-    return LabeledState(systems, norm_mode, matrix=matrix, factor=factor)
+    if isinstance(support, np.ndarray):
+        support.setflags(write=False)
+    return LabeledState(systems, norm_mode, matrix=matrix, factor=factor, support=support)
 
 
 def tensor(a: LabeledState, b: LabeledState) -> LabeledState:
@@ -529,7 +563,11 @@ def partial_trace(state: LabeledState, keep: Iterable[str] | str) -> LabeledStat
 
 
 def permute_systems(state: LabeledState, order: Sequence[str]) -> LabeledState:
-    """The same state with its subsystems listed (and its matrix stored) in ``order``."""
+    """The same state with its subsystems listed (and its matrix stored) in ``order``.
+
+    A stored matrix keeps a known :attr:`LabeledState.support`, its k rows
+    mapped through the permutation.
+    """
     if sorted(order) != sorted(state.labels):
         raise LabelError(f"order {list(order)!r} is not a permutation of {list(state.labels)!r}")
     perm = [state.index_of(name) for name in order]
@@ -542,7 +580,12 @@ def permute_systems(state: LabeledState, order: Sequence[str]) -> LabeledState:
         return _trusted(new_systems, state.norm_mode, factor=f)
     t = state._matrix.reshape(dims + dims).transpose(perm + [p + n for p in perm])
     side = state.total_dim
-    return _trusted(new_systems, state.norm_mode, matrix=t.reshape(side, side))
+    rows = state._support
+    if rows is not _UNREAD and rows is not None:
+        # Row i of the stored matrix becomes the row of its permuted multi-index, entries and all.
+        index = np.unravel_index(rows, dims)
+        rows = np.sort(np.ravel_multi_index([index[p] for p in perm], [dims[p] for p in perm]))
+    return _trusted(new_systems, state.norm_mode, matrix=t.reshape(side, side), support=rows)
 
 
 def _act_on_axes(op: np.ndarray, t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -987,8 +1030,8 @@ def merge_systems(state: LabeledState, groups: dict[str, Sequence[str]]) -> Labe
             new_systems[-1] = (target, new_systems[-1][1] * dim)
     distinct_labels([name for name, _ in new_systems])
     merged = LabeledState(tuple(new_systems), state.norm_mode, matrix=state._matrix, factor=state._factor)
-    # The stored operator is unchanged, so the cached spectrum and purity carry over.
-    for cache in ("_spectrum", "_pure"):
+    # The stored operator is unchanged, so the cached spectrum, purity and support carry over.
+    for cache in ("_spectrum", "_pure", "_support"):
         object.__setattr__(merged, cache, getattr(state, cache))
     return merged
 

@@ -34,14 +34,15 @@ def subset_min_entropies(state: LabeledState, senders: Sequence[str], reference:
     """H_min(T R | R) relative to sigma = psi^R for every non-empty subset T of ``senders``.
 
     Keyed by the :func:`subsets` bitmask, in its order; sigma and each joint
-    state are read from one :func:`entropy.subset_entropies` table.
+    state are read from one :func:`entropy.subset_entropies` table, and sigma
+    is decomposed once for all of them (:func:`entropy.min_entropies_relative`).
     """
     s = entropy.subset_entropies(state)
     sigma = s.reduced(reference)
-    return {
-        mask: entropy.min_entropy_relative(s.reduced(list(t) + list(reference)), sigma)
-        for mask, t in subsets(senders)
-    }
+    sender_sets = list(subsets(senders))
+    joints = (s.reduced(list(t) + list(reference)) for _, t in sender_sets)
+    values = entropy.min_entropies_relative(joints, sigma)
+    return {mask: value for (mask, _), value in zip(sender_sets, values)}
 
 
 @dataclass(frozen=True)

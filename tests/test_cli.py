@@ -564,6 +564,22 @@ def test_seed_option_accepts_any_integer_notation(capsys):
     assert cli.build_parser().parse_args(["twirl", "--d", "2", "--L", "1", "--seed", "0x10"]).seed == 16
 
 
+def test_each_main_call_reads_the_seed_environment_variable(monkeypatch, capsys):
+    # The parser is built once per process; the ENTLAB_SEED default is read per call.
+    argv = ["twirl", "--d", "2", "--L", "1", "--samples", "50"]
+    outputs = {}
+    for seed in ("3", "4"):
+        monkeypatch.setenv(cli.SEED_ENV, seed)
+        assert cli.main(argv) == 0
+        outputs[seed] = capsys.readouterr().out
+    assert outputs["3"] != outputs["4"]
+    monkeypatch.delenv(cli.SEED_ENV)
+    for seed in ("3", "4"):
+        assert cli.main(argv + ["--seed", seed]) == 0
+        assert capsys.readouterr().out == outputs[seed]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_verify_prints_criterion_seconds(capsys):
     assert cli.main(["verify", "--only", "swap"]) == 0
     line = capsys.readouterr().out.splitlines()[0]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entlab import coneprog, entropy, qcore, regions
+from entlab import acceptance, coneprog, entropy, qcore, regions
 
 import ginibre
 
@@ -193,8 +193,8 @@ STATE_FILES = ["assist4.json", "ch5.json", "ghz3.json", "mixed4.json", "pure5.js
 
 def _conditioned(rho, sigma, power):
     """(I x sigma^power) rho (I x sigma^power), the D x D operator of states without zero rows."""
-    rho_m, d_a, sigma_power = entropy._conditioning(rho, sigma)
-    return entropy._on_conditioning(sigma_power(power), rho_m, d_a)
+    ((arranged, d_a, sigma_power),) = entropy._conditioned_on([rho], sigma, power)
+    return entropy._on_conditioning(sigma_power, arranged.matrix, d_a)
 
 
 def _dense_min_entropy(rho, sigma):
@@ -270,6 +270,20 @@ def test_support_path_raises_when_the_marginal_leaks_outside_sigma():
     for fn in (entropy.min_entropy_relative, entropy.collision_entropy):
         with pytest.raises(entropy.SupportError, match="outside the conditioning support"):
             fn(rho, sigma)
+
+
+@pytest.mark.parametrize("d", [8, 16, 32, 64])
+def test_min_entropy_relative_on_the_carried_support_equals_a_rescan_bitwise(d):
+    _, coeff, big = acceptance.overlap_family(d, np.random.default_rng(d))
+    sigma = qcore.make_state([("R", d)], np.diag(coeff**2).astype(complex))
+    joint = qcore.make_state([("C1", d), ("R", d)], big)
+    # R first: the arranged state maps the carried support through the permutation.
+    for rho in (joint, qcore.permute_systems(joint, ["R", "C1"])):
+        assert rho._support is not qcore._UNREAD
+        rescanned = qcore._trusted(rho.systems, rho.norm_mode, matrix=rho.matrix)
+        assert rescanned._support is qcore._UNREAD
+        assert entropy.min_entropy_relative(rho, sigma) == entropy.min_entropy_relative(rescanned, sigma)
+        assert rescanned.support.tolist() == rho.support.tolist()
 
 
 def test_a_zero_diagonal_row_with_an_off_diagonal_entry_stays_on_the_dense_path():

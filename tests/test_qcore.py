@@ -449,11 +449,22 @@ def _assert_same_make_state(matrix, norm_mode="normalized"):
         return str(exc)
     got = qcore.make_state(systems, matrix, norm_mode)
     assert got.matrix.tobytes() == want.matrix.tobytes()
+    _assert_carries_its_support(got)
     for part in ("real", "imag"):
         assert np.array_equal(np.signbit(getattr(got.matrix, part)), np.signbit(getattr(want.matrix, part)))
     assert got.is_pure == want.is_pure
     assert got.trace() == want.trace()
     return None
+
+
+def _assert_carries_its_support(state):
+    """The state was built with its support, and it is support_rows of the stored matrix."""
+    assert state._support is not qcore._UNREAD
+    want = qcore.support_rows(state.matrix)
+    if want is None:
+        assert state.support is None
+    else:
+        assert state.support.tolist() == want.tolist()
 
 
 def _hermitian_block(k, rng, rank=None, smallest=None):
@@ -587,9 +598,14 @@ def test_make_state_scans_the_support_of_the_overlap_joint_once(monkeypatch):
         return support_rows(matrix)
 
     monkeypatch.setattr(qcore, "support_rows", counted)
-    big = acceptance.overlap_family(32, np.random.default_rng(32))[2]
-    qcore.make_state([("C1", 32), ("R", 32)], big)
-    assert calls == [(1024, 1024)]
+    _, coeff, big = acceptance.overlap_family(32, np.random.default_rng(32))
+    joint = qcore.make_state([("C1", 32), ("R", 32)], big)
+    # The input once, then the 32 x 32 symmetrized block for rows that cancel to zero.
+    assert calls == [(1024, 1024), (32, 32)]
+    sigma = qcore.make_state([("R", 32)], np.diag(coeff**2).astype(complex))
+    calls.clear()
+    entropy.min_entropy_relative(joint, sigma)
+    assert (1024, 1024) not in calls
 
 
 def test_full_passes_scan_the_symmetrized_support_only_with_a_zero_real_diagonal_entry(monkeypatch):
@@ -616,6 +632,56 @@ def test_full_passes_scan_the_symmetrized_support_only_with_a_zero_real_diagonal
     assert not stored[out].any()
     assert _assert_same_make_state(dense) is None
     assert _assert_same_make_state(m) is None
+
+
+def test_carried_support_of_a_block_row_that_cancels_to_zero():
+    # Row 1 is nonzero in M, so it is in S, but its entries are anti-Hermitian:
+    # (M + M†)/2 zeroes it, and the carried support drops it as a rescan does.
+    m = np.zeros((6, 6), dtype=complex)
+    m[0, 0], m[3, 3] = 0.25, 0.75
+    m[1, 1] = 1e-9j
+    m[1, 3], m[3, 1] = 2e-9, -2e-9
+    assert qcore.support_rows(m).tolist() == [0, 1, 3]
+    state = qcore.make_state([("A", 6)], m)
+    assert state.support.tolist() == [0, 3]
+    _assert_carries_its_support(state)
+    assert _assert_same_make_state(m) is None
+    # A kept row with a -0.0 inside the block: a zero, and the row stays.
+    m[0, 3] = m[3, 0] = complex(-0.0, 0.0)
+    assert _assert_same_make_state(m) is None
+
+
+@pytest.mark.parametrize("side, k", [(4, 2), (9, 4), (130, 7), (300, 40), (1024, 32)])
+def test_make_state_block_path_trace_is_np_trace_bitwise(side, k):
+    # The block path sums the block's diagonal in D zeros; a trace off 1 shows
+    # its bits in the message, which the full passes take from np.trace.
+    rng = np.random.default_rng(side)
+    for scale in (1.0, 1.0 + 3e-9, 0.5):
+        m = _with_zero_rows(_hermitian_block(k, rng), side, rng) * scale
+        assert qcore._zero_outside(m, qcore.support_rows(m))
+        message = _assert_same_make_state(m)
+        assert (message is None) == (scale == 1.0)
+
+
+def test_permute_systems_maps_the_carried_support():
+    rng = np.random.default_rng(31)
+    dims = (2, 3, 4, 2)
+    labels = [f"S{i}" for i in range(len(dims))]
+    systems = list(zip(labels, dims))
+    side = math.prod(dims)
+    dense = qcore.make_state(systems, ginibre.density([side], rng, None))
+    sparse = qcore.make_state(systems, _with_zero_rows(ginibre.density([11], rng, 3), side, rng))
+    assert dense.support is None and sparse.support.size == 11
+    for state in (dense, sparse):
+        for _ in range(6):
+            order = list(rng.permutation(labels))
+            permuted = qcore.permute_systems(state, order)
+            _assert_carries_its_support(permuted)
+            merged = qcore.merge_systems(permuted, {"G": order[1:3]})
+            _assert_carries_its_support(merged)
+    # A state whose support is unread leaves it unread through a permutation.
+    reduced = qcore.partial_trace(sparse, labels[:3])
+    assert qcore.permute_systems(reduced, labels[2::-1])._support is qcore._UNREAD
 
 
 @pytest.mark.parametrize("d", [8, 16, 32])

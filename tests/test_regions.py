@@ -6,10 +6,36 @@ import pytest
 
 from entlab import assisted, entropy, qcore, regions
 
+import ginibre
+
 
 def _two_sender_state():
     parts = qcore.tensor(qcore.max_entangled(2, ("C1", "C2a")), qcore.max_entangled(2, ("C2b", "R")))
     return qcore.merge_systems(parts, {"C2": ["C2a", "C2b"]})
+
+
+def test_subset_min_entropies_decompose_sigma_once_and_equal_each_subset_bitwise(monkeypatch):
+    rng = np.random.default_rng(38)
+    systems = [("C1", 2), ("C2", 3), ("C3", 2), ("R", 3)]
+    state = ginibre.state(systems, rng, 9)
+    support_eigh = qcore._support_eigh
+    shapes = []
+
+    def counted(matrix):
+        shapes.append(matrix.shape)
+        return support_eigh(matrix)
+
+    monkeypatch.setattr(qcore, "_support_eigh", counted)
+    senders, reference = ["C1", "C2", "C3"], ["R"]
+    got = regions.subset_min_entropies(state, senders, reference)
+    assert shapes == [(3, 3)]
+    sigma = qcore.partial_trace(state, reference)
+    want = {
+        mask: entropy.min_entropy_relative(qcore.partial_trace(state, list(t) + reference), sigma)
+        for mask, t in regions.subsets(senders)
+    }
+    assert list(got) == list(want) and all(got[mask] == want[mask] for mask in want)
+    assert len(shapes) == 1 + len(want)
 
 
 def test_two_sender_merging_region_exact():
