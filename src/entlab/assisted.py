@@ -234,7 +234,7 @@ def _exp_i_hermitian(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     h = np.zeros((d, d), dtype=complex)
     h[upper] = params[:half]
     h[strict] += 1j * params[half:]
-    lam, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    lam, v = np.linalg.eigh(qcore._hermitian_part(h))
     return (v * np.exp(1j * lam)) @ v.conj().T, lam, v
 
 

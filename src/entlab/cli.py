@@ -24,8 +24,11 @@ SEED_ENV = "ENTLAB_SEED"
 
 
 def parse_seed(text: str) -> int:
-    """A seed in any Python integer notation (decimal, 0x.., 0o.., 0b..)."""
-    return int(text, 0)
+    """A non-negative seed in any Python integer notation (decimal, 0x.., 0o.., 0b..)."""
+    seed = int(text, 0)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return seed
 
 
 def default_seed() -> int:
@@ -34,8 +37,8 @@ def default_seed() -> int:
         return qcore.DEFAULT_SEED
     try:
         return parse_seed(env)
-    except ValueError:
-        raise qcore.StateError(f"{SEED_ENV}={env!r} is not an integer") from None
+    except (ValueError, argparse.ArgumentTypeError):
+        raise qcore.StateError(f"{SEED_ENV}={env!r} is not a non-negative integer") from None
 
 
 def _parse_numbers(text: str) -> list[float]:

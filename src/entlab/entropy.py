@@ -38,10 +38,11 @@ def subset_entropies(state: LabeledState) -> "_SubsetTable":
     of T finds the same entry, and S(empty) = 0.  ``table(T)`` reads one
     entry and ``table.entropies(Ts)`` a list of them; either computes the
     entries it lacks, equal to :func:`von_neumann` bit for bit.  A dense
-    state reduces and decomposes each set on its own, while a state stored
-    as a factor fills them in batches (:func:`_factor_entropies`).  S(T) is
-    the entropy of T's reduced state, which ``table.reduced(T)`` returns with
-    its cached spectrum for callers that need the operator too.  Make the
+    state reduces and decomposes each set on its own, while qcore fills the
+    sets of a state stored as a factor in batches
+    (:func:`qcore._factor_entropies`).  S(T) is the entropy of T's reduced
+    state, which ``table.reduced(T)`` returns with its cached spectrum for
+    callers that need the operator too.  Make the
     table inside the call that reads it and let it go with that call: it is
     a memo of one computation, not a property of the state.
     """
@@ -73,11 +74,10 @@ class _SubsetTable:
         return [self._entropy[key] for key in keys]
 
     def _fill(self, keys: list[tuple[str, ...]]) -> None:
-        if self._state._factor is not None:
-            self._entropy.update(_factor_entropies(self._state, keys))
-            return
-        for key in keys:
-            self._entropy[key] = von_neumann(self.reduced(key))
+        batched = qcore._factor_entropies(self._state, keys)
+        if batched is None:
+            batched = {key: von_neumann(self.reduced(key)) for key in keys}
+        self._entropy.update(batched)
 
     def conditional(self, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
         """S(part | given) = S(part, given) - S(given) from the table's entries."""
@@ -85,61 +85,6 @@ class _SubsetTable:
         part_labels = qcore._normalize_labels(self._state, part)
         given_labels = qcore._normalize_labels(self._state, given)
         return self(part_labels + given_labels) - self(given_labels)
-
-
-# Bytes of reductions that one batch of _factor_entropies holds at once.
-_BATCH_BYTES = 1 << 20
-
-
-def _factor_entropies(state: LabeledState, keys: Sequence[tuple[str, ...]]) -> dict[tuple[str, ...], float]:
-    """S(T) for each label set T of ``keys`` (in the state's order) of a state stored as a factor.
-
-    Every value is :func:`von_neumann`'s, bit for bit.  The whole set reads
-    the state's own entropy.  Any other T is reduced as
-    :func:`qcore.partial_trace` reduces it: the factor V, D x r, read as a
-    tensor of the systems' dimensions and r, is copied into Psi[traced, kept],
-    its column axis first, then the traced systems last to first, then the
-    kept ones.  A kept factor Psi^T of one column reads 0.  The other sets
-    are grouped by the shape (d_traced r, d_keep) of Psi and copied into one
-    stack per group, up to _BATCH_BYTES at a time.  Each stack takes one
-    batched product, the Gram of Psi^T while d_traced r < d_keep and Psi^T
-    conj(Psi) otherwise, made Hermitian, and one stacked ``eigvalsh``.
-    numpy runs each matrix of a stack through the BLAS and LAPACK calls of a
-    lone matrix of its layout, so each row of clamped eigenvalues, and its
-    Shannon entropy, is the one a reduction of its own gives.  Each set is
-    copied into its slot of the stack by one transposing copy, which costs
-    less than building an index array per set for one gather.
-    """
-    v = state._factor
-    shape = state.dims + (v.shape[1],)
-    tensor = v.reshape(shape)
-    n = len(state.dims)
-    out = {}
-    groups: dict[tuple[int, int], list[tuple[tuple[str, ...], list[int]]]] = {}
-    for key in keys:
-        keep = [state.index_of(name) for name in key]
-        if len(keep) == n:
-            out[key] = state.entropy()
-            continue
-        d_keep = math.prod(shape[i] for i in keep)
-        side = v.size // d_keep
-        if side == 1 < d_keep:
-            out[key] = 0.0
-        else:
-            order = [i for i in reversed(range(n + 1)) if i not in keep] + keep
-            groups.setdefault((side, d_keep), []).append((key, order))
-    per_batch = max(1, _BATCH_BYTES // v.nbytes)
-    for (side, d_keep), members in groups.items():
-        for start in range(0, len(members), per_batch):
-            batch = members[start:start + per_batch]
-            psi = np.empty((len(batch), side, d_keep), dtype=v.dtype)
-            for slot, (_, order) in zip(psi, batch):
-                slot.reshape([shape[i] for i in order])[...] = tensor.transpose(order)
-            psi_t = psi.swapaxes(-1, -2)
-            gram = psi.conj() @ psi_t if side < d_keep else psi_t @ psi.conj()
-            eigs = qcore._clamp(np.linalg.eigvalsh(qcore._hermitian_part(gram)))
-            out.update((key, qcore.shannon_entropy(row)) for (key, _), row in zip(batch, eigs))
-    return out
 
 
 def conditional_entropy(state: LabeledState, part: Iterable[str] | str, given: Iterable[str] | str) -> float:
@@ -229,14 +174,14 @@ def _on_conditioning(op: np.ndarray, rho_m: np.ndarray, d_a: int) -> np.ndarray:
     return t.reshape(side, side)
 
 
-def _sigma_on_support(sigma: LabeledState, b_labels: tuple[str, ...], power: float) -> tuple[np.ndarray, np.ndarray]:
-    """The projector onto the kernel of sigma and sigma^power on its support.
+def _sigma_on_support(sigma: LabeledState, b_labels: tuple[str, ...], power: float) -> tuple[np.ndarray | None, np.ndarray]:
+    """The projector onto the kernel of sigma, None when sigma has none, and sigma^power on its support.
 
     Both come from one :func:`qcore._support_eigh` of sigma's matrix with its
     systems in the order ``b_labels``; an empty support raises SupportError.
     """
     eigs, vecs, support = qcore._support_eigh(qcore.permute_systems(sigma, b_labels).matrix)
-    kernel = (vecs * (~support)) @ vecs.conj().T
+    kernel = None if support.all() else (vecs * (~support)) @ vecs.conj().T
     powers = np.zeros_like(eigs)
     powers[support] = eigs[support] ** power
     return kernel, (vecs * powers) @ vecs.conj().T
@@ -249,18 +194,20 @@ def _conditioned_on(rhos: Iterable[LabeledState], sigma: LabeledState,
     sigma is decomposed once for each order in which the rhos list its
     systems (:func:`_sigma_on_support`).  A rho whose marginal on sigma's
     systems has weight outside that support raises SupportError when it is
-    reached, so the checks and errors come in the order of one call per rho.
+    reached, so the checks and errors come in the order of one call per rho;
+    a sigma of full rank has no kernel, so the test, exactly 0, is skipped.
     """
-    parts: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+    parts: dict[tuple[str, ...], tuple[np.ndarray | None, np.ndarray]] = {}
     for rho in rhos:
         arranged, d_a, b_labels = _split_conditioning(rho, sigma.labels)
         if b_labels not in parts:
             parts[b_labels] = _sigma_on_support(sigma, b_labels, power)
         kernel, sigma_power = parts[b_labels]
-        rho_b = qcore.partial_trace(arranged, b_labels).matrix
-        leak = float(np.real(np.trace(kernel @ rho_b @ kernel)))
-        if leak > 1e-10:
-            raise SupportError(f"marginal leaks weight {leak:.3e} outside the conditioning support")
+        if kernel is not None:
+            rho_b = qcore.partial_trace(arranged, b_labels).matrix
+            leak = float(np.real(np.trace(kernel @ rho_b @ kernel)))
+            if leak > 1e-10:
+                raise SupportError(f"marginal leaks weight {leak:.3e} outside the conditioning support")
         yield arranged, d_a, sigma_power
 
 
@@ -378,11 +325,8 @@ def conditional_min_entropy(rho: LabeledState, cond: Iterable[str] | str) -> Con
     reduced = _on_conditioning(support.conj().T, rho_m, d_a)
 
     solution = coneprog.solve_min_trace(reduced, d_a, support.shape[1])
-    sig = support @ solution.sigma @ support.conj().T
-    sig = (sig + sig.conj().T) / 2.0
-
-    slack = np.kron(np.eye(d_a), sig) - rho_m
-    infeasibility = max(0.0, -float(np.min(np.linalg.eigvalsh(slack))))
+    sig = qcore._hermitian_part(support @ solution.sigma @ support.conj().T)
+    infeasibility = max(0.0, -float(np.min(np.linalg.eigvalsh(coneprog._slack(-rho_m, sig, d_a)))))
     if infeasibility > 0.0:
         # The interior path stays feasible up to roundoff; absorb it exactly.
         sig = sig + infeasibility * np.eye(d_b)

@@ -79,8 +79,13 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _gram(v: np.ndarray) -> np.ndarray:
-    """V^dagger V, made exactly Hermitian: the r x r matrix with the non-zero spectrum of V V^dagger."""
-    return _hermitian_part(v.conj().T @ v)
+    """V^dagger V, made exactly Hermitian: the r x r matrix with the non-zero spectrum of V V^dagger; a stack gives one per V."""
+    return _hermitian_part(v.conj().swapaxes(-1, -2) @ v)
+
+
+def _one_column(factor: np.ndarray | None) -> bool:
+    """A stored factor of one column (of each of a stack): a pure state's, whose entropy is 0."""
+    return factor is not None and factor.shape[-1] == 1
 
 
 def _support_mask(eigs: np.ndarray) -> np.ndarray:
@@ -110,9 +115,9 @@ class LabeledState:
     A factor builds the dense ``matrix`` only on first access.  The spectrum,
     :attr:`is_pure` and :attr:`support` are computed on first read and cached;
     a factor's spectrum decomposes its r x r Gram matrix V^dagger V at most.
-    :func:`make_state` and :func:`permute_systems` fill the support when they
-    build a matrix, as they know it already.  States are immutable after
-    construction.
+    :func:`make_state` fills the support, as it knows it already.  States are
+    immutable after construction, and only this module reads their private
+    slots.
 
     ``labels``, ``dims`` and the position of each label are built once, at
     construction.  Only :func:`make_state`, :func:`pure_state` and
@@ -152,7 +157,7 @@ class LabeledState:
         m = self._matrix
         if m is None:
             v = self._factor
-            m = _hermitian_part(np.outer(v, v.conj()) if v.shape[1] == 1 else v @ v.conj().T)
+            m = _hermitian_part(np.outer(v, v.conj()) if _one_column(v) else v @ v.conj().T)
             m.setflags(write=False)
             object.__setattr__(self, "_matrix", m)
         return m
@@ -172,17 +177,14 @@ class LabeledState:
                 eigs = clamped_eigenvalues(self._matrix)
             else:
                 eigs = np.zeros(self.total_dim)
-                eigs[eigs.size - v.shape[1]:] = self.trace() if v.shape[1] == 1 else clamped_eigenvalues(_gram(v))
+                eigs[eigs.size - v.shape[1]:] = self.trace() if _one_column(v) else clamped_eigenvalues(_gram(v))
             eigs.setflags(write=False)
             object.__setattr__(self, "_spectrum", eigs)
         return eigs
 
     def entropy(self) -> float:
         """The Shannon entropy of :meth:`spectrum` in bits; 0 for one stored column, a pure state."""
-        v = self._factor
-        if v is not None and v.shape[1] == 1:
-            return 0.0
-        return shannon_entropy(self.spectrum())
+        return 0.0 if _one_column(self._factor) else shannon_entropy(self.spectrum())
 
     @property
     def is_pure(self) -> bool:
@@ -236,7 +238,7 @@ class LabeledState:
         D = 4096 mixed state is 256 MB.
         """
         v = self._factor
-        if v is not None and v.shape[1] == 1:
+        if _one_column(v):
             return v
         eigs, vecs, keep = _support_eigh(self._matrix if v is None else _gram(v))
         return vecs[:, keep] * np.sqrt(eigs[keep]) if v is None else v @ vecs[:, keep]
@@ -538,12 +540,29 @@ def _partial_trace_dense(matrix: np.ndarray, dims: Sequence[int], keep: Sequence
     return t
 
 
+def _factor_layout(tensor: np.ndarray, keep: list[int]) -> np.ndarray:
+    """Psi[traced, kept], a view of a factor V read as a tensor (the systems' axes, then V's column axis).
+
+    V's column axis is the outermost traced axis, then come the other traced
+    systems last to first and the kept ones, as on the dense path.
+    """
+    return tensor.transpose([i for i in reversed(range(tensor.ndim)) if i not in keep] + keep)
+
+
+def _reduce_factor(psi: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(factor, matrix) of rho = Psi^T conj(Psi) for a flattened Psi[traced, kept], or for each of a stack:
+    the factor Psi^T while d_traced * r < d_keep, so that its Gram is the smaller side, else rho made Hermitian."""
+    psi_t = psi.swapaxes(-1, -2)
+    if psi.shape[-2] < psi.shape[-1]:
+        return psi_t, None
+    return None, _hermitian_part(psi_t @ psi.conj())
+
+
 def partial_trace(state: LabeledState, keep: Iterable[str] | str) -> LabeledState:
     """Reduced operator on the kept subsystems, trace preserved.
 
-    A factor V (D x r) is reshaped to Psi[traced, kept] in the dense path's
-    axis order, its column the outermost traced axis, and rho = Psi^T conj(Psi).
-    It keeps the factor Psi^T while d_traced * r < d_keep, else is that product.
+    A factor V (D x r) is read as Psi[traced, kept] (:func:`_factor_layout`)
+    and reduced by :func:`_reduce_factor`.
     """
     kept = _normalize_labels(state, keep)
     if len(kept) == len(state.systems):
@@ -553,23 +572,66 @@ def partial_trace(state: LabeledState, keep: Iterable[str] | str) -> LabeledStat
     v = state._factor
     if v is None:
         return _trusted(new_systems, state.norm_mode, matrix=_partial_trace_dense(state._matrix, state.dims, keep_idx))
-    n = len(state.systems)
-    traced = [i for i in reversed(range(n + 1)) if i not in keep_idx]
-    d_keep = math.prod(state.dims[i] for i in keep_idx)
-    psi = v.reshape(state.dims + v.shape[1:]).transpose(traced + keep_idx).reshape(-1, d_keep)
-    if psi.shape[0] < d_keep:
-        return _trusted(new_systems, state.norm_mode, factor=psi.T)
-    return _trusted(new_systems, state.norm_mode, matrix=_hermitian_part(psi.T @ psi.conj()))
+    psi = _factor_layout(v.reshape(state.dims + v.shape[1:]), keep_idx).reshape(-1, math.prod(d for _, d in new_systems))
+    factor, matrix = _reduce_factor(psi)
+    return _trusted(new_systems, state.norm_mode, matrix=matrix, factor=factor)
+
+
+# Bytes of reductions that one batch of _factor_entropies holds at once.
+_BATCH_BYTES = 1 << 20
+
+
+def _factor_entropies(state: LabeledState, keys: Sequence[tuple[str, ...]]) -> dict[tuple[str, ...], float] | None:
+    """The entropy of ``partial_trace(state, T)`` for each label set T of ``keys`` (in the state's order); None for a matrix.
+
+    Each value is the reduction's :meth:`LabeledState.entropy`, bit for bit.
+    The sets are grouped by the shape of their Psi (:func:`_factor_layout`),
+    each copied into its slot of a stack by one transposing copy (cheaper
+    than an index array per set), up to _BATCH_BYTES at a time; a stack is
+    reduced by :func:`_reduce_factor` and takes one batched Gram product and
+    one stacked ``eigvalsh``.  numpy runs each matrix of a stack through the
+    BLAS and LAPACK calls of a lone matrix of its layout, so each row is the
+    one a reduction of its own gives.
+    """
+    v = state._factor
+    if v is None:
+        return None
+    tensor = v.reshape(state.dims + v.shape[1:])
+    out = {}
+    groups: dict[tuple[int, int], list[tuple[tuple[str, ...], np.ndarray]]] = {}
+    for key in keys:
+        keep = [state.index_of(name) for name in key]
+        if len(keep) == len(state.dims):
+            out[key] = state.entropy()
+            continue
+        d_keep = math.prod(state.dims[i] for i in keep)
+        groups.setdefault((v.size // d_keep, d_keep), []).append((key, _factor_layout(tensor, keep)))
+    per_batch = max(1, _BATCH_BYTES // v.nbytes)
+    for shape, members in groups.items():
+        for start in range(0, len(members), per_batch):
+            batch = members[start:start + per_batch]
+            stack = np.empty((len(batch),) + shape, dtype=v.dtype)
+            for slot, (_, psi) in zip(stack, batch):
+                slot.reshape(psi.shape)[...] = psi
+            factor, matrix = _reduce_factor(stack)
+            if _one_column(factor):
+                out.update((key, 0.0) for key, _ in batch)
+            else:
+                eigs = clamped_eigenvalues(matrix if factor is None else _gram(factor))
+                out.update((key, shannon_entropy(row)) for (key, _), row in zip(batch, eigs))
+    return out
 
 
 def permute_systems(state: LabeledState, order: Sequence[str]) -> LabeledState:
-    """The same state with its subsystems listed (and its matrix stored) in ``order``.
+    """The same state with its subsystems listed (and its operator stored) in ``order``.
 
-    A stored matrix keeps a known :attr:`LabeledState.support`, its k rows
-    mapped through the permutation.
+    The state's own order returns the state itself, with its cached spectrum,
+    purity and support; any other order computes them anew on first read.
     """
     if sorted(order) != sorted(state.labels):
         raise LabelError(f"order {list(order)!r} is not a permutation of {list(state.labels)!r}")
+    if tuple(order) == state.labels:
+        return state
     perm = [state.index_of(name) for name in order]
     new_systems = tuple(state.systems[p] for p in perm)
     dims = state.dims
@@ -580,12 +642,7 @@ def permute_systems(state: LabeledState, order: Sequence[str]) -> LabeledState:
         return _trusted(new_systems, state.norm_mode, factor=f)
     t = state._matrix.reshape(dims + dims).transpose(perm + [p + n for p in perm])
     side = state.total_dim
-    rows = state._support
-    if rows is not _UNREAD and rows is not None:
-        # Row i of the stored matrix becomes the row of its permuted multi-index, entries and all.
-        index = np.unravel_index(rows, dims)
-        rows = np.sort(np.ravel_multi_index([index[p] for p in perm], [dims[p] for p in perm]))
-    return _trusted(new_systems, state.norm_mode, matrix=t.reshape(side, side), support=rows)
+    return _trusted(new_systems, state.norm_mode, matrix=t.reshape(side, side))
 
 
 def _act_on_axes(op: np.ndarray, t: np.ndarray, axes: Sequence[int]) -> np.ndarray:

@@ -564,6 +564,28 @@ def test_seed_option_accepts_any_integer_notation(capsys):
     assert cli.build_parser().parse_args(["twirl", "--d", "2", "--L", "1", "--seed", "0x10"]).seed == 16
 
 
+@pytest.mark.parametrize(
+    "argv, env_seed",
+    [
+        (["twirl", "--d", "2", "--L", "1", "--samples", "10", "--seed", "-1"], None),
+        (["hash-sim", "--p", "0.9,0.05,0.03,0.02", "--n", "16", "--delta", "0.1", "--trials", "2", "--seed", "-1"], None),
+        (["decouple", "--state", str(DATA / "mixed4.json"), "--senders", "C1:K=1:L=1", "--reference", "R",
+          "--samples", "2", "--seed", "-1"], None),
+        (["twirl", "--d", "2", "--L", "1", "--samples", "10"], "-3"),
+    ],
+    ids=["twirl", "hash-sim", "decouple", "env"],
+)
+def test_a_negative_seed_exits_2_with_a_diagnostic(argv, env_seed, monkeypatch, capsys):
+    if env_seed is not None:
+        monkeypatch.setenv(cli.SEED_ENV, env_seed)
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    quoted = f"{cli.SEED_ENV}='-3'" if env_seed else "argument --seed: '-1'"
+    assert f"{quoted} is not a non-negative integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_each_main_call_reads_the_seed_environment_variable(monkeypatch, capsys):
     # The parser is built once per process; the ENTLAB_SEED default is read per call.
     argv = ["twirl", "--d", "2", "--L", "1", "--samples", "50"]

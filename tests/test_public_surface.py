@@ -188,3 +188,25 @@ def test_cli_does_no_power_arithmetic():
     tree = SEARCHED[PACKAGE / "cli.py"]
     powers = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
     assert not powers, f"cli.py raises to a power on lines {powers}"
+
+
+def _private_slots() -> set[str]:
+    """The private slots of ``qcore.LabeledState``, read from its ``__slots__``."""
+    (cls,) = [n for n in SEARCHED[PACKAGE / "qcore.py"].body if isinstance(n, ast.ClassDef) and n.name == "LabeledState"]
+    (slots,) = [n.value for n in cls.body if isinstance(n, ast.Assign) and n.targets[0].id == "__slots__"]
+    return {name for name in ast.literal_eval(slots) if name.startswith("_")}
+
+
+def test_no_module_but_qcore_reads_a_private_slot_of_a_state():
+    # A state's storage (matrix or factor) and its caches are qcore's to read;
+    # any other module asks qcore, so the factor layout has one home.
+    slots = _private_slots()
+    assert {"_matrix", "_factor", "_spectrum", "_pure", "_support", "_position"} <= slots
+    reads = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "qcore.py"
+        for node in ast.walk(SEARCHED[path])
+        if isinstance(node, ast.Attribute) and node.attr in slots
+    ]
+    assert not reads, f"private slots of LabeledState read outside qcore: {reads}"

@@ -663,7 +663,12 @@ def test_make_state_block_path_trace_is_np_trace_bitwise(side, k):
         assert (message is None) == (scale == 1.0)
 
 
-def test_permute_systems_maps_the_carried_support():
+def _assert_support_is_support_rows(state):
+    want = qcore.support_rows(state.matrix)
+    assert state.support is None if want is None else state.support.tolist() == want.tolist()
+
+
+def test_permute_systems_returns_the_state_for_its_own_order():
     rng = np.random.default_rng(31)
     dims = (2, 3, 4, 2)
     labels = [f"S{i}" for i in range(len(dims))]
@@ -671,17 +676,26 @@ def test_permute_systems_maps_the_carried_support():
     side = math.prod(dims)
     dense = qcore.make_state(systems, ginibre.density([side], rng, None))
     sparse = qcore.make_state(systems, _with_zero_rows(ginibre.density([11], rng, 3), side, rng))
+    column = qcore.random_pure(systems, rng)
+    kept = qcore.partial_trace(qcore.random_pure(systems + [("E", 2)], rng), labels)
     assert dense.support is None and sparse.support.size == 11
-    for state in (dense, sparse):
+    assert column._factor.shape == (side, 1) and kept._factor.shape == (side, 2)
+    for state in (dense, sparse, column, kept):
+        with pytest.raises(qcore.LabelError, match="is not a permutation"):
+            qcore.permute_systems(state, labels[:-1] + labels[:1])
+        caches = (state.spectrum(), state.is_pure, state.support)
+        for order in (state.labels, labels):
+            assert qcore.permute_systems(state, order) is state
+        assert all(kept_cache is cache for kept_cache, cache in zip((state._spectrum, state._pure, state._support), caches))
         for _ in range(6):
             order = list(rng.permutation(labels))
+            if order == labels:
+                continue
             permuted = qcore.permute_systems(state, order)
-            _assert_carries_its_support(permuted)
-            merged = qcore.merge_systems(permuted, {"G": order[1:3]})
-            _assert_carries_its_support(merged)
-    # A state whose support is unread leaves it unread through a permutation.
-    reduced = qcore.partial_trace(sparse, labels[:3])
-    assert qcore.permute_systems(reduced, labels[2::-1])._support is qcore._UNREAD
+            # Any other order reads the support of the permuted matrix on first read.
+            assert permuted._support is qcore._UNREAD
+            _assert_support_is_support_rows(permuted)
+            _assert_support_is_support_rows(qcore.merge_systems(permuted, {"G": order[1:3]}))
 
 
 @pytest.mark.parametrize("d", [8, 16, 32])
