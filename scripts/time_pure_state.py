@@ -55,12 +55,6 @@ QUBITS = 12
 REGION_QUBITS = 8
 
 
-def on_fresh(build, evaluate, repeats: int):
-    """``timing.measure`` of ``evaluate`` on a state from ``build`` per call, built before any is timed."""
-    states = [build() for _ in range(repeats + 1)]
-    return timing.measure(lambda: evaluate(states.pop()), repeats)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = timing.parser(__doc__).parse_args(argv)
     entropy, qcore, regions = timing.load(args.src, "entropy", "qcore", "regions")
@@ -71,23 +65,23 @@ def main(argv: list[str] | None = None) -> int:
     labels = [name for name, _ in systems]
     out = {}
     for name, part in [("S(whole)", None)] + [(f"S(T).k{k}", labels[:k]) for k in (1, 6, 11)]:
-        value, record = on_fresh(lambda: qcore.pure_state(systems, amplitudes),
-                                 lambda psi: entropy.von_neumann(psi, part), REPEATS)
+        value, record = timing.measure(lambda psi: entropy.von_neumann(psi, part), REPEATS,
+                                       lambda: qcore.pure_state(systems, amplitudes))
         out[name] = {**record, "entropy": value.hex()}
-    value, record = on_fresh(lambda: qcore.pure_state(systems, amplitudes),
-                             lambda psi: entropy.entropy_report(psi, labels[:3], labels[3:], "hmax")["hmax"], SLOW_REPEATS)
+    value, record = timing.measure(lambda psi: entropy.entropy_report(psi, labels[:3], labels[3:], "hmax")["hmax"],
+                                   SLOW_REPEATS, lambda: qcore.pure_state(systems, amplitudes))
     out["hmax.k3"] = {**record, "entropy": value.hex()}
 
-    region, record = on_fresh(lambda: qcore.ghz(QUBITS),
-                              lambda ghz: regions.merging_rate_region(ghz, ghz.labels[:-1]), SLOW_REPEATS)
+    region, record = timing.measure(lambda ghz: regions.merging_rate_region(ghz, ghz.labels[:-1]), SLOW_REPEATS,
+                                    lambda: qcore.ghz(QUBITS))
     full = (1 << (QUBITS - 1)) - 1
     error = max(abs(rhs - (1.0 if mask == full else 0.0)) for mask, rhs in region.constraints)
     out["ghz12.merge.m11"] = {**record, "max_abs_error": error}
 
     systems = systems[:REGION_QUBITS]
     amplitudes = qcore.random_pure(systems, np.random.default_rng(SEED)).vector()
-    region, record = on_fresh(lambda: qcore.pure_state(systems, amplitudes),
-                              lambda psi: regions.merging_rate_region(psi, psi.labels[:-1]), REPEATS)
+    region, record = timing.measure(lambda psi: regions.merging_rate_region(psi, psi.labels[:-1]), REPEATS,
+                                    lambda: qcore.pure_state(systems, amplitudes))
     rhs = "".join(f"{value.hex()}\n" for _, value in region.constraints)
     out["random8.merge.m7"] = {**record, "rhs_sha256": hashlib.sha256(rhs.encode()).hexdigest()}
     timing.emit({"cases": out})

@@ -15,9 +15,11 @@ one JSON object:
 
 - ``cases``: the ``timing.measure`` record of each case, keyed
   ``make_state.D`` for the full-rank sides; ``make_state.joint<d>`` for
-  ``make_state`` of a joint and ``min_entropy_relative.joint<d>`` for
-  H_min(C1 R | R) of the validated joint relative to sigma^R, each over
-  JOINT_REPEATS calls, with ``value`` as ``float.hex``; and
+  ``make_state`` of a joint, ``matrix.joint<d>`` for the first read of a
+  validated joint's dense ``matrix`` (one joint per call, validated
+  untimed), and ``min_entropy_relative.joint<d>`` for H_min(C1 R | R)
+  of the validated joint relative to sigma^R, each over JOINT_REPEATS
+  calls, with ``value`` as ``float.hex``; and
   ``json_load.D`` and ``parse_state_file.D`` for ``json.load`` of a state
   file alone and the whole ``cli.parse_state_file`` of it, which also give
   ``file_mb``;
@@ -70,9 +72,13 @@ def time_joint(acceptance, entropy, qcore, d: int) -> dict:
     def validate() -> None:  # as in time_make_state
         qcore.make_state(systems, big)
 
+    def first_read(state) -> None:  # as in time_make_state
+        state.matrix
+
     value, record = timing.measure(lambda: entropy.min_entropy_relative(joint, sigma), JOINT_REPEATS)
     return {
         f"make_state.joint{d}": timing.measure(validate, JOINT_REPEATS)[1],
+        f"matrix.joint{d}": timing.measure(first_read, JOINT_REPEATS, lambda: qcore.make_state(systems, big))[1],
         f"min_entropy_relative.joint{d}": {**record, "value": value.hex()},
     }
 

@@ -64,25 +64,32 @@ def _fail(message: str) -> None:
     raise SystemExit(2)
 
 
-def measure(call, repeats: int) -> tuple[object, dict]:
+def measure(call, repeats: int, setup=None) -> tuple[object, dict]:
     """``call()``'s result and the record of ``repeats`` timed calls.
 
     One untimed call comes first; its result is returned.  Each timed call
     runs right after one run of the benchmark's ``run.reference_kernel``, and
-    one more kernel run follows the last, as in ``run.run_pass``.  The record
-    holds ``repeats``, ``median_s``, ``q1_q3_s`` and ``speed_scale``
+    one more kernel run follows the last, as in ``run.run_pass``.  With
+    ``setup``, each call is ``call(setup())``: the argument is built before
+    the kernel run, untimed, and dropped after its call.  The record holds
+    ``repeats``, ``median_s``, ``q1_q3_s`` and ``speed_scale``
     (``run.speed_scale`` of the kernel runs), each to four significant
     digits; its seconds are at the benchmark's nominal speed, and raw seconds
     are those over ``speed_scale``.
     """
-    first = call()
+    def arguments() -> tuple:
+        return () if setup is None else (setup(),)
+
+    first = call(*arguments())
     kernel = run.reference_kernel()
     seconds, reference_s = [], []
     for _ in range(repeats):
+        args = arguments()
         reference_s.append(kernel())
         start = time.perf_counter()
-        call()
+        call(*args)
         seconds.append(time.perf_counter() - start)
+        del args
     reference_s.append(kernel())
     scale = run.speed_scale(reference_s)
     # statistics.quantiles refuses a single value; one call is its own quartiles

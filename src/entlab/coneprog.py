@@ -142,7 +142,8 @@ def solve_min_trace(rho: np.ndarray, d_a: int, d_b: int) -> ConeSolution:
     # I x sigma - rho, its and sigma's log-dets (None until a line search
     # needs them), and the last Newton system with the sigma it was built at.
     # An accepted trial brings its slack and log-dets along; the first step of
-    # a stage and the dual certificate reuse the system.  sigma is never
+    # a stage reuses the system, and the dual certificate the last stage's
+    # final direction, unless a step was taken after it.  sigma is never
     # changed in place, so its identity names the point.  The old system is
     # dropped only once the next one is built: freeing it at the step let the
     # allocator hand its pages back, and faulting them in again cost 37,000
@@ -164,6 +165,7 @@ def solve_min_trace(rho: np.ndarray, d_a: int, d_b: int) -> ConeSolution:
     for _ in range(MAX_STAGES):
         last = nu / t <= REL_TOL * max(float(sigma.trace().real), 1e-18)
         f0 = None
+        step = None  # the Newton direction at sigma and t, while sigma has not moved since
         for _ in range(MAX_NEWTON_PER_STAGE):
             step, decrement = newton_step(t)
             # The last stage stops at the resolution of the barrier value, about
@@ -195,8 +197,10 @@ def solve_min_trace(rho: np.ndarray, d_a: int, d_b: int) -> ConeSolution:
             sigma, slack, logdets = candidate, trial_slack, trial_logdets
             f0 = trial
             steps += 1
+            step = None
         if last:
-            step, _ = newton_step(t)
+            if step is None:  # the stage ran out of Newton steps right after taking one
+                step, _ = newton_step(t)
             return ConeSolution(optimum=float(sigma.trace().real), sigma=sigma, newton_steps=steps, gap_bound=nu / t,
                                 dual=_dual_certificate(system[1][3], step, t, d_a, d_b))
         t *= BARRIER_GROWTH

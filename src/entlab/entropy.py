@@ -232,7 +232,9 @@ def min_entropy_relative(rho: LabeledState, sigma: LabeledState) -> float:
     so its nonzero spectrum is that of the k x k matrix R rho_S R^dagger, which
     is decomposed instead of the D x D one.  Without zero rows the D x D
     operator is decomposed as before.  A state from ``qcore.make_state``
-    carries its support, so the D x D matrix is not scanned for it again.
+    carries its support, so the D x D matrix is not scanned for it again, and
+    rho_S is read through ``qcore.support_block``: a state stored as its
+    support block builds no D x D matrix here.
     """
     (value,) = min_entropies_relative([rho], sigma)
     return value
@@ -246,13 +248,12 @@ def min_entropies_relative(rhos: Iterable[LabeledState], sigma: LabeledState) ->
     """
     out = []
     for arranged, d_a, root in _conditioned_on(rhos, sigma, -0.5):
-        rho_m = arranged.matrix
-        rows = arranged.support
+        rows, rho_s = qcore.support_block(arranged)
         if rows is None:
-            conditioned = _on_conditioning(root, rho_m, d_a)
+            conditioned = _on_conditioning(root, rho_s, d_a)
         else:
             r = np.linalg.qr(_conditioning_columns(root, d_a, rows), mode="r")
-            conditioned = r @ rho_m[np.ix_(rows, rows)] @ r.conj().T
+            conditioned = r @ rho_s @ r.conj().T
         out.append(-math.log2(float(np.max(qcore.clamped_eigenvalues(conditioned)))))
     return out
 

@@ -4,11 +4,12 @@ purification, Schmidt analysis, distance measures, and Haar-random unitaries."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -102,6 +103,13 @@ def _support_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return eigs, vecs, _support_mask(eigs)
 
 
+def _scattered(side: int, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The side x side matrix that is ``block`` on ``rows`` x ``rows`` and zero elsewhere."""
+    m = np.zeros((side, side), dtype=complex)
+    m[np.ix_(rows, rows)] = block
+    return m
+
+
 # The value of a cache slot that has not been filled, where None is a value.
 _UNREAD = object()
 
@@ -109,15 +117,19 @@ _UNREAD = object()
 class LabeledState:
     """A density operator carrying an ordered list of named subsystems.
 
-    The operator is stored in the tensor-product order of ``systems``, as the
-    D x D matrix or as a factor V, D x r with rho = V V^dagger: a pure state's
-    amplitudes, a kron of factors, or a reduction of one (:func:`partial_trace`).
-    A factor builds the dense ``matrix`` only on first access.  The spectrum,
-    :attr:`is_pure` and :attr:`support` are computed on first read and cached;
-    a factor's spectrum decomposes its r x r Gram matrix V^dagger V at most.
-    :func:`make_state` fills the support, as it knows it already.  States are
-    immutable after construction, and only this module reads their private
-    slots.
+    The operator is stored in the tensor-product order of ``systems`` in one
+    of three forms: the D x D matrix; a factor V, D x r with rho = V V^dagger
+    (a pure state's amplitudes, a kron of factors, or a reduction of one,
+    :func:`partial_trace`); or a support block, rows S and the k x k matrix
+    rho_SS, with every entry outside S x S zero (:func:`make_state` of a
+    block-supported input).  A factor or a block builds the dense ``matrix``
+    only on first access.  The spectrum, :attr:`is_pure` and :attr:`support`
+    are computed on first read and cached; a factor's spectrum decomposes its
+    r x r Gram matrix V^dagger V at most, and a block's the dense matrix.
+    :func:`make_state` fills the support, as it knows it already, and
+    :func:`support_block` hands rho_SS to readers that need no more.  States
+    are immutable after construction, and only this module reads their
+    private slots.
 
     ``labels``, ``dims`` and the position of each label are built once, at
     construction.  Only :func:`make_state`, :func:`pure_state` and
@@ -126,7 +138,8 @@ class LabeledState:
     new eigendecomposition.
     """
 
-    __slots__ = ("systems", "labels", "dims", "_position", "norm_mode", "_matrix", "_factor", "_spectrum", "_pure", "_support")
+    __slots__ = ("systems", "labels", "dims", "_position", "norm_mode", "_matrix", "_factor", "_block", "_spectrum", "_pure",
+                 "_support")
 
     systems: tuple[tuple[str, int], ...]
     labels: tuple[str, ...]
@@ -134,7 +147,8 @@ class LabeledState:
     norm_mode: str
 
     def __init__(self, systems: tuple[tuple[str, int], ...], norm_mode: str,
-                 matrix: np.ndarray | None = None, factor: np.ndarray | None = None, support=_UNREAD):
+                 matrix: np.ndarray | None = None, factor: np.ndarray | None = None,
+                 block: tuple[np.ndarray, np.ndarray] | None = None, support=_UNREAD):
         init = object.__setattr__
         init(self, "systems", systems)
         labels = tuple(name for name, _ in systems)
@@ -144,6 +158,7 @@ class LabeledState:
         init(self, "norm_mode", norm_mode)
         init(self, "_matrix", matrix)
         init(self, "_factor", factor)
+        init(self, "_block", block)
         init(self, "_spectrum", None)
         init(self, "_pure", None)
         init(self, "_support", support)
@@ -153,11 +168,14 @@ class LabeledState:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense density matrix (read-only), built from the factor on first access."""
+        """The dense density matrix (read-only), built from the factor or the block on first access."""
         m = self._matrix
         if m is None:
             v = self._factor
-            m = _hermitian_part(np.outer(v, v.conj()) if _one_column(v) else v @ v.conj().T)
+            if v is None:
+                m = _scattered(self.total_dim, *self._block)
+            else:
+                m = _hermitian_part(np.outer(v, v.conj()) if _one_column(v) else v @ v.conj().T)
             m.setflags(write=False)
             object.__setattr__(self, "_matrix", m)
         return m
@@ -168,13 +186,14 @@ class LabeledState:
         A factor has the clamped eigenvalues of its Gram matrix V^dagger V,
         padded with zeros; one column psi has (0, ..., 0, ||psi||^2) exactly,
         with ||psi||^2 = :meth:`trace`.  A matrix has its own eigenvalues,
-        clamped as by :func:`clamped_eigenvalues`.
+        clamped as by :func:`clamped_eigenvalues`, and so has a block's dense
+        :attr:`matrix`: the k x k block's would differ in their last bits.
         """
         eigs = self._spectrum
         if eigs is None:
             v = self._factor
             if v is None:
-                eigs = clamped_eigenvalues(self._matrix)
+                eigs = clamped_eigenvalues(self.matrix)
             else:
                 eigs = np.zeros(self.total_dim)
                 eigs[eigs.size - v.shape[1]:] = self.trace() if _one_column(v) else clamped_eigenvalues(_gram(v))
@@ -192,7 +211,7 @@ class LabeledState:
         with Tr(rho^2) = ||rho||_F^2, or ||V^dagger V||_F^2 for a factor V."""
         if self._pure is None:
             v = self._factor
-            m = self._matrix if v is None else _gram(v)
+            m = self.matrix if v is None else _gram(v)
             pure = self.norm_mode == "normalized" and float(np.vdot(m, m).real) >= 1.0 - PURITY_TOL
             object.__setattr__(self, "_pure", pure)
         return self._pure
@@ -222,10 +241,16 @@ class LabeledState:
             raise LabelError(f"unknown subsystem label {label!r}") from None
 
     def trace(self) -> float:
+        """The real part of the dense matrix's trace, summed as ``np.trace`` sums it, without building the matrix."""
         v = self._factor
         if v is not None:
-            # The diagonal of the dense matrix, summed as np.trace sums it.
             return float(np.real(np.sum(v * v.conj())))
+        if self._block is not None:
+            # The block's diagonal placed in D zeros is the dense diagonal.
+            rows, block = self._block
+            diagonal = np.zeros(self.total_dim, dtype=complex)
+            diagonal[rows] = block.diagonal()
+            return float(np.real(np.sum(diagonal)))
         return float(np.real(np.trace(self._matrix)))
 
     def factor(self) -> np.ndarray:
@@ -240,7 +265,7 @@ class LabeledState:
         v = self._factor
         if _one_column(v):
             return v
-        eigs, vecs, keep = _support_eigh(self._matrix if v is None else _gram(v))
+        eigs, vecs, keep = _support_eigh(self.matrix if v is None else _gram(v))
         return vecs[:, keep] * np.sqrt(eigs[keep]) if v is None else v @ vecs[:, keep]
 
     def vector(self) -> np.ndarray:
@@ -301,8 +326,11 @@ def support_rows(matrix: np.ndarray) -> np.ndarray | None:
     candidate is dropped only if its whole row is exactly 0: a matrix that is
     PSD within EIGENVALUE_FLOOR can carry off-diagonal entries of about 1e-5
     in a row whose diagonal entry is 0, and such a row stays.  A matrix with
-    no zero diagonal entry costs one O(D) scan of the diagonal.  ``make_state``
-    and :attr:`LabeledState.support`, which ``entropy.min_entropy_relative``
+    no zero diagonal entry costs one O(D) scan of the diagonal.  Entry (i, i)
+    lies in row i of any matrix with no more rows than columns, so the rule
+    holds for those too: ``make_state`` applies it to the D x 2D int64 view of
+    its input, whose rows are zero where every bit is.  ``make_state`` and
+    :attr:`LabeledState.support`, which ``entropy.min_entropy_relative``
     reads, apply this one rule.
     """
     if np.all(np.diagonal(matrix)):
@@ -327,47 +355,48 @@ def make_state(
     No spectrum is kept: :meth:`LabeledState.spectrum` computes it from the
     stored matrix when it is first read.
 
-    When the input has exactly-zero rows, let S be the other k rows
-    (:func:`support_rows` of the input).  If every entry outside the S x S
-    block is +0.0, real and imaginary part (:func:`_zero_outside`), then
-    M = M_SS (+) 0 after a permutation, and the finiteness test, the
-    Hermiticity defect, the symmetrization and the Cholesky factorization run
-    on the k x k block M_SS; the stored matrix is the symmetrized block
-    scattered into zeros.  Outside the block the full-matrix passes would
-    read only zeros, so every check, message and stored bit is the same.  The
-    trace sums the block's diagonal placed in D zeros, which are the stored
-    diagonal: the sum ``np.trace`` takes, in its order, so no pass after the
-    scatter reads the D x D zeros.  Any other input, a 1e-12 entry in a zero
-    row's column or a -0.0 off the block included, takes the full-matrix
-    passes, and its Cholesky block is the support of (M + M†)/2.  That support
-    is scanned only when some diagonal entry of M has real part 0: the
-    diagonal of (M + M†)/2 is Re M_ii.
+    A nonzero diagonal entry keeps its row, so an input whose diagonal has no
+    zero takes the full-matrix passes after one O(D) test.  Otherwise the
+    input is read once, as int64 (:func:`support_rows` of that view): let S
+    be its k rows whose bits are not all zero.  +0.0 is the one float whose
+    bits are all zero, so every row outside S is +0.0 throughout, both parts.
+    If the columns outside S are +0.0 on the k rows of S as well
+    (:func:`_zero_outside`), then M = M_SS (+) 0 after a permutation, and the
+    finiteness test, the Hermiticity defect, the symmetrization and the
+    Cholesky factorization run on the k x k block M_SS.  The state stores the
+    symmetrized block and S; its D x D :attr:`LabeledState.matrix`, the
+    block scattered into zeros, is built on first read.  The full-matrix
+    passes would read only +0.0 outside the block and store +0.0 there, so
+    every check, message and stored bit is the same.  The trace sums the
+    block's diagonal placed in D zeros (:meth:`LabeledState.trace`), the sum
+    ``np.trace`` takes of the dense matrix.  Any other input, a 1e-12 entry
+    in a zero row's column included, takes the full-matrix passes, and its
+    Cholesky block is the support of (M + M†)/2.  That support is scanned
+    only when some diagonal entry of M has real part 0: the diagonal of
+    (M + M†)/2 is Re M_ii.
 
     The state carries the support of its stored matrix
     (:attr:`LabeledState.support`): the support of (M + M†)/2 on the full
     path, and on the block path the rows of S less those of the symmetrized
-    block that are exactly zero.
+    block that are exactly zero, such as a row of -0.0 or one that cancels.
     """
     systems, side = _checked_systems(systems)
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (side, side):
         raise StateError(f"matrix side {m.shape} does not match product dimension {side}")
-    rows = support_rows(m)
+    rows = None if np.all(np.diagonal(m)) else support_rows(np.ascontiguousarray(m).view(np.int64))
     if rows is not None and _zero_outside(m, rows):
         block = _checked_hermitian_part(m[np.ix_(rows, rows)])
-        m = np.zeros((side, side), dtype=complex)
-        m[np.ix_(rows, rows)] = block
-        diagonal = np.zeros(side, dtype=complex)
-        diagonal[rows] = block.diagonal()
-        tr = float(np.real(np.sum(diagonal)))
+        _check_positive(block, lambda: _scattered(side, rows, block))
         inner = support_rows(block)
-        support = rows if inner is None else rows[inner]
+        state = _trusted(systems, norm_mode, block=(rows, block), support=rows if inner is None else rows[inner])
     else:
         m = _checked_hermitian_part(m)
-        tr = float(np.real(np.trace(m)))
-        rows = support = support_rows(m)
+        support = support_rows(m)
+        _check_positive(m if support is None else m[np.ix_(support, support)], lambda: m)
+        state = _trusted(systems, norm_mode, matrix=m, support=support)
 
-    _check_positive(m, rows)
+    tr = state.trace()
     if norm_mode == "normalized":
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace {tr!r} is not 1 within {TRACE_TOL}")
@@ -376,29 +405,21 @@ def make_state(
             raise StateError(f"trace {tr!r} is not in (0, 1] within {TRACE_TOL}")
     else:
         raise StateError(f"unknown norm_mode {norm_mode!r}")
-    return _trusted(systems, norm_mode, matrix=m, support=support)
+    return state
 
 
 def _zero_outside(m: np.ndarray, rows: np.ndarray) -> bool:
-    """True when every entry of M outside the block of ``rows`` x ``rows`` is +0.0 in both parts.
+    """True when every entry of M in ``rows`` and outside their columns is +0.0 in both parts.
 
-    +0.0 is the one float whose bits are all zero, so the test reads M's bits
-    as int64.  The columns outside are read first, on the k kept rows only: a
-    leak into a zero row's column is found there at k x (D - k) cost.  The
-    rows outside are zero (:func:`support_rows`), so each of their entries is
-    +0.0 or -0.0, read as 0 or INT64_MIN, and a row minimum finds a -0.0.  It
-    runs over all D rows: selecting the rows outside first copies them, which
-    costs more than the minimum over the k rows it skips (3.4 against 0.9 ms
-    on the d = 32 overlap joint, 32 kept rows of 1024).  A -0.0 is sent to
-    the full-matrix passes because (M + M†)/2 can keep it where the zeros that
-    the block is scattered into have +0.0.
+    ``rows`` are the rows of M whose bits are not all zero, so with this test
+    every entry outside the block ``rows`` x ``rows`` is +0.0.  The test reads
+    M's bits as int64 on the k kept rows only, at k x (D - k) cost: a leak
+    into a zero row's column is found there.
     """
     outside = np.ones(m.shape[0], dtype=bool)
     outside[rows] = False
     bits = np.ascontiguousarray(m).view(np.int64)
-    if np.any(bits[rows][:, np.repeat(outside, 2)]):
-        return False
-    return not np.any(bits.min(axis=1)[outside])
+    return not np.any(bits[rows][:, np.repeat(outside, 2)])
 
 
 _ADJOINT_TILE = 64
@@ -432,41 +453,35 @@ def _checked_hermitian_part(m: np.ndarray) -> np.ndarray:
     return adjoint
 
 
-def _check_positive(m: np.ndarray, rows: np.ndarray | None) -> None:
-    """Reject a Hermitian matrix whose smallest eigenvalue is below EIGENVALUE_FLOOR.
+def _check_positive(block: np.ndarray, whole: Callable[[], np.ndarray]) -> None:
+    """Reject a Hermitian matrix M = ``whole()`` whose smallest eigenvalue is below EIGENVALUE_FLOOR.
 
-    Cholesky succeeds on M - EIGENVALUE_FLOOR * I exactly when it is positive
-    definite, up to a backward error of order D * eps * ||M||, far below the
-    floor's 1e-10.  The shift goes onto M's own diagonal, whose saved values
-    are written back before anything else reads M, so neither a D x D
-    identity nor a copy of M (128 and 256 MB at D = 4096) is built.  The
-    eigenvalues are computed only when the factorization fails, so every
-    rejection and its message are decided by the smallest eigenvalue.  The
-    factorization reads the transpose, which numpy hands to LAPACK without a
-    transposing copy: for Hermitian M it is conj(M), whose factor is conj(L)
-    bit for bit, so it fails exactly when M's does (about 20% faster at
-    D = 1024, one BLAS thread).
-
-    ``rows`` is None or a set S of rows outside which M is zero, rows and
-    columns alike, so that after a permutation M = M_SS (+) 0.  Its spectrum
-    is that of M_SS together with D - k zeros, and the shifted zero block,
-    -EIGENVALUE_FLOOR * I, is positive definite.  So M - EIGENVALUE_FLOOR * I
-    is positive definite exactly when M_SS - EIGENVALUE_FLOOR * I is, and the
-    factorization runs on that k x k block, with a backward error of order
-    k * eps * ||M||.  When it fails, the eigenvalues of the whole of M are
-    computed as for any other matrix, so every rejection and its message are
-    the same as without the block.
+    ``block`` is M itself, or M_SS for a set S of rows outside which M is
+    zero, rows and columns alike, so that after a permutation M = M_SS (+) 0.
+    Its spectrum is that of M_SS together with D - k zeros, and the shifted
+    zero block, -EIGENVALUE_FLOOR * I, is positive definite, so
+    M - EIGENVALUE_FLOOR * I is positive definite exactly when
+    M_SS - EIGENVALUE_FLOOR * I is.  Cholesky decides that on the k x k
+    block, up to a backward error of order k * eps * ||M||, far below the
+    floor's 1e-10.  The shift goes onto the block's own diagonal, whose saved
+    values are written back before anything else reads it, so neither an
+    identity nor a copy (128 and 256 MB at D = 4096) is built.  ``whole`` is
+    called, and the eigenvalues of all of M computed, only when the
+    factorization fails, so every rejection and its message are decided by
+    M's smallest eigenvalue.  The factorization reads the transpose, which
+    numpy hands to LAPACK without a transposing copy: for Hermitian M_SS it
+    is conj(M_SS), whose factor is conj(L) bit for bit, so it fails exactly
+    when M_SS's does (about 20% faster at D = 1024, one BLAS thread).
     """
-    shifted = m if rows is None else m[np.ix_(rows, rows)]
-    diagonal = shifted.diagonal().copy()
-    shifted.flat[:: shifted.shape[0] + 1] -= EIGENVALUE_FLOOR
+    diagonal = block.diagonal().copy()
+    block.flat[:: block.shape[0] + 1] -= EIGENVALUE_FLOOR
     try:
         try:
-            np.linalg.cholesky(shifted.T)
+            np.linalg.cholesky(block.T)
         finally:
-            shifted.flat[:: shifted.shape[0] + 1] = diagonal
+            block.flat[:: block.shape[0] + 1] = diagonal
     except np.linalg.LinAlgError:
-        smallest = np.linalg.eigvalsh(m)[0]
+        smallest = np.linalg.eigvalsh(whole())[0]
         if smallest < EIGENVALUE_FLOOR:
             raise StateError(f"matrix is not positive semidefinite (min eigenvalue {smallest:.3e})") from None
 
@@ -489,13 +504,35 @@ def pure_state(systems: Sequence[tuple[str, int]], amplitudes: np.ndarray) -> La
     return _trusted(systems, "normalized", factor=(v / norm)[:, np.newaxis])
 
 
-def _trusted(systems: tuple[tuple[str, int], ...], norm_mode: str,
-             matrix: np.ndarray | None = None, factor: np.ndarray | None = None, support=_UNREAD) -> LabeledState:
+def _trusted(systems: tuple[tuple[str, int], ...], norm_mode: str, matrix: np.ndarray | None = None,
+             factor: np.ndarray | None = None, block: tuple[np.ndarray, np.ndarray] | None = None,
+             support=_UNREAD) -> LabeledState:
     """Wrap a result that is a valid state by construction, without checking it."""
-    (matrix if factor is None else factor).setflags(write=False)
+    stored = block if block is not None else (matrix if factor is None else factor,)
     if isinstance(support, np.ndarray):
-        support.setflags(write=False)
-    return LabeledState(systems, norm_mode, matrix=matrix, factor=factor, support=support)
+        stored += (support,)
+    for part in stored:
+        part.setflags(write=False)
+    return LabeledState(systems, norm_mode, matrix=matrix, factor=factor, block=block, support=support)
+
+
+def support_block(state: LabeledState) -> tuple[np.ndarray | None, np.ndarray]:
+    """(S, rho_SS): :attr:`LabeledState.support` and the stored operator on S x S; (None, the matrix) if every row is kept.
+
+    A state stored as a support block gives that block, or its rows and
+    columns on S when some of its rows are zero, without building the D x D
+    matrix: the same entries, bit for bit.
+    """
+    rows = state.support
+    if rows is None:
+        return None, state.matrix
+    if state._block is None:
+        return rows, state.matrix[np.ix_(rows, rows)]
+    block_rows, block = state._block
+    if rows.size == block_rows.size:
+        return rows, block
+    inner = np.searchsorted(block_rows, rows)
+    return rows, block[np.ix_(inner, inner)]
 
 
 def tensor(a: LabeledState, b: LabeledState) -> LabeledState:
@@ -571,7 +608,7 @@ def partial_trace(state: LabeledState, keep: Iterable[str] | str) -> LabeledStat
     new_systems = tuple(state.systems[i] for i in keep_idx)
     v = state._factor
     if v is None:
-        return _trusted(new_systems, state.norm_mode, matrix=_partial_trace_dense(state._matrix, state.dims, keep_idx))
+        return _trusted(new_systems, state.norm_mode, matrix=_partial_trace_dense(state.matrix, state.dims, keep_idx))
     psi = _factor_layout(v.reshape(state.dims + v.shape[1:]), keep_idx).reshape(-1, math.prod(d for _, d in new_systems))
     factor, matrix = _reduce_factor(psi)
     return _trusted(new_systems, state.norm_mode, matrix=matrix, factor=factor)
@@ -640,7 +677,7 @@ def permute_systems(state: LabeledState, order: Sequence[str]) -> LabeledState:
     if v is not None:
         f = v.reshape(dims + v.shape[1:]).transpose(perm + [n]).reshape(v.shape)
         return _trusted(new_systems, state.norm_mode, factor=f)
-    t = state._matrix.reshape(dims + dims).transpose(perm + [p + n for p in perm])
+    t = state.matrix.reshape(dims + dims).transpose(perm + [p + n for p in perm])
     side = state.total_dim
     return _trusted(new_systems, state.norm_mode, matrix=t.reshape(side, side))
 
@@ -686,7 +723,8 @@ def apply_unitary(state: LabeledState, labels: Sequence[str], unitary: np.ndarra
     if v is not None:
         f = _act_on_axes(u_t, v.reshape(dims + v.shape[1:]), idx)
         return _trusted(state.systems, state.norm_mode, factor=f.reshape(v.shape))
-    t = _sandwich(u_t, state._matrix.reshape(dims + dims), idx).reshape(state._matrix.shape)
+    m = state.matrix
+    t = _sandwich(u_t, m.reshape(dims + dims), idx).reshape(m.shape)
     return _trusted(state.systems, state.norm_mode, matrix=_hermitian_part(t))
 
 
@@ -1086,7 +1124,7 @@ def merge_systems(state: LabeledState, groups: dict[str, Sequence[str]]) -> Labe
         else:
             new_systems[-1] = (target, new_systems[-1][1] * dim)
     distinct_labels([name for name, _ in new_systems])
-    merged = LabeledState(tuple(new_systems), state.norm_mode, matrix=state._matrix, factor=state._factor)
+    merged = LabeledState(tuple(new_systems), state.norm_mode, matrix=state._matrix, factor=state._factor, block=state._block)
     # The stored operator is unchanged, so the cached spectrum, purity and support carry over.
     for cache in ("_spectrum", "_pure", "_support"):
         object.__setattr__(merged, cache, getattr(state, cache))
@@ -1129,13 +1167,38 @@ def build_state(spec: dict) -> LabeledState:
         return CONSTRUCTORS[name](dict(body.get("params") or {}))
     systems = [(entry["label"], _spec_dimension(entry["dim"])) for entry in spec["systems"]]
     if kind == "pure":
-        amplitudes = np.array([complex(re, im) for re, im in body["amplitudes"]])
-        return pure_state(systems, amplitudes)
+        return pure_state(systems, _complex_entries(body["amplitudes"], 1))
     if kind == "mixed":
-        rows = body["matrix"]
-        matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
-        return make_state(systems, matrix, body.get("norm_mode", "normalized"))
+        return make_state(systems, _complex_entries(body["matrix"], 2), body.get("norm_mode", "normalized"))
     raise StateError(f"unknown state kind {kind!r}")
+
+
+def _complex_entries(entries, depth: int) -> np.ndarray:
+    """The ``[re, im]`` pairs of a state file, nested ``depth`` lists deep, as a complex array.
+
+    Rows of one length whose entries are all pairs of numbers (booleans and
+    ints included) are flattened into one list of numbers, which takes one
+    numpy conversion; its float64 values, read as complex128, hold the bits
+    of ``complex(re, im)`` entry by entry.  numpy's nested-list conversion
+    would take longer than ``complex`` per entry.  Anything else (a string,
+    a ragged row, a pair of another length, an int beyond float64) goes
+    through ``complex(re, im)`` one entry at a time, which raises the error
+    a malformed file reports.
+    """
+    rows = entries if depth == 2 else [entries]
+    try:
+        pairs = list(itertools.chain.from_iterable(rows))
+        values = None
+        if len(set(map(len, rows))) == 1 and set(map(len, pairs)) == {2}:
+            values = np.array(list(itertools.chain.from_iterable(pairs)))
+    except (TypeError, ValueError):  # a row or an entry that is no list, or a number that is one
+        values = None
+    if values is not None and values.dtype.kind in "bif" and values.shape == (2 * len(pairs),):
+        numbers = values.astype(float, copy=False).view(complex)
+        return numbers if depth == 1 else numbers.reshape(len(rows), -1)
+    if depth == 1:
+        return np.array([complex(re, im) for re, im in entries])
+    return np.array([[complex(re, im) for re, im in row] for row in entries])
 
 
 def random_density(dims: Sequence[int], rng: np.random.Generator) -> np.ndarray:

@@ -290,6 +290,69 @@ def test_malformed_entries_are_rejected_with_diagnostic(tmp_path, capsys, kind, 
     assert capsys.readouterr().err.startswith(f"error: {path}: malformed StateSpec (")
 
 
+def _per_entry(entries, depth):
+    """The state file's pairs converted one ``complex(re, im)`` at a time, as files were read before."""
+    if depth == 1:
+        return np.array([complex(re, im) for re, im in entries])
+    return np.array([[complex(re, im) for re, im in row] for row in entries])
+
+
+_PAIR_CASES = {
+    "floats": [[0.6, -0.0], [0.4, 0.0]],
+    "ints": [[1, 0], [0, 0]],
+    "int64-overflow": [[2**63, 0], [1, 0]],
+    "booleans": [[True, False], [False, False]],
+    "nan": [[float("nan"), 0.0], [1.0, 0.0]],
+    "string-pair": [["1", "0"], [0, 0]],
+    "string-imaginary": [[0, "1"], [1, 0]],
+    "string": [[1.0, 0.0], "ab"],
+    "short": [[1.0, 0.0], [0]],
+    "long": [[1.0, 0.0], [0, 0, 3]],
+    "int-overflow": [[1.0, 0.0], [10**400, 0]],
+    "null": [[None, 0], [1, 0]],
+    "compensating": [[1.0, 0.0, 0.0], [1.0]],
+    "pair-of-lists": [[[1.0], [0.0]], [1.0, 0.0]],
+    "mapping": [{"re": 1.0, "im": 0.0}, [1.0, 0.0]],
+    "scalars": [1, 0],
+    "too-deep": [[[1.0, 0.0]], [0.0, 0.0]],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("case", list(_PAIR_CASES))
+def test_state_file_pairs_convert_as_complex_per_entry(tmp_path, monkeypatch, kind, case):
+    # One numpy conversion gives the bits of complex(re, im) per entry, and a
+    # malformed file the same message, so the same exit code.
+    pairs = _PAIR_CASES[case]
+    body = {"kind": "pure", "amplitudes": pairs}
+    if kind == "mixed":  # the pairs on the diagonal
+        rows = [[pairs[0], [0.0, -0.0]], [[0.0, 0.0], pairs[1]]] if len(pairs) == 2 else pairs
+        body = {"kind": "mixed", "matrix": rows}
+    path = _write(tmp_path, "pairs.json", {"systems": [{"label": "A", "dim": 2}], "state": body})
+
+    def outcome():
+        try:
+            return cli.parse_state_file(path).matrix.tobytes()
+        except qcore.StateError as exc:
+            return str(exc)
+
+    got = outcome()
+    with monkeypatch.context() as patch:
+        patch.setattr(qcore, "_complex_entries", _per_entry)
+        assert got == outcome()
+    if case in ("floats", "ints", "booleans"):
+        assert isinstance(got, bytes)
+    ragged = [pairs, [[0.0, 0.0]]]
+    if kind == "mixed" and case == "floats":
+        path = _write(tmp_path, "pairs.json", {"systems": [{"label": "A", "dim": 2}], "state": {"kind": "mixed", "matrix": ragged}})
+        message = outcome()
+        assert message.startswith(f"{path}: malformed StateSpec (setting an array element with a sequence.")
+        with monkeypatch.context() as patch:
+            patch.setattr(qcore, "_complex_entries", _per_entry)
+            assert message == outcome()
+
+
 @pytest.mark.parametrize("dim", [2.7, True, "2"], ids=["fraction", "boolean", "string"])
 def test_non_integral_dimensions_are_rejected_with_diagnostic(tmp_path, capsys, dim):
     bell = {"kind": "pure", "amplitudes": [[0.5**0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5**0.5, 0.0]]}

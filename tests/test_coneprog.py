@@ -381,6 +381,29 @@ def test_solver_matches_the_reference_bit_for_bit(d_a, d_b, rank):
     assert sol.newton_steps >= 20  # a path through every barrier stage, not a closed form
 
 
+@pytest.mark.parametrize("d_a,d_b", [(2, 4), (4, 8)], ids=lambda v: str(v))
+def test_dual_certificate_reuses_the_last_newton_direction(d_a, d_b, monkeypatch):
+    # The last stage ends at a decrement test or a failed line search, both
+    # after a Newton solve at the final sigma; the reference solves that
+    # system once more for the dual certificate, and the solver does not.
+    solves = {"reference": 0, "solver": 0}
+    ref_inner, inner = _ref_newton_direction, coneprog._newton_direction
+
+    def ref_spy(*args):
+        solves["reference"] += 1
+        return ref_inner(*args)
+
+    def spy(*args):
+        solves["solver"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(sys.modules[__name__], "_ref_newton_direction", ref_spy)
+    monkeypatch.setattr(coneprog, "_newton_direction", spy)
+    rho = ginibre.density([d_a, d_b], np.random.default_rng(1000 + 10 * d_a + d_b), None)
+    sol = _assert_same_bits(rho, d_a, d_b)
+    assert solves["solver"] == solves["reference"] - 1 > sol.newton_steps
+
+
 def _real_product() -> np.ndarray:
     # Real matrices leave the imaginary parts exactly zero all through the
     # solve, so signed zeros must come out the same too.

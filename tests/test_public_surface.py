@@ -198,10 +198,10 @@ def _private_slots() -> set[str]:
 
 
 def test_no_module_but_qcore_reads_a_private_slot_of_a_state():
-    # A state's storage (matrix or factor) and its caches are qcore's to read;
-    # any other module asks qcore, so the factor layout has one home.
+    # A state's storage (matrix, factor or support block) and its caches are
+    # qcore's to read; any other module asks qcore, so each layout has one home.
     slots = _private_slots()
-    assert {"_matrix", "_factor", "_spectrum", "_pure", "_support", "_position"} <= slots
+    assert {"_matrix", "_factor", "_block", "_spectrum", "_pure", "_support", "_position"} <= slots
     reads = [
         f"{path.name}:{node.lineno} {node.attr}"
         for path in sorted(PACKAGE.glob("*.py"))

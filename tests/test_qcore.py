@@ -448,6 +448,8 @@ def _assert_same_make_state(matrix, norm_mode="normalized"):
             qcore.make_state(systems, matrix, norm_mode)
         return str(exc)
     got = qcore.make_state(systems, matrix, norm_mode)
+    if got._block is not None:
+        _assert_same_block_state(got, want)
     assert got.matrix.tobytes() == want.matrix.tobytes()
     _assert_carries_its_support(got)
     for part in ("real", "imag"):
@@ -455,6 +457,23 @@ def _assert_same_make_state(matrix, norm_mode="normalized"):
     assert got.is_pure == want.is_pure
     assert got.trace() == want.trace()
     return None
+
+
+def _assert_same_block_state(got, want):
+    """A state stored as its support block reads as the full-pass reference, bit for bit.
+
+    Its trace and support come without the D x D matrix, which is built on
+    first read, read-only and once; its spectrum and purity are the reference's.
+    """
+    assert got._matrix is None
+    assert got.trace() == want.trace()
+    assert got.support.tolist() == qcore.support_rows(want.matrix).tolist()
+    assert got._matrix is None
+    stored = got.matrix
+    assert not stored.flags.writeable and got.matrix is stored
+    assert stored.tobytes() == want.matrix.tobytes()
+    assert got.spectrum().tobytes() == want.spectrum().tobytes()
+    assert got.is_pure == want.is_pure
 
 
 def _assert_carries_its_support(state):
@@ -509,6 +528,8 @@ def test_make_state_on_the_support_equals_the_full_passes_bitwise():
         kept = _make_state_full_passes([("A", side)], signed).matrix[i, j]
         assert np.signbit(kept.real) or np.signbit(kept.imag)
         assert _assert_same_make_state(signed) is None
+        # A -0.0 in a kept row's outside column leaks; rows of -0.0 join the block.
+        assert (qcore.make_state([("A", side)], signed)._block is None) == (i in rows)
     # A real outer product has -0.0 off its block as well.
     real = np.outer([-0.6, 0.0, 0.8, 0.0], [-0.6, 0.0, 0.8, 0.0])
     assert np.signbit(real).any() and _assert_same_make_state(real) is None
@@ -516,6 +537,7 @@ def test_make_state_on_the_support_equals_the_full_passes_bitwise():
     anti = m.copy()
     anti[out[4], out[4]] = 2e-9j
     assert _assert_same_make_state(anti) is None
+    assert qcore.make_state([("A", side)], anti)._block[0].size == k + 1
     # NaN inside the support, a Hermiticity defect inside the block, a non-PSD block.
     nan = m.copy()
     nan[rows[2], rows[3]] = np.nan
@@ -594,18 +616,20 @@ def test_make_state_scans_the_support_of_the_overlap_joint_once(monkeypatch):
     calls = []
 
     def counted(matrix):
-        calls.append(matrix.shape)
+        calls.append((matrix.shape, matrix.dtype))
         return support_rows(matrix)
 
     monkeypatch.setattr(qcore, "support_rows", counted)
     _, coeff, big = acceptance.overlap_family(32, np.random.default_rng(32))
     joint = qcore.make_state([("C1", 32), ("R", 32)], big)
-    # The input once, then the 32 x 32 symmetrized block for rows that cancel to zero.
-    assert calls == [(1024, 1024), (32, 32)]
+    # The input once, read as int64, then the 32 x 32 symmetrized block for rows that cancel to zero.
+    assert calls == [((1024, 2048), np.int64), ((32, 32), complex)]
     sigma = qcore.make_state([("R", 32)], np.diag(coeff**2).astype(complex))
     calls.clear()
     entropy.min_entropy_relative(joint, sigma)
-    assert (1024, 1024) not in calls
+    assert all(shape[0] != 1024 for shape, _ in calls)
+    # The joint is stored as its block: H_min reads it and builds no 1024 x 1024 matrix.
+    assert joint._block is not None and joint._matrix is None
 
 
 def test_full_passes_scan_the_symmetrized_support_only_with_a_zero_real_diagonal_entry(monkeypatch):
@@ -649,6 +673,25 @@ def test_carried_support_of_a_block_row_that_cancels_to_zero():
     # A kept row with a -0.0 inside the block: a zero, and the row stays.
     m[0, 3] = m[3, 0] = complex(-0.0, 0.0)
     assert _assert_same_make_state(m) is None
+
+
+def test_support_block_of_a_block_with_a_row_that_cancels():
+    # The block keeps row 1, which (M + M†)/2 zeroes; H_min reads the block on
+    # the support alone, the entries of the dense matrix, without building it.
+    m = np.zeros((6, 6), dtype=complex)
+    m[0, 0], m[3, 3] = 0.25, 0.75
+    m[0, 3], m[3, 0] = 0.1 + 0.2j, 0.1 - 0.2j
+    m[1, 1] = 1e-9j
+    systems = [("A", 3), ("B", 2)]
+    state = qcore.make_state(systems, m)
+    dense = _make_state_full_passes(systems, m)
+    assert state._block[0].tolist() == [0, 1, 3] and state.support.tolist() == [0, 3]
+    rows, block = qcore.support_block(state)
+    assert rows.tolist() == [0, 3] and block.tobytes() == dense.matrix[np.ix_(rows, rows)].tobytes()
+    sigma = qcore.make_state([("B", 2)], np.diag([0.3, 0.7]).astype(complex))
+    value = entropy.min_entropy_relative(state, sigma)
+    assert state._matrix is None
+    assert value.hex() == entropy.min_entropy_relative(dense, sigma).hex()
 
 
 @pytest.mark.parametrize("side, k", [(4, 2), (9, 4), (130, 7), (300, 40), (1024, 32)])

@@ -53,6 +53,9 @@ for repeats in (1, 4):
     calls = []
     first, record = timing.measure(lambda: calls.append(len(calls)) or len(calls), repeats)
     out[repeats] = {"calls": len(calls), "first": first, "record": record}
+built, taken = [], []
+timing.measure(taken.append, 3, lambda: built.append(len(built)) or built[-1])
+out["setup"] = {"built": built, "taken": taken}
 json.dump(out, sys.stdout)
 """
 
@@ -62,7 +65,10 @@ def test_measure_returns_the_first_result_and_one_nominal_record():
     done = subprocess.run([sys.executable, "-c", MEASURE, str(ROOT / "scripts")],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    for repeats, out in json.loads(done.stdout).items():
+    results = json.loads(done.stdout)
+    # With a setup, each call takes the argument built for it.
+    assert results.pop("setup") == {"built": [0, 1, 2, 3], "taken": [0, 1, 2, 3]}
+    for repeats, out in results.items():
         assert out["calls"] == int(repeats) + 1
         assert out["first"] == 1
         record = out["record"]
