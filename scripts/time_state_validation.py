@@ -25,6 +25,13 @@ one JSON object:
   ``file_mb``;
 - ``fingerprint``.
 
+Every case of side D takes ``_repeats(D)`` timed calls after its untimed
+one (7 up to D = 256, 5 at D = 1024 and 3 at D = 2048), so each record has
+a spread.  The parse cases take most of a default run.  At D = 1024 one
+``json.load`` takes about 1.9 s and one ``parse_state_file`` 2.8 s (raw, one
+core of a Xeon), and D = 2048 takes about four times that, so the parse
+cases take about 30 s and 75 s, where one timed call each took 10 s and 40 s.
+
 The input matrices are drawn from fixed seeds.  Building them and writing
 the files is not timed.  A state file of side D holds D^2 [re, im] pairs,
 52 MB at D = 1024 and 208 MB at D = 2048, and ``json.load`` holds all of
@@ -40,7 +47,6 @@ from pathlib import Path
 import timing  # before numpy: it pins BLAS at one thread
 
 SEED = 8
-PARSE_REPEATS = 1  # a D = 2048 file takes about 8 s to parse
 JOINT_REPEATS = 7
 
 
@@ -103,8 +109,8 @@ def time_parse(cli, qcore, side: int, rng, directory: Path) -> dict:
         cli.parse_state_file(path)
 
     cases = {
-        f"json_load.{side}": {**timing.measure(load, PARSE_REPEATS)[1], "file_mb": file_mb},
-        f"parse_state_file.{side}": {**timing.measure(parse, PARSE_REPEATS)[1], "file_mb": file_mb},
+        f"json_load.{side}": {**timing.measure(load, _repeats(side))[1], "file_mb": file_mb},
+        f"parse_state_file.{side}": {**timing.measure(parse, _repeats(side))[1], "file_mb": file_mb},
     }
     path.unlink()
     return cases

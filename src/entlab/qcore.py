@@ -118,12 +118,14 @@ class LabeledState:
     """A density operator carrying an ordered list of named subsystems.
 
     The operator is stored in the tensor-product order of ``systems`` in one
-    of three forms: the D x D matrix; a factor V, D x r with rho = V V^dagger
-    (a pure state's amplitudes, a kron of factors, or a reduction of one,
-    :func:`partial_trace`); or a support block, rows S and the k x k matrix
-    rho_SS, with every entry outside S x S zero (:func:`make_state` of a
-    block-supported input).  A factor or a block builds the dense ``matrix``
-    only on first access.  The spectrum, :attr:`is_pure` and :attr:`support`
+    of two forms: a factor V, D x r with rho = V V^dagger (a pure state's
+    amplitudes, a kron of factors, or a reduction of one,
+    :func:`partial_trace`); or a dense block on its rows, ``(rows, B)``.
+    ``rows`` is None when B is the whole D x D matrix, or the rows S of a
+    block-supported input with B = rho_SS and every entry outside S x S zero
+    (:func:`make_state`).  ``_matrix`` holds the dense, read-only ``matrix``:
+    B itself when every row is stored, else built from the factor or the
+    block on first access.  The spectrum, :attr:`is_pure` and :attr:`support`
     are computed on first read and cached; a factor's spectrum decomposes its
     r x r Gram matrix V^dagger V at most, and a block's the dense matrix.
     :func:`make_state` fills the support, as it knows it already, and
@@ -146,9 +148,8 @@ class LabeledState:
     dims: tuple[int, ...]
     norm_mode: str
 
-    def __init__(self, systems: tuple[tuple[str, int], ...], norm_mode: str,
-                 matrix: np.ndarray | None = None, factor: np.ndarray | None = None,
-                 block: tuple[np.ndarray, np.ndarray] | None = None, support=_UNREAD):
+    def __init__(self, systems: tuple[tuple[str, int], ...], norm_mode: str, factor: np.ndarray | None = None,
+                 block: tuple[np.ndarray | None, np.ndarray] | None = None, support=_UNREAD):
         init = object.__setattr__
         init(self, "systems", systems)
         labels = tuple(name for name, _ in systems)
@@ -156,7 +157,7 @@ class LabeledState:
         init(self, "dims", tuple(d for _, d in systems))
         init(self, "_position", {name: i for i, name in enumerate(labels)})
         init(self, "norm_mode", norm_mode)
-        init(self, "_matrix", matrix)
+        init(self, "_matrix", block[1] if block is not None and block[0] is None else None)
         init(self, "_factor", factor)
         init(self, "_block", block)
         init(self, "_spectrum", None)
@@ -185,9 +186,10 @@ class LabeledState:
 
         A factor has the clamped eigenvalues of its Gram matrix V^dagger V,
         padded with zeros; one column psi has (0, ..., 0, ||psi||^2) exactly,
-        with ||psi||^2 = :meth:`trace`.  A matrix has its own eigenvalues,
-        clamped as by :func:`clamped_eigenvalues`, and so has a block's dense
-        :attr:`matrix`: the k x k block's would differ in their last bits.
+        with ||psi||^2 = :meth:`trace`.  A dense block has the eigenvalues of
+        the dense :attr:`matrix`, clamped as by :func:`clamped_eigenvalues`,
+        on all rows or on S alike: the k x k block's would differ in their
+        last bits.
         """
         eigs = self._spectrum
         if eigs is None:
@@ -241,17 +243,20 @@ class LabeledState:
             raise LabelError(f"unknown subsystem label {label!r}") from None
 
     def trace(self) -> float:
-        """The real part of the dense matrix's trace, summed as ``np.trace`` sums it, without building the matrix."""
+        """The real part of the dense matrix's trace, without building the matrix.
+
+        A dense block's is summed as ``np.trace`` sums the matrix, and so is
+        one column's; a wider factor V sums the |V_ij|^2, within D * eps *
+        Tr rho of that.
+        """
         v = self._factor
         if v is not None:
             return float(np.real(np.sum(v * v.conj())))
-        if self._block is not None:
-            # The block's diagonal placed in D zeros is the dense diagonal.
-            rows, block = self._block
-            diagonal = np.zeros(self.total_dim, dtype=complex)
-            diagonal[rows] = block.diagonal()
-            return float(np.real(np.sum(diagonal)))
-        return float(np.real(np.trace(self._matrix)))
+        # The block's diagonal placed in D zeros is the dense diagonal, which np.trace sums in this order.
+        rows, block = self._block
+        diagonal = np.zeros(self.total_dim, dtype=complex)
+        diagonal[slice(None) if rows is None else rows] = block.diagonal()
+        return float(np.real(np.sum(diagonal)))
 
     def factor(self) -> np.ndarray:
         """V (D x r) with V V^dagger = rho less its eigenvalues at or below SUPPORT_TOL.
@@ -355,46 +360,44 @@ def make_state(
     No spectrum is kept: :meth:`LabeledState.spectrum` computes it from the
     stored matrix when it is first read.
 
-    A nonzero diagonal entry keeps its row, so an input whose diagonal has no
-    zero takes the full-matrix passes after one O(D) test.  Otherwise the
-    input is read once, as int64 (:func:`support_rows` of that view): let S
-    be its k rows whose bits are not all zero.  +0.0 is the one float whose
-    bits are all zero, so every row outside S is +0.0 throughout, both parts.
-    If the columns outside S are +0.0 on the k rows of S as well
-    (:func:`_zero_outside`), then M = M_SS (+) 0 after a permutation, and the
-    finiteness test, the Hermiticity defect, the symmetrization and the
-    Cholesky factorization run on the k x k block M_SS.  The state stores the
-    symmetrized block and S; its D x D :attr:`LabeledState.matrix`, the
-    block scattered into zeros, is built on first read.  The full-matrix
-    passes would read only +0.0 outside the block and store +0.0 there, so
-    every check, message and stored bit is the same.  The trace sums the
-    block's diagonal placed in D zeros (:meth:`LabeledState.trace`), the sum
-    ``np.trace`` takes of the dense matrix.  Any other input, a 1e-12 entry
-    in a zero row's column included, takes the full-matrix passes, and its
-    Cholesky block is the support of (M + M†)/2.  That support is scanned
-    only when some diagonal entry of M has real part 0: the diagonal of
-    (M + M†)/2 is Re M_ii.
+    Every input takes one path, on the rows it stores.  A nonzero diagonal
+    entry keeps its row, so an input whose diagonal has no zero stores all
+    rows after one O(D) test.  Otherwise the input is read once, as int64
+    (:func:`support_rows` of that view): let S be its k rows whose bits are
+    not all zero.  +0.0 is the one float whose bits are all zero, so every
+    row outside S is +0.0 throughout, both parts.  If the columns outside S
+    are +0.0 on the k rows of S as well (:func:`_zero_outside`), then
+    M = M_SS (+) 0 after a permutation and the state stores S; any other
+    input, a 1e-12 entry in a zero row's column included, stores all rows.
+    The finiteness test, the Hermiticity defect and the symmetrization run
+    on the stored rows' block B, M itself or M_SS, and the Cholesky
+    factorization on the support of B, its rows that are not exactly zero.
+    That support is scanned only when some diagonal entry of B has real
+    part 0: the diagonal of (M + M†)/2 is Re M_ii.  On S the full passes
+    would read only +0.0 outside the block and store +0.0 there, so every
+    check, message and stored bit is the same; the D x D
+    :attr:`LabeledState.matrix`, B scattered into zeros, is built on first
+    read.  The trace sums B's diagonal placed in D zeros
+    (:meth:`LabeledState.trace`), the sum ``np.trace`` takes of the dense
+    matrix.
 
     The state carries the support of its stored matrix
-    (:attr:`LabeledState.support`): the support of (M + M†)/2 on the full
-    path, and on the block path the rows of S less those of the symmetrized
-    block that are exactly zero, such as a row of -0.0 or one that cancels.
+    (:attr:`LabeledState.support`): the stored rows less those of B that are
+    exactly zero, such as a row of -0.0 or one that cancels.
     """
     systems, side = _checked_systems(systems)
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (side, side):
         raise StateError(f"matrix side {m.shape} does not match product dimension {side}")
     rows = None if np.all(np.diagonal(m)) else support_rows(np.ascontiguousarray(m).view(np.int64))
-    if rows is not None and _zero_outside(m, rows):
-        block = _checked_hermitian_part(m[np.ix_(rows, rows)])
-        _check_positive(block, lambda: _scattered(side, rows, block))
-        inner = support_rows(block)
-        state = _trusted(systems, norm_mode, block=(rows, block), support=rows if inner is None else rows[inner])
-    else:
-        m = _checked_hermitian_part(m)
-        support = support_rows(m)
-        _check_positive(m if support is None else m[np.ix_(support, support)], lambda: m)
-        state = _trusted(systems, norm_mode, matrix=m, support=support)
+    if rows is not None and not _zero_outside(m, rows):
+        rows = None
+    block = _checked_hermitian_part(m if rows is None else m[np.ix_(rows, rows)])
+    inner = support_rows(block)
+    _check_positive(block if inner is None else block[np.ix_(inner, inner)],
+                    lambda: block if rows is None else _scattered(side, rows, block))
+    support = rows if inner is None else (inner if rows is None else rows[inner])
+    state = _trusted(systems, norm_mode, matrix=block, rows=rows, support=support)
 
     tr = state.trace()
     if norm_mode == "normalized":
@@ -458,9 +461,11 @@ def _check_positive(block: np.ndarray, whole: Callable[[], np.ndarray]) -> None:
 
     ``block`` is M itself, or M_SS for a set S of rows outside which M is
     zero, rows and columns alike, so that after a permutation M = M_SS (+) 0.
-    Its spectrum is that of M_SS together with D - k zeros, and the shifted
-    zero block, -EIGENVALUE_FLOOR * I, is positive definite, so
-    M - EIGENVALUE_FLOOR * I is positive definite exactly when
+    :func:`make_state` calls it once, with its stored block on that block's
+    support, and ``whole`` gives the stored block or scatters it into the
+    D x D matrix.  The spectrum of M is that of M_SS together with D - k
+    zeros, and the shifted zero block, -EIGENVALUE_FLOOR * I, is positive
+    definite, so M - EIGENVALUE_FLOOR * I is positive definite exactly when
     M_SS - EIGENVALUE_FLOOR * I is.  Cholesky decides that on the k x k
     block, up to a backward error of order k * eps * ||M||, far below the
     floor's 1e-10.  The shift goes onto the block's own diagonal, whose saved
@@ -505,33 +510,33 @@ def pure_state(systems: Sequence[tuple[str, int]], amplitudes: np.ndarray) -> La
 
 
 def _trusted(systems: tuple[tuple[str, int], ...], norm_mode: str, matrix: np.ndarray | None = None,
-             factor: np.ndarray | None = None, block: tuple[np.ndarray, np.ndarray] | None = None,
-             support=_UNREAD) -> LabeledState:
-    """Wrap a result that is a valid state by construction, without checking it."""
-    stored = block if block is not None else (matrix if factor is None else factor,)
-    if isinstance(support, np.ndarray):
-        stored += (support,)
-    for part in stored:
-        part.setflags(write=False)
-    return LabeledState(systems, norm_mode, matrix=matrix, factor=factor, block=block, support=support)
+             factor: np.ndarray | None = None, rows: np.ndarray | None = None, support=_UNREAD) -> LabeledState:
+    """Wrap a result that is a valid state by construction, without checking it.
+
+    ``matrix`` is the dense block on ``rows``, the whole matrix when ``rows`` is None.
+    """
+    for part in (matrix, factor, rows, support):
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
+    return LabeledState(systems, norm_mode, factor=factor, block=None if matrix is None else (rows, matrix),
+                        support=support)
 
 
 def support_block(state: LabeledState) -> tuple[np.ndarray | None, np.ndarray]:
     """(S, rho_SS): :attr:`LabeledState.support` and the stored operator on S x S; (None, the matrix) if every row is kept.
 
-    A state stored as a support block gives that block, or its rows and
-    columns on S when some of its rows are zero, without building the D x D
-    matrix: the same entries, bit for bit.
+    A dense block gives itself when it is stored on S, or its rows and
+    columns on S, read from the block on its stored rows without building
+    the D x D matrix: the same entries, bit for bit.  A factor reads them
+    from the dense matrix.
     """
     rows = state.support
     if rows is None:
         return None, state.matrix
-    if state._block is None:
-        return rows, state.matrix[np.ix_(rows, rows)]
-    block_rows, block = state._block
-    if rows.size == block_rows.size:
+    block_rows, block = state._block or (None, state.matrix)
+    if block_rows is not None and rows.size == block_rows.size:
         return rows, block
-    inner = np.searchsorted(block_rows, rows)
+    inner = rows if block_rows is None else np.searchsorted(block_rows, rows)
     return rows, block[np.ix_(inner, inner)]
 
 
@@ -1124,9 +1129,9 @@ def merge_systems(state: LabeledState, groups: dict[str, Sequence[str]]) -> Labe
         else:
             new_systems[-1] = (target, new_systems[-1][1] * dim)
     distinct_labels([name for name, _ in new_systems])
-    merged = LabeledState(tuple(new_systems), state.norm_mode, matrix=state._matrix, factor=state._factor, block=state._block)
-    # The stored operator is unchanged, so the cached spectrum, purity and support carry over.
-    for cache in ("_spectrum", "_pure", "_support"):
+    merged = LabeledState(tuple(new_systems), state.norm_mode, factor=state._factor, block=state._block)
+    # The stored operator is unchanged, so the built matrix and the cached spectrum, purity and support carry over.
+    for cache in ("_matrix", "_spectrum", "_pure", "_support"):
         object.__setattr__(merged, cache, getattr(state, cache))
     return merged
 

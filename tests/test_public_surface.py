@@ -198,8 +198,8 @@ def _private_slots() -> set[str]:
 
 
 def test_no_module_but_qcore_reads_a_private_slot_of_a_state():
-    # A state's storage (matrix, factor or support block) and its caches are
-    # qcore's to read; any other module asks qcore, so each layout has one home.
+    # A state's storage (a factor, or a dense block on its rows) and its caches
+    # are qcore's to read; any other module asks qcore, so each layout has one home.
     slots = _private_slots()
     assert {"_matrix", "_factor", "_block", "_spectrum", "_pure", "_support", "_position"} <= slots
     reads = [

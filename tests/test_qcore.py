@@ -448,7 +448,7 @@ def _assert_same_make_state(matrix, norm_mode="normalized"):
             qcore.make_state(systems, matrix, norm_mode)
         return str(exc)
     got = qcore.make_state(systems, matrix, norm_mode)
-    if got._block is not None:
+    if got._block[0] is not None:
         _assert_same_block_state(got, want)
     assert got.matrix.tobytes() == want.matrix.tobytes()
     _assert_carries_its_support(got)
@@ -529,7 +529,7 @@ def test_make_state_on_the_support_equals_the_full_passes_bitwise():
         assert np.signbit(kept.real) or np.signbit(kept.imag)
         assert _assert_same_make_state(signed) is None
         # A -0.0 in a kept row's outside column leaks; rows of -0.0 join the block.
-        assert (qcore.make_state([("A", side)], signed)._block is None) == (i in rows)
+        assert (qcore.make_state([("A", side)], signed)._block[0] is None) == (i in rows)
     # A real outer product has -0.0 off its block as well.
     real = np.outer([-0.6, 0.0, 0.8, 0.0], [-0.6, 0.0, 0.8, 0.0])
     assert np.signbit(real).any() and _assert_same_make_state(real) is None
@@ -629,7 +629,7 @@ def test_make_state_scans_the_support_of_the_overlap_joint_once(monkeypatch):
     entropy.min_entropy_relative(joint, sigma)
     assert all(shape[0] != 1024 for shape, _ in calls)
     # The joint is stored as its block: H_min reads it and builds no 1024 x 1024 matrix.
-    assert joint._block is not None and joint._matrix is None
+    assert joint._block[0] is not None and joint._matrix is None
 
 
 def test_full_passes_scan_the_symmetrized_support_only_with_a_zero_real_diagonal_entry(monkeypatch):
@@ -696,14 +696,71 @@ def test_support_block_of_a_block_with_a_row_that_cancels():
 
 @pytest.mark.parametrize("side, k", [(4, 2), (9, 4), (130, 7), (300, 40), (1024, 32)])
 def test_make_state_block_path_trace_is_np_trace_bitwise(side, k):
-    # The block path sums the block's diagonal in D zeros; a trace off 1 shows
-    # its bits in the message, which the full passes take from np.trace.
+    # A dense state sums its block's diagonal in D zeros, on S or on all rows;
+    # a trace off 1 shows its bits in the message, which the full passes take
+    # from np.trace.
     rng = np.random.default_rng(side)
+    dense_rng = np.random.default_rng([side, 1])
     for scale in (1.0, 1.0 + 3e-9, 0.5):
         m = _with_zero_rows(_hermitian_block(k, rng), side, rng) * scale
         assert qcore._zero_outside(m, qcore.support_rows(m))
         message = _assert_same_make_state(m)
         assert (message is None) == (scale == 1.0)
+        # No zero row: every row is stored.
+        full = _hermitian_block(side, dense_rng, rank=k) * scale
+        assert np.all(np.diagonal(full))
+        assert (_assert_same_make_state(full) is None) == (scale == 1.0)
+        if scale == 1.0:
+            assert qcore.make_state([("A", side)], full)._block[0] is None
+            assert qcore.make_state([("A", side)], m)._block[0] is not None
+
+
+def _leaky_zero_row_input(rng):
+    """A block-supported density whose first kept row leaks 1e-12 into a zero row's column."""
+    m = _with_zero_rows(_hermitian_block(4, rng), 10, rng)
+    out = np.flatnonzero(~np.any(m, axis=1))
+    m[qcore.support_rows(m)[0], out[0]] = 1e-12
+    return m
+
+
+@pytest.mark.parametrize("kind", ["full_rank", "leaky_zero_row", "block_supported"])
+def test_make_state_symmetrizes_and_factorizes_once_on_one_path(kind, monkeypatch):
+    rng = np.random.default_rng(41)
+    m = {
+        "full_rank": lambda: ginibre.density([10], rng, None),
+        "leaky_zero_row": lambda: _leaky_zero_row_input(rng),
+        "block_supported": lambda: _with_zero_rows(_hermitian_block(4, rng), 10, rng),
+    }[kind]()
+    calls = []
+    for name in ("_checked_hermitian_part", "_check_positive"):
+        def counted(*args, _name=name, _f=getattr(qcore, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(qcore, name, counted)
+    state = qcore.make_state([("A", 10)], m)
+    assert calls == ["_checked_hermitian_part", "_check_positive"]
+    assert (state._block[0] is not None) == (kind == "block_supported")
+    assert _assert_same_make_state(m) is None
+
+
+def test_merge_systems_returns_the_built_matrix_without_rebuilding_it(monkeypatch):
+    rng = np.random.default_rng(42)
+    systems = [("A", 2), ("B", 5)]
+    block = qcore.make_state(systems, _with_zero_rows(_hermitian_block(4, rng), 10, rng))
+    factor = qcore.partial_trace(qcore.random_pure(systems + [("C", 2)], rng), ["A", "B"])
+    dense = qcore.random_state(systems, rng)
+    assert block._block[0] is not None and factor._factor is not None and dense._block[0] is None
+    built = [state.matrix for state in (block, factor, dense)]
+
+    def rebuilt(*args):
+        raise AssertionError("the matrix was built again")
+
+    monkeypatch.setattr(qcore, "_scattered", rebuilt)
+    monkeypatch.setattr(qcore, "_hermitian_part", rebuilt)
+    for state, matrix in zip((block, factor, dense), built):
+        merged = qcore.merge_systems(state, {"M": ["A", "B"]})
+        assert merged.matrix is matrix
 
 
 def _assert_support_is_support_rows(state):

@@ -10,6 +10,7 @@ process that imports it.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -79,3 +80,17 @@ def test_measure_returns_the_first_result_and_one_nominal_record():
         if repeats == "1":
             assert q1 == record["median_s"] == q3
         assert record["speed_scale"] > 0
+
+
+def test_state_validation_times_every_case_with_a_spread():
+    script = ROOT / "scripts" / "time_state_validation.py"
+    done = _run(script, str(ROOT / "src"), "--sizes", "4", "--joints", "2", "--parse-sizes", "4")
+    assert done.returncode == 0, done.stderr
+    cases = json.loads(done.stdout)["cases"]
+    assert sorted(cases) == sorted(["make_state.4", "make_state.joint2", "matrix.joint2", "min_entropy_relative.joint2",
+                                    "json_load.4", "parse_state_file.4"])
+    for name, record in cases.items():
+        q1, q3 = record["q1_q3_s"]
+        assert record["repeats"] >= 2, name
+        assert q1 <= record["median_s"] <= q3, name
+    assert math.isfinite(float.fromhex(cases["min_entropy_relative.joint2"]["value"]))
