@@ -103,11 +103,18 @@ def _support_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return eigs, vecs, _support_mask(eigs)
 
 
-def _scattered(side: int, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The side x side matrix that is ``block`` on ``rows`` x ``rows`` and zero elsewhere."""
+def _scattered(side: int, rows: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """The side x side matrix that is ``block`` on ``rows`` x ``rows`` and zero elsewhere; ``block`` if ``rows`` is None."""
+    if rows is None:
+        return block
     m = np.zeros((side, side), dtype=complex)
     m[np.ix_(rows, rows)] = block
     return m
+
+
+def _restricted(m: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """M on ``rows`` x ``rows``, a copy; M itself if ``rows`` is None."""
+    return m if rows is None else m[np.ix_(rows, rows)]
 
 
 # The value of a cache slot that has not been filled, where None is a value.
@@ -123,9 +130,9 @@ class LabeledState:
     :func:`partial_trace`); or a dense block on its rows, ``(rows, B)``.
     ``rows`` is None when B is the whole D x D matrix, or the rows S of a
     block-supported input with B = rho_SS and every entry outside S x S zero
-    (:func:`make_state`).  ``_matrix`` holds the dense, read-only ``matrix``:
-    B itself when every row is stored, else built from the factor or the
-    block on first access.  The spectrum, :attr:`is_pure` and :attr:`support`
+    (:func:`make_state`).  ``_matrix`` caches the dense, read-only ``matrix``
+    on first read: B itself when every row is stored, else built from the
+    factor or the block.  The spectrum, :attr:`is_pure` and :attr:`support`
     are computed on first read and cached; a factor's spectrum decomposes its
     r x r Gram matrix V^dagger V at most, and a block's the dense matrix.
     :func:`make_state` fills the support, as it knows it already, and
@@ -157,7 +164,7 @@ class LabeledState:
         init(self, "dims", tuple(d for _, d in systems))
         init(self, "_position", {name: i for i, name in enumerate(labels)})
         init(self, "norm_mode", norm_mode)
-        init(self, "_matrix", block[1] if block is not None and block[0] is None else None)
+        init(self, "_matrix", None)
         init(self, "_factor", factor)
         init(self, "_block", block)
         init(self, "_spectrum", None)
@@ -169,7 +176,7 @@ class LabeledState:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense density matrix (read-only), built from the factor or the block on first access."""
+        """The dense density matrix (read-only): the block on all rows, else built from the factor or the block on first read."""
         m = self._matrix
         if m is None:
             v = self._factor
@@ -256,7 +263,7 @@ class LabeledState:
         rows, block = self._block
         diagonal = np.zeros(self.total_dim, dtype=complex)
         diagonal[slice(None) if rows is None else rows] = block.diagonal()
-        return float(np.real(np.sum(diagonal)))
+        return float(diagonal.sum().real)
 
     def factor(self) -> np.ndarray:
         """V (D x r) with V V^dagger = rho less its eigenvalues at or below SUPPORT_TOL.
@@ -392,10 +399,9 @@ def make_state(
     rows = None if np.all(np.diagonal(m)) else support_rows(np.ascontiguousarray(m).view(np.int64))
     if rows is not None and not _zero_outside(m, rows):
         rows = None
-    block = _checked_hermitian_part(m if rows is None else m[np.ix_(rows, rows)])
+    block = _checked_hermitian_part(_restricted(m, rows))
     inner = support_rows(block)
-    _check_positive(block if inner is None else block[np.ix_(inner, inner)],
-                    lambda: block if rows is None else _scattered(side, rows, block))
+    _check_positive(_restricted(block, inner), lambda: _scattered(side, rows, block))
     support = rows if inner is None else (inner if rows is None else rows[inner])
     state = _trusted(systems, norm_mode, matrix=block, rows=rows, support=support)
 
@@ -531,13 +537,11 @@ def support_block(state: LabeledState) -> tuple[np.ndarray | None, np.ndarray]:
     from the dense matrix.
     """
     rows = state.support
-    if rows is None:
-        return None, state.matrix
     block_rows, block = state._block or (None, state.matrix)
-    if block_rows is not None and rows.size == block_rows.size:
+    if rows is None or rows.size == block.shape[0]:
         return rows, block
     inner = rows if block_rows is None else np.searchsorted(block_rows, rows)
-    return rows, block[np.ix_(inner, inner)]
+    return rows, _restricted(block, inner)
 
 
 def tensor(a: LabeledState, b: LabeledState) -> LabeledState:

@@ -455,7 +455,7 @@ def _assert_same_make_state(matrix, norm_mode="normalized"):
     for part in ("real", "imag"):
         assert np.array_equal(np.signbit(getattr(got.matrix, part)), np.signbit(getattr(want.matrix, part)))
     assert got.is_pure == want.is_pure
-    assert got.trace() == want.trace()
+    assert got.trace() == float(np.real(np.trace(want.matrix)))
     return None
 
 
@@ -466,7 +466,7 @@ def _assert_same_block_state(got, want):
     first read, read-only and once; its spectrum and purity are the reference's.
     """
     assert got._matrix is None
-    assert got.trace() == want.trace()
+    assert got.trace() == float(np.real(np.trace(want.matrix)))
     assert got.support.tolist() == qcore.support_rows(want.matrix).tolist()
     assert got._matrix is None
     stored = got.matrix
@@ -723,24 +723,43 @@ def _leaky_zero_row_input(rng):
     return m
 
 
+def _block_input_with_a_row_that_cancels(rng):
+    """A block-supported density with one more row in S, nonzero in M, that (M + M†)/2 zeroes."""
+    m = _with_zero_rows(_hermitian_block(4, rng), 10, rng)
+    zero, kept = np.flatnonzero(~np.any(m, axis=1))[0], qcore.support_rows(m)[0]
+    m[zero, zero] = 1e-9j
+    m[zero, kept], m[kept, zero] = 2e-9, -2e-9
+    return m
+
+
 @pytest.mark.parametrize("kind", ["full_rank", "leaky_zero_row", "block_supported"])
 def test_make_state_symmetrizes_and_factorizes_once_on_one_path(kind, monkeypatch):
+    # One symmetrization of the stored rows' block, and one Cholesky check on
+    # that block's support: all ten rows, the rows less the zero rows left
+    # by a leak, or S less its row that cancels.
     rng = np.random.default_rng(41)
     m = {
         "full_rank": lambda: ginibre.density([10], rng, None),
         "leaky_zero_row": lambda: _leaky_zero_row_input(rng),
-        "block_supported": lambda: _with_zero_rows(_hermitian_block(4, rng), 10, rng),
+        "block_supported": lambda: _block_input_with_a_row_that_cancels(rng),
     }[kind]()
     calls = []
     for name in ("_checked_hermitian_part", "_check_positive"):
         def counted(*args, _name=name, _f=getattr(qcore, name)):
-            calls.append(_name)
+            calls.append((_name, args[0].shape))
             return _f(*args)
 
         monkeypatch.setattr(qcore, name, counted)
     state = qcore.make_state([("A", 10)], m)
-    assert calls == ["_checked_hermitian_part", "_check_positive"]
-    assert (state._block[0] is not None) == (kind == "block_supported")
+    stored, support = state._block[0], state.support
+    assert (stored is not None) == (kind == "block_supported")
+    assert (support is None) == (kind == "full_rank")
+    stored_side = 10 if stored is None else stored.size
+    support_side = 10 if support is None else support.size
+    assert support_side == {"full_rank": 10, "leaky_zero_row": 5, "block_supported": 4}[kind]
+    assert stored_side == {"full_rank": 10, "leaky_zero_row": 10, "block_supported": 5}[kind]
+    assert calls == [("_checked_hermitian_part", (stored_side, stored_side)),
+                     ("_check_positive", (support_side, support_side))]
     assert _assert_same_make_state(m) is None
 
 

@@ -185,7 +185,7 @@ def test_reads_without_the_dense_matrix(name):
     tol = _tolerance(reference)
     _same(state.trace(), reference.trace(), kind in BITWISE["trace"], tol)
     assert reference.trace() == float(np.real(np.trace(reference.matrix)))
-    assert (state._matrix is None) == (kind != DENSE)
+    assert state._matrix is None
     support, want = state.support, reference.support
     assert (support is None) if want is None else support.tolist() == want.tolist()
     rows, block = qcore.support_block(state)
